@@ -27,3 +27,7 @@ class ShapeError(LgpnetError):
 
 class ConfigError(LgpnetError):
     """Invalid configuration value or config file."""
+
+
+class NonFiniteLossError(LgpnetError):
+    """Training produced a NaN or infinite loss."""

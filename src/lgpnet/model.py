@@ -346,6 +346,9 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
             p.data = stored.astype(np.float64)
         for gi, branch in enumerate(model.branches):
             for bi, bn in enumerate(branch.batchnorms()):
-                bn.state.running_mean = data[f"bn/group{gi}/{bi}/running_mean"].astype(np.float64)
-                bn.state.running_var = data[f"bn/group{gi}/{bi}/running_var"].astype(np.float64)
+                for stat in ("running_mean", "running_var"):
+                    key = f"bn/group{gi}/{bi}/{stat}"
+                    if key not in data:
+                        raise FormatError(f"{path}: checkpoint is missing {key}")
+                    setattr(bn.state, stat, data[key].astype(np.float64))
     return model, assignment

@@ -7,6 +7,14 @@ channel concat, tensor mean).  Each op wires a backward closure onto its
 output; ``backward(loss)`` runs the closures in reverse topological order
 and then drops the graph, so a fresh forward pass is needed per step.
 
+Convolution is a sum over the k taps of one matrix product each,
+``W[:, :, j] @ x_pad[:, :, j : j+span : stride]``, taken on a strided view of
+the padded input.  Backward forms the weight gradient tap by tap on the same
+views, and the input gradient from one product with the weight as stored,
+whose k per-tap shares are added at their shifts.  No window (im2col) matrix
+is built.  Gradients are stored on first touch without a copy, which is safe
+because no backward closure writes into an array it was handed.
+
 Everything is double precision and single-threaded per graph, which keeps
 forward values bitwise reproducible for identical inputs.
 """
@@ -62,9 +70,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        # Invariant: no backward closure writes into an array it was handed, so g is stored as is.
+        self.grad = g if self.grad is None else self.grad + g
 
     def sum(self) -> "Tensor":
         return tsum(self)
@@ -264,14 +271,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     if t_out < 1:
         raise ShapeError("conv1d output length would be < 1")
     xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    s0, s1, s2 = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(n, c_in, t_out, k), strides=(s0, s1, s2 * stride, s2), writeable=False
-    )
-    # (N*T_out, C_in*k) @ (C_in*k, C_out) does the whole contraction in one matmul
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(n * t_out, c_in * k)
-    w2 = weight.data.reshape(c_out, c_in * k)
-    y = (cols @ w2.T).reshape(n, t_out, c_out).transpose(0, 2, 1) + bias.data[None, :, None]
+    span = stride * (t_out - 1) + 1
+    # y = sum_j W[:, :, j] @ xp[:, :, j : j+span : stride]: one GEMM per tap on a
+    # strided view, so no (N*T_out, C_in*k) window matrix is ever built.
+    w = weight.data
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
+    y = np.matmul(taps[0], xp[:, :, :span:stride])
+    term = np.empty_like(y) if k > 1 else None
+    for j in range(1, k):
+        y += np.matmul(taps[j], xp[:, :, j : j + span : stride], out=term)
+    y += bias.data[None, :, None]
 
     track = _tracking(x, weight, bias)
     out = _result(y, (x, weight, bias), None, track)
@@ -280,15 +289,36 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             g = out.grad  # N x C_out x T_out
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2)))
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, c_out)
             if weight.requires_grad:
-                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
-            if x.requires_grad:
-                gcols = (g2 @ w2).reshape(n, t_out, c_in, k).transpose(0, 2, 1, 3)
-                gxp = np.zeros((n, c_in, t_pad))
+                # dW[:, :, j] = sum_n g[n] @ xp[n, :, j : j+span : stride].T
+                gw = np.empty((c_out, c_in, k))
                 for j in range(k):
-                    gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
-                x._accumulate(gxp[:, :, padding : t_pad - padding] if padding else gxp)
+                    window_t = xp[:, :, j : j + span : stride].transpose(0, 2, 1)
+                    gw[:, :, j] = np.matmul(g, window_t).sum(axis=0)
+                weight._accumulate(gw)
+            if x.requires_grad:
+                # one product per sample gives every tap's share, read from the weight as
+                # stored: share[n, i, j, t] = sum_o W[o, i, j] g[n, o, t] belongs to input
+                # position j - padding + stride*t; shares that land in the padding are dropped
+                share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
+                reach = []  # (tap, first t, end t, first input position)
+                for j in range(k):
+                    lo = max(0, -((j - padding) // stride))
+                    hi = min(t_out, (t - 1 - j + padding) // stride + 1)
+                    if lo < hi:
+                        reach.append((j, lo, hi, j - padding + stride * lo))
+                # a tap that reaches every input position (stride 1, `same` padding)
+                # starts the sum; otherwise the sum starts from zeros
+                full = [r for r in reach if stride == 1 and r[2] - r[1] == t]
+                if full:
+                    j, lo, hi, _ = full[0]
+                    reach.remove(full[0])
+                    gx = np.ascontiguousarray(share[:, :, j, lo:hi])
+                else:
+                    gx = np.zeros((n, c_in, t))
+                for j, lo, hi, p0 in reach:
+                    gx[:, :, p0 : p0 + stride * (hi - lo) : stride] += share[:, :, j, lo:hi]
+                x._accumulate(gx)
 
         out._backward = _bw
     return out
@@ -326,7 +356,9 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
         if m < 2:
             raise ShapeError("train-mode batchnorm needs at least 2 values per channel")
         mean = x.data.mean(axis=(0, 2))
-        var = x.data.var(axis=(0, 2))
+        xhat = x.data - mean[None, :, None]
+        y = np.square(xhat)  # the same buffer later receives the output
+        var = y.mean(axis=(0, 2))
         state.running_mean = (1 - state.momentum) * state.running_mean + state.momentum * mean
         state.running_var = (1 - state.momentum) * state.running_var + state.momentum * (
             var * m / (m - 1)
@@ -334,11 +366,14 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
     elif state.mode == "eval":
         mean = state.running_mean
         var = state.running_var
+        xhat = x.data - mean[None, :, None]
+        y = np.empty_like(xhat)
     else:
         raise ValueError(f"unknown batchnorm mode {state.mode!r}")
     inv_std = 1.0 / np.sqrt(var + state.eps)
-    xhat = (x.data - mean[None, :, None]) * inv_std[None, :, None]
-    y = gamma.data[None, :, None] * xhat + beta.data[None, :, None]
+    xhat *= inv_std[None, :, None]
+    np.multiply(gamma.data[None, :, None], xhat, out=y)
+    y += beta.data[None, :, None]
 
     track = _tracking(x, gamma, beta)
     out = _result(y, (x, gamma, beta), None, track)
@@ -347,20 +382,22 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
 
         def _bw():
             g = out.grad
+            g_xhat = g * xhat
+            g_gamma = g_xhat.sum(axis=(0, 2))
+            g_beta = g.sum(axis=(0, 2))
             if gamma.requires_grad:
-                gamma._accumulate((g * xhat).sum(axis=(0, 2)))
+                gamma._accumulate(g_gamma)
             if beta.requires_grad:
-                beta._accumulate(g.sum(axis=(0, 2)))
+                beta._accumulate(g_beta)
             if x.requires_grad:
-                ghat = g * gamma.data[None, :, None]
+                scale = gamma.data * inv_std
+                gx = g * scale[None, :, None]
                 if train_mode:
-                    gx = (
-                        ghat
-                        - ghat.mean(axis=(0, 2), keepdims=True)
-                        - xhat * (ghat * xhat).mean(axis=(0, 2), keepdims=True)
-                    ) * inv_std[None, :, None]
-                else:
-                    gx = ghat * inv_std[None, :, None]
+                    # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), reusing the
+                    # per-channel sums above and the g*xhat buffer
+                    np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
+                    g_xhat += (scale * g_beta / (n * t))[None, :, None]
+                    gx -= g_xhat
                 x._accumulate(gx)
 
         out._backward = _bw

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Manifest
-from .errors import ConfigError, ManifestError
+from .errors import ConfigError, ManifestError, NonFiniteLossError
 from .lfcc import LfccConfig
 from .model import GroupedResNetEnsemble, ModelCfg, ModelOutput, save_checkpoint
 from .multiscale import GmmBank, GroupAssignment, manifest_lgp_features
@@ -212,7 +212,8 @@ def train(
     initialization and every epoch's shuffle.  The monitored loss is the
     dev-set loss when a dev manifest is given, the training loss otherwise;
     the best-monitored parameters are restored (and written to
-    checkpoint_path, when given) at the end.
+    checkpoint_path, when given) at the end.  A NaN or infinite loss in any
+    epoch raises NonFiniteLossError and writes no checkpoint.
     """
     if len(manifest) == 0:
         raise ManifestError("training manifest is empty")
@@ -254,6 +255,11 @@ def train(
             if writer is not None:
                 writer.writerow([epoch, repr(train_loss), repr(dev_loss), repr(lr)])
                 log_file.flush()
+            if not (np.isfinite(train_loss) and np.isfinite(dev_loss)):
+                raise NonFiniteLossError(
+                    f"epoch {epoch}: loss is not finite (train {train_loss!r}, "
+                    f"monitored {dev_loss!r})"
+                )
             if dev_loss < best_value:
                 best_value = dev_loss
                 best_snap = _snapshot(model)

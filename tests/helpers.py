@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lgpnet.tensor import Tensor, backward
+from lgpnet.tensor import Tensor, _result, _tracking, backward
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +120,46 @@ def check_gradients(build_loss, tensors: list[Tensor], h: float = FD_H) -> float
         num = numeric_grad(lambda: build_loss().item(), t.data, h=h)
         worst = max(worst, grad_errors(t.grad, num))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# im2col convolution: the library's former conv1d, kept as a reference
+
+
+def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+    """conv1d as one (N*T_out, C_in*k) @ (C_in*k, C_out) matmul over copied windows."""
+    n, c_in, t = x.shape
+    c_out, _, k = weight.shape
+    t_pad = t + 2 * padding
+    t_out = (t_pad - k) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(n, c_in, t_out, k), strides=(s0, s1, s2 * stride, s2), writeable=False
+    )
+    cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(n * t_out, c_in * k)
+    w2 = weight.data.reshape(c_out, c_in * k)
+    y = (cols @ w2.T).reshape(n, t_out, c_out).transpose(0, 2, 1) + bias.data[None, :, None]
+
+    track = _tracking(x, weight, bias)
+    out = _result(y, (x, weight, bias), None, track)
+    if track:
+        def _bw():
+            g = out.grad
+            if bias.requires_grad:
+                bias._accumulate(g.sum(axis=(0, 2)))
+            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, c_out)
+            if weight.requires_grad:
+                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
+            if x.requires_grad:
+                gcols = (g2 @ w2).reshape(n, t_out, c_in, k).transpose(0, 2, 1, 3)
+                gxp = np.zeros((n, c_in, t_pad))
+                for j in range(k):
+                    gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
+                x._accumulate(gxp[:, :, padding : t_pad - padding] if padding else gxp)
+
+        out._backward = _bw
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from helpers import build_synth_corpus
@@ -183,3 +184,21 @@ class TestEndToEnd:
             "--config", str(cli_workspace["cfg"]),
         ]) == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_train_model_diverging_loss_is_exit_1(self, cli_workspace, capsys):
+        root = cli_workspace["root"]
+        cfg = root / "diverge.cfg"
+        cfg.write_text(TINY_CFG.replace("train.learning_rate = 0.001", "train.learning_rate = 1e308"))
+        common = [
+            "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--config", str(cfg),
+        ]
+        gmm_dir = str(root / "gmms_diverge")
+        assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--order", "16", "--iters", "3"]) == 0
+        ckpt = root / "diverged.npz"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["train-model", *common, "--gmm-dir", gmm_dir, "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert "epoch 1" in capsys.readouterr().err
+        assert not ckpt.exists()

@@ -4,7 +4,7 @@ import pytest
 from helpers import FD_REL_TOL, check_gradients
 
 import lgpnet.model as model_mod
-from lgpnet.errors import ShapeError
+from lgpnet.errors import FormatError, ShapeError
 from lgpnet.model import (
     ImprovedResidualBlock,
     ModelCfg,
@@ -303,6 +303,17 @@ class TestCheckpoint:
             after = loaded(x, loaded_assignment).ensemble_logits.data
         assert np.array_equal(before, after)
         assert loaded_assignment.n_groups == assignment.n_groups
+
+    def test_missing_bn_key_is_format_error(self, tmp_path):
+        model = build_model(tiny_cfg(), seed=14)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        del arrays["bn/group1/0/running_var"]
+        np.savez(path, **arrays)
+        with pytest.raises(FormatError, match="bn/group1/0/running_var"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"

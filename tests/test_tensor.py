@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients
+from helpers import FD_REL_TOL, check_gradients, conv1d_im2col
 
 from lgpnet.errors import ShapeError
 from lgpnet.tensor import (
     BatchNormState,
     Tensor,
+    add,
     backward,
     batchnorm1d,
     concat_channels,
@@ -57,6 +58,30 @@ class TestConv1d:
         b = Tensor(rng.normal(size=3), requires_grad=True)
         worst = check_gradients(lambda: conv1d(x, w, b, stride=2, padding=1).sum(), [x, w, b])
         assert worst < FD_REL_TOL
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("t", [8, 9])
+    def test_matches_im2col_reference(self, t, stride, padding, k, n):
+        rng = np.random.default_rng(100 * t + 10 * stride + padding + k + n)
+        x_data = rng.normal(size=(n, 3, t))
+        w_data = rng.normal(size=(4, 3, k))
+        b_data = rng.normal(size=4)
+        results = []
+        for op in (conv1d, conv1d_im2col):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
+            out = op(x, w, b, stride=stride, padding=padding)
+            upstream = Tensor(np.random.default_rng(5).normal(size=out.shape))
+            backward((out * upstream).sum())
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        t_used = stride * ((t + 2 * padding - k) // stride) + k - padding  # inputs a tap reads
+        if t_used < t:
+            assert np.all(results[0][1][:, :, t_used:] == 0.0)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -246,6 +271,30 @@ class TestBackward:
         y = (x * 3.0 + x * 5.0).sum()
         backward(y)
         assert np.array_equal(x.grad, [8.0])
+
+    def test_shared_upstream_gradient_is_not_aliased(self):
+        # add(x, x) and mean_tensors hand one out.grad array to several parents, and
+        # concat_channels hands out views of its own; the first touch stores them as is
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        a = Tensor(rng.normal(size=(2, 2, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 5, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        coeffs = Tensor(rng.normal(size=(2, 4, 5)))
+        tensors = [x, a, w, b]
+
+        def loss():
+            xx = add(x, x)
+            h = relu(xx)
+            cat = concat_channels([h, a])  # h also feeds the mean below
+            y = conv1d(cat, w, b, padding=1)
+            fan = mean_tensors([y, y * 2.0, y])
+            return (fan * coeffs).sum() + (mean_tensors([h, xx]) * h).sum()
+
+        worst = check_gradients(loss, tensors)
+        assert worst < FD_REL_TOL
+        for t in tensors:
+            assert t.grad.shape == t.shape
 
     def test_composite_graph_gradients(self):
         # conv -> bn -> relu -> pool -> linear -> cross entropy

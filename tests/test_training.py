@@ -4,7 +4,7 @@ import pytest
 from helpers import FD_REL_TOL, check_gradients
 
 from lgpnet.corpus import Manifest
-from lgpnet.errors import ManifestError
+from lgpnet.errors import LgpnetError, ManifestError, NonFiniteLossError
 from lgpnet.model import ModelCfg, ModelOutput, ResidualBlockCfg, build_model
 from lgpnet.tensor import Tensor, softmax_cross_entropy
 from lgpnet.training import (
@@ -189,6 +189,25 @@ class TestTrainLoop:
                 tiny_model_cfg(tiny_pipeline["assignment"]),
                 small_train_cfg(),
             )
+
+    def test_diverging_loss_raises_naming_the_epoch(self, tiny_pipeline, tmp_path):
+        # the first Adam step at this rate overflows the weights, so the second
+        # batch of epoch 1 has a NaN loss
+        ckpt = tmp_path / "model.npz"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteLossError, match="epoch 1"):
+                train(
+                    tiny_pipeline["manifest"],
+                    tiny_pipeline["bank"],
+                    tiny_pipeline["assignment"],
+                    tiny_model_cfg(tiny_pipeline["assignment"]),
+                    small_train_cfg(learning_rate=1e308, epochs=2),
+                    lfcc_cfg=tiny_pipeline["lfcc_cfg"],
+                    target_frames=50,
+                    checkpoint_path=ckpt,
+                )
+        assert issubclass(NonFiniteLossError, LgpnetError)
+        assert not ckpt.exists()
 
     def test_deterministic_given_seed(self, tiny_pipeline):
         kwargs = dict(
