@@ -2,8 +2,10 @@
 
 Every split doubles the order by perturbing each mean along +/- epsilon
 standard deviations, then EM re-estimates the model.  All intermediate
-orders come out of the single run, and the split history forms a binary
-tree over the final components.
+orders come out of the single run.  A split puts the children of
+component i at 2i and 2i+1, so the split history is index arithmetic: at
+order K the subtree under the g-th of n nodes holds components
+[g*K/n, (g+1)*K/n).
 """
 import numpy as np
 
@@ -19,11 +21,11 @@ for model in models:
     print(f"{model.order:5d}   {log_likelihood(model, data) / data.shape[0]:.4f}")
 
 final = models[-1]
-leaves = final.lineage.leaves()
-print(f"\nlineage: {len(final.lineage.nodes)} nodes, {len(leaves)} leaves")
-for node_id in final.lineage.level(4):
-    comps = final.lineage.leaf_components_under(node_id)
-    print(f"  subtree under node {node_id}: components {comps}")
+components = np.arange(final.order)
+print(f"\nsplit tree: {2 * final.order - 1} nodes, {final.order} leaves")
+for node in range(4):
+    comps = components[components // (final.order // 4) == node].tolist()
+    print(f"  subtree under order-4 component {node}: components {comps}")
 
 frames = FeatureMatrix(values=data[:5])
 lgp = lgp_transform(final, frames, normalize=False)

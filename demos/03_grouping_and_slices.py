@@ -1,8 +1,10 @@
 """Group the components of a multi-order bank by split lineage.
 
 Components descending from the same branch of the split tree get the same
-group, so each group sees a coherent region of the feature space.  Random
-grouping is the baseline alternative.  The concatenated multi-order LGP
+group, so each group sees a coherent region of the feature space.  Binary
+splitting puts the children of component i at 2i and 2i+1, so at order K
+component i belongs to group i // (K // G).  Random grouping is the
+baseline alternative.  The concatenated multi-order LGP
 matrix is then sliced per group for the per-group network branches.
 """
 import numpy as np
@@ -29,6 +31,9 @@ lineage = lineage_grouping(bank, 4)
 rand = random_grouping(bank, 4, seed=0)
 print("\norder 8 lineage groups:", lineage.groups[8])
 print("order 8 random groups: ", rand.groups[8])
+for order in bank.orders:
+    assert np.array_equal(lineage.groups[order], np.arange(order) // (order // 4))
+print("lineage group of component i at order K is i // (K // 4)")
 print("lineage keeps split siblings together; random scatters them")
 
 feat = FeatureMatrix(values=rng.normal(size=(50, 3)))

@@ -31,8 +31,6 @@ from .evaluation import (
 from .gmm import (
     EmConfig,
     Gmm,
-    Lineage,
-    LineageNode,
     binary_split,
     em_fit,
     lgp_transform,
@@ -68,11 +66,9 @@ from .multiscale import (
     extract_multiscale_lgp,
     group_slices,
     lineage_grouping,
-    load_assignment,
     load_bank,
     manifest_lgp_features,
     random_grouping,
-    save_assignment,
     save_bank,
     utterance_lgp,
 )

@@ -165,8 +165,7 @@ def _cmd_score(args) -> int:
         manifest, bank, cfg.lfcc, cfg.target_frames
     )
     logits = predict_logits(model, assignment, feats, batch_size=cfg.train.batch_size)
-    scores = logits[:, 1] - logits[:, 0]
-    records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(utt_ids, scores)]
+    records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(utt_ids, score(logits))]
     score_file_write(args.out, records)
     print(f"wrote {len(records)} scores to {args.out}")
     return 0

@@ -1,10 +1,11 @@
 """Diagonal-covariance GMMs trained by binary splitting plus EM.
 
 Training boots a single Gaussian up to the target order by repeatedly
-splitting every component in two and re-estimating with EM.  The split
-history is kept as an explicit binary tree (the lineage) because the
-downstream grouping step assigns components that descend from the same
-branch to the same group.
+splitting every component in two and re-estimating with EM.  A split puts
+the children of component i at indices 2i and 2i+1, so the split history
+is the index arithmetic itself: the ancestor of component i at the level
+with n nodes is i // (K // n).  The downstream grouping step relies on this
+to assign components that descend from the same branch to the same group.
 
 The per-frame log Gaussian probability (LGP) transform maps a feature
 vector x to one value per component:
@@ -16,7 +17,7 @@ i.e. the log density of component i without its x-independent terms.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,8 @@ from .errors import ConfigError, FormatError, ShapeError
 from .lfcc import FeatureMatrix
 
 _GMM_MAGIC = b"GMM1"
-_GMM_VERSION = 1
+_GMM_VERSION = 2
+_GMM_HEADER = 16  # magic, then u32 version, D and K
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -47,106 +49,13 @@ class EmConfig:
             raise ConfigError("variance_floor and split_epsilon must be positive")
 
 
-@dataclass
-class LineageNode:
-    """One node of the binary split tree; leaves carry a component index."""
-
-    node_id: int
-    parent: int | None
-    component_index: int | None  # None for internal nodes
-
-
-class Lineage:
-    """Binary split tree over GMM components.
-
-    Nodes are stored in creation order; the two children created when a
-    component splits are appended left (minus perturbation) then right, so
-    walking children in id order is a left-to-right tree walk.
-    """
-
-    def __init__(self, nodes: list[LineageNode]):
-        self.nodes = nodes
-        self._by_id = {n.node_id: n for n in nodes}
-        self._children: dict[int, list[int]] = {n.node_id: [] for n in nodes}
-        for n in nodes:
-            if n.parent is not None:
-                self._children[n.parent].append(n.node_id)
-        for node_id, kids in self._children.items():
-            if len(kids) not in (0, 2):
-                raise ValueError(f"lineage node {node_id} has {len(kids)} children, expected 0 or 2")
-
-    @classmethod
-    def single(cls) -> "Lineage":
-        return cls([LineageNode(node_id=0, parent=None, component_index=0)])
-
-    def children(self, node_id: int) -> list[int]:
-        return list(self._children[node_id])
-
-    @property
-    def root(self) -> int:
-        return next(n.node_id for n in self.nodes if n.parent is None)
-
-    def leaves(self) -> list[LineageNode]:
-        return [n for n in self.nodes if not self._children[n.node_id]]
-
-    def n_leaves(self) -> int:
-        return len(self.leaves())
-
-    def level(self, size: int) -> list[int]:
-        """Node ids of the tree level holding exactly `size` nodes, left to right."""
-        frontier = [self.root]
-        while len(frontier) < size:
-            nxt = []
-            for node_id in frontier:
-                kids = self._children[node_id]
-                if not kids:
-                    raise ValueError(f"lineage has no level of size {size}")
-                nxt.extend(kids)
-            frontier = nxt
-        if len(frontier) != size:
-            raise ValueError(f"lineage has no level of size {size}")
-        return frontier
-
-    def leaf_components_under(self, node_id: int) -> list[int]:
-        """Component indices of all leaves in the subtree of node_id, left to right."""
-        out = []
-        stack = [node_id]
-        while stack:
-            nid = stack.pop()
-            kids = self._children[nid]
-            if kids:
-                stack.extend(reversed(kids))
-            else:
-                out.append(self._by_id[nid].component_index)
-        return out
-
-    def split_all_leaves(self) -> "Lineage":
-        """New lineage where every leaf (component i) gains children 2i and 2i+1."""
-        nodes = [LineageNode(n.node_id, n.parent, n.component_index) for n in self.nodes]
-        leaves = sorted(
-            (n for n in nodes if self._children[n.node_id] == []),
-            key=lambda n: n.component_index,
-        )
-        next_id = len(nodes)
-        for leaf in leaves:
-            comp = leaf.component_index
-            leaf.component_index = None
-            nodes.append(LineageNode(node_id=next_id, parent=leaf.node_id, component_index=2 * comp))
-            nodes.append(
-                LineageNode(node_id=next_id + 1, parent=leaf.node_id, component_index=2 * comp + 1)
-            )
-            next_id += 2
-        return Lineage(nodes)
-
-
 @dataclass(eq=False)
 class Gmm:
-    """Diagonal-covariance mixture with its binary-split lineage."""
+    """Diagonal-covariance mixture; components are in binary-split index order."""
 
     weights: np.ndarray  # (K,)
     means: np.ndarray  # (K, D)
     variances: np.ndarray  # (K, D)
-    lineage: Lineage = field(default_factory=Lineage.single)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -161,8 +70,6 @@ class Gmm:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
         if np.any(self.variances <= 0):
             raise ValueError("variances must be positive")
-        if self.lineage.n_leaves() != k:
-            raise ValueError("lineage leaf count does not match component count")
 
     @property
     def order(self) -> int:
@@ -204,7 +111,7 @@ def _floor_vector(data: np.ndarray, cfg: EmConfig) -> np.ndarray:
 
 
 def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, chunk: int = 16384) -> Gmm:
-    """Re-estimate a GMM with cfg.n_iterations of EM, keeping the lineage.
+    """Re-estimate a GMM with cfg.n_iterations of EM, keeping the component order.
 
     Responsibilities are computed in log space with log-sum-exp.  A
     component that collects (numerically) zero responsibility mass is
@@ -224,7 +131,7 @@ def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, chunk: int = 16384) -> Gmm
     means = gmm.means.copy()
     variances = gmm.variances.copy()
     for _ in range(cfg.n_iterations):
-        model = Gmm(weights, means, variances, gmm.lineage)
+        model = Gmm(weights, means, variances)
         log_w = np.log(model.weights)
         nk = np.zeros(model.order)
         sum_x = np.zeros((model.order, model.dim))
@@ -258,15 +165,15 @@ def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, chunk: int = 16384) -> Gmm
                 weights[i] = 1.0 / n
         variances = np.maximum(variances, floor)
         weights = weights / weights.sum()
-    return Gmm(weights, means, variances, gmm.lineage)
+    return Gmm(weights, means, variances)
 
 
 def binary_split(gmm: Gmm, cfg: EmConfig) -> Gmm:
     """Double the order: component i becomes children with means mu_i -+ eps*sigma_i.
 
     Children inherit the parent variance and half its weight; the new
-    components land at indices 2i (minus) and 2i+1 (plus), mirroring the
-    left/right children recorded in the lineage.
+    components land at indices 2i (minus) and 2i+1 (plus), so the parent of
+    component j is always j // 2.
     """
     k, d = gmm.means.shape
     sigma = np.sqrt(gmm.variances)
@@ -275,7 +182,7 @@ def binary_split(gmm: Gmm, cfg: EmConfig) -> Gmm:
     means[1::2] = gmm.means + cfg.split_epsilon * sigma
     variances = np.repeat(gmm.variances, 2, axis=0)
     weights = np.repeat(gmm.weights / 2.0, 2)
-    return Gmm(weights, means, variances, gmm.lineage.split_all_leaves())
+    return Gmm(weights, means, variances)
 
 
 def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None = None) -> list[Gmm]:
@@ -322,53 +229,61 @@ def lgp_transform(gmm: Gmm, feat: FeatureMatrix, normalize: bool = True) -> Feat
 
 
 def save_gmm(gmm: Gmm, path: str | Path) -> None:
-    """Serialize to the binary layout documented in the README."""
+    """Serialize to the binary layout documented in the README (version 2)."""
     with open(path, "wb") as fh:
         fh.write(_GMM_MAGIC)
         fh.write(struct.pack("<III", _GMM_VERSION, gmm.dim, gmm.order))
         fh.write(np.ascontiguousarray(gmm.weights, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(gmm.means, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(gmm.variances, dtype="<f8").tobytes())
-        nodes = gmm.lineage.nodes
-        fh.write(struct.pack("<I", len(nodes)))
-        for n in nodes:
-            parent = -1 if n.parent is None else n.parent
-            comp = -1 if n.component_index is None else n.component_index
-            fh.write(struct.pack("<qqq", n.node_id, parent, comp))
+
+
+def _check_v1_split_tree(raw: bytes, off: int, order: int, path) -> None:
+    """Validate the node section of a version-1 file, which is then dropped.
+
+    Version 1 stored the split tree as (node id, parent id, component) i64
+    triples.  Files written by binary splitting hold it heap-ordered: node j
+    has parent (j - 1) // 2, and the last K nodes are the leaves holding
+    components 0..K-1 in order, which is exactly the index relation every
+    reader now assumes.  Any other tree is refused.
+    """
+    if len(raw) < off + 4:
+        raise FormatError(f"{path}: truncated GMM file")
+    (n_nodes,) = struct.unpack("<I", raw[off : off + 4])
+    off += 4
+    if n_nodes != 2 * order - 1:
+        raise FormatError(f"{path}: {n_nodes} split-tree nodes, expected {2 * order - 1}")
+    if len(raw) != off + 24 * n_nodes:
+        raise FormatError(f"{path}: GMM file is {len(raw)} bytes, expected {off + 24 * n_nodes}")
+    nodes = np.frombuffer(raw, dtype="<i8", count=3 * n_nodes, offset=off).reshape(n_nodes, 3)
+    ids = np.arange(n_nodes)
+    parents = (ids - 1) // 2
+    parents[0] = -1
+    components = np.full(n_nodes, -1)
+    components[order - 1 :] = np.arange(order)
+    if not (
+        np.array_equal(nodes[:, 0], ids)
+        and np.array_equal(nodes[:, 1], parents)
+        and np.array_equal(nodes[:, 2], components)
+    ):
+        raise FormatError(f"{path}: split tree is not the binary-split tree of order {order}")
 
 
 def load_gmm(path: str | Path) -> Gmm:
+    """Read a version-2 file, or a version-1 file whose split tree is canonical."""
     raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != _GMM_MAGIC:
+    if len(raw) < _GMM_HEADER or raw[:4] != _GMM_MAGIC:
         raise FormatError(f"{path}: not a GMM model file")
-    version, dim, order = struct.unpack("<III", raw[4:16])
-    if version != _GMM_VERSION:
+    version, dim, order = struct.unpack("<III", raw[4:_GMM_HEADER])
+    if version not in (1, 2):
         raise FormatError(f"{path}: unsupported GMM file version {version}")
-    off = 16
-    need = order * 8 + 2 * order * dim * 8 + 4
-    if len(raw) < off + need:
-        raise FormatError(f"{path}: truncated GMM file")
-    weights = np.frombuffer(raw, dtype="<f8", count=order, offset=off).copy()
-    off += order * 8
-    means = np.frombuffer(raw, dtype="<f8", count=order * dim, offset=off).reshape(order, dim).copy()
-    off += order * dim * 8
-    variances = (
-        np.frombuffer(raw, dtype="<f8", count=order * dim, offset=off).reshape(order, dim).copy()
-    )
-    off += order * dim * 8
-    (n_nodes,) = struct.unpack("<I", raw[off : off + 4])
-    off += 4
-    if len(raw) < off + 24 * n_nodes:
-        raise FormatError(f"{path}: truncated GMM lineage")
-    nodes = []
-    for _ in range(n_nodes):
-        node_id, parent, comp = struct.unpack("<qqq", raw[off : off + 24])
-        off += 24
-        nodes.append(
-            LineageNode(
-                node_id=node_id,
-                parent=None if parent < 0 else parent,
-                component_index=None if comp < 0 else comp,
-            )
-        )
-    return Gmm(weights, means, variances, Lineage(nodes))
+    end = _GMM_HEADER + (order + 2 * order * dim) * 8
+    if version == 1:
+        _check_v1_split_tree(raw, end, order, path)
+    elif len(raw) != end:
+        raise FormatError(f"{path}: GMM file is {len(raw)} bytes, expected {end}")
+    params = np.frombuffer(raw, dtype="<f8", count=order + 2 * order * dim, offset=_GMM_HEADER)
+    weights = params[:order].copy()
+    means = params[order : order + order * dim].reshape(order, dim).copy()
+    variances = params[order + order * dim :].reshape(order, dim).copy()
+    return Gmm(weights, means, variances)

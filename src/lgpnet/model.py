@@ -290,10 +290,9 @@ def build_model(cfg: ModelCfg, seed: int = 0) -> GroupedResNetEnsemble:
     return GroupedResNetEnsemble(cfg, np.random.default_rng(seed))
 
 
-def score(output: ModelOutput) -> np.ndarray:
-    """Log-likelihood-ratio-style score: bonafide logit minus spoof logit."""
-    b = output.ensemble_logits.data
-    return b[:, 1] - b[:, 0]
+def score(ensemble_logits: np.ndarray) -> np.ndarray:
+    """Log-likelihood-ratio-style score: bonafide logit minus spoof logit, per row."""
+    return ensemble_logits[:, 1] - ensemble_logits[:, 0]
 
 
 def save_checkpoint(

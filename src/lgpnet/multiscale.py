@@ -4,11 +4,12 @@ A bank of GMMs with increasing orders produces one LGP block per order;
 the blocks are concatenated along the feature axis (64+128+256+512+1024 =
 1984 dims for the default bank).  Components are then assigned to G groups
 either at random or by their split lineage: components descending from the
-same branch of the binary-split tree land in the same group.
+same branch of the binary-split tree land in the same group.  Binary
+splitting puts the children of component i at 2i and 2i+1, so at order K
+the branch of component i at the G-node level is simply i // (K // G).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,18 +105,14 @@ def _check_grouping_args(bank: GmmBank, n_groups: int) -> None:
 def lineage_grouping(bank: GmmBank, n_groups: int) -> GroupAssignment:
     """Group components by their shared ancestor in the split tree.
 
-    For each GMM the lineage is descended to the level with exactly
-    n_groups nodes (left to right); all leaf components under the g-th
-    node form group g.
+    Group g is the g-th node, left to right, of the tree level with
+    n_groups nodes.  Its leaves at order K are the contiguous components
+    [g * K/G, (g+1) * K/G), because every split maps i to 2i and 2i+1.
     """
     _check_grouping_args(bank, n_groups)
-    groups = {}
-    for gmm in bank.gmms:
-        assign = np.full(gmm.order, -1, dtype=np.int64)
-        for g, node_id in enumerate(gmm.lineage.level(n_groups)):
-            for comp in gmm.lineage.leaf_components_under(node_id):
-                assign[comp] = g
-        groups[gmm.order] = assign
+    groups = {
+        order: np.arange(order, dtype=np.int64) // (order // n_groups) for order in bank.orders
+    }
     return GroupAssignment(groups=groups, n_groups=n_groups)
 
 
@@ -149,20 +146,6 @@ def group_slices(assignment: GroupAssignment, feat: FeatureMatrix) -> list[Featu
         FeatureMatrix(values=feat.values[:, cols], dim_kind="lgp_group")
         for cols in assignment.index_lists()
     ]
-
-
-def save_assignment(assignment: GroupAssignment, path: str | Path) -> None:
-    doc = {
-        "n_groups": assignment.n_groups,
-        "groups": {str(order): g.tolist() for order, g in assignment.groups.items()},
-    }
-    Path(path).write_text(json.dumps(doc))
-
-
-def load_assignment(path: str | Path) -> GroupAssignment:
-    doc = json.loads(Path(path).read_text())
-    groups = {int(order): np.asarray(g, dtype=np.int64) for order, g in doc["groups"].items()}
-    return GroupAssignment(groups=groups, n_groups=int(doc["n_groups"]))
 
 
 def save_bank(bank: GmmBank, directory: str | Path) -> None:

@@ -228,7 +228,7 @@ def build_synth_corpus(root: Path, n_per_class: int = 32, seed: int = 7) -> tupl
 
 
 # ---------------------------------------------------------------------------
-# random GMMs with genuine split lineage (no EM), for structural tests
+# random GMMs built by genuine binary splits (no EM), for structural tests
 
 
 def random_split_gmm(rng: np.random.Generator, order: int, dim: int):
@@ -247,7 +247,6 @@ def random_split_gmm(rng: np.random.Generator, order: int, dim: int):
             weights=g.weights,
             means=g.means + rng.normal(scale=0.01, size=g.means.shape),
             variances=g.variances * rng.uniform(0.9, 1.1, size=g.variances.shape),
-            lineage=g.lineage,
         )
     return g
 

@@ -246,11 +246,15 @@ class TestAcceptance:
             # partition: every component in exactly one balanced group
             assert np.array_equal(np.sort(np.concatenate(assign.index_lists())), np.arange(order))
             assert np.all(np.bincount(groups, minlength=n_groups) == order // n_groups)
-            # lineage consistency: same group iff same level-log2(G) ancestor
+            # lineage consistency: same group iff same level-log2(G) ancestor,
+            # reached by applying the split parent relation i -> i // 2
+            # log2(K / G) times
             ancestor = {}
-            for node_id in gmm.lineage.level(n_groups):
-                for comp in gmm.lineage.leaf_components_under(node_id):
-                    ancestor[comp] = node_id
+            for comp in range(order):
+                node = comp
+                for _ in range(int(np.log2(order // n_groups))):
+                    node //= 2
+                ancestor[comp] = node
             for c1 in range(order):
                 for c2 in range(order):
                     assert (groups[c1] == groups[c2]) == (ancestor[c1] == ancestor[c2])

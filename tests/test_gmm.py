@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
@@ -8,7 +11,6 @@ from lgpnet.errors import FormatError, ShapeError
 from lgpnet.gmm import (
     EmConfig,
     Gmm,
-    Lineage,
     binary_split,
     em_fit,
     lgp_transform,
@@ -18,6 +20,38 @@ from lgpnet.gmm import (
     train_by_splitting,
 )
 from lgpnet.lfcc import FeatureMatrix
+from lgpnet.multiscale import GmmBank, lineage_grouping
+
+DATA = Path(__file__).parent / "data"
+
+
+def v1_split_tree(order: int) -> list[tuple[int, int, int]]:
+    """The version-1 node list of a binary-split GMM, built by splitting leaves.
+
+    Leaves are split in component order; the leaf holding component c gets
+    two new nodes holding components 2c and 2c+1.
+    """
+    nodes = [[0, -1, 0]]
+    leaves = [0]
+    while len(leaves) < order:
+        next_leaves = []
+        for node_id in leaves:
+            comp = nodes[node_id][2]
+            nodes[node_id][2] = -1
+            for child in (2 * comp, 2 * comp + 1):
+                nodes.append([len(nodes), node_id, child])
+                next_leaves.append(len(nodes) - 1)
+        leaves = next_leaves
+    return [tuple(n) for n in nodes]
+
+
+def v1_bytes(gmm: Gmm, nodes) -> bytes:
+    """A version-1 GMM file: the version-2 payload plus a node section."""
+    raw = b"GMM1" + struct.pack("<III", 1, gmm.dim, gmm.order)
+    for arr in (gmm.weights, gmm.means, gmm.variances):
+        raw += np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    raw += struct.pack("<I", len(nodes))
+    return raw + b"".join(struct.pack("<qqq", *n) for n in nodes)
 
 
 def single_gaussian(mean, var):
@@ -80,12 +114,10 @@ class TestEmFit:
         rng = np.random.default_rng(3)
         data = rng.normal(size=(64, 2))
         # one component dropped far away so it collects no responsibility
-        lineage = Lineage.single().split_all_leaves()
         gmm = Gmm(
             weights=np.array([0.5, 0.5]),
             means=np.array([[0.0, 0.0], [500.0, 500.0]]),
             variances=np.ones((2, 2)),
-            lineage=lineage,
         )
         fitted = em_fit(gmm, data, EmConfig(n_iterations=3))
         assert fitted.order == 2
@@ -115,16 +147,17 @@ class TestBinarySplit:
         assert split.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_splits_complete_depth2_tree(self):
-        gmm = single_gaussian([0.0], [1.0])
-        gmm = binary_split(binary_split(gmm, EmConfig()), EmConfig())
-        lineage = gmm.lineage
+        # without EM in between, component j at depth 2 sits at the root mean
+        # moved by -eps or +eps for each of the two bits of j, high bit first
+        root = single_gaussian([0.0], [1.0])
+        mid = binary_split(root, EmConfig(split_epsilon=0.1))
+        gmm = binary_split(mid, EmConfig(split_epsilon=0.1))
         assert gmm.order == 4
-        assert lineage.n_leaves() == 4
-        assert len(lineage.nodes) == 7
-        assert [n.component_index for n in lineage.leaves()] == [0, 1, 2, 3]
-        root_kids = lineage.children(lineage.root)
-        assert len(root_kids) == 2
-        assert lineage.level(4) == [n.node_id for n in lineage.leaves()]
+        assert np.allclose(gmm.means[:, 0], [-0.2, 0.0, 0.0, 0.2])
+        for j in range(4):
+            # the parent of j is j // 2 and its grandparent the root
+            assert np.allclose(gmm.means[j] - mid.means[j // 2], (2 * (j % 2) - 1) * 0.1)
+            assert np.allclose(mid.means[j // 2] - root.means[0], (2 * (j // 2) - 1) * 0.1)
 
     def test_children_straddle_parent_mean(self):
         rng = np.random.default_rng(5)
@@ -155,20 +188,17 @@ class TestTrainBySplitting:
             assert larger >= smaller - 1e-6
 
     def test_parent_lineage_preserved(self):
+        # every order is EM started from binary_split of the previous one, with
+        # no reordering, so component j of an order descends from j // 2
         rng = np.random.default_rng(8)
         data = rng.normal(size=(200, 2))
-        models = train_by_splitting(data, 4, EmConfig(n_iterations=1))
-        small, big = models[1], models[2]
-        small_ids = {n.node_id for n in small.lineage.nodes}
-        big_by_id = {n.node_id: n for n in big.lineage.nodes}
-        for node in small.lineage.nodes:
-            assert node.node_id in big_by_id
-            assert big_by_id[node.node_id].parent == node.parent
-        # former leaves became internal parents of the new level
-        for leaf in small.lineage.leaves():
-            kids = big.lineage.children(leaf.node_id)
-            assert len(kids) == 2
-        assert small_ids <= set(big_by_id)
+        cfg = EmConfig(n_iterations=1)
+        models = train_by_splitting(data, 4, cfg)
+        for small, big in zip(models, models[1:]):
+            refit = em_fit(binary_split(small, cfg), data, cfg)
+            assert np.array_equal(big.weights, refit.weights)
+            assert np.array_equal(big.means, refit.means)
+            assert np.array_equal(big.variances, refit.variances)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(Exception):
@@ -260,13 +290,10 @@ class TestGmmSerialization:
         assert np.array_equal(loaded.weights, gmm.weights)
         assert np.array_equal(loaded.means, gmm.means)
         assert np.array_equal(loaded.variances, gmm.variances)
-        assert len(loaded.lineage.nodes) == len(gmm.lineage.nodes)
-        for a, b in zip(loaded.lineage.nodes, gmm.lineage.nodes):
-            assert (a.node_id, a.parent, a.component_index) == (
-                b.node_id,
-                b.parent,
-                b.component_index,
-            )
+        # version 2: header plus weights, means and variances, nothing else
+        raw = path.read_bytes()
+        assert struct.unpack("<III", raw[4:16]) == (2, 5, 8)
+        assert len(raw) == 16 + 8 * (8 + 2 * 8 * 5)
 
     def test_truncated_file(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -278,19 +305,73 @@ class TestGmmSerialization:
             load_gmm(path)
 
     def test_order64_node_count(self, tmp_path):
+        # a version-1 file of order 64 carries 64 leaves and 63 internal nodes
         rng = np.random.default_rng(16)
         gmm = random_split_gmm(rng, 64, 2)
         path = tmp_path / "gmm64.bin"
-        save_gmm(gmm, path)
+        path.write_bytes(v1_bytes(gmm, v1_split_tree(64)))
         loaded = load_gmm(path)
-        leaves = loaded.lineage.leaves()
-        internal = [n for n in loaded.lineage.nodes if n.component_index is None]
-        assert len(leaves) == 64
-        assert len(internal) == 63
+        assert np.array_equal(loaded.means, gmm.means)
+        short = v1_split_tree(64)[:-1]
+        path.write_bytes(v1_bytes(gmm, short))
+        with pytest.raises(FormatError):
+            load_gmm(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        rng = np.random.default_rng(17)
+        gmm = random_split_gmm(rng, 4, 3)
+        path = tmp_path / "gmm.bin"
+        save_gmm(gmm, path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError):
+            load_gmm(path)
+        path.write_bytes(v1_bytes(gmm, v1_split_tree(4)) + b"\x00")
+        with pytest.raises(FormatError):
+            load_gmm(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            load_gmm(path)
+
+
+class TestVersion1File:
+    """tests/data/gmm_v1_order16_dim3.bin was written by the version-1 writer
+    (the format with the split-tree section) from the order-16 model of
+    train_by_splitting on seeded 3-d data."""
+
+    PATH = DATA / "gmm_v1_order16_dim3.bin"
+
+    def test_loads(self):
+        gmm = load_gmm(self.PATH)
+        assert (gmm.order, gmm.dim) == (16, 3)
+        assert self.PATH.read_bytes() == v1_bytes(gmm, v1_split_tree(16))
+
+    def test_resaved_as_v2_is_bitwise_equal(self, tmp_path):
+        gmm = load_gmm(self.PATH)
+        path = tmp_path / "v2.bin"
+        save_gmm(gmm, path)
+        assert struct.unpack("<I", path.read_bytes()[4:8]) == (2,)
+        again = load_gmm(path)
+        assert np.array_equal(again.weights, gmm.weights)
+        assert np.array_equal(again.means, gmm.means)
+        assert np.array_equal(again.variances, gmm.variances)
+
+    def test_lineage_grouping_matches_oracle(self):
+        bank = GmmBank(gmms=[load_gmm(self.PATH)])
+        for n_groups in (1, 2, 4, 8, 16):
+            expected = np.repeat(np.arange(n_groups), 16 // n_groups)
+            assert np.array_equal(lineage_grouping(bank, n_groups).groups[16], expected)
+
+    def test_changed_parent_rejected(self, tmp_path):
+        raw = bytearray(self.PATH.read_bytes())
+        node_section = 16 + 8 * (16 + 2 * 16 * 3) + 4
+        parent_of_node_5 = node_section + 24 * 5 + 8
+        assert struct.unpack_from("<q", raw, parent_of_node_5) == (2,)
+        struct.pack_into("<q", raw, parent_of_node_5, 1)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
             load_gmm(path)
 
@@ -302,7 +383,6 @@ class TestGmmInvariants:
                 weights=np.full(3, 1 / 3),
                 means=np.zeros((3, 2)),
                 variances=np.ones((3, 2)),
-                lineage=Lineage.single(),
             )
 
     def test_weights_must_sum_to_one(self):

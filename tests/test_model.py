@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients
+from helpers import FD_REL_TOL, check_gradients, random_bank
 
 import lgpnet.model as model_mod
 from lgpnet.errors import FormatError, ShapeError
@@ -15,7 +15,7 @@ from lgpnet.model import (
     save_checkpoint,
     score,
 )
-from lgpnet.multiscale import GroupAssignment
+from lgpnet.multiscale import GroupAssignment, random_grouping
 from lgpnet.tensor import Tensor, no_grad, softmax_cross_entropy
 
 
@@ -242,15 +242,15 @@ class TestScore:
     def test_difference_of_logits(self):
         # bona fide is logit column 1
         out = self._output_with([[1.0, 3.0]])
-        assert score(out)[0] == pytest.approx(2.0)
+        assert score(out.ensemble_logits.data)[0] == pytest.approx(2.0)
 
     def test_equal_logits_score_zero(self):
         out = self._output_with([[0.7, 0.7]])
-        assert score(out)[0] == 0.0
+        assert score(out.ensemble_logits.data)[0] == 0.0
 
     def test_shift_invariance(self):
-        a = score(self._output_with([[1.0, 3.0]]))
-        b = score(self._output_with([[101.0, 103.0]]))
+        a = score(self._output_with([[1.0, 3.0]]).ensemble_logits.data)
+        b = score(self._output_with([[101.0, 103.0]]).ensemble_logits.data)
         assert a[0] == pytest.approx(b[0])
 
 
@@ -285,10 +285,13 @@ class TestAblationWiring:
 
 class TestCheckpoint:
     def test_roundtrip_preserves_outputs(self, tmp_path):
-        model = build_model(tiny_cfg(), seed=14)
-        assignment = tiny_assignment()
+        # orders 4 + 8 over 2 groups: 6 input dims per group
+        model = build_model(tiny_cfg(group_input_dim=6), seed=14)
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(3, 8, 12))
+        assignment = random_grouping(random_bank(rng, [4, 8], 2), 2, seed=9)
+        # a scattered assignment, so the roundtrip cannot pass by being contiguous
+        assert not np.array_equal(assignment.groups[8], np.sort(assignment.groups[8]))
+        x = rng.normal(size=(3, 12, 12))
         # push the BN running stats away from their init values
         model.set_mode("train")
         model(x, assignment)
@@ -303,6 +306,10 @@ class TestCheckpoint:
             after = loaded(x, loaded_assignment).ensemble_logits.data
         assert np.array_equal(before, after)
         assert loaded_assignment.n_groups == assignment.n_groups
+        assert loaded_assignment.orders == [4, 8]
+        for order in (4, 8):
+            assert loaded_assignment.groups[order].dtype == np.int64
+            assert np.array_equal(loaded_assignment.groups[order], assignment.groups[order])
 
     def test_missing_bn_key_is_format_error(self, tmp_path):
         model = build_model(tiny_cfg(), seed=14)

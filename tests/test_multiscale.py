@@ -6,21 +6,37 @@ from helpers import random_bank, random_split_gmm
 from lgpnet.errors import ConfigError, ShapeError
 from lgpnet.gmm import lgp_transform
 from lgpnet.lfcc import FeatureMatrix
+from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
 from lgpnet.multiscale import (
     GmmBank,
     GroupAssignment,
     extract_multiscale_lgp,
     group_slices,
     lineage_grouping,
-    load_assignment,
     random_grouping,
-    save_assignment,
 )
 
 
 def arithmetic_grouping_oracle(order: int, n_groups: int) -> np.ndarray:
     """For a uniformly split tree, component c sits under level-(log2 G) node c // (K//G)."""
     return np.arange(order) // (order // n_groups)
+
+
+def ancestor_at_level(comp: int, order: int, level_size: int) -> int:
+    """Walk the split parent relation c -> c // 2 up to the level with level_size nodes."""
+    while order > level_size:
+        comp //= 2
+        order //= 2
+    return comp
+
+
+def descendants_at_order(node: int, level_size: int, order: int) -> list[int]:
+    """Walk the split child relation c -> (2c, 2c+1) down to the given order."""
+    nodes = [node]
+    while level_size < order:
+        nodes = [child for c in nodes for child in (2 * c, 2 * c + 1)]
+        level_size *= 2
+    return nodes
 
 
 class TestLineageGrouping:
@@ -45,12 +61,14 @@ class TestLineageGrouping:
         rng = np.random.default_rng(2)
         bank = GmmBank(gmms=[random_split_gmm(rng, 64, 2)])
         assignment = lineage_grouping(bank, 8)
-        gmm = bank.gmms[0]
-        level_nodes = gmm.lineage.level(8)
-        for node_id in level_nodes:
-            comps = gmm.lineage.leaf_components_under(node_id)
-            groups = {assignment.groups[64][c] for c in comps}
+        seen = set()
+        for node in range(8):
+            comps = descendants_at_order(node, 8, 64)
+            assert len(comps) == 8
+            groups = {int(assignment.groups[64][c]) for c in comps}
             assert len(groups) == 1
+            seen |= groups
+        assert seen == set(range(8))
 
     def test_lineage_consistency_iff(self):
         rng = np.random.default_rng(3)
@@ -58,11 +76,7 @@ class TestLineageGrouping:
         bank = GmmBank(gmms=[gmm])
         n_groups = 4
         assignment = lineage_grouping(bank, n_groups)
-        level_nodes = gmm.lineage.level(n_groups)
-        ancestor = {}
-        for node_id in level_nodes:
-            for comp in gmm.lineage.leaf_components_under(node_id):
-                ancestor[comp] = node_id
+        ancestor = {comp: ancestor_at_level(comp, 32, n_groups) for comp in range(32)}
         assign = assignment.groups[32]
         for c1 in range(32):
             for c2 in range(32):
@@ -181,12 +195,20 @@ class TestGroupSlices:
 
 class TestAssignmentSerialization:
     def test_roundtrip(self, tmp_path):
+        # an assignment is serialized as part of a model checkpoint
         rng = np.random.default_rng(16)
         bank = random_bank(rng, [8, 16], 2)
         assignment = random_grouping(bank, 4, seed=9)
-        path = tmp_path / "assign.json"
-        save_assignment(assignment, path)
-        loaded = load_assignment(path)
+        cfg = ModelCfg(
+            n_groups=4,
+            n_blocks=1,
+            block=ResidualBlockCfg(channels=4),
+            group_input_dim=(8 + 16) // 4,
+            n_classes=2,
+        )
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(cfg, seed=0), assignment)
+        _, loaded = load_checkpoint(path)
         assert loaded.n_groups == assignment.n_groups
         for order in (8, 16):
             assert np.array_equal(loaded.groups[order], assignment.groups[order])
