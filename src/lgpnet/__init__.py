@@ -47,8 +47,6 @@ from .lfcc import (
     lfcc_extract,
     linear_filterbank,
     power_spectrum,
-    read_feature_record,
-    write_feature_record,
 )
 from .model import (
     GroupedResNetEnsemble,
@@ -63,6 +61,7 @@ from .model import (
 from .multiscale import (
     GmmBank,
     GroupAssignment,
+    ManifestLgp,
     extract_multiscale_lgp,
     group_slices,
     lineage_grouping,

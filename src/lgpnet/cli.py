@@ -1,13 +1,14 @@
 """Command-line front end wiring the pipeline together.
 
-Subcommands: train-gmm, extract-features, train-model, score, evaluate,
-describe.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+Subcommands: train-gmm, train-model, score, evaluate, describe.  Nothing
+is cached between commands: train-model and score compute the LGP features
+from the audio batch by batch.  Exit codes: 0 success, 1 runtime error,
+2 usage error.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -30,14 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for the gmm_<order>.bin files")
     p.add_argument("--order", type=int, default=None, help="largest order to train")
     p.add_argument("--iters", type=int, default=None, help="EM iterations per split level")
-    p.add_argument("--config", default=None)
-
-    p = sub.add_parser("extract-features", help="write per-utterance feature cache records")
-    p.add_argument("--protocol", required=True)
-    p.add_argument("--audio-dir", required=True)
-    p.add_argument("--cache-dir", required=True)
-    p.add_argument("--kind", choices=["lfcc", "lgp"], default="lfcc")
-    p.add_argument("--gmm-dir", default=None, help="bank directory (required for --kind lgp)")
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("train-model", help="train the grouped residual network ensemble")
@@ -99,27 +92,6 @@ def _cmd_train_gmm(args) -> int:
     return 0
 
 
-def _cmd_extract_features(args) -> int:
-    cfg = load_config(args.config)
-    manifest = _manifest(args.protocol, args.audio_dir)
-    cache_dir = Path(args.cache_dir)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    bank = None
-    if args.kind == "lgp":
-        if args.gmm_dir is None:
-            raise ConfigError("--gmm-dir is required when extracting LGP features")
-        bank = multiscale.load_bank(args.gmm_dir)
-    for path, label in manifest.entries:
-        clip = corpus.read_wav(path, utt_id=label.utt_id)
-        if args.kind == "lfcc":
-            feat = lfcc.fix_length(lfcc.lfcc_extract(clip, cfg.lfcc), cfg.target_frames)
-        else:
-            feat = multiscale.utterance_lgp(clip, bank, cfg.lfcc, cfg.target_frames)
-        lfcc.write_feature_record(cache_dir / f"{label.utt_id}.feat", label.utt_id, feat)
-    print(f"wrote {len(manifest)} {args.kind} records to {cache_dir}")
-    return 0
-
-
 def _grouping(cfg, bank: multiscale.GmmBank) -> multiscale.GroupAssignment:
     if cfg.grouping == "random":
         return multiscale.random_grouping(bank, cfg.n_groups, cfg.grouping_seed)
@@ -161,11 +133,9 @@ def _cmd_score(args) -> int:
     manifest = _manifest(args.protocol, args.audio_dir, split="eval")
     bank = multiscale.load_bank(args.gmm_dir)
     model, assignment = load_checkpoint(args.checkpoint)
-    feats, _, utt_ids = multiscale.manifest_lgp_features(
-        manifest, bank, cfg.lfcc, cfg.target_frames
-    )
+    feats = multiscale.ManifestLgp(manifest, bank, cfg.lfcc, cfg.target_frames)
     logits = predict_logits(model, assignment, feats, batch_size=cfg.train.batch_size)
-    records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(utt_ids, score(logits))]
+    records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)
     print(f"wrote {len(records)} scores to {args.out}")
     return 0
@@ -203,7 +173,6 @@ def _cmd_describe(args) -> int:
 
 _COMMANDS = {
     "train-gmm": _cmd_train_gmm,
-    "extract-features": _cmd_extract_features,
     "train-model": _cmd_train_model,
     "score": _cmd_score,
     "evaluate": _cmd_evaluate,

@@ -6,7 +6,7 @@ class LgpnetError(Exception):
 
 
 class FormatError(LgpnetError):
-    """A binary file (WAV, model, feature cache) is malformed or has a bad version."""
+    """A binary file (WAV, GMM model, checkpoint) is malformed or has a bad version."""
 
 
 class UnsupportedAudioError(LgpnetError):

@@ -11,6 +11,7 @@ the scores.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,10 +107,21 @@ def compute_eer(bona_scores: np.ndarray, spoof_scores: np.ndarray) -> EerResult:
 
 
 def compute_eer_records(records: list[ScoreRecord], labels: dict[str, str]) -> EerResult:
-    """EER from score records joined with utt_id -> key ('bonafide'/'spoof') labels."""
+    """EER from score records joined with utt_id -> key ('bonafide'/'spoof') labels.
+
+    Every labelled utterance must have exactly one score and every score a
+    label; anything else raises ProtocolError.
+    """
+    counts = Counter(r.utt_id for r in records)
+    duplicated = [u for u, n in counts.items() if n > 1]
+    if duplicated:
+        raise ProtocolError(f"utterances scored more than once: {', '.join(duplicated[:10])}")
     missing = [r.utt_id for r in records if r.utt_id not in labels]
     if missing:
         raise ProtocolError(f"scores without labels: {', '.join(missing[:10])}")
+    unscored = [u for u in labels if u not in counts]
+    if unscored:
+        raise ProtocolError(f"protocol utterances without a score: {', '.join(unscored[:10])}")
     bona = np.array([r.score for r in records if labels[r.utt_id] == "bonafide"])
     spoof = np.array([r.score for r in records if labels[r.utt_id] == "spoof"])
     return compute_eer(bona, spoof)

@@ -66,6 +66,8 @@ class Gmm:
             raise ValueError(f"component count must be a power of 2, got {k}")
         if self.means.shape[0] != k or self.variances.shape != self.means.shape:
             raise ShapeError("weights/means/variances shapes are inconsistent")
+        if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.variances)):
+            raise ValueError("weights, means and variances must be finite")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {self.weights.sum()!r}")
         if np.any(self.variances <= 0):
@@ -225,7 +227,7 @@ def lgp_transform(gmm: Gmm, feat: FeatureMatrix, normalize: bool = True) -> Feat
         std = y.std(axis=0)
         nonzero = std > 0
         y = np.where(nonzero[None, :], (y - mean[None, :]) / np.where(nonzero, std, 1.0)[None, :], 0.0)
-    return FeatureMatrix(values=y, dim_kind="lgp")
+    return FeatureMatrix(values=y)
 
 
 def save_gmm(gmm: Gmm, path: str | Path) -> None:
@@ -286,4 +288,7 @@ def load_gmm(path: str | Path) -> Gmm:
     weights = params[:order].copy()
     means = params[order : order + order * dim].reshape(order, dim).copy()
     variances = params[order + order * dim :].reshape(order, dim).copy()
-    return Gmm(weights, means, variances)
+    try:
+        return Gmm(weights, means, variances)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

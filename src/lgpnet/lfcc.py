@@ -4,26 +4,20 @@ Waveforms are framed with a 20 ms Hamming window and 10 ms shift, passed
 through a 1024-point FFT and a bank of linearly spaced triangular filters,
 log-compressed and DCT-transformed.  The static vector is log-energy plus
 19 cepstra; delta and delta-delta columns bring the dimension to 60.
+Features are not cached on disk: every consumer recomputes them from the
+audio when it needs them.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.fft import dct
 
 from .corpus import AudioClip
-from .errors import ConfigError, FormatError, ShapeError
+from .errors import ConfigError, ShapeError
 
 LOG_FLOOR = 1e-10
-
-FEATURE_KINDS = ("lfcc", "lgp", "lgp_group")
-_KIND_CODE = {kind: i for i, kind in enumerate(FEATURE_KINDS)}
-
-_CACHE_MAGIC = b"FCH1"
-_CACHE_VERSION = 1
 
 
 @dataclass
@@ -62,7 +56,6 @@ class FeatureMatrix:
     """T x D matrix of per-frame features (time-major)."""
 
     values: np.ndarray
-    dim_kind: str = "lfcc"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -70,8 +63,6 @@ class FeatureMatrix:
             raise ShapeError("FeatureMatrix values must be 2-d (frames x dims)")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("FeatureMatrix contains non-finite values")
-        if self.dim_kind not in FEATURE_KINDS:
-            raise ValueError(f"unknown dim_kind {self.dim_kind!r}")
 
     @property
     def n_frames(self) -> int:
@@ -159,7 +150,7 @@ def lfcc_extract(clip: AudioClip, cfg: LfccConfig | None = None) -> FeatureMatri
         feat = np.hstack([static, d1, d2])
     else:
         feat = static
-    return FeatureMatrix(values=feat, dim_kind="lfcc")
+    return FeatureMatrix(values=feat)
 
 
 def fix_length(feat: FeatureMatrix, target_frames: int = 400) -> FeatureMatrix:
@@ -174,40 +165,5 @@ def fix_length(feat: FeatureMatrix, target_frames: int = 400) -> FeatureMatrix:
     else:
         reps = int(np.ceil(target_frames / t))
         values = np.tile(feat.values, (reps, 1))[:target_frames]
-    return FeatureMatrix(values=values.copy(), dim_kind=feat.dim_kind)
+    return FeatureMatrix(values=values.copy())
 
-
-def write_feature_record(path: str | Path, utt_id: str, feat: FeatureMatrix) -> None:
-    """Write one per-utterance cache record (see README for the layout)."""
-    uid = utt_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<IIB", _CACHE_VERSION, len(uid), _KIND_CODE[feat.dim_kind]))
-        fh.write(uid)
-        fh.write(struct.pack("<II", feat.n_frames, feat.n_dims))
-        fh.write(np.ascontiguousarray(feat.values, dtype="<f8").tobytes())
-
-
-def read_feature_record(path: str | Path) -> tuple[str, FeatureMatrix]:
-    """Read one cache record back, verifying magic, version, and payload size."""
-    raw = Path(path).read_bytes()
-    if len(raw) < 13 or raw[:4] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: not a feature cache record")
-    version, uid_len, kind_code = struct.unpack("<IIB", raw[4:13])
-    if version != _CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    off = 13
-    uid = raw[off : off + uid_len].decode("utf-8")
-    off += uid_len
-    if len(raw) < off + 8:
-        raise FormatError(f"{path}: truncated cache record")
-    t, d = struct.unpack("<II", raw[off : off + 8])
-    off += 8
-    payload = raw[off:]
-    if len(payload) != t * d * 8:
-        raise FormatError(f"{path}: truncated cache record")
-    values = np.frombuffer(payload, dtype="<f8").reshape(t, d)
-    kinds = {code: kind for kind, code in _KIND_CODE.items()}
-    if kind_code not in kinds:
-        raise FormatError(f"{path}: unknown feature kind code {kind_code}")
-    return uid, FeatureMatrix(values=values.copy(), dim_kind=kinds[kind_code])

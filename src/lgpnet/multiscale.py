@@ -7,6 +7,9 @@ either at random or by their split lineage: components descending from the
 same branch of the binary-split tree land in the same group.  Binary
 splitting puts the children of component i at 2i and 2i+1, so at order K
 the branch of component i at the G-node level is simply i // (K // G).
+
+`ManifestLgp` computes a manifest's features batch by batch from the audio,
+so memory grows with the batch size, not the corpus size.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AudioClip, Manifest, label_index
+from .corpus import AudioClip, Manifest, label_index, read_wav
 from .errors import ConfigError, ShapeError
 from .gmm import Gmm, lgp_transform, load_gmm, save_gmm
 from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
@@ -56,9 +59,8 @@ class GroupAssignment:
     n_groups: int
 
     def __post_init__(self):
+        self.groups = {order: np.array(g, dtype=np.int64) for order, g in self.groups.items()}
         for order, g in self.groups.items():
-            g = np.asarray(g, dtype=np.int64)
-            self.groups[order] = g
             if g.shape != (order,):
                 raise ShapeError(f"assignment for order {order} has shape {g.shape}")
             counts = np.bincount(g, minlength=self.n_groups)
@@ -134,7 +136,7 @@ def random_grouping(bank: GmmBank, n_groups: int, seed: int) -> GroupAssignment:
 def extract_multiscale_lgp(bank: GmmBank, lfcc_feat: FeatureMatrix) -> FeatureMatrix:
     """Concatenate each order's normalized LGP block along the feature axis."""
     blocks = [lgp_transform(g, lfcc_feat).values for g in bank.gmms]
-    return FeatureMatrix(values=np.hstack(blocks), dim_kind="lgp")
+    return FeatureMatrix(values=np.hstack(blocks))
 
 
 def group_slices(assignment: GroupAssignment, feat: FeatureMatrix) -> list[FeatureMatrix]:
@@ -142,10 +144,7 @@ def group_slices(assignment: GroupAssignment, feat: FeatureMatrix) -> list[Featu
     total = sum(assignment.orders)
     if feat.n_dims != total:
         raise ShapeError(f"feature dim {feat.n_dims} does not match assignment total {total}")
-    return [
-        FeatureMatrix(values=feat.values[:, cols], dim_kind="lgp_group")
-        for cols in assignment.index_lists()
-    ]
+    return [FeatureMatrix(values=feat.values[:, cols]) for cols in assignment.index_lists()]
 
 
 def save_bank(bank: GmmBank, directory: str | Path) -> None:
@@ -175,29 +174,48 @@ def utterance_lgp(
     return extract_multiscale_lgp(bank, feat)
 
 
+class ManifestLgp:
+    """A manifest's (N, D, T) LGP features, computed from the audio on indexing.
+
+    `src[idx]` reads, transforms and stacks only the utterances in the 1-d
+    index array `idx`, giving a (len(idx), D, T) array that is bitwise equal
+    to the same rows of the fully stacked features.  The feature axis comes
+    first within each utterance (channels-first) because that is the layout
+    the 1-d convolution stack consumes.
+    """
+
+    def __init__(
+        self,
+        manifest: Manifest,
+        bank: GmmBank,
+        lfcc_cfg: LfccConfig | None = None,
+        target_frames: int = 400,
+    ):
+        self.manifest = manifest
+        self.bank = bank
+        self.lfcc_cfg = lfcc_cfg
+        self.target_frames = target_frames
+        self.labels = np.asarray([label_index(lab) for _, lab in manifest.entries], dtype=np.int64)
+        self.utt_ids = [lab.utt_id for _, lab in manifest.entries]
+
+    def __len__(self) -> int:
+        return len(self.manifest)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        feats = []
+        for i in np.asarray(idx, dtype=np.int64):
+            wav_path, label = self.manifest.entries[i]
+            clip = read_wav(wav_path, utt_id=label.utt_id)
+            feats.append(utterance_lgp(clip, self.bank, self.lfcc_cfg, self.target_frames).values.T)
+        return np.stack(feats)
+
+
 def manifest_lgp_features(
     manifest: Manifest,
     bank: GmmBank,
     lfcc_cfg: LfccConfig | None = None,
     target_frames: int = 400,
-    reader=None,
 ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stacked (N, D, T) LGP features, (N,) labels, and utt_ids for a manifest.
-
-    The feature axis comes first within each utterance (channels-first)
-    because that is the layout the 1-d convolution stack consumes.
-    `reader` can replace corpus.read_wav in tests.
-    """
-    from .corpus import read_wav
-
-    reader = reader or read_wav
-    feats = []
-    labels = []
-    utt_ids = []
-    for wav_path, label in manifest.entries:
-        clip = reader(wav_path, utt_id=label.utt_id)
-        lgp = utterance_lgp(clip, bank, lfcc_cfg, target_frames)
-        feats.append(lgp.values.T)
-        labels.append(label_index(label))
-        utt_ids.append(label.utt_id)
-    return np.stack(feats), np.asarray(labels, dtype=np.int64), utt_ids
+    """Stacked (N, D, T) LGP features, (N,) labels, and utt_ids for a manifest."""
+    src = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
+    return src[np.arange(len(src))], src.labels, src.utt_ids

@@ -21,7 +21,7 @@ from .corpus import Manifest
 from .errors import ConfigError, ManifestError, NonFiniteLossError
 from .lfcc import LfccConfig
 from .model import GroupedResNetEnsemble, ModelCfg, ModelOutput, save_checkpoint
-from .multiscale import GmmBank, GroupAssignment, manifest_lgp_features
+from .multiscale import GmmBank, GroupAssignment, ManifestLgp
 from .tensor import Tensor, backward, no_grad, softmax_cross_entropy
 
 
@@ -120,7 +120,7 @@ def _batch_indices(n: int, batch_size: int) -> list[np.ndarray]:
 def run_epoch(
     model: GroupedResNetEnsemble,
     assignment: GroupAssignment,
-    feats: np.ndarray,
+    feats: np.ndarray | ManifestLgp,
     labels: np.ndarray,
     cfg: TrainConfig,
     state: AdamState,
@@ -145,7 +145,7 @@ def run_epoch(
 def evaluate_loss(
     model: GroupedResNetEnsemble,
     assignment: GroupAssignment,
-    feats: np.ndarray,
+    feats: np.ndarray | ManifestLgp,
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> float:
@@ -163,14 +163,14 @@ def evaluate_loss(
 def predict_logits(
     model: GroupedResNetEnsemble,
     assignment: GroupAssignment,
-    feats: np.ndarray,
+    feats: np.ndarray | ManifestLgp,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Ensemble logits for a stacked feature batch, in eval mode."""
+    """Ensemble logits for stacked or per-batch computed features, in eval mode."""
     model.set_mode("eval")
     outs = []
     with no_grad():
-        for idx in _batch_indices(feats.shape[0], batch_size):
+        for idx in _batch_indices(len(feats), batch_size):
             outs.append(model(feats[idx], assignment).ensemble_logits.data)
     return np.vstack(outs)
 
@@ -204,7 +204,6 @@ def train(
     target_frames: int = 400,
     checkpoint_path: str | Path | None = None,
     log_path: str | Path | None = None,
-    reader=None,
 ) -> tuple[GroupedResNetEnsemble, list[dict]]:
     """Full training run; returns the best model and the per-epoch log.
 
@@ -213,17 +212,15 @@ def train(
     dev-set loss when a dev manifest is given, the training loss otherwise;
     the best-monitored parameters are restored (and written to
     checkpoint_path, when given) at the end.  A NaN or infinite loss in any
-    epoch raises NonFiniteLossError and writes no checkpoint.
+    epoch raises NonFiniteLossError and writes no checkpoint.  Features are
+    computed from the audio batch by batch, in every epoch.
     """
     if len(manifest) == 0:
         raise ManifestError("training manifest is empty")
-    feats, labels, _ = manifest_lgp_features(manifest, bank, lfcc_cfg, target_frames, reader=reader)
+    feats = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
     dev = None
     if dev_manifest is not None:
-        dev_feats, dev_labels, _ = manifest_lgp_features(
-            dev_manifest, bank, lfcc_cfg, target_frames, reader=reader
-        )
-        dev = (dev_feats, dev_labels)
+        dev = ManifestLgp(dev_manifest, bank, lfcc_cfg, target_frames)
 
     rng = np.random.default_rng(train_cfg.seed)
     model = GroupedResNetEnsemble(model_cfg, rng)
@@ -243,10 +240,10 @@ def train(
             writer.writerow(["epoch", "train_loss", "dev_loss", "lr"])
     try:
         for epoch in range(1, train_cfg.epochs + 1):
-            perm = rng.permutation(labels.size)
-            train_loss = run_epoch(model, assignment, feats, labels, train_cfg, state, perm, lr)
+            perm = rng.permutation(len(feats))
+            train_loss = run_epoch(model, assignment, feats, feats.labels, train_cfg, state, perm, lr)
             if dev is not None:
-                dev_loss = evaluate_loss(model, assignment, dev[0], dev[1], train_cfg)
+                dev_loss = evaluate_loss(model, assignment, dev, dev.labels, train_cfg)
             else:
                 dev_loss = train_loss
             monitor_history.append(dev_loss)

@@ -8,7 +8,6 @@ from lgpnet.config import load_config
 from lgpnet.errors import ConfigError
 from lgpnet.evaluation import compute_eer_records, score_file_read
 from lgpnet.corpus import parse_protocol
-from lgpnet.lfcc import read_feature_record
 
 
 TINY_CFG = """
@@ -96,6 +95,14 @@ class TestEvaluateCommand:
         out = capsys.readouterr().out
         assert "EER: 0.0000%" in out
 
+    def test_partial_score_file_is_exit_1(self, tmp_path, capsys):
+        protocol = tmp_path / "p.txt"
+        protocol.write_text("S1 b1 - - bonafide\nS2 s1 - A01 spoof\nS2 s2 - A01 spoof\n")
+        scores = tmp_path / "s.txt"
+        scores.write_text("b1 2.0\ns1 -1.0\n")
+        assert cli_main(["evaluate", "--scores", str(scores), "--protocol", str(protocol)]) == 1
+        assert "s2" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_load_and_defaults(self, cli_workspace):
@@ -131,7 +138,6 @@ class TestEndToEnd:
         gmm_dir = str(root / "gmms")
         ckpt = str(root / "model.npz")
         scores_path = str(root / "scores.txt")
-        cache_dir = str(root / "cache")
 
         assert cli_main([
             "train-gmm", "--protocol", protocol, "--audio-dir", audio_dir,
@@ -140,16 +146,6 @@ class TestEndToEnd:
         assert sorted(p.name for p in (root / "gmms").glob("*.bin")) == [
             "gmm_00008.bin", "gmm_00016.bin",
         ]
-
-        assert cli_main([
-            "extract-features", "--protocol", protocol, "--audio-dir", audio_dir,
-            "--cache-dir", cache_dir, "--kind", "lgp", "--gmm-dir", gmm_dir,
-            "--config", cfg,
-        ]) == 0
-        records = sorted((root / "cache").glob("*.feat"))
-        assert len(records) == 12
-        utt, feat = read_feature_record(records[0])
-        assert feat.values.shape == (50, 24)
 
         assert cli_main([
             "train-model", "--protocol", protocol, "--audio-dir", audio_dir,
@@ -175,6 +171,31 @@ class TestEndToEnd:
         in_process = compute_eer_records(records, labels)
         printed = float(out.split("EER:")[1].split("%")[0])
         assert printed == pytest.approx(100 * in_process.eer, abs=5e-5)
+
+    def test_score_independent_of_batch_size(self, cli_workspace, tmp_path):
+        common = ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"])]
+        default_cfg = tmp_path / "default_batch.cfg"
+        default_cfg.write_text(TINY_CFG.replace("train.batch_size = 8\n", ""))
+        gmm_dir, ckpt = str(tmp_path / "gmms"), str(tmp_path / "model.npz")
+        assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--config", str(default_cfg)]) == 0
+        assert cli_main([
+            "train-model", *common, "--gmm-dir", gmm_dir, "--checkpoint", ckpt, "--config", str(default_cfg),
+        ]) == 0
+        scores = {}
+        for batch in (None, 1, 5):
+            cfg = tmp_path / f"batch{batch}.cfg"
+            cfg.write_text(default_cfg.read_text() + (f"train.batch_size = {batch}\n" if batch else ""))
+            out = tmp_path / f"scores{batch}.txt"
+            assert cli_main([
+                "score", *common, "--gmm-dir", gmm_dir, "--checkpoint", ckpt, "--out", str(out),
+                "--config", str(cfg),
+            ]) == 0
+            scores[batch] = score_file_read(out)
+        assert len(scores[None]) == 12
+        for batch in (1, 5):
+            assert [r.utt_id for r in scores[batch]] == [r.utt_id for r in scores[None]]
+            for got, ref in zip(scores[batch], scores[None]):
+                assert abs(got.score - ref.score) <= 1e-12
 
     def test_train_gmm_order_not_in_bank(self, cli_workspace, capsys):
         assert cli_main([

