@@ -72,15 +72,10 @@ def label_index(label: UtteranceLabel) -> int:
     return LABEL_BONAFIDE if label.key == KEY_BONAFIDE else LABEL_SPOOF
 
 
-def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
-    """Read a mono PCM WAV file (16-bit int or 32-bit float samples).
-
-    Integer samples are divided by 2^(bits-1) so both sample formats land
-    on the same [-1, 1] scale.
-    """
-    path = Path(path)
+def _wav_samples(path: Path, mmap: bool) -> tuple[int, np.ndarray]:
+    """Sample rate and sample array of a mono 16-bit or 32/64-bit float WAV."""
     try:
-        rate, data = wavfile.read(path)
+        rate, data = wavfile.read(path, mmap=mmap)
     except FileNotFoundError:
         raise
     except Exception as exc:
@@ -89,15 +84,41 @@ def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
         raise UnsupportedAudioError(
             f"{path}: {data.shape[1]}-channel audio is unsupported; downmix to mono first"
         )
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32 or data.dtype == np.float64:
-        samples = data.astype(np.float64)
-    else:
+    if data.dtype not in (np.int16, np.float32, np.float64):
         raise UnsupportedAudioError(
             f"{path}: sample format {data.dtype} is unsupported (use 16-bit PCM or 32-bit float)"
         )
-    return AudioClip(samples=samples, sample_rate=int(rate), utt_id=utt_id or path.stem)
+    return int(rate), data
+
+
+def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
+    """Read a mono PCM WAV file (16-bit int or 32-bit float samples).
+
+    Integer samples are divided by 2^(bits-1) so both sample formats land
+    on the same [-1, 1] scale.
+    """
+    path = Path(path)
+    rate, data = _wav_samples(path, mmap=False)
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    else:
+        samples = data.astype(np.float64)
+    return AudioClip(samples=samples, sample_rate=rate, utt_id=utt_id or path.stem)
+
+
+def check_wav(path: str | Path) -> None:
+    """Raise what read_wav would raise on this file, without reading the samples.
+
+    Only the header is parsed; the sample array is memory-mapped, never read.
+    """
+    path = Path(path)
+    try:
+        rate, data = _wav_samples(path, mmap=True)
+    except FormatError:
+        # the memory map also refuses a data chunk cut short, which a full read accepts
+        read_wav(path)
+        return
+    AudioClip(samples=data, sample_rate=rate)
 
 
 def parse_protocol(path: str | Path) -> list[UtteranceLabel]:

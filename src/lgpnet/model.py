@@ -29,6 +29,7 @@ from .tensor import (
     Tensor,
     add,
     batchnorm1d,
+    branch_map,
     concat_channels,
     conv1d,
     linear,
@@ -224,13 +225,12 @@ class GroupedResNetEnsemble:
     def forward_slices(self, slices: list[Tensor]) -> ModelOutput:
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
-        group_logits = []
-        for x, branch, classifier in zip(slices, self.branches, self.classifiers):
+        for x in slices:
             if x.shape[1] != self.cfg.group_input_dim:
                 raise ShapeError(
                     f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}"
                 )
-            group_logits.append(classifier(branch(x)))
+        group_logits = branch_map(lambda g, x: self.classifiers[g](self.branches[g](x)), slices)
         return ModelOutput(ensemble_logits=mean_tensors(group_logits), group_logits=group_logits)
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> ModelOutput:

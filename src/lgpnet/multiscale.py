@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AudioClip, Manifest, label_index, read_wav
+from .corpus import AudioClip, Manifest, check_wav, label_index, read_wav
 from .errors import ConfigError, ShapeError
 from .gmm import Gmm, lgp_transform, load_gmm, save_gmm
 from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
@@ -181,7 +181,8 @@ class ManifestLgp:
     index array `idx`, giving a (len(idx), D, T) array that is bitwise equal
     to the same rows of the fully stacked features.  The feature axis comes
     first within each utterance (channels-first) because that is the layout
-    the 1-d convolution stack consumes.
+    the 1-d convolution stack consumes.  Construction checks every WAV
+    header (`check_wav`), so an unreadable file fails before any batch.
     """
 
     def __init__(
@@ -191,6 +192,8 @@ class ManifestLgp:
         lfcc_cfg: LfccConfig | None = None,
         target_frames: int = 400,
     ):
+        for wav_path, _ in manifest.entries:
+            check_wav(wav_path)
         self.manifest = manifest
         self.bank = bank
         self.lfcc_cfg = lfcc_cfg

@@ -22,7 +22,7 @@ from .errors import ConfigError, ManifestError, NonFiniteLossError
 from .lfcc import LfccConfig
 from .model import GroupedResNetEnsemble, ModelCfg, ModelOutput, save_checkpoint
 from .multiscale import GmmBank, GroupAssignment, ManifestLgp
-from .tensor import Tensor, backward, no_grad, softmax_cross_entropy
+from .tensor import Tensor, _parallel_map, backward, no_grad, softmax_cross_entropy
 
 
 @dataclass
@@ -74,18 +74,25 @@ class AdamState:
 
 
 def adam_step(state: AdamState, lr: float) -> None:
-    """One Adam update with bias correction; missing grads count as zero."""
+    """One Adam update with bias correction; missing grads count as zero.
+
+    Parameters are updated independently, on the tensor engine's worker pool.
+    """
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, m, v in zip(state.params, state.m, state.v):
+
+    def update(i: int) -> None:
+        p, m, v = state.params[i], state.m[i], state.v[i]
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g**2
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+    _parallel_map(update, len(state.params), sum(p.size for p in state.params))
 
 
 def reduce_on_plateau(history: list[float], cfg: TrainConfig) -> float:

@@ -1,5 +1,9 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+
+import lgpnet.tensor as tensor_mod
 
 from helpers import build_synth_corpus
 
@@ -7,6 +11,31 @@ from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.gmm import EmConfig, train_by_splitting
 from lgpnet.lfcc import LfccConfig, lfcc_extract
 from lgpnet.multiscale import GmmBank, lineage_grouping, manifest_lgp_features
+
+
+@pytest.fixture
+def forced_pool(monkeypatch):
+    """forced_pool(n) runs the tensor engine's pool regions on n worker
+    threads, whatever the CPU count and the input size, with the BLAS
+    library pinned as in a real pool region."""
+    pools = []
+
+    def make(workers: int) -> ThreadPoolExecutor:
+        pool = ThreadPoolExecutor(max_workers=workers, initializer=tensor_mod._mark_worker)
+        pools.append(pool)
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: pool)
+        monkeypatch.setattr(tensor_mod, "_MIN_POOL_ELEMENTS", 0)
+        monkeypatch.setattr(tensor_mod, "_blas_controls", tensor_mod._find_blas_controls())
+        return pool
+
+    yield make
+    for pool in pools:
+        pool.shutdown()
+
+
+@pytest.fixture
+def two_workers(forced_pool):
+    return forced_pool(2)
 
 
 @pytest.fixture(scope="session")

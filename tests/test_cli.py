@@ -223,3 +223,77 @@ class TestEndToEnd:
         assert code == 1
         assert "epoch 1" in capsys.readouterr().err
         assert not ckpt.exists()
+
+
+class TestUnreadableAudio:
+    """A WAV that cannot be read stops a command before any work is done."""
+
+    @pytest.fixture(scope="class")
+    def junk_workspace(self, cli_workspace, tmp_path_factory):
+        root = tmp_path_factory.mktemp("junk")
+        good = [ln for ln in cli_workspace["protocol"].read_text().splitlines() if ln.strip()]
+        audio_dir = root / "wav"
+        audio_dir.mkdir()
+        for line in good[:2]:
+            utt = line.split()[1]
+            (audio_dir / f"{utt}.wav").write_bytes((cli_workspace["audio_dir"] / f"{utt}.wav").read_bytes())
+        (audio_dir / "SYN_JUNK.wav").write_bytes(b"junk")
+        protocol = root / "protocol.txt"
+        protocol.write_text("\n".join([*good[:2], "SPK2 SYN_JUNK - A01 spoof"]) + "\n")
+        gmm_dir = root / "gmms"
+        assert cli_main([
+            "train-gmm", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--out", str(gmm_dir),
+            "--order", "16", "--iters", "3", "--config", str(cli_workspace["cfg"]),
+        ]) == 0
+        return {"root": root, "protocol": protocol, "audio_dir": audio_dir, "gmm_dir": gmm_dir}
+
+    @pytest.fixture
+    def feature_reads(self, monkeypatch):
+        import lgpnet.multiscale as multiscale
+
+        reads = []
+        real_read = multiscale.read_wav
+        monkeypatch.setattr(
+            multiscale, "read_wav", lambda path, utt_id="": reads.append(path) or real_read(path, utt_id)
+        )
+        return reads
+
+    def test_train_model_with_junk_dev_wav_trains_no_epoch(
+        self, cli_workspace, junk_workspace, feature_reads, capsys
+    ):
+        root = junk_workspace["root"]
+        ckpt, log = root / "model.npz", root / "log.csv"
+        code = cli_main([
+            "train-model", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--gmm-dir", str(junk_workspace["gmm_dir"]),
+            "--checkpoint", str(ckpt), "--log", str(log), "--config", str(cli_workspace["cfg"]),
+            "--dev-protocol", str(junk_workspace["protocol"]),
+            "--dev-audio-dir", str(junk_workspace["audio_dir"]),
+        ])
+        assert code == 1
+        assert "SYN_JUNK.wav: not a readable PCM WAV file" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not log.exists() or len(log.read_text().splitlines()) <= 1  # no epoch row
+        assert feature_reads == []
+
+    def test_score_with_junk_wav_writes_no_scores(
+        self, cli_workspace, junk_workspace, feature_reads, capsys
+    ):
+        root = junk_workspace["root"]
+        ckpt, out = root / "scoring_model.npz", root / "scores.txt"
+        assert cli_main([
+            "train-model", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--gmm-dir", str(junk_workspace["gmm_dir"]),
+            "--checkpoint", str(ckpt), "--config", str(cli_workspace["cfg"]),
+        ]) == 0
+        feature_reads.clear()
+        code = cli_main([
+            "score", "--protocol", str(junk_workspace["protocol"]),
+            "--audio-dir", str(junk_workspace["audio_dir"]), "--gmm-dir", str(junk_workspace["gmm_dir"]),
+            "--checkpoint", str(ckpt), "--out", str(out), "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        assert "SYN_JUNK.wav: not a readable PCM WAV file" in capsys.readouterr().err
+        assert not out.exists()
+        assert feature_reads == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from lgpnet.corpus import (
     Manifest,
     UtteranceLabel,
     build_manifest,
+    check_wav,
     label_index,
     parse_protocol,
     read_wav,
@@ -63,6 +66,57 @@ class TestReadWav:
         wav = tmp_path / "LA_T_000.wav"
         write_wav_int16(wav, np.zeros(10))
         assert read_wav(wav).utt_id == "LA_T_000"
+
+
+def raised_by(fn, path):
+    try:
+        fn(path)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
+class TestCheckWav:
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (wav_bytes_int16(np.arange(10)), None),
+            (wav_bytes_float32(np.array([0.5, -0.25])), None),
+            (b"junk", FormatError),
+            (b"JUNK" + wav_bytes_int16(np.zeros(10))[4:], FormatError),
+            (wav_bytes_int16(np.zeros(20), channels=2), UnsupportedAudioError),
+            (wav_bytes_int16(np.zeros(0)), ValueError),
+            (wav_bytes_int16(np.zeros(100))[:120], None),  # data chunk cut short
+        ],
+        ids=["int16", "float32", "junk", "no-riff", "stereo", "no-samples", "truncated"],
+    )
+    def test_same_verdict_as_read_wav(self, tmp_path, payload, expected):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on the truncated file
+            assert raised_by(read_wav, wav) is expected
+            assert raised_by(check_wav, wav) is expected
+
+    def test_samples_are_memory_mapped_not_read(self, tmp_path, monkeypatch):
+        import lgpnet.corpus as corpus_mod
+
+        calls = []
+        real_read = corpus_mod.wavfile.read
+
+        def recording_read(path, mmap=False):
+            calls.append(mmap)
+            return real_read(path, mmap=mmap)
+
+        monkeypatch.setattr(corpus_mod.wavfile, "read", recording_read)
+        wav = tmp_path / "a.wav"
+        write_wav_int16(wav, np.zeros(1000))
+        check_wav(wav)
+        assert calls == [True]
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            check_wav(tmp_path / "absent.wav")
 
 
 class TestAudioClip:

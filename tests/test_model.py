@@ -1,13 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from helpers import FD_REL_TOL, check_gradients, random_bank
 
 import lgpnet.model as model_mod
+import lgpnet.tensor as tensor_mod
 from lgpnet.errors import FormatError, ShapeError
 from lgpnet.model import (
     ImprovedResidualBlock,
     ModelCfg,
+    ModelOutput,
     ResidualBlockCfg,
     StandardResidualBlock,
     build_model,
@@ -16,7 +21,8 @@ from lgpnet.model import (
     score,
 )
 from lgpnet.multiscale import GroupAssignment, random_grouping
-from lgpnet.tensor import Tensor, no_grad, softmax_cross_entropy
+from lgpnet.tensor import Tensor, backward, mean_tensors, no_grad, softmax_cross_entropy
+from lgpnet.training import AdamState, adam_step, ensemble_aware_loss
 
 
 def param_count_oracle(g, blocks, ch, group_dim, n_classes=2, mfa=True, improved=True):
@@ -230,6 +236,97 @@ class TestModelForward:
 
         worst = check_gradients(loss, model.parameters())
         assert worst < FD_REL_TOL
+
+
+class TestBranchPool:
+    """forward_slices runs the G branches through tensor.branch_map."""
+
+    def _slices(self, seed, n_groups=4):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups)]
+
+    def test_gradients_bitwise_equal_to_calling_thread_reference(self, two_workers):
+        cfg = tiny_cfg(n_groups=4)
+        labels = np.array([0, 1])
+        pooled, reference = build_model(cfg, seed=21), build_model(cfg, seed=21)
+        backward(ensemble_aware_loss(pooled.forward_slices(self._slices(22)), labels))
+        group_logits = [
+            classifier(branch(x))
+            for x, branch, classifier in zip(
+                self._slices(22), reference.branches, reference.classifiers
+            )
+        ]
+        out = ModelOutput(ensemble_logits=mean_tensors(group_logits), group_logits=group_logits)
+        backward(ensemble_aware_loss(out, labels))
+        for (name, p), (_, q) in zip(pooled.named_parameters(), reference.named_parameters()):
+            assert np.array_equal(p.grad, q.grad), name
+        for bn_p, bn_q in zip(pooled.batchnorms(), reference.batchnorms()):
+            assert np.array_equal(bn_p.state.running_mean, bn_q.state.running_mean)
+            assert np.array_equal(bn_p.state.running_var, bn_q.state.running_var)
+
+    def test_adam_steps_on_many_workers_match_inline_run(self, forced_pool, monkeypatch):
+        # more workers than cores and a short switch interval, so the branches,
+        # their backward passes and the Adam updates interleave finely
+        def three_steps():
+            model = build_model(tiny_cfg(n_groups=8), seed=29)
+            state = AdamState(model.parameters())
+            for step in range(3):
+                model.zero_grad()
+                loss = ensemble_aware_loss(model.forward_slices(self._slices(30 + step, 8)), [0, 1])
+                backward(loss)
+                adam_step(state, 1e-2)
+            return model
+
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        inline = three_steps()
+        forced_pool(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = three_steps()
+        finally:
+            sys.setswitchinterval(interval)
+        for (name, p), (_, q) in zip(pooled.named_parameters(), inline.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+            assert np.array_equal(p.grad, q.grad), name
+        for bn_p, bn_q in zip(pooled.batchnorms(), inline.batchnorms()):
+            assert np.array_equal(bn_p.state.running_mean, bn_q.state.running_mean)
+            assert np.array_equal(bn_p.state.running_var, bn_q.state.running_var)
+
+    def test_branch_without_gradient_keeps_grad_none(self, two_workers):
+        model = build_model(tiny_cfg(n_groups=4), seed=23)
+        out = model.forward_slices(self._slices(24))
+        loss = softmax_cross_entropy(mean_tensors(out.group_logits[:3]), np.array([1, 0]))
+        backward(loss)
+        for name, p in model.named_parameters():
+            if name.startswith("group3."):
+                assert p.grad is None, name
+            else:
+                assert p.grad is not None, name
+
+    def test_error_in_one_branch_reaches_caller(self, two_workers):
+        model = build_model(tiny_cfg(n_groups=4), seed=25)
+        model.branches[2].entry_conv.weight.data = np.zeros((8, 5, 1))  # channel mismatch
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            model.forward_slices(self._slices(26))
+
+    def test_no_grad_forward_runs_every_branch_on_calling_thread(self, two_workers):
+        model = build_model(tiny_cfg(n_groups=4), seed=27)
+        idents = []
+
+        def recording(branch):
+            def call(x):
+                idents.append(threading.get_ident())
+                return branch(x)
+            return call
+
+        model.branches = [recording(b) for b in model.branches]
+        with no_grad():
+            model.forward_slices(self._slices(28))
+        assert idents == [threading.get_ident()] * 4
+        idents.clear()
+        model.forward_slices(self._slices(28))
+        assert len(idents) == 4 and threading.get_ident() not in idents
 
 
 class TestScore:

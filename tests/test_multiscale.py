@@ -3,11 +3,11 @@ import pytest
 
 from helpers import random_bank, random_split_gmm
 
-from lgpnet.errors import ConfigError, ShapeError
+from lgpnet.errors import ConfigError, FormatError, ShapeError
 from lgpnet.gmm import lgp_transform
 from lgpnet.lfcc import FeatureMatrix
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
-from lgpnet.corpus import read_wav
+from lgpnet.corpus import Manifest, UtteranceLabel, read_wav
 from lgpnet.multiscale import (
     GmmBank,
     GroupAssignment,
@@ -248,6 +248,15 @@ class TestManifestLgp:
         batch = src[np.array(idx)]
         assert batch.shape == (len(idx), 24, 50)
         assert np.array_equal(batch, stacked[idx])
+
+    def test_unreadable_wav_fails_at_construction(self, tiny_pipeline, tmp_path):
+        p = tiny_pipeline
+        junk = tmp_path / "junk.wav"
+        junk.write_bytes(b"junk")
+        label = UtteranceLabel(utt_id="JUNK", key="spoof")
+        manifest = Manifest(entries=[*p["manifest"].entries, (junk, label)])
+        with pytest.raises(FormatError, match="junk.wav"):
+            ManifestLgp(manifest, p["bank"], p["lfcc_cfg"], 50)
 
     def test_stacked_equals_each_utterance(self, tiny_pipeline):
         p = tiny_pipeline

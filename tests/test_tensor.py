@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,19 @@ from lgpnet.tensor import (
     add,
     backward,
     batchnorm1d,
+    branch_map,
     concat_channels,
     conv1d,
     linear,
     max_pool_time,
     mean_tensors,
+    mul,
     no_grad,
     relu,
     softmax_cross_entropy,
+    tsum,
 )
+import lgpnet.tensor as tensor_mod
 
 
 class TestConv1d:
@@ -345,3 +351,82 @@ class TestBackward:
         out2, grad2 = run()
         assert np.array_equal(out1, out2)
         assert np.array_equal(grad1, grad2)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in tensor_mod._find_blas_controls()]
+
+
+class TestBranchMap:
+    def test_input_gradients_reach_shared_upstream(self, two_workers):
+        a = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        h = relu(a)
+        outs = branch_map(lambda i, t: tsum(mul(t, float(i + 1))), [h, h, a])
+        backward(add(add(outs[0], outs[1]), outs[2]))
+        # d/da of 1*relu(a) + 2*relu(a) + 3*a
+        assert np.array_equal(a.grad, 3.0 * (a.data > 0) + 3.0)
+
+    def test_finite_difference_through_branches(self, two_workers):
+        rng = np.random.default_rng(41)
+        xs = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(3)]
+        ws = [Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True) for _ in range(3)]
+        bs = [Tensor(rng.normal(size=2), requires_grad=True) for _ in range(3)]
+
+        def loss():
+            outs = branch_map(
+                lambda i, x: max_pool_time(relu(conv1d(x, ws[i], bs[i], padding=1))), xs
+            )
+            return mean_tensors(outs).sum()
+
+        assert check_gradients(loss, ws + bs) < FD_REL_TOL
+
+    def test_branch_error_reaches_caller_and_blas_threads_are_restored(self, two_workers):
+        controls = tensor_mod._find_blas_controls()
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(2)
+        seen = []
+
+        def fn(i, x):
+            seen.append(blas_thread_counts())
+            if i == 1:
+                raise ShapeError("branch 1 is broken")
+            return relu(x)
+
+        xs = [Tensor(np.ones(3), requires_grad=True) for _ in range(4)]
+        try:
+            with pytest.raises(ShapeError, match="branch 1"):
+                branch_map(fn, xs)
+            after = blas_thread_counts()
+        finally:
+            for (_, set_), n in zip(controls, saved):
+                set_(n)
+        assert len(seen) == 4  # every branch ran to its end before the error surfaced
+        assert all(counts == [1] * len(controls) for counts in seen)
+        assert after == [2] * len(controls)
+
+    def test_tracked_branches_run_on_the_pool(self, two_workers):
+        caller = threading.get_ident()
+        idents = []
+        xs = [Tensor(np.ones(3), requires_grad=True) for _ in range(4)]
+        branch_map(lambda i, x: idents.append(threading.get_ident()) or relu(x), xs)
+        assert len(idents) == 4 and caller not in idents
+
+    def test_no_grad_runs_on_the_calling_thread(self, two_workers):
+        caller = threading.get_ident()
+        idents = []
+        xs = [Tensor(np.ones(3), requires_grad=True) for _ in range(4)]
+        with no_grad():
+            outs = branch_map(lambda i, x: idents.append(threading.get_ident()) or relu(x), xs)
+        assert idents == [caller] * 4
+        assert not any(o.requires_grad for o in outs)
+
+    def test_inline_map_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        caller = threading.get_ident()
+        idents = []
+        a = Tensor(np.array([2.0, -1.0]), requires_grad=True)
+        outs = branch_map(lambda i, x: idents.append(threading.get_ident()) or tsum(x), [a, a])
+        backward(add(outs[0], outs[1]))
+        assert idents == [caller, caller]
+        assert np.array_equal(a.grad, [2.0, 2.0])
