@@ -12,10 +12,16 @@ vector x to one value per component:
 
     y_i = -1/2 x' inv(S_i) x + x' inv(S_i) mu_i
 
-i.e. the log density of component i without its x-independent terms.
+i.e. the log density of component i without its x-independent terms: one
+GEMM [x^2, x] @ [-1/2 inv(S); inv(S) mu]'.  EM's E-step appends 1 to the
+frame and c = log w - 1/2 (mu' inv(S) mu + D log 2 pi + log |S|) to the
+matrix; one GEMM, one exp and one GEMM r' @ [x^2, x, 1] then give the
+responsibilities r and the statistics [sum r x^2, sum r x, sum r].  Chunks
+run on the worker pool and are summed in chunk order, whatever the workers.
 """
 from __future__ import annotations
 
+import queue
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,12 +30,19 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .lfcc import FeatureMatrix
+from .tensor import _parallel_map, _pool_workers
 
 _GMM_MAGIC = b"GMM1"
 _GMM_VERSION = 2
 _GMM_HEADER = 16  # magic, then u32 version, D and K
 
 _LOG_2PI = np.log(2.0 * np.pi)
+
+_EM_CHUNK = 2048  # frames per E-step chunk: 16 MB of log joints per worker at K=1024
+# Log joints further than this below their row's max are clamped before the
+# exp: exps that underflow, and GEMMs over the subnormals left, ran 3-80x slower.
+_EXP_FLOOR = -500.0
+_EM_WAVE = 16  # chunks per pool map; one wave's statistics are held at once
 
 # Absolute lower bound applied on top of the relative variance floor so
 # constant data dimensions cannot produce zero variances.
@@ -64,7 +77,7 @@ class Gmm:
         k = self.weights.shape[0]
         if k & (k - 1):
             raise ValueError(f"component count must be a power of 2, got {k}")
-        if self.means.shape[0] != k or self.variances.shape != self.means.shape:
+        if self.means.ndim != 2 or self.means.shape[0] != k or self.variances.shape != self.means.shape:
             raise ShapeError("weights/means/variances shapes are inconsistent")
         if not all(np.all(np.isfinite(a)) for a in (self.weights, self.means, self.variances)):
             raise ValueError("weights, means and variances must be finite")
@@ -82,92 +95,94 @@ class Gmm:
         return self.means.shape[1]
 
 
-def _component_log_densities(data: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """(N, K) matrix of per-component log densities log N(x_n; mu_i, S_i)."""
-    prec = 1.0 / gmm.variances  # (K, D)
-    log_det = np.sum(np.log(gmm.variances), axis=1)  # (K,)
-    # Quadratic form expanded so everything is a matmul:
-    #   sum_d (x_d - mu_d)^2 / s_d = x^2 . prec - 2 x . (mu * prec) + sum mu^2 prec
-    quad = (
-        (data**2) @ prec.T
-        - 2.0 * data @ (gmm.means * prec).T
-        + np.sum(gmm.means**2 * prec, axis=1)
-    )
-    return -0.5 * (quad + gmm.dim * _LOG_2PI + log_det)
+def _lgp_coefficients(gmm: Gmm) -> np.ndarray:
+    """(2D, K) matrix W = [-1/2 inv(S); inv(S) mu]' with [x^2, x] @ W = the LGP y of x."""
+    prec = 1.0 / gmm.variances
+    return np.concatenate([-0.5 * prec, gmm.means * prec], axis=1).T
 
 
-def log_likelihood(gmm: Gmm, data: np.ndarray, chunk: int = 16384) -> float:
-    """Total log-likelihood of the data under the mixture."""
+def _as_frames(gmm: Gmm, data) -> np.ndarray:
     data = np.asarray(data, dtype=np.float64)
-    log_w = np.log(gmm.weights)
-    total = 0.0
-    for lo in range(0, data.shape[0], chunk):
-        block = _component_log_densities(data[lo : lo + chunk], gmm) + log_w
-        m = block.max(axis=1, keepdims=True)
-        total += float(np.sum(m[:, 0] + np.log(np.sum(np.exp(block - m), axis=1))))
-    return total
+    if data.ndim != 2 or data.shape[1] != gmm.dim:
+        raise ShapeError(f"data of shape {data.shape} is not (N, {gmm.dim}) frames")
+    return data
+
+
+def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-frame log-likelihoods (N,) and statistics [sum r x^2, sum r x, sum r]
+    (K, 2D+1) of the data, by the fused E-step of the module docstring."""
+    n, d = data.shape
+    const = np.sum(gmm.means**2 / gmm.variances + np.log(gmm.variances), axis=1) + d * _LOG_2PI
+    coef = np.vstack([_lgp_coefficients(gmm), np.log(gmm.weights) - 0.5 * const])
+    # Running chunks take a slot of buffers allocated here: blocks allocated on
+    # the workers stayed in their malloc arenas (+40 MB RSS when scoring next).
+    n_chunks, rows = -(-n // _EM_CHUNK), min(n, _EM_CHUNK)
+    slots = queue.SimpleQueue()
+    for _ in range(min(_pool_workers(), n_chunks)):
+        slots.put((np.empty((rows, 2 * d + 1)), np.empty((rows, gmm.order))))
+    parts = np.empty((min(_EM_WAVE, n_chunks), gmm.order, 2 * d + 1))
+    point_ll, stats = np.empty(n), np.zeros((gmm.order, 2 * d + 1))
+
+    def chunk(i: int, lo: int) -> None:
+        x = data[lo : lo + _EM_CHUNK]
+        a_buf, joint_buf = slot = slots.get()
+        try:
+            a, joint = a_buf[: len(x)], joint_buf[: len(x)]
+            np.concatenate([x**2, x, np.ones((len(x), 1))], axis=1, out=a)
+            np.matmul(a, coef, out=joint)
+            m = joint.max(axis=1, keepdims=True)
+            np.subtract(joint, m, out=joint)
+            np.maximum(joint, _EXP_FLOOR, out=joint)
+            np.exp(joint, out=joint)
+            s = joint.sum(axis=1, keepdims=True)
+            point_ll[lo : lo + len(x)] = m[:, 0] + np.log(s[:, 0])
+            a /= s  # r' @ a == exp(joint)' @ (a / s), and a is the small side
+            np.matmul(joint.T, a, out=parts[i])
+        finally:
+            slots.put(slot)
+
+    span = _EM_CHUNK * _EM_WAVE
+    for wave in range(0, n, span):
+        los = range(wave, min(n, wave + span), _EM_CHUNK)
+        _parallel_map(lambda i: chunk(i, los[i]), len(los), min(span, n - wave) * gmm.order)
+        stats += parts[: len(los)].sum(axis=0)
+    return point_ll, stats
+
+
+def log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
+    """Total log-likelihood of the data under the mixture."""
+    return float(np.sum(_e_step(gmm, _as_frames(gmm, data))[0]))
 
 
 def _floor_vector(data: np.ndarray, cfg: EmConfig) -> np.ndarray:
     return np.maximum(cfg.variance_floor * data.var(axis=0), _ABS_VAR_FLOOR)
 
 
-def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, chunk: int = 16384) -> Gmm:
-    """Re-estimate a GMM with cfg.n_iterations of EM, keeping the component order.
-
-    Responsibilities are computed in log space with log-sum-exp.  A
-    component that collects (numerically) zero responsibility mass is
-    reseeded at the worst-modeled data point and given the global data
-    variance so the component count never shrinks.
+def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig) -> Gmm:
+    """Re-estimate a GMM with cfg.n_iterations of EM (see the module docstring),
+    keeping the component order.  Components with (numerically) zero mass are
+    reseeded at distinct frames, the least likely ones, with the global variance.
     """
-    data = np.asarray(data, dtype=np.float64)
-    n = data.shape[0]
+    data = _as_frames(gmm, data)
+    n, d = data.shape
     if n < gmm.order:
         raise ValueError(f"need at least K={gmm.order} frames, got {n}")
     if not np.all(np.isfinite(data)):
         raise ValueError("training data contains non-finite values")
     floor = _floor_vector(data, cfg)
     global_var = np.maximum(data.var(axis=0), _ABS_VAR_FLOOR)
-
-    weights = gmm.weights.copy()
-    means = gmm.means.copy()
-    variances = gmm.variances.copy()
     for _ in range(cfg.n_iterations):
-        model = Gmm(weights, means, variances)
-        log_w = np.log(model.weights)
-        nk = np.zeros(model.order)
-        sum_x = np.zeros((model.order, model.dim))
-        sum_x2 = np.zeros((model.order, model.dim))
-        point_ll = np.empty(n)
-        for lo in range(0, n, chunk):
-            block = data[lo : lo + chunk]
-            log_joint = _component_log_densities(block, model) + log_w
-            m = log_joint.max(axis=1, keepdims=True)
-            norm = m[:, 0] + np.log(np.sum(np.exp(log_joint - m), axis=1))
-            point_ll[lo : lo + block.shape[0]] = norm
-            resp = np.exp(log_joint - norm[:, None])
-            nk += resp.sum(axis=0)
-            sum_x += resp.T @ block
-            sum_x2 += resp.T @ block**2
-
-        empty = nk < 1e-10
-        occupied = ~empty
-        weights = np.where(occupied, nk / n, 0.0)
-        means = np.where(occupied[:, None], sum_x / np.maximum(nk, 1e-300)[:, None], means)
-        variances = np.where(
-            occupied[:, None],
-            sum_x2 / np.maximum(nk, 1e-300)[:, None] - means**2,
-            variances,
-        )
-        if np.any(empty):
-            worst = int(np.argmin(point_ll))
-            for i in np.flatnonzero(empty):
-                means[i] = data[worst]
-                variances[i] = global_var
-                weights[i] = 1.0 / n
-        variances = np.maximum(variances, floor)
-        weights = weights / weights.sum()
-    return Gmm(weights, means, variances)
+        point_ll, stats = _e_step(gmm, data)
+        nk = stats[:, -1]
+        empty = np.flatnonzero(nk < 1e-10)
+        nk[empty] = 1.0  # a reseeded component weighs as one frame
+        means = stats[:, d:-1] / nk[:, None]
+        variances = stats[:, :d] / nk[:, None] - means**2
+        if empty.size:
+            means[empty] = data[np.argsort(point_ll, kind="stable")[: empty.size]]
+            variances[empty] = global_var
+        gmm = Gmm(nk / nk.sum(), means, np.maximum(variances, floor))
+    return gmm
 
 
 def binary_split(gmm: Gmm, cfg: EmConfig) -> Gmm:
@@ -177,11 +192,8 @@ def binary_split(gmm: Gmm, cfg: EmConfig) -> Gmm:
     components land at indices 2i (minus) and 2i+1 (plus), so the parent of
     component j is always j // 2.
     """
-    k, d = gmm.means.shape
-    sigma = np.sqrt(gmm.variances)
-    means = np.empty((2 * k, d))
-    means[0::2] = gmm.means - cfg.split_epsilon * sigma
-    means[1::2] = gmm.means + cfg.split_epsilon * sigma
+    step = cfg.split_epsilon * np.sqrt(gmm.variances)
+    means = np.stack([gmm.means - step, gmm.means + step], axis=1).reshape(2 * gmm.order, gmm.dim)
     variances = np.repeat(gmm.variances, 2, axis=0)
     weights = np.repeat(gmm.weights / 2.0, 2)
     return Gmm(weights, means, variances)
@@ -197,13 +209,8 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
     if target_order < 1 or target_order & (target_order - 1):
         raise ConfigError(f"target order must be a power of 2, got {target_order}")
     data = np.asarray(data, dtype=np.float64)
-    floor = _floor_vector(data, cfg)
-    start = Gmm(
-        weights=np.array([1.0]),
-        means=data.mean(axis=0, keepdims=True),
-        variances=np.maximum(data.var(axis=0, keepdims=True), floor),
-    )
-    models = [start]
+    variances = np.maximum(data.var(axis=0, keepdims=True), _floor_vector(data, cfg))
+    models = [Gmm(np.ones(1), data.mean(axis=0, keepdims=True), variances)]
     while models[-1].order < target_order:
         grown = binary_split(models[-1], cfg)
         models.append(em_fit(grown, data, cfg))
@@ -220,13 +227,10 @@ def lgp_transform(gmm: Gmm, feat: FeatureMatrix, normalize: bool = True) -> Feat
     if feat.n_dims != gmm.dim:
         raise ShapeError(f"feature dim {feat.n_dims} does not match GMM dim {gmm.dim}")
     x = feat.values
-    prec = 1.0 / gmm.variances
-    y = -0.5 * (x**2) @ prec.T + x @ (gmm.means * prec).T
+    y = np.hstack([x**2, x]) @ _lgp_coefficients(gmm)
     if normalize:
-        mean = y.mean(axis=0)
         std = y.std(axis=0)
-        nonzero = std > 0
-        y = np.where(nonzero[None, :], (y - mean[None, :]) / np.where(nonzero, std, 1.0)[None, :], 0.0)
+        y = np.where(std > 0, (y - y.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
     return FeatureMatrix(values=y)
 
 
@@ -259,15 +263,10 @@ def _check_v1_split_tree(raw: bytes, off: int, order: int, path) -> None:
         raise FormatError(f"{path}: GMM file is {len(raw)} bytes, expected {off + 24 * n_nodes}")
     nodes = np.frombuffer(raw, dtype="<i8", count=3 * n_nodes, offset=off).reshape(n_nodes, 3)
     ids = np.arange(n_nodes)
-    parents = (ids - 1) // 2
-    parents[0] = -1
-    components = np.full(n_nodes, -1)
-    components[order - 1 :] = np.arange(order)
-    if not (
-        np.array_equal(nodes[:, 0], ids)
-        and np.array_equal(nodes[:, 1], parents)
-        and np.array_equal(nodes[:, 2], components)
-    ):
+    expected = np.stack([ids, (ids - 1) // 2, ids - (order - 1)], axis=1)  # (id, parent, component)
+    expected[0, 1] = -1
+    expected[: order - 1, 2] = -1
+    if not np.array_equal(nodes, expected):
         raise FormatError(f"{path}: split tree is not the binary-split tree of order {order}")
 
 

@@ -217,6 +217,12 @@ def _get_pool() -> ThreadPoolExecutor | None:
         return _pool
 
 
+def _pool_workers() -> int:
+    """The most calls that one `_parallel_map` runs at once."""
+    pool = _get_pool()
+    return pool._max_workers if pool is not None else 1
+
+
 @contextmanager
 def _blas_single_thread():
     saved = [get() for get, _ in _blas_controls]

@@ -251,6 +251,23 @@ def random_split_gmm(rng: np.random.Generator, order: int, dim: int):
     return g
 
 
+def em_e_step_reference(gmm, data: np.ndarray):
+    """EM's E-step unfused: (point_ll, nk, sum_x, sum_x2).
+
+    Log densities come from the expanded quadratic form (two GEMMs), the
+    normaliser from exp(log_joint - max), the responsibilities from a second
+    exp, exp(log_joint - ll), and each statistic from its own reduction.
+    """
+    prec = 1.0 / gmm.variances
+    quad = (data**2) @ prec.T - 2.0 * data @ (gmm.means * prec).T + np.sum(gmm.means**2 * prec, axis=1)
+    log_det = np.sum(np.log(gmm.variances), axis=1)
+    log_joint = -0.5 * (quad + gmm.dim * np.log(2.0 * np.pi) + log_det) + np.log(gmm.weights)
+    m = log_joint.max(axis=1, keepdims=True)
+    point_ll = m[:, 0] + np.log(np.sum(np.exp(log_joint - m), axis=1))
+    resp = np.exp(log_joint - point_ll[:, None])
+    return point_ll, resp.sum(axis=0), resp.T @ data, resp.T @ data**2
+
+
 def random_bank(rng: np.random.Generator, orders: list[int], dim: int):
     from lgpnet.multiscale import GmmBank
 

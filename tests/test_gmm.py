@@ -1,16 +1,21 @@
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from helpers import random_split_gmm
+import lgpnet.tensor as tensor_mod
+from helpers import em_e_step_reference, random_split_gmm
 
 from lgpnet.errors import FormatError, ShapeError
 from lgpnet.gmm import (
+    _EM_CHUNK,
+    _EM_WAVE,
     EmConfig,
     Gmm,
+    _e_step,
     binary_split,
     em_fit,
     lgp_transform,
@@ -141,11 +146,86 @@ class TestEmFit:
         assert fitted.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(fitted.means) < 100)
 
+    def test_empty_components_reseeded_at_distinct_frames(self):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(500, 2))
+        # components 2 and 3 are far from every frame, so both come out empty
+        means = np.array([[-0.5, 0.0], [0.5, 0.0], [50.0, 50.0], [60.0, 60.0]])
+        gmm = Gmm(weights=np.full(4, 0.25), means=means, variances=np.ones((4, 2)))
+        once = em_fit(gmm, data, EmConfig(n_iterations=1))
+        least_likely = np.argsort(em_e_step_reference(gmm, data)[0])[:2]
+        assert np.array_equal(once.means[2:], data[least_likely])
+        fitted = em_fit(gmm, data, EmConfig(n_iterations=5))
+        assert not np.array_equal(fitted.means[2], fitted.means[3])
+        assert not np.array_equal(fitted.variances[2], fitted.variances[3])
+
+    @pytest.mark.parametrize("shape", [(50, 3), (50,), (50, 2, 1)])
+    def test_frames_of_another_dim_rejected(self, shape):
+        gmm = single_gaussian(np.zeros(2), np.ones(2))
+        with pytest.raises(ShapeError):
+            em_fit(gmm, np.zeros(shape), EmConfig(n_iterations=1))
+        with pytest.raises(ShapeError):
+            log_likelihood(gmm, np.zeros(shape))
+
     def test_too_few_frames_rejected(self):
         gmm = single_gaussian([0.0], [1.0])
         gmm = binary_split(gmm, EmConfig())
         with pytest.raises(ValueError):
             em_fit(gmm, np.zeros((1, 1)), EmConfig())
+
+
+def max_relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestFusedEStep:
+    @pytest.mark.parametrize(
+        "n, order, dim",
+        [
+            (100, 8, 3),  # fewer frames than one chunk
+            (2 * _EM_CHUNK + 37, 16, 5),  # not a multiple of the chunk
+            (_EM_WAVE * _EM_CHUNK + 5, 4, 2),  # more chunks than one pool map takes
+            (300, 1, 4),  # one component
+            (500, 8, 1),  # one dimension
+        ],
+    )
+    def test_matches_reference(self, n, order, dim):
+        rng = np.random.default_rng(n + order + dim)
+        gmm = random_split_gmm(rng, order, dim)
+        data = rng.normal(scale=1.5, size=(n, dim)) + gmm.means[0]
+        point_ll, stats = _e_step(gmm, data)
+        ref_ll, nk, sum_x, sum_x2 = em_e_step_reference(gmm, data)
+        np.testing.assert_allclose(point_ll, ref_ll, rtol=1e-12, atol=0)
+        assert max_relative_error(stats[:, -1], nk) < 1e-12
+        assert max_relative_error(stats[:, dim:-1], sum_x) < 1e-12
+        assert max_relative_error(stats[:, :dim], sum_x2) < 1e-12
+
+    def test_bank_independent_of_worker_count(self, forced_pool, monkeypatch):
+        # three chunks of frames; more workers than cores and a short switch
+        # interval, so the chunks finish in varying order
+        rng = np.random.default_rng(19)
+        n = 2 * _EM_CHUNK + 500
+        data = rng.normal(size=(n, 3)) + rng.integers(0, 4, size=(n, 1))
+        cfg = EmConfig(n_iterations=2)
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        inline = train_by_splitting(data, 64, cfg)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 2, 3):
+                forced_pool(workers)
+                runs.append(train_by_splitting(data, 64, cfg))
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs[1:]:
+            for a, b in zip(runs[0], run):
+                assert np.array_equal(a.weights, b.weights)
+                assert np.array_equal(a.means, b.means)
+                assert np.array_equal(a.variances, b.variances)
+        for a, b in zip(runs[0], inline):
+            for name in ("weights", "means", "variances"):
+                assert max_relative_error(getattr(a, name), getattr(b, name)) < 1e-12, name
 
 
 class TestBinarySplit:
@@ -220,6 +300,10 @@ class TestTrainBySplitting:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(Exception):
             train_by_splitting(np.zeros((10, 2)), 6)
+
+    def test_frames_not_2d_rejected(self):
+        with pytest.raises(ShapeError):
+            train_by_splitting(np.arange(100.0), 4)
 
 
 class TestLgpTransform:
