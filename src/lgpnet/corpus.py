@@ -73,13 +73,15 @@ def label_index(label: UtteranceLabel) -> int:
 
 
 def _wav_samples(path: Path, mmap: bool) -> tuple[int, np.ndarray]:
-    """Sample rate and sample array of a mono 16-bit or 32/64-bit float WAV."""
+    """Sample rate and sample array of a mono 16 kHz, 16-bit or 32/64-bit float WAV."""
     try:
         rate, data = wavfile.read(path, mmap=mmap)
     except FileNotFoundError:
         raise
     except Exception as exc:
         raise FormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
+    if rate != 16000:  # LFCC frame lengths are set in ms and assume it
+        raise UnsupportedAudioError(f"{path}: sample rate {rate} Hz is unsupported; resample to 16 kHz")
     if data.ndim != 1:
         raise UnsupportedAudioError(
             f"{path}: {data.shape[1]}-channel audio is unsupported; downmix to mono first"

@@ -217,21 +217,29 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
     return models
 
 
+def _lgp(x: np.ndarray, coef: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """[x^2, x] @ coef for (T, D) frames x and (2D, K) coef, then (normalize)
+    per-column normalization in place, as in lgp_transform."""
+    y = np.hstack([x**2, x]) @ coef
+    if normalize:
+        std = y.std(axis=0)
+        y -= y.mean(axis=0)
+        y /= np.where(std > 0, std, 1.0)
+        y[:, std == 0] = 0.0
+    return y
+
+
 def lgp_transform(gmm: Gmm, feat: FeatureMatrix, normalize: bool = True) -> FeatureMatrix:
     """Per-frame log Gaussian probability features under one GMM.
 
     Each frame x yields K values  y_i = -1/2 x' inv(S_i) x + x' inv(S_i) mu_i.
     With normalize=True every output dimension is mean/variance normalized
     over the utterance's frames; dimensions with zero variance map to 0.
+    `multiscale.extract_multiscale_lgp` runs the same code on a whole bank.
     """
     if feat.n_dims != gmm.dim:
         raise ShapeError(f"feature dim {feat.n_dims} does not match GMM dim {gmm.dim}")
-    x = feat.values
-    y = np.hstack([x**2, x]) @ _lgp_coefficients(gmm)
-    if normalize:
-        std = y.std(axis=0)
-        y = np.where(std > 0, (y - y.mean(axis=0)) / np.where(std > 0, std, 1.0), 0.0)
-    return FeatureMatrix(values=y)
+    return FeatureMatrix(values=_lgp(feat.values, _lgp_coefficients(gmm), normalize))
 
 
 def save_gmm(gmm: Gmm, path: str | Path) -> None:

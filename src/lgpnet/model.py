@@ -234,18 +234,11 @@ class GroupedResNetEnsemble:
         return ModelOutput(ensemble_logits=mean_tensors(group_logits), group_logits=group_logits)
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> ModelOutput:
-        """Forward a stacked (N, D_total, T) LGP batch using a group assignment."""
+        """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""
         lgp = np.asarray(lgp, dtype=np.float64)
         if lgp.ndim != 3:
             raise ShapeError("model input must be N x D x T")
-        index_lists = assignment.index_lists()
-        if assignment.n_groups != self.cfg.n_groups:
-            raise ShapeError("assignment group count does not match the model")
-        total = sum(assignment.orders)
-        if lgp.shape[1] != total:
-            raise ShapeError(f"input has {lgp.shape[1]} dims, assignment covers {total}")
-        slices = [Tensor(lgp[:, cols, :]) for cols in index_lists]
-        return self.forward_slices(slices)
+        return self.forward_slices([Tensor(x) for x in assignment.split(lgp)])
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         params = []
@@ -321,19 +314,21 @@ def save_checkpoint(
 
 def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssignment]:
     with np.load(path) as data:
+        if "meta" not in data:
+            raise FormatError(f"{path}: not a model checkpoint")
         try:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        except KeyError:
-            raise FormatError(f"{path}: not a model checkpoint") from None
-        if meta.get("version") != _CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        cfg_doc = dict(meta["model_cfg"])
-        cfg_doc["block"] = ResidualBlockCfg(**cfg_doc["block"])
-        cfg = ModelCfg(**cfg_doc)
-        assignment = GroupAssignment(
-            groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},
-            n_groups=int(meta["n_groups"]),
-        )
+            if meta.get("version") != _CKPT_VERSION:
+                raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            cfg_doc = dict(meta["model_cfg"])
+            cfg_doc["block"] = ResidualBlockCfg(**cfg_doc["block"])
+            cfg = ModelCfg(**cfg_doc)
+            assignment = GroupAssignment(
+                groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},
+                n_groups=int(meta["n_groups"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
         model = build_model(cfg, seed=0)
         for name, p in model.named_parameters():
             key = f"param/{name}"

@@ -1,12 +1,13 @@
 """Multi-order LGP features and their partition into groups.
 
-A bank of GMMs with increasing orders produces one LGP block per order;
-the blocks are concatenated along the feature axis (64+128+256+512+1024 =
-1984 dims for the default bank).  Components are then assigned to G groups
-either at random or by their split lineage: components descending from the
-same branch of the binary-split tree land in the same group.  Binary
-splitting puts the children of component i at 2i and 2i+1, so at order K
-the branch of component i at the G-node level is simply i // (K // G).
+A bank of GMMs with increasing orders gives one LGP column per component,
+by ascending order, then component index (1984 columns for the default
+bank): one GEMM over the bank's stacked coefficients, then per-column
+normalization.  Components are assigned to G groups either at random or by
+their split lineage: binary splitting puts the children of component i at
+2i and 2i+1, so at order K the branch of component i at the G-node level is
+i // (K // G).  `GroupAssignment.columns` permutes the columns into group
+order, and `GroupAssignment.split` gathers the G group slices at once.
 
 `ManifestLgp` computes a manifest's features batch by batch from the audio,
 so memory grows with the batch size, not the corpus size.
@@ -19,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AudioClip, Manifest, check_wav, label_index, read_wav
-from .errors import ConfigError, ShapeError
-from .gmm import Gmm, lgp_transform, load_gmm, save_gmm
+from .errors import ConfigError, ManifestError, ShapeError
+from .gmm import Gmm, _lgp, _lgp_coefficients, load_gmm, save_gmm
 from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
 
 
@@ -37,6 +38,8 @@ class GmmBank:
         dims = {g.dim for g in self.gmms}
         if len(dims) != 1:
             raise ShapeError(f"bank GMMs disagree on feature dimension: {sorted(dims)}")
+        # (2D, sum K): every order's [-1/2 inv(S); inv(S) mu]' side by side
+        self.coefficients = np.hstack([_lgp_coefficients(g) for g in self.gmms])
 
     @property
     def orders(self) -> list[int]:
@@ -66,6 +69,9 @@ class GroupAssignment:
             counts = np.bincount(g, minlength=self.n_groups)
             if counts.size > self.n_groups or np.any(counts != order // self.n_groups):
                 raise ValueError(f"assignment for order {order} is not balanced over {self.n_groups} groups")
+        # a stable sort keeps the concatenated column order within each group
+        self.columns = np.argsort(np.concatenate([self.groups[o] for o in self.orders]), kind="stable")
+        self.columns.flags.writeable = False  # index_lists hands out views of it
 
     @property
     def orders(self) -> list[int]:
@@ -75,25 +81,16 @@ class GroupAssignment:
         return sum(self.orders) // self.n_groups
 
     def index_lists(self) -> list[np.ndarray]:
-        """Concatenated-feature column indices per group.
+        """Concatenated-feature column indices per group (views of `columns`)."""
+        return np.split(self.columns, self.n_groups)
 
-        Columns of the concatenated LGP matrix are ordered by ascending GMM
-        order, then component index; within each group the same ordering is
-        kept, which pins the row layout of every group slice.
-        """
-        offsets = {}
-        off = 0
-        for order in self.orders:
-            offsets[order] = off
-            off += order
-        out = []
-        for g in range(self.n_groups):
-            cols = []
-            for order in self.orders:
-                comps = np.flatnonzero(self.groups[order] == g)
-                cols.append(comps + offsets[order])
-            out.append(np.concatenate(cols))
-        return out
+    def split(self, x: np.ndarray) -> list[np.ndarray]:
+        """Slice g is x[:, index_lists()[g]], as a C-contiguous view of one
+        (G, N, group_dim, ...) array that one gather fills."""
+        if x.ndim < 2 or x.shape[1] != self.columns.size:
+            raise ShapeError(f"features of shape {x.shape} do not have {self.columns.size} columns")
+        cols = self.columns.reshape(self.n_groups, 1, -1)
+        return list(x[np.arange(len(x))[:, None], cols])
 
 
 def _check_grouping_args(bank: GmmBank, n_groups: int) -> None:
@@ -119,32 +116,26 @@ def lineage_grouping(bank: GmmBank, n_groups: int) -> GroupAssignment:
 
 
 def random_grouping(bank: GmmBank, n_groups: int, seed: int) -> GroupAssignment:
-    """Uniformly random balanced partition of each order's components."""
+    """Uniformly random balanced partition: lineage arithmetic on a random permutation per order."""
     _check_grouping_args(bank, n_groups)
     rng = np.random.default_rng(seed)
-    groups = {}
-    for gmm in bank.gmms:
-        perm = rng.permutation(gmm.order)
-        assign = np.empty(gmm.order, dtype=np.int64)
-        per_group = gmm.order // n_groups
-        for g in range(n_groups):
-            assign[perm[g * per_group : (g + 1) * per_group]] = g
-        groups[gmm.order] = assign
+    groups = {order: np.empty(order, dtype=np.int64) for order in bank.orders}
+    for order, assign in groups.items():
+        assign[rng.permutation(order)] = np.arange(order) // (order // n_groups)
     return GroupAssignment(groups=groups, n_groups=n_groups)
 
 
 def extract_multiscale_lgp(bank: GmmBank, lfcc_feat: FeatureMatrix) -> FeatureMatrix:
-    """Concatenate each order's normalized LGP block along the feature axis."""
-    blocks = [lgp_transform(g, lfcc_feat).values for g in bank.gmms]
-    return FeatureMatrix(values=np.hstack(blocks))
+    """Normalized LGP of every bank order, concatenated along the feature axis:
+    column by column what `gmm.lgp_transform` gives per order, from one GEMM."""
+    if lfcc_feat.n_dims != bank.dim:
+        raise ShapeError(f"feature dim {lfcc_feat.n_dims} does not match bank dim {bank.dim}")
+    return FeatureMatrix(values=_lgp(lfcc_feat.values, bank.coefficients))
 
 
 def group_slices(assignment: GroupAssignment, feat: FeatureMatrix) -> list[FeatureMatrix]:
     """Split a concatenated LGP matrix into its G group slices."""
-    total = sum(assignment.orders)
-    if feat.n_dims != total:
-        raise ShapeError(f"feature dim {feat.n_dims} does not match assignment total {total}")
-    return [FeatureMatrix(values=feat.values[:, cols]) for cols in assignment.index_lists()]
+    return [FeatureMatrix(values=v) for v in assignment.split(feat.values)]
 
 
 def save_bank(bank: GmmBank, directory: str | Path) -> None:
@@ -177,12 +168,12 @@ def utterance_lgp(
 class ManifestLgp:
     """A manifest's (N, D, T) LGP features, computed from the audio on indexing.
 
-    `src[idx]` reads, transforms and stacks only the utterances in the 1-d
-    index array `idx`, giving a (len(idx), D, T) array that is bitwise equal
-    to the same rows of the fully stacked features.  The feature axis comes
-    first within each utterance (channels-first) because that is the layout
-    the 1-d convolution stack consumes.  Construction checks every WAV
-    header (`check_wav`), so an unreadable file fails before any batch.
+    `src[idx]` reads and transforms only the utterances in the 1-d index
+    array `idx` into a C-contiguous (len(idx), D, T) array, bitwise equal to
+    the same rows of the fully stacked features; channels-first is the layout
+    the 1-d convolution stack consumes.  Construction refuses an empty
+    manifest and checks every WAV header (`check_wav`), so an unreadable file
+    fails before any batch.
     """
 
     def __init__(
@@ -192,6 +183,8 @@ class ManifestLgp:
         lfcc_cfg: LfccConfig | None = None,
         target_frames: int = 400,
     ):
+        if len(manifest) == 0:
+            raise ManifestError(f"{manifest.split} manifest is empty: no utterances to compute features for")
         for wav_path, _ in manifest.entries:
             check_wav(wav_path)
         self.manifest = manifest
@@ -205,12 +198,12 @@ class ManifestLgp:
         return len(self.manifest)
 
     def __getitem__(self, idx) -> np.ndarray:
-        feats = []
-        for i in np.asarray(idx, dtype=np.int64):
+        out = np.empty((len(idx), self.bank.total_components, self.target_frames))
+        for j, i in enumerate(idx):
             wav_path, label = self.manifest.entries[i]
             clip = read_wav(wav_path, utt_id=label.utt_id)
-            feats.append(utterance_lgp(clip, self.bank, self.lfcc_cfg, self.target_frames).values.T)
-        return np.stack(feats)
+            out[j] = utterance_lgp(clip, self.bank, self.lfcc_cfg, self.target_frames).values.T
+        return out
 
 
 def manifest_lgp_features(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Manifest
-from .errors import ConfigError, ManifestError, NonFiniteLossError
+from .errors import ConfigError, NonFiniteLossError
 from .lfcc import LfccConfig
 from .model import GroupedResNetEnsemble, ModelCfg, ModelOutput, save_checkpoint
 from .multiscale import GmmBank, GroupAssignment, ManifestLgp
@@ -220,10 +220,9 @@ def train(
     the best-monitored parameters are restored (and written to
     checkpoint_path, when given) at the end.  A NaN or infinite loss in any
     epoch raises NonFiniteLossError and writes no checkpoint.  Features are
-    computed from the audio batch by batch, in every epoch.
+    computed from the audio batch by batch, in every epoch; an empty train
+    or dev manifest raises ManifestError before the first one.
     """
-    if len(manifest) == 0:
-        raise ManifestError("training manifest is empty")
     feats = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
     dev = None
     if dev_manifest is not None:

@@ -5,6 +5,7 @@ vectorized library code is checked against a second, unrelated path.
 """
 from __future__ import annotations
 
+import json
 import struct
 from pathlib import Path
 
@@ -268,7 +269,58 @@ def em_e_step_reference(gmm, data: np.ndarray):
     return point_ll, resp.sum(axis=0), resp.T @ data, resp.T @ data**2
 
 
+# ---------------------------------------------------------------------------
+# group layout by nested loops: the library's former index_lists and
+# random_grouping, kept as references
+
+
+def index_lists_by_offsets(assignment) -> list[np.ndarray]:
+    """Per group, the concatenated-feature columns: each order's member
+    components shifted by the order's offset, orders ascending."""
+    offsets = {}
+    off = 0
+    for order in assignment.orders:
+        offsets[order] = off
+        off += order
+    out = []
+    for g in range(assignment.n_groups):
+        cols = []
+        for order in assignment.orders:
+            comps = np.flatnonzero(assignment.groups[order] == g)
+            cols.append(comps + offsets[order])
+        out.append(np.concatenate(cols))
+    return out
+
+
+def random_grouping_by_loop(bank, n_groups: int, seed: int) -> dict[int, np.ndarray]:
+    """Per order, a random permutation cut into n_groups consecutive runs."""
+    rng = np.random.default_rng(seed)
+    groups = {}
+    for gmm in bank.gmms:
+        perm = rng.permutation(gmm.order)
+        assign = np.empty(gmm.order, dtype=np.int64)
+        per_group = gmm.order // n_groups
+        for g in range(n_groups):
+            assign[perm[g * per_group : (g + 1) * per_group]] = g
+        groups[gmm.order] = assign
+    return groups
+
+
 def random_bank(rng: np.random.Generator, orders: list[int], dim: int):
     from lgpnet.multiscale import GmmBank
 
     return GmmBank(gmms=[random_split_gmm(rng, order, dim) for order in orders])
+
+
+# ---------------------------------------------------------------------------
+# checkpoint surgery
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply edit(meta dict) to the JSON meta record of a checkpoint file."""
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(path, **arrays)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import build_synth_corpus
+from helpers import build_synth_corpus, random_bank, rewrite_meta, write_wav_int16
 
 from lgpnet.cli import cli_main
 from lgpnet.config import load_config
@@ -297,3 +297,69 @@ class TestUnreadableAudio:
         assert "SYN_JUNK.wav: not a readable PCM WAV file" in capsys.readouterr().err
         assert not out.exists()
         assert feature_reads == []
+
+
+class TestRefusedInputs:
+    """Empty manifests, non-16 kHz audio and malformed checkpoints exit 1
+    with an `error:` line and write no output."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, cli_workspace, tmp_path_factory):
+        from lgpnet.model import build_model, save_checkpoint
+        from lgpnet.multiscale import lineage_grouping, save_bank
+
+        root = tmp_path_factory.mktemp("refused")
+        bank = random_bank(np.random.default_rng(50), [8, 16], 60)
+        save_bank(bank, root / "gmms")
+        cfg = load_config(cli_workspace["cfg"])
+        save_checkpoint(root / "model.npz", build_model(cfg.model_cfg(), seed=1), lineage_grouping(bank, 2))
+        (root / "empty.txt").write_text("")
+        (root / "wav8k").mkdir()
+        write_wav_int16(root / "wav8k" / "LOW_RATE.wav", np.zeros(8000), sample_rate=8000)
+        (root / "low_rate.txt").write_text("SPK1 LOW_RATE - - bonafide\n")
+        return root
+
+    def _score(self, cli_workspace, root, protocol, audio_dir, checkpoint):
+        return cli_main([
+            "score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--gmm-dir", str(root / "gmms"), "--checkpoint", str(checkpoint),
+            "--out", str(root / "scores.txt"), "--config", str(cli_workspace["cfg"]),
+        ])
+
+    def test_train_model_with_empty_dev_protocol(self, cli_workspace, workspace, capsys):
+        ckpt, log = workspace / "trained.npz", workspace / "log.csv"
+        code = cli_main([
+            "train-model", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--gmm-dir", str(workspace / "gmms"),
+            "--checkpoint", str(ckpt), "--log", str(log), "--config", str(cli_workspace["cfg"]),
+            "--dev-protocol", str(workspace / "empty.txt"),
+        ])
+        assert code == 1
+        assert "error: dev manifest is empty" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert not log.exists() or len(log.read_text().splitlines()) <= 1  # no epoch row
+
+    def test_score_with_empty_protocol(self, cli_workspace, workspace, capsys):
+        code = self._score(
+            cli_workspace, workspace, workspace / "empty.txt", cli_workspace["audio_dir"], workspace / "model.npz"
+        )
+        assert code == 1
+        assert "error: eval manifest is empty" in capsys.readouterr().err
+        assert not (workspace / "scores.txt").exists()
+
+    def test_score_refuses_8khz_wav(self, cli_workspace, workspace, capsys):
+        code = self._score(
+            cli_workspace, workspace, workspace / "low_rate.txt", workspace / "wav8k", workspace / "model.npz"
+        )
+        assert code == 1
+        assert "LOW_RATE.wav: sample rate 8000 Hz is unsupported" in capsys.readouterr().err
+        assert not (workspace / "scores.txt").exists()
+
+    def test_score_with_malformed_checkpoint_meta(self, cli_workspace, workspace, capsys):
+        broken = workspace / "broken.npz"
+        broken.write_bytes((workspace / "model.npz").read_bytes())
+        rewrite_meta(broken, lambda meta: meta.pop("assignment"))
+        code = self._score(cli_workspace, workspace, cli_workspace["protocol"], cli_workspace["audio_dir"], broken)
+        assert code == 1
+        assert "broken.npz: malformed checkpoint meta" in capsys.readouterr().err
+        assert not (workspace / "scores.txt").exists()

@@ -87,8 +87,9 @@ class TestCheckWav:
             (wav_bytes_int16(np.zeros(20), channels=2), UnsupportedAudioError),
             (wav_bytes_int16(np.zeros(0)), ValueError),
             (wav_bytes_int16(np.zeros(100))[:120], None),  # data chunk cut short
+            (wav_bytes_int16(np.arange(10), sample_rate=8000), UnsupportedAudioError),
         ],
-        ids=["int16", "float32", "junk", "no-riff", "stereo", "no-samples", "truncated"],
+        ids=["int16", "float32", "junk", "no-riff", "stereo", "no-samples", "truncated", "8kHz"],
     )
     def test_same_verdict_as_read_wav(self, tmp_path, payload, expected):
         wav = tmp_path / "a.wav"

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients, random_bank
+from helpers import FD_REL_TOL, check_gradients, random_bank, rewrite_meta
 
 import lgpnet.model as model_mod
 import lgpnet.tensor as tensor_mod
@@ -419,8 +419,32 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="bn/group1/0/running_var"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta: meta.pop("assignment"),
+            lambda meta: meta.pop("n_groups"),
+            lambda meta: meta["model_cfg"].update(extra_key=1),
+        ],
+        ids=["no-assignment", "no-n_groups", "extra-cfg-key"],
+    )
+    def test_malformed_meta_is_format_error(self, tmp_path, edit):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(tiny_cfg(), seed=14), tiny_assignment())
+        rewrite_meta(path, edit)
+        with pytest.raises(FormatError, match="model.npz: malformed checkpoint meta"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("raw", [b"[1, 2]", b"{not json", b"\xff\xfe"], ids=["list", "not-json", "not-utf8"])
+    def test_unparsable_meta_is_format_error(self, tmp_path, raw):
+        path = tmp_path / "model.npz"
+        np.savez(path, meta=np.frombuffer(raw, dtype=np.uint8))
+        with pytest.raises(FormatError, match="model.npz: malformed checkpoint meta"):
+            load_checkpoint(path)
+
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, a=np.zeros(3))
         with pytest.raises(Exception):
             load_checkpoint(path)
+

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import random_bank, random_split_gmm
+from helpers import index_lists_by_offsets, random_bank, random_grouping_by_loop, random_split_gmm
 
-from lgpnet.errors import ConfigError, FormatError, ShapeError
+from lgpnet.errors import ConfigError, FormatError, ManifestError, ShapeError
 from lgpnet.gmm import lgp_transform
 from lgpnet.lfcc import FeatureMatrix
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
@@ -120,6 +120,57 @@ class TestRandomGrouping:
         )
 
 
+class TestGroupLayout:
+    """`columns`, `index_lists` and `split` against the nested-loop layout."""
+
+    @pytest.fixture(scope="class")
+    def banks(self):
+        rng = np.random.default_rng(40)
+        return [random_bank(rng, [8, 16, 32], 2), random_bank(rng, [64, 128, 256, 512, 1024], 2)]
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 4, 8])
+    def test_columns_and_index_lists_match_offsets_loop(self, banks, n_groups):
+        for bank in banks:
+            for assignment in (
+                lineage_grouping(bank, n_groups),
+                random_grouping(bank, n_groups, seed=n_groups),
+            ):
+                expected = index_lists_by_offsets(assignment)
+                got = assignment.index_lists()
+                assert len(got) == n_groups
+                for a, b in zip(got, expected):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.array_equal(assignment.columns, np.concatenate(expected))
+
+    def test_random_grouping_matches_loop(self, banks):
+        for bank in banks:
+            for seed in range(5):
+                expected = random_grouping_by_loop(bank, 8, seed)
+                got = random_grouping(bank, 8, seed).groups
+                assert sorted(got) == sorted(expected)
+                for order in expected:
+                    assert np.array_equal(got[order], expected[order])
+
+    @pytest.mark.parametrize("shape", [(7, 56), (3, 56, 5)], ids=["2-d", "3-d"])
+    def test_split_is_one_gather(self, banks, shape):
+        rng = np.random.default_rng(41)
+        assignment = random_grouping(banks[0], 4, seed=2)
+        x = rng.normal(size=shape)
+        slices = assignment.split(x)
+        assert len(slices) == 4
+        base = slices[0].base
+        assert base is not None and all(s.base is base for s in slices)
+        for cols, s in zip(index_lists_by_offsets(assignment), slices):
+            assert s.flags.c_contiguous
+            assert s.shape == x[:, cols].shape and np.array_equal(s, x[:, cols])
+
+    def test_split_shape_rejected(self, banks):
+        assignment = lineage_grouping(banks[0], 2)
+        for bad in (np.zeros(56), np.zeros((4, 55)), np.zeros((2, 57, 3))):
+            with pytest.raises(ShapeError):
+                assignment.split(bad)
+
+
 class TestExtractMultiscale:
     def test_default_bank_dimensions(self):
         rng = np.random.default_rng(8)
@@ -144,6 +195,13 @@ class TestExtractMultiscale:
         second = lgp_transform(bank.gmms[1], feat).values
         assert np.array_equal(lgp.values[:, :8], first)
         assert np.array_equal(lgp.values[:, 8:], second)
+
+    def test_wrong_feature_dim_rejected(self):
+        rng = np.random.default_rng(42)
+        bank = random_bank(rng, [8, 16], 3)
+        for dim in (2, 4, 6):
+            with pytest.raises(ShapeError):
+                extract_multiscale_lgp(bank, FeatureMatrix(values=rng.normal(size=(10, dim))))
 
 
 class TestGroupSlices:
@@ -248,6 +306,18 @@ class TestManifestLgp:
         batch = src[np.array(idx)]
         assert batch.shape == (len(idx), 24, 50)
         assert np.array_equal(batch, stacked[idx])
+
+    def test_batches_are_c_contiguous(self, tiny_pipeline):
+        p = tiny_pipeline
+        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        for idx in ([0, 3, 7], [5]):
+            assert src[np.array(idx)].flags.c_contiguous
+
+    @pytest.mark.parametrize("split", ["train", "dev", "eval"])
+    def test_empty_manifest_names_its_split(self, tiny_pipeline, split):
+        p = tiny_pipeline
+        with pytest.raises(ManifestError, match=f"{split} manifest is empty"):
+            ManifestLgp(Manifest(entries=[], split=split), p["bank"], p["lfcc_cfg"], 50)
 
     def test_unreadable_wav_fails_at_construction(self, tiny_pipeline, tmp_path):
         p = tiny_pipeline

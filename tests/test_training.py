@@ -190,6 +190,30 @@ class TestTrainLoop:
                 small_train_cfg(),
             )
 
+    def test_empty_dev_manifest_rejected_before_epoch_1(self, tiny_pipeline, tmp_path, monkeypatch):
+        import lgpnet.training as training_mod
+
+        epochs = []
+        real_run_epoch = training_mod.run_epoch
+        monkeypatch.setattr(
+            training_mod, "run_epoch", lambda *a, **k: epochs.append(1) or real_run_epoch(*a, **k)
+        )
+        log_path = tmp_path / "log.csv"
+        with pytest.raises(ManifestError, match="dev manifest is empty"):
+            train(
+                tiny_pipeline["manifest"],
+                tiny_pipeline["bank"],
+                tiny_pipeline["assignment"],
+                tiny_model_cfg(tiny_pipeline["assignment"]),
+                small_train_cfg(epochs=1),
+                dev_manifest=Manifest(entries=[], split="dev"),
+                lfcc_cfg=tiny_pipeline["lfcc_cfg"],
+                target_frames=50,
+                log_path=log_path,
+            )
+        assert epochs == []
+        assert not log_path.exists() or len(log_path.read_text().splitlines()) <= 1  # no epoch row
+
     def test_diverging_loss_raises_naming_the_epoch(self, tiny_pipeline, tmp_path):
         # the first Adam step at this rate overflows the weights, so the second
         # batch of epoch 1 has a NaN loss
