@@ -8,6 +8,7 @@ from the audio batch by batch.  Exit codes: 0 success, 1 runtime error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -75,7 +76,7 @@ def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
 def _cmd_train_gmm(args) -> int:
     cfg = load_config(args.config)
     if args.iters is not None:
-        cfg.em.n_iterations = args.iters
+        cfg.em = dataclasses.replace(cfg.em, n_iterations=args.iters)
     orders = sorted(cfg.bank_orders)
     target = args.order if args.order is not None else max(orders)
     orders = [o for o in orders if o <= target]

@@ -81,25 +81,24 @@ def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: i
 
 
 class Conv1dLayer:
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int | None = None):
-        self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
+    """Stride-1 convolution that keeps the length of its input."""
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator):
         self.weight = Tensor(
             _kaiming_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel), requires_grad=True
         )
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv1d(x, self.weight, self.bias, padding=self.weight.shape[2] // 2)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
 
 class BatchNorm1dLayer:
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        self.state = BatchNormState(channels, momentum=momentum, eps=eps)
+    def __init__(self, channels: int):
+        self.state = BatchNormState(channels)
 
     def __call__(self, x: Tensor) -> Tensor:
         return batchnorm1d(x, self.state)
@@ -240,6 +239,16 @@ class GroupedResNetEnsemble:
             raise ShapeError("model input must be N x D x T")
         return self.forward_slices([Tensor(x) for x in assignment.split(lgp)])
 
+    def stored_arrays(self) -> list[tuple[str, object, str]]:
+        """(checkpoint key, owner, attribute) of every array a checkpoint holds:
+        each parameter's data, then each BN's running statistics."""
+        entries = [(f"param/{name}", p, "data") for name, p in self.named_parameters()]
+        for gi, branch in enumerate(self.branches):
+            for bi, bn in enumerate(branch.batchnorms()):
+                for stat in ("running_mean", "running_var"):
+                    entries.append((f"bn/group{gi}/{bi}/{stat}", bn.state, stat))
+        return entries
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         params = []
         for gi, (branch, classifier) in enumerate(zip(self.branches, self.classifiers)):
@@ -294,13 +303,7 @@ def save_checkpoint(
     assignment: GroupAssignment,
 ) -> None:
     """Write parameters, BN running stats, config, and grouping to one npz file."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, p in model.named_parameters():
-        arrays[f"param/{name}"] = p.data
-    for gi, branch in enumerate(model.branches):
-        for bi, bn in enumerate(branch.batchnorms()):
-            arrays[f"bn/group{gi}/{bi}/running_mean"] = bn.state.running_mean
-            arrays[f"bn/group{gi}/{bi}/running_var"] = bn.state.running_var
+    arrays = {key: getattr(owner, attr) for key, owner, attr in model.stored_arrays()}
     meta = {
         "version": _CKPT_VERSION,
         "model_cfg": asdict(model.cfg),
@@ -330,19 +333,11 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
         model = build_model(cfg, seed=0)
-        for name, p in model.named_parameters():
-            key = f"param/{name}"
+        for key, owner, attr in model.stored_arrays():
             if key not in data:
                 raise FormatError(f"{path}: checkpoint is missing {key}")
             stored = data[key]
-            if stored.shape != p.data.shape:
+            if stored.shape != getattr(owner, attr).shape:
                 raise FormatError(f"{path}: shape mismatch for {key}")
-            p.data = stored.astype(np.float64)
-        for gi, branch in enumerate(model.branches):
-            for bi, bn in enumerate(branch.batchnorms()):
-                for stat in ("running_mean", "running_var"):
-                    key = f"bn/group{gi}/{bi}/{stat}"
-                    if key not in data:
-                        raise FormatError(f"{path}: checkpoint is missing {key}")
-                    setattr(bn.state, stat, data[key].astype(np.float64))
+            setattr(owner, attr, stored.astype(np.float64))
     return model, assignment

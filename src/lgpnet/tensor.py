@@ -7,13 +7,16 @@ channel concat, tensor mean).  Each op wires a backward closure onto its
 output; ``backward(loss)`` runs the closures in reverse topological order
 and then drops the graph, so a fresh forward pass is needed per step.
 
-Convolution is a sum over the k taps of one matrix product each,
-``W[:, :, j] @ x_pad[:, :, j : j+span : stride]``, taken on a strided view of
-the padded input.  Backward forms the weight gradient tap by tap on the same
-views, and the input gradient from one product with the weight as stored,
-whose k per-tap shares are added at their shifts.  No window (im2col) matrix
-is built.  Gradients are stored on first touch without a copy, which is safe
-because no backward closure writes into an array it was handed.
+Convolution is stride 1, and a sum over the k taps of one matrix product
+each.  One table gives every tap j its output range [lo, hi) and its input
+shift s = j - padding: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to
+outputs lo..hi-1.  Padding is handled by those ranges alone, so no padded
+copy or view of the input exists.  Backward reads the same table: the weight
+gradient tap by tap, and the input gradient from one product with the weight
+as stored, whose k per-tap shares are added at their shifts.  No window
+(im2col) matrix is built.  Gradients are stored on first touch without a
+copy, which is safe because no backward closure writes into an array it was
+handed.
 
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
@@ -353,10 +356,12 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(a, 0) elementwise; NaN stays NaN, and -0.0 becomes +0.0."""
     track = _tracking(a)
-    mask = a.data > 0
-    out = _result(np.where(mask, a.data, 0.0), (a,), None, track)
+    out = _result(np.maximum(a.data, 0.0), (a,), None, track)
     if track:
+        mask = a.data > 0
+
         def _bw():
             if a.requires_grad:
                 a._accumulate(out.grad * mask)
@@ -415,8 +420,9 @@ def mean_tensors(tensors: list[Tensor]) -> Tensor:
 # neural network ops
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of N x C_in x T with C_out x C_in x k filters."""
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of N x C_in x T with C_out x C_in x k filters,
+    with `padding` zeros on each side of the time axis."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError("conv1d expects x: N x C_in x T and weight: C_out x C_in x k")
     n, c_in, t = x.shape
@@ -427,21 +433,26 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
         raise ShapeError("conv1d kernel size must be odd")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias must have shape ({c_out},)")
-    t_pad = t + 2 * padding
-    t_out = (t_pad - k) // stride + 1
+    if padding < 0:
+        raise ShapeError("conv1d padding must be non-negative")
+    t_out = t + 2 * padding - k + 1
     if t_out < 1:
         raise ShapeError("conv1d output length would be < 1")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    span = stride * (t_out - 1) + 1
-    # y = sum_j W[:, :, j] @ xp[:, :, j : j+span : stride]: one GEMM per tap on a
-    # strided view, so no (N*T_out, C_in*k) window matrix is ever built.
+    # (j, lo, hi, s): tap j adds W[:, :, j] @ x[:, :, o + s] to each output o in [lo, hi),
+    # the outputs whose input o + s lies inside x rather than in the padding
+    table = []
+    for j in range(k):
+        s = j - padding
+        lo, hi = max(0, -s), min(t_out, t - s)
+        if lo < hi:
+            table.append((j, lo, hi, s))
     w = weight.data
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
-    y = np.matmul(taps[0], xp[:, :, :span:stride])
-    term = np.empty_like(y) if k > 1 else None
-    for j in range(1, k):
-        y += np.matmul(taps[j], xp[:, :, j : j + span : stride], out=term)
-    y += bias.data[None, :, None]
+    y = np.empty((n, c_out, t_out))
+    y[...] = bias.data[None, :, None]
+    term = np.empty_like(y)
+    for j, lo, hi, s in table:
+        y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
 
     track = _tracking(x, weight, bias)
     out = _result(y, (x, weight, bias), None, track)
@@ -451,52 +462,39 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2)))
             if weight.requires_grad:
-                # dW[:, :, j] = sum_n g[n] @ xp[n, :, j : j+span : stride].T
-                gw = np.empty((c_out, c_in, k))
-                for j in range(k):
-                    window_t = xp[:, :, j : j + span : stride].transpose(0, 2, 1)
-                    gw[:, :, j] = np.matmul(g, window_t).sum(axis=0)
+                # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T
+                gw = np.zeros((c_out, c_in, k))
+                prod = np.empty((n, c_out, c_in))
+                for j, lo, hi, s in table:
+                    window_t = x.data[:, :, lo + s : hi + s].transpose(0, 2, 1)
+                    np.matmul(g[:, :, lo:hi], window_t, out=prod)
+                    prod.sum(axis=0, out=gw[:, :, j])
                 weight._accumulate(gw)
             if x.requires_grad:
                 # one product per sample gives every tap's share, read from the weight as
-                # stored: share[n, i, j, t] = sum_o W[o, i, j] g[n, o, t] belongs to input
-                # position j - padding + stride*t; shares that land in the padding are dropped
+                # stored: share[n, i, j, o] = sum_c W[c, i, j] g[n, c, o] belongs to input o + s
                 share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
-                reach = []  # (tap, first t, end t, first input position)
-                for j in range(k):
-                    lo = max(0, -((j - padding) // stride))
-                    hi = min(t_out, (t - 1 - j + padding) // stride + 1)
-                    if lo < hi:
-                        reach.append((j, lo, hi, j - padding + stride * lo))
-                # a tap that reaches every input position (stride 1, `same` padding)
-                # starts the sum; otherwise the sum starts from zeros
-                full = [r for r in reach if stride == 1 and r[2] - r[1] == t]
-                if full:
-                    j, lo, hi, _ = full[0]
-                    reach.remove(full[0])
-                    gx = np.ascontiguousarray(share[:, :, j, lo:hi])
-                else:
-                    gx = np.zeros((n, c_in, t))
-                for j, lo, hi, p0 in reach:
-                    gx[:, :, p0 : p0 + stride * (hi - lo) : stride] += share[:, :, j, lo:hi]
+                gx = np.zeros((n, c_in, t))
+                for j, lo, hi, s in table:
+                    gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
                 x._accumulate(gx)
 
         out._backward = _bw
     return out
 
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update
+BN_EPS = 1e-5  # added to the variance before the square root
+
+
 class BatchNormState:
     """Learnable scale/shift plus running statistics for one channel axis."""
 
-    def __init__(self, channels: int, momentum: float = 0.1, eps: float = 1e-5):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+    def __init__(self, channels: int):
         self.gamma = Tensor(np.ones(channels), requires_grad=True)
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self.mode = "train"
 
     @property
@@ -520,10 +518,8 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
         xhat = x.data - mean[None, :, None]
         y = np.square(xhat)  # the same buffer later receives the output
         var = y.mean(axis=(0, 2))
-        state.running_mean = (1 - state.momentum) * state.running_mean + state.momentum * mean
-        state.running_var = (1 - state.momentum) * state.running_var + state.momentum * (
-            var * m / (m - 1)
-        )
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * (var * m / (m - 1))
     elif state.mode == "eval":
         mean = state.running_mean
         var = state.running_var
@@ -531,7 +527,7 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
         y = np.empty_like(xhat)
     else:
         raise ValueError(f"unknown batchnorm mode {state.mode!r}")
-    inv_std = 1.0 / np.sqrt(var + state.eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     np.multiply(gamma.data[None, :, None], xhat, out=y)
     y += beta.data[None, :, None]

@@ -182,22 +182,13 @@ def predict_logits(
     return np.vstack(outs)
 
 
-def _snapshot(model: GroupedResNetEnsemble) -> dict:
-    return {
-        "params": [p.data.copy() for p in model.parameters()],
-        "bn": [
-            (bn.state.running_mean.copy(), bn.state.running_var.copy())
-            for bn in model.batchnorms()
-        ],
-    }
+def _snapshot(model: GroupedResNetEnsemble) -> list[np.ndarray]:
+    return [getattr(owner, attr).copy() for _, owner, attr in model.stored_arrays()]
 
 
-def _restore(model: GroupedResNetEnsemble, snap: dict) -> None:
-    for p, data in zip(model.parameters(), snap["params"]):
-        p.data = data.copy()
-    for bn, (mean, var) in zip(model.batchnorms(), snap["bn"]):
-        bn.state.running_mean = mean.copy()
-        bn.state.running_var = var.copy()
+def _restore(model: GroupedResNetEnsemble, snap: list[np.ndarray]) -> None:
+    for (_, owner, attr), data in zip(model.stored_arrays(), snap):
+        setattr(owner, attr, data.copy())
 
 
 def train(

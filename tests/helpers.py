@@ -316,11 +316,20 @@ def random_bank(rng: np.random.Generator, orders: list[int], dim: int):
 # checkpoint surgery
 
 
-def rewrite_meta(path, edit) -> None:
-    """Apply edit(meta dict) to the JSON meta record of a checkpoint file."""
+def rewrite_arrays(path, edit) -> None:
+    """Apply edit(dict of every stored array, by key) to a checkpoint file."""
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-    edit(meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    edit(arrays)
     np.savez(path, **arrays)
+
+
+def rewrite_meta(path, edit) -> None:
+    """Apply edit(meta dict) to the JSON meta record of a checkpoint file."""
+
+    def edit_meta(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        edit(meta)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+
+    rewrite_arrays(path, edit_meta)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import build_synth_corpus, random_bank, rewrite_meta, write_wav_int16
+from helpers import build_synth_corpus, random_bank, rewrite_arrays, rewrite_meta, write_wav_int16
 
 from lgpnet.cli import cli_main
 from lgpnet.config import load_config
@@ -363,3 +363,24 @@ class TestRefusedInputs:
         assert code == 1
         assert "broken.npz: malformed checkpoint meta" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
+
+    def test_score_with_wrong_shape_bn_statistic(self, cli_workspace, workspace, capsys):
+        broken = workspace / "bad_bn.npz"
+        broken.write_bytes((workspace / "model.npz").read_bytes())
+        rewrite_arrays(broken, lambda arrays: arrays.update({"bn/group1/1/running_var": np.ones(1)}))
+        code = self._score(cli_workspace, workspace, cli_workspace["protocol"], cli_workspace["audio_dir"], broken)
+        assert code == 1
+        assert "bad_bn.npz: shape mismatch for bn/group1/1/running_var" in capsys.readouterr().err
+        assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("iters", ["0", "-3"])
+    def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, iters):
+        out = workspace / f"gmms_iters{iters}"
+        code = cli_main([
+            "train-gmm", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--out", str(out),
+            "--order", "16", "--iters", iters, "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        assert "error: n_iterations must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("gmm_*.bin"))

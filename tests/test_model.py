@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients, random_bank, rewrite_meta
+from helpers import FD_REL_TOL, check_gradients, random_bank, rewrite_arrays, rewrite_meta
 
 import lgpnet.model as model_mod
 import lgpnet.tensor as tensor_mod
@@ -222,6 +222,15 @@ class TestModelForward:
         with pytest.raises(ShapeError):
             model(np.zeros((1, 9, 10)), tiny_assignment())
 
+    def test_nan_input_gives_non_finite_logits(self):
+        model = build_model(tiny_cfg(), seed=12)
+        model.set_mode("eval")
+        x = np.random.default_rng(13).normal(size=(2, 8, 10))
+        x[0, 3, 4] = np.nan
+        with no_grad():
+            logits = model(x, tiny_assignment()).ensemble_logits.data
+        assert not np.isfinite(logits[0]).all()
+
     def test_full_model_gradient_check(self):
         cfg = tiny_cfg()
         model = build_model(cfg, seed=11)
@@ -418,6 +427,25 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         with pytest.raises(FormatError, match="bn/group1/0/running_var"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key", ["param/group0.entry_conv.weight", "bn/group0/0/running_mean", "bn/group1/1/running_var"]
+    )
+    def test_wrong_shape_array_is_format_error(self, tmp_path, key):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(tiny_cfg(), seed=14), tiny_assignment())
+        rewrite_arrays(path, lambda arrays: arrays.update({key: arrays[key].ravel()[:1]}))
+        with pytest.raises(FormatError, match=f"model.npz: shape mismatch for {key}$"):
+            load_checkpoint(path)
+
+    def test_stored_arrays_are_the_checkpoint_arrays(self, tmp_path):
+        model = build_model(tiny_cfg(improved_blocks=False), seed=14)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+        with np.load(path) as data:
+            files = [key for key in data.files if key != "meta"]
+        assert files == [key for key, _, _ in model.stored_arrays()]
+        assert len(files) == len(model.parameters()) + 2 * len(model.batchnorms())
 
     @pytest.mark.parametrize(
         "edit",

@@ -33,61 +33,82 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(2, 3, 7)))
         w = Tensor(np.eye(3)[:, :, None])  # 1x1 kernel, identity over channels
         b = Tensor(np.zeros(3))
-        out = conv1d(x, w, b, stride=1, padding=0)
+        out = conv1d(x, w, b, padding=0)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_hand_convolution(self):
         x = Tensor(np.ones((1, 1, 4)))
         w = Tensor(np.ones((1, 1, 3)))
         b = Tensor(np.zeros(1))
-        out = conv1d(x, w, b, stride=1, padding=1)
+        out = conv1d(x, w, b, padding=1)
         assert np.array_equal(out.data[0, 0], [2.0, 3.0, 3.0, 2.0])
-
-    def test_stride_shapes(self):
-        x = Tensor(np.zeros((1, 2, 10)))
-        w = Tensor(np.zeros((4, 2, 3)))
-        b = Tensor(np.zeros(4))
-        assert conv1d(x, w, b, stride=2, padding=1).shape == (1, 4, 5)
 
     def test_gradients(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        worst = check_gradients(lambda: conv1d(x, w, b, stride=1, padding=1).sum(), [x, w, b])
-        assert worst < FD_REL_TOL
-
-    def test_gradients_strided(self):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(2, 2, 9)), requires_grad=True)
-        w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=3), requires_grad=True)
-        worst = check_gradients(lambda: conv1d(x, w, b, stride=2, padding=1).sum(), [x, w, b])
+        worst = check_gradients(lambda: conv1d(x, w, b, padding=1).sum(), [x, w, b])
         assert worst < FD_REL_TOL
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
-    @pytest.mark.parametrize("padding", [0, 1, 2])
+    @pytest.mark.parametrize("padding", [0, 1, 2, 3])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("t", [8, 9])
+    @pytest.mark.parametrize("t", [1, 2, 8, 9])
     def test_matches_im2col_reference(self, t, stride, padding, k, n):
+        """Output and all three gradients against the im2col reference.
+
+        The reference's stride-s output is conv1d's output at every s-th
+        position, so at stride 2 conv1d is compared on that sample, with a
+        zero upstream gradient at the positions left out.  Padding 3 exceeds
+        k // 2, so some outputs get no share from some taps.
+        """
         rng = np.random.default_rng(100 * t + 10 * stride + padding + k + n)
         x_data = rng.normal(size=(n, 3, t))
         w_data = rng.normal(size=(4, 3, k))
         b_data = rng.normal(size=4)
+        if t + 2 * padding < k:
+            with pytest.raises(ShapeError, match="output length"):
+                conv1d(Tensor(x_data), Tensor(w_data), Tensor(b_data), padding=padding)
+            return
+        t_out = (t + 2 * padding - k) // stride + 1
+        upstream = np.random.default_rng(5).normal(size=(n, 4, t_out))
         results = []
-        for op in (conv1d, conv1d_im2col):
+        for reference in (False, True):
             x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
-            out = op(x, w, b, stride=stride, padding=padding)
-            upstream = Tensor(np.random.default_rng(5).normal(size=out.shape))
-            backward((out * upstream).sum())
-            results.append((out.data, x.grad, w.grad, b.grad))
+            if reference:
+                out = conv1d_im2col(x, w, b, stride=stride, padding=padding)
+                backward((out * Tensor(upstream)).sum())
+                results.append((out.data, x.grad, w.grad, b.grad))
+            else:
+                out = conv1d(x, w, b, padding=padding)
+                upstream_full = np.zeros(out.shape)
+                upstream_full[:, :, ::stride] = upstream
+                backward((out * Tensor(upstream_full)).sum())
+                results.append((out.data[:, :, ::stride], x.grad, w.grad, b.grad))
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         t_used = stride * ((t + 2 * padding - k) // stride) + k - padding  # inputs a tap reads
         if t_used < t:
             assert np.all(results[0][1][:, :, t_used:] == 0.0)
+
+    def test_backward_closure_keeps_no_padded_copy(self):
+        x = Tensor(np.ones((1, 2, 5)), requires_grad=True)
+        w = Tensor(np.ones((3, 2, 3)), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        out = conv1d(x, w, b, padding=1)
+        held = []
+        for cell in out._backward.__closure__:
+            value = cell.cell_contents
+            held.extend(value if isinstance(value, (list, tuple)) else [value])
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert all(a is x.data or a is w.data for a in arrays), [a.shape for a in arrays]
+
+    def test_negative_padding_rejected(self):
+        with pytest.raises(ShapeError, match="padding"):
+            conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros(1)), padding=-1)
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -117,7 +138,7 @@ class TestBatchNorm:
     def test_running_stats_updated_in_train(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(loc=5.0, size=(8, 2, 20)))
-        state = BatchNormState(2, momentum=0.1)
+        state = BatchNormState(2)
         batchnorm1d(x, state)
         assert np.all(state.running_mean > 0.2)
 
@@ -138,7 +159,7 @@ class TestBatchNorm:
         state.mode = "eval"
         x = Tensor(np.ones((1, 2, 4)))
         out = batchnorm1d(x, state)
-        expected = 1.0 / np.sqrt(1.0 + state.eps)
+        expected = 1.0 / np.sqrt(1.0 + tensor_mod.BN_EPS)
         assert np.allclose(out.data, expected)
 
     def test_gradients_train_mode(self):
@@ -180,6 +201,12 @@ class TestSimpleOps:
     def test_relu_values(self):
         out = relu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert np.array_equal(out.data, [0.0, 0.0, 2.0])
+
+    def test_relu_keeps_nan_and_clears_zero_sign(self):
+        out = relu(Tensor(np.array([np.nan, -0.0, -1.0, 2.0]))).data
+        assert np.isnan(out[0])
+        assert np.array_equal(out[1:], [0.0, 0.0, 2.0])
+        assert not np.signbit(out[1:3]).any()
 
     def test_relu_gradient(self):
         rng = np.random.default_rng(9)
@@ -314,7 +341,7 @@ class TestBackward:
         labels = np.array([0, 1])
 
         def loss():
-            h = conv1d(x, w1, b1, stride=1, padding=1)
+            h = conv1d(x, w1, b1, padding=1)
             h = relu(batchnorm1d(h, state))
             pooled = max_pool_time(h)
             return softmax_cross_entropy(linear(pooled, w2, b2), labels)
