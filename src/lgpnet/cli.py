@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import time
 
 import numpy as np
 
@@ -130,6 +131,7 @@ def _cmd_train_model(args) -> int:
 
 
 def _cmd_score(args) -> int:
+    start = time.perf_counter()
     cfg = load_config(args.config)
     manifest = _manifest(args.protocol, args.audio_dir, split="eval")
     bank = multiscale.load_bank(args.gmm_dir)
@@ -138,7 +140,9 @@ def _cmd_score(args) -> int:
     logits = predict_logits(model, assignment, feats, batch_size=cfg.train.batch_size)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)
-    print(f"wrote {len(records)} scores to {args.out}")
+    seconds = time.perf_counter() - start
+    print(f"wrote {len(records)} scores to {args.out} in {seconds:.4g} s "
+          f"({len(records) / seconds:.4g} utt/s)")
     return 0
 
 

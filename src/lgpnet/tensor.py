@@ -20,10 +20,12 @@ handed.
 
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
-worker pool sized to the usable CPUs while gradients are tracked, with the
-BLAS library held at one thread per worker.  Each op still runs on one
-thread, so forward values and gradients are bitwise reproducible for
-identical inputs.
+worker pool sized to the usable CPUs, for training and for forward-only
+passes alike, with the BLAS library held at one thread per worker.  Each op
+still runs on one thread, so forward values and gradients are bitwise
+reproducible for identical inputs.  When the pool is made, glibc is told to
+keep one malloc arena for all threads, so that memory a worker frees can be
+reused by the others instead of raising the peak.
 """
 from __future__ import annotations
 
@@ -204,6 +206,21 @@ def _mark_worker() -> None:
     _worker.active = True
 
 
+_M_ARENA_MAX = -8  # glibc's mallopt parameter for the number of malloc arenas
+
+
+def _one_malloc_arena() -> None:
+    """Have every thread allocate from glibc's one main arena.  By default each
+    worker gets an arena of its own, and the memory it frees stays there,
+    out of reach of the other threads.  A no-op where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return
+    mallopt.restype, mallopt.argtypes = ctypes.c_int, [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_ARENA_MAX, 1)
+
+
 def _get_pool() -> ThreadPoolExecutor | None:
     """The shared pool, or None when the map must run inline: one usable CPU,
     or no way to hold the BLAS library at one thread per worker."""
@@ -213,6 +230,7 @@ def _get_pool() -> ThreadPoolExecutor | None:
             workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
             _blas_controls = _find_blas_controls() if workers > 1 else []
             if _blas_controls:
+                _one_malloc_arena()
                 _pool = ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="lgpnet-branch", initializer=_mark_worker
                 )
@@ -263,24 +281,22 @@ def _parallel_map(fn, n: int, elements: int) -> list:
 def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
     """[fn(i, inputs[i]) for each i], for branches that share no tensor.
 
-    While gradients are tracked the branches run on the worker pool (unless
-    the inputs are too small to gain from it, see `_parallel_map`).  Their
-    outputs hang off one shared node whose backward runs each branch's own
-    backward on the pool, so a branch's graph is freed as soon as it is
-    done.  Each branch sees a leaf view of its input; the input's gradient
-    is passed on once every branch is done.
+    The branches run on the worker pool, unless the inputs are too small to
+    gain from it (see `_parallel_map`), with gradients tracked or not.  Under
+    `no_grad` that is all: a forward-only branch of the ensemble holds little
+    at once, since it folds each BN into its convolution and adds the
+    multi-scale aggregation up block by block (see `model`).
 
-    Under `no_grad` the branches run in order on the calling thread.  A
-    forward-only branch of the ensemble holds its whole multi-scale feature
-    aggregation stage (six block outputs plus their concatenation, 43 MB at
-    batch 4 in the full-size model) at once, so concurrent branches would
-    raise the peak memory of scoring for little gain.
+    While gradients are tracked, the outputs hang off one shared node whose
+    backward runs each branch's own backward on the pool, so a branch's
+    graph is freed as soon as it is done.  Each branch sees a leaf view of
+    its input; the input's gradient is passed on once every branch is done.
     """
-    if not _grad_enabled:
-        return [fn(i, x) for i, x in enumerate(inputs)]
     n = len(inputs)
-    leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
     elements = sum(x.size for x in inputs)
+    if not _grad_enabled:
+        return _parallel_map(lambda i: fn(i, inputs[i]), n, elements)
+    leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
     roots = _parallel_map(lambda i: fn(i, leaves[i]), n, elements)
     if not any(r.requires_grad for r in roots):
         return roots
@@ -449,9 +465,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     w = weight.data
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
     y = np.empty((n, c_out, t_out))
-    y[...] = bias.data[None, :, None]
-    term = np.empty_like(y)
-    for j, lo, hi, s in table:
+    j, lo, hi, s = table[0]
+    if (lo, hi) == (0, t_out):
+        # a first tap that reaches every output writes y itself: tap + bias is bias + tap
+        np.matmul(taps[j], x.data[:, :, s : t_out + s], out=y)
+        y += bias.data[None, :, None]
+        rest = table[1:]
+    else:
+        y[...] = bias.data[None, :, None]
+        rest = table
+    term = np.empty_like(y) if rest else None
+    for j, lo, hi, s in rest:
         y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
 
     track = _tracking(x, weight, bias)
@@ -474,8 +498,19 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
                 # one product per sample gives every tap's share, read from the weight as
                 # stored: share[n, i, j, o] = sum_c W[c, i, j] g[n, c, o] belongs to input o + s
                 share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
-                gx = np.zeros((n, c_in, t))
-                for j, lo, hi, s in table:
+                # dX starts from the share of a tap whose inputs are all of x (for k=1 the
+                # product itself) instead of from zeros.  For k <= 3 at padding k // 2 that tap
+                # is at most the second share added at any input, so the sum equals
+                # 0 + each share in table order, bit for bit.
+                whole = [(lo + s, hi + s) == (0, t) for _, lo, hi, s in table]
+                if any(whole):
+                    i = whole.index(True)
+                    j, lo, hi, _ = table[i]
+                    gx = np.ascontiguousarray(share[:, :, j, lo:hi])
+                    adds = table[:i] + table[i + 1 :]
+                else:
+                    gx, adds = np.zeros((n, c_in, t)), table
+                for j, lo, hi, s in adds:
                     gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
                 x._accumulate(gx)
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -297,6 +300,56 @@ class TestUnreadableAudio:
         assert "SYN_JUNK.wav: not a readable PCM WAV file" in capsys.readouterr().err
         assert not out.exists()
         assert feature_reads == []
+
+
+class TestScoreV1Checkpoint:
+    """tests/data/ckpt_v1_tiny holds a bank, a trained checkpoint and its scores,
+    all written by the code of commit 61a7020, before eval-mode BN was folded
+    into the convolutions: `train-gmm`, `train-model` and `score` on
+    build_synth_corpus(n_per_class=3, seed=5) with CONFIG."""
+
+    DIR = Path(__file__).parent / "data" / "ckpt_v1_tiny"
+    CONFIG = TINY_CFG.replace("train.batch_size = 8", "train.batch_size = 4")
+
+    @pytest.fixture(scope="class")
+    def scored(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("v1ckpt")
+        protocol, audio_dir = build_synth_corpus(root, n_per_class=3, seed=5)
+        cfg = root / "tiny.cfg"
+        cfg.write_text(self.CONFIG)
+        out = root / "scores.txt"
+        code = cli_main([
+            "score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--gmm-dir", str(self.DIR), "--checkpoint", str(self.DIR / "model.npz"),
+            "--out", str(out), "--config", str(cfg),
+        ])
+        return code, out
+
+    def test_scores_match_those_written_before_the_fold(self, scored):
+        code, out = scored
+        assert code == 0
+        got, ref = score_file_read(out), score_file_read(self.DIR / "scores.txt")
+        assert [r.utt_id for r in got] == [r.utt_id for r in ref]
+        for g, r in zip(got, ref):
+            assert abs(g.score - r.score) <= 1e-10 * max(1.0, abs(r.score))
+
+    def test_summary_line_reports_utterances_per_second(self, tmp_path, capsys):
+        protocol, audio_dir = build_synth_corpus(tmp_path, n_per_class=1, seed=6)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(self.CONFIG)
+        out = tmp_path / "scores.txt"
+        assert cli_main([
+            "score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--gmm-dir", str(self.DIR), "--checkpoint", str(self.DIR / "model.npz"),
+            "--out", str(out), "--config", str(cfg),
+        ]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        match = re.fullmatch(r"wrote (\d+) scores to (.+) in (\S+) s \((\S+) utt/s\)", line)
+        assert match, line
+        count, path, seconds, rate = match.groups()
+        assert (int(count), path) == (2, str(out))
+        assert float(seconds) > 0
+        assert float(rate) == pytest.approx(2 / float(seconds), rel=2e-3)  # 4 significant digits each
 
 
 class TestRefusedInputs:

@@ -10,6 +10,7 @@ import lgpnet.model as model_mod
 import lgpnet.tensor as tensor_mod
 from lgpnet.errors import FormatError, ShapeError
 from lgpnet.model import (
+    GroupBranch,
     ImprovedResidualBlock,
     ModelCfg,
     ModelOutput,
@@ -155,13 +156,14 @@ class TestGroupBranch:
         x = Tensor(rng.normal(size=(2, 4, 12)))
         with no_grad():
             full = branch(x)
-            # reference: entry -> B copies -> MFA -> pool, skipping the blocks
-            from lgpnet.tensor import concat_channels, max_pool_time, relu
+        # reference on the Tensor path: entry -> B copies -> MFA -> pool, skipping the blocks
+        from lgpnet.tensor import concat_channels, max_pool_time, relu
 
-            h = relu(branch.entry_bn(branch.entry_conv(x)))
-            m = relu(branch.mfa_bn(branch.mfa_conv(concat_channels([h] * cfg.n_blocks))))
-            reference = max_pool_time(m)
-        assert np.array_equal(full.data, reference.data)
+        h = relu(branch.entry_bn(branch.entry_conv(x)))
+        m = relu(branch.mfa_bn(branch.mfa_conv(concat_channels([h] * cfg.n_blocks))))
+        reference = max_pool_time(m)
+        assert reference.requires_grad
+        assert np.max(np.abs(full.data - reference.data)) <= 1e-12 * np.max(np.abs(reference.data))
 
 
 class TestModelForward:
@@ -319,8 +321,9 @@ class TestBranchPool:
         with pytest.raises(ShapeError, match="channel mismatch"):
             model.forward_slices(self._slices(26))
 
-    def test_no_grad_forward_runs_every_branch_on_calling_thread(self, two_workers):
+    def test_no_grad_forward_runs_branches_on_the_pool(self, two_workers):
         model = build_model(tiny_cfg(n_groups=4), seed=27)
+        model.set_mode("eval")
         idents = []
 
         def recording(branch):
@@ -329,13 +332,101 @@ class TestBranchPool:
                 return branch(x)
             return call
 
+        inline_branches = model.branches
         model.branches = [recording(b) for b in model.branches]
         with no_grad():
-            model.forward_slices(self._slices(28))
-        assert idents == [threading.get_ident()] * 4
-        idents.clear()
-        model.forward_slices(self._slices(28))
+            pooled = model.forward_slices(self._slices(28)).group_logits
+            inline = [
+                classifier(branch(x))
+                for x, branch, classifier in zip(self._slices(28), inline_branches, model.classifiers)
+            ]
         assert len(idents) == 4 and threading.get_ident() not in idents
+        for got, ref in zip(pooled, inline):
+            assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+
+
+def perturb_batchnorms(owner, rng):
+    """Running statistics and affine parameters away from their initial values."""
+    for bn in owner.batchnorms():
+        state = bn.state
+        c = state.channels
+        state.running_mean = rng.normal(size=c)
+        state.running_var = rng.uniform(0.3, 3.0, size=c)
+        state.gamma.data = rng.uniform(0.5, 1.5, size=c)
+        state.beta.data = rng.normal(scale=0.3, size=c)
+        state.mode = "eval"
+
+
+def relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class TestForwardOnlyPath:
+    """Under no_grad with eval-mode BN a branch folds every BN into the conv
+    before it and adds the MFA conv up block by block; the Tensor forward with
+    gradients tracked is the reference."""
+
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_matches_tensor_forward(self, improved, mfa):
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
+        model = build_model(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        perturb_batchnorms(model, rng)
+        x = rng.normal(size=(3, 8, 11))
+        reference = model(x, tiny_assignment())
+        assert reference.ensemble_logits.requires_grad
+        with no_grad():
+            folded = model(x, tiny_assignment())
+        assert relative_gap(folded.ensemble_logits.data, reference.ensemble_logits.data) < 1e-10
+        for got, ref in zip(folded.group_logits, reference.group_logits):
+            assert relative_gap(got.data, ref.data) < 1e-10
+
+    def test_full_size_branch_matches_tensor_forward(self):
+        rng = np.random.default_rng(33)
+        branch = GroupBranch(ModelCfg(), rng)
+        perturb_batchnorms(branch, rng)
+        x = Tensor(rng.normal(size=(2, 248, 60)))
+        reference = branch(x)
+        with no_grad():
+            folded = branch(x)
+        assert relative_gap(folded.data, reference.data) < 1e-10
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_runs_no_batchnorm_or_concat_and_leaves_its_input(self, improved, monkeypatch):
+        model = build_model(tiny_cfg(improved_blocks=improved), seed=34)
+        perturb_batchnorms(model, np.random.default_rng(35))
+        x = np.random.default_rng(36).normal(size=(2, 8, 9))
+        slices = [Tensor(s) for s in tiny_assignment().split(x)]
+        before = [s.data.copy() for s in slices]
+
+        def refuse(*args):
+            raise AssertionError("the forward-only path ran a Tensor-path op")
+
+        for name in ("batchnorm1d", "concat_channels", "add", "relu"):
+            monkeypatch.setattr(model_mod, name, refuse)
+        with no_grad():
+            out = model.forward_slices(slices)
+        assert np.isfinite(out.ensemble_logits.data).all()
+        for s, copy in zip(slices, before):
+            assert np.array_equal(s.data, copy)
+
+    def test_train_mode_bn_keeps_the_tensor_path(self):
+        model = build_model(tiny_cfg(), seed=37)
+        x = np.random.default_rng(38).normal(size=(2, 8, 9))
+        with no_grad():
+            model(x, tiny_assignment())
+        assert not np.array_equal(model.batchnorms()[0].state.running_mean, np.zeros(8))
+
+    def test_fold_is_not_cached(self):
+        model = build_model(tiny_cfg(), seed=39)
+        perturb_batchnorms(model, np.random.default_rng(40))
+        x = np.random.default_rng(41).normal(size=(2, 8, 9))
+        with no_grad():
+            before = model(x, tiny_assignment()).ensemble_logits.data
+            model.batchnorms()[0].state.running_mean += 1.0
+            after = model(x, tiny_assignment()).ensemble_logits.data
+        assert not np.array_equal(before, after)
 
 
 class TestScore:
@@ -416,6 +507,36 @@ class TestCheckpoint:
         for order in (4, 8):
             assert loaded_assignment.groups[order].dtype == np.int64
             assert np.array_equal(loaded_assignment.groups[order], assignment.groups[order])
+
+    def test_load_draws_no_initial_values(self, tmp_path, monkeypatch):
+        model = build_model(tiny_cfg(), seed=16)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint made a random generator")
+
+        monkeypatch.setattr(model_mod.np.random, "default_rng", refuse)
+        loaded, _ = load_checkpoint(path)
+        for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
+            assert np.array_equal(p.data, q.data), name
+
+    def test_float32_arrays_load_as_float64(self, tmp_path):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(tiny_cfg(), seed=17), tiny_assignment())
+
+        def to_float32(arrays):
+            for key in arrays:
+                if key != "meta":
+                    arrays[key] = arrays[key].astype(np.float32)
+
+        rewrite_arrays(path, to_float32)
+        loaded, _ = load_checkpoint(path)
+        with np.load(path) as data:
+            for key, owner, attr in loaded.stored_arrays():
+                value = getattr(owner, attr)
+                assert value.dtype == np.float64, key
+                assert np.array_equal(value, data[key]), key
 
     def test_missing_bn_key_is_format_error(self, tmp_path):
         model = build_model(tiny_cfg(), seed=14)

@@ -27,6 +27,32 @@ from lgpnet.tensor import (
 import lgpnet.tensor as tensor_mod
 
 
+def conv1d_summed_from_bias_and_zeros(x, w, b, padding, g):
+    """conv1d's output and input gradient for upstream gradient g, summed as the
+    tap-table form did before its whole taps wrote directly: the output from
+    the bias plus each tap, dX from zeros plus each tap's share, in tap order."""
+    n, c_in, t = x.shape
+    c_out, _, k = w.shape
+    t_out = t + 2 * padding - k + 1
+    table = []
+    for j in range(k):
+        s = j - padding
+        lo, hi = max(0, -s), min(t_out, t - s)
+        if lo < hi:
+            table.append((j, lo, hi, s))
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    y = np.empty((n, c_out, t_out))
+    y[...] = b[None, :, None]
+    term = np.empty_like(y)
+    for j, lo, hi, s in table:
+        y[:, :, lo:hi] += np.matmul(taps[j], x[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
+    gx = np.zeros((n, c_in, t))
+    for j, lo, hi, s in table:
+        gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
+    return y, gx
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         rng = np.random.default_rng(0)
@@ -105,6 +131,23 @@ class TestConv1d:
             held.extend(value if isinstance(value, (list, tuple)) else [value])
         arrays = [a for a in held if isinstance(a, np.ndarray)]
         assert all(a is x.data or a is w.data for a in arrays), [a.shape for a in arrays]
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_whole_tap_writes_directly_bitwise(self, k, t, n):
+        # the output's first tap and dX's whole-input tap write their result instead of
+        # being added to the bias and to zeros; for k <= 3 that changes no bit
+        rng = np.random.default_rng(100 + 10 * k + t)
+        x = Tensor(rng.normal(size=(n, 4, t)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 4, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=5), requires_grad=True)
+        out = conv1d(x, w, b, padding=k // 2)
+        g = rng.normal(size=out.shape)
+        backward(mul(out, Tensor(g)).sum())
+        y_ref, gx_ref = conv1d_summed_from_bias_and_zeros(x.data, w.data, b.data, k // 2, g)
+        assert np.array_equal(out.data, y_ref)
+        assert np.array_equal(x.grad, gx_ref)
 
     def test_negative_padding_rejected(self):
         with pytest.raises(ShapeError, match="padding"):
@@ -439,14 +482,25 @@ class TestBranchMap:
         branch_map(lambda i, x: idents.append(threading.get_ident()) or relu(x), xs)
         assert len(idents) == 4 and caller not in idents
 
-    def test_no_grad_runs_on_the_calling_thread(self, two_workers):
+    def test_no_grad_branches_run_on_the_pool(self, two_workers):
         caller = threading.get_ident()
         idents = []
-        xs = [Tensor(np.ones(3), requires_grad=True) for _ in range(4)]
+        rng = np.random.default_rng(43)
+        xs = [Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True) for _ in range(4)]
+        ws = [Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True) for _ in range(4)]
+        bs = [Tensor(rng.normal(size=2), requires_grad=True) for _ in range(4)]
+
+        def fn(i, x):
+            idents.append(threading.get_ident())
+            return max_pool_time(relu(conv1d(x, ws[i], bs[i], padding=1)))
+
         with no_grad():
-            outs = branch_map(lambda i, x: idents.append(threading.get_ident()) or relu(x), xs)
-        assert idents == [caller] * 4
+            outs = branch_map(fn, xs)
+            inline = [fn(i, x) for i, x in enumerate(xs)]
+        assert len(idents) == 8 and caller not in idents[:4]
         assert not any(o.requires_grad for o in outs)
+        for got, ref in zip(outs, inline):
+            assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
 
     def test_inline_map_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
