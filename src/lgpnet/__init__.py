@@ -76,7 +76,6 @@ from .tensor import (
     Tensor,
     backward,
     batchnorm1d,
-    concat_channels,
     conv1d,
     linear,
     max_pool_time,
@@ -84,6 +83,7 @@ from .tensor import (
     no_grad,
     relu,
     softmax_cross_entropy,
+    split_channels,
 )
 from .training import (
     AdamState,

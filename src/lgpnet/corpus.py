@@ -97,7 +97,8 @@ def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
     """Read a mono PCM WAV file (16-bit int or 32-bit float samples).
 
     Integer samples are divided by 2^(bits-1) so both sample formats land
-    on the same [-1, 1] scale.
+    on the same [-1, 1] scale.  Float samples that are NaN or infinite are
+    refused with the file's path.
     """
     path = Path(path)
     rate, data = _wav_samples(path, mmap=False)
@@ -105,13 +106,16 @@ def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
         samples = data.astype(np.float64) / 32768.0
     else:
         samples = data.astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise FormatError(f"{path}: non-finite sample values")
     return AudioClip(samples=samples, sample_rate=rate, utt_id=utt_id or path.stem)
 
 
 def check_wav(path: str | Path) -> None:
-    """Raise what read_wav would raise on this file, without reading the samples.
+    """Raise what read_wav would raise on this file's header, without reading the samples.
 
     Only the header is parsed; the sample array is memory-mapped, never read.
+    Sample values (NaN or infinite floats) are checked when read_wav reads the file.
     """
     path = Path(path)
     try:

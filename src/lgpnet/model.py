@@ -1,10 +1,9 @@
 """Grouped 1-d residual network ensemble over LGP group slices.
 
 Each group slice feeds its own branch: a 1x1 entry convolution, a stack of
-residual blocks, multi-scale feature aggregation (channel concat of every
-block output followed by a 1x1 convolution), adaptive max pooling over
-time, and a linear classifier.  The ensemble output is the mean of the
-group logits.
+residual blocks, multi-scale feature aggregation (a 1x1 convolution of the
+channel concat of every block output), adaptive max pooling over time, and
+a linear classifier.  The ensemble output is the mean of the group logits.
 
 The residual block keeps a single batch normalization and a single
 activation, both between the two convolutions:
@@ -14,17 +13,18 @@ activation, both between the two convolutions:
 A conventional block (two BNs, two activations) is available behind the
 ``improved_blocks`` flag for ablations.
 
-Under ``no_grad`` with every BN of a branch in eval mode, the branch takes a
-forward-only path instead of the Tensor forward (which stays the training
-path, and the reference the forward-only path is tested against).  Every BN
-directly follows a convolution, so it is folded into it: the convolution runs
-with weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and
-never cached.  The 1x1 aggregation convolution of the concatenated block
-outputs equals the sum of 1x1 convolutions of each block output with its
-slice of the weight, so each block's share is added as the block finishes
-and neither the block outputs nor their concatenation are held.  ReLU and the
-residual add reuse the arrays this path made.  Scores agree with the Tensor
-forward to rounding (1e-10 relative in the tests).
+One forward serves training and scoring.  Every BN directly follows a
+convolution, and `_fold` alone decides per pair whether the BN runs as its
+own op or is folded into the convolution: it is folded when gradients are
+off (`no_grad`) and that BN is in eval mode.  The folded convolution has
+weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
+cached, and the ReLU after it runs in place on the array that convolution
+just made.  The aggregation convolution of the concatenated block outputs
+equals the sum of 1x1 convolutions of each block output with its slice of
+the weight, so each block's share is added as the block finishes, in both
+modes: no concatenation exists, and under `no_grad` no block output is
+held.  Folded scores agree with the unfolded forward to rounding (1e-10
+relative in the tests).
 """
 from __future__ import annotations
 
@@ -44,12 +44,12 @@ from .tensor import (
     add,
     batchnorm1d,
     branch_map,
-    concat_channels,
     conv1d,
     linear,
     max_pool_time,
     mean_tensors,
     relu,
+    split_channels,
 )
 
 _CKPT_VERSION = 1
@@ -103,8 +103,8 @@ class Conv1dLayer:
         )
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv1d(x, self.weight, self.bias, padding=self.weight.shape[2] // 2)
+    def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
+        return conv1d(x, self.weight, self.bias, padding=self.weight.shape[2] // 2, residual=residual)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -121,18 +121,38 @@ class BatchNorm1dLayer:
         return [("gamma", self.state.gamma), ("beta", self.state.beta)]
 
 
-def _folded(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[np.ndarray, np.ndarray]:
-    """Weight and bias of the one convolution that equals eval-mode `bn` after `conv`."""
+def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, BatchNorm1dLayer | None]:
+    """(weight, bias, bn) for bn(conv(x)).  With gradients off and `bn` in eval
+    mode, `bn` is folded into a new weight and bias and None is returned for it;
+    otherwise the conv's own parameters and `bn` itself."""
     state = bn.state
+    if _tensor._grad_enabled or state.mode != "eval":
+        return conv.weight, conv.bias, bn
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
-    weight = conv.weight.data * scale[:, None, None]
-    return weight, (conv.bias.data - state.running_mean) * scale + state.beta.data
+    bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
+    return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
 
 
-def _conv_bn(conv: Conv1dLayer, bn: BatchNorm1dLayer, h: np.ndarray) -> np.ndarray:
-    """bn(conv(h)) for an eval-mode `bn`, as one convolution."""
-    weight, bias = _folded(conv, bn)
-    return conv1d(Tensor(h), Tensor(weight), Tensor(bias), padding=weight.shape[2] // 2).data
+def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None) -> Tensor:
+    """relu(bn(y)), where y is the output of the caller's own conv1d call and
+    bn is None once folded; then nothing tracks y, and ReLU runs in place."""
+    if bn is not None:
+        return relu(bn(y))
+    np.maximum(y.data, 0.0, out=y.data)
+    return y
+
+
+def _conv_bn(conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor) -> Tensor:
+    """bn(conv(x)), as one convolution where `_fold` folds bn."""
+    weight, bias, bn = _fold(conv, bn)
+    y = conv1d(x, weight, bias, padding=weight.shape[2] // 2)
+    return y if bn is None else bn(y)
+
+
+def _conv_bn_relu(conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor) -> Tensor:
+    """relu(bn(conv(x))), as one convolution and an in-place ReLU where `_fold` folds bn."""
+    weight, bias, bn = _fold(conv, bn)
+    return _bn_relu(conv1d(x, weight, bias, padding=weight.shape[2] // 2), bn)
 
 
 class LinearLayer:
@@ -161,14 +181,7 @@ class ImprovedResidualBlock:
         self.conv2 = Conv1dLayer(c, c, k, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(x, self.conv2(relu(self.bn(self.conv1(x)))))
-
-    def _forward_eval(self, h: np.ndarray) -> np.ndarray:
-        a = _conv_bn(self.conv1, self.bn, h)
-        np.maximum(a, 0.0, out=a)
-        y = self.conv2(Tensor(a)).data
-        y += h  # x + y is y + x
-        return y
+        return self.conv2(_conv_bn_relu(self.conv1, self.bn, x), residual=x)
 
     def batchnorms(self):
         return [self.bn]
@@ -190,15 +203,8 @@ class StandardResidualBlock:
         self.bn2 = BatchNorm1dLayer(c)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = self.bn2(self.conv2(relu(self.bn1(self.conv1(x)))))
+        h = _conv_bn(self.conv2, self.bn2, _conv_bn_relu(self.conv1, self.bn1, x))
         return relu(add(x, h))
-
-    def _forward_eval(self, h: np.ndarray) -> np.ndarray:
-        a = _conv_bn(self.conv1, self.bn1, h)
-        np.maximum(a, 0.0, out=a)
-        y = _conv_bn(self.conv2, self.bn2, a)
-        y += h
-        return np.maximum(y, 0.0, out=y)
 
     def batchnorms(self):
         return [self.bn1, self.bn2]
@@ -225,37 +231,20 @@ class GroupBranch:
             self.mfa_bn = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if not _tensor._grad_enabled and all(bn.state.mode == "eval" for bn in self.batchnorms()):
-            return self._forward_eval(x)
-        h = relu(self.entry_bn(self.entry_conv(x)))
-        block_outs = []
-        for block in self.blocks:
-            h = block(h)
-            block_outs.append(h)
-        if self.cfg.mfa:
-            h = relu(self.mfa_bn(self.mfa_conv(concat_channels(block_outs))))
-        else:
-            h = block_outs[-1]
-        return max_pool_time(h)
-
-    def _forward_eval(self, x: Tensor) -> Tensor:
-        """The forward-only path (see the module docstring); writes only into
-        arrays it made itself."""
-        h = _conv_bn(self.entry_conv, self.entry_bn, x.data)
-        np.maximum(h, 0.0, out=h)
+        h = _conv_bn_relu(self.entry_conv, self.entry_bn, x)
         if not self.cfg.mfa:
             for block in self.blocks:
-                h = block._forward_eval(h)
-            return max_pool_time(Tensor(h))
-        c = self.cfg.block.channels
-        weight, bias = _folded(self.mfa_conv, self.mfa_bn)
+                h = block(h)
+            return max_pool_time(h)
+        # the MFA conv of the concatenated block outputs, as a running sum of each
+        # block's 1x1 conv with its input-channel slice of the weight
+        weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn)
+        zero = Tensor(np.zeros(bias.shape))
         agg = None
-        for i, block in enumerate(self.blocks):
-            h = block._forward_eval(h)
-            w_i, b_i = weight[:, i * c : (i + 1) * c], bias if i == 0 else np.zeros(c)
-            share = conv1d(Tensor(h), Tensor(w_i), Tensor(b_i)).data
-            agg = share if agg is None else np.add(agg, share, out=agg)
-        return max_pool_time(Tensor(np.maximum(agg, 0.0, out=agg)))
+        for block, share in zip(self.blocks, split_channels(weight, len(self.blocks))):
+            h = block(h)
+            agg = conv1d(h, share, bias if agg is None else zero, residual=agg)
+        return max_pool_time(_bn_relu(agg, bn))
 
     def sublayers(self):
         layers = [("entry_conv", self.entry_conv), ("entry_bn", self.entry_bn)]

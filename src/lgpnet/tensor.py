@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Covers exactly the operations the grouped 1-d residual network needs:
-convolution, batch normalization, ReLU, max pooling over time, linear
-layers, softmax cross-entropy, and the elementwise glue (add, mul, sum,
-channel concat, tensor mean).  Each op wires a backward closure onto its
-output; ``backward(loss)`` runs the closures in reverse topological order
-and then drops the graph, so a fresh forward pass is needed per step.
+convolution (with an optional ``residual`` operand added to its output),
+batch normalization, ReLU, max pooling over time, linear layers, softmax
+cross-entropy, the glue (add, mul, sum, tensor mean), and `split_channels`,
+which hands out a weight's input-channel slices as views.  Each op wires a
+backward closure onto its output; ``backward(loss)`` runs the closures in
+reverse topological order and then drops the graph, so a fresh forward pass
+is needed per step.
 
 Convolution is stride 1, and a sum over the k taps of one matrix product
 each.  One table gives every tap j its output range [lo, hi) and its input
@@ -283,8 +285,8 @@ def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
 
     The branches run on the worker pool, unless the inputs are too small to
     gain from it (see `_parallel_map`), with gradients tracked or not.  Under
-    `no_grad` that is all: a forward-only branch of the ensemble holds little
-    at once, since it folds each BN into its convolution and adds the
+    `no_grad` that is all: an eval-mode branch of the ensemble holds little
+    there at once, since it folds each BN into its convolution and adds the
     multi-scale aggregation up block by block (see `model`).
 
     While gradients are tracked, the outputs hang off one shared node whose
@@ -385,27 +387,28 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Concatenate N x C_i x T tensors along the channel axis."""
-    if not tensors:
-        raise ShapeError("concat_channels needs at least one tensor")
-    for t in tensors:
-        if t.ndim != 3:
-            raise ShapeError("concat_channels expects N x C x T tensors")
-    track = _tracking(*tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), None, track)
-    if track:
-        sizes = [t.shape[1] for t in tensors]
+def split_channels(w: Tensor, n: int) -> list[Tensor]:
+    """The n equal input-channel slices of a C_out x C_in x k weight, as views.
 
-        def _bw():
-            off = 0
-            for t, c in zip(tensors, sizes):
-                if t.requires_grad:
-                    t._accumulate(out.grad[:, off : off + c, :])
-                off += c
+    While gradients are tracked the slices hang off one shared node, whose
+    backward puts their gradients together into one array for w.
+    """
+    if w.ndim != 3 or n < 1 or w.shape[1] % n:
+        raise ShapeError(f"cannot split a weight of shape {w.shape} into {n} input-channel slices")
+    c = w.shape[1] // n
+    views = [w.data[:, i * c : (i + 1) * c] for i in range(n)]
+    if not _tracking(w):
+        return [Tensor(v) for v in views]
+    hub = _result(np.zeros(()), (w,), None, True)
+    parts = [_result(v, (hub,), None, True) for v in views]
 
-        out._backward = _bw
-    return out
+    def _bw():
+        w._accumulate(np.concatenate(
+            [p.grad if p.grad is not None else np.zeros(p.shape) for p in parts], axis=1
+        ))
+
+    hub._backward = _bw
+    return parts
 
 
 def mean_tensors(tensors: list[Tensor]) -> Tensor:
@@ -436,9 +439,12 @@ def mean_tensors(tensors: list[Tensor]) -> Tensor:
 # neural network ops
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
+def conv1d(
+    x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0, *, residual: Tensor | None = None
+) -> Tensor:
     """Stride-1 cross-correlation of N x C_in x T with C_out x C_in x k filters,
-    with `padding` zeros on each side of the time axis."""
+    with `padding` zeros on each side of the time axis, plus `residual` (of the
+    output's shape) when one is given."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError("conv1d expects x: N x C_in x T and weight: C_out x C_in x k")
     n, c_in, t = x.shape
@@ -477,12 +483,20 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0) -> Tensor:
     term = np.empty_like(y) if rest else None
     for j, lo, hi, s in rest:
         y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    parents = (x, weight, bias)
+    if residual is not None:
+        if residual.shape != y.shape:
+            raise ShapeError(f"conv1d residual shape {residual.shape} differs from output {y.shape}")
+        y += residual.data  # conv + residual is residual + conv, bit for bit
+        parents += (residual,)
 
-    track = _tracking(x, weight, bias)
-    out = _result(y, (x, weight, bias), None, track)
+    track = _tracking(*parents)
+    out = _result(y, parents, None, track)
     if track:
         def _bw():
             g = out.grad  # N x C_out x T_out
+            if residual is not None and residual.requires_grad:
+                residual._accumulate(g)
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2)))
             if weight.requires_grad:

@@ -164,6 +164,42 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
 
 
 # ---------------------------------------------------------------------------
+# multi-scale aggregation over a concatenation: the library's former branch
+# forward, kept as a reference for the block-by-block sum
+
+
+def concat_by_copy(tensors: list[Tensor]) -> Tensor:
+    """N x C_i x T tensors joined along the channel axis into one new array."""
+    track = _tracking(*tensors)
+    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), None, track)
+    if track:
+        def _bw():
+            off = 0
+            for t in tensors:
+                c = t.shape[1]
+                if t.requires_grad:
+                    t._accumulate(out.grad[:, off : off + c, :].copy())
+                off += c
+
+        out._backward = _bw
+    return out
+
+
+def branch_by_concat(branch, x: Tensor) -> Tensor:
+    """A GroupBranch's embedding with one 1x1 MFA conv over the concatenated block outputs."""
+    from lgpnet.tensor import conv1d, max_pool_time, relu
+
+    h = relu(branch.entry_bn(branch.entry_conv(x)))
+    outs = []
+    for block in branch.blocks:
+        h = block(h)
+        outs.append(h)
+    conv = branch.mfa_conv
+    m = conv1d(concat_by_copy(outs), conv.weight, conv.bias)
+    return max_pool_time(relu(branch.mfa_bn(m)))
+
+
+# ---------------------------------------------------------------------------
 # brute-force EER oracle: FAR/FRR at every score value, naive counting
 
 

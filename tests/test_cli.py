@@ -4,7 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import build_synth_corpus, random_bank, rewrite_arrays, rewrite_meta, write_wav_int16
+from helpers import (
+    build_synth_corpus,
+    random_bank,
+    rewrite_arrays,
+    rewrite_meta,
+    wav_bytes_float32,
+    write_wav_int16,
+)
 
 from lgpnet.cli import cli_main
 from lgpnet.config import load_config
@@ -370,6 +377,12 @@ class TestRefusedInputs:
         (root / "wav8k").mkdir()
         write_wav_int16(root / "wav8k" / "LOW_RATE.wav", np.zeros(8000), sample_rate=8000)
         (root / "low_rate.txt").write_text("SPK1 LOW_RATE - - bonafide\n")
+        (root / "wavnan").mkdir()
+        samples = 0.1 * np.sin(np.arange(16000) * 0.05)
+        samples[8000] = np.nan
+        (root / "wavnan" / "NAN_SAMPLE.wav").write_bytes(wav_bytes_float32(samples))
+        (root / "wavnan" / "CLEAN.wav").write_bytes(wav_bytes_float32(np.nan_to_num(samples)))
+        (root / "nan.txt").write_text("SPK1 NAN_SAMPLE - - bonafide\nSPK1 CLEAN - A01 spoof\n")
         return root
 
     def _score(self, cli_workspace, root, protocol, audio_dir, checkpoint):
@@ -407,6 +420,19 @@ class TestRefusedInputs:
         assert code == 1
         assert "LOW_RATE.wav: sample rate 8000 Hz is unsupported" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("command", ["score", "train-model"])
+    def test_nan_sample_names_the_file(self, cli_workspace, workspace, capsys, command):
+        args = ["--protocol", str(workspace / "nan.txt"), "--audio-dir", str(workspace / "wavnan"),
+                "--gmm-dir", str(workspace / "gmms"), "--config", str(cli_workspace["cfg"])]
+        out = workspace / f"nan_{command}.out"
+        if command == "score":
+            args += ["--checkpoint", str(workspace / "model.npz"), "--out", str(out)]
+        else:
+            args += ["--checkpoint", str(out)]
+        assert cli_main([command, *args]) == 1
+        assert "NAN_SAMPLE.wav: non-finite sample values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_with_malformed_checkpoint_meta(self, cli_workspace, workspace, capsys):
         broken = workspace / "broken.npz"

@@ -13,7 +13,6 @@ from lgpnet.tensor import (
     backward,
     batchnorm1d,
     branch_map,
-    concat_channels,
     conv1d,
     linear,
     max_pool_time,
@@ -22,6 +21,7 @@ from lgpnet.tensor import (
     no_grad,
     relu,
     softmax_cross_entropy,
+    split_channels,
     tsum,
 )
 import lgpnet.tensor as tensor_mod
@@ -74,8 +74,21 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        worst = check_gradients(lambda: conv1d(x, w, b, padding=1).sum(), [x, w, b])
+        r = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+        coeffs = Tensor(rng.normal(size=(2, 4, 8)))
+        worst = check_gradients(
+            lambda: (conv1d(x, w, b, padding=1, residual=r) * coeffs).sum(), [x, w, b, r]
+        )
         assert worst < FD_REL_TOL
+
+    def test_residual_is_added_after_the_taps(self):
+        rng = np.random.default_rng(2)
+        x, w = Tensor(rng.normal(size=(2, 3, 8))), Tensor(rng.normal(size=(4, 3, 3)))
+        b, r = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(2, 4, 8)))
+        out = conv1d(x, w, b, padding=1, residual=r)
+        assert np.array_equal(out.data, add(r, conv1d(x, w, b, padding=1)).data)
+        with pytest.raises(ShapeError, match="residual"):
+            conv1d(x, w, b, residual=r)  # the output is 6 long without padding
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -284,13 +297,27 @@ class TestSimpleOps:
         worst = check_gradients(lambda: (linear(x, w, b) * coeffs).sum(), [x, w, b])
         assert worst < FD_REL_TOL
 
-    def test_concat_channels_gradient(self):
+    def test_split_channels_gradient(self):
         rng = np.random.default_rng(12)
-        a = Tensor(rng.normal(size=(2, 2, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
-        coeffs = Tensor(rng.normal(size=(2, 5, 4)))
-        worst = check_gradients(lambda: (concat_channels([a, b]) * coeffs).sum(), [a, b])
+        w = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
+        x = [Tensor(rng.normal(size=(2, 2, 5))) for _ in range(3)]
+        coeffs = Tensor(rng.normal(size=(2, 2, 5)))
+
+        def loss():
+            # the last slice feeds nothing, so its share of the gradient is zero
+            a, b, _ = split_channels(w, 3)
+            zero = Tensor(np.zeros(2))
+            y = conv1d(x[0], a, zero, padding=1, residual=conv1d(x[1], b, zero, padding=1))
+            return (y * coeffs).sum()
+
+        worst = check_gradients(loss, [w])
         assert worst < FD_REL_TOL
+        assert np.all(w.grad[:, 4:] == 0.0)
+        for i, part in enumerate(split_channels(w, 3)):
+            assert np.shares_memory(part.data, w.data)
+            assert np.array_equal(part.data, w.data[:, 2 * i : 2 * i + 2])
+        with pytest.raises(ShapeError):
+            split_channels(w, 4)
 
     def test_mean_tensors(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
@@ -349,21 +376,22 @@ class TestBackward:
         assert np.array_equal(x.grad, [8.0])
 
     def test_shared_upstream_gradient_is_not_aliased(self):
-        # add(x, x) and mean_tensors hand one out.grad array to several parents, and
-        # concat_channels hands out views of its own; the first touch stores them as is
+        # add(x, x), mean_tensors and a residual conv hand one out.grad array to several
+        # parents, and split_channels' parts are views; the first touch stores them as is
         rng = np.random.default_rng(18)
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        a = Tensor(rng.normal(size=(2, 2, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 5, 3)), requires_grad=True)
+        a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(2, 4, 5)))
         tensors = [x, a, w, b]
 
         def loss():
             xx = add(x, x)
-            h = relu(xx)
-            cat = concat_channels([h, a])  # h also feeds the mean below
-            y = conv1d(cat, w, b, padding=1)
+            h = relu(xx)  # h also feeds the mean below
+            w_h, w_a = split_channels(w, 2)
+            # the conv of the channel concat of h and a, as a sum of two
+            y = conv1d(h, w_h, b, padding=1, residual=conv1d(a, w_a, Tensor(np.zeros(4)), padding=1))
             fan = mean_tensors([y, y * 2.0, y])
             return (fan * coeffs).sum() + (mean_tensors([h, xx]) * h).sum()
 
