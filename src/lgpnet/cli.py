@@ -67,10 +67,9 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
 
 
 def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
-    frames = [
-        lfcc.lfcc_extract(corpus.read_wav(path, utt_id=label.utt_id), cfg.lfcc).values
-        for path, label in manifest.entries
-    ]
+    frames = multiscale.map_utterances(
+        manifest, range(len(manifest)), lambda _, clip: lfcc.lfcc_extract(clip, cfg.lfcc).values
+    )
     return np.vstack(frames)
 
 

@@ -15,9 +15,14 @@ vector x to one value per component:
 i.e. the log density of component i without its x-independent terms: one
 GEMM [x^2, x] @ [-1/2 inv(S); inv(S) mu]'.  EM's E-step appends 1 to the
 frame and c = log w - 1/2 (mu' inv(S) mu + D log 2 pi + log |S|) to the
-matrix; one GEMM, one exp and one GEMM r' @ [x^2, x, 1] then give the
-responsibilities r and the statistics [sum r x^2, sum r x, sum r].  Chunks
-run on the worker pool and are summed in chunk order, whatever the workers.
+matrix; one GEMM, one exp and one GEMM [x^2, x, 1]' @ r then give the
+responsibilities r and the statistics [sum r x^2; sum r x; sum r], stored
+as a (2D+1, K) array: a transposed left operand and a C-contiguous output
+ran that GEMM in two thirds of the time of r' @ [x^2, x, 1].  Chunks of
+_EM_CHUNK frames run on the worker pool, each with its own 8 MB of log
+joints at K=1024, and are summed in chunk order, whatever the workers.
+EM's GEMMs, like the LGP's, run at one BLAS thread, so a bank does not
+depend on the CPU count.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .lfcc import FeatureMatrix
-from .tensor import _parallel_map, _pool_workers
+from .tensor import _blas_single_thread, _parallel_map, _pool_workers
 
 _GMM_MAGIC = b"GMM1"
 _GMM_VERSION = 2
@@ -38,7 +43,10 @@ _GMM_HEADER = 16  # magic, then u32 version, D and K
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
-_EM_CHUNK = 2048  # frames per E-step chunk: 16 MB of log joints per worker at K=1024
+# Frames per E-step chunk: 8 MB of log joints per worker at K=1024.  These
+# buffers set the peak RSS of bank training: 2048-row chunks ran train-gmm
+# 4-8 % faster but peaked 13-14 MB higher (2 workers, K=1024).
+_EM_CHUNK = 1024
 # Log joints further than this below their row's max are clamped before the
 # exp: exps that underflow, and GEMMs over the subnormals left, ran 3-80x slower.
 _EXP_FLOOR = -500.0
@@ -110,7 +118,8 @@ def _as_frames(gmm: Gmm, data) -> np.ndarray:
 
 def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-frame log-likelihoods (N,) and statistics [sum r x^2, sum r x, sum r]
-    (K, 2D+1) of the data, by the fused E-step of the module docstring."""
+    (K, 2D+1) of the data, by the fused E-step of the module docstring; the
+    statistics are a transposed view of the (2D+1, K) array it sums."""
     n, d = data.shape
     const = np.sum(gmm.means**2 / gmm.variances + np.log(gmm.variances), axis=1) + d * _LOG_2PI
     coef = np.vstack([_lgp_coefficients(gmm), np.log(gmm.weights) - 0.5 * const])
@@ -120,8 +129,8 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots = queue.SimpleQueue()
     for _ in range(min(_pool_workers(), n_chunks)):
         slots.put((np.empty((rows, 2 * d + 1)), np.empty((rows, gmm.order))))
-    parts = np.empty((min(_EM_WAVE, n_chunks), gmm.order, 2 * d + 1))
-    point_ll, stats = np.empty(n), np.zeros((gmm.order, 2 * d + 1))
+    parts = np.empty((min(_EM_WAVE, n_chunks), 2 * d + 1, gmm.order))
+    point_ll, stats = np.empty(n), np.zeros((2 * d + 1, gmm.order))
 
     def chunk(i: int, lo: int) -> None:
         x = data[lo : lo + _EM_CHUNK]
@@ -136,17 +145,18 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.exp(joint, out=joint)
             s = joint.sum(axis=1, keepdims=True)
             point_ll[lo : lo + len(x)] = m[:, 0] + np.log(s[:, 0])
-            a /= s  # r' @ a == exp(joint)' @ (a / s), and a is the small side
-            np.matmul(joint.T, a, out=parts[i])
+            a /= s  # a' @ r == (a / s)' @ exp(joint), and a is the small side
+            np.matmul(a.T, joint, out=parts[i])
         finally:
             slots.put(slot)
 
     span = _EM_CHUNK * _EM_WAVE
-    for wave in range(0, n, span):
-        los = range(wave, min(n, wave + span), _EM_CHUNK)
-        _parallel_map(lambda i: chunk(i, los[i]), len(los), min(span, n - wave) * gmm.order)
-        stats += parts[: len(los)].sum(axis=0)
-    return point_ll, stats
+    with _blas_single_thread():
+        for wave in range(0, n, span):
+            los = range(wave, min(n, wave + span), _EM_CHUNK)
+            _parallel_map(lambda i: chunk(i, los[i]), len(los), min(span, n - wave) * gmm.order)
+            stats += parts[: len(los)].sum(axis=0)
+    return point_ll, stats.T
 
 
 def log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
@@ -154,8 +164,8 @@ def log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
     return float(np.sum(_e_step(gmm, _as_frames(gmm, data))[0]))
 
 
-def _floor_vector(data: np.ndarray, cfg: EmConfig) -> np.ndarray:
-    return np.maximum(cfg.variance_floor * data.var(axis=0), _ABS_VAR_FLOOR)
+def _floor_vector(data_var: np.ndarray, cfg: EmConfig) -> np.ndarray:
+    return np.maximum(cfg.variance_floor * data_var, _ABS_VAR_FLOOR)
 
 
 def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig) -> Gmm:
@@ -164,13 +174,18 @@ def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig) -> Gmm:
     reseeded at distinct frames, the least likely ones, with the global variance.
     """
     data = _as_frames(gmm, data)
+    return _em_iterations(gmm, data, cfg, data.var(axis=0))
+
+
+def _em_iterations(gmm: Gmm, data: np.ndarray, cfg: EmConfig, data_var: np.ndarray) -> Gmm:
+    """em_fit on (N, D) frames whose per-dimension variance is data_var."""
     n, d = data.shape
     if n < gmm.order:
         raise ValueError(f"need at least K={gmm.order} frames, got {n}")
     if not np.all(np.isfinite(data)):
         raise ValueError("training data contains non-finite values")
-    floor = _floor_vector(data, cfg)
-    global_var = np.maximum(data.var(axis=0), _ABS_VAR_FLOOR)
+    floor = _floor_vector(data_var, cfg)
+    global_var = np.maximum(data_var, _ABS_VAR_FLOOR)
     for _ in range(cfg.n_iterations):
         point_ll, stats = _e_step(gmm, data)
         nk = stats[:, -1]
@@ -209,18 +224,22 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
     if target_order < 1 or target_order & (target_order - 1):
         raise ConfigError(f"target order must be a power of 2, got {target_order}")
     data = np.asarray(data, dtype=np.float64)
-    variances = np.maximum(data.var(axis=0, keepdims=True), _floor_vector(data, cfg))
-    models = [Gmm(np.ones(1), data.mean(axis=0, keepdims=True), variances)]
+    if data.ndim != 2:
+        raise ShapeError(f"data of shape {data.shape} is not (N, D) frames")
+    data_var = data.var(axis=0)  # once: every level's floor and reseed variance
+    variances = np.maximum(data_var, _floor_vector(data_var, cfg))
+    models = [Gmm(np.ones(1), data.mean(axis=0, keepdims=True), variances[None])]
     while models[-1].order < target_order:
         grown = binary_split(models[-1], cfg)
-        models.append(em_fit(grown, data, cfg))
+        models.append(_em_iterations(grown, data, cfg, data_var))
     return models
 
 
 def _lgp(x: np.ndarray, coef: np.ndarray, normalize: bool = True) -> np.ndarray:
     """[x^2, x] @ coef for (T, D) frames x and (2D, K) coef, then (normalize)
     per-column normalization in place, as in lgp_transform."""
-    y = np.hstack([x**2, x]) @ coef
+    with _blas_single_thread():
+        y = np.hstack([x**2, x]) @ coef
     if normalize:
         std = y.std(axis=0)
         y -= y.mean(axis=0)

@@ -16,6 +16,7 @@ from scipy.fft import dct
 
 from .corpus import AudioClip
 from .errors import ConfigError, ShapeError
+from .tensor import _blas_single_thread
 
 LOG_FLOOR = 1e-10
 
@@ -89,7 +90,8 @@ def frame_and_window(clip: AudioClip, cfg: LfccConfig) -> np.ndarray:
     n_frames = (x.size - flen) // shift + 1
     starts = shift * np.arange(n_frames)
     frames = x[starts[:, None] + np.arange(flen)[None, :]]
-    return frames * np.hamming(flen)
+    frames *= np.hamming(flen)
+    return frames
 
 
 def power_spectrum(frame: np.ndarray, fft_size: int = 1024) -> np.ndarray:
@@ -97,8 +99,8 @@ def power_spectrum(frame: np.ndarray, fft_size: int = 1024) -> np.ndarray:
     frame = np.asarray(frame, dtype=np.float64)
     if frame.shape[-1] > fft_size:
         raise ShapeError(f"frame length {frame.shape[-1]} exceeds fft_size {fft_size}")
-    spectrum = np.fft.rfft(frame, n=fft_size)
-    return np.abs(spectrum) ** 2
+    power = np.abs(np.fft.rfft(frame, n=fft_size))
+    return np.square(power, out=power)
 
 
 def linear_filterbank(sample_rate: int, fft_size: int, n_filters: int) -> np.ndarray:
@@ -130,13 +132,15 @@ def lfcc_extract(clip: AudioClip, cfg: LfccConfig | None = None) -> FeatureMatri
 
     The static vector keeps DCT coefficients 1..n_ceps; log frame energy is
     prepended when include_energy is set.  Log inputs are floored at 1e-10
-    so silent frames stay finite.
+    so silent frames stay finite.  The filterbank GEMM runs at one BLAS
+    thread, so the features do not depend on the CPU count.
     """
     cfg = cfg or LfccConfig()
     frames = frame_and_window(clip, cfg)
     spec = power_spectrum(frames, cfg.fft_size)
     fb = linear_filterbank(clip.sample_rate, cfg.fft_size, cfg.n_filters)
-    fbank = spec @ fb.T
+    with _blas_single_thread():
+        fbank = spec @ fb.T
     log_fbank = np.log(np.maximum(fbank, LOG_FLOOR))
     ceps = dct(log_fbank, type=2, axis=1, norm="ortho")[:, 1 : cfg.n_ceps + 1]
     if cfg.include_energy:

@@ -10,10 +10,14 @@ i // (K // G).  `GroupAssignment.columns` permutes the columns into group
 order, and `GroupAssignment.split` gathers the G group slices at once.
 
 `ManifestLgp` computes a manifest's features batch by batch from the audio,
-so memory grows with the batch size, not the corpus size.
+so memory grows with the batch size, not the corpus size.  `map_utterances`
+runs such per-utterance work (read, LFCC, LGP) on the worker pool; its GEMMs
+run at one BLAS thread wherever they run, so the features are bitwise the
+same whatever the CPU count.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +27,7 @@ from .corpus import AudioClip, Manifest, check_wav, label_index, read_wav
 from .errors import ConfigError, ManifestError, ShapeError
 from .gmm import Gmm, _lgp, _lgp_coefficients, load_gmm, save_gmm
 from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
+from .tensor import _parallel_map
 
 
 @dataclass
@@ -165,13 +170,31 @@ def utterance_lgp(
     return extract_multiscale_lgp(bank, feat)
 
 
+def map_utterances(manifest: Manifest, idx, fn) -> list:
+    """[fn(j, clip_j) for each j], where clip_j is manifest entry idx[j] as
+    `read_wav` reads it, on the worker pool (see `tensor._parallel_map`).
+
+    Every call has finished before this returns or raises; the first error
+    in idx order is raised, so the first failing file is the one named.
+    """
+    entries = [manifest.entries[i] for i in idx]
+
+    def one(j: int):
+        path, label = entries[j]
+        return fn(j, read_wav(path, utt_id=label.utt_id))
+
+    wav_bytes = sum(os.path.getsize(path) for path, _ in entries)  # stands in for the samples
+    return _parallel_map(one, len(entries), wav_bytes)
+
+
 class ManifestLgp:
     """A manifest's (N, D, T) LGP features, computed from the audio on indexing.
 
     `src[idx]` reads and transforms only the utterances in the 1-d index
-    array `idx` into a C-contiguous (len(idx), D, T) array, bitwise equal to
-    the same rows of the fully stacked features; channels-first is the layout
-    the 1-d convolution stack consumes.  Construction refuses an empty
+    array `idx`, on the worker pool (`map_utterances`), into a C-contiguous
+    (len(idx), D, T) array, bitwise equal to the same rows of the fully
+    stacked features; channels-first is the layout the 1-d convolution stack
+    consumes.  Construction refuses an empty
     manifest and checks every WAV header (`check_wav`), so an unreadable file
     fails before any batch.
     """
@@ -199,10 +222,11 @@ class ManifestLgp:
 
     def __getitem__(self, idx) -> np.ndarray:
         out = np.empty((len(idx), self.bank.total_components, self.target_frames))
-        for j, i in enumerate(idx):
-            wav_path, label = self.manifest.entries[i]
-            clip = read_wav(wav_path, utt_id=label.utt_id)
+
+        def fill(j: int, clip: AudioClip) -> None:
             out[j] = utterance_lgp(clip, self.bank, self.lfcc_cfg, self.target_frames).values.T
+
+        map_utterances(self.manifest, idx, fill)
         return out
 
 

@@ -23,11 +23,14 @@ handed.
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
 worker pool sized to the usable CPUs, for training and for forward-only
-passes alike, with the BLAS library held at one thread per worker.  Each op
-still runs on one thread, so forward values and gradients are bitwise
-reproducible for identical inputs.  When the pool is made, glibc is told to
-keep one malloc arena for all threads, so that memory a worker frees can be
-reused by the others instead of raising the peak.
+passes alike, with every OpenBLAS in the process (numpy's and scipy's) held
+at one thread per worker.  Each op still runs on one thread, so forward
+values and gradients are bitwise reproducible for identical inputs.
+`_blas_single_thread` holds BLAS the same way off the pool, for the feature
+GEMMs, so they give the same bits whatever the CPU count.  When the pool is
+made, glibc is told to keep one malloc arena for all threads, so that
+memory a worker frees can be reused by the others instead of raising the
+peak.
 """
 from __future__ import annotations
 
@@ -166,6 +169,7 @@ def _run_backward(root: Tensor, grad: np.ndarray | None) -> None:
 _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 # Below this many elements in all, a map's calls are strings of small numpy ops
@@ -174,10 +178,10 @@ _BLAS_THREAD_SYMBOLS = (
 # went from 2.7 to 5.1 ms on the pool.  A full-size slice holds 198k elements
 # per sample.
 _MIN_POOL_ELEMENTS = 1 << 15
-_pool_lock = threading.Lock()
+_pool_lock = threading.RLock()
 _pool: ThreadPoolExecutor | None = None
 _pool_ready = False
-_blas_controls: list[tuple] = []  # (get, set) of every loaded OpenBLAS
+_blas_controls: list[tuple] | None = None  # (get, set) of every loaded OpenBLAS, found once
 _worker = threading.local()  # .active: this thread is a pool worker
 
 
@@ -204,6 +208,16 @@ def _find_blas_controls() -> list[tuple]:
     return controls
 
 
+def _controls() -> list[tuple]:
+    """`_find_blas_controls()`, scanned on first use: importing lgpnet maps
+    numpy's OpenBLAS and, through scipy.fft, scipy's."""
+    global _blas_controls
+    with _pool_lock:
+        if _blas_controls is None:
+            _blas_controls = _find_blas_controls()
+        return _blas_controls
+
+
 def _mark_worker() -> None:
     _worker.active = True
 
@@ -226,12 +240,11 @@ def _one_malloc_arena() -> None:
 def _get_pool() -> ThreadPoolExecutor | None:
     """The shared pool, or None when the map must run inline: one usable CPU,
     or no way to hold the BLAS library at one thread per worker."""
-    global _pool, _pool_ready, _blas_controls
+    global _pool, _pool_ready
     with _pool_lock:
         if not _pool_ready:
             workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            _blas_controls = _find_blas_controls() if workers > 1 else []
-            if _blas_controls:
+            if workers > 1 and _controls():
                 _one_malloc_arena()
                 _pool = ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="lgpnet-branch", initializer=_mark_worker
@@ -248,13 +261,20 @@ def _pool_workers() -> int:
 
 @contextmanager
 def _blas_single_thread():
-    saved = [get() for get, _ in _blas_controls]
-    for _, set_ in _blas_controls:
+    """Hold every OpenBLAS at one thread, so that GEMMs give the same bits
+    whatever the CPU count.  A no-op on a pool worker, where the map that
+    runs it already does so."""
+    if getattr(_worker, "active", False):
+        yield
+        return
+    controls = _controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
         set_(1)
     try:
         yield
     finally:
-        for (_, set_), n in zip(_blas_controls, saved):
+        for (_, set_), n in zip(controls, saved):
             set_(n)
 
 

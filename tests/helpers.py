@@ -7,11 +7,27 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from lgpnet.tensor import Tensor, _result, _tracking, backward
+from lgpnet.tensor import Tensor, _find_blas_controls, _result, _tracking, backward
+
+
+@contextmanager
+def blas_threads(n: int):
+    """Every OpenBLAS in the process set to n threads; yields their (get, set)
+    pairs and restores the previous counts on exit."""
+    controls = _find_blas_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(n)
+    try:
+        yield controls
+    finally:
+        for (_, set_), k in zip(controls, saved):
+            set_(k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from lgpnet.cli import cli_main
 from lgpnet.config import load_config
 from lgpnet.errors import ConfigError
 from lgpnet.evaluation import compute_eer_records, score_file_read
-from lgpnet.corpus import parse_protocol
+from lgpnet.corpus import build_manifest, parse_protocol, read_wav
+from lgpnet.lfcc import lfcc_extract
 
 
 TINY_CFG = """
@@ -307,6 +309,65 @@ class TestUnreadableAudio:
         assert "SYN_JUNK.wav: not a readable PCM WAV file" in capsys.readouterr().err
         assert not out.exists()
         assert feature_reads == []
+
+
+class TestTrainGmmFrontEnd:
+    """train-gmm reads and extracts LFCC per utterance on the worker pool."""
+
+    def each_utterance(self, manifest, cfg):
+        return np.vstack([
+            lfcc_extract(read_wav(path, utt_id=label.utt_id), cfg.lfcc).values
+            for path, label in manifest.entries
+        ])
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    def test_frames_equal_each_utterance(self, cli_workspace, forced_pool, monkeypatch, pooled):
+        import lgpnet.cli as cli
+        import lgpnet.lfcc as lfcc
+        import lgpnet.tensor as tensor_mod
+
+        cfg = load_config(cli_workspace["cfg"])
+        manifest = build_manifest(parse_protocol(cli_workspace["protocol"]), cli_workspace["audio_dir"])
+        ref = self.each_utterance(manifest, cfg)
+        if pooled:
+            forced_pool(2)
+        else:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        threads = []
+        real = lfcc.lfcc_extract
+        monkeypatch.setattr(
+            lfcc, "lfcc_extract", lambda clip, c: threads.append(threading.get_ident()) or real(clip, c)
+        )
+        frames = cli._pooled_lfcc_frames(manifest, cfg)
+        assert np.array_equal(frames, ref)
+        assert len(threads) == len(manifest)
+        assert (threading.get_ident() in threads) != pooled
+
+    @pytest.mark.parametrize("bad", ["nan", "junk"])
+    def test_bad_wav_mid_manifest_names_it(self, cli_workspace, two_workers, tmp_path, capsys, bad):
+        good = [ln for ln in cli_workspace["protocol"].read_text().splitlines() if ln.strip()]
+        audio_dir = tmp_path / "wav"
+        audio_dir.mkdir()
+        for line in good:
+            utt = line.split()[1]
+            (audio_dir / f"{utt}.wav").write_bytes((cli_workspace["audio_dir"] / f"{utt}.wav").read_bytes())
+        samples = 0.1 * np.sin(np.arange(16000) * 0.05)
+        samples[4000] = np.nan
+        broken = wav_bytes_float32(samples) if bad == "nan" else b"junk"
+        (audio_dir / "BAD_MIDDLE.wav").write_bytes(broken)
+        (audio_dir / "BAD_LAST.wav").write_bytes(broken)
+        lines = [*good[:4], "SPK2 BAD_MIDDLE - A01 spoof", *good[4:], "SPK2 BAD_LAST - A01 spoof"]
+        protocol = tmp_path / "protocol.txt"
+        protocol.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "gmms"
+        code = cli_main([
+            "train-gmm", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--out", str(out), "--order", "16", "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "BAD_MIDDLE.wav: " in err and "BAD_LAST" not in err
+        assert not list(out.glob("gmm_*.bin"))
 
 
 class TestScoreV1Checkpoint:

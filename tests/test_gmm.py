@@ -183,8 +183,8 @@ class TestFusedEStep:
         "n, order, dim",
         [
             (100, 8, 3),  # fewer frames than one chunk
-            (2 * _EM_CHUNK + 37, 16, 5),  # not a multiple of the chunk
-            (_EM_WAVE * _EM_CHUNK + 5, 4, 2),  # more chunks than one pool map takes
+            (4 * _EM_CHUNK + 37, 16, 5),  # not a multiple of the chunk
+            (2 * _EM_WAVE * _EM_CHUNK + 5, 4, 2),  # more chunks than two pool maps take
             (300, 1, 4),  # one component
             (500, 8, 1),  # one dimension
         ],
@@ -195,6 +195,20 @@ class TestFusedEStep:
         data = rng.normal(scale=1.5, size=(n, dim)) + gmm.means[0]
         point_ll, stats = _e_step(gmm, data)
         ref_ll, nk, sum_x, sum_x2 = em_e_step_reference(gmm, data)
+        np.testing.assert_allclose(point_ll, ref_ll, rtol=1e-12, atol=0)
+        assert max_relative_error(stats[:, -1], nk) < 1e-12
+        assert max_relative_error(stats[:, dim:-1], sum_x) < 1e-12
+        assert max_relative_error(stats[:, :dim], sum_x2) < 1e-12
+
+    def test_matches_reference_on_the_pool(self, two_workers):
+        # three full chunks and a ragged one, on two workers
+        rng = np.random.default_rng(23)
+        n, order, dim = 3 * _EM_CHUNK + 11, 32, 6
+        gmm = random_split_gmm(rng, order, dim)
+        data = rng.normal(scale=1.5, size=(n, dim)) + gmm.means[0]
+        point_ll, stats = _e_step(gmm, data)
+        ref_ll, nk, sum_x, sum_x2 = em_e_step_reference(gmm, data)
+        assert stats.shape == (order, 2 * dim + 1)
         np.testing.assert_allclose(point_ll, ref_ll, rtol=1e-12, atol=0)
         assert max_relative_error(stats[:, -1], nk) < 1e-12
         assert max_relative_error(stats[:, dim:-1], sum_x) < 1e-12
@@ -300,6 +314,17 @@ class TestTrainBySplitting:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(Exception):
             train_by_splitting(np.zeros((10, 2)), 6)
+
+    def test_levels_equal_split_then_em_fit(self):
+        # the data variance, computed once per call, is what em_fit computes per level
+        rng = np.random.default_rng(29)
+        data = rng.normal(size=(600, 3)) * [1.0, 1e-3, 5.0] + rng.integers(0, 3, size=(600, 1))
+        cfg = EmConfig(n_iterations=3)
+        models = train_by_splitting(data, 16, cfg)
+        for parent, child in zip(models, models[1:]):
+            ref = em_fit(binary_split(parent, cfg), data, cfg)
+            for name in ("weights", "means", "variances"):
+                assert np.array_equal(getattr(child, name), getattr(ref, name)), name
 
     def test_frames_not_2d_rejected(self):
         with pytest.raises(ShapeError):

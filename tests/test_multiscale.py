@@ -1,13 +1,22 @@
+import sys
+
 import numpy as np
 import pytest
 
-from helpers import index_lists_by_offsets, random_bank, random_grouping_by_loop, random_split_gmm
+import lgpnet.tensor as tensor_mod
+from helpers import (
+    blas_threads,
+    index_lists_by_offsets,
+    random_bank,
+    random_grouping_by_loop,
+    random_split_gmm,
+)
 
 from lgpnet.errors import ConfigError, FormatError, ManifestError, ShapeError
 from lgpnet.gmm import lgp_transform
-from lgpnet.lfcc import FeatureMatrix
+from lgpnet.lfcc import FeatureMatrix, lfcc_extract
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
-from lgpnet.corpus import Manifest, UtteranceLabel, read_wav
+from lgpnet.corpus import AudioClip, Manifest, UtteranceLabel, read_wav
 from lgpnet.multiscale import (
     GmmBank,
     GroupAssignment,
@@ -307,6 +316,22 @@ class TestManifestLgp:
         assert batch.shape == (len(idx), 24, 50)
         assert np.array_equal(batch, stacked[idx])
 
+    def test_batch_on_more_workers_than_cores_equals_inline(self, tiny_pipeline, forced_pool, monkeypatch):
+        # workers write their utterances' rows into one batch array
+        p = tiny_pipeline
+        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        idx = np.array([3, 0, 7, 7, 12, 5, 9])
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        inline = src[idx]
+        forced_pool(3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = src[idx]
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(pooled, inline)
+
     def test_batches_are_c_contiguous(self, tiny_pipeline):
         p = tiny_pipeline
         src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
@@ -350,3 +375,18 @@ class TestGmmBank:
         rng = np.random.default_rng(18)
         with pytest.raises(ShapeError):
             GmmBank(gmms=[random_split_gmm(rng, 8, 2), random_split_gmm(rng, 16, 3)])
+
+
+class TestFrontEndBlasThreads:
+    """LFCC and LGP features are bitwise the same whatever the BLAS thread count."""
+
+    def test_lfcc_and_lgp_equal_at_one_and_two_threads(self):
+        rng = np.random.default_rng(61)
+        clip = AudioClip(samples=0.1 * rng.normal(size=64000), sample_rate=16000)  # 399 frames
+        bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
+        for fn in (lambda: lfcc_extract(clip).values, lambda: utterance_lgp(clip, bank).values):
+            with blas_threads(1):
+                one = fn()
+            with blas_threads(2):
+                two = fn()
+            assert np.array_equal(one, two)

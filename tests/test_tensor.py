@@ -3,7 +3,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients, conv1d_im2col
+from helpers import FD_REL_TOL, blas_threads, check_gradients, conv1d_im2col
 
 from lgpnet.errors import ShapeError
 from lgpnet.tensor import (
@@ -539,3 +539,36 @@ class TestBranchMap:
         backward(add(outs[0], outs[1]))
         assert idents == [caller, caller]
         assert np.array_equal(a.grad, [2.0, 2.0])
+
+
+def openblas_paths():
+    with open("/proc/self/maps") as fh:
+        return sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower() and "/" in ln})
+
+
+class TestBlasControls:
+    """Every OpenBLAS in the process (numpy's and scipy's) is held at one thread."""
+
+    @pytest.fixture
+    def two_blas_threads(self):
+        with blas_threads(2) as controls:
+            yield controls
+
+    def test_one_control_per_openblas_library(self):
+        import lgpnet.cli  # noqa: F401  (everything a command loads)
+
+        paths = openblas_paths()
+        assert len(paths) >= 1
+        assert len(tensor_mod._find_blas_controls()) == len(paths)
+
+    def test_every_openblas_reads_one_inside_a_map(self, two_workers, two_blas_threads):
+        seen = tensor_mod._parallel_map(lambda i: blas_thread_counts(), 2, 0)
+        assert seen == [[1] * len(two_blas_threads)] * 2
+        assert blas_thread_counts() == [2] * len(two_blas_threads)
+
+    def test_single_thread_without_a_pool(self, monkeypatch, two_blas_threads):
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        with tensor_mod._blas_single_thread():
+            inside = blas_thread_counts()
+        assert inside == [1] * len(two_blas_threads)
+        assert blas_thread_counts() == [2] * len(two_blas_threads)
