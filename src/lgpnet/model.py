@@ -19,12 +19,15 @@ own op or is folded into the convolution: it is folded when gradients are
 off (`no_grad`) and that BN is in eval mode.  The folded convolution has
 weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
 cached, and the ReLU after it runs in place on the array that convolution
-just made.  The aggregation convolution of the concatenated block outputs
-equals the sum of 1x1 convolutions of each block output with its slice of
-the weight, so each block's share is added as the block finishes, in both
-modes: no concatenation exists, and under `no_grad` no block output is
-held.  Folded scores agree with the unfolded forward to rounding (1e-10
-relative in the tests).
+just made.  A BN that is not folded applies the ReLU after it itself
+(`batchnorm1d(..., relu=True)`), in place on its own output, so a training
+graph holds neither the pre-activation nor a mask.  The aggregation
+convolution of the concatenated block outputs equals the sum of 1x1
+convolutions of each block output with its slice of the weight, so each
+block's share is added as the block finishes, in both modes: no
+concatenation exists, and under `no_grad` no block output is held.  Folded
+scores agree with the unfolded forward to rounding (1e-10 relative in the
+tests).
 """
 from __future__ import annotations
 
@@ -114,8 +117,8 @@ class BatchNorm1dLayer:
     def __init__(self, channels: int):
         self.state = BatchNormState(channels)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return batchnorm1d(x, self.state)
+    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
+        return batchnorm1d(x, self.state, relu=relu)
 
     def named_parameters(self):
         return [("gamma", self.state.gamma), ("beta", self.state.beta)]
@@ -135,9 +138,10 @@ def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, Batc
 
 def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None) -> Tensor:
     """relu(bn(y)), where y is the output of the caller's own conv1d call and
-    bn is None once folded; then nothing tracks y, and ReLU runs in place."""
+    bn is None once folded; then nothing tracks y, and ReLU runs in place.
+    Otherwise BN applies the ReLU itself, in place on its own output."""
     if bn is not None:
-        return relu(bn(y))
+        return bn(y, relu=True)
     np.maximum(y.data, 0.0, out=y.data)
     return y
 

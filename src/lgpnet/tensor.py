@@ -6,8 +6,23 @@ batch normalization, ReLU, max pooling over time, linear layers, softmax
 cross-entropy, the glue (add, mul, sum, tensor mean), and `split_channels`,
 which hands out a weight's input-channel slices as views.  Each op wires a
 backward closure onto its output; ``backward(loss)`` runs the closures in
-reverse topological order and then drops the graph, so a fresh forward pass
-is needed per step.
+reverse topological order and releases each node as soon as its closure has
+run: its gradient, closure and parent links are dropped.  Activations and
+interior gradients are therefore freed while the walk moves down the graph,
+only leaves (and the nodes without a closure that `branch_map` and
+`split_channels` hand out) keep their ``.grad``, and a fresh forward pass is
+needed per step.  Besides its parents, which its closure reads through
+their ``.data``, each op's backward keeps:
+
+- conv1d: its tap table and the weight array;
+- batchnorm1d: the per-channel mean and 1/std (the normalized input is
+  recomputed from x with the forward's own two ops, bit for bit) and, with
+  ``relu=True``, its own output, from which the ReLU mask is read;
+- relu: its own output, from which its mask is read;
+- mul: both operands' arrays;
+- max_pool_time: the argmax indices;
+- softmax_cross_entropy: the class probabilities;
+- linear, add, tsum, mean_tensors, split_channels: nothing more.
 
 Convolution is stride 1, and a sum over the k taps of one matrix product
 each.  One table gives every tap j its output range [lo, hi) and its input
@@ -121,10 +136,14 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn, track: b
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every leaf reachable from loss that requires grad.
 
-    The graph is consumed: closures and parent links are cleared so the
-    tensors can be garbage collected and a stale second call is impossible.
+    The graph is consumed as it is walked: once a node's closure has run, its
+    gradient, closure and parent links are cleared, so its activation and
+    gradient are freed before the walk goes further down (unless the caller
+    still holds the node), and a stale second call is impossible.  Leaves,
+    and the closure-less nodes that `branch_map` and `split_channels` hand
+    out, keep their gradients.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -132,7 +151,8 @@ def backward(loss: Tensor) -> None:
 
 
 def _run_backward(root: Tensor, grad: np.ndarray | None) -> None:
-    """Seed root with grad, run the closures below it, then drop its graph.
+    """Seed root with grad and run the closures below it, releasing each node
+    (gradient, closure, parent links) as soon as its closure has run.
 
     With grad None no closure runs (nothing reaches root); the graph is
     still dropped.
@@ -154,12 +174,15 @@ def _run_backward(root: Tensor, grad: np.ndarray | None) -> None:
                 stack.append((parent, False))
     if grad is not None:
         root._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is not None:
+            if grad is not None:
                 node._backward()
-    for node in topo:
+            node.grad = None
         node._backward = None
         node._prev = ()
+        del node
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +421,9 @@ def relu(a: Tensor) -> Tensor:
     track = _tracking(a)
     out = _result(np.maximum(a.data, 0.0), (a,), None, track)
     if track:
-        mask = a.data > 0
-
         def _bw():
             if a.requires_grad:
-                a._accumulate(out.grad * mask)
+                a._accumulate(out.grad * (out.data > 0))  # a > 0 exactly where max(a, 0) > 0
         out._backward = _bw
     return out
 
@@ -571,8 +592,13 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
-    """Normalize N x C x T per channel; batch stats in train mode, running in eval."""
+def batchnorm1d(x: Tensor, state: BatchNormState, relu: bool = False) -> Tensor:
+    """Normalize N x C x T per channel; batch stats in train mode, running in eval.
+
+    With relu=True the output is relu(bn(x)), computed in place on the
+    normalized array and bit for bit equal to `relu` of the plain output, so
+    neither the pre-activation nor a mask is held for backward.
+    """
     if x.ndim != 3:
         raise ShapeError("batchnorm1d expects N x C x T input")
     n, c, t = x.shape
@@ -600,6 +626,9 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
     xhat *= inv_std[None, :, None]
     np.multiply(gamma.data[None, :, None], xhat, out=y)
     y += beta.data[None, :, None]
+    del xhat  # backward recomputes it from x with the same two ops
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
     track = _tracking(x, gamma, beta)
     out = _result(y, (x, gamma, beta), None, track)
@@ -607,7 +636,10 @@ def batchnorm1d(x: Tensor, state: BatchNormState) -> Tensor:
         train_mode = state.mode == "train"
 
         def _bw():
-            g = out.grad
+            # relu's mask read from its output: y > 0 exactly where max(y, 0) > 0, NaN included
+            g = out.grad * (out.data > 0) if relu else out.grad
+            xhat = x.data - mean[None, :, None]
+            xhat *= inv_std[None, :, None]
             g_xhat = g * xhat
             g_gamma = g_xhat.sum(axis=(0, 2))
             g_beta = g.sum(axis=(0, 2))

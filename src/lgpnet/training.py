@@ -12,6 +12,7 @@ the loss to CE(b, y) alone (ablation).
 from __future__ import annotations
 
 import csv
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,12 +72,17 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        self.scratch = threading.local()  # .pair: a thread's two flat arrays for adam_step
 
 
 def adam_step(state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; missing grads count as zero.
 
     Parameters are updated independently, on the tensor engine's worker pool.
+    Each update runs in place, through two scratch arrays per thread sized to
+    the largest parameter, in the order of the textbook expression
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits are those of
+    that expression.
     """
     state.step_count += 1
     t = state.step_count
@@ -85,12 +91,19 @@ def adam_step(state: AdamState, lr: float) -> None:
 
     def update(i: int) -> None:
         p, m, v = state.params[i], state.m[i], state.v[i]
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        g = p.grad if p.grad is not None else np.broadcast_to(0.0, p.shape)
+        if not hasattr(state.scratch, "pair"):
+            largest = max(q.size for q in state.params)
+            state.scratch.pair = (np.empty(largest), np.empty(largest))
+        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch.pair)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=a)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.square(g, out=a)
+        v += np.multiply(1.0 - state.beta2, a, out=a)
+        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+        p.data -= np.divide(a, b, out=a)
 
     _parallel_map(update, len(state.params), sum(p.size for p in state.params))
 
@@ -140,9 +153,9 @@ def run_epoch(
     total = 0.0
     for idx in _batch_indices(perm.size, cfg.batch_size):
         batch = perm[idx]
+        model.zero_grad()  # before the forward, so the last step's gradients are not held through it
         output = model(feats[batch], assignment)
         loss = loss_fn(output, labels[batch])
-        model.zero_grad()
         backward(loss)
         adam_step(state, lr)
         total += loss.item() * batch.size
@@ -187,8 +200,9 @@ def _snapshot(model: GroupedResNetEnsemble) -> list[np.ndarray]:
 
 
 def _restore(model: GroupedResNetEnsemble, snap: list[np.ndarray]) -> None:
+    """Hand the snapshot's arrays to the model; the snapshot is not used again."""
     for (_, owner, attr), data in zip(model.stored_arrays(), snap):
-        setattr(owner, attr, data.copy())
+        setattr(owner, attr, data)
 
 
 def train(
@@ -226,7 +240,7 @@ def train(
     log_rows: list[dict] = []
     monitor_history: list[float] = []
     best_value = np.inf
-    best_snap = _snapshot(model)
+    best_snap = None  # every finite epoch 1 replaces it, and a non-finite one raises
     lr = train_cfg.learning_rate
     log_file = None
     writer = None

@@ -216,6 +216,88 @@ def branch_by_concat(branch, x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# batchnorm1d's gradients as computed when its forward kept x-hat for the backward
+
+
+def batchnorm1d_grads_keeping_xhat(x: np.ndarray, state, g: np.ndarray):
+    """(dx, dgamma, dbeta) of batchnorm1d at x for upstream gradient g: the
+    library's former backward, fed the x-hat its forward computed, before
+    the forward (in train mode) updates the running statistics."""
+    from lgpnet.tensor import BN_EPS
+
+    n, c, t = x.shape
+    train_mode = state.mode == "train"
+    if train_mode:
+        mean = x.mean(axis=(0, 2))
+        xhat = x - mean[None, :, None]
+        var = np.square(xhat).mean(axis=(0, 2))
+    else:
+        mean, var = state.running_mean, state.running_var
+        xhat = x - mean[None, :, None]
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    xhat *= inv_std[None, :, None]
+    g_xhat = g * xhat
+    g_gamma = g_xhat.sum(axis=(0, 2))
+    g_beta = g.sum(axis=(0, 2))
+    scale = state.gamma.data * inv_std
+    gx = g * scale[None, :, None]
+    if train_mode:
+        np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
+        g_xhat += (scale * g_beta / (n * t))[None, :, None]
+        gx -= g_xhat
+    return gx, g_gamma, g_beta
+
+
+# ---------------------------------------------------------------------------
+# Adam as one expression per parameter: the library's former update, kept as
+# a reference for the in-place one
+
+
+def adam_step_by_expression(state, lr: float) -> None:
+    """One Adam step on an AdamState, each parameter updated by numpy
+    expressions that allocate their temporaries; a missing grad is zeros."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p, m, v in zip(state.params, state.m, state.v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g**2
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+# ---------------------------------------------------------------------------
+# training memory at full size
+
+
+def full_size_steps_peak_rss_mb(batch: int, steps: int = 2) -> float:
+    """Peak RSS, in MiB, of this process after `steps` training steps of the
+    full-size default network (8 branches, 1984 x 400 LGP input) at `batch`
+    samples, run by `run_epoch`.  Meaningful in a fresh interpreter only: the
+    peak is the process's high-water mark."""
+    import resource
+
+    from lgpnet.model import ModelCfg, build_model
+    from lgpnet.multiscale import GroupAssignment
+    from lgpnet.training import AdamState, TrainConfig, run_epoch
+
+    cfg = ModelCfg()
+    orders = (64, 128, 256, 512, 1024)
+    assignment = GroupAssignment({o: np.arange(o) % cfg.n_groups for o in orders}, cfg.n_groups)
+    model = build_model(cfg, seed=0)
+    feats = np.random.default_rng(0).normal(size=(batch, sum(orders), 400))
+    labels = np.arange(batch) % 2
+    state = AdamState(model.parameters())
+    train_cfg = TrainConfig(batch_size=batch, epochs=1)
+    for _ in range(steps):
+        run_epoch(model, assignment, feats, labels, train_cfg, state, np.arange(batch), train_cfg.learning_rate)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+# ---------------------------------------------------------------------------
 # brute-force EER oracle: FAR/FRR at every score value, naive counting
 
 

@@ -82,14 +82,20 @@ class TestImprovedResidualBlock:
         assert standard.n_activations == 2
 
     def test_activation_sites_in_forward_graph(self, monkeypatch):
+        # a ReLU site is a `relu` call or a batchnorm1d that applies the ReLU itself
         calls = {"n": 0}
-        real_relu = model_mod.relu
+        real_relu, real_bn = model_mod.relu, model_mod.batchnorm1d
 
         def counting_relu(x):
             calls["n"] += 1
             return real_relu(x)
 
+        def counting_bn(x, state, relu=False):
+            calls["n"] += relu
+            return real_bn(x, state, relu=relu)
+
         monkeypatch.setattr(model_mod, "relu", counting_relu)
+        monkeypatch.setattr(model_mod, "batchnorm1d", counting_bn)
         rng = np.random.default_rng(2)
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
         block(Tensor(rng.normal(size=(1, 4, 5))))

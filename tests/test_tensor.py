@@ -1,9 +1,17 @@
 import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, blas_threads, check_gradients, conv1d_im2col
+from helpers import (
+    FD_REL_TOL,
+    batchnorm1d_grads_keeping_xhat,
+    blas_threads,
+    check_gradients,
+    conv1d_im2col,
+)
 
 from lgpnet.errors import ShapeError
 from lgpnet.tensor import (
@@ -252,6 +260,59 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             batchnorm1d(Tensor(np.ones((1, 2, 1))), BatchNormState(2))
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_recomputed_xhat_gives_the_former_gradients_bitwise(self, mode):
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(loc=1.5, size=(3, 4, 9)), requires_grad=True)
+        g = rng.normal(size=x.shape)
+        state = self._state(mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4),
+                            rng.uniform(0.5, 2.0, size=4))
+        expected = batchnorm1d_grads_keeping_xhat(x.data, state, g)
+        backward((batchnorm1d(x, state) * Tensor(g)).sum())
+        for got, ref in zip((x.grad, state.gamma.grad, state.beta.grad), expected):
+            assert got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def _state(mode, gamma, beta, running_mean, running_var):
+        state = BatchNormState(gamma.size)
+        state.mode, state.gamma.data, state.beta.data = mode, gamma.copy(), beta.copy()
+        state.running_mean, state.running_var = running_mean.copy(), running_var.copy()
+        return state
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("inputs", ["normal", "nan", "signed_zero"])
+    def test_fused_relu_is_bitwise_relu_of_bn(self, mode, inputs):
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(3, 4, 7))
+        stats = [mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
+        if inputs == "nan":
+            x[1, 2, 3] = np.nan
+        elif inputs == "signed_zero":
+            # channel 1 gives exactly -0.0 wherever its input equals its mean, 4.0 in
+            # either mode: (+0.0 * -|gamma|) + -0.0
+            x[:, 1, :] = [2.0, 6.0, 2.0, 6.0, 2.0, 6.0, 4.0]
+            stats[1][1], stats[2][1], stats[3][1] = -abs(stats[1][1]), -0.0, 4.0
+            x[0, 0, 0] = -0.0
+        coeffs = rng.normal(size=x.shape)
+        # output, x grad, gamma grad, beta grad and running statistics, fused and separate
+        fused, separate = [], []
+        for results, op in ((fused, lambda t, st: batchnorm1d(t, st, relu=True)),
+                            (separate, lambda t, st: relu(batchnorm1d(t, st)))):
+            state, xt = self._state(*stats), Tensor(x.copy(), requires_grad=True)
+            out = op(xt, state)
+            backward((out * Tensor(coeffs)).sum())
+            results += [out.data, xt.grad, state.gamma.grad, state.beta.grad,
+                        state.running_mean, state.running_var]
+        if inputs == "signed_zero":
+            # the case is real: the plain BN output holds -0.0, and relu turns it to +0.0
+            plain = batchnorm1d(Tensor(x), self._state(*stats)).data
+            assert np.any((plain == 0) & np.signbit(plain))
+            assert not np.signbit(fused[0][plain == 0]).any()
+        if inputs == "nan":
+            assert np.isnan(fused[0]).any() and np.isnan(fused[2]).any()
+        for got, ref in zip(fused, separate):
+            assert got.tobytes() == ref.tobytes()
+
 
 class TestSimpleOps:
     def test_relu_values(self):
@@ -449,6 +510,92 @@ class TestBackward:
         out2, grad2 = run()
         assert np.array_equal(out1, out2)
         assert np.array_equal(grad1, grad2)
+
+
+def residual_chain(rng, x, blocks, c):
+    """A small branch in the shape of the network's: an entry 1x1 conv and BN-ReLU,
+    `blocks` blocks of conv, BN-ReLU and conv plus the block input, max pooling
+    and a linear classifier; returns (loss, parameters, the first conv's output)."""
+    def param(*shape):
+        return Tensor(rng.normal(size=shape) * 0.3, requires_grad=True)
+
+    params = [param(c, x.shape[1], 1), param(c)]
+    bottom = conv1d(x, params[0], params[1])
+    h = batchnorm1d(bottom, BatchNormState(c), relu=True)
+    for _ in range(blocks):
+        w1, b1, w2, b2 = param(c, c, 3), param(c), param(c, c, 3), param(c)
+        state = BatchNormState(c)
+        params += [w1, b1, w2, b2, state.gamma, state.beta]
+        a = batchnorm1d(conv1d(h, w1, b1, padding=1), state, relu=True)
+        h = conv1d(a, w2, b2, padding=1, residual=h)
+    wl, bl = param(2, c), param(2)
+    params += [wl, bl]
+    loss = softmax_cross_entropy(linear(max_pool_time(h), wl, bl), np.array([0, 1]))
+    return loss, params, bottom
+
+
+class TestGraphRelease:
+    """backward frees each node's activation and gradient once its closure has run."""
+
+    def test_interior_grads_released_and_leaf_grads_kept(self, two_workers):
+        rng = np.random.default_rng(51)
+        x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+        w, b = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
+        state = BatchNormState(4)
+        h = conv1d(x, w, b, padding=1)
+        a = batchnorm1d(h, state, relu=True)
+        outs = branch_map(lambda i, t: tsum(mul(t, float(i + 1))), [a, a])
+        parts = split_channels(w, 3)
+        loss = add(add(outs[0], outs[1]), tsum(mul(parts[1], parts[2])))
+        backward(loss)
+        for t in (h, a, loss):
+            assert t.grad is None
+        for t in (x, w, b, state.gamma, state.beta, *outs, *parts[1:]):
+            assert t.grad is not None
+
+    def test_top_activation_is_freed_before_the_bottom_closure_runs(self):
+        rng = np.random.default_rng(52)
+        loss, _, bottom = residual_chain(rng, Tensor(rng.normal(size=(2, 3, 16))), 3, 4)
+        top = loss._prev[0]._prev[0]._prev[0]  # the last block's output, below pooling
+        top_data = weakref.ref(top.data)
+        del top
+        seen = []
+
+        def probe(closure=bottom._backward):
+            seen.append(top_data() is None)
+            closure()
+
+        bottom._backward = probe
+        del bottom
+        backward(loss)
+        assert seen == [True]
+
+    def test_backward_peak_does_not_grow_with_depth(self):
+        # What backward allocates above the end-of-forward size is one op's working
+        # set, whatever the depth: a deeper branch adds less than one activation to it.
+        # (Kept until the end, the interior gradients would add three per block.)
+        n, c, t = 2, 4, 2000
+        activation = n * c * t * 8
+
+        def excess(blocks):
+            rng = np.random.default_rng(53)
+            x = Tensor(rng.normal(size=(n, 3, t)))
+            tracemalloc.start()
+            try:
+                loss, params, bottom = residual_chain(rng, x, blocks, c)
+                del bottom
+                end_of_forward = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                backward(loss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert all(p.grad is not None for p in params)
+            return peak - end_of_forward
+
+        shallow, deep = excess(2), excess(6)
+        assert deep <= shallow + activation
+        assert deep <= 8 * activation
 
 
 def blas_thread_counts():

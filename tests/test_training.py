@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import FD_REL_TOL, check_gradients
+import lgpnet.tensor as tensor_mod
+
+from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients
 
 from lgpnet.corpus import Manifest
 from lgpnet.errors import LgpnetError, ManifestError, NonFiniteLossError
@@ -127,6 +129,37 @@ class TestAdam:
         state = AdamState([p])
         adam_step(state, lr=0.1)
         assert np.array_equal(p.data, [1.0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_in_place_update_is_bitwise_the_expression(self, workers, forced_pool, monkeypatch):
+        # 20 arrays of mixed shapes and sizes, signed zeros among the values and
+        # gradients, and one parameter that never gets a gradient
+        rng = np.random.default_rng(61)
+        shapes = [(int(rng.integers(1, 40)),) * int(rng.integers(1, 4)) for _ in range(19)] + [(3, 1536)]
+        if workers == 1:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        else:
+            forced_pool(workers)
+
+        def make():
+            params = [Tensor(np.random.default_rng(i).normal(size=s), requires_grad=True)
+                      for i, s in enumerate(shapes)]
+            params[0].data.ravel()[:2] = [0.0, -0.0]
+            return params, AdamState(params)
+
+        got, got_state = make()
+        ref, ref_state = make()
+        for step in range(3):
+            for i, (p, q) in enumerate(zip(got, ref)):
+                g = None if i == 7 else rng.normal(size=p.shape)
+                if g is not None:
+                    g.ravel()[0] = -0.0
+                p.grad = q.grad = g
+            adam_step(got_state, lr=1e-2)
+            adam_step_by_expression(ref_state, lr=1e-2)
+        for p, q, m, mr, v, vr in zip(got, ref, got_state.m, ref_state.m, got_state.v, ref_state.v):
+            assert p.data.tobytes() == q.data.tobytes()
+            assert m.tobytes() == mr.tobytes() and v.tobytes() == vr.tobytes()
 
 
 class TestReduceOnPlateau:
