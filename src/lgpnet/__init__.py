@@ -74,6 +74,7 @@ from .multiscale import (
 from .tensor import (
     BatchNormState,
     Tensor,
+    aggregate,
     backward,
     batchnorm1d,
     conv1d,
@@ -83,7 +84,6 @@ from .tensor import (
     no_grad,
     relu,
     softmax_cross_entropy,
-    split_channels,
 )
 from .training import (
     AdamState,

@@ -192,7 +192,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return _COMMANDS[args.command](args)
-    except (LgpnetError, FileNotFoundError, ValueError) as exc:
+    except (LgpnetError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,12 +22,13 @@ cached, and the ReLU after it runs in place on the array that convolution
 just made.  A BN that is not folded applies the ReLU after it itself
 (`batchnorm1d(..., relu=True)`), in place on its own output, so a training
 graph holds neither the pre-activation nor a mask.  The aggregation
-convolution of the concatenated block outputs equals the sum of 1x1
-convolutions of each block output with its slice of the weight, so each
-block's share is added as the block finishes, in both modes: no
-concatenation exists, and under `no_grad` no block output is held.  Folded
-scores agree with the unfolded forward to rounding (1e-10 relative in the
-tests).
+convolution of the concatenated block outputs is one `aggregate` op fed
+the block outputs as the blocks make them, so each block's share is added
+to one output array as the block finishes, in both modes: no concatenation
+and no partial sum exists.  In training the op keeps only the block
+outputs, which the graph holds anyway; under `no_grad` it keeps none.
+Folded scores agree with the unfolded forward to rounding (1e-10 relative
+in the tests).
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ from .tensor import (
     BatchNormState,
     Tensor,
     add,
+    aggregate,
     batchnorm1d,
     branch_map,
     conv1d,
@@ -52,7 +54,6 @@ from .tensor import (
     max_pool_time,
     mean_tensors,
     relu,
-    split_channels,
 )
 
 _CKPT_VERSION = 1
@@ -235,20 +236,19 @@ class GroupBranch:
             self.mfa_bn = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = _conv_bn_relu(self.entry_conv, self.entry_bn, x)
-        if not self.cfg.mfa:
-            for block in self.blocks:
-                h = block(h)
-            return max_pool_time(h)
-        # the MFA conv of the concatenated block outputs, as a running sum of each
-        # block's 1x1 conv with its input-channel slice of the weight
-        weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn)
-        zero = Tensor(np.zeros(bias.shape))
-        agg = None
-        for block, share in zip(self.blocks, split_channels(weight, len(self.blocks))):
+        outputs = self._block_outputs(_conv_bn_relu(self.entry_conv, self.entry_bn, x))
+        if self.cfg.mfa:
+            weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn)
+            return max_pool_time(_bn_relu(aggregate(outputs, weight, bias), bn))
+        for h in outputs:  # without MFA the last block's output is pooled
+            pass
+        return max_pool_time(h)
+
+    def _block_outputs(self, h: Tensor):
+        """Each block's output in turn, each made when it is asked for."""
+        for block in self.blocks:
             h = block(h)
-            agg = conv1d(h, share, bias if agg is None else zero, residual=agg)
-        return max_pool_time(_bn_relu(agg, bn))
+            yield h
 
     def sublayers(self):
         layers = [("entry_conv", self.entry_conv), ("entry_bn", self.entry_bn)]

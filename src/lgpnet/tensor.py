@@ -2,19 +2,21 @@
 
 Covers exactly the operations the grouped 1-d residual network needs:
 convolution (with an optional ``residual`` operand added to its output),
-batch normalization, ReLU, max pooling over time, linear layers, softmax
-cross-entropy, the glue (add, mul, sum, tensor mean), and `split_channels`,
-which hands out a weight's input-channel slices as views.  Each op wires a
-backward closure onto its output; ``backward(loss)`` runs the closures in
-reverse topological order and releases each node as soon as its closure has
-run: its gradient, closure and parent links are dropped.  Activations and
-interior gradients are therefore freed while the walk moves down the graph,
-only leaves (and the nodes without a closure that `branch_map` and
-`split_channels` hand out) keep their ``.grad``, and a fresh forward pass is
-needed per step.  Besides its parents, which its closure reads through
-their ``.data``, each op's backward keeps:
+`aggregate` (the 1x1 convolution of a channel concatenation, summed input
+by input without the concatenation), batch normalization, ReLU, max pooling
+over time, linear layers, softmax cross-entropy, and the glue (add, mul,
+sum, tensor mean).  Each op wires a backward closure onto its output;
+``backward(loss)`` runs the closures in reverse topological order and
+releases each node as soon as its closure has run: its gradient, closure
+and parent links are dropped.  Activations and interior gradients are
+therefore freed while the walk moves down the graph, only leaves (and the
+nodes without a closure that `branch_map` hands out) keep their ``.grad``,
+and a fresh forward pass is needed per step.  Besides its parents, which
+its closure reads through their ``.data``, each op's backward keeps:
 
 - conv1d: its tap table and the weight array;
+- aggregate: each input's channel range; its links share the one output
+  array, so no partial sum is held;
 - batchnorm1d: the per-channel mean and 1/std (the normalized input is
   recomputed from x with the forward's own two ops, bit for bit) and, with
   ``relu=True``, its own output, from which the ReLU mask is read;
@@ -22,7 +24,7 @@ their ``.data``, each op's backward keeps:
 - mul: both operands' arrays;
 - max_pool_time: the argmax indices;
 - softmax_cross_entropy: the class probabilities;
-- linear, add, tsum, mean_tensors, split_channels: nothing more.
+- linear, add, tsum, mean_tensors: nothing more.
 
 Convolution is stride 1, and a sum over the k taps of one matrix product
 each.  One table gives every tap j its output range [lo, hi) and its input
@@ -142,8 +144,8 @@ def backward(loss: Tensor) -> None:
     gradient, closure and parent links are cleared, so its activation and
     gradient are freed before the walk goes further down (unless the caller
     still holds the node), and a stale second call is impossible.  Leaves,
-    and the closure-less nodes that `branch_map` and `split_channels` hand
-    out, keep their gradients.
+    and the closure-less nodes that `branch_map` hands out, keep their
+    gradients.
     """
     if loss.data.ndim != 0:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -428,30 +430,6 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def split_channels(w: Tensor, n: int) -> list[Tensor]:
-    """The n equal input-channel slices of a C_out x C_in x k weight, as views.
-
-    While gradients are tracked the slices hang off one shared node, whose
-    backward puts their gradients together into one array for w.
-    """
-    if w.ndim != 3 or n < 1 or w.shape[1] % n:
-        raise ShapeError(f"cannot split a weight of shape {w.shape} into {n} input-channel slices")
-    c = w.shape[1] // n
-    views = [w.data[:, i * c : (i + 1) * c] for i in range(n)]
-    if not _tracking(w):
-        return [Tensor(v) for v in views]
-    hub = _result(np.zeros(()), (w,), None, True)
-    parts = [_result(v, (hub,), None, True) for v in views]
-
-    def _bw():
-        w._accumulate(np.concatenate(
-            [p.grad if p.grad is not None else np.zeros(p.shape) for p in parts], axis=1
-        ))
-
-    hub._backward = _bw
-    return parts
-
-
 def mean_tensors(tensors: list[Tensor]) -> Tensor:
     """Elementwise mean of same-shape tensors (the ensemble average)."""
     if not tensors:
@@ -571,6 +549,77 @@ def conv1d(
 
         out._backward = _bw
     return out
+
+
+def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
+    """conv1d of the channel concatenation of xs with a C_out x C_in x 1 weight,
+    without the concatenation: bias plus, for each x in turn, x's 1x1
+    convolution with its input-channel slice of the weight.
+
+    xs may be a generator.  Each x's share is added to the one output array
+    as soon as x arrives, so no partial sum exists after that, and under
+    `no_grad` no x is kept either.  While gradients are tracked, the output
+    is the top of a chain with one link per x; every link's data is that
+    same output array.  A link keeps its x, which the graph holds anyway,
+    and its backward gives x its share of the gradient and passes the
+    output's gradient on to the link below.  The bottom link also gives the
+    weight and bias theirs.  So the shares are made one at a time as the walk
+    goes down, in the order a chain of residual convolutions would make them.
+    """
+    if weight.ndim != 3 or weight.shape[2] != 1:
+        raise ShapeError(f"aggregate needs a C_out x C_in x 1 weight, got shape {weight.shape}")
+    c_out, c_in, _ = weight.shape
+    if bias.shape != (c_out,):
+        raise ShapeError(f"aggregate bias must have shape ({c_out},)")
+    w = weight.data
+    parts: list[tuple[Tensor, int, int]] = []  # (x, lo, hi): x meets input channels lo..hi-1
+    y = term = None
+    hi = 0
+    for x in xs:
+        if x.ndim != 3 or hi + x.shape[1] > c_in:
+            raise ShapeError(f"aggregate input of shape {x.shape} does not fit a weight of {c_in} input channels")
+        lo, hi = hi, hi + x.shape[1]
+        if y is None:
+            y = np.matmul(w[:, lo:hi, 0], x.data)
+            y += bias.data[None, :, None]
+        else:
+            if (x.shape[0], x.shape[2]) != (y.shape[0], y.shape[2]):
+                raise ShapeError(f"aggregate input of shape {x.shape} does not match output {y.shape}")
+            if term is None:
+                term = np.empty_like(y)
+            y += np.matmul(w[:, lo:hi, 0], x.data, out=term)
+        if _grad_enabled:
+            parts.append((x, lo, hi))
+    if y is None or hi != c_in:
+        raise ShapeError(f"aggregate inputs have {hi} channels in all, the weight {c_in}")
+
+    if not _tracking(weight, bias, *(x for x, _, _ in parts)):
+        return Tensor(y)
+    gw = None  # the weight's gradient, filled slice by slice
+    link = None
+    for x, lo, hi in parts:
+        below = link
+        link = _result(y, (x, weight, bias) if below is None else (x, below), None, True)
+
+        def _bw(link=link, below=below, x=x, lo=lo, hi=hi):
+            nonlocal gw
+            g = link.grad  # N x C_out x T, the output's gradient
+            if below is not None:
+                below._accumulate(g)
+            elif bias.requires_grad:
+                bias._accumulate(g.sum(axis=(0, 2)))
+            if weight.requires_grad:
+                if gw is None:
+                    gw = np.zeros(w.shape)
+                # dW[:, lo:hi, 0] = sum_n g[n] @ x[n].T
+                np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0, out=gw[:, lo:hi, 0])
+                if below is None:
+                    weight._accumulate(gw)
+            if x.requires_grad:
+                x._accumulate(np.matmul(w[:, lo:hi, 0].T, g))
+
+        link._backward = _bw
+    return link
 
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-statistics update

@@ -11,7 +11,10 @@ the loss to CE(b, y) alone (ablation).
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
+import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,6 +140,17 @@ def _batch_indices(n: int, batch_size: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
+def _forward(
+    model: GroupedResNetEnsemble,
+    assignment: GroupAssignment,
+    feats: np.ndarray | ManifestLgp,
+    idx: np.ndarray,
+) -> ModelOutput:
+    """The model's output for the batch feats[idx], handed only that batch's
+    group slices, so the stacked batch is freed before the first branch runs."""
+    return model.forward_slices([Tensor(x) for x in assignment.split(feats[idx])])
+
+
 def run_epoch(
     model: GroupedResNetEnsemble,
     assignment: GroupAssignment,
@@ -154,7 +168,7 @@ def run_epoch(
     for idx in _batch_indices(perm.size, cfg.batch_size):
         batch = perm[idx]
         model.zero_grad()  # before the forward, so the last step's gradients are not held through it
-        output = model(feats[batch], assignment)
+        output = _forward(model, assignment, feats, batch)
         loss = loss_fn(output, labels[batch])
         backward(loss)
         adam_step(state, lr)
@@ -175,7 +189,7 @@ def evaluate_loss(
     total = 0.0
     with no_grad():
         for idx in _batch_indices(labels.size, cfg.batch_size):
-            output = model(feats[idx], assignment)
+            output = _forward(model, assignment, feats, idx)
             total += loss_fn(output, labels[idx]).item() * idx.size
     return total / labels.size
 
@@ -191,18 +205,29 @@ def predict_logits(
     outs = []
     with no_grad():
         for idx in _batch_indices(len(feats), batch_size):
-            outs.append(model(feats[idx], assignment).ensemble_logits.data)
+            outs.append(_forward(model, assignment, feats, idx).ensemble_logits.data)
     return np.vstack(outs)
 
 
-def _snapshot(model: GroupedResNetEnsemble) -> list[np.ndarray]:
-    return [getattr(owner, attr).copy() for _, owner, attr in model.stored_arrays()]
+def _best_epoch_file(checkpoint_path: str | Path | None) -> str:
+    """A new empty file for the best epoch's arrays: in the checkpoint's
+    directory, so that `os.replace` can later move it there, or in the system
+    temp dir when there is no checkpoint path.  An unusable checkpoint
+    directory raises OSError here."""
+    directory, prefix = None, ".lgpnet-best-"
+    if checkpoint_path is not None:
+        directory = os.path.dirname(os.path.abspath(checkpoint_path))
+        prefix = f".{os.path.basename(checkpoint_path)}."
+    fd, path = tempfile.mkstemp(suffix=".tmp", prefix=prefix, dir=directory)
+    os.close(fd)
+    return path
 
 
-def _restore(model: GroupedResNetEnsemble, snap: list[np.ndarray]) -> None:
-    """Hand the snapshot's arrays to the model; the snapshot is not used again."""
-    for (_, owner, attr), data in zip(model.stored_arrays(), snap):
-        setattr(owner, attr, data)
+def _restore(model: GroupedResNetEnsemble, path: str) -> None:
+    """Load the stored arrays that `save_checkpoint` wrote to path into the model."""
+    with np.load(path) as data:
+        for key, owner, attr in model.stored_arrays():
+            setattr(owner, attr, data[key])
 
 
 def train(
@@ -221,12 +246,18 @@ def train(
 
     Deterministic given train_cfg.seed: the same generator drives parameter
     initialization and every epoch's shuffle.  The monitored loss is the
-    dev-set loss when a dev manifest is given, the training loss otherwise;
-    the best-monitored parameters are restored (and written to
-    checkpoint_path, when given) at the end.  A NaN or infinite loss in any
-    epoch raises NonFiniteLossError and writes no checkpoint.  Features are
-    computed from the audio batch by batch, in every epoch; an empty train
-    or dev manifest raises ManifestError before the first one.
+    dev-set loss when a dev manifest is given, the training loss otherwise.
+    Each epoch that improves it is written with `save_checkpoint` to one
+    file, made before epoch 1 in checkpoint_path's directory (an unusable
+    directory raises OSError there) or in the system temp dir; no copy of
+    the arrays is kept in memory.  At the end the parameter gradients and
+    Adam's moments are dropped, the best epoch's arrays are reloaded when a
+    later epoch was worse, and the file is moved onto checkpoint_path, or
+    deleted when there is none.  A NaN or infinite loss in any epoch raises
+    NonFiniteLossError; on that or any other error the file is removed and
+    no checkpoint is written.  Features are computed from the audio batch by
+    batch, in every epoch; an empty train or dev manifest raises
+    ManifestError before the first one.
     """
     feats = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
     dev = None
@@ -240,16 +271,17 @@ def train(
     log_rows: list[dict] = []
     monitor_history: list[float] = []
     best_value = np.inf
-    best_snap = None  # every finite epoch 1 replaces it, and a non-finite one raises
+    best_epoch = 0
     lr = train_cfg.learning_rate
     log_file = None
     writer = None
-    if log_path is not None:
-        log_file = open(log_path, "a", newline="")
-        writer = csv.writer(log_file)
-        if log_file.tell() == 0:
-            writer.writerow(["epoch", "train_loss", "dev_loss", "lr"])
+    best_file = _best_epoch_file(checkpoint_path)
     try:
+        if log_path is not None:
+            log_file = open(log_path, "a", newline="")
+            writer = csv.writer(log_file)
+            if log_file.tell() == 0:
+                writer.writerow(["epoch", "train_loss", "dev_loss", "lr"])
         for epoch in range(1, train_cfg.epochs + 1):
             perm = rng.permutation(len(feats))
             train_loss = run_epoch(model, assignment, feats, feats.labels, train_cfg, state, perm, lr)
@@ -269,14 +301,23 @@ def train(
                     f"monitored {dev_loss!r})"
                 )
             if dev_loss < best_value:
-                best_value = dev_loss
-                best_snap = _snapshot(model)
+                best_value, best_epoch = dev_loss, epoch
+                save_checkpoint(best_file, model, assignment)
             lr = reduce_on_plateau(monitor_history, train_cfg)
+
+        # nothing below reads the gradients or the moments: free them before the reload
+        model.zero_grad()
+        del state
+        if best_epoch != train_cfg.epochs:
+            _restore(model, best_file)
+        if checkpoint_path is not None:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(best_file, 0o666 & ~umask)  # the mode open() would have given it
+            os.replace(best_file, checkpoint_path)
     finally:
         if log_file is not None:
             log_file.close()
-
-    _restore(model, best_snap)
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, model, assignment)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(best_file)
     return model, log_rows

@@ -180,8 +180,8 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
 
 
 # ---------------------------------------------------------------------------
-# multi-scale aggregation over a concatenation: the library's former branch
-# forward, kept as a reference for the block-by-block sum
+# multi-scale aggregation over a concatenation and as a chain of convs: the
+# library's former branch forwards, kept as references for `aggregate`
 
 
 def concat_by_copy(tensors: list[Tensor]) -> Tensor:
@@ -213,6 +213,32 @@ def branch_by_concat(branch, x: Tensor) -> Tensor:
     conv = branch.mfa_conv
     m = conv1d(concat_by_copy(outs), conv.weight, conv.bias)
     return max_pool_time(relu(branch.mfa_bn(m)))
+
+
+def branch_by_conv_chain(branch, x: Tensor) -> tuple[Tensor, list[Tensor]]:
+    """A GroupBranch's embedding with the MFA conv summed as the library summed
+    it before `aggregate`: a chain of 1x1 convs, one per block output, each with
+    its own slice of the weight and the previous conv's output as its residual.
+
+    Returns the embedding and the weight slices, leaves whose gradients put
+    together along the input channels are the MFA weight's gradient.
+    """
+    from lgpnet.model import _bn_relu, _conv_bn_relu, _fold
+    from lgpnet.tensor import conv1d, max_pool_time
+
+    h = _conv_bn_relu(branch.entry_conv, branch.entry_bn, x)
+    weight, bias, bn = _fold(branch.mfa_conv, branch.mfa_bn)
+    c = weight.shape[1] // len(branch.blocks)
+    shares = [
+        Tensor(weight.data[:, i * c : (i + 1) * c], requires_grad=weight.requires_grad)
+        for i in range(len(branch.blocks))
+    ]
+    zero = Tensor(np.zeros(bias.shape))
+    agg = None
+    for block, share in zip(branch.blocks, shares):
+        h = block(h)
+        agg = conv1d(h, share, bias if agg is None else zero, residual=agg)
+    return max_pool_time(_bn_relu(agg, bn)), shares
 
 
 # ---------------------------------------------------------------------------

@@ -229,12 +229,37 @@ class TestEndToEnd:
         ]
         gmm_dir = str(root / "gmms_diverge")
         assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--order", "16", "--iters", "3"]) == 0
-        ckpt = root / "diverged.npz"
+        out_dir = root / "diverged"
+        out_dir.mkdir()
+        ckpt = out_dir / "diverged.npz"
         with np.errstate(over="ignore", invalid="ignore"):
             code = cli_main(["train-model", *common, "--gmm-dir", gmm_dir, "--checkpoint", str(ckpt)])
         assert code == 1
         assert "epoch 1" in capsys.readouterr().err
-        assert not ckpt.exists()
+        assert list(out_dir.iterdir()) == []  # no checkpoint, and no best-epoch file left behind
+
+    @pytest.mark.parametrize("parent", ["missing", "regular_file"])
+    def test_train_model_unusable_checkpoint_directory_is_exit_1_before_epoch_1(
+        self, cli_workspace, tmp_path, capsys, parent
+    ):
+        # (a directory without write permission cannot be tested here: the tests may run as root)
+        if parent == "regular_file":
+            (tmp_path / parent).write_text("")
+        ckpt, log = tmp_path / parent / "model.npz", tmp_path / "log.csv"
+        common = [
+            "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--config", str(cli_workspace["cfg"]),
+        ]
+        gmm_dir = str(cli_workspace["root"] / "gmms_ckpt_dir")
+        assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--order", "16", "--iters", "1"]) == 0
+        capsys.readouterr()
+        code = cli_main(["train-model", *common, "--gmm-dir", gmm_dir, "--checkpoint", str(ckpt), "--log", str(log)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / parent) in err
+        assert "Traceback" not in err
+        assert not log.exists()  # no epoch ran
 
 
 class TestUnreadableAudio:

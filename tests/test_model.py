@@ -1,5 +1,6 @@
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from helpers import (
     FD_REL_TOL,
     branch_by_concat,
+    branch_by_conv_chain,
     check_gradients,
     concat_by_copy,
     random_bank,
@@ -199,6 +201,56 @@ class TestGroupBranch:
         scale = max(np.max(np.abs(ref)) for ref in grads[1])
         worst = max(np.max(np.abs(got - ref)) for got, ref in zip(*grads)) / scale
         assert worst <= 1e-12
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_gradients_bitwise_as_a_chain_of_residual_convs(self, improved):
+        # aggregate's links make each block output's share where the former chain of
+        # residual convs did, so every gradient is summed in the same order
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
+        branch = build_model(cfg, seed=44).branches[0]
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.normal(size=(3, 4, 11)), requires_grad=True)
+        coeffs = Tensor(rng.normal(size=(3, 8)))
+        params = [x] + [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+        results = []
+        for chain in (False, True):
+            for p in params:
+                p.zero_grad()
+            out, shares = branch_by_conv_chain(branch, x) if chain else (branch(x), None)
+            backward((out * coeffs).sum())  # train-mode BN: batch statistics
+            grads = {id(p): p.grad for p in params}
+            if chain:
+                grads[id(branch.mfa_conv.weight)] = np.concatenate([s.grad for s in shares], axis=1)
+            results.append([out.data] + [grads[id(p)] for p in params])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_no_partial_sum_alive_after_a_tracked_forward(self, monkeypatch):
+        cfg = tiny_cfg(n_blocks=4)
+        branch = build_model(cfg, seed=46).branches[0]
+        made = []  # a weakref to the data of every node the forward makes
+        real_result = tensor_mod._result
+        monkeypatch.setattr(
+            tensor_mod, "_result", lambda data, *rest: made.append(weakref.ref(data)) or real_result(data, *rest)
+        )
+        x = Tensor(np.random.default_rng(47).normal(size=(2, 4, 11)), requires_grad=True)
+        out = branch(x)
+        link = out._prev[0]._prev[0]  # below pooling and the MFA BN-ReLU: aggregate's top link
+        block_outputs = []
+        while link is not None:
+            block_outputs.insert(0, link._prev[0].data)
+            link = link._prev[1] if len(link._prev) == 2 else None
+        assert len(block_outputs) == cfg.n_blocks
+        w, b = branch.mfa_conv.weight.data[:, :, 0], branch.mfa_conv.bias.data
+        c = cfg.block.channels
+        partial = b[None, :, None] + w[:, :c] @ block_outputs[0]
+        partials = [partial]
+        for i, h in enumerate(block_outputs[1:-1], start=1):
+            partials.append(partials[-1] + w[:, i * c : (i + 1) * c] @ h)
+        alive = [a for a in (ref() for ref in made) if a is not None and a.shape == partial.shape]
+        for p in partials:
+            assert not any(np.allclose(a, p, rtol=1e-12, atol=0.0) for a in alive)
+        assert len(made) > len(alive) > cfg.n_blocks  # the probe saw the branch's activations
 
 
 class TestModelForward:

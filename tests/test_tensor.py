@@ -10,6 +10,7 @@ from helpers import (
     batchnorm1d_grads_keeping_xhat,
     blas_threads,
     check_gradients,
+    concat_by_copy,
     conv1d_im2col,
 )
 
@@ -18,6 +19,7 @@ from lgpnet.tensor import (
     BatchNormState,
     Tensor,
     add,
+    aggregate,
     backward,
     batchnorm1d,
     branch_map,
@@ -29,7 +31,6 @@ from lgpnet.tensor import (
     no_grad,
     relu,
     softmax_cross_entropy,
-    split_channels,
     tsum,
 )
 import lgpnet.tensor as tensor_mod
@@ -358,28 +359,6 @@ class TestSimpleOps:
         worst = check_gradients(lambda: (linear(x, w, b) * coeffs).sum(), [x, w, b])
         assert worst < FD_REL_TOL
 
-    def test_split_channels_gradient(self):
-        rng = np.random.default_rng(12)
-        w = Tensor(rng.normal(size=(2, 6, 3)), requires_grad=True)
-        x = [Tensor(rng.normal(size=(2, 2, 5))) for _ in range(3)]
-        coeffs = Tensor(rng.normal(size=(2, 2, 5)))
-
-        def loss():
-            # the last slice feeds nothing, so its share of the gradient is zero
-            a, b, _ = split_channels(w, 3)
-            zero = Tensor(np.zeros(2))
-            y = conv1d(x[0], a, zero, padding=1, residual=conv1d(x[1], b, zero, padding=1))
-            return (y * coeffs).sum()
-
-        worst = check_gradients(loss, [w])
-        assert worst < FD_REL_TOL
-        assert np.all(w.grad[:, 4:] == 0.0)
-        for i, part in enumerate(split_channels(w, 3)):
-            assert np.shares_memory(part.data, w.data)
-            assert np.array_equal(part.data, w.data[:, 2 * i : 2 * i + 2])
-        with pytest.raises(ShapeError):
-            split_channels(w, 4)
-
     def test_mean_tensors(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 6.0]), requires_grad=True)
@@ -388,6 +367,94 @@ class TestSimpleOps:
         backward(out.sum())
         assert np.array_equal(a.grad, [0.5, 0.5])
         assert np.array_equal(b.grad, [0.5, 0.5])
+
+
+class TestAggregate:
+    """aggregate(xs, W, b) is conv1d(concat(xs), W, b) for a 1x1 W, without the concat."""
+
+    @staticmethod
+    def operands(rng):
+        """Inputs of 2, 3 and 1 channels, a 4 x 6 x 1 weight and a bias."""
+        xs = [Tensor(rng.normal(size=(2, c, 5)), requires_grad=True) for c in (2, 3, 1)]
+        w = Tensor(rng.normal(size=(4, 6, 1)), requires_grad=True)
+        b = Tensor(rng.normal(size=4), requires_grad=True)
+        return xs, w, b
+
+    def test_gradients(self):
+        rng = np.random.default_rng(12)
+        xs, w, b = self.operands(rng)
+        coeffs = Tensor(rng.normal(size=(2, 4, 5)))
+        worst = check_gradients(lambda: (aggregate(iter(xs), w, b) * coeffs).sum(), [*xs, w, b])
+        assert worst < FD_REL_TOL
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_matches_conv1d_of_the_concatenation(self, mode):
+        """Tracked (train) the output and every gradient, under no_grad (eval) the output."""
+        rng = np.random.default_rng(19)
+        xs, w, b = self.operands(rng)
+        g = rng.normal(size=(2, 4, 5))
+        results = []
+        for op in (aggregate, lambda xs, w, b: conv1d(concat_by_copy(xs), w, b)):
+            if mode == "eval":
+                with no_grad():
+                    results.append([op(xs, w, b).data])
+                continue
+            for t in (*xs, w, b):
+                t.zero_grad()
+            out = op(xs, w, b)
+            backward((out * Tensor(g)).sum())
+            results.append([out.data] + [t.grad for t in (*xs, w, b)])
+        for got, ref in zip(*results):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    def test_no_grad_keeps_no_input(self):
+        rng = np.random.default_rng(20)
+        _, w, b = self.operands(rng)
+        seen = []
+
+        def arriving():
+            for c in (2, 3, 1):
+                seen.append([ref() is None for ref in refs])
+                x = Tensor(rng.normal(size=(2, c, 5)))
+                refs.append(weakref.ref(x.data))
+                yield x
+                del x
+
+        refs = []
+        with no_grad():
+            out = aggregate(arriving(), w, b)
+        # the op holds at most the x whose share it added last, until the next one arrives
+        assert seen == [[], [False], [True, False]]
+        assert all(ref() is None for ref in refs)
+        assert out.shape == (2, 4, 5) and out._backward is None
+
+    def test_links_hold_the_output_array_only(self):
+        rng = np.random.default_rng(21)
+        xs, w, b = self.operands(rng)
+        out = aggregate(xs, w, b)
+        links, node = [], out
+        while node is not None:
+            links.append(node)
+            assert node.data is out.data
+            node = node._prev[1] if len(node._prev) == 2 else None
+        assert [link._prev[0] for link in reversed(links)] == xs
+        assert links[-1]._prev[1:] == (w, b)
+
+    def test_shapes_rejected(self):
+        rng = np.random.default_rng(22)
+        xs, w, b = self.operands(rng)
+        with pytest.raises(ShapeError, match="1 weight"):
+            aggregate(xs, Tensor(np.zeros((4, 6, 3))), b)
+        with pytest.raises(ShapeError, match="bias"):
+            aggregate(xs, w, Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="does not fit a weight of 6"):
+            aggregate(xs + xs, w, b)
+        with pytest.raises(ShapeError, match="5 channels in all, the weight 6"):
+            aggregate(xs[:2], w, b)
+        with pytest.raises(ShapeError, match="0 channels in all"):
+            aggregate([], w, b)
+        with pytest.raises(ShapeError, match="does not match"):
+            aggregate([xs[0], Tensor(np.zeros((2, 3, 4))), xs[2]], w, b)
 
 
 class TestSoftmaxCrossEntropy:
@@ -437,22 +504,23 @@ class TestBackward:
         assert np.array_equal(x.grad, [8.0])
 
     def test_shared_upstream_gradient_is_not_aliased(self):
-        # add(x, x), mean_tensors and a residual conv hand one out.grad array to several
-        # parents, and split_channels' parts are views; the first touch stores them as is
+        # add(x, x), mean_tensors, a residual conv and aggregate's links hand one out.grad
+        # array to several parents; the first touch stores them as is
         rng = np.random.default_rng(18)
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         a = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 6, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=4), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 6, 1)), requires_grad=True)
+        wc = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=3), requires_grad=True)
+        bc = Tensor(rng.normal(size=4), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(2, 4, 5)))
-        tensors = [x, a, w, b]
+        tensors = [x, a, w, wc, b, bc]
 
         def loss():
             xx = add(x, x)
             h = relu(xx)  # h also feeds the mean below
-            w_h, w_a = split_channels(w, 2)
-            # the conv of the channel concat of h and a, as a sum of two
-            y = conv1d(h, w_h, b, padding=1, residual=conv1d(a, w_a, Tensor(np.zeros(4)), padding=1))
+            m = aggregate([h, a], w, b)  # the 1x1 conv of the channel concat of h and a
+            y = conv1d(m, wc, bc, padding=1, residual=conv1d(a, wc, bc, padding=1))
             fan = mean_tensors([y, y * 2.0, y])
             return (fan * coeffs).sum() + (mean_tensors([h, xx]) * h).sum()
 
@@ -542,15 +610,17 @@ class TestGraphRelease:
         x = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
         w, b = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
         state = BatchNormState(4)
+        wm, bm = Tensor(rng.normal(size=(2, 8, 1)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
         h = conv1d(x, w, b, padding=1)
         a = batchnorm1d(h, state, relu=True)
         outs = branch_map(lambda i, t: tsum(mul(t, float(i + 1))), [a, a])
-        parts = split_channels(w, 3)
-        loss = add(add(outs[0], outs[1]), tsum(mul(parts[1], parts[2])))
+        m = aggregate([h, a], wm, bm)
+        bottom_link = m._prev[1]
+        loss = add(add(outs[0], outs[1]), tsum(m))
         backward(loss)
-        for t in (h, a, loss):
+        for t in (h, a, m, bottom_link, loss):
             assert t.grad is None
-        for t in (x, w, b, state.gamma, state.beta, *outs, *parts[1:]):
+        for t in (x, w, b, wm, bm, state.gamma, state.beta, *outs):
             assert t.grad is not None
 
     def test_top_activation_is_freed_before_the_bottom_closure_runs(self):

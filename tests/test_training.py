@@ -1,3 +1,8 @@
+import os
+import tempfile
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +12,7 @@ from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients
 
 from lgpnet.corpus import Manifest
 from lgpnet.errors import LgpnetError, ManifestError, NonFiniteLossError
-from lgpnet.model import ModelCfg, ModelOutput, ResidualBlockCfg, build_model
+from lgpnet.model import GroupBranch, ModelCfg, ModelOutput, ResidualBlockCfg, build_model, load_checkpoint
 from lgpnet.tensor import Tensor, softmax_cross_entropy
 from lgpnet.training import (
     AdamState,
@@ -385,3 +390,191 @@ class TestTrainLoop:
         for _ in range(4):
             last = run_epoch(model, assignment, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
         assert last < first
+
+
+class Batches:
+    """Stacked features handed out as a fresh array per batch, like ManifestLgp's,
+    with a weakref to each batch handed out."""
+
+    def __init__(self, feats: np.ndarray, labels: np.ndarray):
+        self.feats, self.labels = feats, labels
+        self.refs = []
+
+    def __len__(self):
+        return len(self.feats)
+
+    def __getitem__(self, idx):
+        batch = self.feats[idx]
+        self.refs.append(weakref.ref(batch))
+        return batch
+
+
+class TestBatchMemory:
+    @pytest.mark.parametrize("loop", ["run_epoch", "evaluate_loss", "predict_logits"])
+    def test_stacked_batch_is_freed_before_the_first_branch_runs(self, tiny_pipeline, monkeypatch, loop):
+        assignment = tiny_pipeline["assignment"]
+        model = build_model(tiny_model_cfg(assignment), seed=7)
+        feats = Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
+        seen = []
+        real_call = GroupBranch.__call__
+
+        def probing(self, x):
+            seen.append(feats.refs[-1]() is None)
+            return real_call(self, x)
+
+        monkeypatch.setattr(GroupBranch, "__call__", probing)
+        cfg = small_train_cfg(batch_size=8)
+        if loop == "run_epoch":
+            perm = np.arange(len(feats))
+            run_epoch(model, assignment, feats, feats.labels, cfg, AdamState(model.parameters()), perm, 1e-3)
+        elif loop == "evaluate_loss":
+            evaluate_loss(model, assignment, feats, feats.labels, cfg)
+        else:
+            predict_logits(model, assignment, feats, batch_size=8)
+        assert len(feats.refs) == 2 and len(seen) == 2 * model.cfg.n_groups
+        assert all(seen)
+
+
+class TestBestEpochOnDisk:
+    """train() keeps the best epoch in a file, not in memory."""
+
+    def train(self, tiny_pipeline, **kwargs):
+        kwargs.setdefault("train_cfg", small_train_cfg(epochs=3))
+        return train(
+            tiny_pipeline["manifest"],
+            tiny_pipeline["bank"],
+            tiny_pipeline["assignment"],
+            tiny_model_cfg(tiny_pipeline["assignment"]),
+            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
+            target_frames=50,
+            **kwargs,
+        )
+
+    def test_returned_model_holds_no_gradient(self, tiny_pipeline):
+        model, _ = self.train(tiny_pipeline, train_cfg=small_train_cfg(epochs=2))
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_best_epoch_reloaded_bitwise_when_a_later_one_is_worse(self, tiny_pipeline, tmp_path, monkeypatch):
+        import lgpnet.training as training_mod
+
+        written = []  # the stored arrays as each save_checkpoint call wrote them
+        real_save = training_mod.save_checkpoint
+
+        def recording_save(path, model, assignment):
+            real_save(path, model, assignment)
+            written.append([getattr(o, a).copy() for _, o, a in model.stored_arrays()])
+
+        states = []
+        real_adam = training_mod.AdamState
+
+        def recording_adam(params):
+            state = real_adam(params)
+            states.append(weakref.ref(state))
+            return state
+
+        at_reload = []
+        real_restore = training_mod._restore
+
+        def probing_restore(model, path):
+            at_reload.append((states[0]() is None, all(p.grad is None for p in model.parameters())))
+            real_restore(model, path)
+
+        dev_losses = iter([0.5, 0.25, 0.375])
+        monkeypatch.setattr(training_mod, "save_checkpoint", recording_save)
+        monkeypatch.setattr(training_mod, "AdamState", recording_adam)
+        monkeypatch.setattr(training_mod, "_restore", probing_restore)
+        monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
+        ckpt = tmp_path / "model.npz"
+        model, log = self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=ckpt)
+
+        assert [row["dev_loss"] for row in log] == [0.5, 0.25, 0.375]
+        assert len(written) == 2  # epochs 1 and 2 improved, epoch 3 did not
+        assert at_reload == [(True, True)]  # gradients and Adam's moments gone before the reload
+        best = written[1]
+        returned = [getattr(o, a) for _, o, a in model.stored_arrays()]
+        assert all(r.tobytes() == b.tobytes() for r, b in zip(returned, best))
+        reloaded, _ = load_checkpoint(ckpt)
+        assert all(r.tobytes() == b.tobytes() for r, b in zip(
+            (getattr(o, a) for _, o, a in reloaded.stored_arrays()), best
+        ))
+        assert os.listdir(tmp_path) == ["model.npz"]
+
+    def test_best_last_epoch_is_not_reloaded(self, tiny_pipeline, tmp_path, monkeypatch):
+        import lgpnet.training as training_mod
+
+        restores = []
+        monkeypatch.setattr(training_mod, "_restore", lambda *a: restores.append(a))
+        dev_losses = iter([0.5, 0.25, 0.125])
+        monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
+        self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=tmp_path / "m.npz")
+        assert restores == []
+        assert os.listdir(tmp_path) == ["m.npz"]
+
+    @pytest.mark.parametrize("with_checkpoint", [True, False])
+    def test_error_in_epoch_2_leaves_no_file(self, tiny_pipeline, tmp_path, monkeypatch, with_checkpoint):
+        import lgpnet.training as training_mod
+
+        out_dir, temp_dir = tmp_path / "out", tmp_path / "tmp"
+        out_dir.mkdir()
+        temp_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_dir))
+        where = out_dir if with_checkpoint else temp_dir
+        during = []
+        real_run_epoch = training_mod.run_epoch
+
+        def failing_in_epoch_2(*args, **kwargs):
+            during.append(os.listdir(where))
+            if len(during) == 2:
+                raise RuntimeError("boom")
+            return real_run_epoch(*args, **kwargs)
+
+        monkeypatch.setattr(training_mod, "run_epoch", failing_in_epoch_2)
+        with pytest.raises(RuntimeError, match="boom"):
+            self.train(tiny_pipeline, checkpoint_path=out_dir / "model.npz" if with_checkpoint else None)
+        assert [len(names) for names in during] == [1, 1]  # the best-epoch file, made before epoch 1
+        assert os.listdir(out_dir) == [] and os.listdir(temp_dir) == []
+
+    def test_unusable_checkpoint_directory_fails_before_epoch_1(self, tiny_pipeline, tmp_path, monkeypatch):
+        import lgpnet.training as training_mod
+
+        epochs = []
+        monkeypatch.setattr(training_mod, "run_epoch", lambda *a, **k: epochs.append(1))
+        (tmp_path / "file").write_text("")
+        with pytest.raises(FileNotFoundError):
+            self.train(tiny_pipeline, checkpoint_path=tmp_path / "missing" / "model.npz")
+        with pytest.raises(NotADirectoryError):
+            self.train(tiny_pipeline, checkpoint_path=tmp_path / "file" / "model.npz")
+        assert epochs == []
+
+    def test_peak_memory_is_that_of_the_bare_steps(self, tiny_pipeline, monkeypatch):
+        """train() adds less than half the model's stored arrays to the traced peak of
+        its run_epoch steps: no in-memory copy of the best epoch is held."""
+        import lgpnet.training as training_mod
+
+        assignment = tiny_pipeline["assignment"]
+        model_cfg = tiny_model_cfg(assignment)
+        cfg = small_train_cfg(epochs=3)
+        feats = Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
+        monkeypatch.setattr(training_mod, "ManifestLgp", lambda *a, **k: feats)
+
+        def bare_steps():
+            rng = np.random.default_rng(cfg.seed)
+            model = training_mod.GroupedResNetEnsemble(model_cfg, rng)
+            state = AdamState(model.parameters())
+            for _ in range(cfg.epochs):
+                perm = rng.permutation(len(feats))
+                run_epoch(model, assignment, feats, feats.labels, cfg, state, perm, cfg.learning_rate)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        stored = sum(getattr(o, a).nbytes for _, o, a in build_model(model_cfg).stored_arrays())
+        bare = peak(bare_steps)
+        full = peak(lambda: train(tiny_pipeline["manifest"], tiny_pipeline["bank"], assignment, model_cfg, cfg))
+        assert full - bare < stored / 2
+
