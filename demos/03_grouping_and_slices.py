@@ -14,7 +14,6 @@ from lgpnet import (
     FeatureMatrix,
     GmmBank,
     extract_multiscale_lgp,
-    group_slices,
     lineage_grouping,
     random_grouping,
     train_by_splitting,
@@ -40,7 +39,7 @@ feat = FeatureMatrix(values=rng.normal(size=(50, 3)))
 lgp = extract_multiscale_lgp(bank, feat)
 print(f"\nmulti-order LGP: {lgp.values.shape} (frames x {8}+{16}+{32} dims)")
 
-slices = group_slices(lineage, lgp)
-print(f"{len(slices)} group slices of shape {slices[0].values.shape}")
-total = sum(s.n_dims for s in slices)
+slices = lineage.split(lgp.values)
+print(f"{len(slices)} group slices of shape {slices[0].shape}")
+total = sum(s.shape[1] for s in slices)
 print(f"slice dims sum back to {total} = {bank.total_components}")

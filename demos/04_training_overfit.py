@@ -14,6 +14,7 @@ from lgpnet import (
     EmConfig,
     GmmBank,
     LfccConfig,
+    ManifestLgp,
     ModelCfg,
     ResidualBlockCfg,
     TrainConfig,
@@ -21,7 +22,6 @@ from lgpnet import (
     compute_eer,
     lfcc_extract,
     lineage_grouping,
-    manifest_lgp_features,
     parse_protocol,
     predict_logits,
     read_wav,
@@ -68,7 +68,8 @@ print("\nepoch  train_loss")
 for row in log[::4]:
     print(f"{row['epoch']:5d}  {row['train_loss']:.4f}")
 
-feats, y, _ = manifest_lgp_features(manifest, bank, lfcc_cfg, 50)
+feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)
+y = feats.labels
 logits = predict_logits(model, assignment, feats)
 accuracy = (logits.argmax(axis=1) == y).mean()
 scores = logits[:, 1] - logits[:, 0]

@@ -63,10 +63,8 @@ from .multiscale import (
     GroupAssignment,
     ManifestLgp,
     extract_multiscale_lgp,
-    group_slices,
     lineage_grouping,
     load_bank,
-    manifest_lgp_features,
     random_grouping,
     save_bank,
     utterance_lgp,

@@ -126,6 +126,8 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             value = typ(raw)
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, attr, value)
+    if cfg.target_frames < 1:
+        raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
     # re-run the dataclass validations that setattr bypassed

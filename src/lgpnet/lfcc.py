@@ -158,7 +158,10 @@ def lfcc_extract(clip: AudioClip, cfg: LfccConfig | None = None) -> FeatureMatri
 
 
 def fix_length(feat: FeatureMatrix, target_frames: int = 400) -> FeatureMatrix:
-    """Force the time axis to target_frames: truncate the tail or tile cyclically."""
+    """Force the time axis to target_frames (at least 1): truncate the tail or
+    tile cyclically."""
+    if target_frames < 1:
+        raise ShapeError(f"target_frames must be >= 1, got {target_frames}")
     t = feat.n_frames
     if t < 1:
         raise ShapeError("cannot fix the length of an empty feature matrix")

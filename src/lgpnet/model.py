@@ -10,29 +10,34 @@ activation, both between the two convolutions:
 
     y = x + conv2(relu(bn(conv1(x))))
 
-A conventional block (two BNs, two activations) is available behind the
-``improved_blocks`` flag for ablations.
+A conventional block, y = relu(x + bn2(conv2(relu(bn1(conv1(x)))))), is
+available behind the ``improved_blocks`` flag for ablations.  Both blocks
+end the same way: the skip x is the ``residual`` operand of the op that
+makes the last pre-activation, `conv1d` or `batchnorm1d`, so no add node
+exists.  Every convolution keeps the length of its input.
 
 One forward serves training and scoring.  Every BN directly follows a
 convolution, and `_fold` alone decides per pair whether the BN runs as its
 own op or is folded into the convolution: it is folded when gradients are
 off (`no_grad`) and that BN is in eval mode.  The folded convolution has
 weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
-cached, and the ReLU after it runs in place on the array that convolution
-just made.  A BN that is not folded applies the ReLU after it itself
-(`batchnorm1d(..., relu=True)`), in place on its own output, so a training
-graph holds neither the pre-activation nor a mask.  The aggregation
-convolution of the concatenated block outputs is one `aggregate` op fed
-the block outputs as the blocks make them, so each block's share is added
-to one output array as the block finishes, in both modes: no concatenation
-and no partial sum exists.  In training the op keeps only the block
-outputs, which the graph holds anyway; under `no_grad` it keeps none.
+cached, and the skip (if any) and the ReLU after it are applied in place
+on the array that convolution just made.  A BN that is not folded applies
+them itself (`batchnorm1d(..., relu=True, residual=x)`), in place on its
+own output, so a training graph holds neither the pre-activation nor a
+mask.  The aggregation convolution of the concatenated block outputs is
+one `aggregate` op fed the block outputs as the blocks make them, so each
+block's share is added to one output array as the block finishes, in both
+modes: no concatenation and no partial sum exists.  In training the op
+keeps only the block outputs, which the graph holds anyway; under
+`no_grad` it keeps none.
 Folded scores agree with the unfolded forward to rounding (1e-10 relative
 in the tests).
 """
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -45,7 +50,6 @@ from .tensor import (
     BN_EPS,
     BatchNormState,
     Tensor,
-    add,
     aggregate,
     batchnorm1d,
     branch_map,
@@ -53,7 +57,6 @@ from .tensor import (
     linear,
     max_pool_time,
     mean_tensors,
-    relu,
 )
 
 _CKPT_VERSION = 1
@@ -108,7 +111,7 @@ class Conv1dLayer:
         self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
-        return conv1d(x, self.weight, self.bias, padding=self.weight.shape[2] // 2, residual=residual)
+        return conv1d(x, self.weight, self.bias, residual=residual)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -118,8 +121,8 @@ class BatchNorm1dLayer:
     def __init__(self, channels: int):
         self.state = BatchNormState(channels)
 
-    def __call__(self, x: Tensor, relu: bool = False) -> Tensor:
-        return batchnorm1d(x, self.state, relu=relu)
+    def __call__(self, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
+        return batchnorm1d(x, self.state, relu=relu, residual=residual)
 
     def named_parameters(self):
         return [("gamma", self.state.gamma), ("beta", self.state.beta)]
@@ -137,27 +140,26 @@ def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, Batc
     return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
 
 
-def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None) -> Tensor:
-    """relu(bn(y)), where y is the output of the caller's own conv1d call and
-    bn is None once folded; then nothing tracks y, and ReLU runs in place.
-    Otherwise BN applies the ReLU itself, in place on its own output."""
+def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = None) -> Tensor:
+    """relu(bn(y) + residual), where y is the output of the caller's own conv1d
+    call and bn is None once folded; then nothing tracks y, and the residual
+    and the ReLU are applied in place.  Otherwise BN applies both itself, in
+    place on its own output."""
     if bn is not None:
-        return bn(y, relu=True)
+        return bn(y, relu=True, residual=residual)
+    if residual is not None:
+        y.data += residual.data
     np.maximum(y.data, 0.0, out=y.data)
     return y
 
 
-def _conv_bn(conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor) -> Tensor:
-    """bn(conv(x)), as one convolution where `_fold` folds bn."""
+def _conv_bn_relu(
+    conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor, residual: Tensor | None = None
+) -> Tensor:
+    """relu(bn(conv(x)) + residual), as one convolution and in-place ops where
+    `_fold` folds bn."""
     weight, bias, bn = _fold(conv, bn)
-    y = conv1d(x, weight, bias, padding=weight.shape[2] // 2)
-    return y if bn is None else bn(y)
-
-
-def _conv_bn_relu(conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor) -> Tensor:
-    """relu(bn(conv(x))), as one convolution and an in-place ReLU where `_fold` folds bn."""
-    weight, bias, bn = _fold(conv, bn)
-    return _bn_relu(conv1d(x, weight, bias, padding=weight.shape[2] // 2), bn)
+    return _bn_relu(conv1d(x, weight, bias), bn, residual)
 
 
 class LinearLayer:
@@ -188,15 +190,13 @@ class ImprovedResidualBlock:
     def __call__(self, x: Tensor) -> Tensor:
         return self.conv2(_conv_bn_relu(self.conv1, self.bn, x), residual=x)
 
-    def batchnorms(self):
-        return [self.bn]
-
     def sublayers(self):
         return [("conv1", self.conv1), ("bn", self.bn), ("conv2", self.conv2)]
 
 
 class StandardResidualBlock:
-    """Conventional block for ablation: BN + activation after each convolution."""
+    """Conventional block for ablation: BN + activation after each convolution,
+    the skip added before the second activation."""
 
     n_activations = 2
 
@@ -208,11 +208,7 @@ class StandardResidualBlock:
         self.bn2 = BatchNorm1dLayer(c)
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = _conv_bn(self.conv2, self.bn2, _conv_bn_relu(self.conv1, self.bn1, x))
-        return relu(add(x, h))
-
-    def batchnorms(self):
-        return [self.bn1, self.bn2]
+        return _conv_bn_relu(self.conv2, self.bn2, _conv_bn_relu(self.conv1, self.bn1, x), residual=x)
 
     def sublayers(self):
         return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2)]
@@ -259,12 +255,7 @@ class GroupBranch:
         return layers
 
     def batchnorms(self):
-        bns = [self.entry_bn]
-        for block in self.blocks:
-            bns.extend(block.batchnorms())
-        if self.cfg.mfa:
-            bns.append(self.mfa_bn)
-        return bns
+        return [layer for _, layer in self.sublayers() if isinstance(layer, BatchNorm1dLayer)]
 
 
 class GroupedResNetEnsemble:
@@ -380,29 +371,45 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
+def _read_npz(path: str | Path) -> dict[str, np.ndarray]:
+    """Every array of the npz archive at path, read in full.  A file that is not
+    one, truncated or corrupt ones included, raises FormatError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise FormatError(f"{path}: not a readable checkpoint (a single array, not an archive)")
+            with data:
+                return {key: data[key] for key in data.files}
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, corrupt, not an npz
+        raise FormatError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from None
+
+
 def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssignment]:
-    with np.load(path) as data:
-        if "meta" not in data:
-            raise FormatError(f"{path}: not a model checkpoint")
-        try:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-            if meta.get("version") != _CKPT_VERSION:
-                raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-            cfg_doc = dict(meta["model_cfg"])
-            cfg_doc["block"] = ResidualBlockCfg(**cfg_doc["block"])
-            cfg = ModelCfg(**cfg_doc)
-            assignment = GroupAssignment(
-                groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},
-                n_groups=int(meta["n_groups"]),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
-        model = GroupedResNetEnsemble(cfg, _Unfilled())
-        for key, owner, attr in model.stored_arrays():
-            if key not in data:
-                raise FormatError(f"{path}: checkpoint is missing {key}")
-            stored = data[key]
-            if stored.shape != getattr(owner, attr).shape:
-                raise FormatError(f"{path}: shape mismatch for {key}")
-            setattr(owner, attr, np.asarray(stored, dtype=np.float64))
+    """The model and grouping that `save_checkpoint` wrote to path; FormatError
+    naming path for any file that is not such a checkpoint."""
+    data = _read_npz(path)
+    if "meta" not in data:
+        raise FormatError(f"{path}: not a model checkpoint")
+    try:
+        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        if meta.get("version") != _CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+        cfg_doc = dict(meta["model_cfg"])
+        cfg_doc["block"] = ResidualBlockCfg(**cfg_doc["block"])
+        cfg = ModelCfg(**cfg_doc)
+        assignment = GroupAssignment(
+            groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},
+            n_groups=int(meta["n_groups"]),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
+    model = GroupedResNetEnsemble(cfg, _Unfilled())
+    for key, owner, attr in model.stored_arrays():
+        if key not in data:
+            raise FormatError(f"{path}: checkpoint is missing {key}")
+        stored = data[key]
+        if stored.shape != getattr(owner, attr).shape:
+            raise FormatError(f"{path}: shape mismatch for {key}")
+        setattr(owner, attr, np.asarray(stored, dtype=np.float64))
     return model, assignment

@@ -138,11 +138,6 @@ def extract_multiscale_lgp(bank: GmmBank, lfcc_feat: FeatureMatrix) -> FeatureMa
     return FeatureMatrix(values=_lgp(lfcc_feat.values, bank.coefficients))
 
 
-def group_slices(assignment: GroupAssignment, feat: FeatureMatrix) -> list[FeatureMatrix]:
-    """Split a concatenated LGP matrix into its G group slices."""
-    return [FeatureMatrix(values=v) for v in assignment.split(feat.values)]
-
-
 def save_bank(bank: GmmBank, directory: str | Path) -> None:
     """One model file per order, named gmm_<order>.bin."""
     directory = Path(directory)
@@ -208,6 +203,8 @@ class ManifestLgp:
     ):
         if len(manifest) == 0:
             raise ManifestError(f"{manifest.split} manifest is empty: no utterances to compute features for")
+        if target_frames < 1:
+            raise ShapeError(f"target_frames must be >= 1, got {target_frames}")
         for wav_path, _ in manifest.entries:
             check_wav(wav_path)
         self.manifest = manifest
@@ -229,13 +226,3 @@ class ManifestLgp:
         map_utterances(self.manifest, idx, fill)
         return out
 
-
-def manifest_lgp_features(
-    manifest: Manifest,
-    bank: GmmBank,
-    lfcc_cfg: LfccConfig | None = None,
-    target_frames: int = 400,
-) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Stacked (N, D, T) LGP features, (N,) labels, and utt_ids for a manifest."""
-    src = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
-    return src[np.arange(len(src))], src.labels, src.utt_ids

@@ -1,41 +1,44 @@
 """Dense float64 tensors with reverse-mode gradients.
 
 Covers exactly the operations the grouped 1-d residual network needs:
-convolution (with an optional ``residual`` operand added to its output),
-`aggregate` (the 1x1 convolution of a channel concatenation, summed input
-by input without the concatenation), batch normalization, ReLU, max pooling
-over time, linear layers, softmax cross-entropy, and the glue (add, mul,
-sum, tensor mean).  Each op wires a backward closure onto its output;
-``backward(loss)`` runs the closures in reverse topological order and
-releases each node as soon as its closure has run: its gradient, closure
-and parent links are dropped.  Activations and interior gradients are
-therefore freed while the walk moves down the graph, only leaves (and the
-nodes without a closure that `branch_map` hands out) keep their ``.grad``,
-and a fresh forward pass is needed per step.  Besides its parents, which
-its closure reads through their ``.data``, each op's backward keeps:
+same-length convolution, `aggregate` (the 1x1 convolution of a channel
+concatenation, summed input by input without the concatenation), batch
+normalization, ReLU, max pooling over time, linear layers, softmax
+cross-entropy, and the glue (add, mul, sum, tensor mean).  Convolution and
+batch normalization can add a ``residual`` operand to their output.  Each
+op wires a backward closure onto its output; ``backward(loss)`` runs the
+closures in reverse topological order and releases each node as soon as
+its closure has run: its gradient, closure and parent links are dropped.
+Activations and interior gradients are therefore freed while the walk
+moves down the graph, only leaves (and the nodes without a closure that
+`branch_map` hands out) keep their ``.grad``, and a fresh forward pass is
+needed per step.  Besides its parents, which its closure reads through
+their ``.data``, each op's backward keeps:
 
 - conv1d: its tap table and the weight array;
 - aggregate: each input's channel range; its links share the one output
   array, so no partial sum is held;
 - batchnorm1d: the per-channel mean and 1/std (the normalized input is
   recomputed from x with the forward's own two ops, bit for bit) and, with
-  ``relu=True``, its own output, from which the ReLU mask is read;
+  ``relu=True``, its own output, from which the ReLU mask is read (a
+  ``residual``, added before the ReLU, adds nothing);
 - relu: its own output, from which its mask is read;
 - mul: both operands' arrays;
 - max_pool_time: the argmax indices;
 - softmax_cross_entropy: the class probabilities;
 - linear, add, tsum, mean_tensors: nothing more.
 
-Convolution is stride 1, and a sum over the k taps of one matrix product
-each.  One table gives every tap j its output range [lo, hi) and its input
-shift s = j - padding: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to
-outputs lo..hi-1.  Padding is handled by those ranges alone, so no padded
-copy or view of the input exists.  Backward reads the same table: the weight
-gradient tap by tap, and the input gradient from one product with the weight
-as stored, whose k per-tap shares are added at their shifts.  No window
-(im2col) matrix is built.  Gradients are stored on first touch without a
-copy, which is safe because no backward closure writes into an array it was
-handed.
+Convolution is stride 1 and same-length (k odd, k // 2 zeros on each side
+of the time axis), and a sum over the k taps of one matrix product each.
+One table gives every tap j its output range [lo, hi) and its input shift
+s = j - k // 2: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to outputs
+lo..hi-1.  Padding is handled by those ranges alone, so no padded copy or
+view of the input exists.  Backward reads the same table: the weight
+gradient tap by tap, and the input gradient from one product with the
+weight as stored, whose k per-tap shares are added at their shifts onto the
+centre tap's.  No window (im2col) matrix is built.  Gradients are stored on
+first touch without a copy, which is safe because no backward closure
+writes into an array it was handed.
 
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
@@ -458,12 +461,10 @@ def mean_tensors(tensors: list[Tensor]) -> Tensor:
 # neural network ops
 
 
-def conv1d(
-    x: Tensor, weight: Tensor, bias: Tensor, padding: int = 0, *, residual: Tensor | None = None
-) -> Tensor:
-    """Stride-1 cross-correlation of N x C_in x T with C_out x C_in x k filters,
-    with `padding` zeros on each side of the time axis, plus `residual` (of the
-    output's shape) when one is given."""
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None = None) -> Tensor:
+    """Same-length cross-correlation of N x C_in x T with C_out x C_in x k
+    filters (k odd, k // 2 zeros on each side of the time axis), plus
+    `residual` (of the output's shape, N x C_out x T) when one is given."""
     if x.ndim != 3 or weight.ndim != 3:
         raise ShapeError("conv1d expects x: N x C_in x T and weight: C_out x C_in x k")
     n, c_in, t = x.shape
@@ -474,34 +475,28 @@ def conv1d(
         raise ShapeError("conv1d kernel size must be odd")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d bias must have shape ({c_out},)")
-    if padding < 0:
-        raise ShapeError("conv1d padding must be non-negative")
-    t_out = t + 2 * padding - k + 1
-    if t_out < 1:
-        raise ShapeError("conv1d output length would be < 1")
+    if t < 1:
+        raise ShapeError("conv1d input length must be >= 1")
     # (j, lo, hi, s): tap j adds W[:, :, j] @ x[:, :, o + s] to each output o in [lo, hi),
     # the outputs whose input o + s lies inside x rather than in the padding
     table = []
     for j in range(k):
-        s = j - padding
-        lo, hi = max(0, -s), min(t_out, t - s)
+        s = j - k // 2
+        lo, hi = max(0, -s), min(t, t - s)
         if lo < hi:
             table.append((j, lo, hi, s))
     w = weight.data
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
-    y = np.empty((n, c_out, t_out))
-    j, lo, hi, s = table[0]
-    if (lo, hi) == (0, t_out):
-        # a first tap that reaches every output writes y itself: tap + bias is bias + tap
-        np.matmul(taps[j], x.data[:, :, s : t_out + s], out=y)
+    y = np.empty((n, c_out, t))
+    if k == 1:
+        # the one tap writes y itself: tap + bias is bias + tap
+        np.matmul(taps[0], x.data, out=y)
         y += bias.data[None, :, None]
-        rest = table[1:]
     else:
         y[...] = bias.data[None, :, None]
-        rest = table
-    term = np.empty_like(y) if rest else None
-    for j, lo, hi, s in rest:
-        y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+        term = np.empty_like(y)
+        for j, lo, hi, s in table:
+            y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
     parents = (x, weight, bias)
     if residual is not None:
         if residual.shape != y.shape:
@@ -513,7 +508,7 @@ def conv1d(
     out = _result(y, parents, None, track)
     if track:
         def _bw():
-            g = out.grad  # N x C_out x T_out
+            g = out.grad  # N x C_out x T
             if residual is not None and residual.requires_grad:
                 residual._accumulate(g)
             if bias.requires_grad:
@@ -530,21 +525,15 @@ def conv1d(
             if x.requires_grad:
                 # one product per sample gives every tap's share, read from the weight as
                 # stored: share[n, i, j, o] = sum_c W[c, i, j] g[n, c, o] belongs to input o + s
-                share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
-                # dX starts from the share of a tap whose inputs are all of x (for k=1 the
-                # product itself) instead of from zeros.  For k <= 3 at padding k // 2 that tap
-                # is at most the second share added at any input, so the sum equals
-                # 0 + each share in table order, bit for bit.
-                whole = [(lo + s, hi + s) == (0, t) for _, lo, hi, s in table]
-                if any(whole):
-                    i = whole.index(True)
-                    j, lo, hi, _ = table[i]
-                    gx = np.ascontiguousarray(share[:, :, j, lo:hi])
-                    adds = table[:i] + table[i + 1 :]
-                else:
-                    gx, adds = np.zeros((n, c_in, t)), table
-                for j, lo, hi, s in adds:
-                    gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
+                share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t)
+                # dX starts from the centre tap's share, the one tap whose inputs are all of x
+                # (for k=1 the product itself), instead of from zeros.  For k <= 3 that share
+                # is at most the second one added at any input, so the sum equals 0 + each
+                # share in table order, bit for bit.
+                gx = np.ascontiguousarray(share[:, :, k // 2])
+                for j, lo, hi, s in table:
+                    if s:
+                        gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
                 x._accumulate(gx)
 
         out._backward = _bw
@@ -641,18 +630,24 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batchnorm1d(x: Tensor, state: BatchNormState, relu: bool = False) -> Tensor:
+def batchnorm1d(
+    x: Tensor, state: BatchNormState, relu: bool = False, *, residual: Tensor | None = None
+) -> Tensor:
     """Normalize N x C x T per channel; batch stats in train mode, running in eval.
 
-    With relu=True the output is relu(bn(x)), computed in place on the
-    normalized array and bit for bit equal to `relu` of the plain output, so
-    neither the pre-activation nor a mask is held for backward.
+    `residual` (of x's shape), when given, is added to the normalized output,
+    and with relu=True the ReLU comes after that: the output is
+    relu(bn(x) + residual), computed in place on the normalized array and bit
+    for bit equal to `relu(add(bn(x), residual))`, so neither the
+    pre-activation nor a mask is held for backward.
     """
     if x.ndim != 3:
         raise ShapeError("batchnorm1d expects N x C x T input")
     n, c, t = x.shape
     if c != state.channels:
         raise ShapeError(f"batchnorm1d channel mismatch: input {c}, state {state.channels}")
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeError(f"batchnorm1d residual shape {residual.shape} differs from input {x.shape}")
     gamma, beta = state.gamma, state.beta
     if state.mode == "train":
         m = n * t
@@ -676,17 +671,23 @@ def batchnorm1d(x: Tensor, state: BatchNormState, relu: bool = False) -> Tensor:
     np.multiply(gamma.data[None, :, None], xhat, out=y)
     y += beta.data[None, :, None]
     del xhat  # backward recomputes it from x with the same two ops
+    parents = (x, gamma, beta)
+    if residual is not None:
+        y += residual.data  # bn + residual is residual + bn, bit for bit
+        parents += (residual,)
     if relu:
         np.maximum(y, 0.0, out=y)
 
-    track = _tracking(x, gamma, beta)
-    out = _result(y, (x, gamma, beta), None, track)
+    track = _tracking(*parents)
+    out = _result(y, parents, None, track)
     if track:
         train_mode = state.mode == "train"
 
         def _bw():
             # relu's mask read from its output: y > 0 exactly where max(y, 0) > 0, NaN included
             g = out.grad * (out.data > 0) if relu else out.grad
+            if residual is not None and residual.requires_grad:
+                residual._accumulate(g)
             xhat = x.data - mean[None, :, None]
             xhat *= inv_std[None, :, None]
             g_xhat = g * xhat

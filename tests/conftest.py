@@ -10,7 +10,7 @@ from helpers import build_synth_corpus
 from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.gmm import EmConfig, train_by_splitting
 from lgpnet.lfcc import LfccConfig, lfcc_extract
-from lgpnet.multiscale import GmmBank, lineage_grouping, manifest_lgp_features
+from lgpnet.multiscale import GmmBank, ManifestLgp, lineage_grouping
 
 
 @pytest.fixture
@@ -58,16 +58,14 @@ def tiny_pipeline(synth_corpus):
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=4))
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
-    feats, labels, utt_ids = manifest_lgp_features(
-        manifest, bank, lfcc_cfg, target_frames=50
-    )
+    src = ManifestLgp(manifest, bank, lfcc_cfg, target_frames=50)
     return {
         "manifest": manifest,
         "bank": bank,
         "assignment": assignment,
-        "feats": feats,
-        "labels": labels,
-        "utt_ids": utt_ids,
+        "feats": src[np.arange(len(src))],
+        "labels": src.labels,
+        "utt_ids": src.utt_ids,
         "lfcc_cfg": lfcc_cfg,
     }
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lgpnet.model import BatchNorm1dLayer
 from lgpnet.tensor import Tensor, _find_blas_controls, _result, _tracking, backward
 
 
@@ -28,6 +29,11 @@ def blas_threads(n: int):
     finally:
         for (_, set_), k in zip(controls, saved):
             set_(k)
+
+
+def n_batchnorms(block) -> int:
+    """How many of a block's sublayers are BNs."""
+    return sum(isinstance(layer, BatchNorm1dLayer) for _, layer in block.sublayers())
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +186,9 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
 
 
 # ---------------------------------------------------------------------------
-# multi-scale aggregation over a concatenation and as a chain of convs: the
-# library's former branch forwards, kept as references for `aggregate`
+# multi-scale aggregation over a concatenation and as a chain of convs, and the
+# conventional residual block with a separate add and ReLU: the library's
+# former forwards, kept as references for `aggregate` and for the block
 
 
 def concat_by_copy(tensors: list[Tensor]) -> Tensor:
@@ -239,6 +246,18 @@ def branch_by_conv_chain(branch, x: Tensor) -> tuple[Tensor, list[Tensor]]:
         h = block(h)
         agg = conv1d(h, share, bias if agg is None else zero, residual=agg)
     return max_pool_time(_bn_relu(agg, bn)), shares
+
+
+def standard_block_by_add(block, x: Tensor) -> Tensor:
+    """A StandardResidualBlock's output as the library made it before its skip
+    joined the second BN: relu(add(x, h)), h being bn2(conv2(...)), or with bn2
+    folded the folded convolution's output."""
+    from lgpnet.model import _conv_bn_relu, _fold
+    from lgpnet.tensor import add, conv1d, relu
+
+    weight, bias, bn = _fold(block.conv2, block.bn2)
+    h = conv1d(_conv_bn_relu(block.conv1, block.bn1, x), weight, bias)
+    return relu(add(x, h if bn is None else bn(h)))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config(bad)
 
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    def test_target_frames_below_1_rejected(self, tmp_path, frames):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"features.target_frames = {frames}\n")
+        with pytest.raises(ConfigError, match=f"features.target_frames must be >= 1, got {frames}"):
+            load_config(bad)
+
     def test_model_cfg_derives_group_dim(self, cli_workspace):
         cfg = load_config(cli_workspace["cfg"])
         assert cfg.model_cfg().group_input_dim == (8 + 16) // 2
@@ -537,6 +544,44 @@ class TestRefusedInputs:
         assert code == 1
         assert "bad_bn.npz: shape mismatch for bn/group1/1/running_var" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["cut-10", "cut-100", "cut-1000", "cut-half", "zip-magic"])
+    def test_score_with_unreadable_checkpoint(self, cli_workspace, workspace, capsys, damage):
+        raw = (workspace / "model.npz").read_bytes()
+        if damage == "zip-magic":
+            raw = b"PK\x03\x04" + bytes(50)
+        else:
+            raw = raw[: len(raw) // 2 if damage == "cut-half" else int(damage[4:])]
+        broken = workspace / f"{damage}.npz"
+        broken.write_bytes(raw)
+        code = self._score(cli_workspace, workspace, cli_workspace["protocol"], cli_workspace["audio_dir"], broken)
+        assert code == 1
+        assert f"error: {broken}: not a readable checkpoint" in capsys.readouterr().err
+        assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("frames", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["score", "train-model"])
+    def test_target_frames_below_1_is_exit_1_before_any_audio(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, frames
+    ):
+        import lgpnet.corpus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a manifest was built")
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
+        cfg = workspace / f"frames{frames}.cfg"
+        cfg.write_text(TINY_CFG.replace("features.target_frames = 50", f"features.target_frames = {frames}"))
+        out = workspace / f"frames{frames}_{command}.out"
+        args = ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+                "--gmm-dir", str(workspace / "gmms"), "--config", str(cfg)]
+        if command == "score":
+            args += ["--checkpoint", str(workspace / "model.npz"), "--out", str(out)]
+        else:
+            args += ["--checkpoint", str(out)]
+        assert cli_main([command, *args]) == 1
+        assert f"error: features.target_frames must be >= 1, got {frames}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, iters):

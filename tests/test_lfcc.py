@@ -5,7 +5,7 @@ from scipy.fft import dct
 from helpers import count_frames_by_hand, dft_power_by_hand
 
 from lgpnet.corpus import AudioClip
-from lgpnet.errors import ConfigError
+from lgpnet.errors import ConfigError, ShapeError
 from lgpnet.lfcc import (
     FeatureMatrix,
     LfccConfig,
@@ -167,6 +167,13 @@ class TestFixLength:
         once = fix_length(self._ramp_feature(123), 400)
         twice = fix_length(once, 400)
         assert np.array_equal(once.values, twice.values)
+
+    @pytest.mark.parametrize("target", [0, -5])
+    @pytest.mark.parametrize("t", [3, 10])
+    def test_target_below_1_rejected(self, t, target):
+        # -5 once kept the first t - 5 frames through a negative slice
+        with pytest.raises(ShapeError, match=f"target_frames must be >= 1, got {target}"):
+            fix_length(self._ramp_feature(t), target)
 
 
 class TestFeatureMatrix:

@@ -1,3 +1,4 @@
+import io
 import sys
 import threading
 import weakref
@@ -11,9 +12,11 @@ from helpers import (
     branch_by_conv_chain,
     check_gradients,
     concat_by_copy,
+    n_batchnorms,
     random_bank,
     rewrite_arrays,
     rewrite_meta,
+    standard_block_by_add,
 )
 
 import lgpnet.model as model_mod
@@ -64,6 +67,20 @@ def tiny_assignment(n_groups=2, total=8):
     )
 
 
+def graph_ops(out: Tensor) -> list[str]:
+    """The op that made each node of the graph below out, read from the name of
+    the node's backward closure."""
+    ops, stack, seen = [], [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            if node._backward is not None:
+                ops.append(node._backward.__qualname__.split(".")[0])
+            stack.extend(node._prev)
+    return ops
+
+
 class TestImprovedResidualBlock:
     def test_zero_second_conv_is_identity(self):
         rng = np.random.default_rng(0)
@@ -77,35 +94,33 @@ class TestImprovedResidualBlock:
     def test_single_bn_single_activation(self):
         rng = np.random.default_rng(1)
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
-        assert len(block.batchnorms()) == 1
+        assert n_batchnorms(block) == 1
         assert block.n_activations == 1
         standard = StandardResidualBlock(ResidualBlockCfg(channels=4), rng)
-        assert len(standard.batchnorms()) == 2
+        assert n_batchnorms(standard) == 2
         assert standard.n_activations == 2
 
     def test_activation_sites_in_forward_graph(self, monkeypatch):
-        # a ReLU site is a `relu` call or a batchnorm1d that applies the ReLU itself
+        # a ReLU site is a batchnorm1d that applies the ReLU itself; the graph has no
+        # relu or add node, since each block's skip is a residual operand
         calls = {"n": 0}
-        real_relu, real_bn = model_mod.relu, model_mod.batchnorm1d
+        real_bn = model_mod.batchnorm1d
 
-        def counting_relu(x):
-            calls["n"] += 1
-            return real_relu(x)
-
-        def counting_bn(x, state, relu=False):
+        def counting_bn(x, state, relu=False, residual=None):
             calls["n"] += relu
-            return real_bn(x, state, relu=relu)
+            return real_bn(x, state, relu=relu, residual=residual)
 
-        monkeypatch.setattr(model_mod, "relu", counting_relu)
         monkeypatch.setattr(model_mod, "batchnorm1d", counting_bn)
         rng = np.random.default_rng(2)
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
-        block(Tensor(rng.normal(size=(1, 4, 5))))
+        out = block(Tensor(rng.normal(size=(1, 4, 5))))
         assert calls["n"] == 1
+        assert sorted(graph_ops(out)) == ["batchnorm1d", "conv1d", "conv1d"]
         calls["n"] = 0
         standard = StandardResidualBlock(ResidualBlockCfg(channels=4), rng)
-        standard(Tensor(rng.normal(size=(1, 4, 5))))
+        out = standard(Tensor(rng.normal(size=(1, 4, 5))))
         assert calls["n"] == 2
+        assert sorted(graph_ops(out)) == ["batchnorm1d", "batchnorm1d", "conv1d", "conv1d"]
 
     def test_gradients_through_block(self):
         rng = np.random.default_rng(3)
@@ -123,6 +138,53 @@ class TestImprovedResidualBlock:
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
         with pytest.raises(ShapeError):
             block(Tensor(np.zeros((1, 3, 5))))
+
+
+class TestStandardResidualBlock:
+    """The conventional block's skip is the residual operand of its second BN;
+    the reference is its former relu(add(x, h)), `helpers.standard_block_by_add`."""
+
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("mode", ["train", "eval", "eval-folded"])
+    def test_bitwise_as_relu_of_add(self, mode, mfa, monkeypatch):
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=False, mfa=mfa)
+        results = []
+        for reference in (False, True):
+            branch = build_model(cfg, seed=48).branches[0]
+            if mode != "train":
+                perturb_batchnorms(branch, np.random.default_rng(49))
+            x = Tensor(np.random.default_rng(50).normal(size=(3, 4, 11)), requires_grad=True)
+            coeffs = Tensor(np.random.default_rng(51).normal(size=(3, 8)))
+            params = [x] + [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+            if reference:
+                monkeypatch.setattr(StandardResidualBlock, "__call__", standard_block_by_add)
+            if mode == "eval-folded":
+                with no_grad():
+                    arrays = [branch(x).data]
+            else:
+                out = branch(x)
+                backward((out * coeffs).sum())
+                arrays = [out.data] + [p.grad for p in params]
+            stats = [(bn.state.running_mean, bn.state.running_var) for bn in branch.batchnorms()]
+            results.append(arrays + [a for pair in stats for a in pair])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_no_preactivation_sum_alive_after_a_tracked_forward(self, monkeypatch):
+        block = StandardResidualBlock(ResidualBlockCfg(channels=4), np.random.default_rng(52))
+        x = Tensor(np.random.default_rng(53).normal(size=(2, 4, 9)), requires_grad=True)
+        made = []  # a weakref to the data of every node the forward makes
+        real_result = tensor_mod._result
+        monkeypatch.setattr(
+            tensor_mod, "_result", lambda data, *rest: made.append(weakref.ref(data)) or real_result(data, *rest)
+        )
+        out = block(x)
+        alive = [a for a in (ref() for ref in made) if a is not None]
+        monkeypatch.undo()
+        pre = standard_block_by_add(block, x)._prev[0].data  # x + h, what the reference's relu reads
+        assert (pre < 0).any()  # so the block's output is not that sum
+        assert any(a is out.data for a in alive)  # the probe saw the block's arrays
+        assert not any(np.allclose(a, pre, rtol=1e-12, atol=0.0) for a in alive if a.shape == pre.shape)
 
 
 class TestGroupBranch:
@@ -683,6 +745,29 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         np.savez(path, meta=np.frombuffer(raw, dtype=np.uint8))
         with pytest.raises(FormatError, match="model.npz: malformed checkpoint meta"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "damage", ["cut-10", "cut-100", "cut-1000", "cut-half", "empty", "zip-magic", "text", "npy", "flipped"]
+    )
+    def test_unreadable_file_is_format_error(self, tmp_path, damage):
+        model = build_model(tiny_cfg(), seed=14)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+        raw = path.read_bytes()
+        if damage.startswith("cut-"):
+            raw = raw[: len(raw) // 2 if damage == "cut-half" else int(damage[4:])]
+        elif damage == "flipped":  # one byte in the middle of a stored array's values
+            at = raw.index(model.branches[0].entry_conv.weight.data.tobytes()) + 64
+            raw = raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :]
+        elif damage == "npy":  # one array as np.save writes it, not an archive
+            buf = io.BytesIO()
+            np.save(buf, np.zeros(3))
+            raw = buf.getvalue()
+        else:
+            raw = {"empty": b"", "zip-magic": b"PK\x03\x04" + bytes(50), "text": b"not a checkpoint\n"}[damage]
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match="model.npz: not a readable checkpoint"):
             load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):

@@ -22,9 +22,7 @@ from lgpnet.multiscale import (
     GroupAssignment,
     ManifestLgp,
     extract_multiscale_lgp,
-    group_slices,
     lineage_grouping,
-    manifest_lgp_features,
     random_grouping,
     utterance_lgp,
 )
@@ -219,30 +217,28 @@ class TestGroupSlices:
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 4)
         assignment = lineage_grouping(bank, 8)
         assert assignment.group_dim() == (64 + 128 + 256 + 512 + 1024) // 8 == 248
-        feat = FeatureMatrix(values=rng.normal(size=(400, 1984)))
-        slices = group_slices(assignment, feat)
+        slices = assignment.split(rng.normal(size=(400, 1984)))
         assert len(slices) == 8
-        assert all(s.values.shape == (400, 248) for s in slices)
+        assert all(s.shape == (400, 248) for s in slices)
 
     def test_partition_reconstructs_input(self):
         rng = np.random.default_rng(12)
         bank = random_bank(rng, [8, 16, 32], 3)
         assignment = random_grouping(bank, 4, seed=3)
-        feat = FeatureMatrix(values=rng.normal(size=(20, 56)))
-        slices = group_slices(assignment, feat)
-        rebuilt = np.empty_like(feat.values)
-        for cols, s in zip(assignment.index_lists(), slices):
-            rebuilt[:, cols] = s.values
-        assert np.array_equal(rebuilt, feat.values)
+        feat = rng.normal(size=(20, 56))
+        rebuilt = np.empty_like(feat)
+        for cols, s in zip(assignment.index_lists(), assignment.split(feat)):
+            rebuilt[:, cols] = s
+        assert np.array_equal(rebuilt, feat)
 
     def test_g1_row_permutation_identity(self):
         rng = np.random.default_rng(13)
         bank = random_bank(rng, [8, 16], 2)
         assignment = lineage_grouping(bank, 1)
-        feat = FeatureMatrix(values=rng.normal(size=(10, 24)))
-        (only,) = group_slices(assignment, feat)
+        feat = rng.normal(size=(10, 24))
+        (only,) = assignment.split(feat)
         # with G=1 and ascending order/component ordering the slice is the input itself
-        assert np.array_equal(only.values, feat.values)
+        assert np.array_equal(only, feat)
 
     def test_every_component_in_exactly_one_group(self):
         rng = np.random.default_rng(14)
@@ -261,7 +257,7 @@ class TestGroupSlices:
         bank = random_bank(rng, [8], 2)
         assignment = lineage_grouping(bank, 2)
         with pytest.raises(ShapeError):
-            group_slices(assignment, FeatureMatrix(values=np.zeros((4, 9))))
+            assignment.split(np.zeros((4, 9)))
 
 
 class TestAssignmentSerialization:
@@ -311,7 +307,7 @@ class TestManifestLgp:
     def test_batch_equals_stacked_rows(self, tiny_pipeline, idx):
         p = tiny_pipeline
         src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
-        stacked, _, _ = manifest_lgp_features(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        stacked = src[np.arange(len(src))]
         batch = src[np.array(idx)]
         assert batch.shape == (len(idx), 24, 50)
         assert np.array_equal(batch, stacked[idx])
@@ -343,6 +339,12 @@ class TestManifestLgp:
         p = tiny_pipeline
         with pytest.raises(ManifestError, match=f"{split} manifest is empty"):
             ManifestLgp(Manifest(entries=[], split=split), p["bank"], p["lfcc_cfg"], 50)
+
+    @pytest.mark.parametrize("frames", [0, -5])
+    def test_target_frames_below_one_refused_at_construction(self, tiny_pipeline, frames):
+        p = tiny_pipeline
+        with pytest.raises(ShapeError, match=f"target_frames must be >= 1, got {frames}"):
+            ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], frames)
 
     def test_unreadable_wav_fails_at_construction(self, tiny_pipeline, tmp_path):
         p = tiny_pipeline

@@ -36,26 +36,25 @@ from lgpnet.tensor import (
 import lgpnet.tensor as tensor_mod
 
 
-def conv1d_summed_from_bias_and_zeros(x, w, b, padding, g):
+def conv1d_summed_from_bias_and_zeros(x, w, b, g):
     """conv1d's output and input gradient for upstream gradient g, summed as the
     tap-table form did before its whole taps wrote directly: the output from
     the bias plus each tap, dX from zeros plus each tap's share, in tap order."""
     n, c_in, t = x.shape
     c_out, _, k = w.shape
-    t_out = t + 2 * padding - k + 1
     table = []
     for j in range(k):
-        s = j - padding
-        lo, hi = max(0, -s), min(t_out, t - s)
+        s = j - k // 2
+        lo, hi = max(0, -s), min(t, t - s)
         if lo < hi:
             table.append((j, lo, hi, s))
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    y = np.empty((n, c_out, t_out))
+    y = np.empty((n, c_out, t))
     y[...] = b[None, :, None]
     term = np.empty_like(y)
     for j, lo, hi, s in table:
         y[:, :, lo:hi] += np.matmul(taps[j], x[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
-    share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t_out)
+    share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t)
     gx = np.zeros((n, c_in, t))
     for j, lo, hi, s in table:
         gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
@@ -68,14 +67,14 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(2, 3, 7)))
         w = Tensor(np.eye(3)[:, :, None])  # 1x1 kernel, identity over channels
         b = Tensor(np.zeros(3))
-        out = conv1d(x, w, b, padding=0)
+        out = conv1d(x, w, b)
         assert np.allclose(out.data, x.data, atol=1e-15)
 
     def test_hand_convolution(self):
         x = Tensor(np.ones((1, 1, 4)))
         w = Tensor(np.ones((1, 1, 3)))
         b = Tensor(np.zeros(1))
-        out = conv1d(x, w, b, padding=1)
+        out = conv1d(x, w, b)
         assert np.array_equal(out.data[0, 0], [2.0, 3.0, 3.0, 2.0])
 
     def test_gradients(self):
@@ -86,7 +85,7 @@ class TestConv1d:
         r = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(2, 4, 8)))
         worst = check_gradients(
-            lambda: (conv1d(x, w, b, padding=1, residual=r) * coeffs).sum(), [x, w, b, r]
+            lambda: (conv1d(x, w, b, residual=r) * coeffs).sum(), [x, w, b, r]
         )
         assert worst < FD_REL_TOL
 
@@ -94,10 +93,20 @@ class TestConv1d:
         rng = np.random.default_rng(2)
         x, w = Tensor(rng.normal(size=(2, 3, 8))), Tensor(rng.normal(size=(4, 3, 3)))
         b, r = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=(2, 4, 8)))
-        out = conv1d(x, w, b, padding=1, residual=r)
-        assert np.array_equal(out.data, add(r, conv1d(x, w, b, padding=1)).data)
+        out = conv1d(x, w, b, residual=r)
+        assert np.array_equal(out.data, add(r, conv1d(x, w, b)).data)
         with pytest.raises(ShapeError, match="residual"):
-            conv1d(x, w, b, residual=r)  # the output is 6 long without padding
+            conv1d(x, w, b, residual=Tensor(r.data[:, :, :7]))  # the output is 8 long
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("t", [1, 2, 6])
+    def test_output_keeps_the_input_length(self, t, k):
+        out = conv1d(Tensor(np.ones((2, 3, t))), Tensor(np.ones((4, 3, k))), Tensor(np.zeros(4)))
+        assert out.shape == (2, 4, t)
+        # each output sums the taps that land inside x: min(t, o + k//2 + 1) - max(0, o - k//2) of them
+        o = np.arange(t)
+        inside = np.minimum(t, o + k // 2 + 1) - np.maximum(0, o - k // 2)
+        assert np.array_equal(out.data[0, 0], 3.0 * inside)
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("k", [1, 3, 5])
@@ -105,36 +114,47 @@ class TestConv1d:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("t", [1, 2, 8, 9])
     def test_matches_im2col_reference(self, t, stride, padding, k, n):
-        """Output and all three gradients against the im2col reference.
+        """Output and all three gradients against the im2col reference at any
+        padding and stride.
 
-        The reference's stride-s output is conv1d's output at every s-th
-        position, so at stride 2 conv1d is compared on that sample, with a
-        zero upstream gradient at the positions left out.  Padding 3 exceeds
-        k // 2, so some outputs get no share from some taps.
+        conv1d pads k // 2 zeros on each side, so the reference at padding p
+        is conv1d of x with d = p - k // 2 more zeros on each side when d > 0,
+        and conv1d's output without its first and last -d positions when
+        d < 0; at stride s it is every s-th of those positions.  So conv1d is
+        compared on that sample, with a zero upstream gradient at the
+        positions left out, and x's gradient is the padded input's gradient
+        inside x.  Padding 3 exceeds k // 2, so some outputs get no share
+        from some taps.
         """
         rng = np.random.default_rng(100 * t + 10 * stride + padding + k + n)
         x_data = rng.normal(size=(n, 3, t))
         w_data = rng.normal(size=(4, 3, k))
         b_data = rng.normal(size=4)
-        if t + 2 * padding < k:
-            with pytest.raises(ShapeError, match="output length"):
-                conv1d(Tensor(x_data), Tensor(w_data), Tensor(b_data), padding=padding)
+        t_ref = t + 2 * padding - k + 1  # the reference's output length at stride 1
+        if t_ref < 1:
+            # the reference has no output at this padding; conv1d still gives t of them
+            assert conv1d(Tensor(x_data), Tensor(w_data), Tensor(b_data)).shape == (n, 4, t)
             return
-        t_out = (t + 2 * padding - k) // stride + 1
+        d = padding - k // 2
+        t_out = (t_ref - 1) // stride + 1
         upstream = np.random.default_rng(5).normal(size=(n, 4, t_out))
         results = []
         for reference in (False, True):
-            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in (x_data, w_data, b_data))
+            w, b = (Tensor(a.copy(), requires_grad=True) for a in (w_data, b_data))
             if reference:
+                x = Tensor(x_data.copy(), requires_grad=True)
                 out = conv1d_im2col(x, w, b, stride=stride, padding=padding)
                 backward((out * Tensor(upstream)).sum())
                 results.append((out.data, x.grad, w.grad, b.grad))
             else:
-                out = conv1d(x, w, b, padding=padding)
+                pad = max(d, 0)
+                xp = Tensor(np.pad(x_data, ((0, 0), (0, 0), (pad, pad))), requires_grad=True)
+                out = conv1d(xp, w, b)
+                kept = slice(max(-d, 0), max(-d, 0) + t_ref, stride)
                 upstream_full = np.zeros(out.shape)
-                upstream_full[:, :, ::stride] = upstream
+                upstream_full[:, :, kept] = upstream
                 backward((out * Tensor(upstream_full)).sum())
-                results.append((out.data[:, :, ::stride], x.grad, w.grad, b.grad))
+                results.append((out.data[:, :, kept], xp.grad[:, :, pad : pad + t], w.grad, b.grad))
         for got, want in zip(*results):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -146,7 +166,7 @@ class TestConv1d:
         x = Tensor(np.ones((1, 2, 5)), requires_grad=True)
         w = Tensor(np.ones((3, 2, 3)), requires_grad=True)
         b = Tensor(np.zeros(3), requires_grad=True)
-        out = conv1d(x, w, b, padding=1)
+        out = conv1d(x, w, b)
         held = []
         for cell in out._backward.__closure__:
             value = cell.cell_contents
@@ -164,16 +184,16 @@ class TestConv1d:
         x = Tensor(rng.normal(size=(n, 4, t)), requires_grad=True)
         w = Tensor(rng.normal(size=(5, 4, k)), requires_grad=True)
         b = Tensor(rng.normal(size=5), requires_grad=True)
-        out = conv1d(x, w, b, padding=k // 2)
+        out = conv1d(x, w, b)
         g = rng.normal(size=out.shape)
         backward(mul(out, Tensor(g)).sum())
-        y_ref, gx_ref = conv1d_summed_from_bias_and_zeros(x.data, w.data, b.data, k // 2, g)
+        y_ref, gx_ref = conv1d_summed_from_bias_and_zeros(x.data, w.data, b.data, g)
         assert np.array_equal(out.data, y_ref)
         assert np.array_equal(x.grad, gx_ref)
 
-    def test_negative_padding_rejected(self):
-        with pytest.raises(ShapeError, match="padding"):
-            conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 2, 1))), Tensor(np.zeros(1)), padding=-1)
+    def test_empty_time_axis_rejected(self):
+        with pytest.raises(ShapeError, match="length"):
+            conv1d(Tensor(np.zeros((1, 2, 0))), Tensor(np.zeros((1, 2, 3))), Tensor(np.zeros(1)))
 
     def test_channel_mismatch(self):
         with pytest.raises(ShapeError):
@@ -313,6 +333,44 @@ class TestBatchNorm:
             assert np.isnan(fused[0]).any() and np.isnan(fused[2]).any()
         for got, ref in zip(fused, separate):
             assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("with_relu", [True, False])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_residual_gradients(self, mode, with_relu):
+        rng = np.random.default_rng(11)
+        state = self._state(mode, rng.normal(size=2) + 1.0, rng.normal(size=2), rng.normal(size=2),
+                            rng.uniform(0.5, 2.0, size=2))
+        x = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
+        r = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
+        coeffs = Tensor(rng.normal(size=(3, 2, 6)))
+        worst = check_gradients(
+            lambda: (batchnorm1d(x, state, relu=with_relu, residual=r) * coeffs).sum(),
+            [x, r, state.gamma, state.beta],
+        )
+        assert worst < FD_REL_TOL
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_residual_is_bitwise_relu_of_add(self, mode):
+        rng = np.random.default_rng(12)
+        x, r, coeffs = (rng.normal(size=(3, 4, 7)) for _ in range(3))
+        stats = [mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
+        # output, x grad, residual grad, gamma grad, beta grad and running statistics
+        fused, separate = [], []
+        for results, op in ((fused, lambda t, st, rt: batchnorm1d(t, st, relu=True, residual=rt)),
+                            (separate, lambda t, st, rt: relu(add(rt, batchnorm1d(t, st))))):
+            state = self._state(*stats)
+            xt, rt = Tensor(x.copy(), requires_grad=True), Tensor(r.copy(), requires_grad=True)
+            out = op(xt, state, rt)
+            backward((out * Tensor(coeffs)).sum())
+            results += [out.data, xt.grad, rt.grad, state.gamma.grad, state.beta.grad,
+                        state.running_mean, state.running_var]
+        assert (fused[0] == 0).any() and (fused[0] > 0).any()  # the mask is not trivial
+        for got, ref in zip(fused, separate):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_residual_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="residual"):
+            batchnorm1d(Tensor(np.ones((2, 2, 5))), BatchNormState(2), residual=Tensor(np.ones((2, 2, 4))))
 
 
 class TestSimpleOps:
@@ -520,7 +578,7 @@ class TestBackward:
             xx = add(x, x)
             h = relu(xx)  # h also feeds the mean below
             m = aggregate([h, a], w, b)  # the 1x1 conv of the channel concat of h and a
-            y = conv1d(m, wc, bc, padding=1, residual=conv1d(a, wc, bc, padding=1))
+            y = conv1d(m, wc, bc, residual=conv1d(a, wc, bc))
             fan = mean_tensors([y, y * 2.0, y])
             return (fan * coeffs).sum() + (mean_tensors([h, xx]) * h).sum()
 
@@ -541,7 +599,7 @@ class TestBackward:
         labels = np.array([0, 1])
 
         def loss():
-            h = conv1d(x, w1, b1, padding=1)
+            h = conv1d(x, w1, b1)
             h = relu(batchnorm1d(h, state))
             pooled = max_pool_time(h)
             return softmax_cross_entropy(linear(pooled, w2, b2), labels)
@@ -569,7 +627,7 @@ class TestBackward:
             x = Tensor(rng.normal(size=(2, 3, 10)))
             w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
             b = Tensor(rng.normal(size=4), requires_grad=True)
-            h = relu(conv1d(x, w, b, padding=1))
+            h = relu(conv1d(x, w, b))
             out = max_pool_time(h)
             backward(out.sum())
             return out.data.copy(), w.grad.copy()
@@ -594,8 +652,8 @@ def residual_chain(rng, x, blocks, c):
         w1, b1, w2, b2 = param(c, c, 3), param(c), param(c, c, 3), param(c)
         state = BatchNormState(c)
         params += [w1, b1, w2, b2, state.gamma, state.beta]
-        a = batchnorm1d(conv1d(h, w1, b1, padding=1), state, relu=True)
-        h = conv1d(a, w2, b2, padding=1, residual=h)
+        a = batchnorm1d(conv1d(h, w1, b1), state, relu=True)
+        h = conv1d(a, w2, b2, residual=h)
     wl, bl = param(2, c), param(2)
     params += [wl, bl]
     loss = softmax_cross_entropy(linear(max_pool_time(h), wl, bl), np.array([0, 1]))
@@ -611,7 +669,7 @@ class TestGraphRelease:
         w, b = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True), Tensor(np.zeros(4), requires_grad=True)
         state = BatchNormState(4)
         wm, bm = Tensor(rng.normal(size=(2, 8, 1)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True)
-        h = conv1d(x, w, b, padding=1)
+        h = conv1d(x, w, b)
         a = batchnorm1d(h, state, relu=True)
         outs = branch_map(lambda i, t: tsum(mul(t, float(i + 1))), [a, a])
         m = aggregate([h, a], wm, bm)
@@ -689,7 +747,7 @@ class TestBranchMap:
 
         def loss():
             outs = branch_map(
-                lambda i, x: max_pool_time(relu(conv1d(x, ws[i], bs[i], padding=1))), xs
+                lambda i, x: max_pool_time(relu(conv1d(x, ws[i], bs[i]))), xs
             )
             return mean_tensors(outs).sum()
 
@@ -737,7 +795,7 @@ class TestBranchMap:
 
         def fn(i, x):
             idents.append(threading.get_ident())
-            return max_pool_time(relu(conv1d(x, ws[i], bs[i], padding=1)))
+            return max_pool_time(relu(conv1d(x, ws[i], bs[i])))
 
         with no_grad():
             outs = branch_map(fn, xs)
