@@ -16,7 +16,7 @@ import numpy as np
 
 from . import corpus, lfcc, multiscale
 from .config import load_config
-from .errors import ConfigError, LgpnetError
+from .errors import ConfigError, FormatError, LgpnetError, ManifestError
 from .evaluation import ScoreRecord, compute_eer_records, score_file_read, score_file_write
 from .gmm import train_by_splitting
 from .model import build_model, load_checkpoint, score
@@ -67,10 +67,24 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
 
 
 def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
-    frames = multiscale.map_utterances(
-        manifest, range(len(manifest)), lambda _, clip: lfcc.lfcc_extract(clip, cfg.lfcc).values
-    )
-    return np.vstack(frames)
+    """Every utterance's LFCC frames, stacked in manifest order.  The workers
+    write straight into one array sized from the WAV headers, so the frames
+    exist once."""
+    if len(manifest) == 0:
+        raise ManifestError(f"{manifest.split} manifest is empty: no frames to train the GMMs on")
+    headers = [corpus.check_wav(path) for path, _ in manifest.entries]
+    counts = [cfg.lfcc.n_frames(n, rate) for rate, n in headers]
+    ends = np.cumsum(counts, dtype=np.int64)
+    frames = np.empty((int(ends[-1]), cfg.lfcc.n_dims))
+
+    def fill(j: int, clip: corpus.AudioClip) -> None:
+        feat = lfcc.lfcc_extract(clip, cfg.lfcc).values
+        if len(feat) != counts[j]:
+            raise FormatError(f"{manifest.entries[j][0]}: {len(feat)} frames, its header gave {counts[j]}")
+        frames[ends[j] - counts[j] : ends[j]] = feat
+
+    multiscale.map_utterances(manifest, range(len(manifest)), fill)
+    return frames
 
 
 def _cmd_train_gmm(args) -> int:

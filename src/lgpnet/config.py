@@ -128,6 +128,8 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         setattr(target, attr, value)
     if cfg.target_frames < 1:
         raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
+    if cfg.n_classes != 2:  # the score is logit 1 - logit 0
+        raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {cfg.n_classes}")
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
     # re-run the dataclass validations that setattr bypassed

@@ -111,8 +111,9 @@ def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
     return AudioClip(samples=samples, sample_rate=rate, utt_id=utt_id or path.stem)
 
 
-def check_wav(path: str | Path) -> None:
-    """Raise what read_wav would raise on this file's header, without reading the samples.
+def check_wav(path: str | Path) -> tuple[int, int]:
+    """Raise what read_wav would raise on this file's header, without reading
+    the samples; return the sample rate and sample count read_wav would give.
 
     Only the header is parsed; the sample array is memory-mapped, never read.
     Sample values (NaN or infinite floats) are checked when read_wav reads the file.
@@ -122,9 +123,10 @@ def check_wav(path: str | Path) -> None:
         rate, data = _wav_samples(path, mmap=True)
     except FormatError:
         # the memory map also refuses a data chunk cut short, which a full read accepts
-        read_wav(path)
-        return
+        clip = read_wav(path)
+        return clip.sample_rate, clip.samples.size
     AudioClip(samples=data, sample_rate=rate)
+    return rate, data.size
 
 
 def parse_protocol(path: str | Path) -> list[UtteranceLabel]:

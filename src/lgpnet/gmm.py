@@ -20,9 +20,13 @@ responsibilities r and the statistics [sum r x^2; sum r x; sum r], stored
 as a (2D+1, K) array: a transposed left operand and a C-contiguous output
 ran that GEMM in two thirds of the time of r' @ [x^2, x, 1].  Chunks of
 _EM_CHUNK frames run on the worker pool, each with its own 8 MB of log
-joints at K=1024, and are summed in chunk order, whatever the workers.
-EM's GEMMs, like the LGP's, run at one BLAS thread, so a bank does not
-depend on the CPU count.
+joints at K=1024.  The calling thread adds each chunk's statistics to the
+total as the chunk is done, in chunk order (`tensor._ordered_map`), so at
+most workers + 1 chunks' statistics exist at once, whatever the frame
+count.  Besides the frames, training holds only these fixed buffers and the
+(N,) log-likelihoods: the data variance and the finiteness check also go a
+chunk at a time.  EM's GEMMs, like the LGP's, run at one BLAS thread, so a
+bank does not depend on the CPU count.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .lfcc import FeatureMatrix
-from .tensor import _blas_single_thread, _parallel_map, _pool_workers
+from .tensor import _blas_single_thread, _ordered_map, _pool_workers
 
 _GMM_MAGIC = b"GMM1"
 _GMM_VERSION = 2
@@ -50,7 +54,11 @@ _EM_CHUNK = 1024
 # Log joints further than this below their row's max are clamped before the
 # exp: exps that underflow, and GEMMs over the subnormals left, ran 3-80x slower.
 _EXP_FLOOR = -500.0
-_EM_WAVE = 16  # chunks per pool map; one wave's statistics are held at once
+# Chunk statistics are added up in waves of this many: each wave's sum starts
+# from its first chunk's and is then added to the total.  It fixes only the
+# order of the additions, and with it the last bits of every bank trained on
+# more than one wave; only the current wave's running sum is held.
+_EM_WAVE = 16
 
 # Absolute lower bound applied on top of the relative variance floor so
 # constant data dimensions cannot produce zero variances.
@@ -129,10 +137,11 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots = queue.SimpleQueue()
     for _ in range(min(_pool_workers(), n_chunks)):
         slots.put((np.empty((rows, 2 * d + 1)), np.empty((rows, gmm.order))))
-    parts = np.empty((min(_EM_WAVE, n_chunks), 2 * d + 1, gmm.order))
     point_ll, stats = np.empty(n), np.zeros((2 * d + 1, gmm.order))
+    wave = None  # the running sum of the current wave: its first chunk's statistics
 
-    def chunk(i: int, lo: int) -> None:
+    def chunk(i: int) -> np.ndarray:
+        lo = i * _EM_CHUNK
         x = data[lo : lo + _EM_CHUNK]
         a_buf, joint_buf = slot = slots.get()
         try:
@@ -146,16 +155,21 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             s = joint.sum(axis=1, keepdims=True)
             point_ll[lo : lo + len(x)] = m[:, 0] + np.log(s[:, 0])
             a /= s  # a' @ r == (a / s)' @ exp(joint), and a is the small side
-            np.matmul(a.T, joint, out=parts[i])
+            return a.T @ joint
         finally:
             slots.put(slot)
 
-    span = _EM_CHUNK * _EM_WAVE
+    def add(i: int, part: np.ndarray) -> None:
+        nonlocal wave, stats
+        if i % _EM_WAVE:
+            wave += part
+        else:
+            wave = part
+        if i % _EM_WAVE == _EM_WAVE - 1 or i == n_chunks - 1:
+            stats += wave
+
     with _blas_single_thread():
-        for wave in range(0, n, span):
-            los = range(wave, min(n, wave + span), _EM_CHUNK)
-            _parallel_map(lambda i: chunk(i, los[i]), len(los), min(span, n - wave) * gmm.order)
-            stats += parts[: len(los)].sum(axis=0)
+        _ordered_map(chunk, n_chunks, n * gmm.order, add)
     return point_ll, stats.T
 
 
@@ -168,22 +182,47 @@ def _floor_vector(data_var: np.ndarray, cfg: EmConfig) -> np.ndarray:
     return np.maximum(cfg.variance_floor * data_var, _ABS_VAR_FLOOR)
 
 
-def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig) -> Gmm:
+def _row_chunks(data: np.ndarray):
+    return (data[lo : lo + _EM_CHUNK] for lo in range(0, len(data), _EM_CHUNK))
+
+
+def _check_frames(data: np.ndarray, order: int) -> None:
+    if len(data) < order:
+        raise ValueError(f"need at least K={order} frames, got {len(data)}")
+    if not all(np.isfinite(x).all() for x in _row_chunks(data)):
+        raise ValueError("training data contains non-finite values")
+
+
+def _data_var(data: np.ndarray) -> np.ndarray:
+    """data.var(axis=0) of (N, D) frames without its (N, D) temporary: the
+    squared deviations are summed a chunk at a time, each sum starting from
+    the last.  For D > 1 numpy adds the rows of an axis-0 sum in row order,
+    so this is data.var(axis=0) bit for bit."""
+    n, d = data.shape
+    mean = data.sum(axis=0) / n
+    buf = np.empty((min(n, _EM_CHUNK) + 1, d))
+    total = np.zeros(d)
+    for x in _row_chunks(data):
+        rows = buf[: len(x) + 1]
+        rows[0] = total
+        np.subtract(x, mean, out=rows[1:])
+        np.square(rows[1:], out=rows[1:])
+        total = rows.sum(axis=0)
+    return total / n
+
+
+def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, data_var: np.ndarray | None = None) -> Gmm:
     """Re-estimate a GMM with cfg.n_iterations of EM (see the module docstring),
     keeping the component order.  Components with (numerically) zero mass are
-    reseeded at distinct frames, the least likely ones, with the global variance.
+    reseeded at distinct frames, the least likely ones, with the global
+    variance.  data_var, the per-dimension variance of the data, sets the
+    variance floor; it is computed when not given.
     """
     data = _as_frames(gmm, data)
-    return _em_iterations(gmm, data, cfg, data.var(axis=0))
-
-
-def _em_iterations(gmm: Gmm, data: np.ndarray, cfg: EmConfig, data_var: np.ndarray) -> Gmm:
-    """em_fit on (N, D) frames whose per-dimension variance is data_var."""
-    n, d = data.shape
-    if n < gmm.order:
-        raise ValueError(f"need at least K={gmm.order} frames, got {n}")
-    if not np.all(np.isfinite(data)):
-        raise ValueError("training data contains non-finite values")
+    _check_frames(data, gmm.order)
+    if data_var is None:
+        data_var = _data_var(data)
+    d = data.shape[1]
     floor = _floor_vector(data_var, cfg)
     global_var = np.maximum(data_var, _ABS_VAR_FLOOR)
     for _ in range(cfg.n_iterations):
@@ -226,12 +265,12 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise ShapeError(f"data of shape {data.shape} is not (N, D) frames")
-    data_var = data.var(axis=0)  # once: every level's floor and reseed variance
+    _check_frames(data, target_order)
+    data_var = _data_var(data)  # once: every level's floor and reseed variance
     variances = np.maximum(data_var, _floor_vector(data_var, cfg))
     models = [Gmm(np.ones(1), data.mean(axis=0, keepdims=True), variances[None])]
     while models[-1].order < target_order:
-        grown = binary_split(models[-1], cfg)
-        models.append(_em_iterations(grown, data, cfg, data_var))
+        models.append(em_fit(binary_split(models[-1], cfg), data, cfg, data_var))
     return models
 
 

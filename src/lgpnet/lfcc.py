@@ -43,6 +43,12 @@ class LfccConfig:
     def frame_shift(self, sample_rate: int) -> int:
         return int(round(self.frame_shift_ms * sample_rate / 1000.0))
 
+    def n_frames(self, n_samples: int, sample_rate: int) -> int:
+        """Frames that `frame_and_window` cuts from n_samples samples: one for
+        a clip shorter than a frame, else every whole frame that fits."""
+        flen = self.frame_len(sample_rate)
+        return (max(n_samples, flen) - flen) // self.frame_shift(sample_rate) + 1
+
     @property
     def n_static(self) -> int:
         return self.n_ceps + (1 if self.include_energy else 0)
@@ -87,8 +93,7 @@ def frame_and_window(clip: AudioClip, cfg: LfccConfig) -> np.ndarray:
     x = clip.samples
     if x.size < flen:
         x = np.concatenate([x, np.zeros(flen - x.size)])
-    n_frames = (x.size - flen) // shift + 1
-    starts = shift * np.arange(n_frames)
+    starts = shift * np.arange(cfg.n_frames(clip.samples.size, clip.sample_rate))
     frames = x[starts[:, None] + np.arange(flen)[None, :]]
     frames *= np.hamming(flen)
     return frames

@@ -87,6 +87,10 @@ class ModelCfg:
     mfa: bool = True
     improved_blocks: bool = True
 
+    def __post_init__(self):
+        if self.n_classes != 2:  # the score is logit 1 - logit 0
+            raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {self.n_classes}")
+
 
 @dataclass
 class ModelOutput:

@@ -58,6 +58,7 @@ import contextvars
 import ctypes
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
@@ -306,6 +307,14 @@ def _blas_single_thread():
             set_(n)
 
 
+def _map_pool(n: int, elements: int) -> ThreadPoolExecutor | None:
+    """The pool that a map of n calls on `elements` elements in all runs on,
+    or None to run it inline (see `_parallel_map`)."""
+    if n < 2 or elements < _MIN_POOL_ELEMENTS or getattr(_worker, "active", False):
+        return None
+    return _get_pool()
+
+
 def _parallel_map(fn, n: int, elements: int) -> list:
     """[fn(0), ..., fn(n-1)], on the worker pool when there is one and the
     calls work on at least _MIN_POOL_ELEMENTS `elements` in all.
@@ -318,14 +327,40 @@ def _parallel_map(fn, n: int, elements: int) -> list:
     runs inline there, since waiting on the pool from inside it could
     deadlock.
     """
-    inline = n < 2 or elements < _MIN_POOL_ELEMENTS or getattr(_worker, "active", False)
-    pool = None if inline else _get_pool()
+    pool = _map_pool(n, elements)
     if pool is None:
         return [fn(i) for i in range(n)]
     with _blas_single_thread():
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
         wait(futures)
     return [f.result() for f in futures]
+
+
+def _ordered_map(fn, n: int, elements: int, consume) -> None:
+    """consume(i, fn(i)) for i = 0, ..., n-1, in index order on the calling
+    thread, with the calls fn(i) run as `_parallel_map` runs them.
+
+    On the pool at most workers + 1 calls are in flight, so at most that
+    many results exist at once, however large n is.  Every started call has
+    finished before this returns or raises.  The first error in index order,
+    from fn or consume, is raised; no call starts once it is seen.
+    """
+    pool = _map_pool(n, elements)
+    if pool is None:
+        for i in range(n):
+            consume(i, fn(i))
+        return
+    pending = deque()
+    with _blas_single_thread():
+        try:
+            for i in range(n):
+                if len(pending) > pool._max_workers:
+                    consume(i - len(pending), pending.popleft().result())
+                pending.append(pool.submit(contextvars.copy_context().run, fn, i))
+            while pending:
+                consume(n - len(pending), pending.popleft().result())
+        finally:
+            wait(pending)
 
 
 def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:

@@ -448,6 +448,37 @@ def em_e_step_reference(gmm, data: np.ndarray):
     return point_ll, resp.sum(axis=0), resp.T @ data, resp.T @ data**2
 
 
+def e_step_by_waves(gmm, data: np.ndarray):
+    """The fused E-step, run inline, with each wave of _EM_WAVE chunks'
+    statistics kept in one (chunks, 2D+1, K) array that is summed over axis
+    0 and added to the total: (point_ll, statistics (K, 2D+1)).  This is
+    the association `gmm._e_step` keeps while it holds no such array."""
+    from lgpnet.gmm import _EM_CHUNK, _EM_WAVE, _EXP_FLOOR, _LOG_2PI, _lgp_coefficients
+    from lgpnet.tensor import _blas_single_thread
+
+    n, d = data.shape
+    const = np.sum(gmm.means**2 / gmm.variances + np.log(gmm.variances), axis=1) + d * _LOG_2PI
+    coef = np.vstack([_lgp_coefficients(gmm), np.log(gmm.weights) - 0.5 * const])
+    point_ll, stats = np.empty(n), np.zeros((2 * d + 1, gmm.order))
+    span = _EM_CHUNK * _EM_WAVE
+    for wave in range(0, n, span):
+        los = range(wave, min(n, wave + span), _EM_CHUNK)
+        parts = np.empty((len(los), 2 * d + 1, gmm.order))
+        for i, lo in enumerate(los):
+            x = data[lo : lo + _EM_CHUNK]
+            a = np.concatenate([x**2, x, np.ones((len(x), 1))], axis=1)
+            with _blas_single_thread():
+                joint = a @ coef
+            m = joint.max(axis=1, keepdims=True)
+            joint = np.exp(np.maximum(joint - m, _EXP_FLOOR))
+            s = joint.sum(axis=1, keepdims=True)
+            point_ll[lo : lo + len(x)] = m[:, 0] + np.log(s[:, 0])
+            with _blas_single_thread():
+                np.matmul((a / s).T, joint, out=parts[i])
+        stats += parts.sum(axis=0)
+    return point_ll, stats.T
+
+
 # ---------------------------------------------------------------------------
 # group layout by nested loops: the library's former index_lists and
 # random_grouping, kept as references

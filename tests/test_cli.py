@@ -143,6 +143,13 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"features.target_frames must be >= 1, got {frames}"):
             load_config(bad)
 
+    @pytest.mark.parametrize("n_classes", ["1", "3"])
+    def test_n_classes_other_than_2_rejected(self, tmp_path, n_classes):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"model.n_classes = {n_classes}\n")
+        with pytest.raises(ConfigError, match=f"model.n_classes must be 2 .*got {n_classes}"):
+            load_config(bad)
+
     def test_model_cfg_derives_group_dim(self, cli_workspace):
         cfg = load_config(cli_workspace["cfg"])
         assert cfg.model_cfg().group_input_dim == (8 + 16) // 2
@@ -371,9 +378,39 @@ class TestTrainGmmFrontEnd:
             lfcc, "lfcc_extract", lambda clip, c: threads.append(threading.get_ident()) or real(clip, c)
         )
         frames = cli._pooled_lfcc_frames(manifest, cfg)
-        assert np.array_equal(frames, ref)
+        assert frames.shape == ref.shape and frames.tobytes() == ref.tobytes()
         assert len(threads) == len(manifest)
         assert (threading.get_ident() in threads) != pooled
+
+    def test_frame_count_unlike_the_header_names_the_file(self, cli_workspace, monkeypatch, tmp_path, capsys):
+        import lgpnet.corpus as corpus_mod
+
+        real = corpus_mod.check_wav
+        first = build_manifest(parse_protocol(cli_workspace["protocol"]), cli_workspace["audio_dir"]).entries[0][0]
+
+        def one_frame_more(path):
+            rate, n = real(path)
+            return rate, n + 160 * (path == first)
+
+        monkeypatch.setattr(corpus_mod, "check_wav", one_frame_more)
+        out = tmp_path / "gmms"
+        code = cli_main([
+            "train-gmm", "--protocol", str(cli_workspace["protocol"]),
+            "--audio-dir", str(cli_workspace["audio_dir"]), "--out", str(out),
+            "--order", "16", "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        assert f"error: {first}: 99 frames, its header gave 100" in capsys.readouterr().err
+        assert not list(out.glob("gmm_*.bin"))
+
+    def test_empty_manifest_refused(self, tmp_path, capsys):
+        (tmp_path / "empty.txt").write_text("")
+        code = cli_main([
+            "train-gmm", "--protocol", str(tmp_path / "empty.txt"), "--audio-dir", str(tmp_path),
+            "--out", str(tmp_path / "gmms"), "--order", "64",
+        ])
+        assert code == 1
+        assert "error: train manifest is empty" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["nan", "junk"])
     def test_bad_wav_mid_manifest_names_it(self, cli_workspace, two_workers, tmp_path, capsys, bad):
@@ -581,6 +618,34 @@ class TestRefusedInputs:
             args += ["--checkpoint", str(out)]
         assert cli_main([command, *args]) == 1
         assert f"error: features.target_frames must be >= 1, got {frames}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_classes", ["1", "3"])
+    @pytest.mark.parametrize("command", ["train-gmm", "train-model", "score", "describe"])
+    def test_n_classes_other_than_2_is_exit_1_before_any_work(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, n_classes
+    ):
+        import lgpnet.corpus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a manifest was built")
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
+        cfg = workspace / f"classes{n_classes}.cfg"
+        cfg.write_text(TINY_CFG + f"model.n_classes = {n_classes}\n")
+        out = workspace / f"classes{n_classes}_{command}.out"
+        args = ["--config", str(cfg)]
+        if command != "describe":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"])]
+        if command == "train-gmm":
+            args += ["--out", str(out)]
+        elif command == "train-model":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        elif command == "score":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
+                     "--out", str(out)]
+        assert cli_main([command, *args]) == 1
+        assert f"error: model.n_classes must be 2 (spoof, bona fide), got {n_classes}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("iters", ["0", "-3"])

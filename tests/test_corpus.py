@@ -99,6 +99,23 @@ class TestCheckWav:
             assert raised_by(read_wav, wav) is expected
             assert raised_by(check_wav, wav) is expected
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            wav_bytes_int16(np.arange(10)),
+            wav_bytes_float32(np.linspace(-0.5, 0.5, 777)),
+            wav_bytes_int16(np.zeros(100))[:120],  # data chunk cut short
+        ],
+        ids=["int16", "float32", "truncated"],
+    )
+    def test_returns_the_rate_and_sample_count_read_wav_gives(self, tmp_path, payload):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on the truncated file
+            clip = read_wav(wav)
+            assert check_wav(wav) == (clip.sample_rate, clip.samples.size)
+
     def test_samples_are_memory_mapped_not_read(self, tmp_path, monkeypatch):
         import lgpnet.corpus as corpus_mod
 

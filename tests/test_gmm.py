@@ -1,13 +1,15 @@
 import struct
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+import lgpnet.gmm as gmm_mod
 import lgpnet.tensor as tensor_mod
-from helpers import em_e_step_reference, random_split_gmm
+from helpers import e_step_by_waves, em_e_step_reference, random_split_gmm
 
 from lgpnet.errors import FormatError, ShapeError
 from lgpnet.gmm import (
@@ -15,6 +17,7 @@ from lgpnet.gmm import (
     _EM_WAVE,
     EmConfig,
     Gmm,
+    _data_var,
     _e_step,
     binary_split,
     em_fit,
@@ -214,6 +217,51 @@ class TestFusedEStep:
         assert max_relative_error(stats[:, dim:-1], sum_x) < 1e-12
         assert max_relative_error(stats[:, :dim], sum_x2) < 1e-12
 
+    @pytest.mark.parametrize("chunks", [1, 16, 17, 40])
+    @pytest.mark.parametrize("workers", [0, 2, 3], ids=["inline", "2-workers", "3-workers"])
+    def test_bitwise_equal_to_wave_sums(self, forced_pool, monkeypatch, chunks, workers):
+        # the statistics are summed as each chunk finishes, in the association
+        # the old per-wave arrays gave; more workers than cores and a short
+        # switch interval make the chunks finish in varying order
+        rng = np.random.default_rng(chunks)
+        n, order, dim = chunks * _EM_CHUNK - 300, 64, 4
+        gmm = random_split_gmm(rng, order, dim)
+        data = rng.normal(scale=1.5, size=(n, dim)) + gmm.means[0]
+        if workers:
+            forced_pool(workers)
+        else:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            point_ll, stats = _e_step(gmm, data)
+        finally:
+            sys.setswitchinterval(interval)
+        ref_ll, ref_stats = e_step_by_waves(gmm, data)
+        assert point_ll.tobytes() == ref_ll.tobytes()
+        assert stats.shape == ref_stats.shape == (order, 2 * dim + 1)
+        assert stats.tobytes() == ref_stats.tobytes()
+
+    def test_memory_does_not_grow_with_the_chunk_count(self, monkeypatch):
+        # 40 chunks hold at most the (N,) log-likelihoods more than 4 do;
+        # summing per wave held up to _EM_WAVE chunk statistics at once
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        rng = np.random.default_rng(37)
+        order, dim = 1024, 32
+        gmm = random_split_gmm(rng, order, dim)
+        stats_bytes = (2 * dim + 1) * order * 8
+        peaks = []
+        for chunks in (4, 40):
+            data = rng.normal(size=(chunks * _EM_CHUNK, dim)) + gmm.means[0]
+            tracemalloc.start()
+            try:
+                _e_step(gmm, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 2 * stats_bytes  # numpy's buffers are traced
+        assert peaks[1] - peaks[0] < stats_bytes
+
     def test_bank_independent_of_worker_count(self, forced_pool, monkeypatch):
         # three chunks of frames; more workers than cores and a short switch
         # interval, so the chunks finish in varying order
@@ -240,6 +288,46 @@ class TestFusedEStep:
         for a, b in zip(runs[0], inline):
             for name in ("weights", "means", "variances"):
                 assert max_relative_error(getattr(a, name), getattr(b, name)) < 1e-12, name
+
+
+class TestDataVariance:
+    @pytest.mark.parametrize("n", [5, _EM_CHUNK - 1, _EM_CHUNK, _EM_CHUNK + 1, 40_001])
+    @pytest.mark.parametrize("dim", [2, 3, 60])
+    def test_bitwise_numpy_var(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        data = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=dim) + rng.normal(scale=5.0, size=dim)
+        assert _data_var(data).tobytes() == data.var(axis=0).tobytes()
+
+    def test_one_dimension_close_to_numpy_var(self):
+        # numpy sums a single column pairwise, not row by row
+        data = np.random.default_rng(3).normal(loc=4.0, size=(40_001, 1))
+        np.testing.assert_allclose(_data_var(data), data.var(axis=0), rtol=1e-12, atol=0)
+
+    def test_em_fit_computes_it_when_not_given(self):
+        rng = np.random.default_rng(12)
+        data = rng.normal(size=(3 * _EM_CHUNK + 7, 3)) * [1.0, 1e-3, 5.0]
+        cfg = EmConfig(n_iterations=2)
+        gmm = binary_split(single_gaussian(data.mean(axis=0), data.var(axis=0)), cfg)
+        a, b = em_fit(gmm, data, cfg), em_fit(gmm, data, cfg, data.var(axis=0))
+        for name in ("weights", "means", "variances"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+class TestFrameChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_in_a_late_chunk_refused(self, bad):
+        data = np.random.default_rng(2).normal(size=(3 * _EM_CHUNK, 2))
+        data[-5, 1] = bad
+        gmm = binary_split(single_gaussian([0.0, 0.0], [1.0, 1.0]), EmConfig())
+        with pytest.raises(ValueError, match="non-finite"):
+            em_fit(gmm, data, EmConfig(n_iterations=1))
+        with pytest.raises(ValueError, match="non-finite"):
+            train_by_splitting(data, 4, EmConfig(n_iterations=1))
+
+    def test_too_few_frames_refused_before_any_level(self, monkeypatch):
+        monkeypatch.setattr(gmm_mod, "em_fit", lambda *args: pytest.fail("a level was trained"))
+        with pytest.raises(ValueError, match="need at least K=16 frames, got 10"):
+            train_by_splitting(np.random.default_rng(1).normal(size=(10, 2)), 16)
 
 
 class TestBinarySplit:
@@ -314,6 +402,22 @@ class TestTrainBySplitting:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(Exception):
             train_by_splitting(np.zeros((10, 2)), 6)
+
+    def test_every_level_is_one_em_fit_call(self, monkeypatch):
+        # (gmm, data, cfg) positional: the benchmark's EM metrics read args[0] and args[2]
+        calls = []
+        real = gmm_mod.em_fit
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gmm_mod, "em_fit", recording)
+        data = np.random.default_rng(9).normal(size=(300, 2))
+        cfg = EmConfig(n_iterations=1)
+        train_by_splitting(data, 8, cfg)
+        assert [args[0].order for args, _ in calls] == [2, 4, 8]
+        assert all(args[1] is data and args[2] is cfg and not kwargs for args, kwargs in calls)
 
     def test_levels_equal_split_then_em_fit(self):
         # the data variance, computed once per call, is what em_fit computes per level

@@ -56,6 +56,24 @@ class TestFraming:
         assert np.allclose(frames[1], x[160:480] * w)
 
 
+class TestFrameCount:
+    """LfccConfig.n_frames gives the frame count from the sample count alone."""
+
+    @pytest.mark.parametrize(
+        "n", [1, 100, 319, 320, 321, 480, 320 + 160 * 97, 320 + 160 * 97 + 159, 16000, 48_123],
+    )
+    def test_matches_lfcc_extract(self, n):
+        cfg = LfccConfig()
+        feat = lfcc_extract(clip_of(np.random.default_rng(n).normal(size=n)), cfg)
+        assert cfg.n_frames(n, 16000) == feat.n_frames == count_frames_by_hand(n, 320, 160)
+
+    @pytest.mark.parametrize("n", [50, 200, 201, 8000])
+    def test_other_frame_sizes_and_rate(self, n):
+        cfg = LfccConfig(frame_len_ms=25.0, frame_shift_ms=12.5)
+        clip = AudioClip(samples=np.random.default_rng(n).normal(size=n), sample_rate=8000)
+        assert cfg.n_frames(n, 8000) == lfcc_extract(clip, cfg).n_frames == count_frames_by_hand(n, 200, 100)
+
+
 class TestPowerSpectrum:
     def test_zero_frame(self):
         assert np.all(power_spectrum(np.zeros(320), 1024) == 0.0)

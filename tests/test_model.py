@@ -21,7 +21,7 @@ from helpers import (
 
 import lgpnet.model as model_mod
 import lgpnet.tensor as tensor_mod
-from lgpnet.errors import FormatError, ShapeError
+from lgpnet.errors import ConfigError, FormatError, ShapeError
 from lgpnet.model import (
     GroupBranch,
     ImprovedResidualBlock,
@@ -693,6 +693,16 @@ class TestCheckpoint:
                 value = getattr(owner, attr)
                 assert value.dtype == np.float64, key
                 assert np.array_equal(value, data[key]), key
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_n_classes_other_than_2_refused(self, tmp_path, n_classes):
+        with pytest.raises(ConfigError, match=f"model.n_classes must be 2 .*got {n_classes}"):
+            ModelCfg(n_classes=n_classes)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(tiny_cfg(), seed=18), tiny_assignment())
+        rewrite_meta(path, lambda meta: meta["model_cfg"].update(n_classes=n_classes))
+        with pytest.raises(ConfigError, match="model.n_classes must be 2"):
+            load_checkpoint(path)
 
     def test_missing_bn_key_is_format_error(self, tmp_path):
         model = build_model(tiny_cfg(), seed=14)

@@ -1,4 +1,5 @@
 import threading
+import time
 import tracemalloc
 import weakref
 
@@ -814,6 +815,110 @@ class TestBranchMap:
         backward(add(outs[0], outs[1]))
         assert idents == [caller, caller]
         assert np.array_equal(a.grad, [2.0, 2.0])
+
+
+class TestOrderedMap:
+    """`_ordered_map` consumes results in index order on the calling thread,
+    holds at most workers + 1 of them, and raises as `_parallel_map` does."""
+
+    @staticmethod
+    def recorder():
+        lock = threading.Lock()
+        log = {"started": set(), "ended": set(), "consumed": [], "most_held": 0}
+
+        def started(i):
+            with lock:
+                log["started"].add(i)
+                log["most_held"] = max(log["most_held"], len(log["started"]) - len(log["consumed"]))
+
+        def ended(i):
+            with lock:
+                log["ended"].add(i)
+
+        def consumed(i):
+            with lock:
+                log["consumed"].append(i)
+
+        return log, started, ended, consumed
+
+    def test_index_order_on_the_calling_thread(self, two_workers):
+        caller = threading.get_ident()
+        seen = []
+
+        def fn(i):
+            time.sleep(0.001 * ((7 * i) % 5))  # calls finish out of index order
+            return i * i, threading.get_ident()
+
+        tensor_mod._ordered_map(fn, 20, 0, lambda i, r: seen.append((i, r[0], r[1], threading.get_ident())))
+        assert [(i, sq) for i, sq, _, _ in seen] == [(i, i * i) for i in range(20)]
+        assert all(consumer == caller for *_, consumer in seen)
+        assert caller not in {worker for _, _, worker, _ in seen}
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_plus_one_results_held(self, forced_pool, workers):
+        forced_pool(workers)
+        log, started, ended, consumed = self.recorder()
+
+        def fn(i):
+            started(i)
+            ended(i)
+            return i
+
+        def consume(i, r):
+            time.sleep(0.002)  # a slow consumer: unbounded, the results would pile up
+            consumed(i)
+
+        tensor_mod._ordered_map(fn, 30, 0, consume)
+        assert log["consumed"] == list(range(30))
+        assert 2 <= log["most_held"] <= workers + 1
+
+    def test_first_error_in_index_order_after_every_started_call(self, two_workers):
+        log, started, ended, consumed = self.recorder()
+
+        def fn(i):
+            started(i)
+            try:
+                if i in (3, 4):
+                    time.sleep(0.02 if i == 3 else 0.0)  # call 4 fails first in time
+                    raise ShapeError(f"call {i} failed")
+                time.sleep(0.002)
+                return i
+            finally:
+                ended(i)
+
+        with pytest.raises(ShapeError, match="call 3 failed"):
+            tensor_mod._ordered_map(fn, 40, 0, lambda i, r: consumed(i))
+        assert log["consumed"] == [0, 1, 2]
+        assert log["started"] == log["ended"]  # every started call finished first
+        assert max(log["started"]) <= 3 + 2  # none started once call 3's error was seen
+
+    def test_consume_error_is_raised(self, two_workers):
+        log, started, ended, consumed = self.recorder()
+
+        def fn(i):
+            started(i)
+            time.sleep(0.002)
+            ended(i)
+            return i
+
+        def consume(i, r):
+            if i == 5:
+                raise ShapeError("consume 5 failed")
+            consumed(i)
+
+        with pytest.raises(ShapeError, match="consume 5 failed"):
+            tensor_mod._ordered_map(fn, 40, 0, consume)
+        assert log["consumed"] == [0, 1, 2, 3, 4]
+        assert log["started"] == log["ended"]
+        assert max(log["started"]) <= 5 + 2
+
+    def test_inline_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        order = []
+        tensor_mod._ordered_map(
+            lambda i: order.append(("fn", i)) or i, 3, 1 << 40, lambda i, r: order.append(("consume", r))
+        )
+        assert order == [("fn", 0), ("consume", 0), ("fn", 1), ("consume", 1), ("fn", 2), ("consume", 2)]
 
 
 def openblas_paths():
