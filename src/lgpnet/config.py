@@ -126,8 +126,10 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             value = typ(raw)
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, attr, value)
-    if cfg.target_frames < 1:
-        raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
+    for key in ("features.target_frames", "model.n_groups", "model.n_blocks", "model.kernel"):
+        value = getattr(cfg, _SETTERS[key][1])
+        if value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value}")
     if cfg.n_classes != 2:  # the score is logit 1 - logit 0
         raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {cfg.n_classes}")
     if cfg.grouping not in ("lineage", "random"):

@@ -25,12 +25,17 @@ cached, and the skip (if any) and the ReLU after it are applied in place
 on the array that convolution just made.  A BN that is not folded applies
 them itself (`batchnorm1d(..., relu=True, residual=x)`), in place on its
 own output, so a training graph holds neither the pre-activation nor a
-mask.  The aggregation convolution of the concatenated block outputs is
-one `aggregate` op fed the block outputs as the blocks make them, so each
-block's share is added to one output array as the block finishes, in both
-modes: no concatenation and no partial sum exists.  In training the op
-keeps only the block outputs, which the graph holds anyway; under
-`no_grad` it keeps none.
+mask.  Nor does it hold that output past the forward: `branch_map` drops
+every BN output of a branch once the branch's forward returns, and
+backward remakes each one, bit for bit, where it is first read.  So
+between forward and backward a block of either kind holds only its two
+convolution outputs.  The aggregation convolution of the concatenated
+block outputs is one `aggregate` op fed the block outputs as the blocks
+make them, so each block's share is added to one output array as the
+block finishes, in both modes: no concatenation and no partial sum
+exists.  In training the op keeps only the block outputs, which the graph
+holds anyway (a conventional block's output is a BN output, dropped and
+remade like the others); under `no_grad` it keeps none.
 Folded scores agree with the unfolded forward to rounding (1e-10 relative
 in the tests).
 """
@@ -71,6 +76,8 @@ class ResidualBlockCfg:
     def __post_init__(self):
         if self.channels < 1:
             raise ConfigError("channels must be positive")
+        if self.kernel < 1:
+            raise ConfigError(f"model.kernel must be >= 1, got {self.kernel}")
         if self.kernel % 2 == 0:
             raise ConfigError("kernel size must be odd")
         if self.stride != 1:
@@ -88,6 +95,9 @@ class ModelCfg:
     improved_blocks: bool = True
 
     def __post_init__(self):
+        for key, value in (("n_groups", self.n_groups), ("n_blocks", self.n_blocks)):
+            if value < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {value}")
         if self.n_classes != 2:  # the score is logit 1 - logit 0
             raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {self.n_classes}")
 

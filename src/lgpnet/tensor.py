@@ -12,16 +12,28 @@ its closure has run: its gradient, closure and parent links are dropped.
 Activations and interior gradients are therefore freed while the walk
 moves down the graph, only leaves (and the nodes without a closure that
 `branch_map` hands out) keep their ``.grad``, and a fresh forward pass is
-needed per step.  Besides its parents, which its closure reads through
-their ``.data``, each op's backward keeps:
+needed per step.
+
+A release point (`_releasing`; `branch_map` makes one around each branch's
+forward) drops the array of every tracked batchnorm1d output made inside it
+once it returns, since the forward reads them no more.  The first read of
+such an array, by the first backward closure that needs it, remakes it with
+the forward's own ops from data the node's backward keeps anyway (x, the
+statistics, γ, β and the ``residual``), bit for bit, and the walk frees it
+with its node.  The walk takes the remake hook off every node it passes, so
+no read after backward rebuilds an array from parameters that Adam has
+updated since.  A ``no_grad`` pass tracks nothing, so it drops nothing.
+
+Besides its parents, which its closure reads through their ``.data``,
+each op's backward keeps:
 
 - conv1d: its tap table and the weight array;
 - aggregate: each input's channel range; its links share the one output
   array, so no partial sum is held;
 - batchnorm1d: the per-channel mean and 1/std (the normalized input is
-  recomputed from x with the forward's own two ops, bit for bit) and, with
-  ``relu=True``, its own output, from which the ReLU mask is read (a
-  ``residual``, added before the ReLU, adds nothing);
+  recomputed from x with the forward's own two ops, bit for bit), and no
+  output: that is dropped at the release point and remade when first read
+  (see above), and the ReLU mask is read from it;
 - relu: its own output, from which its mask is read;
 - mul: both operands' arrays;
 - max_pool_time: the argmax indices;
@@ -33,12 +45,12 @@ of the time axis), and a sum over the k taps of one matrix product each.
 One table gives every tap j its output range [lo, hi) and its input shift
 s = j - k // 2: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to outputs
 lo..hi-1.  Padding is handled by those ranges alone, so no padded copy or
-view of the input exists.  Backward reads the same table: the weight
-gradient tap by tap, and the input gradient from one product with the
-weight as stored, whose k per-tap shares are added at their shifts onto the
-centre tap's.  No window (im2col) matrix is built.  Gradients are stored on
-first touch without a copy, which is safe because no backward closure
-writes into an array it was handed.
+view of the input exists.  Backward reads the same table, and works tap
+by tap for both gradients.  The input gradient starts from the centre tap's
+share; every other tap's share, one product over every column, goes through
+one input-sized term buffer and is added at its shift.  No window (im2col)
+matrix is built.  Gradients are stored on first touch without a copy, which
+is safe because no backward closure writes into an array it was handed.
 
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
@@ -82,14 +94,26 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_prev")
+    __slots__ = ("_data", "requires_grad", "grad", "_backward", "_prev", "_remake")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        self._data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward = None
         self._prev: tuple[Tensor, ...] = ()
+        self._remake = None  # (remake, reads) while the array is released (see `_releasing`)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The node's array.  A released array is remade on its first read."""
+        if self._remake is not None:
+            _remake_from_below(self)
+        return self._data
+
+    @data.setter
+    def data(self, value) -> None:
+        self._data, self._remake = value, None
 
     @property
     def shape(self):
@@ -188,7 +212,50 @@ def _run_backward(root: Tensor, grad: np.ndarray | None) -> None:
             node.grad = None
         node._backward = None
         node._prev = ()
+        node._remake = None  # so no later read rebuilds it from parameters updated since
         del node
+
+
+_released: contextvars.ContextVar[list | None] = contextvars.ContextVar("_released", default=None)
+
+
+def _remake_from_below(top: Tensor) -> None:
+    """Remake top's released array and, before it, each released array that
+    its remake reads, bottom up.  A conventional block's output is the next
+    block's residual, so such arrays form a chain as deep as the branch, and
+    remaking them by recursion would overflow the stack."""
+    stack = [top]
+    while stack:
+        node = stack[-1]
+        if node._remake is None:  # remade since it was pushed
+            stack.pop()
+            continue
+        remake, reads = node._remake
+        below = [t for t in reads if t._remake is not None]
+        if below:
+            stack.extend(below)
+        else:
+            stack.pop()
+            node._data, node._remake = remake(), None
+
+
+@contextmanager
+def _releasing():
+    """A release point.  Inside the block `_released` holds a list, to which
+    a tracked op that can remake its output adds (node, (remake, reads)),
+    reads being the nodes whose arrays remake() reads.  On leaving the block
+    each such node's array is dropped, and its first read after that (in
+    backward, by the first closure that needs it) is remake(): the op's own
+    forward ops, bit for bit.  The walk frees the array with its node and
+    takes the remake hook off every node it passes."""
+    marked: list = []
+    token = _released.set(marked)
+    try:
+        yield
+    finally:
+        _released.reset(token)
+        for node, hook in marked:
+            node._data, node._remake = None, hook
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +449,12 @@ def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
     if not _grad_enabled:
         return _parallel_map(lambda i: fn(i, inputs[i]), n, elements)
     leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
-    roots = _parallel_map(lambda i: fn(i, leaves[i]), n, elements)
+
+    def _branch(i):
+        with _releasing():
+            return fn(i, leaves[i])
+
+    roots = _parallel_map(_branch, n, elements)
     if not any(r.requires_grad for r in roots):
         return roots
     hub = _result(np.zeros(()), tuple(x for x in inputs if x.requires_grad), None, True)
@@ -558,17 +630,18 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
                     prod.sum(axis=0, out=gw[:, :, j])
                 weight._accumulate(gw)
             if x.requires_grad:
-                # one product per sample gives every tap's share, read from the weight as
-                # stored: share[n, i, j, o] = sum_c W[c, i, j] g[n, c, o] belongs to input o + s
-                share = np.matmul(w.reshape(c_out, c_in * k).T, g).reshape(n, c_in, k, t)
+                # tap j's share W[:, :, j].T @ g, taken over every column so that each
+                # tap's product is the same GEMM: share[n, :, o] belongs to input o + s.
                 # dX starts from the centre tap's share, the one tap whose inputs are all of x
                 # (for k=1 the product itself), instead of from zeros.  For k <= 3 that share
                 # is at most the second one added at any input, so the sum equals 0 + each
                 # share in table order, bit for bit.
-                gx = np.ascontiguousarray(share[:, :, k // 2])
+                tp = np.ascontiguousarray(w.transpose(2, 0, 1))  # the forward's k x C_out x C_in
+                gx = np.matmul(tp[k // 2].T, g)
+                term = np.empty_like(gx) if k > 1 else None
                 for j, lo, hi, s in table:
                     if s:
-                        gx[:, :, lo + s : hi + s] += share[:, :, j, lo:hi]
+                        gx[:, :, lo + s : hi + s] += np.matmul(tp[j].T, g, out=term)[:, :, lo:hi]
                 x._accumulate(gx)
 
         out._backward = _bw
@@ -674,7 +747,10 @@ def batchnorm1d(
     and with relu=True the ReLU comes after that: the output is
     relu(bn(x) + residual), computed in place on the normalized array and bit
     for bit equal to `relu(add(bn(x), residual))`, so neither the
-    pre-activation nor a mask is held for backward.
+    pre-activation nor a mask is held for backward.  While gradients are
+    tracked, the output is released at the enclosing release point (see
+    `_releasing`) and remade from x, the statistics, γ, β and the residual
+    by the same ops.
     """
     if x.ndim != 3:
         raise ShapeError("batchnorm1d expects N x C x T input")
@@ -702,16 +778,21 @@ def batchnorm1d(
     else:
         raise ValueError(f"unknown batchnorm mode {state.mode!r}")
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat *= inv_std[None, :, None]
-    np.multiply(gamma.data[None, :, None], xhat, out=y)
-    y += beta.data[None, :, None]
+
+    def _output(xhat, y):
+        # xhat = x - mean is scaled in place, then y = γ·xhat + β (+ residual), ReLU'd
+        xhat *= inv_std[None, :, None]
+        np.multiply(gamma.data[None, :, None], xhat, out=y)
+        y += beta.data[None, :, None]
+        if residual is not None:
+            y += residual.data  # bn + residual is residual + bn, bit for bit
+        if relu:
+            np.maximum(y, 0.0, out=y)
+        return y
+
+    y = _output(xhat, y)
     del xhat  # backward recomputes it from x with the same two ops
-    parents = (x, gamma, beta)
-    if residual is not None:
-        y += residual.data  # bn + residual is residual + bn, bit for bit
-        parents += (residual,)
-    if relu:
-        np.maximum(y, 0.0, out=y)
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
 
     track = _tracking(*parents)
     out = _result(y, parents, None, track)
@@ -744,6 +825,14 @@ def batchnorm1d(
                 x._accumulate(gx)
 
         out._backward = _bw
+
+        marked = _released.get()
+        if marked is not None:
+            def _remake():
+                xhat = x.data - mean[None, :, None]
+                return _output(xhat, xhat)
+
+            marked.append((out, (_remake, (x,) if residual is None else (x, residual))))
     return out
 
 

@@ -318,18 +318,19 @@ def adam_step_by_expression(state, lr: float) -> None:
 # training memory at full size
 
 
-def full_size_steps_peak_rss_mb(batch: int, steps: int = 2) -> float:
+def full_size_steps_peak_rss_mb(batch: int, steps: int = 2, improved_blocks: bool = True) -> float:
     """Peak RSS, in MiB, of this process after `steps` training steps of the
     full-size default network (8 branches, 1984 x 400 LGP input) at `batch`
-    samples, run by `run_epoch`.  Meaningful in a fresh interpreter only: the
-    peak is the process's high-water mark."""
+    samples, run by `run_epoch`, with improved or standard residual blocks.
+    Meaningful in a fresh interpreter only: the peak is the process's
+    high-water mark."""
     import resource
 
     from lgpnet.model import ModelCfg, build_model
     from lgpnet.multiscale import GroupAssignment
     from lgpnet.training import AdamState, TrainConfig, run_epoch
 
-    cfg = ModelCfg()
+    cfg = ModelCfg(improved_blocks=improved_blocks)
     orders = (64, 128, 256, 512, 1024)
     assignment = GroupAssignment({o: np.arange(o) % cfg.n_groups for o in orders}, cfg.n_groups)
     model = build_model(cfg, seed=0)

@@ -648,6 +648,34 @@ class TestRefusedInputs:
         assert f"error: model.n_classes must be 2 (spoof, bona fide), got {n_classes}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("model.n_groups", "-8"), ("model.n_groups", "0"), ("model.n_blocks", "0"), ("model.kernel", "-1")]
+    )
+    @pytest.mark.parametrize("command", ["describe", "train-model"])
+    def test_model_size_below_1_is_exit_1_before_any_work(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, key, value
+    ):
+        # -8 groups once described a model of 0 parameters; 0 groups or blocks raised
+        # ZeroDivisionError and kernel -1 OverflowError, each as a traceback
+        import lgpnet.corpus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a manifest was built")
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
+        cfg = workspace / f"{key}{value}.cfg"
+        cfg.write_text(TINY_CFG + f"{key} = {value}\n")
+        out = workspace / f"{key}{value}_{command}.out"
+        args = ["--config", str(cfg)]
+        if command == "train-model":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+                     "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        assert cli_main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {key} must be >= 1, got {value}" in captured.err
+        assert "total:" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, iters):
         out = workspace / f"gmms_iters{iters}"

@@ -315,6 +315,105 @@ class TestGroupBranch:
         assert len(made) > len(alive) > cfg.n_blocks  # the probe saw the branch's activations
 
 
+def note_bn_outputs(monkeypatch, note):
+    """Patch the model's batchnorm1d so that note(out) sees each output it makes."""
+    real = model_mod.batchnorm1d
+
+    def noting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        note(out)
+        return out
+
+    monkeypatch.setattr(model_mod, "batchnorm1d", noting)
+
+
+def slices_for(cfg, seed, n=3, t=11):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=(n, cfg.group_input_dim, t))) for _ in range(cfg.n_groups)]
+
+
+class TestReleasedBnOutputs:
+    """A tracked forward drops every BN-ReLU output when its branch returns;
+    backward remakes each one, bit for bit, when a closure first reads it."""
+
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_no_bn_output_alive_after_a_tracked_forward(self, monkeypatch, improved, mfa):
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
+        model = build_model(cfg, seed=60)
+        refs = []
+        note_bn_outputs(monkeypatch, lambda out: refs.append(weakref.ref(out.data)))
+        out = model.forward_slices(slices_for(cfg, 61))
+        assert out.ensemble_logits.requires_grad
+        assert len(refs) == len(model.batchnorms())
+        assert [r() for r in refs] == [None] * len(refs)
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_remade_bn_outputs_bitwise_the_forwards(self, monkeypatch, improved, mode):
+        # the standard block's second BN adds the block input, itself a released BN
+        # output; read from the last block down, each read remakes that input first
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
+        model = build_model(cfg, seed=62)
+        perturb_batchnorms(model, np.random.default_rng(63))
+        model.set_mode(mode)
+        made = []
+        note_bn_outputs(monkeypatch, lambda out: made.append((out, out.data.copy())))
+        model.forward_slices(slices_for(cfg, 64))
+        assert len(made) == len(model.batchnorms())
+        assert all(node._data is None for node, _ in made)
+        for node, forward_data in reversed(made):
+            assert node.data.tobytes() == forward_data.tobytes()
+            assert node._remake is None
+
+    def test_chain_of_remakes_deeper_than_the_stack(self):
+        # each conventional block's output is the next one's residual; remade by
+        # recursion, a chain of half the recursion limit would overflow the stack
+        cfg = tiny_cfg(n_groups=1, n_blocks=sys.getrecursionlimit() // 2, block=ResidualBlockCfg(channels=2),
+                       group_input_dim=2, improved_blocks=False, mfa=False)
+        model = build_model(cfg, seed=69)
+        x = Tensor(np.random.default_rng(69).normal(size=(2, 2, 3)), requires_grad=True)
+        out = model.forward_slices([x])
+        backward(ensemble_aware_loss(out, np.array([0, 1])))
+        assert x.grad is not None and np.isfinite(x.grad).all()
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_no_grad_forward_releases_nothing(self, monkeypatch, mode):
+        cfg = tiny_cfg(improved_blocks=False)
+        model = build_model(cfg, seed=65)
+        model.set_mode(mode)
+        nodes = []
+        real_result = tensor_mod._result
+        monkeypatch.setattr(
+            tensor_mod, "_result", lambda data, *rest: nodes.append(real_result(data, *rest)) or nodes[-1]
+        )
+        with no_grad():
+            model.forward_slices(slices_for(cfg, 66))
+        assert len(nodes) > cfg.n_groups
+        assert all(node._data is not None and node._remake is None for node in nodes)
+
+    def test_no_node_can_remake_after_backward(self, monkeypatch):
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=False)
+        model = build_model(cfg, seed=67)
+        nodes = []
+        real_result = tensor_mod._result
+        monkeypatch.setattr(
+            tensor_mod, "_result", lambda data, *rest: nodes.append(real_result(data, *rest)) or nodes[-1]
+        )
+        out = model.forward_slices(slices_for(cfg, 68))
+        released = [node for node in nodes if node._remake is not None]
+        assert len(released) == len(model.batchnorms())
+        backward(ensemble_aware_loss(out, np.array([0, 1, 1])))
+        assert all(node._remake is None for node in nodes)
+        # each BN's own closure read its output for the ReLU mask, so each was remade
+        # once; parameters updated since change none of those arrays
+        before = [node._data.copy() for node in released]
+        for bn in model.batchnorms():
+            bn.state.gamma.data += 1.0
+            bn.state.beta.data -= 1.0
+        assert all(node.data.tobytes() == b.tobytes() for node, b in zip(released, before))
+
+
 class TestModelForward:
     def test_ensemble_is_mean_of_groups(self):
         model = build_model(tiny_cfg(), seed=5)
@@ -703,6 +802,14 @@ class TestCheckpoint:
         rewrite_meta(path, lambda meta: meta["model_cfg"].update(n_classes=n_classes))
         with pytest.raises(ConfigError, match="model.n_classes must be 2"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("kernel", -1)])
+    def test_model_size_below_1_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"model.{field} must be >= 1, got {value}"):
+            if field == "kernel":
+                ResidualBlockCfg(kernel=value)
+            else:
+                ModelCfg(**{field: value})
 
     def test_missing_bn_key_is_format_error(self, tmp_path):
         model = build_model(tiny_cfg(), seed=14)

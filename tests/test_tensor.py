@@ -727,6 +727,72 @@ class TestGraphRelease:
         assert deep <= 8 * activation
 
 
+class TestReleasedOutputs:
+    """A tracked batchnorm1d output is dropped at the release point and remade
+    bit for bit by the first read; conv1d's dX holds one term buffer."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("relu_on", [False, True])
+    def test_bn_output_remade_bitwise(self, relu_on, with_residual, mode):
+        rng = np.random.default_rng(70)
+        x_data, r_data = rng.normal(size=(2, 3, 7)), rng.normal(size=(2, 3, 7))
+        upstream = rng.normal(size=(2, 3, 7))
+        results = []
+        for release in (False, True):
+            state = BatchNormState(3)
+            state.gamma.data = np.array([0.7, 1.3, -0.4])
+            state.beta.data = np.array([0.2, -0.5, 0.1])
+            state.running_mean, state.running_var = np.array([0.1, -0.2, 0.3]), np.array([0.8, 1.7, 0.5])
+            state.mode = mode
+            x = Tensor(x_data.copy(), requires_grad=True)
+            r = Tensor(r_data.copy(), requires_grad=True) if with_residual else None
+            if release:
+                with tensor_mod._releasing():
+                    out = batchnorm1d(x, state, relu=relu_on, residual=r)
+                    assert out._data is not None  # kept until the release point
+                assert out._data is None and out._remake is not None
+            else:
+                out = batchnorm1d(x, state, relu=relu_on, residual=r)
+            data = out.data
+            assert out._remake is None  # one remake at most
+            backward(mul(out, Tensor(upstream)).sum())
+            grads = [x.grad, state.gamma.grad, state.beta.grad] + ([r.grad] if with_residual else [])
+            results.append([data, state.running_mean, state.running_var] + grads)
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_untracked_bn_output_is_not_released(self):
+        x = Tensor(np.random.default_rng(71).normal(size=(2, 3, 5)))
+        with tensor_mod._releasing(), no_grad():
+            out = batchnorm1d(x, BatchNormState(3), relu=True)
+        assert out._data is not None and out._remake is None
+
+    def test_walk_takes_the_remake_hook_off_an_unread_node(self):
+        x = Tensor(np.random.default_rng(72).normal(size=(2, 3, 5)), requires_grad=True)
+        with tensor_mod._releasing():
+            out = batchnorm1d(x, BatchNormState(3))
+        tensor_mod._run_backward(out, None)  # the walk runs no closure, so nothing reads out
+        assert out._remake is None and out.data is None
+
+    def test_conv1d_dx_holds_one_term_buffer(self):
+        # the former dX made one (N, k*C_in, T) product and a copy of its centre tap:
+        # 4 input-sized arrays at k = 3; now dX and one term buffer, 2 of them
+        n, c_in, t = 2, 64, 1000
+        rng = np.random.default_rng(73)
+        x = Tensor(rng.normal(size=(n, c_in, t)), requires_grad=True)
+        out = conv1d(x, Tensor(rng.normal(size=(2, c_in, 3))), Tensor(np.zeros(2)))
+        g = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            tensor_mod._run_backward(out, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape
+        assert peak < 2.5 * x.data.nbytes
+
+
 def blas_thread_counts():
     return [get() for get, _ in tensor_mod._find_blas_controls()]
 

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import tempfile
 import tracemalloc
@@ -13,6 +14,7 @@ from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients
 from lgpnet.corpus import Manifest
 from lgpnet.errors import LgpnetError, ManifestError, NonFiniteLossError
 from lgpnet.model import GroupBranch, ModelCfg, ModelOutput, ResidualBlockCfg, build_model, load_checkpoint
+from lgpnet.multiscale import GroupAssignment
 from lgpnet.tensor import Tensor, softmax_cross_entropy
 from lgpnet.training import (
     AdamState,
@@ -165,6 +167,35 @@ class TestAdam:
         for p, q, m, mr, v, vr in zip(got, ref, got_state.m, ref_state.m, got_state.v, ref_state.v):
             assert p.data.tobytes() == q.data.tobytes()
             assert m.tobytes() == mr.tobytes() and v.tobytes() == vr.tobytes()
+
+
+class TestReleasedBnOutputs:
+    @pytest.mark.parametrize("improved", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_steps_bitwise_with_and_without_release(self, workers, improved, forced_pool, monkeypatch):
+        # remade BN outputs feed backward the forward's bits: parameters and BN
+        # statistics after two run_epoch steps do not depend on the release
+        if workers == 1:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        else:
+            forced_pool(workers)
+        cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=8), group_input_dim=4,
+                       improved_blocks=improved)
+        assignment = GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2)
+        rng = np.random.default_rng(74)
+        feats, labels = rng.normal(size=(4, 8, 12)), np.array([0, 1, 1, 0])
+        results = []
+        for release in (False, True):
+            with monkeypatch.context() as patch:
+                if not release:
+                    patch.setattr(tensor_mod, "_releasing", contextlib.nullcontext)
+                model = build_model(cfg, seed=75)
+                state = AdamState(model.parameters())
+                train_cfg = TrainConfig(batch_size=2, epochs=1)
+                run_epoch(model, assignment, feats, labels, train_cfg, state, np.array([2, 0, 3, 1]), 1e-2)
+            results.append([getattr(owner, attr) for _, owner, attr in model.stored_arrays()])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestReduceOnPlateau:
