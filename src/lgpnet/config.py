@@ -37,6 +37,8 @@ class PipelineConfig:
 
     def model_cfg(self) -> ModelCfg:
         total = sum(self.bank_orders)
+        if self.n_groups < 1:  # before the modulo below
+            raise ConfigError(f"model.n_groups must be >= 1, got {self.n_groups}")
         if total % self.n_groups:
             raise ConfigError(
                 f"total component count {total} is not divisible by n_groups {self.n_groups}"
@@ -62,10 +64,14 @@ def _to_bool(raw: str, key: str) -> bool:
 
 
 def _orders(raw: str) -> list[int]:
+    """A non-empty list of distinct positive powers of 2, in any order."""
     try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+        orders = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"bank.orders: expected integers, got {raw!r}") from None
+    if not orders or len(set(orders)) != len(orders) or any(o < 1 or o & (o - 1) for o in orders):
+        raise ConfigError(f"bank.orders: expected distinct positive powers of 2, got {raw!r}")
+    return orders
 
 
 _SETTERS = {

@@ -21,11 +21,13 @@ convolution, and `_fold` alone decides per pair whether the BN runs as its
 own op or is folded into the convolution: it is folded when gradients are
 off (`no_grad`) and that BN is in eval mode.  The folded convolution has
 weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
-cached, and the skip (if any) and the ReLU after it are applied in place
-on the array that convolution just made.  A BN that is not folded applies
-them itself (`batchnorm1d(..., relu=True, residual=x)`), in place on its
-own output, so a training graph holds neither the pre-activation nor a
-mask.  Nor does it hold that output past the forward: `branch_map` drops
+cached.  The folded weight is written straight into conv1d's tap-major
+(k, C_out, C_in) layout and handed over as its (C_out, C_in, k) view, so
+conv1d reads it in place and it exists once.  The skip (if any) and the
+ReLU after the folded convolution are applied in place on the array it
+just made.  A BN that is not folded applies them itself
+(`batchnorm1d(..., relu=True, residual=x)`), in place on its own output,
+so a training graph holds neither the pre-activation nor a mask.  Nor does it hold that output past the forward: `branch_map` drops
 every BN output of a branch once the branch's forward returns, and
 backward remakes each one, bit for bit, where it is first read.  So
 between forward and backward a block of either kind holds only its two
@@ -151,7 +153,10 @@ def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, Batc
         return conv.weight, conv.bias, bn
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
     bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
-    return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
+    w = conv.weight.data  # C_out x C_in x k
+    taps = np.empty((w.shape[2], w.shape[0], w.shape[1]))  # conv1d's tap-major layout
+    np.multiply(w.transpose(2, 0, 1), scale[None, :, None], out=taps)
+    return Tensor(taps.transpose(1, 2, 0)), Tensor(bias), None
 
 
 def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = None) -> Tensor:
@@ -419,6 +424,15 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
     model = GroupedResNetEnsemble(cfg, _Unfilled())
+    _assign_stored_arrays(model, data, path)
+    return model, assignment
+
+
+def _assign_stored_arrays(
+    model: GroupedResNetEnsemble, data: dict[str, np.ndarray], path: str | Path
+) -> None:
+    """Set each of model's stored arrays from data, the arrays `_read_npz` read
+    from path; FormatError naming path for a missing key or a wrong shape."""
     for key, owner, attr in model.stored_arrays():
         if key not in data:
             raise FormatError(f"{path}: checkpoint is missing {key}")
@@ -426,4 +440,3 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
         if stored.shape != getattr(owner, attr).shape:
             raise FormatError(f"{path}: shape mismatch for {key}")
         setattr(owner, attr, np.asarray(stored, dtype=np.float64))
-    return model, assignment

@@ -45,7 +45,16 @@ of the time axis), and a sum over the k taps of one matrix product each.
 One table gives every tap j its output range [lo, hi) and its input shift
 s = j - k // 2: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to outputs
 lo..hi-1.  Padding is handled by those ranges alone, so no padded copy or
-view of the input exists.  Backward reads the same table, and works tap
+view of the input exists.  The taps are read from the weight's (k, C_out,
+C_in) transpose, copied once per call unless it is already C-contiguous
+(a weight that `model._fold` makes is).  One forward path serves every k:
+the first tap in the table writes its own output columns, the bias is
+added to them and written to the columns it misses, and every other tap's
+product goes through one output-sized term buffer and is added at its
+range, so the output is the bias plus each tap in table order, bit for
+bit.  `aggregate` needs no such buffer: each input's share is a temporary
+product, added to the output and freed at once, so between two inputs it
+holds nothing but its output.  Backward reads the same table, and works tap
 by tap for both gradients.  The input gradient starts from the centre tap's
 share; every other tap's share, one product over every column, goes through
 one input-sized term buffer and is added at its shift.  No window (im2col)
@@ -595,15 +604,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
     w = weight.data
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
     y = np.empty((n, c_out, t))
-    if k == 1:
-        # the one tap writes y itself: tap + bias is bias + tap
-        np.matmul(taps[0], x.data, out=y)
-        y += bias.data[None, :, None]
-    else:
-        y[...] = bias.data[None, :, None]
-        term = np.empty_like(y)
-        for j, lo, hi, s in table:
-            y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    # the first tap writes its own columns of y, then the bias goes on (tap + bias is
+    # bias + tap, so y is bias + each tap in table order, bit for bit); its s <= 0, since
+    # the centre tap is always in the table, so the columns it misses are those below lo
+    (j, lo, hi, s), rest = table[0], table[1:]
+    np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=y[:, :, lo:hi])
+    y[:, :, lo:hi] += bias.data[None, :, None]
+    y[:, :, :lo] = bias.data[None, :, None]
+    term = np.empty_like(y) if rest else None
+    for j, lo, hi, s in rest:
+        y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
     parents = (x, weight, bias)
     if residual is not None:
         if residual.shape != y.shape:
@@ -654,14 +664,15 @@ def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
     convolution with its input-channel slice of the weight.
 
     xs may be a generator.  Each x's share is added to the one output array
-    as soon as x arrives, so no partial sum exists after that, and under
-    `no_grad` no x is kept either.  While gradients are tracked, the output
-    is the top of a chain with one link per x; every link's data is that
-    same output array.  A link keeps its x, which the graph holds anyway,
-    and its backward gives x its share of the gradient and passes the
-    output's gradient on to the link below.  The bottom link also gives the
-    weight and bias theirs.  So the shares are made one at a time as the walk
-    goes down, in the order a chain of residual convolutions would make them.
+    as soon as x arrives, so no partial sum or product buffer exists after
+    that, and under `no_grad` no x is kept either.  While gradients are
+    tracked, the output is the top of a chain with one link per x; every
+    link's data is that same output array.  A link keeps its x, which the
+    graph holds anyway, and its backward gives x its share of the gradient
+    and passes the output's gradient on to the link below.  The bottom link
+    also gives the weight and bias theirs.  So the shares are made one at a
+    time as the walk goes down, in the order a chain of residual
+    convolutions would make them.
     """
     if weight.ndim != 3 or weight.shape[2] != 1:
         raise ShapeError(f"aggregate needs a C_out x C_in x 1 weight, got shape {weight.shape}")
@@ -670,7 +681,7 @@ def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"aggregate bias must have shape ({c_out},)")
     w = weight.data
     parts: list[tuple[Tensor, int, int]] = []  # (x, lo, hi): x meets input channels lo..hi-1
-    y = term = None
+    y = None
     hi = 0
     for x in xs:
         if x.ndim != 3 or hi + x.shape[1] > c_in:
@@ -682,9 +693,7 @@ def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
         else:
             if (x.shape[0], x.shape[2]) != (y.shape[0], y.shape[2]):
                 raise ShapeError(f"aggregate input of shape {x.shape} does not match output {y.shape}")
-            if term is None:
-                term = np.empty_like(y)
-            y += np.matmul(w[:, lo:hi, 0], x.data, out=term)
+            y += np.matmul(w[:, lo:hi, 0], x.data)
         if _grad_enabled:
             parts.append((x, lo, hi))
     if y is None or hi != c_in:

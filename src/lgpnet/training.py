@@ -24,7 +24,14 @@ import numpy as np
 from .corpus import Manifest
 from .errors import ConfigError, NonFiniteLossError
 from .lfcc import LfccConfig
-from .model import GroupedResNetEnsemble, ModelCfg, ModelOutput, save_checkpoint
+from .model import (
+    GroupedResNetEnsemble,
+    ModelCfg,
+    ModelOutput,
+    _assign_stored_arrays,
+    _read_npz,
+    save_checkpoint,
+)
 from .multiscale import GmmBank, GroupAssignment, ManifestLgp
 from .tensor import Tensor, _parallel_map, backward, no_grad, softmax_cross_entropy
 
@@ -223,13 +230,6 @@ def _best_epoch_file(checkpoint_path: str | Path | None) -> str:
     return path
 
 
-def _restore(model: GroupedResNetEnsemble, path: str) -> None:
-    """Load the stored arrays that `save_checkpoint` wrote to path into the model."""
-    with np.load(path) as data:
-        for key, owner, attr in model.stored_arrays():
-            setattr(owner, attr, data[key])
-
-
 def train(
     manifest: Manifest,
     bank: GmmBank,
@@ -252,8 +252,9 @@ def train(
     directory raises OSError there) or in the system temp dir; no copy of
     the arrays is kept in memory.  At the end the parameter gradients and
     Adam's moments are dropped, the best epoch's arrays are reloaded when a
-    later epoch was worse, and the file is moved onto checkpoint_path, or
-    deleted when there is none.  A NaN or infinite loss in any epoch raises
+    later epoch was worse (each key and shape checked as `load_checkpoint`
+    checks them, so a damaged file raises FormatError), and the file is
+    moved onto checkpoint_path, or deleted when there is none.  A NaN or infinite loss in any epoch raises
     NonFiniteLossError; on that or any other error the file is removed and
     no checkpoint is written.  Features are computed from the audio batch by
     batch, in every epoch; an empty train or dev manifest raises
@@ -309,7 +310,7 @@ def train(
         model.zero_grad()
         del state
         if best_epoch != train_cfg.epochs:
-            _restore(model, best_file)
+            _assign_stored_arrays(model, _read_npz(best_file), best_file)
         if checkpoint_path is not None:
             umask = os.umask(0)
             os.umask(umask)

@@ -186,6 +186,83 @@ def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padd
 
 
 # ---------------------------------------------------------------------------
+# the folded eval forward as the library computed it while conv1d had a k == 1
+# path of its own, aggregate held one product buffer and the fold made a
+# (C_out, C_in, k) weight: references for the one forward path, by bytes
+
+
+def conv1d_forward_two_path(x: np.ndarray, w: np.ndarray, b: np.ndarray, residual=None) -> np.ndarray:
+    """conv1d's output: for k == 1 the one tap written, then the bias added;
+    otherwise the bias plus each tap in table order, through one term buffer;
+    then the residual, if any, added."""
+    n, _, t = x.shape
+    c_out, _, k = w.shape
+    table = []
+    for j in range(k):
+        s = j - k // 2
+        lo, hi = max(0, -s), min(t, t - s)
+        if lo < hi:
+            table.append((j, lo, hi, s))
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    y = np.empty((n, c_out, t))
+    if k == 1:
+        np.matmul(taps[0], x, out=y)
+        y += b[None, :, None]
+    else:
+        y[...] = b[None, :, None]
+        term = np.empty_like(y)
+        for j, lo, hi, s in table:
+            y[:, :, lo:hi] += np.matmul(taps[j], x[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    if residual is not None:
+        y += residual
+    return y
+
+
+def aggregate_forward_with_term(xs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """aggregate's output, every share after the first made in one held term buffer."""
+    y = term = None
+    hi = 0
+    for x in xs:
+        lo, hi = hi, hi + x.shape[1]
+        if y is None:
+            y = np.matmul(w[:, lo:hi, 0], x)
+            y += b[None, :, None]
+        else:
+            if term is None:
+                term = np.empty_like(y)
+            y += np.matmul(w[:, lo:hi, 0], x, out=term)
+    return y
+
+
+def fold_by_broadcast(conv, bn):
+    """model._fold with the folded weight made as W * scale in W's own layout."""
+    from lgpnet import tensor
+    from lgpnet.tensor import BN_EPS
+
+    state = bn.state
+    if tensor._grad_enabled or state.mode != "eval":
+        return conv.weight, conv.bias, bn
+    scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
+    bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
+    return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
+
+
+def use_two_path_forward(monkeypatch) -> None:
+    """Make lgpnet.model fold and convolve with the references above (no_grad only)."""
+    import lgpnet.model as model
+
+    def conv(x, w, b, residual=None):
+        return Tensor(conv1d_forward_two_path(x.data, w.data, b.data, None if residual is None else residual.data))
+
+    def aggregate(xs, w, b):
+        return Tensor(aggregate_forward_with_term((x.data for x in xs), w.data, b.data))
+
+    monkeypatch.setattr(model, "_fold", fold_by_broadcast)
+    monkeypatch.setattr(model, "conv1d", conv)
+    monkeypatch.setattr(model, "aggregate", aggregate)
+
+
+# ---------------------------------------------------------------------------
 # multi-scale aggregation over a concatenation and as a chain of convs, and the
 # conventional residual block with a separate add and ReLU: the library's
 # former forwards, kept as references for `aggregate` and for the block
@@ -532,7 +609,8 @@ def rewrite_arrays(path, edit) -> None:
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
     edit(arrays)
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # np.savez would add .npz to a name without it
+        np.savez(fh, **arrays)
 
 
 def rewrite_meta(path, edit) -> None:

@@ -15,7 +15,7 @@ from helpers import (
 )
 
 from lgpnet.cli import cli_main
-from lgpnet.config import load_config
+from lgpnet.config import PipelineConfig, load_config
 from lgpnet.errors import ConfigError
 from lgpnet.evaluation import compute_eer_records, score_file_read
 from lgpnet.corpus import build_manifest, parse_protocol, read_wav
@@ -149,6 +149,16 @@ class TestConfigFile:
         bad.write_text(f"model.n_classes = {n_classes}\n")
         with pytest.raises(ConfigError, match=f"model.n_classes must be 2 .*got {n_classes}"):
             load_config(bad)
+
+    def test_bank_orders_in_any_order_accepted(self, tmp_path):
+        cfg = tmp_path / "orders.cfg"
+        cfg.write_text("bank.orders = 16, 1 8\n")
+        assert load_config(cfg).bank_orders == [16, 1, 8]
+
+    def test_model_cfg_refuses_n_groups_below_1(self):
+        # the modulo by n_groups once ran first: ZeroDivisionError
+        with pytest.raises(ConfigError, match="model.n_groups must be >= 1, got 0"):
+            PipelineConfig(n_groups=0).model_cfg()
 
     def test_model_cfg_derives_group_dim(self, cli_workspace):
         cfg = load_config(cli_workspace["cfg"])
@@ -673,6 +683,34 @@ class TestRefusedInputs:
         assert cli_main([command, *args]) == 1
         captured = capsys.readouterr()
         assert f"error: {key} must be >= 1, got {value}" in captured.err
+        assert "total:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, orders",
+        [("describe", ""), ("describe", "0"), ("describe", "8 -8"), ("train-gmm", "24 64"), ("train-gmm", "64 64")],
+    )
+    def test_malformed_bank_orders_is_exit_1_before_any_work(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, orders
+    ):
+        # describe died with a ZeroDivisionError traceback (fan-in 0); train-gmm ran EM
+        # before a KeyError (24) or GmmBank (64 64) refused the orders
+        import lgpnet.corpus
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a manifest was built")
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
+        cfg = workspace / f"orders{orders.replace(' ', '_')}.cfg"
+        cfg.write_text(TINY_CFG + f"bank.orders = {orders}\n")
+        out = workspace / f"orders{orders.replace(' ', '_')}_{command}.out"
+        args = ["--config", str(cfg)]
+        if command == "train-gmm":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+                     "--out", str(out), "--order", "64"]
+        assert cli_main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert f"error: bank.orders: expected distinct positive powers of 2, got {orders!r}" in captured.err
         assert "total:" not in captured.out
         assert not out.exists()
 

@@ -17,6 +17,7 @@ from helpers import (
     rewrite_arrays,
     rewrite_meta,
     standard_block_by_add,
+    use_two_path_forward,
 )
 
 import lgpnet.model as model_mod
@@ -657,6 +658,37 @@ class TestForwardOnlyPath:
         assert np.isfinite(out.ensemble_logits.data).all()
         for s, copy in zip(slices, before):
             assert np.array_equal(s.data, copy)
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_folded_weight_is_written_in_tap_major_layout(self, improved):
+        branch = GroupBranch(tiny_cfg(improved_blocks=improved), np.random.default_rng(45))
+        perturb_batchnorms(branch, np.random.default_rng(46))
+        layers = [layer for _, layer in branch.sublayers()]
+        pairs = [(c, bn) for c, bn in zip(layers, layers[1:]) if isinstance(bn, model_mod.BatchNorm1dLayer)]
+        assert len(pairs) == len(branch.batchnorms())
+        with no_grad():
+            for conv, bn in pairs:
+                weight, _, left = model_mod._fold(conv, bn)
+                assert left is None
+                assert weight.shape == conv.weight.shape
+                assert weight.data.transpose(2, 0, 1).flags.c_contiguous
+
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_folded_logits_bitwise_the_two_path_forward(self, improved, mfa, monkeypatch):
+        # helpers.use_two_path_forward: the fold in W's own layout, conv1d with its own
+        # k == 1 path and aggregate with a held product buffer
+        model = build_model(tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa), seed=47)
+        perturb_batchnorms(model, np.random.default_rng(48))
+        x = np.random.default_rng(49).normal(size=(3, 8, 11))
+        logits = []
+        for reference in (False, True):
+            if reference:
+                use_two_path_forward(monkeypatch)
+            with no_grad():
+                out = model.forward_slices([Tensor(s) for s in tiny_assignment().split(x)])
+            logits.append([out.ensemble_logits.data.tobytes()] + [g.data.tobytes() for g in out.group_logits])
+        assert logits[0] == logits[1]
 
     def test_train_mode_bn_keeps_the_tensor_path(self):
         model = build_model(tiny_cfg(), seed=37)

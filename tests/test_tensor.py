@@ -12,6 +12,7 @@ from helpers import (
     blas_threads,
     check_gradients,
     concat_by_copy,
+    conv1d_forward_two_path,
     conv1d_im2col,
 )
 
@@ -191,6 +192,22 @@ class TestConv1d:
         y_ref, gx_ref = conv1d_summed_from_bias_and_zeros(x.data, w.data, b.data, g)
         assert np.array_equal(out.data, y_ref)
         assert np.array_equal(x.grad, gx_ref)
+
+    @pytest.mark.parametrize("tap_major", [False, True])
+    @pytest.mark.parametrize("with_residual", [False, True])
+    @pytest.mark.parametrize("t", [1, 2, 9])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_forward_bitwise_the_two_path_forward(self, k, t, with_residual, tap_major):
+        # one path for every k, for a weight in its own layout and for the
+        # (C_out, C_in, k) view of a tap-major array that the fold hands over
+        rng = np.random.default_rng(200 + 10 * k + t)
+        x = rng.normal(size=(3, 6, t))
+        w = rng.normal(size=(7, 6, k))
+        b = rng.normal(size=7)
+        residual = rng.normal(size=(3, 7, t)) if with_residual else None
+        weight = np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(1, 2, 0) if tap_major else w
+        out = conv1d(Tensor(x), Tensor(weight), Tensor(b), residual=None if residual is None else Tensor(residual))
+        assert out.data.tobytes() == conv1d_forward_two_path(x, w, b, residual).tobytes()
 
     def test_empty_time_axis_rejected(self):
         with pytest.raises(ShapeError, match="length"):
@@ -486,6 +503,45 @@ class TestAggregate:
         assert seen == [[], [False], [True, False]]
         assert all(ref() is None for ref in refs)
         assert out.shape == (2, 4, 5) and out._backward is None
+
+    def test_no_grad_holds_only_its_output_between_inputs(self, monkeypatch):
+        # weakrefs to every array a numpy call in tensor.py returns; between two
+        # inputs the op may hold its output and nothing else (no product buffer)
+        made = []
+
+        class RecordingNumpy:
+            def __getattr__(self, name):
+                attr = getattr(np, name)
+                if not callable(attr) or isinstance(attr, type):
+                    return attr
+
+                def call(*args, **kwargs):
+                    result = attr(*args, **kwargs)
+                    if isinstance(result, np.ndarray):
+                        made.append(weakref.ref(result))
+                    return result
+
+                return call
+
+        rng = np.random.default_rng(23)
+        _, w, b = self.operands(rng)
+        inputs, held = [], []
+
+        def arriving():
+            for c in (2, 3, 1):
+                theirs = {id(a) for a in inputs}
+                held.append([ref for ref in made if ref() is not None and id(ref()) not in theirs])
+                x = Tensor(rng.normal(size=(2, c, 5)))
+                inputs.append(x.data)  # the inputs' own arrays are not the op's
+                yield x
+
+        monkeypatch.setattr(tensor_mod, "np", RecordingNumpy())
+        with no_grad():
+            out = aggregate(arriving(), w, b)
+        monkeypatch.undo()
+        assert held[0] == [] and len(made) >= 3
+        for alive in held[1:]:
+            assert [ref() is out.data for ref in alive] == [True]
 
     def test_links_hold_the_output_array_only(self):
         rng = np.random.default_rng(21)

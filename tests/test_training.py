@@ -9,10 +9,10 @@ import pytest
 
 import lgpnet.tensor as tensor_mod
 
-from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients
+from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients, rewrite_arrays
 
 from lgpnet.corpus import Manifest
-from lgpnet.errors import LgpnetError, ManifestError, NonFiniteLossError
+from lgpnet.errors import FormatError, LgpnetError, ManifestError, NonFiniteLossError
 from lgpnet.model import GroupBranch, ModelCfg, ModelOutput, ResidualBlockCfg, build_model, load_checkpoint
 from lgpnet.multiscale import GroupAssignment
 from lgpnet.tensor import Tensor, softmax_cross_entropy
@@ -504,16 +504,16 @@ class TestBestEpochOnDisk:
             return state
 
         at_reload = []
-        real_restore = training_mod._restore
+        real_assign = training_mod._assign_stored_arrays
 
-        def probing_restore(model, path):
+        def probing_assign(model, data, path):
             at_reload.append((states[0]() is None, all(p.grad is None for p in model.parameters())))
-            real_restore(model, path)
+            real_assign(model, data, path)
 
         dev_losses = iter([0.5, 0.25, 0.375])
         monkeypatch.setattr(training_mod, "save_checkpoint", recording_save)
         monkeypatch.setattr(training_mod, "AdamState", recording_adam)
-        monkeypatch.setattr(training_mod, "_restore", probing_restore)
+        monkeypatch.setattr(training_mod, "_assign_stored_arrays", probing_assign)
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         ckpt = tmp_path / "model.npz"
         model, log = self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=ckpt)
@@ -530,11 +530,37 @@ class TestBestEpochOnDisk:
         ))
         assert os.listdir(tmp_path) == ["model.npz"]
 
+    @pytest.mark.parametrize("damage", ["missing_key", "wrong_shape"])
+    def test_damaged_best_epoch_file_is_format_error(self, tiny_pipeline, tmp_path, monkeypatch, damage):
+        # the reload checks the file as load_checkpoint does; a bare np.load raised KeyError
+        # for a missing key and loaded a wrong-shaped array without a word
+        import lgpnet.training as training_mod
+
+        real_save = training_mod.save_checkpoint
+        key = "param/group0.entry_conv.bias"
+
+        def edit(arrays):
+            if damage == "missing_key":
+                del arrays[key]
+            else:
+                arrays[key] = arrays[key][:-1]
+
+        def damaging_save(path, model, assignment):
+            real_save(path, model, assignment)
+            rewrite_arrays(path, edit)
+
+        dev_losses = iter([0.5, 0.25, 0.375])
+        monkeypatch.setattr(training_mod, "save_checkpoint", damaging_save)
+        monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
+        with pytest.raises(FormatError, match=r"\.m\.npz\..*\.tmp: (checkpoint is missing|shape mismatch for) " + key):
+            self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=tmp_path / "m.npz")
+        assert os.listdir(tmp_path) == []
+
     def test_best_last_epoch_is_not_reloaded(self, tiny_pipeline, tmp_path, monkeypatch):
         import lgpnet.training as training_mod
 
         restores = []
-        monkeypatch.setattr(training_mod, "_restore", lambda *a: restores.append(a))
+        monkeypatch.setattr(training_mod, "_assign_stored_arrays", lambda *a: restores.append(a))
         dev_losses = iter([0.5, 0.25, 0.125])
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=tmp_path / "m.npz")
