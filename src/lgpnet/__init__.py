@@ -51,9 +51,9 @@ from .lfcc import (
 from .model import (
     GroupedResNetEnsemble,
     ModelCfg,
-    ModelOutput,
     ResidualBlockCfg,
     build_model,
+    ensemble_logits,
     load_checkpoint,
     save_checkpoint,
     score,
@@ -78,17 +78,13 @@ from .tensor import (
     conv1d,
     linear,
     max_pool_time,
-    mean_tensors,
     no_grad,
-    relu,
-    softmax_cross_entropy,
 )
 from .training import (
     AdamState,
     TrainConfig,
     adam_step,
     ensemble_aware_loss,
-    ensemble_ce_loss,
     evaluate_loss,
     predict_logits,
     reduce_on_plateau,

@@ -39,6 +39,13 @@ class PipelineConfig:
         total = sum(self.bank_orders)
         if self.n_groups < 1:  # before the modulo below
             raise ConfigError(f"model.n_groups must be >= 1, got {self.n_groups}")
+        # every bank order is split into n_groups equal groups, as the groupings require
+        if self.n_groups & (self.n_groups - 1):
+            raise ConfigError(f"model.n_groups must be a power of 2, got {self.n_groups}")
+        if self.n_groups > min(self.bank_orders):
+            raise ConfigError(
+                f"model.n_groups {self.n_groups} exceeds the smallest bank order {min(self.bank_orders)}"
+            )
         if total % self.n_groups:
             raise ConfigError(
                 f"total component count {total} is not divisible by n_groups {self.n_groups}"
@@ -141,6 +148,7 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
     # re-run the dataclass validations that setattr bypassed
+    cfg.model_cfg()
     cfg.lfcc = LfccConfig(**asdict(cfg.lfcc))
     cfg.em = EmConfig(**asdict(cfg.em))
     cfg.train = TrainConfig(**asdict(cfg.train))

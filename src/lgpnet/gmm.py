@@ -159,7 +159,7 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         finally:
             slots.put(slot)
 
-    def add(i: int, part: np.ndarray) -> None:
+    def add_chunk(i: int, part: np.ndarray) -> None:
         nonlocal wave, stats
         if i % _EM_WAVE:
             wave += part
@@ -169,7 +169,7 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             stats += wave
 
     with _blas_single_thread():
-        _ordered_map(chunk, n_chunks, n * gmm.order, add)
+        _ordered_map(chunk, n_chunks, n * gmm.order, add_chunk)
     return point_ll, stats.T
 
 

@@ -3,7 +3,11 @@
 Each group slice feeds its own branch: a 1x1 entry convolution, a stack of
 residual blocks, multi-scale feature aggregation (a 1x1 convolution of the
 channel concat of every block output), adaptive max pooling over time, and
-a linear classifier.  The ensemble output is the mean of the group logits.
+a linear classifier.  The forward returns the G group logits.  Their mean,
+the ensemble's logits, is plain numpy (`ensemble_logits`), not a graph
+node: scoring takes it from the group logits' arrays, and the loss, one
+node over the group logits (`training.ensemble_aware_loss`), forms it
+itself.
 
 The residual block keeps a single batch normalization and a single
 activation, both between the two convolutions:
@@ -63,7 +67,6 @@ from .tensor import (
     conv1d,
     linear,
     max_pool_time,
-    mean_tensors,
 )
 
 _CKPT_VERSION = 1
@@ -102,14 +105,6 @@ class ModelCfg:
                 raise ConfigError(f"model.{key} must be >= 1, got {value}")
         if self.n_classes != 2:  # the score is logit 1 - logit 0
             raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {self.n_classes}")
-
-
-@dataclass
-class ModelOutput:
-    """Ensemble logits b plus the per-group logits b_i they average."""
-
-    ensemble_logits: Tensor  # N x n_classes
-    group_logits: list[Tensor]  # G tensors, N x n_classes each
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -287,7 +282,8 @@ class GroupedResNetEnsemble:
             LinearLayer(cfg.block.channels, cfg.n_classes, rng) for _ in range(cfg.n_groups)
         ]
 
-    def forward_slices(self, slices: list[Tensor]) -> ModelOutput:
+    def forward_slices(self, slices: list[Tensor]) -> list[Tensor]:
+        """The G group logits b_g (N x n_classes each) for the G group slices."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
         for x in slices:
@@ -295,10 +291,9 @@ class GroupedResNetEnsemble:
                 raise ShapeError(
                     f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}"
                 )
-        group_logits = branch_map(lambda g, x: self.classifiers[g](self.branches[g](x)), slices)
-        return ModelOutput(ensemble_logits=mean_tensors(group_logits), group_logits=group_logits)
+        return branch_map(lambda g, x: self.classifiers[g](self.branches[g](x)), slices)
 
-    def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> ModelOutput:
+    def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> list[Tensor]:
         """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""
         lgp = np.asarray(lgp, dtype=np.float64)
         if lgp.ndim != 3:
@@ -367,9 +362,18 @@ class _Unfilled:
         return np.empty(size)
 
 
-def score(ensemble_logits: np.ndarray) -> np.ndarray:
+def ensemble_logits(group_logits: list[np.ndarray]) -> np.ndarray:
+    """The ensemble's logits: the mean of the G group logit arrays, summed in
+    group order into a copy of the first, then divided by G."""
+    total = group_logits[0].copy()
+    for logits in group_logits[1:]:
+        total += logits
+    return total / len(group_logits)
+
+
+def score(logits: np.ndarray) -> np.ndarray:
     """Log-likelihood-ratio-style score: bonafide logit minus spoof logit, per row."""
-    return ensemble_logits[:, 1] - ensemble_logits[:, 0]
+    return logits[:, 1] - logits[:, 0]
 
 
 def save_checkpoint(

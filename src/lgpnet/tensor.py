@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode gradients.
 
-Covers exactly the operations the grouped 1-d residual network needs:
+Covers exactly the operations the grouped 1-d residual network runs:
 same-length convolution, `aggregate` (the 1x1 convolution of a channel
 concatenation, summed input by input without the concatenation), batch
-normalization, ReLU, max pooling over time, linear layers, softmax
-cross-entropy, and the glue (add, mul, sum, tensor mean).  Convolution and
-batch normalization can add a ``residual`` operand to their output.  Each
+normalization with an optional ReLU, max pooling over time and linear
+layers.  The loss is one more node, made by
+`training.ensemble_aware_loss` with `_result`.  Convolution and batch
+normalization can add a ``residual`` operand to their output.  Each
 op wires a backward closure onto its output; ``backward(loss)`` runs the
 closures in reverse topological order and releases each node as soon as
 its closure has run: its gradient, closure and parent links are dropped.
@@ -34,11 +35,10 @@ each op's backward keeps:
   recomputed from x with the forward's own two ops, bit for bit), and no
   output: that is dropped at the release point and remade when first read
   (see above), and the ReLU mask is read from it;
-- relu: its own output, from which its mask is read;
-- mul: both operands' arrays;
 - max_pool_time: the argmax indices;
-- softmax_cross_entropy: the class probabilities;
-- linear, add, tsum, mean_tensors: nothing more.
+- linear: nothing more;
+- the loss (`training.ensemble_aware_loss`): the (N, 2) log-probabilities
+  of the ensemble mean and, with the ensemble-aware term, of each group.
 
 Convolution is stride 1 and same-length (k odd, k // 2 zeros on each side
 of the time axis), and a sum over the k taps of one matrix product each.
@@ -145,18 +145,6 @@ class Tensor:
     def _accumulate(self, g: np.ndarray):
         # Invariant: no backward closure writes into an array it was handed, so g is stored as is.
         self.grad = g if self.grad is None else self.grad + g
-
-    def sum(self) -> "Tensor":
-        return tsum(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -480,100 +468,6 @@ def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise / reduction ops
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    track = _tracking(a, b)
-    out = _result(a.data + b.data, (a, b), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                b._accumulate(out.grad)
-        out._backward = _bw
-    return out
-
-
-def mul(a: Tensor, b) -> Tensor:
-    if isinstance(b, (int, float)):
-        scalar = float(b)
-        track = _tracking(a)
-        out = _result(a.data * scalar, (a,), None, track)
-        if track:
-            def _bw():
-                if a.requires_grad:
-                    a._accumulate(out.grad * scalar)
-            out._backward = _bw
-        return out
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    track = _tracking(a, b)
-    out = _result(a.data * b.data, (a, b), None, track)
-    if track:
-        a_data, b_data = a.data, b.data
-
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad * b_data)
-            if b.requires_grad:
-                b._accumulate(out.grad * a_data)
-
-        out._backward = _bw
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    track = _tracking(a)
-    out = _result(a.data.sum(), (a,), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(out.grad, a.shape).copy())
-        out._backward = _bw
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0) elementwise; NaN stays NaN, and -0.0 becomes +0.0."""
-    track = _tracking(a)
-    out = _result(np.maximum(a.data, 0.0), (a,), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad * (out.data > 0))  # a > 0 exactly where max(a, 0) > 0
-        out._backward = _bw
-    return out
-
-
-def mean_tensors(tensors: list[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors (the ensemble average)."""
-    if not tensors:
-        raise ShapeError("mean_tensors needs at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors:
-        if t.shape != shape:
-            raise ShapeError("mean_tensors requires identical shapes")
-    track = _tracking(*tensors)
-    n = len(tensors)
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-    out = _result(total / n, tuple(tensors), None, track)
-    if track:
-        def _bw():
-            g = out.grad / n
-            for t in tensors:
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = _bw
-    return out
-
-
-# ---------------------------------------------------------------------------
 # neural network ops
 
 
@@ -755,7 +649,7 @@ def batchnorm1d(
     `residual` (of x's shape), when given, is added to the normalized output,
     and with relu=True the ReLU comes after that: the output is
     relu(bn(x) + residual), computed in place on the normalized array and bit
-    for bit equal to `relu(add(bn(x), residual))`, so neither the
+    for bit equal to separate add and ReLU nodes, so neither the
     pre-activation nor a mask is held for backward.  While gradients are
     tracked, the output is released at the enclosing release point (see
     `_releasing`) and remade from x, the statistics, γ, β and the residual
@@ -887,32 +781,5 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
                 bias._accumulate(g.sum(axis=0))
             if x.requires_grad:
                 x._accumulate(g @ weight.data)
-        out._backward = _bw
-    return out
-
-
-def softmax_cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean over the batch of -log softmax(logits) at the true class."""
-    if logits.ndim != 2:
-        raise ShapeError("softmax_cross_entropy expects N x n_classes logits")
-    n, n_classes = logits.shape
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ShapeError(f"labels must have shape ({n},)")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
-    track = _tracking(logits)
-    out = _result(np.asarray(loss), (logits,), None, track)
-    if track:
-        probs = np.exp(log_probs)
-
-        def _bw():
-            if logits.requires_grad:
-                g = probs.copy()
-                g[np.arange(n), labels] -= 1.0
-                logits._accumulate(g * (out.grad / n))
         out._backward = _bw
     return out

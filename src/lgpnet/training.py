@@ -3,11 +3,22 @@
 The loss averages the ensemble cross-entropy with every group classifier's
 own cross-entropy:
 
-    L = (CE(b, y) + sum_i CE(b_i, y)) / (G + 1)
+    L = (CE(b, y) + sum_g CE(b_g, y)) / (G + 1)
 
-so each branch is trained as an independent classifier while the averaged
-prediction is optimized directly.  Switching ``ensemble_aware`` off reduces
-the loss to CE(b, y) alone (ablation).
+where b_g are the G group logits and b their mean, so each branch is
+trained as an independent classifier while the averaged prediction is
+optimized directly.  Switching ``ensemble_aware`` off reduces the loss to
+CE(b, y) alone (ablation).  The loss is one graph node whose parents are
+the b_g.  With P = softmax(b), P_g = softmax(b_g), Y the one-hot labels
+over N samples and c the loss's upstream gradient, times 1/(G + 1) for
+the ensemble-aware loss, the gradient reaching each b_g is
+
+    dL/db_g = ((P - Y) * (c/N)) / G + (P_g - Y) * (c/N)
+
+the second term only for the ensemble-aware loss.  Each term is computed
+with the ops, in the order, that a chain of one cross-entropy node per
+term, add nodes, a scaling node and a mean node gives, so the value and
+every gradient equal that chain's bit for bit.
 """
 from __future__ import annotations
 
@@ -22,18 +33,18 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Manifest
-from .errors import ConfigError, NonFiniteLossError
+from .errors import ConfigError, NonFiniteLossError, ShapeError
 from .lfcc import LfccConfig
 from .model import (
     GroupedResNetEnsemble,
     ModelCfg,
-    ModelOutput,
     _assign_stored_arrays,
     _read_npz,
+    ensemble_logits,
     save_checkpoint,
 )
 from .multiscale import GmmBank, GroupAssignment, ManifestLgp
-from .tensor import Tensor, _parallel_map, backward, no_grad, softmax_cross_entropy
+from .tensor import Tensor, _parallel_map, _result, _tracking, backward, no_grad
 
 
 @dataclass
@@ -54,20 +65,55 @@ class TrainConfig:
             raise ConfigError("plateau_factor must lie in (0, 1)")
 
 
-def ensemble_aware_loss(output: ModelOutput, labels: np.ndarray) -> Tensor:
-    """Mean of the ensemble CE and every group classifier CE."""
-    terms = [softmax_cross_entropy(output.ensemble_logits, labels)]
-    for logits in output.group_logits:
-        terms.append(softmax_cross_entropy(logits, labels))
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total * (1.0 / len(terms))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def ensemble_ce_loss(output: ModelOutput, labels: np.ndarray) -> Tensor:
-    """Plain cross-entropy on the averaged logits (ablation path)."""
-    return softmax_cross_entropy(output.ensemble_logits, labels)
+def ensemble_aware_loss(group_logits: list[Tensor], labels, aware: bool = True) -> Tensor:
+    """The loss of the module docstring over the G group logits (N x 2 each)
+    and labels in 0..1: ensemble-aware, or with aware=False the ensemble's
+    cross-entropy alone.  One node, whose parents are the group logits."""
+    if not group_logits:
+        raise ShapeError("ensemble_aware_loss needs at least one group's logits")
+    n = group_logits[0].shape[0]
+    for b in group_logits:
+        if b.shape != (n, 2):
+            raise ShapeError(f"group logits must be N x 2, all of one N; got {b.shape} beside ({n}, 2)")
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"labels must have shape ({n},)")
+    if labels.min() < 0 or labels.max() > 1:
+        raise ValueError("labels must lie in 0..1")
+    arrays = [b.data for b in group_logits]
+    log_probs = [_log_softmax(ensemble_logits(arrays))]  # the ensemble's, then each group's
+    if aware:
+        log_probs += [_log_softmax(a) for a in arrays]
+    rows = np.arange(n)
+    ces = [-lp[rows, labels].mean() for lp in log_probs]
+    loss = ces[0]
+    for ce in ces[1:]:
+        loss = loss + ce
+    if aware:
+        loss = loss * (1.0 / len(ces))
+    track = _tracking(*group_logits)
+    out = _result(np.asarray(loss), tuple(group_logits), None, track)
+    if track:
+        def _bw():
+            c = out.grad * (1.0 / len(log_probs)) if aware else out.grad
+
+            def share(lp):  # (softmax - one-hot) * (c/N): one cross-entropy's gradient
+                g = np.exp(lp)
+                g[rows, labels] -= 1.0
+                return g * (c / n)
+
+            mean_share = share(log_probs[0]) / len(group_logits)
+            for i, b in enumerate(group_logits):
+                if b.requires_grad:
+                    b._accumulate(mean_share + share(log_probs[i + 1]) if aware else mean_share)
+
+        out._backward = _bw
+    return out
 
 
 class AdamState:
@@ -152,8 +198,8 @@ def _forward(
     assignment: GroupAssignment,
     feats: np.ndarray | ManifestLgp,
     idx: np.ndarray,
-) -> ModelOutput:
-    """The model's output for the batch feats[idx], handed only that batch's
+) -> list[Tensor]:
+    """The group logits for the batch feats[idx], the model handed only that batch's
     group slices, so the stacked batch is freed before the first branch runs."""
     return model.forward_slices([Tensor(x) for x in assignment.split(feats[idx])])
 
@@ -169,14 +215,13 @@ def run_epoch(
     lr: float,
 ) -> float:
     """One optimization pass over shuffled data; returns the mean sample loss."""
-    loss_fn = ensemble_aware_loss if cfg.ensemble_aware else ensemble_ce_loss
     model.set_mode("train")
     total = 0.0
     for idx in _batch_indices(perm.size, cfg.batch_size):
         batch = perm[idx]
         model.zero_grad()  # before the forward, so the last step's gradients are not held through it
-        output = _forward(model, assignment, feats, batch)
-        loss = loss_fn(output, labels[batch])
+        group_logits = _forward(model, assignment, feats, batch)
+        loss = ensemble_aware_loss(group_logits, labels[batch], cfg.ensemble_aware)
         backward(loss)
         adam_step(state, lr)
         total += loss.item() * batch.size
@@ -191,13 +236,12 @@ def evaluate_loss(
     cfg: TrainConfig,
 ) -> float:
     """Loss over a dataset in eval mode; no graph, no state mutation."""
-    loss_fn = ensemble_aware_loss if cfg.ensemble_aware else ensemble_ce_loss
     model.set_mode("eval")
     total = 0.0
     with no_grad():
         for idx in _batch_indices(labels.size, cfg.batch_size):
-            output = _forward(model, assignment, feats, idx)
-            total += loss_fn(output, labels[idx]).item() * idx.size
+            group_logits = _forward(model, assignment, feats, idx)
+            total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware).item() * idx.size
     return total / labels.size
 
 
@@ -212,7 +256,7 @@ def predict_logits(
     outs = []
     with no_grad():
         for idx in _batch_indices(len(feats), batch_size):
-            outs.append(_forward(model, assignment, feats, idx).ensemble_logits.data)
+            outs.append(ensemble_logits([b.data for b in _forward(model, assignment, feats, idx)]))
     return np.vstack(outs)
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from lgpnet.errors import ShapeError
 from lgpnet.model import BatchNorm1dLayer
 from lgpnet.tensor import Tensor, _find_blas_controls, _result, _tracking, backward
 
@@ -143,6 +144,139 @@ def check_gradients(build_loss, tensors: list[Tensor], h: float = FD_H) -> float
         num = numeric_grad(lambda: build_loss().item(), t.data, h=h)
         worst = max(worst, grad_errors(t.grad, num))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# graph glue and the loss as a chain of nodes: the library's former add, mul,
+# tsum, relu, mean_tensors and softmax_cross_entropy ops, kept to weight and
+# sum op outputs into test losses and as references for the fused ReLU and the
+# one-node loss
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    assert a.shape == b.shape, (a.shape, b.shape)
+    track = _tracking(a, b)
+    out = _result(a.data + b.data, (a, b), None, track)
+    if track:
+        def _bw():
+            if a.requires_grad:
+                a._accumulate(out.grad)
+            if b.requires_grad:
+                b._accumulate(out.grad)
+        out._backward = _bw
+    return out
+
+
+def mul(a: Tensor, b) -> Tensor:
+    """a times a Tensor of a's shape, or times a Python number."""
+    if isinstance(b, (int, float)):
+        scalar = float(b)
+        track = _tracking(a)
+        out = _result(a.data * scalar, (a,), None, track)
+        if track:
+            def _bw():
+                if a.requires_grad:
+                    a._accumulate(out.grad * scalar)
+            out._backward = _bw
+        return out
+    assert a.shape == b.shape, (a.shape, b.shape)
+    track = _tracking(a, b)
+    out = _result(a.data * b.data, (a, b), None, track)
+    if track:
+        a_data, b_data = a.data, b.data
+
+        def _bw():
+            if a.requires_grad:
+                a._accumulate(out.grad * b_data)
+            if b.requires_grad:
+                b._accumulate(out.grad * a_data)
+
+        out._backward = _bw
+    return out
+
+
+def tsum(a: Tensor) -> Tensor:
+    track = _tracking(a)
+    out = _result(a.data.sum(), (a,), None, track)
+    if track:
+        def _bw():
+            if a.requires_grad:
+                a._accumulate(np.broadcast_to(out.grad, a.shape).copy())
+        out._backward = _bw
+    return out
+
+
+def relu(a: Tensor) -> Tensor:
+    """max(a, 0) elementwise; NaN stays NaN, and -0.0 becomes +0.0."""
+    track = _tracking(a)
+    out = _result(np.maximum(a.data, 0.0), (a,), None, track)
+    if track:
+        def _bw():
+            if a.requires_grad:
+                a._accumulate(out.grad * (out.data > 0))  # a > 0 exactly where max(a, 0) > 0
+        out._backward = _bw
+    return out
+
+
+def mean_tensors(tensors: list[Tensor]) -> Tensor:
+    """Elementwise mean of same-shape tensors: the former ensemble mean node."""
+    assert tensors and all(t.shape == tensors[0].shape for t in tensors)
+    track = _tracking(*tensors)
+    n = len(tensors)
+    total = tensors[0].data.copy()
+    for t in tensors[1:]:
+        total += t.data
+    out = _result(total / n, tuple(tensors), None, track)
+    if track:
+        def _bw():
+            g = out.grad / n
+            for t in tensors:
+                if t.requires_grad:
+                    t._accumulate(g)
+        out._backward = _bw
+    return out
+
+
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean over the batch of -log softmax(logits) at the true class."""
+    if logits.ndim != 2:
+        raise ShapeError("softmax_cross_entropy expects N x n_classes logits")
+    n, n_classes = logits.shape
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ShapeError(f"labels must have shape ({n},)")
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ValueError(f"labels must lie in 0..{n_classes - 1}")
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -log_probs[np.arange(n), labels].mean()
+    track = _tracking(logits)
+    out = _result(np.asarray(loss), (logits,), None, track)
+    if track:
+        probs = np.exp(log_probs)
+
+        def _bw():
+            if logits.requires_grad:
+                g = probs.copy()
+                g[np.arange(n), labels] -= 1.0
+                logits._accumulate(g * (out.grad / n))
+        out._backward = _bw
+    return out
+
+
+def ensemble_loss_by_chain(group_logits: list[Tensor], labels, aware: bool = True) -> Tensor:
+    """The ensemble-aware loss (aware) or the ensemble's cross-entropy alone as
+    the library built it before it was one node: a mean node over the group
+    logits, one cross-entropy node per term, add nodes and a scaling node
+    (2G + 3 nodes at G groups, or 2 plain)."""
+    terms = [softmax_cross_entropy(mean_tensors(group_logits), labels)]
+    if not aware:
+        return terms[0]
+    terms += [softmax_cross_entropy(b, labels) for b in group_logits]
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return mul(total, 1.0 / len(terms))
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +421,7 @@ def concat_by_copy(tensors: list[Tensor]) -> Tensor:
 
 def branch_by_concat(branch, x: Tensor) -> Tensor:
     """A GroupBranch's embedding with one 1x1 MFA conv over the concatenated block outputs."""
-    from lgpnet.tensor import conv1d, max_pool_time, relu
+    from lgpnet.tensor import conv1d, max_pool_time
 
     h = relu(branch.entry_bn(branch.entry_conv(x)))
     outs = []
@@ -330,7 +464,7 @@ def standard_block_by_add(block, x: Tensor) -> Tensor:
     joined the second BN: relu(add(x, h)), h being bn2(conv2(...)), or with bn2
     folded the folded convolution's output."""
     from lgpnet.model import _conv_bn_relu, _fold
-    from lgpnet.tensor import add, conv1d, relu
+    from lgpnet.tensor import conv1d
 
     weight, bias, bn = _fold(block.conv2, block.bn2)
     h = conv1d(_conv_bn_relu(block.conv1, block.bn1, x), weight, bias)

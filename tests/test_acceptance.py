@@ -15,9 +15,11 @@ from helpers import (
     build_synth_corpus,
     check_gradients,
     eer_by_threshold_sweep,
+    mul,
     n_batchnorms,
     random_bank,
     random_split_gmm,
+    tsum,
 )
 
 from lgpnet.corpus import build_manifest, parse_protocol
@@ -30,6 +32,7 @@ from lgpnet.model import (
     ResidualBlockCfg,
     StandardResidualBlock,
     build_model,
+    ensemble_logits,
 )
 from lgpnet.multiscale import GmmBank, extract_multiscale_lgp, lineage_grouping
 from lgpnet.tensor import (
@@ -39,13 +42,10 @@ from lgpnet.tensor import (
     conv1d,
     linear,
     max_pool_time,
-    relu,
-    softmax_cross_entropy,
 )
 from lgpnet.training import (
     TrainConfig,
     ensemble_aware_loss,
-    ensemble_ce_loss,
     evaluate_loss,
     predict_logits,
     train,
@@ -125,37 +125,48 @@ class TestAcceptance:
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        assert check_gradients(lambda: conv1d(x, w, b).sum(), [x, w, b]) < FD_REL_TOL
+        assert check_gradients(lambda: tsum(conv1d(x, w, b)), [x, w, b]) < FD_REL_TOL
 
         xb = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         state = BatchNormState(2)
         coeffs = Tensor(rng.normal(size=(3, 2, 6)))
         assert (
-            check_gradients(lambda: (batchnorm1d(xb, state) * coeffs).sum(), [xb, state.gamma, state.beta])
+            check_gradients(lambda: tsum(mul(batchnorm1d(xb, state), coeffs)), [xb, state.gamma, state.beta])
             < FD_REL_TOL
         )
 
-        xr = Tensor(rng.normal(size=(4, 5)) + 0.05, requires_grad=True)
-        assert check_gradients(lambda: (relu(xr) * xr).sum(), [xr]) < FD_REL_TOL
+        xr = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
+        rr = Tensor(rng.normal(size=(3, 2, 6)) + 0.05, requires_grad=True)
+        assert (
+            check_gradients(
+                lambda: tsum(mul(batchnorm1d(xr, state, relu=True, residual=rr), coeffs)),
+                [xr, rr, state.gamma, state.beta],
+            )
+            < FD_REL_TOL
+        )
 
         xp = Tensor(rng.normal(size=(3, 4, 7)), requires_grad=True)
-        assert check_gradients(lambda: (max_pool_time(xp) * max_pool_time(xp)).sum(), [xp]) < FD_REL_TOL
+        assert check_gradients(lambda: tsum(mul(max_pool_time(xp), max_pool_time(xp))), [xp]) < FD_REL_TOL
 
         xl = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         wl = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         bl = Tensor(rng.normal(size=2), requires_grad=True)
         cl = Tensor(rng.normal(size=(3, 2)))
-        assert check_gradients(lambda: (linear(xl, wl, bl) * cl).sum(), [xl, wl, bl]) < FD_REL_TOL
+        assert check_gradients(lambda: tsum(mul(linear(xl, wl, bl), cl)), [xl, wl, bl]) < FD_REL_TOL
 
-        logits = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
+        group_logits = [Tensor(rng.normal(size=(6, 2)), requires_grad=True) for _ in range(3)]
         labels = np.array([0, 1, 1, 0, 1, 0])
-        assert check_gradients(lambda: softmax_cross_entropy(logits, labels), [logits]) < FD_REL_TOL
+        for aware in (True, False):
+            assert (
+                check_gradients(lambda: ensemble_aware_loss(group_logits, labels, aware), group_logits)
+                < FD_REL_TOL
+            )
 
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=3), np.random.default_rng(101))
         xblk = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         cblk = Tensor(rng.normal(size=(2, 3, 5)))
         block_params = [xblk] + [p for _, layer in block.sublayers() for _, p in layer.named_parameters()]
-        assert check_gradients(lambda: (block(xblk) * cblk).sum(), block_params) < FD_REL_TOL
+        assert check_gradients(lambda: tsum(mul(block(xblk), cblk)), block_params) < FD_REL_TOL
 
         loss_model = build_model(
             ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3),
@@ -276,26 +287,26 @@ class TestAcceptance:
         slices = [Tensor(shared.copy()) for _ in range(4)]
         out = model.forward_slices(slices)
         loss = ensemble_aware_loss(out, labels)
-        plain = softmax_cross_entropy(out.ensemble_logits, labels)
+        plain = ensemble_aware_loss(out, labels, aware=False)
         assert abs(loss.item() - plain.item()) < 1e-12
 
         model2 = build_model(cfg, seed=502)
         slices2 = [Tensor(rng.normal(size=(3, 3, 10))) for _ in range(4)]
         out2 = model2.forward_slices(slices2)
         base_loss = ensemble_aware_loss(out2, labels).item()
-        base_b = out2.ensemble_logits.data.copy()
+        base_b = ensemble_logits([b.data for b in out2])
         perm = [2, 0, 3, 1]
         model2.branches = [model2.branches[i] for i in perm]
         model2.classifiers = [model2.classifiers[i] for i in perm]
         out_perm = model2.forward_slices([slices2[i] for i in perm])
         assert abs(ensemble_aware_loss(out_perm, labels).item() - base_loss) < 1e-12
-        assert np.max(np.abs(out_perm.ensemble_logits.data - base_b)) < 1e-12
+        assert np.max(np.abs(ensemble_logits([b.data for b in out_perm]) - base_b)) < 1e-12
 
         for trial in range(5):
             model3 = build_model(cfg, seed=510 + trial)
             out3 = model3.forward_slices([Tensor(rng.normal(size=(2, 3, 8))) for _ in range(4)])
-            stacked = np.stack([g.data for g in out3.group_logits])
-            assert np.max(np.abs(out3.ensemble_logits.data - stacked.mean(axis=0))) < 1e-12
+            stacked = np.stack([g.data for g in out3])
+            assert np.max(np.abs(ensemble_logits([g.data for g in out3]) - stacked.mean(axis=0))) < 1e-12
 
     @criterion(6, "end-to-end overfit")
     def test_6_overfit(self, overfit_run):
@@ -362,8 +373,8 @@ class TestAcceptance:
         assert len(solo.branches) == 1
         rng = np.random.default_rng(902)
         out = solo.forward_slices([Tensor(rng.normal(size=(2, 24, 10)))])
-        assert len(out.group_logits) == 1
-        assert np.array_equal(out.ensemble_logits.data, out.group_logits[0].data)
+        assert len(out) == 1
+        assert np.array_equal(ensemble_logits([g.data for g in out]), out[0].data)
         assert count(no_group_cfg) != count(base_cfg)
 
         # "w/o improved residual block": conventional blocks add one BN each
@@ -397,5 +408,5 @@ class TestAcceptance:
         plain = evaluate_loss(base, assignment, feats, labels, TrainConfig(ensemble_aware=False))
         assert aware != pytest.approx(plain, abs=1e-9)
         out = base(feats, assignment)
-        assert plain == pytest.approx(ensemble_ce_loss(out, labels).item(), abs=1e-9)
+        assert plain == pytest.approx(ensemble_aware_loss(out, labels, aware=False).item(), abs=1e-9)
         assert aware == pytest.approx(ensemble_aware_loss(out, labels).item(), abs=1e-9)

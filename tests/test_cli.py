@@ -152,8 +152,35 @@ class TestConfigFile:
 
     def test_bank_orders_in_any_order_accepted(self, tmp_path):
         cfg = tmp_path / "orders.cfg"
-        cfg.write_text("bank.orders = 16, 1 8\n")
+        # one group, since the default 8 would not split order 1
+        cfg.write_text("bank.orders = 16, 1 8\nmodel.n_groups = 1\n")
         assert load_config(cfg).bank_orders == [16, 1, 8]
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 4, 8])
+    def test_n_groups_power_of_2_up_to_the_smallest_order_accepted(self, tmp_path, n_groups):
+        cfg = tmp_path / "groups.cfg"
+        cfg.write_text(f"bank.orders = 32 8 16\nmodel.n_groups = {n_groups}\n")
+        assert load_config(cfg).model_cfg().group_input_dim == 56 // n_groups
+
+    @pytest.mark.parametrize(
+        "n_groups, message",
+        [(3, "must be a power of 2, got 3"), (6, "must be a power of 2, got 6"),
+         (16, "model.n_groups 16 exceeds the smallest bank order 8")],
+    )
+    def test_n_groups_that_cannot_split_the_bank_rejected(self, tmp_path, n_groups, message):
+        cfg = tmp_path / "groups.cfg"
+        cfg.write_text(f"bank.orders = 32 8 16\nmodel.n_groups = {n_groups}\n")
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(bank_orders=[32, 8, 16], n_groups=n_groups).model_cfg()
+
+    def test_even_kernel_rejected_when_loaded(self, tmp_path):
+        # load_config builds the model config, so its own checks run before any command works
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_text("model.kernel = 4\n")
+        with pytest.raises(ConfigError, match="kernel size must be odd"):
+            load_config(cfg)
 
     def test_model_cfg_refuses_n_groups_below_1(self):
         # the modulo by n_groups once ran first: ZeroDivisionError
@@ -683,6 +710,42 @@ class TestRefusedInputs:
         assert cli_main([command, *args]) == 1
         captured = capsys.readouterr()
         assert f"error: {key} must be >= 1, got {value}" in captured.err
+        assert "total:" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "n_groups, message",
+        [("3", "model.n_groups must be a power of 2, got 3"),
+         ("31", "model.n_groups must be a power of 2, got 31"),
+         ("16", "model.n_groups 16 exceeds the smallest bank order 8")],
+    )
+    @pytest.mark.parametrize("command", ["describe", "train-model", "score"])
+    def test_n_groups_that_cannot_split_the_bank_is_exit_1_before_any_work(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, n_groups, message
+    ):
+        # 31 groups once described an 86,089,790-parameter model with exit 0, and
+        # train-model with 3 groups built the manifest and loaded the bank first
+        import lgpnet.corpus
+        import lgpnet.multiscale
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a manifest was built or a bank loaded")
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
+        monkeypatch.setattr(lgpnet.multiscale, "load_bank", refuse)
+        cfg = workspace / f"groups{n_groups}.cfg"
+        cfg.write_text(TINY_CFG.replace("model.n_groups = 2", f"model.n_groups = {n_groups}"))
+        out = workspace / f"groups{n_groups}_{command}.out"
+        args = ["--config", str(cfg)]
+        if command != "describe":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+                     "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        if command == "score":
+            args[-1] = str(workspace / "model.npz")
+            args += ["--out", str(out)]
+        assert cli_main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
         assert "total:" not in captured.out
         assert not out.exists()
 

@@ -12,11 +12,16 @@ from helpers import (
     branch_by_conv_chain,
     check_gradients,
     concat_by_copy,
+    mean_tensors,
+    mul,
     n_batchnorms,
     random_bank,
     rewrite_arrays,
+    relu,
     rewrite_meta,
+    softmax_cross_entropy,
     standard_block_by_add,
+    tsum,
     use_two_path_forward,
 )
 
@@ -27,16 +32,16 @@ from lgpnet.model import (
     GroupBranch,
     ImprovedResidualBlock,
     ModelCfg,
-    ModelOutput,
     ResidualBlockCfg,
     StandardResidualBlock,
     build_model,
+    ensemble_logits,
     load_checkpoint,
     save_checkpoint,
     score,
 )
 from lgpnet.multiscale import GroupAssignment, random_grouping
-from lgpnet.tensor import Tensor, backward, mean_tensors, no_grad, softmax_cross_entropy
+from lgpnet.tensor import Tensor, backward, no_grad
 from lgpnet.training import AdamState, adam_step, ensemble_aware_loss
 
 
@@ -131,7 +136,7 @@ class TestImprovedResidualBlock:
         params = [x]
         for _, layer in block.sublayers():
             params.extend(p for _, p in layer.named_parameters())
-        worst = check_gradients(lambda: (block(x) * coeffs).sum(), params)
+        worst = check_gradients(lambda: tsum(mul(block(x), coeffs)), params)
         assert worst < FD_REL_TOL
 
     def test_channel_mismatch(self):
@@ -164,7 +169,7 @@ class TestStandardResidualBlock:
                     arrays = [branch(x).data]
             else:
                 out = branch(x)
-                backward((out * coeffs).sum())
+                backward(tsum(mul(out, coeffs)))
                 arrays = [out.data] + [p.grad for p in params]
             stats = [(bn.state.running_mean, bn.state.running_var) for bn in branch.batchnorms()]
             results.append(arrays + [a for pair in stats for a in pair])
@@ -237,7 +242,7 @@ class TestGroupBranch:
             full = branch(x)
         # reference with gradients on, BN unfolded: entry -> B copies -> MFA -> pool,
         # skipping the blocks
-        from lgpnet.tensor import max_pool_time, relu
+        from lgpnet.tensor import max_pool_time
 
         h = relu(branch.entry_bn(branch.entry_conv(x)))
         m = relu(branch.mfa_bn(branch.mfa_conv(concat_by_copy([h] * cfg.n_blocks))))
@@ -257,7 +262,7 @@ class TestGroupBranch:
         for forward in (branch, lambda x: branch_by_concat(branch, x)):
             for p in params:
                 p.zero_grad()
-            backward((forward(x) * coeffs).sum())  # train-mode BN: batch statistics
+            backward(tsum(mul(forward(x), coeffs)))  # train-mode BN: batch statistics
             grads.append([p.grad for p in params])
         # a conv bias that feeds a train-mode BN has a true gradient of 0, so rounding
         # is measured against the largest gradient entry of the branch
@@ -280,7 +285,7 @@ class TestGroupBranch:
             for p in params:
                 p.zero_grad()
             out, shares = branch_by_conv_chain(branch, x) if chain else (branch(x), None)
-            backward((out * coeffs).sum())  # train-mode BN: batch statistics
+            backward(tsum(mul(out, coeffs)))  # train-mode BN: batch statistics
             grads = {id(p): p.grad for p in params}
             if chain:
                 grads[id(branch.mfa_conv.weight)] = np.concatenate([s.grad for s in shares], axis=1)
@@ -345,7 +350,7 @@ class TestReleasedBnOutputs:
         refs = []
         note_bn_outputs(monkeypatch, lambda out: refs.append(weakref.ref(out.data)))
         out = model.forward_slices(slices_for(cfg, 61))
-        assert out.ensemble_logits.requires_grad
+        assert all(b.requires_grad for b in out)
         assert len(refs) == len(model.batchnorms())
         assert [r() for r in refs] == [None] * len(refs)
 
@@ -420,8 +425,17 @@ class TestModelForward:
         model = build_model(tiny_cfg(), seed=5)
         rng = np.random.default_rng(9)
         out = model(rng.normal(size=(3, 8, 10)), tiny_assignment())
-        stacked = np.stack([g.data for g in out.group_logits])
-        assert np.max(np.abs(out.ensemble_logits.data - stacked.mean(axis=0))) < 1e-12
+        stacked = np.stack([g.data for g in out])
+        assert np.max(np.abs(ensemble_logits([g.data for g in out]) - stacked.mean(axis=0))) < 1e-12
+
+    @pytest.mark.parametrize("n_groups", [1, 2, 8])
+    def test_ensemble_logits_bitwise_the_mean_node(self, n_groups):
+        # the library's former mean_tensors node, kept in helpers
+        arrays = [np.random.default_rng(70 + g).normal(size=(5, 2)) * 10.0 for g in range(n_groups)]
+        before = [a.copy() for a in arrays]
+        got = ensemble_logits(arrays)
+        assert got.tobytes() == mean_tensors([Tensor(a) for a in arrays]).data.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))  # the inputs are left as they were
 
     def test_identical_groups_and_slices_collapse(self):
         model = build_model(tiny_cfg(), seed=6)
@@ -434,8 +448,8 @@ class TestModelForward:
         one_slice = rng.normal(size=(2, 4, 10))
         x = np.concatenate([one_slice, one_slice], axis=1)
         out = model(x, tiny_assignment())
-        assert np.array_equal(out.group_logits[0].data, out.group_logits[1].data)
-        assert np.allclose(out.ensemble_logits.data, out.group_logits[0].data, atol=1e-15)
+        assert np.array_equal(out[0].data, out[1].data)
+        assert np.allclose(ensemble_logits([g.data for g in out]), out[0].data, atol=1e-15)
 
     def test_group_independence(self):
         model = build_model(tiny_cfg(), seed=7)
@@ -447,9 +461,9 @@ class TestModelForward:
         model.classifiers[1].bias.data += 1.0
         with no_grad():
             bumped = model(x, tiny_assignment())
-        assert np.array_equal(base.group_logits[0].data, bumped.group_logits[0].data)
-        assert not np.array_equal(base.group_logits[1].data, bumped.group_logits[1].data)
-        assert not np.array_equal(base.ensemble_logits.data, bumped.ensemble_logits.data)
+        assert np.array_equal(base[0].data, bumped[0].data)
+        assert not np.array_equal(base[1].data, bumped[1].data)
+        assert not np.array_equal(ensemble_logits([g.data for g in base]), ensemble_logits([g.data for g in bumped]))
 
     def test_param_count_matches_oracle(self):
         cfg = tiny_cfg()
@@ -479,7 +493,7 @@ class TestModelForward:
         x = np.random.default_rng(13).normal(size=(2, 8, 10))
         x[0, 3, 4] = np.nan
         with no_grad():
-            logits = model(x, tiny_assignment()).ensemble_logits.data
+            logits = ensemble_logits([g.data for g in model(x, tiny_assignment())])
         assert not np.isfinite(logits[0]).all()
 
     def test_full_model_gradient_check(self):
@@ -491,8 +505,7 @@ class TestModelForward:
         labels = np.array([0, 1])
 
         def loss():
-            out = model(x, assignment)
-            return softmax_cross_entropy(out.ensemble_logits, labels)
+            return ensemble_aware_loss(model(x, assignment), labels, aware=False)
 
         worst = check_gradients(loss, model.parameters())
         assert worst < FD_REL_TOL
@@ -516,8 +529,7 @@ class TestBranchPool:
                 self._slices(22), reference.branches, reference.classifiers
             )
         ]
-        out = ModelOutput(ensemble_logits=mean_tensors(group_logits), group_logits=group_logits)
-        backward(ensemble_aware_loss(out, labels))
+        backward(ensemble_aware_loss(group_logits, labels))
         for (name, p), (_, q) in zip(pooled.named_parameters(), reference.named_parameters()):
             assert np.array_equal(p.grad, q.grad), name
         for bn_p, bn_q in zip(pooled.batchnorms(), reference.batchnorms()):
@@ -556,7 +568,7 @@ class TestBranchPool:
     def test_branch_without_gradient_keeps_grad_none(self, two_workers):
         model = build_model(tiny_cfg(n_groups=4), seed=23)
         out = model.forward_slices(self._slices(24))
-        loss = softmax_cross_entropy(mean_tensors(out.group_logits[:3]), np.array([1, 0]))
+        loss = softmax_cross_entropy(mean_tensors(out[:3]), np.array([1, 0]))
         backward(loss)
         for name, p in model.named_parameters():
             if name.startswith("group3."):
@@ -584,7 +596,7 @@ class TestBranchPool:
         inline_branches = model.branches
         model.branches = [recording(b) for b in model.branches]
         with no_grad():
-            pooled = model.forward_slices(self._slices(28)).group_logits
+            pooled = model.forward_slices(self._slices(28))
             inline = [
                 classifier(branch(x))
                 for x, branch, classifier in zip(self._slices(28), inline_branches, model.classifiers)
@@ -624,11 +636,13 @@ class TestForwardOnlyPath:
         perturb_batchnorms(model, rng)
         x = rng.normal(size=(3, 8, 11))
         reference = model(x, tiny_assignment())
-        assert reference.ensemble_logits.requires_grad
+        assert all(b.requires_grad for b in reference)
         with no_grad():
             folded = model(x, tiny_assignment())
-        assert relative_gap(folded.ensemble_logits.data, reference.ensemble_logits.data) < 1e-10
-        for got, ref in zip(folded.group_logits, reference.group_logits):
+        assert relative_gap(
+            ensemble_logits([g.data for g in folded]), ensemble_logits([g.data for g in reference])
+        ) < 1e-10
+        for got, ref in zip(folded, reference):
             assert relative_gap(got.data, ref.data) < 1e-10
 
     def test_full_size_branch_matches_tensor_forward(self):
@@ -655,7 +669,7 @@ class TestForwardOnlyPath:
         monkeypatch.setattr(model_mod, "batchnorm1d", refuse)
         with no_grad():
             out = model.forward_slices(slices)
-        assert np.isfinite(out.ensemble_logits.data).all()
+        assert all(np.isfinite(b.data).all() for b in out)
         for s, copy in zip(slices, before):
             assert np.array_equal(s.data, copy)
 
@@ -687,7 +701,7 @@ class TestForwardOnlyPath:
                 use_two_path_forward(monkeypatch)
             with no_grad():
                 out = model.forward_slices([Tensor(s) for s in tiny_assignment().split(x)])
-            logits.append([out.ensemble_logits.data.tobytes()] + [g.data.tobytes() for g in out.group_logits])
+            logits.append([ensemble_logits([g.data for g in out]).tobytes()] + [g.data.tobytes() for g in out])
         assert logits[0] == logits[1]
 
     def test_train_mode_bn_keeps_the_tensor_path(self):
@@ -701,7 +715,7 @@ class TestForwardOnlyPath:
         model = build_model(tiny_cfg(), seed=42)
         perturb_batchnorms(model, np.random.default_rng(43))
         x = np.random.default_rng(44).normal(size=(2, 8, 9))
-        backward(model(x, tiny_assignment()).ensemble_logits.sum())
+        backward(tsum(mean_tensors(model(x, tiny_assignment()))))
         for name, p in model.named_parameters():
             assert p.grad is not None, name
 
@@ -710,31 +724,23 @@ class TestForwardOnlyPath:
         perturb_batchnorms(model, np.random.default_rng(40))
         x = np.random.default_rng(41).normal(size=(2, 8, 9))
         with no_grad():
-            before = model(x, tiny_assignment()).ensemble_logits.data
+            before = ensemble_logits([g.data for g in model(x, tiny_assignment())])
             model.batchnorms()[0].state.running_mean += 1.0
-            after = model(x, tiny_assignment()).ensemble_logits.data
+            after = ensemble_logits([g.data for g in model(x, tiny_assignment())])
         assert not np.array_equal(before, after)
 
 
 class TestScore:
-    def _output_with(self, logits):
-        t = Tensor(np.asarray(logits, dtype=np.float64))
-        from lgpnet.model import ModelOutput
-
-        return ModelOutput(ensemble_logits=t, group_logits=[t])
-
     def test_difference_of_logits(self):
         # bona fide is logit column 1
-        out = self._output_with([[1.0, 3.0]])
-        assert score(out.ensemble_logits.data)[0] == pytest.approx(2.0)
+        assert score(np.array([[1.0, 3.0]]))[0] == pytest.approx(2.0)
 
     def test_equal_logits_score_zero(self):
-        out = self._output_with([[0.7, 0.7]])
-        assert score(out.ensemble_logits.data)[0] == 0.0
+        assert score(np.array([[0.7, 0.7]]))[0] == 0.0
 
     def test_shift_invariance(self):
-        a = score(self._output_with([[1.0, 3.0]]).ensemble_logits.data)
-        b = score(self._output_with([[101.0, 103.0]]).ensemble_logits.data)
+        a = score(np.array([[1.0, 3.0]]))
+        b = score(np.array([[101.0, 103.0]]))
         assert a[0] == pytest.approx(b[0])
 
 
@@ -749,8 +755,8 @@ class TestAblationWiring:
         model = build_model(cfg, seed=1)
         assert len(model.branches) == 1
         out = model(np.random.default_rng(13).normal(size=(2, 8, 10)), tiny_assignment(1, 8))
-        assert len(out.group_logits) == 1
-        assert np.array_equal(out.ensemble_logits.data, out.group_logits[0].data)
+        assert len(out) == 1
+        assert np.array_equal(ensemble_logits([g.data for g in out]), out[0].data)
 
     def test_standard_blocks_add_bn_parameters(self):
         improved = build_model(tiny_cfg(), seed=2)
@@ -781,13 +787,13 @@ class TestCheckpoint:
         model(x, assignment)
         model.set_mode("eval")
         with no_grad():
-            before = model(x, assignment).ensemble_logits.data
+            before = ensemble_logits([g.data for g in model(x, assignment)])
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, assignment)
         loaded, loaded_assignment = load_checkpoint(path)
         loaded.set_mode("eval")
         with no_grad():
-            after = loaded(x, loaded_assignment).ensemble_logits.data
+            after = ensemble_logits([g.data for g in loaded(x, loaded_assignment)])
         assert np.array_equal(before, after)
         assert loaded_assignment.n_groups == assignment.n_groups
         assert loaded_assignment.orders == [4, 8]

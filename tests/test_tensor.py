@@ -8,19 +8,24 @@ import pytest
 
 from helpers import (
     FD_REL_TOL,
+    add,
     batchnorm1d_grads_keeping_xhat,
     blas_threads,
     check_gradients,
     concat_by_copy,
     conv1d_forward_two_path,
     conv1d_im2col,
+    mean_tensors,
+    mul,
+    relu,
+    softmax_cross_entropy,
+    tsum,
 )
 
 from lgpnet.errors import ShapeError
 from lgpnet.tensor import (
     BatchNormState,
     Tensor,
-    add,
     aggregate,
     backward,
     batchnorm1d,
@@ -28,12 +33,7 @@ from lgpnet.tensor import (
     conv1d,
     linear,
     max_pool_time,
-    mean_tensors,
-    mul,
     no_grad,
-    relu,
-    softmax_cross_entropy,
-    tsum,
 )
 import lgpnet.tensor as tensor_mod
 
@@ -87,7 +87,7 @@ class TestConv1d:
         r = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(2, 4, 8)))
         worst = check_gradients(
-            lambda: (conv1d(x, w, b, residual=r) * coeffs).sum(), [x, w, b, r]
+            lambda: tsum(mul(conv1d(x, w, b, residual=r), coeffs)), [x, w, b, r]
         )
         assert worst < FD_REL_TOL
 
@@ -146,7 +146,7 @@ class TestConv1d:
             if reference:
                 x = Tensor(x_data.copy(), requires_grad=True)
                 out = conv1d_im2col(x, w, b, stride=stride, padding=padding)
-                backward((out * Tensor(upstream)).sum())
+                backward(tsum(mul(out, Tensor(upstream))))
                 results.append((out.data, x.grad, w.grad, b.grad))
             else:
                 pad = max(d, 0)
@@ -155,7 +155,7 @@ class TestConv1d:
                 kept = slice(max(-d, 0), max(-d, 0) + t_ref, stride)
                 upstream_full = np.zeros(out.shape)
                 upstream_full[:, :, kept] = upstream
-                backward((out * Tensor(upstream_full)).sum())
+                backward(tsum(mul(out, Tensor(upstream_full))))
                 results.append((out.data[:, :, kept], xp.grad[:, :, pad : pad + t], w.grad, b.grad))
         for got, want in zip(*results):
             assert got.shape == want.shape
@@ -188,7 +188,7 @@ class TestConv1d:
         b = Tensor(rng.normal(size=5), requires_grad=True)
         out = conv1d(x, w, b)
         g = rng.normal(size=out.shape)
-        backward(mul(out, Tensor(g)).sum())
+        backward(tsum(mul(out, Tensor(g))))
         y_ref, gx_ref = conv1d_summed_from_bias_and_zeros(x.data, w.data, b.data, g)
         assert np.array_equal(out.data, y_ref)
         assert np.array_equal(x.grad, gx_ref)
@@ -275,7 +275,7 @@ class TestBatchNorm:
         coeffs = rng.normal(size=(3, 2, 6))
 
         def loss():
-            return (batchnorm1d(x, state) * Tensor(coeffs)).sum()
+            return tsum(mul(batchnorm1d(x, state), Tensor(coeffs)))
 
         worst = check_gradients(loss, [x, state.gamma, state.beta])
         assert worst < FD_REL_TOL
@@ -290,7 +290,7 @@ class TestBatchNorm:
         coeffs = rng.normal(size=(2, 2, 4))
 
         def loss():
-            return (batchnorm1d(x, state) * Tensor(coeffs)).sum()
+            return tsum(mul(batchnorm1d(x, state), Tensor(coeffs)))
 
         worst = check_gradients(loss, [x, state.gamma, state.beta])
         assert worst < FD_REL_TOL
@@ -307,7 +307,7 @@ class TestBatchNorm:
         state = self._state(mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4),
                             rng.uniform(0.5, 2.0, size=4))
         expected = batchnorm1d_grads_keeping_xhat(x.data, state, g)
-        backward((batchnorm1d(x, state) * Tensor(g)).sum())
+        backward(tsum(mul(batchnorm1d(x, state), Tensor(g))))
         for got, ref in zip((x.grad, state.gamma.grad, state.beta.grad), expected):
             assert got.tobytes() == ref.tobytes()
 
@@ -339,7 +339,7 @@ class TestBatchNorm:
                             (separate, lambda t, st: relu(batchnorm1d(t, st)))):
             state, xt = self._state(*stats), Tensor(x.copy(), requires_grad=True)
             out = op(xt, state)
-            backward((out * Tensor(coeffs)).sum())
+            backward(tsum(mul(out, Tensor(coeffs))))
             results += [out.data, xt.grad, state.gamma.grad, state.beta.grad,
                         state.running_mean, state.running_var]
         if inputs == "signed_zero":
@@ -362,7 +362,7 @@ class TestBatchNorm:
         r = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(3, 2, 6)))
         worst = check_gradients(
-            lambda: (batchnorm1d(x, state, relu=with_relu, residual=r) * coeffs).sum(),
+            lambda: tsum(mul(batchnorm1d(x, state, relu=with_relu, residual=r), coeffs)),
             [x, r, state.gamma, state.beta],
         )
         assert worst < FD_REL_TOL
@@ -379,7 +379,7 @@ class TestBatchNorm:
             state = self._state(*stats)
             xt, rt = Tensor(x.copy(), requires_grad=True), Tensor(r.copy(), requires_grad=True)
             out = op(xt, state, rt)
-            backward((out * Tensor(coeffs)).sum())
+            backward(tsum(mul(out, Tensor(coeffs))))
             results += [out.data, xt.grad, rt.grad, state.gamma.grad, state.beta.grad,
                         state.running_mean, state.running_var]
         assert (fused[0] == 0).any() and (fused[0] > 0).any()  # the mask is not trivial
@@ -405,7 +405,7 @@ class TestSimpleOps:
     def test_relu_gradient(self):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(4, 5)) + 0.1, requires_grad=True)
-        worst = check_gradients(lambda: (relu(x) * x).sum(), [x])
+        worst = check_gradients(lambda: tsum(mul(relu(x), x)), [x])
         assert worst < FD_REL_TOL
 
     def test_max_pool_monotone_series(self):
@@ -417,13 +417,13 @@ class TestSimpleOps:
     def test_max_pool_tie_routes_to_first(self):
         x = Tensor(np.array([[[3.0, 1.0, 3.0]]]), requires_grad=True)
         out = max_pool_time(x)
-        backward(out.sum())
+        backward(tsum(out))
         assert np.array_equal(x.grad, [[[1.0, 0.0, 0.0]]])
 
     def test_max_pool_gradient(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(size=(3, 4, 7)), requires_grad=True)
-        worst = check_gradients(lambda: (max_pool_time(x) * max_pool_time(x)).sum(), [x])
+        worst = check_gradients(lambda: tsum(mul(max_pool_time(x), max_pool_time(x))), [x])
         assert worst < FD_REL_TOL
 
     def test_linear_gradient(self):
@@ -432,7 +432,7 @@ class TestSimpleOps:
         w = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         b = Tensor(rng.normal(size=2), requires_grad=True)
         coeffs = Tensor(rng.normal(size=(3, 2)))
-        worst = check_gradients(lambda: (linear(x, w, b) * coeffs).sum(), [x, w, b])
+        worst = check_gradients(lambda: tsum(mul(linear(x, w, b), coeffs)), [x, w, b])
         assert worst < FD_REL_TOL
 
     def test_mean_tensors(self):
@@ -440,7 +440,7 @@ class TestSimpleOps:
         b = Tensor(np.array([3.0, 6.0]), requires_grad=True)
         out = mean_tensors([a, b])
         assert np.array_equal(out.data, [2.0, 4.0])
-        backward(out.sum())
+        backward(tsum(out))
         assert np.array_equal(a.grad, [0.5, 0.5])
         assert np.array_equal(b.grad, [0.5, 0.5])
 
@@ -460,7 +460,7 @@ class TestAggregate:
         rng = np.random.default_rng(12)
         xs, w, b = self.operands(rng)
         coeffs = Tensor(rng.normal(size=(2, 4, 5)))
-        worst = check_gradients(lambda: (aggregate(iter(xs), w, b) * coeffs).sum(), [*xs, w, b])
+        worst = check_gradients(lambda: tsum(mul(aggregate(iter(xs), w, b), coeffs)), [*xs, w, b])
         assert worst < FD_REL_TOL
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -478,7 +478,7 @@ class TestAggregate:
             for t in (*xs, w, b):
                 t.zero_grad()
             out = op(xs, w, b)
-            backward((out * Tensor(g)).sum())
+            backward(tsum(mul(out, Tensor(g))))
             results.append([out.data] + [t.grad for t in (*xs, w, b)])
         for got, ref in zip(*results):
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -599,22 +599,22 @@ class TestSoftmaxCrossEntropy:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.random.default_rng(14).normal(size=(3, 4)), requires_grad=True)
-        backward(x.sum())
+        backward(tsum(x))
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_half_square_gradient_is_x(self):
         x = Tensor(np.random.default_rng(15).normal(size=(5,)), requires_grad=True)
-        backward((x * x).sum() * 0.5)
+        backward(mul(tsum(mul(x, x)), 0.5))
         assert np.allclose(x.grad, x.data, atol=1e-15)
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ShapeError):
-            backward(x * 2.0)
+            backward(mul(x, 2.0))
 
     def test_diamond_graph_accumulates(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
-        y = (x * 3.0 + x * 5.0).sum()
+        y = tsum(add(mul(x, 3.0), mul(x, 5.0)))
         backward(y)
         assert np.array_equal(x.grad, [8.0])
 
@@ -636,8 +636,8 @@ class TestBackward:
             h = relu(xx)  # h also feeds the mean below
             m = aggregate([h, a], w, b)  # the 1x1 conv of the channel concat of h and a
             y = conv1d(m, wc, bc, residual=conv1d(a, wc, bc))
-            fan = mean_tensors([y, y * 2.0, y])
-            return (fan * coeffs).sum() + (mean_tensors([h, xx]) * h).sum()
+            fan = mean_tensors([y, mul(y, 2.0), y])
+            return add(tsum(mul(fan, coeffs)), tsum(mul(mean_tensors([h, xx]), h)))
 
         worst = check_gradients(loss, tensors)
         assert worst < FD_REL_TOL
@@ -667,13 +667,13 @@ class TestBackward:
     def test_no_grad_blocks_graph(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
-            y = (x * 2.0).sum()
+            y = tsum(mul(x, 2.0))
         assert y.requires_grad is False
         assert y._backward is None
 
     def test_graph_consumed_after_backward(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        y = (x * 2.0).sum()
+        y = tsum(mul(x, 2.0))
         backward(y)
         assert y._backward is None
         assert y._prev == ()
@@ -686,7 +686,7 @@ class TestBackward:
             b = Tensor(rng.normal(size=4), requires_grad=True)
             h = relu(conv1d(x, w, b))
             out = max_pool_time(h)
-            backward(out.sum())
+            backward(tsum(out))
             return out.data.copy(), w.grad.copy()
 
         out1, grad1 = run()
@@ -812,7 +812,7 @@ class TestReleasedOutputs:
                 out = batchnorm1d(x, state, relu=relu_on, residual=r)
             data = out.data
             assert out._remake is None  # one remake at most
-            backward(mul(out, Tensor(upstream)).sum())
+            backward(tsum(mul(out, Tensor(upstream))))
             grads = [x.grad, state.gamma.grad, state.beta.grad] + ([r.grad] if with_residual else [])
             results.append([data, state.running_mean, state.running_var] + grads)
         for got, ref in zip(*results):
@@ -872,7 +872,7 @@ class TestBranchMap:
             outs = branch_map(
                 lambda i, x: max_pool_time(relu(conv1d(x, ws[i], bs[i]))), xs
             )
-            return mean_tensors(outs).sum()
+            return tsum(mean_tensors(outs))
 
         assert check_gradients(loss, ws + bs) < FD_REL_TOL
 

@@ -9,19 +9,26 @@ import pytest
 
 import lgpnet.tensor as tensor_mod
 
-from helpers import FD_REL_TOL, adam_step_by_expression, check_gradients, rewrite_arrays
+from helpers import (
+    FD_REL_TOL,
+    adam_step_by_expression,
+    check_gradients,
+    ensemble_loss_by_chain,
+    rewrite_arrays,
+    softmax_cross_entropy,
+)
 
 from lgpnet.corpus import Manifest
-from lgpnet.errors import FormatError, LgpnetError, ManifestError, NonFiniteLossError
-from lgpnet.model import GroupBranch, ModelCfg, ModelOutput, ResidualBlockCfg, build_model, load_checkpoint
+from lgpnet.errors import FormatError, LgpnetError, ManifestError, NonFiniteLossError, ShapeError
+from lgpnet.model import GroupBranch, ModelCfg, ResidualBlockCfg, build_model, ensemble_logits, load_checkpoint
 from lgpnet.multiscale import GroupAssignment
-from lgpnet.tensor import Tensor, softmax_cross_entropy
+from lgpnet.tensor import Tensor, backward
+import lgpnet.training as training_mod
 from lgpnet.training import (
     AdamState,
     TrainConfig,
     adam_step,
     ensemble_aware_loss,
-    ensemble_ce_loss,
     evaluate_loss,
     predict_logits,
     reduce_on_plateau,
@@ -30,11 +37,22 @@ from lgpnet.training import (
 )
 
 
-def output_from(group_logits):
-    tensors = [Tensor(np.asarray(g, dtype=np.float64)) for g in group_logits]
-    from lgpnet.tensor import mean_tensors
+def tensors_from(group_logits, requires_grad=False):
+    return [Tensor(np.asarray(g, dtype=np.float64), requires_grad=requires_grad) for g in group_logits]
 
-    return ModelOutput(ensemble_logits=mean_tensors(tensors), group_logits=tensors)
+
+def nodes_above(loss, below):
+    """The graph nodes from loss down to, but not including, the tensors in below."""
+    stop = {id(t) for t in below}
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or id(node) in stop:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._prev)
+    return nodes
 
 
 class TestEnsembleAwareLoss:
@@ -42,8 +60,7 @@ class TestEnsembleAwareLoss:
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 2))
         labels = np.array([0, 1, 1, 0])
-        out = output_from([logits, logits, logits])
-        loss = ensemble_aware_loss(out, labels)
+        loss = ensemble_aware_loss(tensors_from([logits, logits, logits]), labels)
         ce = softmax_cross_entropy(Tensor(logits), labels)
         assert loss.item() == pytest.approx(ce.item(), abs=1e-12)
 
@@ -51,39 +68,35 @@ class TestEnsembleAwareLoss:
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(3, 2))
         labels = np.array([1, 0, 1])
-        out = output_from([logits])
-        loss = ensemble_aware_loss(out, labels)
+        loss = ensemble_aware_loss(tensors_from([logits]), labels)
         ce = softmax_cross_entropy(Tensor(logits), labels)
         assert loss.item() == pytest.approx(ce.item(), abs=1e-12)
 
     def test_group_permutation_invariance(self):
         rng = np.random.default_rng(2)
         groups = [rng.normal(size=(4, 2)) for _ in range(4)]
+        permuted = [groups[2], groups[0], groups[3], groups[1]]
         labels = np.array([0, 1, 0, 1])
-        base = ensemble_aware_loss(output_from(groups), labels)
-        permuted = ensemble_aware_loss(output_from([groups[2], groups[0], groups[3], groups[1]]), labels)
-        assert base.item() == pytest.approx(permuted.item(), abs=1e-12)
-        b0 = output_from(groups).ensemble_logits.data
-        b1 = output_from([groups[2], groups[0], groups[3], groups[1]]).ensemble_logits.data
-        assert np.max(np.abs(b0 - b1)) < 1e-12
+        base = ensemble_aware_loss(tensors_from(groups), labels)
+        assert base.item() == pytest.approx(ensemble_aware_loss(tensors_from(permuted), labels).item(), abs=1e-12)
+        assert np.max(np.abs(ensemble_logits(groups) - ensemble_logits(permuted))) < 1e-12
 
     def test_nonnegative_and_zero_in_perfect_limit(self):
         labels = np.array([1, 0])
         confident = np.array([[-40.0, 40.0], [40.0, -40.0]])
-        out = output_from([confident, confident])
-        loss = ensemble_aware_loss(out, labels)
+        loss = ensemble_aware_loss(tensors_from([confident, confident]), labels)
         assert 0.0 <= loss.item() < 1e-12
         rng = np.random.default_rng(3)
-        noisy = output_from([rng.normal(size=(2, 2)) for _ in range(3)])
+        noisy = tensors_from([rng.normal(size=(2, 2)) for _ in range(3)])
         assert ensemble_aware_loss(noisy, labels).item() >= 0.0
 
     def test_differs_from_plain_ce_in_general(self):
         rng = np.random.default_rng(4)
-        out = output_from([rng.normal(size=(4, 2)) for _ in range(3)])
+        out = tensors_from([rng.normal(size=(4, 2)) for _ in range(3)])
         labels = np.array([0, 1, 1, 0])
-        assert ensemble_aware_loss(out, labels).item() != pytest.approx(
-            ensemble_ce_loss(out, labels).item(), abs=1e-9
-        )
+        plain = ensemble_aware_loss(out, labels, aware=False)
+        assert plain.item() == softmax_cross_entropy(Tensor(ensemble_logits([b.data for b in out])), labels).item()
+        assert ensemble_aware_loss(out, labels).item() != pytest.approx(plain.item(), abs=1e-9)
 
     def test_gradients_through_tiny_model(self):
         cfg = ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
@@ -97,6 +110,105 @@ class TestEnsembleAwareLoss:
 
         worst = check_gradients(loss, model.parameters())
         assert worst < FD_REL_TOL
+
+    @pytest.mark.parametrize("aware", [True, False])
+    def test_finite_differences(self, aware):
+        rng = np.random.default_rng(6)
+        out = tensors_from([rng.normal(size=(5, 2)) * 2.0 for _ in range(3)], requires_grad=True)
+        labels = np.array([0, 1, 1, 0, 1])
+        worst = check_gradients(lambda: ensemble_aware_loss(out, labels, aware), out)
+        assert worst < FD_REL_TOL
+
+    @pytest.mark.parametrize("upstream", [None, 0.37])
+    @pytest.mark.parametrize("aware", [True, False])
+    @pytest.mark.parametrize("scale", ["unit", "wide", "saturating"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 32])
+    @pytest.mark.parametrize("n_groups", [1, 2, 3, 8])
+    def test_value_and_gradients_bitwise_the_chain(self, n_groups, n, scale, aware, upstream):
+        # the closed form, term by term in the chain's ops, against helpers.ensemble_loss_by_chain;
+        # upstream seeds the loss node with that gradient instead of backward's 1.  A count
+        # that is not a power of 2 (n = 7, G = 3) makes a division inexact, so it shows a
+        # change in the order of the scalings
+        rng = np.random.default_rng(1000 * n_groups + 10 * n + len(scale))
+        if scale == "saturating":
+            arrays = [rng.choice([-700.0, 700.0], size=(n, 2)) for _ in range(n_groups)]
+        else:
+            arrays = [rng.normal(size=(n, 2)) * (30.0 if scale == "wide" else 1.0) for _ in range(n_groups)]
+        labels = rng.integers(0, 2, size=n)
+        results = []
+        for loss_fn in (ensemble_aware_loss, ensemble_loss_by_chain):
+            out = tensors_from(arrays, requires_grad=True)
+            loss = loss_fn(out, labels, aware)
+            value = loss.item()
+            if upstream is None:
+                backward(loss)
+            else:
+                tensor_mod._run_backward(loss, np.asarray(upstream))
+            results.append([np.float64(value).tobytes()] + [b.grad.tobytes() for b in out])
+        assert np.isfinite(np.frombuffer(results[0][0])).all()
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("aware", [True, False])
+    def test_one_node_whose_parents_are_the_branch_outputs(self, aware):
+        cfg = ModelCfg(n_groups=8, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
+        model = build_model(cfg, seed=8)
+        rng = np.random.default_rng(9)
+        slices = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(8)]
+        labels = np.array([1, 0])
+        out = model.forward_slices(slices)
+        loss = ensemble_aware_loss(out, labels, aware)
+        assert loss._prev == tuple(out)
+        assert nodes_above(loss, out) == [loss]
+        chain = ensemble_loss_by_chain(out, labels, aware)
+        assert len(nodes_above(chain, out)) == (2 * 8 + 3 if aware else 2)
+
+    def test_bad_labels_and_shapes_raise(self):
+        out = tensors_from([np.zeros((2, 2)), np.ones((2, 2))])
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            ensemble_aware_loss(out, np.array([0, 2]))
+        with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
+            ensemble_aware_loss(out, np.array([-1, 0]), aware=False)
+        with pytest.raises(ShapeError, match=r"labels must have shape \(2,\)"):
+            ensemble_aware_loss(out, np.array([0, 1, 1]))
+        with pytest.raises(ShapeError, match=r"labels must have shape \(2,\)"):
+            ensemble_aware_loss(out, np.array([[0, 1]]))
+        for bad in ([np.zeros((2, 3)), np.zeros((2, 3))], [np.zeros(2), np.zeros(2)],
+                    [np.zeros((2, 2)), np.zeros((3, 2))]):
+            with pytest.raises(ShapeError, match="N x 2"):
+                ensemble_aware_loss(tensors_from(bad), np.array([0, 1]))
+        with pytest.raises(ShapeError, match="at least one"):
+            ensemble_aware_loss([], np.array([0, 1]))
+
+    @pytest.mark.parametrize("aware", [True, False])
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_two_steps_bitwise_the_chain(self, workers, improved, mfa, aware, forced_pool, monkeypatch):
+        # two run_epoch steps (of 3 samples, then 2) and an evaluate_loss with the one-node
+        # loss and with the former chain of nodes patched into the loops: the same stored
+        # arrays and losses
+        if workers == 1:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        else:
+            forced_pool(workers)
+        cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=8), group_input_dim=4,
+                       improved_blocks=improved, mfa=mfa)
+        assignment = GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2)
+        rng = np.random.default_rng(76)
+        feats, labels = rng.normal(size=(5, 8, 12)), np.array([0, 1, 1, 0, 1])
+        train_cfg = TrainConfig(batch_size=3, epochs=1, ensemble_aware=aware)
+        results = []
+        for chain in (False, True):
+            with monkeypatch.context() as patch:
+                if chain:
+                    patch.setattr(training_mod, "ensemble_aware_loss", ensemble_loss_by_chain)
+                model = build_model(cfg, seed=77)
+                state = AdamState(model.parameters())
+                losses = [run_epoch(model, assignment, feats, labels, train_cfg, state, np.array([2, 4, 0, 3, 1]), 1e-2)]
+                losses.append(evaluate_loss(model, assignment, feats, labels, train_cfg))
+            results.append([np.array(losses)] + [getattr(owner, attr) for _, owner, attr in model.stored_arrays()])
+        for got, ref in zip(*results):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAdam:
