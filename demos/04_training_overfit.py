@@ -62,13 +62,13 @@ print(f"bank orders {bank.orders}; {assignment.n_groups} lineage groups")
 
 model_cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=16), group_input_dim=12)
 train_cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=25, seed=0)
-model, log = train(manifest, bank, assignment, model_cfg, train_cfg, lfcc_cfg=lfcc_cfg, target_frames=50)
+feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)  # computed from the audio batch by batch, every epoch
+model, log = train(feats, assignment, model_cfg, train_cfg)
 
 print("\nepoch  train_loss")
 for row in log[::4]:
     print(f"{row['epoch']:5d}  {row['train_loss']:.4f}")
 
-feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)
 y = feats.labels
 logits = predict_logits(model, assignment, feats)
 accuracy = (logits.argmax(axis=1) == y).mean()

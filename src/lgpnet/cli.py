@@ -66,6 +66,12 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
     return corpus.build_manifest(corpus.parse_protocol(protocol), audio_dir, split=split)
 
 
+def _features(manifest: corpus.Manifest, bank: multiscale.GmmBank, cfg) -> multiscale.ManifestLgp:
+    """manifest's LGP features under cfg's LFCC config and target_frames, computed
+    batch by batch on indexing; an empty manifest or a bad WAV header fails here."""
+    return multiscale.ManifestLgp(manifest, bank, cfg.lfcc, cfg.target_frames)
+
+
 def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
     """Every utterance's LFCC frames, stacked in manifest order.  The workers
     write straight into one array sized from the WAV headers, so the frames
@@ -125,18 +131,10 @@ def _cmd_train_model(args) -> int:
     if bank.orders != sorted(cfg.bank_orders):
         raise ConfigError(f"bank orders {bank.orders} do not match config {sorted(cfg.bank_orders)}")
     assignment = _grouping(cfg, bank)
-    _, log_rows = train(
-        manifest,
-        bank,
-        assignment,
-        cfg.model_cfg(),
-        cfg.train,
-        dev_manifest=dev_manifest,
-        lfcc_cfg=cfg.lfcc,
-        target_frames=cfg.target_frames,
-        checkpoint_path=args.checkpoint,
-        log_path=args.log,
-    )
+    feats = _features(manifest, bank, cfg)
+    dev = None if dev_manifest is None else _features(dev_manifest, bank, cfg)
+    _, log_rows = train(feats, assignment, cfg.model_cfg(), cfg.train, dev=dev,
+                        checkpoint_path=args.checkpoint, log_path=args.log)
     best = min(row["dev_loss"] for row in log_rows)
     print(f"trained {len(log_rows)} epochs; best monitored loss {best:.6f}")
     print(f"checkpoint written to {args.checkpoint}")
@@ -149,7 +147,12 @@ def _cmd_score(args) -> int:
     manifest = _manifest(args.protocol, args.audio_dir, split="eval")
     bank = multiscale.load_bank(args.gmm_dir)
     model, assignment = load_checkpoint(args.checkpoint)
-    feats = multiscale.ManifestLgp(manifest, bank, cfg.lfcc, cfg.target_frames)
+    if bank.orders != assignment.orders:
+        raise ConfigError(
+            f"bank {args.gmm_dir} holds orders {bank.orders}, "
+            f"but checkpoint {args.checkpoint} was trained on orders {assignment.orders}"
+        )
+    feats = _features(manifest, bank, cfg)
     logits = predict_logits(model, assignment, feats, batch_size=cfg.train.batch_size)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)

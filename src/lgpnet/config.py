@@ -29,7 +29,6 @@ class PipelineConfig:
     n_blocks: int = 6
     channels: int = 256
     kernel: int = 3
-    n_classes: int = 2
     mfa: bool = True
     improved_blocks: bool = True
     grouping: str = "lineage"
@@ -55,7 +54,6 @@ class PipelineConfig:
             n_blocks=self.n_blocks,
             block=ResidualBlockCfg(channels=self.channels, kernel=self.kernel),
             group_input_dim=total // self.n_groups,
-            n_classes=self.n_classes,
             mfa=self.mfa,
             improved_blocks=self.improved_blocks,
         )
@@ -106,7 +104,6 @@ _SETTERS = {
     "model.n_blocks": (None, "n_blocks", int),
     "model.channels": (None, "channels", int),
     "model.kernel": (None, "kernel", int),
-    "model.n_classes": (None, "n_classes", int),
     "model.mfa": (None, "mfa", bool),
     "model.improved_blocks": (None, "improved_blocks", bool),
     "grouping.method": (None, "grouping", str),
@@ -139,15 +136,11 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
             value = typ(raw)
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, attr, value)
-    for key in ("features.target_frames", "model.n_groups", "model.n_blocks", "model.kernel"):
-        value = getattr(cfg, _SETTERS[key][1])
-        if value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value}")
-    if cfg.n_classes != 2:  # the score is logit 1 - logit 0
-        raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {cfg.n_classes}")
+    if cfg.target_frames < 1:
+        raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
-    # re-run the dataclass validations that setattr bypassed
+    # re-run the dataclass validations that setattr bypassed; model_cfg() checks the model keys
     cfg.model_cfg()
     cfg.lfcc = LfccConfig(**asdict(cfg.lfcc))
     cfg.em = EmConfig(**asdict(cfg.em))

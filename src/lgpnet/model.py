@@ -31,17 +31,18 @@ conv1d reads it in place and it exists once.  The skip (if any) and the
 ReLU after the folded convolution are applied in place on the array it
 just made.  A BN that is not folded applies them itself
 (`batchnorm1d(..., relu=True, residual=x)`), in place on its own output,
-so a training graph holds neither the pre-activation nor a mask.  Nor does it hold that output past the forward: `branch_map` drops
-every BN output of a branch once the branch's forward returns, and
-backward remakes each one, bit for bit, where it is first read.  So
-between forward and backward a block of either kind holds only its two
-convolution outputs.  The aggregation convolution of the concatenated
-block outputs is one `aggregate` op fed the block outputs as the blocks
-make them, so each block's share is added to one output array as the
-block finishes, in both modes: no concatenation and no partial sum
-exists.  In training the op keeps only the block outputs, which the graph
-holds anyway (a conventional block's output is a BN output, dropped and
-remade like the others); under `no_grad` it keeps none.
+so a training graph holds neither the pre-activation nor a mask.  Nor
+does it hold that output past the forward: `branch_map` drops every BN
+output of a branch once the branch's forward returns, and backward remakes
+each one, bit for bit, where it is first read.  So between forward and
+backward a block of either kind holds only its two convolution outputs.
+The aggregation convolution of the concatenated block outputs is one
+`aggregate` op fed the block outputs as the blocks make them, so each
+block's share is added to one output array as the block finishes, in both
+modes: no concatenation and no partial sum exists.  In training the op
+keeps only the block outputs, which the graph holds anyway (a conventional
+block's output is a BN output, dropped and remade like the others); under
+`no_grad` it keeps none.
 Folded scores agree with the unfolded forward to rounding (1e-10 relative
 in the tests).
 """
@@ -76,7 +77,6 @@ _CKPT_VERSION = 1
 class ResidualBlockCfg:
     channels: int = 256
     kernel: int = 3
-    stride: int = 1
 
     def __post_init__(self):
         if self.channels < 1:
@@ -85,8 +85,6 @@ class ResidualBlockCfg:
             raise ConfigError(f"model.kernel must be >= 1, got {self.kernel}")
         if self.kernel % 2 == 0:
             raise ConfigError("kernel size must be odd")
-        if self.stride != 1:
-            raise ConfigError("identity skips require stride 1")
 
 
 @dataclass
@@ -95,7 +93,6 @@ class ModelCfg:
     n_blocks: int = 6
     block: ResidualBlockCfg = field(default_factory=ResidualBlockCfg)
     group_input_dim: int = 248
-    n_classes: int = 2
     mfa: bool = True
     improved_blocks: bool = True
 
@@ -103,8 +100,6 @@ class ModelCfg:
         for key, value in (("n_groups", self.n_groups), ("n_blocks", self.n_blocks)):
             if value < 1:
                 raise ConfigError(f"model.{key} must be >= 1, got {value}")
-        if self.n_classes != 2:  # the score is logit 1 - logit 0
-            raise ConfigError(f"model.n_classes must be 2 (spoof, bona fide), got {self.n_classes}")
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -278,12 +273,11 @@ class GroupedResNetEnsemble:
     def __init__(self, cfg: ModelCfg, rng: np.random.Generator):
         self.cfg = cfg
         self.branches = [GroupBranch(cfg, rng) for _ in range(cfg.n_groups)]
-        self.classifiers = [
-            LinearLayer(cfg.block.channels, cfg.n_classes, rng) for _ in range(cfg.n_groups)
-        ]
+        # two logits, spoof and bona fide: the score is logit 1 - logit 0
+        self.classifiers = [LinearLayer(cfg.block.channels, 2, rng) for _ in range(cfg.n_groups)]
 
     def forward_slices(self, slices: list[Tensor]) -> list[Tensor]:
-        """The G group logits b_g (N x n_classes each) for the G group slices."""
+        """The G group logits b_g (N x 2 each) for the G group slices."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
         for x in slices:
@@ -419,7 +413,13 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
         if meta.get("version") != _CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         cfg_doc = dict(meta["model_cfg"])
-        cfg_doc["block"] = ResidualBlockCfg(**cfg_doc["block"])
+        block_doc = dict(cfg_doc["block"])
+        # older checkpoints also store these two constants; only their one legal value loads
+        for doc, key, legal in ((cfg_doc, "n_classes", 2), (block_doc, "stride", 1)):
+            value = doc.pop(key, legal)
+            if value != legal:
+                raise FormatError(f"{path}: checkpoint has {key} {value!r}; only {legal} is supported")
+        cfg_doc["block"] = ResidualBlockCfg(**block_doc)
         cfg = ModelCfg(**cfg_doc)
         assignment = GroupAssignment(
             groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},

@@ -32,9 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Manifest
 from .errors import ConfigError, NonFiniteLossError, ShapeError
-from .lfcc import LfccConfig
 from .model import (
     GroupedResNetEnsemble,
     ModelCfg,
@@ -43,7 +41,7 @@ from .model import (
     ensemble_logits,
     save_checkpoint,
 )
-from .multiscale import GmmBank, GroupAssignment, ManifestLgp
+from .multiscale import GroupAssignment, ManifestLgp
 from .tensor import Tensor, _parallel_map, _result, _tracking, backward, no_grad
 
 
@@ -119,16 +117,18 @@ def ensemble_aware_loss(group_logits: list[Tensor], labels, aware: bool = True) 
 class AdamState:
     """First/second moment accumulators for a fixed parameter list."""
 
-    def __init__(self, params: list[Tensor], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: list[Tensor]):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.scratch = threading.local()  # .pair: a thread's two flat arrays for adam_step
+
+
+# Adam's decay rates and denominator guard, as in Kingma & Ba (arXiv 1412.6980)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def adam_step(state: AdamState, lr: float) -> None:
@@ -142,8 +142,8 @@ def adam_step(state: AdamState, lr: float) -> None:
     """
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
 
     def update(i: int) -> None:
         p, m, v = state.params[i], state.m[i], state.v[i]
@@ -152,13 +152,13 @@ def adam_step(state: AdamState, lr: float) -> None:
             largest = max(q.size for q in state.params)
             state.scratch.pair = (np.empty(largest), np.empty(largest))
         a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch.pair)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=a)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+        v *= ADAM_BETA2
         np.square(g, out=a)
-        v += np.multiply(1.0 - state.beta2, a, out=a)
+        v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
         np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), state.eps, out=b)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
         p.data -= np.divide(a, b, out=a)
 
     _parallel_map(update, len(state.params), sum(p.size for p in state.params))
@@ -275,40 +275,34 @@ def _best_epoch_file(checkpoint_path: str | Path | None) -> str:
 
 
 def train(
-    manifest: Manifest,
-    bank: GmmBank,
+    feats: ManifestLgp,
     assignment: GroupAssignment,
     model_cfg: ModelCfg,
     train_cfg: TrainConfig,
-    dev_manifest: Manifest | None = None,
-    lfcc_cfg: LfccConfig | None = None,
-    target_frames: int = 400,
+    dev: ManifestLgp | None = None,
     checkpoint_path: str | Path | None = None,
     log_path: str | Path | None = None,
 ) -> tuple[GroupedResNetEnsemble, list[dict]]:
     """Full training run; returns the best model and the per-epoch log.
 
+    feats and dev are the train and dev features with their `labels`, indexed
+    one batch at a time: a `ManifestLgp` computes each batch from the audio,
+    in every epoch, and has checked its manifest when it was made.
+
     Deterministic given train_cfg.seed: the same generator drives parameter
     initialization and every epoch's shuffle.  The monitored loss is the
-    dev-set loss when a dev manifest is given, the training loss otherwise.
-    Each epoch that improves it is written with `save_checkpoint` to one
-    file, made before epoch 1 in checkpoint_path's directory (an unusable
-    directory raises OSError there) or in the system temp dir; no copy of
-    the arrays is kept in memory.  At the end the parameter gradients and
-    Adam's moments are dropped, the best epoch's arrays are reloaded when a
-    later epoch was worse (each key and shape checked as `load_checkpoint`
-    checks them, so a damaged file raises FormatError), and the file is
-    moved onto checkpoint_path, or deleted when there is none.  A NaN or infinite loss in any epoch raises
-    NonFiniteLossError; on that or any other error the file is removed and
-    no checkpoint is written.  Features are computed from the audio batch by
-    batch, in every epoch; an empty train or dev manifest raises
-    ManifestError before the first one.
+    dev-set loss when dev is given, the training loss otherwise.  Each epoch
+    that improves it is written with `save_checkpoint` to one file, made
+    before epoch 1 in checkpoint_path's directory (an unusable directory
+    raises OSError there) or in the system temp dir; no copy of the arrays
+    is kept in memory.  At the end the parameter gradients and Adam's
+    moments are dropped, the best epoch's arrays are reloaded when a later
+    epoch was worse (each key and shape checked as `load_checkpoint` checks
+    them, so a damaged file raises FormatError), and the file is moved onto
+    checkpoint_path, or deleted when there is none.  A NaN or infinite loss
+    in any epoch raises NonFiniteLossError; on that or any other error the
+    file is removed and no checkpoint is written.
     """
-    feats = ManifestLgp(manifest, bank, lfcc_cfg, target_frames)
-    dev = None
-    if dev_manifest is not None:
-        dev = ManifestLgp(dev_manifest, bank, lfcc_cfg, target_frames)
-
     rng = np.random.default_rng(train_cfg.seed)
     model = GroupedResNetEnsemble(model_cfg, rng)
     state = AdamState(model.parameters())

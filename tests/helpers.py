@@ -15,6 +15,7 @@ import numpy as np
 from lgpnet.errors import ShapeError
 from lgpnet.model import BatchNorm1dLayer
 from lgpnet.tensor import Tensor, _find_blas_controls, _result, _tracking, backward
+from lgpnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 @contextmanager
@@ -514,15 +515,15 @@ def adam_step_by_expression(state, lr: float) -> None:
     expressions that allocate their temporaries; a missing grad is zeros."""
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for p, m, v in zip(state.params, state.m, state.v):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g**2
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g**2
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

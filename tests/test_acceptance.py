@@ -98,10 +98,8 @@ def run_overfit_training(tmp_root):
     train_cfg = TrainConfig(
         learning_rate=1e-3, batch_size=32, epochs=OVERFIT_EPOCHS, seed=OVERFIT_SEED
     )
-    model, log = train(
-        manifest, bank, assignment, model_cfg, train_cfg, lfcc_cfg=lfcc_cfg, target_frames=50
-    )
     feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)
+    model, log = train(feats, assignment, model_cfg, train_cfg)
     labels = feats.labels
     logits = predict_logits(model, assignment, feats)
     scores = logits[:, 1] - logits[:, 0]

@@ -143,13 +143,6 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=f"features.target_frames must be >= 1, got {frames}"):
             load_config(bad)
 
-    @pytest.mark.parametrize("n_classes", ["1", "3"])
-    def test_n_classes_other_than_2_rejected(self, tmp_path, n_classes):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(f"model.n_classes = {n_classes}\n")
-        with pytest.raises(ConfigError, match=f"model.n_classes must be 2 .*got {n_classes}"):
-            load_config(bad)
-
     def test_bank_orders_in_any_order_accepted(self, tmp_path):
         cfg = tmp_path / "orders.cfg"
         # one group, since the default 8 would not split order 1
@@ -559,18 +552,59 @@ class TestRefusedInputs:
             "--out", str(root / "scores.txt"), "--config", str(cli_workspace["cfg"]),
         ])
 
-    def test_train_model_with_empty_dev_protocol(self, cli_workspace, workspace, capsys):
-        ckpt, log = workspace / "trained.npz", workspace / "log.csv"
+    @pytest.mark.parametrize("refused", ["empty-train", "empty-dev", "8khz-train", "8khz-dev"])
+    def test_train_model_refuses_features_before_epoch_1(
+        self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, refused
+    ):
+        import lgpnet.training
+
+        epochs = []
+        monkeypatch.setattr(lgpnet.training, "run_epoch", lambda *a, **k: epochs.append(1))
+        protocol, audio_dir = cli_workspace["protocol"], cli_workspace["audio_dir"]
+        if refused == "empty-train":
+            protocol = workspace / "empty.txt"
+        elif refused == "8khz-train":
+            protocol, audio_dir = workspace / "low_rate.txt", workspace / "wav8k"
+        args = ["train-model", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+                "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(tmp_path / "model.npz"),
+                "--log", str(tmp_path / "log.csv"), "--config", str(cli_workspace["cfg"])]
+        if refused == "empty-dev":
+            args += ["--dev-protocol", str(workspace / "empty.txt")]
+        elif refused == "8khz-dev":
+            args += ["--dev-protocol", str(workspace / "low_rate.txt"), "--dev-audio-dir", str(workspace / "wav8k")]
+        assert cli_main(args) == 1
+        expected = {"empty-train": "error: train manifest is empty", "empty-dev": "error: dev manifest is empty"}.get(
+            refused, "LOW_RATE.wav: sample rate 8000 Hz is unsupported"
+        )
+        assert expected in capsys.readouterr().err
+        assert epochs == []
+        assert list(tmp_path.iterdir()) == []  # no checkpoint, no best-epoch file, no log
+
+    @pytest.mark.parametrize("orders", [[8], [8, 16, 32]])
+    def test_score_refuses_a_bank_of_other_orders_before_any_audio(
+        self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, orders
+    ):
+        # this 8/16 checkpoint against an order-8 bank once computed the first batch's
+        # features, then failed on a column count naming neither file
+        import lgpnet.multiscale as multiscale
+
+        bank_dir = tmp_path / "gmms"
+        multiscale.save_bank(random_bank(np.random.default_rng(51), orders, 60), bank_dir)
+        reads = []
+        monkeypatch.setattr(multiscale, "read_wav", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(multiscale, "check_wav", lambda *a, **k: reads.append(a))
+        out = tmp_path / "scores.txt"
         code = cli_main([
-            "train-model", "--protocol", str(cli_workspace["protocol"]),
-            "--audio-dir", str(cli_workspace["audio_dir"]), "--gmm-dir", str(workspace / "gmms"),
-            "--checkpoint", str(ckpt), "--log", str(log), "--config", str(cli_workspace["cfg"]),
-            "--dev-protocol", str(workspace / "empty.txt"),
+            "score", "--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--gmm-dir", str(bank_dir), "--checkpoint", str(workspace / "model.npz"),
+            "--out", str(out), "--config", str(cli_workspace["cfg"]),
         ])
         assert code == 1
-        assert "error: dev manifest is empty" in capsys.readouterr().err
-        assert not ckpt.exists()
-        assert not log.exists() or len(log.read_text().splitlines()) <= 1  # no epoch row
+        err = capsys.readouterr().err
+        assert f"error: bank {bank_dir} holds orders {orders}, but checkpoint {workspace / 'model.npz'} " \
+            "was trained on orders [8, 16]" in err
+        assert reads == []
+        assert not out.exists()
 
     def test_score_with_empty_protocol(self, cli_workspace, workspace, capsys):
         code = self._score(
@@ -657,20 +691,21 @@ class TestRefusedInputs:
         assert f"error: features.target_frames must be >= 1, got {frames}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("n_classes", ["1", "3"])
     @pytest.mark.parametrize("command", ["train-gmm", "train-model", "score", "describe"])
-    def test_n_classes_other_than_2_is_exit_1_before_any_work(
-        self, cli_workspace, workspace, capsys, monkeypatch, command, n_classes
+    def test_n_classes_is_an_unknown_key_exit_1_before_any_work(
+        self, cli_workspace, workspace, capsys, monkeypatch, command
     ):
+        # the network always has two logits (the score is logit 1 - logit 0), so the
+        # former model.n_classes key is refused like any other unknown key, even at 2
         import lgpnet.corpus
 
         def refuse(*args, **kwargs):
             raise AssertionError("a manifest was built")
 
         monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
-        cfg = workspace / f"classes{n_classes}.cfg"
-        cfg.write_text(TINY_CFG + f"model.n_classes = {n_classes}\n")
-        out = workspace / f"classes{n_classes}_{command}.out"
+        cfg = workspace / "classes.cfg"
+        cfg.write_text(TINY_CFG + "model.n_classes = 2\n")
+        out = workspace / f"classes_{command}.out"
         args = ["--config", str(cfg)]
         if command != "describe":
             args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"])]
@@ -682,7 +717,9 @@ class TestRefusedInputs:
             args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
                      "--out", str(out)]
         assert cli_main([command, *args]) == 1
-        assert f"error: model.n_classes must be 2 (spoof, bona fide), got {n_classes}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert re.search(r"^error: .*classes\.cfg:\d+: unknown key 'model\.n_classes'$", captured.err, re.M)
+        assert "Traceback" not in captured.err
         assert not out.exists()
 
     @pytest.mark.parametrize(

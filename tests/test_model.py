@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import threading
 import weakref
@@ -42,15 +43,15 @@ from lgpnet.model import (
 )
 from lgpnet.multiscale import GroupAssignment, random_grouping
 from lgpnet.tensor import Tensor, backward, no_grad
-from lgpnet.training import AdamState, adam_step, ensemble_aware_loss
+from lgpnet.training import AdamState, adam_step, ensemble_aware_loss, predict_logits
 
 
-def param_count_oracle(g, blocks, ch, group_dim, n_classes=2, mfa=True, improved=True):
+def param_count_oracle(g, blocks, ch, group_dim, mfa=True, improved=True):
     """Closed-form total parameter count, written before the implementation."""
     entry = ch * group_dim + ch + 2 * ch
     block = 2 * (3 * ch * ch + ch) + (2 * ch if improved else 4 * ch)
     mfa_params = (ch * (blocks * ch) + ch + 2 * ch) if mfa else 0
-    classifier = n_classes * ch + n_classes
+    classifier = 2 * ch + 2  # two logits
     return g * (entry + blocks * block + mfa_params + classifier)
 
 
@@ -60,7 +61,6 @@ def tiny_cfg(**overrides):
         n_blocks=2,
         block=ResidualBlockCfg(channels=8),
         group_input_dim=4,
-        n_classes=2,
     )
     defaults.update(overrides)
     return ModelCfg(**defaults)
@@ -831,14 +831,42 @@ class TestCheckpoint:
                 assert value.dtype == np.float64, key
                 assert np.array_equal(value, data[key]), key
 
-    @pytest.mark.parametrize("n_classes", [1, 3])
-    def test_n_classes_other_than_2_refused(self, tmp_path, n_classes):
-        with pytest.raises(ConfigError, match=f"model.n_classes must be 2 .*got {n_classes}"):
-            ModelCfg(n_classes=n_classes)
+    def test_legacy_meta_with_the_two_constants_loads_bitwise(self, tmp_path):
+        """Checkpoints written while n_classes and stride were config fields store
+        them; with their one legal value such a file loads as one without them."""
+        model = build_model(tiny_cfg(), seed=18)
+        x = np.random.default_rng(18).normal(size=(3, 8, 12))
+        model.set_mode("train")
+        model(x, tiny_assignment())  # push the BN running stats away from their init values
+        plain, legacy = tmp_path / "plain.npz", tmp_path / "legacy.npz"
+        save_checkpoint(plain, model, tiny_assignment())
+        save_checkpoint(legacy, model, tiny_assignment())
+        with np.load(plain) as data:
+            cfg_doc = json.loads(bytes(data["meta"]).decode("utf-8"))["model_cfg"]
+        assert "n_classes" not in cfg_doc and "stride" not in cfg_doc["block"]
+
+        def add_constants(meta):
+            meta["model_cfg"]["n_classes"] = 2
+            meta["model_cfg"]["block"]["stride"] = 1
+
+        rewrite_meta(legacy, add_constants)
+        (a, assignment_a), (b, assignment_b) = load_checkpoint(plain), load_checkpoint(legacy)
+        assert a.cfg == b.cfg
+        for (key, owner_a, attr), (_, owner_b, _) in zip(a.stored_arrays(), b.stored_arrays()):
+            assert getattr(owner_a, attr).tobytes() == getattr(owner_b, attr).tobytes(), key
+        assert predict_logits(a, assignment_a, x).tobytes() == predict_logits(b, assignment_b, x).tobytes()
+
+    @pytest.mark.parametrize("key, value", [("n_classes", 1), ("n_classes", 3), ("stride", 2)])
+    def test_legacy_meta_with_another_value_is_format_error(self, tmp_path, key, value):
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(tiny_cfg(), seed=18), tiny_assignment())
-        rewrite_meta(path, lambda meta: meta["model_cfg"].update(n_classes=n_classes))
-        with pytest.raises(ConfigError, match="model.n_classes must be 2"):
+
+        def edit(meta):
+            doc = meta["model_cfg"]["block"] if key == "stride" else meta["model_cfg"]
+            doc[key] = value
+
+        rewrite_meta(path, edit)
+        with pytest.raises(FormatError, match=f"model.npz: checkpoint has {key} {value}; only"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("kernel", -1)])

@@ -271,7 +271,6 @@ class TestAssignmentSerialization:
             n_blocks=1,
             block=ResidualBlockCfg(channels=4),
             group_input_dim=(8 + 16) // 4,
-            n_classes=2,
         )
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(cfg, seed=0), assignment)

@@ -18,13 +18,13 @@ from helpers import (
     softmax_cross_entropy,
 )
 
-from lgpnet.corpus import Manifest
-from lgpnet.errors import FormatError, LgpnetError, ManifestError, NonFiniteLossError, ShapeError
+from lgpnet.errors import FormatError, LgpnetError, NonFiniteLossError, ShapeError
 from lgpnet.model import GroupBranch, ModelCfg, ResidualBlockCfg, build_model, ensemble_logits, load_checkpoint
-from lgpnet.multiscale import GroupAssignment
+from lgpnet.multiscale import GroupAssignment, ManifestLgp
 from lgpnet.tensor import Tensor, backward
 import lgpnet.training as training_mod
 from lgpnet.training import (
+    ADAM_EPS,
     AdamState,
     TrainConfig,
     adam_step,
@@ -239,7 +239,7 @@ class TestAdam:
         p.grad = g.copy()
         lr = 0.05
         adam_step(state, lr=lr)
-        expected = -lr * g / (np.abs(g) + state.eps)
+        expected = -lr * g / (np.abs(g) + ADAM_EPS)
         assert np.allclose(p.data, expected, rtol=1e-9)
         assert np.allclose(p.data, -lr * np.sign(g), rtol=1e-6)
 
@@ -359,42 +359,29 @@ def tiny_model_cfg(assignment):
     )
 
 
+class Batches:
+    """Stacked features handed out as a fresh array per batch, like ManifestLgp's,
+    with a weakref to each batch handed out."""
+
+    def __init__(self, feats: np.ndarray, labels: np.ndarray):
+        self.feats, self.labels = feats, labels
+        self.refs = []
+
+    def __len__(self):
+        return len(self.feats)
+
+    def __getitem__(self, idx):
+        batch = self.feats[idx]
+        self.refs.append(weakref.ref(batch))
+        return batch
+
+
+def stacked(tiny_pipeline):
+    """The tiny pipeline's stacked features, handed to train() in place of a ManifestLgp."""
+    return Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
+
+
 class TestTrainLoop:
-    def test_empty_manifest_rejected(self, tiny_pipeline):
-        empty = Manifest(entries=[], split="train")
-        with pytest.raises(ManifestError):
-            train(
-                empty,
-                tiny_pipeline["bank"],
-                tiny_pipeline["assignment"],
-                tiny_model_cfg(tiny_pipeline["assignment"]),
-                small_train_cfg(),
-            )
-
-    def test_empty_dev_manifest_rejected_before_epoch_1(self, tiny_pipeline, tmp_path, monkeypatch):
-        import lgpnet.training as training_mod
-
-        epochs = []
-        real_run_epoch = training_mod.run_epoch
-        monkeypatch.setattr(
-            training_mod, "run_epoch", lambda *a, **k: epochs.append(1) or real_run_epoch(*a, **k)
-        )
-        log_path = tmp_path / "log.csv"
-        with pytest.raises(ManifestError, match="dev manifest is empty"):
-            train(
-                tiny_pipeline["manifest"],
-                tiny_pipeline["bank"],
-                tiny_pipeline["assignment"],
-                tiny_model_cfg(tiny_pipeline["assignment"]),
-                small_train_cfg(epochs=1),
-                dev_manifest=Manifest(entries=[], split="dev"),
-                lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-                target_frames=50,
-                log_path=log_path,
-            )
-        assert epochs == []
-        assert not log_path.exists() or len(log_path.read_text().splitlines()) <= 1  # no epoch row
-
     def test_diverging_loss_raises_naming_the_epoch(self, tiny_pipeline, tmp_path):
         # the first Adam step at this rate overflows the weights, so the second
         # batch of epoch 1 has a NaN loss
@@ -402,13 +389,10 @@ class TestTrainLoop:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteLossError, match="epoch 1"):
                 train(
-                    tiny_pipeline["manifest"],
-                    tiny_pipeline["bank"],
+                    stacked(tiny_pipeline),
                     tiny_pipeline["assignment"],
                     tiny_model_cfg(tiny_pipeline["assignment"]),
                     small_train_cfg(learning_rate=1e308, epochs=2),
-                    lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-                    target_frames=50,
                     checkpoint_path=ckpt,
                 )
         assert issubclass(NonFiniteLossError, LgpnetError)
@@ -416,28 +400,21 @@ class TestTrainLoop:
 
     def test_deterministic_given_seed(self, tiny_pipeline):
         kwargs = dict(
-            manifest=tiny_pipeline["manifest"],
-            bank=tiny_pipeline["bank"],
             assignment=tiny_pipeline["assignment"],
             model_cfg=tiny_model_cfg(tiny_pipeline["assignment"]),
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
         )
-        _, log_a = train(train_cfg=small_train_cfg(epochs=2), **kwargs)
-        _, log_b = train(train_cfg=small_train_cfg(epochs=2), **kwargs)
+        _, log_a = train(stacked(tiny_pipeline), train_cfg=small_train_cfg(epochs=2), **kwargs)
+        _, log_b = train(stacked(tiny_pipeline), train_cfg=small_train_cfg(epochs=2), **kwargs)
         assert log_a[0]["train_loss"] == log_b[0]["train_loss"]  # bitwise
         assert log_a[-1]["train_loss"] == log_b[-1]["train_loss"]
 
     def test_writes_epoch_log_csv(self, tiny_pipeline, tmp_path):
         log_path = tmp_path / "log.csv"
         train(
-            tiny_pipeline["manifest"],
-            tiny_pipeline["bank"],
+            stacked(tiny_pipeline),
             tiny_pipeline["assignment"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
             log_path=log_path,
         )
         lines = log_path.read_text().strip().splitlines()
@@ -458,31 +435,38 @@ class TestTrainLoop:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(multiscale, "utterance_lgp", counting)
+        feats = ManifestLgp(tiny_pipeline["manifest"], tiny_pipeline["bank"], tiny_pipeline["lfcc_cfg"], 50)
         train(
-            tiny_pipeline["manifest"],
-            tiny_pipeline["bank"],
+            feats,
             tiny_pipeline["assignment"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
         )
         assert sorted(calls) == sorted(2 * tiny_pipeline["utt_ids"])
+
+    def test_manifest_features_train_bitwise_as_stacked_ones(self, tiny_pipeline):
+        """train() only indexes its features, so computing them from the audio per
+        batch trains the same bits as handing in the stacked array."""
+        manifest_feats = ManifestLgp(tiny_pipeline["manifest"], tiny_pipeline["bank"], tiny_pipeline["lfcc_cfg"], 50)
+        runs = [
+            train(feats, tiny_pipeline["assignment"], tiny_model_cfg(tiny_pipeline["assignment"]),
+                  small_train_cfg(epochs=2), dev=feats)
+            for feats in (manifest_feats, stacked(tiny_pipeline))
+        ]
+        (model_a, log_a), (model_b, log_b) = runs
+        assert log_a == log_b
+        for (key, owner_a, attr), (_, owner_b, _) in zip(model_a.stored_arrays(), model_b.stored_arrays()):
+            assert getattr(owner_a, attr).tobytes() == getattr(owner_b, attr).tobytes(), key
 
     def test_checkpoint_reload_reproduces_scores(self, tiny_pipeline, tmp_path):
         ckpt = tmp_path / "model.npz"
         model, _ = train(
-            tiny_pipeline["manifest"],
-            tiny_pipeline["bank"],
+            stacked(tiny_pipeline),
             tiny_pipeline["assignment"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
             checkpoint_path=ckpt,
         )
-        from lgpnet.model import load_checkpoint
-
         reloaded, assignment = load_checkpoint(ckpt)
         feats = tiny_pipeline["feats"]
         direct = predict_logits(model, tiny_pipeline["assignment"], feats)
@@ -491,14 +475,11 @@ class TestTrainLoop:
 
     def test_dev_monitoring_and_best_restore(self, tiny_pipeline):
         model, log = train(
-            tiny_pipeline["manifest"],
-            tiny_pipeline["bank"],
+            stacked(tiny_pipeline),
             tiny_pipeline["assignment"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=3),
-            dev_manifest=tiny_pipeline["manifest"],
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
+            dev=stacked(tiny_pipeline),
         )
         best = min(row["dev_loss"] for row in log)
         recomputed = evaluate_loss(
@@ -535,23 +516,6 @@ class TestTrainLoop:
         assert last < first
 
 
-class Batches:
-    """Stacked features handed out as a fresh array per batch, like ManifestLgp's,
-    with a weakref to each batch handed out."""
-
-    def __init__(self, feats: np.ndarray, labels: np.ndarray):
-        self.feats, self.labels = feats, labels
-        self.refs = []
-
-    def __len__(self):
-        return len(self.feats)
-
-    def __getitem__(self, idx):
-        batch = self.feats[idx]
-        self.refs.append(weakref.ref(batch))
-        return batch
-
-
 class TestBatchMemory:
     @pytest.mark.parametrize("loop", ["run_epoch", "evaluate_loss", "predict_logits"])
     def test_stacked_batch_is_freed_before_the_first_branch_runs(self, tiny_pipeline, monkeypatch, loop):
@@ -584,12 +548,9 @@ class TestBestEpochOnDisk:
     def train(self, tiny_pipeline, **kwargs):
         kwargs.setdefault("train_cfg", small_train_cfg(epochs=3))
         return train(
-            tiny_pipeline["manifest"],
-            tiny_pipeline["bank"],
+            stacked(tiny_pipeline),
             tiny_pipeline["assignment"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
-            lfcc_cfg=tiny_pipeline["lfcc_cfg"],
-            target_frames=50,
             **kwargs,
         )
 
@@ -628,7 +589,7 @@ class TestBestEpochOnDisk:
         monkeypatch.setattr(training_mod, "_assign_stored_arrays", probing_assign)
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         ckpt = tmp_path / "model.npz"
-        model, log = self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=ckpt)
+        model, log = self.train(tiny_pipeline, dev=stacked(tiny_pipeline), checkpoint_path=ckpt)
 
         assert [row["dev_loss"] for row in log] == [0.5, 0.25, 0.375]
         assert len(written) == 2  # epochs 1 and 2 improved, epoch 3 did not
@@ -665,7 +626,7 @@ class TestBestEpochOnDisk:
         monkeypatch.setattr(training_mod, "save_checkpoint", damaging_save)
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         with pytest.raises(FormatError, match=r"\.m\.npz\..*\.tmp: (checkpoint is missing|shape mismatch for) " + key):
-            self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=tmp_path / "m.npz")
+            self.train(tiny_pipeline, dev=stacked(tiny_pipeline), checkpoint_path=tmp_path / "m.npz")
         assert os.listdir(tmp_path) == []
 
     def test_best_last_epoch_is_not_reloaded(self, tiny_pipeline, tmp_path, monkeypatch):
@@ -675,7 +636,7 @@ class TestBestEpochOnDisk:
         monkeypatch.setattr(training_mod, "_assign_stored_arrays", lambda *a: restores.append(a))
         dev_losses = iter([0.5, 0.25, 0.125])
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
-        self.train(tiny_pipeline, dev_manifest=tiny_pipeline["manifest"], checkpoint_path=tmp_path / "m.npz")
+        self.train(tiny_pipeline, dev=stacked(tiny_pipeline), checkpoint_path=tmp_path / "m.npz")
         assert restores == []
         assert os.listdir(tmp_path) == ["m.npz"]
 
@@ -715,7 +676,7 @@ class TestBestEpochOnDisk:
             self.train(tiny_pipeline, checkpoint_path=tmp_path / "file" / "model.npz")
         assert epochs == []
 
-    def test_peak_memory_is_that_of_the_bare_steps(self, tiny_pipeline, monkeypatch):
+    def test_peak_memory_is_that_of_the_bare_steps(self, tiny_pipeline):
         """train() adds less than half the model's stored arrays to the traced peak of
         its run_epoch steps: no in-memory copy of the best epoch is held."""
         import lgpnet.training as training_mod
@@ -723,8 +684,7 @@ class TestBestEpochOnDisk:
         assignment = tiny_pipeline["assignment"]
         model_cfg = tiny_model_cfg(assignment)
         cfg = small_train_cfg(epochs=3)
-        feats = Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
-        monkeypatch.setattr(training_mod, "ManifestLgp", lambda *a, **k: feats)
+        feats = stacked(tiny_pipeline)
 
         def bare_steps():
             rng = np.random.default_rng(cfg.seed)
@@ -744,6 +704,6 @@ class TestBestEpochOnDisk:
 
         stored = sum(getattr(o, a).nbytes for _, o, a in build_model(model_cfg).stored_arrays())
         bare = peak(bare_steps)
-        full = peak(lambda: train(tiny_pipeline["manifest"], tiny_pipeline["bank"], assignment, model_cfg, cfg))
+        full = peak(lambda: train(feats, assignment, model_cfg, cfg))
         assert full - bare < stored / 2
 
