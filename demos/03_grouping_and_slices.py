@@ -4,8 +4,10 @@ Components descending from the same branch of the split tree get the same
 group, so each group sees a coherent region of the feature space.  Binary
 splitting puts the children of component i at 2i and 2i+1, so at order K
 component i belongs to group i // (K // G).  Random grouping is the
-baseline alternative.  The concatenated multi-order LGP
-matrix is then sliced per group for the per-group network branches.
+baseline alternative.  Each group's network branch reads only its own
+columns of the concatenated multi-order LGP matrix, so the pipeline makes
+each group's input from the LFCC frames with that group's GMM coefficients
+alone (`GroupLgp`), never the whole matrix.
 """
 import numpy as np
 
@@ -13,6 +15,7 @@ from lgpnet import (
     EmConfig,
     FeatureMatrix,
     GmmBank,
+    GroupLgp,
     extract_multiscale_lgp,
     lineage_grouping,
     random_grouping,
@@ -39,7 +42,10 @@ feat = FeatureMatrix(values=rng.normal(size=(50, 3)))
 lgp = extract_multiscale_lgp(bank, feat)
 print(f"\nmulti-order LGP: {lgp.values.shape} (frames x {8}+{16}+{32} dims)")
 
-slices = lineage.split(lgp.values)
-print(f"{len(slices)} group slices of shape {slices[0].shape}")
-total = sum(s.shape[1] for s in slices)
-print(f"slice dims sum back to {total} = {bank.total_components}")
+batch = GroupLgp(bank, lineage).batch(feat.values[None])  # a batch of one utterance's frames
+inputs = [batch[g].data for g in range(len(batch))]
+print(f"{len(inputs)} group inputs of shape {inputs[0].shape} (utterances x dims x frames)")
+for x, cols in zip(inputs, lineage.index_lists()):
+    assert np.allclose(x[0], lgp.values[:, cols].T, rtol=1e-12, atol=1e-12)
+total = sum(x.shape[1] for x in inputs)
+print(f"each is its group's columns of the LGP; dims sum back to {total} = {bank.total_components}")

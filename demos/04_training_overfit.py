@@ -13,8 +13,9 @@ import numpy as np
 from lgpnet import (
     EmConfig,
     GmmBank,
+    GroupLgp,
     LfccConfig,
-    ManifestLgp,
+    ManifestFrames,
     ModelCfg,
     ResidualBlockCfg,
     TrainConfig,
@@ -62,15 +63,16 @@ print(f"bank orders {bank.orders}; {assignment.n_groups} lineage groups")
 
 model_cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=16), group_input_dim=12)
 train_cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=25, seed=0)
-feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)  # computed from the audio batch by batch, every epoch
-model, log = train(feats, assignment, model_cfg, train_cfg)
+feats = ManifestFrames(manifest, lfcc_cfg, 50)  # computed from the audio batch by batch, every epoch
+lgp = GroupLgp(bank, assignment)  # each branch makes its group's LGP input from a batch's frames
+model, log = train(feats, lgp, model_cfg, train_cfg)
 
 print("\nepoch  train_loss")
 for row in log[::4]:
     print(f"{row['epoch']:5d}  {row['train_loss']:.4f}")
 
 y = feats.labels
-logits = predict_logits(model, assignment, feats)
+logits = predict_logits(model, lgp, feats)
 accuracy = (logits.argmax(axis=1) == y).mean()
 scores = logits[:, 1] - logits[:, 0]
 eer = compute_eer(scores[y == 1], scores[y == 0]).eer

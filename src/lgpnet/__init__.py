@@ -59,9 +59,11 @@ from .model import (
     score,
 )
 from .multiscale import (
+    FrameBatch,
     GmmBank,
     GroupAssignment,
-    ManifestLgp,
+    GroupLgp,
+    ManifestFrames,
     extract_multiscale_lgp,
     lineage_grouping,
     load_bank,

@@ -1,9 +1,9 @@
 """Command-line front end wiring the pipeline together.
 
 Subcommands: train-gmm, train-model, score, evaluate, describe.  Nothing
-is cached between commands: train-model and score compute the LGP features
-from the audio batch by batch.  Exit codes: 0 success, 1 runtime error,
-2 usage error.
+is cached between commands: train-model and score compute the LFCC frames
+from the audio batch by batch, and each group branch its own LGP input
+from them.  Exit codes: 0 success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -66,10 +66,10 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
     return corpus.build_manifest(corpus.parse_protocol(protocol), audio_dir, split=split)
 
 
-def _features(manifest: corpus.Manifest, bank: multiscale.GmmBank, cfg) -> multiscale.ManifestLgp:
-    """manifest's LGP features under cfg's LFCC config and target_frames, computed
+def _features(manifest: corpus.Manifest, cfg) -> multiscale.ManifestFrames:
+    """manifest's LFCC frames under cfg's LFCC config and target_frames, computed
     batch by batch on indexing; an empty manifest or a bad WAV header fails here."""
-    return multiscale.ManifestLgp(manifest, bank, cfg.lfcc, cfg.target_frames)
+    return multiscale.ManifestFrames(manifest, cfg.lfcc, cfg.target_frames)
 
 
 def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
@@ -130,10 +130,10 @@ def _cmd_train_model(args) -> int:
     bank = multiscale.load_bank(args.gmm_dir)
     if bank.orders != sorted(cfg.bank_orders):
         raise ConfigError(f"bank orders {bank.orders} do not match config {sorted(cfg.bank_orders)}")
-    assignment = _grouping(cfg, bank)
-    feats = _features(manifest, bank, cfg)
-    dev = None if dev_manifest is None else _features(dev_manifest, bank, cfg)
-    _, log_rows = train(feats, assignment, cfg.model_cfg(), cfg.train, dev=dev,
+    lgp = multiscale.GroupLgp(bank, _grouping(cfg, bank))
+    feats = _features(manifest, cfg)
+    dev = None if dev_manifest is None else _features(dev_manifest, cfg)
+    _, log_rows = train(feats, lgp, cfg.model_cfg(), cfg.train, dev=dev,
                         checkpoint_path=args.checkpoint, log_path=args.log)
     best = min(row["dev_loss"] for row in log_rows)
     print(f"trained {len(log_rows)} epochs; best monitored loss {best:.6f}")
@@ -152,8 +152,9 @@ def _cmd_score(args) -> int:
             f"bank {args.gmm_dir} holds orders {bank.orders}, "
             f"but checkpoint {args.checkpoint} was trained on orders {assignment.orders}"
         )
-    feats = _features(manifest, bank, cfg)
-    logits = predict_logits(model, assignment, feats, batch_size=cfg.train.batch_size)
+    feats = _features(manifest, cfg)
+    lgp = multiscale.GroupLgp(bank, assignment)
+    logits = predict_logits(model, lgp, feats, batch_size=cfg.train.batch_size)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)
     seconds = time.perf_counter() - start

@@ -1,13 +1,15 @@
 """Grouped 1-d residual network ensemble over LGP group slices.
 
-Each group slice feeds its own branch: a 1x1 entry convolution, a stack of
-residual blocks, multi-scale feature aggregation (a 1x1 convolution of the
-channel concat of every block output), adaptive max pooling over time, and
-a linear classifier.  The forward returns the G group logits.  Their mean,
-the ensemble's logits, is plain numpy (`ensemble_logits`), not a graph
-node: scoring takes it from the group logits' arrays, and the loss, one
-node over the group logits (`training.ensemble_aware_loss`), forms it
-itself.
+Each group slice feeds its own branch; the training and scoring loops hand
+`forward_slices` a `multiscale.FrameBatch`, so each branch makes its own
+slice, on its worker, from the batch's LFCC frames.  A branch is a 1x1
+entry convolution, a stack of residual blocks, multi-scale feature
+aggregation (a 1x1 convolution of the channel concat of every block
+output), adaptive max pooling over time, and a linear classifier.  The
+forward returns the G group logits.  Their mean, the ensemble's logits, is
+plain numpy (`ensemble_logits`), not a graph node: scoring takes it from
+the group logits' arrays, and the loss, one node over the group logits
+(`training.ensemble_aware_loss`), forms it itself.
 
 The residual block keeps a single batch normalization and a single
 activation, both between the two convolutions:
@@ -276,16 +278,19 @@ class GroupedResNetEnsemble:
         # two logits, spoof and bona fide: the score is logit 1 - logit 0
         self.classifiers = [LinearLayer(cfg.block.channels, 2, rng) for _ in range(cfg.n_groups)]
 
-    def forward_slices(self, slices: list[Tensor]) -> list[Tensor]:
-        """The G group logits b_g (N x 2 each) for the G group slices."""
+    def forward_slices(self, slices) -> list[Tensor]:
+        """The G group logits b_g (N x 2 each) for the G group slices: a list of
+        Tensors or a `multiscale.FrameBatch`, whose slice g is made on the
+        worker that runs branch g (see `tensor.branch_map`)."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
-        for x in slices:
+
+        def branch(g: int, x: Tensor) -> Tensor:
             if x.shape[1] != self.cfg.group_input_dim:
-                raise ShapeError(
-                    f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}"
-                )
-        return branch_map(lambda g, x: self.classifiers[g](self.branches[g](x)), slices)
+                raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
+            return self.classifiers[g](self.branches[g](x))
+
+        return branch_map(branch, slices)
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> list[Tensor]:
         """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""
@@ -349,11 +354,12 @@ def build_model(cfg: ModelCfg, seed: int = 0) -> GroupedResNetEnsemble:
 
 class _Unfilled:
     """Stands in for the Generator of a model whose every stored array is about
-    to be overwritten: `uniform` hands out uninitialised memory."""
+    to be overwritten: `uniform` hands out a read-only broadcast zero, which
+    takes no memory."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.broadcast_to(0.0, size)
 
 
 def ensemble_logits(group_logits: list[np.ndarray]) -> np.ndarray:

@@ -7,13 +7,22 @@ normalization.  Components are assigned to G groups either at random or by
 their split lineage: binary splitting puts the children of component i at
 2i and 2i+1, so at order K the branch of component i at the G-node level is
 i // (K // G).  `GroupAssignment.columns` permutes the columns into group
-order, and `GroupAssignment.split` gathers the G group slices at once.
+order, and `GroupAssignment.index_lists` gives each group's columns.
 
-`ManifestLgp` computes a manifest's features batch by batch from the audio,
-so memory grows with the batch size, not the corpus size.  `map_utterances`
-runs such per-utterance work (read, LFCC, LGP) on the worker pool; its GEMMs
-run at one BLAS thread wherever they run, so the features are bitwise the
-same whatever the CPU count.
+The pipeline never builds all 1984 columns of a batch.  `ManifestFrames`
+computes a manifest's fixed-length LFCC frames batch by batch from the
+audio, so memory grows with the batch size, not the corpus size.
+`GroupLgp` holds each group's own coefficient columns, and a `FrameBatch`
+makes group g's (N, 248, T) input from the batch's frames when it is
+indexed: `tensor.branch_map` indexes it on the worker that runs branch g.
+Each column's GEMM and normalization read only that column's coefficients,
+so group g's input is `utterance_lgp(...)[:, index_lists()[g]]`: bitwise
+wherever OpenBLAS computes a column with the same kernel in the narrow and
+the full product (OpenBLAS 0.3.31's SkylakeX kernels do at the default
+bank and 5 or more frames), and to rounding elsewhere.
+`map_utterances` runs per-utterance work (read, LFCC) on the worker pool.
+Every feature GEMM runs at one BLAS thread wherever it runs, so the
+features are bitwise the same whatever the CPU count.
 """
 from __future__ import annotations
 
@@ -24,10 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import AudioClip, Manifest, check_wav, label_index, read_wav
-from .errors import ConfigError, ManifestError, ShapeError
+from .errors import ConfigError, FormatError, ManifestError, ShapeError
 from .gmm import Gmm, _lgp, _lgp_coefficients, load_gmm, save_gmm
 from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
-from .tensor import _parallel_map
+from .tensor import Tensor, _parallel_map
 
 
 @dataclass
@@ -182,22 +191,68 @@ def map_utterances(manifest: Manifest, idx, fn) -> list:
     return _parallel_map(one, len(entries), wav_bytes)
 
 
-class ManifestLgp:
-    """A manifest's (N, D, T) LGP features, computed from the audio on indexing.
+class GroupLgp:
+    """Each group's LGP coefficients: `coefficients[g]` is the (2D, group_dim)
+    block `bank.coefficients[:, assignment.index_lists()[g]]`, made once."""
+
+    def __init__(self, bank: GmmBank, assignment: GroupAssignment):
+        if bank.orders != assignment.orders:
+            raise ShapeError(f"bank orders {bank.orders} differ from the grouping's {assignment.orders}")
+        self.assignment = assignment
+        self.dim = bank.dim
+        self.coefficients = [bank.coefficients[:, cols] for cols in assignment.index_lists()]
+
+    def batch(self, frames: np.ndarray) -> FrameBatch:
+        """The G group inputs of an (N, T, D) batch of frames, each made when indexed."""
+        frames = np.asarray(frames, dtype=np.float64)
+        if frames.ndim != 3 or frames.shape[2] != self.dim:
+            raise ShapeError(f"frames of shape {frames.shape} are not N x T x {self.dim}")
+        return FrameBatch(frames, self.coefficients)
+
+
+class FrameBatch:
+    """A batch's G group inputs, made from its frames one group at a time.
+
+    `batch[g]` is a new (N, group_dim, T) Tensor: sample j's channels are
+    `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as the
+    1-d convolution stack consumes them.  `size` is the element count of
+    all G inputs, which `tensor.branch_map` reads without making them.
+    """
+
+    def __init__(self, frames: np.ndarray, coefficients: list[np.ndarray]):
+        self.frames = frames
+        self.coefficients = coefficients
+        n, t, _ = frames.shape
+        self.size = n * t * sum(c.shape[1] for c in coefficients)
+
+    def __len__(self) -> int:
+        return len(self.coefficients)
+
+    def __getitem__(self, g: int) -> Tensor:
+        coef = self.coefficients[g]
+        n, t, _ = self.frames.shape
+        out = np.empty((n, coef.shape[1], t))
+        for j in range(n):
+            out[j] = _lgp(self.frames[j], coef).T
+        return Tensor(out)
+
+
+class ManifestFrames:
+    """A manifest's (N, T, D) fixed-length LFCC frames, computed from the audio
+    on indexing.
 
     `src[idx]` reads and transforms only the utterances in the 1-d index
     array `idx`, on the worker pool (`map_utterances`), into a C-contiguous
-    (len(idx), D, T) array, bitwise equal to the same rows of the fully
-    stacked features; channels-first is the layout the 1-d convolution stack
-    consumes.  Construction refuses an empty
-    manifest and checks every WAV header (`check_wav`), so an unreadable file
-    fails before any batch.
+    (len(idx), target_frames, D) array, bitwise equal to the same rows of
+    the fully stacked frames.  A frame that is not finite raises
+    FormatError naming the utterance's file.  Construction refuses an empty
+    manifest and checks every WAV header (`check_wav`), so an unreadable
+    file fails before any batch.
     """
 
     def __init__(
         self,
         manifest: Manifest,
-        bank: GmmBank,
         lfcc_cfg: LfccConfig | None = None,
         target_frames: int = 400,
     ):
@@ -208,8 +263,7 @@ class ManifestLgp:
         for wav_path, _ in manifest.entries:
             check_wav(wav_path)
         self.manifest = manifest
-        self.bank = bank
-        self.lfcc_cfg = lfcc_cfg
+        self.lfcc_cfg = lfcc_cfg or LfccConfig()
         self.target_frames = target_frames
         self.labels = np.asarray([label_index(lab) for _, lab in manifest.entries], dtype=np.int64)
         self.utt_ids = [lab.utt_id for _, lab in manifest.entries]
@@ -218,11 +272,15 @@ class ManifestLgp:
         return len(self.manifest)
 
     def __getitem__(self, idx) -> np.ndarray:
-        out = np.empty((len(idx), self.bank.total_components, self.target_frames))
+        out = np.empty((len(idx), self.target_frames, self.lfcc_cfg.n_dims))
 
         def fill(j: int, clip: AudioClip) -> None:
-            out[j] = utterance_lgp(clip, self.bank, self.lfcc_cfg, self.target_frames).values.T
+            feat = lfcc_extract(clip, self.lfcc_cfg)
+            bad = np.flatnonzero(~np.isfinite(feat.values).all(axis=1))
+            if bad.size:
+                path = self.manifest.entries[idx[j]][0]
+                raise FormatError(f"{path}: LFCC frame {bad[0]} is not finite")
+            out[j] = fix_length(feat, self.target_frames).values
 
         map_utterances(self.manifest, idx, fill)
         return out
-

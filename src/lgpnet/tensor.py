@@ -43,30 +43,36 @@ each op's backward keeps:
 Convolution is stride 1 and same-length (k odd, k // 2 zeros on each side
 of the time axis), and a sum over the k taps of one matrix product each.
 One table gives every tap j its output range [lo, hi) and its input shift
-s = j - k // 2: tap j adds ``W[:, :, j] @ x[:, :, lo+s : hi+s]`` to outputs
-lo..hi-1.  Padding is handled by those ranges alone, so no padded copy or
-view of the input exists.  The taps are read from the weight's (k, C_out,
-C_in) transpose, copied once per call unless it is already C-contiguous
-(a weight that `model._fold` makes is).  One forward path serves every k:
-the first tap in the table writes its own output columns, the bias is
-added to them and written to the columns it misses, and every other tap's
-product goes through one output-sized term buffer and is added at its
-range, so the output is the bias plus each tap in table order, bit for
-bit.  `aggregate` needs no such buffer: each input's share is a temporary
-product, added to the output and freed at once, so between two inputs it
-holds nothing but its output.  Backward reads the same table, and works tap
-by tap for both gradients.  The input gradient starts from the centre tap's
-share; every other tap's share, one product over every column, goes through
-one input-sized term buffer and is added at its shift.  No window (im2col)
-matrix is built.  Gradients are stored on first touch without a copy, which
-is safe because no backward closure writes into an array it was handed.
+s = j - k // 2: tap j adds ``W[:, :, j] @ x[n, :, lo+s : hi+s]`` to outputs
+lo..hi-1 of sample n.  Padding is handled by those ranges alone, so no
+padded copy or view of the input exists.  The taps are read from the
+weight's (k, C_out, C_in) transpose, copied once per call unless it is
+already C-contiguous (a weight that `model._fold` makes is).  Forward and
+backward go sample by sample, tap by tap within each sample, so every
+buffer they add through is the size of one sample.  One forward path
+serves every k: per sample, the first tap in the table writes its own
+output columns, the bias is added to them and written to the columns it
+misses, and every other tap's product goes through one (C_out, T) term
+buffer and is added at its range, so the output is the bias plus each tap
+in table order, bit for bit.  `aggregate` needs no such buffer: each
+input's share is a temporary product, added to the output and freed at
+once, so between two inputs it holds nothing but its output.  Backward
+reads the same table.  The weight gradient of tap j is sample 0's
+(C_out, C_in) product, then each later sample's added in turn.  A
+sample's input gradient starts from the centre tap's share; every other
+tap's share, one product over every column, goes through one (C_in, T)
+term buffer and is added at its shift.  No window (im2col) matrix is built.
+Gradients are stored on first touch without a copy, which is safe because
+no backward closure writes into an array it was handed.
 
 Everything is double precision.  Independent branches of one graph (the
 ensemble's group branches) can run side by side: `branch_map` runs them on a
 worker pool sized to the usable CPUs, for training and for forward-only
 passes alike, with every OpenBLAS in the process (numpy's and scipy's) held
 at one thread per worker.  Each op still runs on one thread, so forward
-values and gradients are bitwise reproducible for identical inputs.
+values and gradients are bitwise reproducible for identical inputs.  A
+branch's input can be made on its worker too: `branch_map` indexes its
+inputs there (see `multiscale.FrameBatch`).
 `_blas_single_thread` holds BLAS the same way off the pool, for the feature
 GEMMs, so they give the same bits whatever the CPU count.  When the pool is
 made, glibc is told to keep one malloc arena for all threads, so that
@@ -427,9 +433,12 @@ def _ordered_map(fn, n: int, elements: int, consume) -> None:
             wait(pending)
 
 
-def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
+def branch_map(fn, inputs) -> list[Tensor]:
     """[fn(i, inputs[i]) for each i], for branches that share no tensor.
 
+    `inputs` is a list of Tensors, or a sequence that makes each Tensor when
+    indexed and gives the element count of them all as its `size`
+    (`multiscale.FrameBatch`).  Branch i reads inputs[i] where it runs.
     The branches run on the worker pool, unless the inputs are too small to
     gain from it (see `_parallel_map`), with gradients tracked or not.  Under
     `no_grad` that is all: an eval-mode branch of the ensemble holds little
@@ -442,24 +451,27 @@ def branch_map(fn, inputs: list[Tensor]) -> list[Tensor]:
     its input; the input's gradient is passed on once every branch is done.
     """
     n = len(inputs)
-    elements = sum(x.size for x in inputs)
+    elements = inputs.size if hasattr(inputs, "size") else sum(x.size for x in inputs)
     if not _grad_enabled:
         return _parallel_map(lambda i: fn(i, inputs[i]), n, elements)
-    leaves = [Tensor(x.data, requires_grad=x.requires_grad) for x in inputs]
+    xs: list[Tensor | None] = [None] * n
+    leaves: list[Tensor | None] = [None] * n
 
     def _branch(i):
+        x = xs[i] = inputs[i]
+        leaves[i] = Tensor(x.data, requires_grad=x.requires_grad)
         with _releasing():
             return fn(i, leaves[i])
 
     roots = _parallel_map(_branch, n, elements)
     if not any(r.requires_grad for r in roots):
         return roots
-    hub = _result(np.zeros(()), tuple(x for x in inputs if x.requires_grad), None, True)
+    hub = _result(np.zeros(()), tuple(x for x in xs if x.requires_grad), None, True)
     outs = [_result(r.data, (hub,), None, True) if r.requires_grad else r for r in roots]
 
     def _bw():
         _parallel_map(lambda i: _run_backward(roots[i], outs[i].grad), n, elements)
-        for x, leaf in zip(inputs, leaves):
+        for x, leaf in zip(xs, leaves):
             if x.requires_grad and leaf.grad is not None:
                 x._accumulate(leaf.grad)
 
@@ -498,16 +510,17 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
     w = weight.data
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))  # k x C_out x C_in
     y = np.empty((n, c_out, t))
-    # the first tap writes its own columns of y, then the bias goes on (tap + bias is
-    # bias + tap, so y is bias + each tap in table order, bit for bit); its s <= 0, since
-    # the centre tap is always in the table, so the columns it misses are those below lo
-    (j, lo, hi, s), rest = table[0], table[1:]
-    np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=y[:, :, lo:hi])
-    y[:, :, lo:hi] += bias.data[None, :, None]
-    y[:, :, :lo] = bias.data[None, :, None]
-    term = np.empty_like(y) if rest else None
-    for j, lo, hi, s in rest:
-        y[:, :, lo:hi] += np.matmul(taps[j], x.data[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    # per sample, the first tap writes its own columns of y, then the bias goes on (tap +
+    # bias is bias + tap, so y is bias + each tap in table order, bit for bit); its s <= 0,
+    # since the centre tap is always in the table, so the columns it misses are those below lo
+    (j0, lo0, hi0, s0), rest = table[0], table[1:]
+    term = np.empty((c_out, t)) if rest else None
+    for xi, yi in zip(x.data, y):
+        np.matmul(taps[j0], xi[:, lo0 + s0 : hi0 + s0], out=yi[:, lo0:hi0])
+        yi[:, lo0:hi0] += bias.data[:, None]
+        yi[:, :lo0] = bias.data[:, None]
+        for j, lo, hi, s in rest:
+            yi[:, lo:hi] += np.matmul(taps[j], xi[:, lo + s : hi + s], out=term[:, lo:hi])
     parents = (x, weight, bias)
     if residual is not None:
         if residual.shape != y.shape:
@@ -525,27 +538,34 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
             if bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2)))
             if weight.requires_grad:
-                # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T
+                # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T, summed in sample
+                # order: sample 0's product is written, each later one added (a tap outside
+                # the table, where t <= k // 2, keeps its zeros)
                 gw = np.zeros((c_out, c_in, k))
-                prod = np.empty((n, c_out, c_in))
-                for j, lo, hi, s in table:
-                    window_t = x.data[:, :, lo + s : hi + s].transpose(0, 2, 1)
-                    np.matmul(g[:, :, lo:hi], window_t, out=prod)
-                    prod.sum(axis=0, out=gw[:, :, j])
+                term = np.empty((c_out, c_in))
+                for i, (xi, gi) in enumerate(zip(x.data, g)):
+                    for j, lo, hi, s in table:
+                        np.matmul(gi[:, lo:hi], xi[:, lo + s : hi + s].T, out=term)
+                        if i:
+                            gw[:, :, j] += term
+                        else:
+                            gw[:, :, j] = term
                 weight._accumulate(gw)
             if x.requires_grad:
-                # tap j's share W[:, :, j].T @ g, taken over every column so that each
-                # tap's product is the same GEMM: share[n, :, o] belongs to input o + s.
-                # dX starts from the centre tap's share, the one tap whose inputs are all of x
-                # (for k=1 the product itself), instead of from zeros.  For k <= 3 that share
-                # is at most the second one added at any input, so the sum equals 0 + each
-                # share in table order, bit for bit.
+                # tap j's share W[:, :, j].T @ g[n], taken over every column so that each
+                # tap's product is the same GEMM: share[:, o] belongs to input o + s.
+                # Sample n's dX starts from the centre tap's share, the one tap whose inputs
+                # are all of x (for k=1 the product itself), instead of from zeros.  For
+                # k <= 3 that share is at most the second one added at any input, so the
+                # sum equals 0 + each share in table order, bit for bit.
                 tp = np.ascontiguousarray(w.transpose(2, 0, 1))  # the forward's k x C_out x C_in
-                gx = np.matmul(tp[k // 2].T, g)
-                term = np.empty_like(gx) if k > 1 else None
-                for j, lo, hi, s in table:
-                    if s:
-                        gx[:, :, lo + s : hi + s] += np.matmul(tp[j].T, g, out=term)[:, :, lo:hi]
+                gx = np.empty((n, c_in, t))
+                term = np.empty((c_in, t)) if k > 1 else None
+                for gi, gxi in zip(g, gx):
+                    np.matmul(tp[k // 2].T, gi, out=gxi)
+                    for j, lo, hi, s in table:
+                        if s:
+                            gxi[:, lo + s : hi + s] += np.matmul(tp[j].T, gi, out=term)[:, lo:hi]
                 x._accumulate(gx)
 
         out._backward = _bw

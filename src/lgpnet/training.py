@@ -41,7 +41,7 @@ from .model import (
     ensemble_logits,
     save_checkpoint,
 )
-from .multiscale import GroupAssignment, ManifestLgp
+from .multiscale import GroupLgp, ManifestFrames
 from .tensor import Tensor, _parallel_map, _result, _tracking, backward, no_grad
 
 
@@ -120,23 +120,26 @@ class AdamState:
     def __init__(self, params: list[Tensor]):
         self.params = list(params)
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-        self.scratch = threading.local()  # .pair: a thread's two flat arrays for adam_step
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
+        self.scratch = threading.local()  # .pair: a thread's two _ADAM_CHUNK arrays for adam_step
 
 
 # Adam's decay rates and denominator guard, as in Kingma & Ba (arXiv 1412.6980)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Elements per piece of an in-place update: each thread's two scratch arrays
+# hold 1 MiB between them, whatever the largest parameter.
+_ADAM_CHUNK = 1 << 16
 
 
 def adam_step(state: AdamState, lr: float) -> None:
     """One Adam update with bias correction; missing grads count as zero.
 
     Parameters are updated independently, on the tensor engine's worker pool.
-    Each update runs in place, through two scratch arrays per thread sized to
-    the largest parameter, in the order of the textbook expression
+    Each update runs in place, _ADAM_CHUNK elements at a time through two
+    scratch arrays per thread, in the order of the textbook expression
     ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the bits are those of
     that expression.
     """
@@ -146,22 +149,31 @@ def adam_step(state: AdamState, lr: float) -> None:
     bc2 = 1.0 - ADAM_BETA2**t
 
     def update(i: int) -> None:
-        p, m, v = state.params[i], state.m[i], state.v[i]
-        g = p.grad if p.grad is not None else np.broadcast_to(0.0, p.shape)
+        p = state.params[i]
+        if not p.data.flags.c_contiguous:  # so that its flat view below is no copy
+            p.data = np.ascontiguousarray(p.data)
         if not hasattr(state.scratch, "pair"):
-            largest = max(q.size for q in state.params)
-            state.scratch.pair = (np.empty(largest), np.empty(largest))
-        a, b = (buf[: p.size].reshape(p.shape) for buf in state.scratch.pair)
-        m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
-        v *= ADAM_BETA2
-        np.square(g, out=a)
-        v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
-        np.multiply(lr, np.divide(m, bc1, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
-        p.data -= np.divide(a, b, out=a)
+            state.scratch.pair = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+        flat_p, m, v = p.data.reshape(-1), state.m[i].reshape(-1), state.v[i].reshape(-1)
+        g = p.grad.reshape(-1) if p.grad is not None else np.broadcast_to(0.0, flat_p.shape)
+        for lo in range(0, flat_p.size, _ADAM_CHUNK):
+            hi = min(lo + _ADAM_CHUNK, flat_p.size)
+            _adam_update(flat_p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], lr, bc1, bc2,
+                         *(buf[: hi - lo] for buf in state.scratch.pair))
 
     _parallel_map(update, len(state.params), sum(p.size for p in state.params))
+
+
+def _adam_update(p, m, v, g, lr, bc1, bc2, a, b) -> None:
+    """Adam's update of the flat piece p in place, with a and b as scratch."""
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
+    v *= ADAM_BETA2
+    np.square(g, out=a)
+    v += np.multiply(1.0 - ADAM_BETA2, a, out=a)
+    np.multiply(lr, np.divide(m, bc1, out=a), out=a)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), ADAM_EPS, out=b)
+    p -= np.divide(a, b, out=a)
 
 
 def reduce_on_plateau(history: list[float], cfg: TrainConfig) -> float:
@@ -193,45 +205,51 @@ def _batch_indices(n: int, batch_size: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def _forward(
-    model: GroupedResNetEnsemble,
-    assignment: GroupAssignment,
-    feats: np.ndarray | ManifestLgp,
-    idx: np.ndarray,
-) -> list[Tensor]:
-    """The group logits for the batch feats[idx], the model handed only that batch's
-    group slices, so the stacked batch is freed before the first branch runs."""
-    return model.forward_slices([Tensor(x) for x in assignment.split(feats[idx])])
+def _forward(model: GroupedResNetEnsemble, lgp: GroupLgp, feats, idx: np.ndarray) -> list[Tensor]:
+    """The group logits for the batch of frames feats[idx]: each branch makes its
+    own group's LGP input from the frames, on the worker that runs it."""
+    return model.forward_slices(lgp.batch(feats[idx]))
 
 
 def run_epoch(
     model: GroupedResNetEnsemble,
-    assignment: GroupAssignment,
-    feats: np.ndarray | ManifestLgp,
+    lgp: GroupLgp,
+    feats: np.ndarray | ManifestFrames,
     labels: np.ndarray,
     cfg: TrainConfig,
     state: AdamState,
     perm: np.ndarray,
     lr: float,
+    epoch: int = 1,
 ) -> float:
-    """One optimization pass over shuffled data; returns the mean sample loss."""
+    """One optimization pass over shuffled data; returns the mean sample loss.
+
+    A NaN or infinite batch loss raises NonFiniteLossError naming the epoch
+    and the batch, before that batch's update.
+    """
     model.set_mode("train")
     total = 0.0
-    for idx in _batch_indices(perm.size, cfg.batch_size):
+    batches = _batch_indices(perm.size, cfg.batch_size)
+    for b, idx in enumerate(batches, start=1):
         batch = perm[idx]
         model.zero_grad()  # before the forward, so the last step's gradients are not held through it
-        group_logits = _forward(model, assignment, feats, batch)
+        group_logits = _forward(model, lgp, feats, batch)
         loss = ensemble_aware_loss(group_logits, labels[batch], cfg.ensemble_aware)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise NonFiniteLossError(
+                f"epoch {epoch}, batch {b} of {len(batches)}: loss is not finite ({value!r})"
+            )
         backward(loss)
         adam_step(state, lr)
-        total += loss.item() * batch.size
+        total += value * batch.size
     return total / perm.size
 
 
 def evaluate_loss(
     model: GroupedResNetEnsemble,
-    assignment: GroupAssignment,
-    feats: np.ndarray | ManifestLgp,
+    lgp: GroupLgp,
+    feats: np.ndarray | ManifestFrames,
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> float:
@@ -240,23 +258,23 @@ def evaluate_loss(
     total = 0.0
     with no_grad():
         for idx in _batch_indices(labels.size, cfg.batch_size):
-            group_logits = _forward(model, assignment, feats, idx)
+            group_logits = _forward(model, lgp, feats, idx)
             total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware).item() * idx.size
     return total / labels.size
 
 
 def predict_logits(
     model: GroupedResNetEnsemble,
-    assignment: GroupAssignment,
-    feats: np.ndarray | ManifestLgp,
+    lgp: GroupLgp,
+    feats: np.ndarray | ManifestFrames,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Ensemble logits for stacked or per-batch computed features, in eval mode."""
+    """Ensemble logits for stacked or per-batch computed frames, in eval mode."""
     model.set_mode("eval")
     outs = []
     with no_grad():
         for idx in _batch_indices(len(feats), batch_size):
-            outs.append(ensemble_logits([b.data for b in _forward(model, assignment, feats, idx)]))
+            outs.append(ensemble_logits([b.data for b in _forward(model, lgp, feats, idx)]))
     return np.vstack(outs)
 
 
@@ -275,19 +293,21 @@ def _best_epoch_file(checkpoint_path: str | Path | None) -> str:
 
 
 def train(
-    feats: ManifestLgp,
-    assignment: GroupAssignment,
+    feats: ManifestFrames,
+    lgp: GroupLgp,
     model_cfg: ModelCfg,
     train_cfg: TrainConfig,
-    dev: ManifestLgp | None = None,
+    dev: ManifestFrames | None = None,
     checkpoint_path: str | Path | None = None,
     log_path: str | Path | None = None,
 ) -> tuple[GroupedResNetEnsemble, list[dict]]:
     """Full training run; returns the best model and the per-epoch log.
 
-    feats and dev are the train and dev features with their `labels`, indexed
-    one batch at a time: a `ManifestLgp` computes each batch from the audio,
-    in every epoch, and has checked its manifest when it was made.
+    feats and dev are the train and dev frames with their `labels`, indexed
+    one batch at a time: a `ManifestFrames` computes each batch from the
+    audio, in every epoch, and has checked its manifest when it was made.
+    lgp holds each group's LGP coefficients and the grouping, which the
+    checkpoint stores.
 
     Deterministic given train_cfg.seed: the same generator drives parameter
     initialization and every epoch's shuffle.  The monitored loss is the
@@ -299,9 +319,10 @@ def train(
     moments are dropped, the best epoch's arrays are reloaded when a later
     epoch was worse (each key and shape checked as `load_checkpoint` checks
     them, so a damaged file raises FormatError), and the file is moved onto
-    checkpoint_path, or deleted when there is none.  A NaN or infinite loss
-    in any epoch raises NonFiniteLossError; on that or any other error the
-    file is removed and no checkpoint is written.
+    checkpoint_path, or deleted when there is none.  A NaN or infinite loss,
+    of any training batch (`run_epoch`) or of the dev set, raises
+    NonFiniteLossError; on that or any other error the file is removed and
+    no checkpoint is written.
     """
     rng = np.random.default_rng(train_cfg.seed)
     model = GroupedResNetEnsemble(model_cfg, rng)
@@ -323,9 +344,9 @@ def train(
                 writer.writerow(["epoch", "train_loss", "dev_loss", "lr"])
         for epoch in range(1, train_cfg.epochs + 1):
             perm = rng.permutation(len(feats))
-            train_loss = run_epoch(model, assignment, feats, feats.labels, train_cfg, state, perm, lr)
+            train_loss = run_epoch(model, lgp, feats, feats.labels, train_cfg, state, perm, lr, epoch)
             if dev is not None:
-                dev_loss = evaluate_loss(model, assignment, dev, dev.labels, train_cfg)
+                dev_loss = evaluate_loss(model, lgp, dev, dev.labels, train_cfg)
             else:
                 dev_loss = train_loss
             monitor_history.append(dev_loss)
@@ -341,7 +362,7 @@ def train(
                 )
             if dev_loss < best_value:
                 best_value, best_epoch = dev_loss, epoch
-                save_checkpoint(best_file, model, assignment)
+                save_checkpoint(best_file, model, lgp.assignment)
             lr = reduce_on_plateau(monitor_history, train_cfg)
 
         # nothing below reads the gradients or the moments: free them before the reload

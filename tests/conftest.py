@@ -10,7 +10,7 @@ from helpers import build_synth_corpus
 from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.gmm import EmConfig, train_by_splitting
 from lgpnet.lfcc import LfccConfig, lfcc_extract
-from lgpnet.multiscale import GmmBank, ManifestLgp, lineage_grouping
+from lgpnet.multiscale import GmmBank, GroupLgp, ManifestFrames, lineage_grouping
 
 
 @pytest.fixture
@@ -48,7 +48,8 @@ def synth_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def tiny_pipeline(synth_corpus):
-    """Manifest + order-{8,16} bank + G=2 lineage grouping + stacked LGP features."""
+    """Manifest + order-{8,16} bank + G=2 lineage grouping and its GroupLgp +
+    stacked fixed-length LFCC frames."""
     protocol, audio_dir = synth_corpus
     manifest = build_manifest(parse_protocol(protocol), audio_dir)
     lfcc_cfg = LfccConfig()
@@ -58,11 +59,12 @@ def tiny_pipeline(synth_corpus):
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=4))
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
-    src = ManifestLgp(manifest, bank, lfcc_cfg, target_frames=50)
+    src = ManifestFrames(manifest, lfcc_cfg, target_frames=50)
     return {
         "manifest": manifest,
         "bank": bank,
         "assignment": assignment,
+        "lgp": GroupLgp(bank, assignment),
         "feats": src[np.arange(len(src))],
         "labels": src.labels,
         "utt_ids": src.utt_ids,

@@ -353,6 +353,44 @@ def conv1d_forward_two_path(x: np.ndarray, w: np.ndarray, b: np.ndarray, residua
     return y
 
 
+def conv1d_batched(x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """conv1d's output and its weight and input gradients for upstream gradient
+    g, each tap's product taken over the whole batch at once, as the library
+    computed them before it went sample by sample: the output's first tap
+    written, the bias added and every other tap added through one
+    output-sized term buffer; dW per tap as the batch's products summed over
+    the samples; dX from the centre tap's share plus each other tap's
+    through one input-sized term buffer."""
+    n, c_in, t = x.shape
+    c_out, _, k = w.shape
+    table = []
+    for j in range(k):
+        s = j - k // 2
+        lo, hi = max(0, -s), min(t, t - s)
+        if lo < hi:
+            table.append((j, lo, hi, s))
+    taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    y = np.empty((n, c_out, t))
+    (j, lo, hi, s), rest = table[0], table[1:]
+    np.matmul(taps[j], x[:, :, lo + s : hi + s], out=y[:, :, lo:hi])
+    y[:, :, lo:hi] += b[None, :, None]
+    y[:, :, :lo] = b[None, :, None]
+    term = np.empty_like(y)
+    for j, lo, hi, s in rest:
+        y[:, :, lo:hi] += np.matmul(taps[j], x[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
+    gw = np.zeros((c_out, c_in, k))
+    prod = np.empty((n, c_out, c_in))
+    for j, lo, hi, s in table:
+        np.matmul(g[:, :, lo:hi], x[:, :, lo + s : hi + s].transpose(0, 2, 1), out=prod)
+        prod.sum(axis=0, out=gw[:, :, j])
+    gx = np.matmul(taps[k // 2].T, g)
+    term = np.empty_like(gx)
+    for j, lo, hi, s in table:
+        if s:
+            gx[:, :, lo + s : hi + s] += np.matmul(taps[j].T, g, out=term)[:, :, lo:hi]
+    return y, gw, gx
+
+
 def aggregate_forward_with_term(xs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """aggregate's output, every share after the first made in one held term buffer."""
     y = term = None
@@ -532,26 +570,28 @@ def adam_step_by_expression(state, lr: float) -> None:
 
 def full_size_steps_peak_rss_mb(batch: int, steps: int = 2, improved_blocks: bool = True) -> float:
     """Peak RSS, in MiB, of this process after `steps` training steps of the
-    full-size default network (8 branches, 1984 x 400 LGP input) at `batch`
-    samples, run by `run_epoch`, with improved or standard residual blocks.
-    Meaningful in a fresh interpreter only: the peak is the process's
-    high-water mark."""
+    full-size default network (8 branches, each fed its 248 of the 1984 LGP
+    columns of 400 random 60-dim frames per sample through a random bank)
+    at `batch` samples, run by `run_epoch`, with improved or standard
+    residual blocks.  Meaningful in a fresh interpreter only: the peak is
+    the process's high-water mark."""
     import resource
 
     from lgpnet.model import ModelCfg, build_model
-    from lgpnet.multiscale import GroupAssignment
+    from lgpnet.multiscale import GroupAssignment, GroupLgp
     from lgpnet.training import AdamState, TrainConfig, run_epoch
 
     cfg = ModelCfg(improved_blocks=improved_blocks)
-    orders = (64, 128, 256, 512, 1024)
-    assignment = GroupAssignment({o: np.arange(o) % cfg.n_groups for o in orders}, cfg.n_groups)
+    rng = np.random.default_rng(0)
+    bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
+    lgp = GroupLgp(bank, GroupAssignment({o: np.arange(o) % cfg.n_groups for o in bank.orders}, cfg.n_groups))
     model = build_model(cfg, seed=0)
-    feats = np.random.default_rng(0).normal(size=(batch, sum(orders), 400))
+    frames = rng.normal(size=(batch, 400, 60))
     labels = np.arange(batch) % 2
     state = AdamState(model.parameters())
     train_cfg = TrainConfig(batch_size=batch, epochs=1)
     for _ in range(steps):
-        run_epoch(model, assignment, feats, labels, train_cfg, state, np.arange(batch), train_cfg.learning_rate)
+        run_epoch(model, lgp, frames, labels, train_cfg, state, np.arange(batch), train_cfg.learning_rate)
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 

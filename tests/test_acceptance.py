@@ -86,7 +86,7 @@ def run_overfit_training(tmp_root):
     lfcc_cfg = LfccConfig()
     from lgpnet.corpus import read_wav
     from lgpnet.lfcc import lfcc_extract
-    from lgpnet.multiscale import ManifestLgp
+    from lgpnet.multiscale import GroupLgp, ManifestFrames
 
     frames = np.vstack([lfcc_extract(read_wav(p), lfcc_cfg).values for p, _ in manifest.entries])
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=10))
@@ -98,10 +98,11 @@ def run_overfit_training(tmp_root):
     train_cfg = TrainConfig(
         learning_rate=1e-3, batch_size=32, epochs=OVERFIT_EPOCHS, seed=OVERFIT_SEED
     )
-    feats = ManifestLgp(manifest, bank, lfcc_cfg, 50)
-    model, log = train(feats, assignment, model_cfg, train_cfg)
+    feats = ManifestFrames(manifest, lfcc_cfg, 50)
+    lgp = GroupLgp(bank, assignment)
+    model, log = train(feats, lgp, model_cfg, train_cfg)
     labels = feats.labels
-    logits = predict_logits(model, assignment, feats)
+    logits = predict_logits(model, lgp, feats)
     scores = logits[:, 1] - logits[:, 0]
     return {"log": log, "labels": labels, "scores": scores, "logits": logits}
 
@@ -396,15 +397,15 @@ class TestAcceptance:
 
         # "w/o ensemble-aware loss": the config flag swaps the training loss
         rng = np.random.default_rng(904)
-        feats = rng.normal(size=(4, 24, 10))
+        feats = rng.normal(size=(4, 10, 3))
         labels = np.array([0, 1, 0, 1])
         assignment_groups = {8: np.array([0, 0, 0, 0, 1, 1, 1, 1]), 16: np.repeat([0, 1], 8)}
-        from lgpnet.multiscale import GroupAssignment
+        from lgpnet.multiscale import GroupAssignment, GroupLgp
 
-        assignment = GroupAssignment(groups=assignment_groups, n_groups=2)
-        aware = evaluate_loss(base, assignment, feats, labels, TrainConfig(ensemble_aware=True))
-        plain = evaluate_loss(base, assignment, feats, labels, TrainConfig(ensemble_aware=False))
+        lgp = GroupLgp(random_bank(rng, [8, 16], 3), GroupAssignment(groups=assignment_groups, n_groups=2))
+        aware = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=True))
+        plain = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=False))
         assert aware != pytest.approx(plain, abs=1e-9)
-        out = base(feats, assignment)
+        out = base.forward_slices(lgp.batch(feats))
         assert plain == pytest.approx(ensemble_aware_loss(out, labels, aware=False).item(), abs=1e-9)
         assert aware == pytest.approx(ensemble_aware_loss(out, labels).item(), abs=1e-9)

@@ -2,6 +2,7 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -41,7 +42,7 @@ from lgpnet.model import (
     save_checkpoint,
     score,
 )
-from lgpnet.multiscale import GroupAssignment, random_grouping
+from lgpnet.multiscale import GroupAssignment, GroupLgp, random_grouping
 from lgpnet.tensor import Tensor, backward, no_grad
 from lgpnet.training import AdamState, adam_step, ensemble_aware_loss, predict_logits
 
@@ -814,6 +815,24 @@ class TestCheckpoint:
         for (name, p), (_, q) in zip(model.named_parameters(), loaded.named_parameters()):
             assert np.array_equal(p.data, q.data), name
 
+    def test_load_peak_is_about_the_stored_bytes(self, tmp_path):
+        # the model is built around placeholders that take no memory, so the load's
+        # peak is the arrays it reads; uninitialised placeholders had doubled it
+        cfg = tiny_cfg(n_groups=2, block=ResidualBlockCfg(channels=96), group_input_dim=32)
+        model = build_model(cfg, seed=21)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment(total=64))
+        stored = sum(getattr(o, a).nbytes for _, o, a in model.stored_arrays())
+        del model
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(getattr(o, a).nbytes for _, o, a in loaded.stored_arrays()) == stored
+        assert peak <= 1.25 * stored
+
     def test_float32_arrays_load_as_float64(self, tmp_path):
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(tiny_cfg(), seed=17), tiny_assignment())
@@ -854,7 +873,10 @@ class TestCheckpoint:
         assert a.cfg == b.cfg
         for (key, owner_a, attr), (_, owner_b, _) in zip(a.stored_arrays(), b.stored_arrays()):
             assert getattr(owner_a, attr).tobytes() == getattr(owner_b, attr).tobytes(), key
-        assert predict_logits(a, assignment_a, x).tobytes() == predict_logits(b, assignment_b, x).tobytes()
+        bank = random_bank(np.random.default_rng(19), [8], 3)
+        frames = np.random.default_rng(20).normal(size=(3, 12, 3))
+        assert (predict_logits(a, GroupLgp(bank, assignment_a), frames).tobytes()
+                == predict_logits(b, GroupLgp(bank, assignment_b), frames).tobytes())
 
     @pytest.mark.parametrize("key, value", [("n_classes", 1), ("n_classes", 3), ("stride", 2)])
     def test_legacy_meta_with_another_value_is_format_error(self, tmp_path, key, value):

@@ -14,13 +14,14 @@ from helpers import (
 
 from lgpnet.errors import ConfigError, FormatError, ManifestError, ShapeError
 from lgpnet.gmm import lgp_transform
-from lgpnet.lfcc import FeatureMatrix, lfcc_extract
+from lgpnet.lfcc import FeatureMatrix, fix_length, lfcc_extract
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
 from lgpnet.corpus import AudioClip, Manifest, UtteranceLabel, read_wav
 from lgpnet.multiscale import (
     GmmBank,
     GroupAssignment,
-    ManifestLgp,
+    GroupLgp,
+    ManifestFrames,
     extract_multiscale_lgp,
     lineage_grouping,
     random_grouping,
@@ -297,7 +298,7 @@ class TestGroupAssignment:
         assert np.array_equal(source, [0, 0, 1, 1])
 
 
-class TestManifestLgp:
+class TestManifestFrames:
     @pytest.mark.parametrize(
         "idx",
         [[0, 3, 7], [9, 2, 5, 0], [4, 4, 1, 4], [6]],
@@ -305,16 +306,16 @@ class TestManifestLgp:
     )
     def test_batch_equals_stacked_rows(self, tiny_pipeline, idx):
         p = tiny_pipeline
-        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
         stacked = src[np.arange(len(src))]
         batch = src[np.array(idx)]
-        assert batch.shape == (len(idx), 24, 50)
+        assert batch.shape == (len(idx), 50, 60)
         assert np.array_equal(batch, stacked[idx])
 
     def test_batch_on_more_workers_than_cores_equals_inline(self, tiny_pipeline, forced_pool, monkeypatch):
         # workers write their utterances' rows into one batch array
         p = tiny_pipeline
-        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
         idx = np.array([3, 0, 7, 7, 12, 5, 9])
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         inline = src[idx]
@@ -329,7 +330,7 @@ class TestManifestLgp:
 
     def test_batches_are_c_contiguous(self, tiny_pipeline):
         p = tiny_pipeline
-        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
         for idx in ([0, 3, 7], [5]):
             assert src[np.array(idx)].flags.c_contiguous
 
@@ -337,13 +338,13 @@ class TestManifestLgp:
     def test_empty_manifest_names_its_split(self, tiny_pipeline, split):
         p = tiny_pipeline
         with pytest.raises(ManifestError, match=f"{split} manifest is empty"):
-            ManifestLgp(Manifest(entries=[], split=split), p["bank"], p["lfcc_cfg"], 50)
+            ManifestFrames(Manifest(entries=[], split=split), p["lfcc_cfg"], 50)
 
     @pytest.mark.parametrize("frames", [0, -5])
     def test_target_frames_below_one_refused_at_construction(self, tiny_pipeline, frames):
         p = tiny_pipeline
         with pytest.raises(ShapeError, match=f"target_frames must be >= 1, got {frames}"):
-            ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], frames)
+            ManifestFrames(p["manifest"], p["lfcc_cfg"], frames)
 
     def test_unreadable_wav_fails_at_construction(self, tiny_pipeline, tmp_path):
         p = tiny_pipeline
@@ -352,17 +353,84 @@ class TestManifestLgp:
         label = UtteranceLabel(utt_id="JUNK", key="spoof")
         manifest = Manifest(entries=[*p["manifest"].entries, (junk, label)])
         with pytest.raises(FormatError, match="junk.wav"):
-            ManifestLgp(manifest, p["bank"], p["lfcc_cfg"], 50)
+            ManifestFrames(manifest, p["lfcc_cfg"], 50)
 
     def test_stacked_equals_each_utterance(self, tiny_pipeline):
         p = tiny_pipeline
-        src = ManifestLgp(p["manifest"], p["bank"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
         assert len(src) == len(p["manifest"])
         assert np.array_equal(src.labels, p["labels"])
         assert src.utt_ids == p["utt_ids"]
         for i, (path, _) in enumerate(p["manifest"].entries):
-            one = utterance_lgp(read_wav(path), p["bank"], p["lfcc_cfg"], 50).values.T
+            one = fix_length(lfcc_extract(read_wav(path), p["lfcc_cfg"]), 50).values
             assert np.array_equal(p["feats"][i], one)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frame_names_the_file(self, tiny_pipeline, monkeypatch, bad):
+        import lgpnet.multiscale as multiscale
+
+        p = tiny_pipeline
+        victim = p["manifest"].entries[5][1].utt_id
+        real = multiscale.lfcc_extract
+
+        def spoiling(clip, cfg):
+            feat = real(clip, cfg)
+            if clip.utt_id == victim:
+                feat.values[7, 3] = bad  # after FeatureMatrix's own check
+            return feat
+
+        monkeypatch.setattr(multiscale, "lfcc_extract", spoiling)
+        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
+        assert np.isfinite(src[np.array([0, 4, 6])]).all()
+        path = p["manifest"].entries[5][0]
+        with pytest.raises(FormatError, match=f"^{path}: LFCC frame 7 is not finite$"):
+            src[np.array([0, 5, 6])]
+
+
+class TestGroupLgp:
+    @pytest.mark.parametrize("t", [1, 2, 4, 5, 400])
+    @pytest.mark.parametrize("grouping", ["lineage", "random"])
+    def test_each_group_input_is_its_columns_of_the_utterance_lgp(self, grouping, t):
+        # bitwise where OpenBLAS computes a column with the same kernel in the (T, 248) and
+        # the (T, 1984) product: with OpenBLAS 0.3.31's SkylakeX kernels, at T >= 5 with
+        # the default bank.  At T <= 4 they are picked by the product's width, so the
+        # products differ by rounding, which the normalization over so few frames
+        # magnifies (to 1e-11 at T = 2).
+        rng = np.random.default_rng(62)
+        bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
+        assignment = lineage_grouping(bank, 8) if grouping == "lineage" else random_grouping(bank, 8, seed=4)
+        frames = rng.normal(size=(3, t, 60))
+        batch = GroupLgp(bank, assignment).batch(frames)
+        assert len(batch) == 8 and batch.size == 3 * 1984 * t
+        full = [extract_multiscale_lgp(bank, FeatureMatrix(values=f)).values for f in frames]
+        for g, cols in enumerate(assignment.index_lists()):
+            x = batch[g].data
+            assert x.shape == (3, 248, t) and x.flags.c_contiguous
+            for j in range(3):
+                want = np.ascontiguousarray(full[j][:, cols].T)
+                if 1 < t < 5:
+                    assert np.allclose(x[j], want, rtol=1e-9, atol=1e-9)
+                else:
+                    assert x[j].tobytes() == want.tobytes()
+
+    def test_coefficients_are_the_groups_columns(self):
+        rng = np.random.default_rng(63)
+        bank = random_bank(rng, [8, 16], 3)
+        assignment = random_grouping(bank, 2, seed=5)
+        lgp = GroupLgp(bank, assignment)
+        assert lgp.assignment is assignment
+        for coef, cols in zip(lgp.coefficients, assignment.index_lists()):
+            assert np.array_equal(coef, bank.coefficients[:, cols])
+
+    def test_mismatched_orders_and_frames_refused(self):
+        rng = np.random.default_rng(64)
+        bank = random_bank(rng, [8, 16], 3)
+        with pytest.raises(ShapeError, match=r"bank orders \[8, 16\] differ from the grouping's \[8\]"):
+            GroupLgp(bank, lineage_grouping(random_bank(rng, [8], 3), 2))
+        lgp = GroupLgp(bank, lineage_grouping(bank, 2))
+        for bad in (np.zeros((2, 5, 4)), np.zeros((5, 3))):
+            with pytest.raises(ShapeError, match="are not N x T x 3"):
+                lgp.batch(bad)
 
 
 class TestGmmBank:

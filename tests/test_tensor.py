@@ -1,3 +1,4 @@
+import contextlib
 import threading
 import time
 import tracemalloc
@@ -13,6 +14,7 @@ from helpers import (
     blas_threads,
     check_gradients,
     concat_by_copy,
+    conv1d_batched,
     conv1d_forward_two_path,
     conv1d_im2col,
     mean_tensors,
@@ -208,6 +210,24 @@ class TestConv1d:
         weight = np.ascontiguousarray(w.transpose(2, 0, 1)).transpose(1, 2, 0) if tap_major else w
         out = conv1d(Tensor(x), Tensor(weight), Tensor(b), residual=None if residual is None else Tensor(residual))
         assert out.data.tobytes() == conv1d_forward_two_path(x, w, b, residual).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("t", [1, 2, 9, 400])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_sample_loop_bitwise_the_batched_products(self, k, t, n):
+        # output, dW and dX made one sample at a time, through one sample-sized term
+        # buffer, against the whole batch's products (helpers.conv1d_batched)
+        rng = np.random.default_rng(300 + 10 * k + t + n)
+        x = Tensor(rng.normal(size=(n, 6, t)), requires_grad=True)
+        w = Tensor(rng.normal(size=(7, 6, k)), requires_grad=True)
+        b = Tensor(rng.normal(size=7), requires_grad=True)
+        out = conv1d(x, w, b)
+        g = rng.normal(size=out.shape)
+        tensor_mod._run_backward(out, g)
+        y_ref, gw_ref, gx_ref = conv1d_batched(x.data, w.data, b.data, g)
+        assert out.data.tobytes() == y_ref.tobytes()
+        assert w.grad.tobytes() == gw_ref.tobytes()
+        assert x.grad.tobytes() == gx_ref.tobytes()
 
     def test_empty_time_axis_rejected(self):
         with pytest.raises(ShapeError, match="length"):
@@ -849,6 +869,29 @@ class TestReleasedOutputs:
         assert peak < 2.5 * x.data.nbytes
 
 
+    def test_conv1d_term_buffers_are_one_sample(self):
+        # the forward's and dX's term buffers hold one sample: at batch 4 each pass
+        # allocates its output plus well under half of it more (a batch-sized buffer
+        # alone is as large as the output)
+        n, c, t = 4, 64, 1000
+        rng = np.random.default_rng(74)
+        x = Tensor(rng.normal(size=(n, c, t)), requires_grad=True)
+        w = Tensor(rng.normal(size=(c, c, 3)))
+        tracemalloc.start()
+        try:
+            out = conv1d(x, w, Tensor(np.zeros(c)))
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            g = rng.normal(size=out.shape)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            tensor_mod._run_backward(out, g)
+            backward_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert forward_peak < 1.5 * out.data.nbytes
+        assert backward_peak < 1.5 * x.data.nbytes
+
+
 def blas_thread_counts():
     return [get() for get, _ in tensor_mod._find_blas_controls()]
 
@@ -927,6 +970,35 @@ class TestBranchMap:
         assert not any(o.requires_grad for o in outs)
         for got, ref in zip(outs, inline):
             assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+
+    @pytest.mark.parametrize("tracked", [True, False])
+    def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, tracked):
+        # a sequence that makes its inputs when indexed (as multiscale.FrameBatch does):
+        # branch_map reads its size, never iterates it, and indexes input i on the
+        # thread that runs branch i, once
+        made, ran = {}, {}
+        data = np.random.default_rng(44).normal(size=(4, 2, 3, 5))
+
+        class Lazy:
+            size = data.size
+
+            def __len__(self):
+                return len(data)
+
+            def __getitem__(self, i):
+                assert i not in made
+                made[i] = threading.get_ident()
+                return Tensor(data[i])
+
+        def fn(i, x):
+            ran[i] = threading.get_ident()
+            return max_pool_time(relu(x))
+
+        with contextlib.nullcontext() if tracked else no_grad():
+            outs = branch_map(fn, Lazy())
+        assert made == ran and threading.get_ident() not in made.values()
+        for out, x in zip(outs, data):
+            assert np.array_equal(out.data, np.maximum(x, 0.0).max(axis=2))
 
     def test_inline_map_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)

@@ -14,13 +14,14 @@ from helpers import (
     adam_step_by_expression,
     check_gradients,
     ensemble_loss_by_chain,
+    random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
 )
 
 from lgpnet.errors import FormatError, LgpnetError, NonFiniteLossError, ShapeError
 from lgpnet.model import GroupBranch, ModelCfg, ResidualBlockCfg, build_model, ensemble_logits, load_checkpoint
-from lgpnet.multiscale import GroupAssignment, ManifestLgp
+from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames
 from lgpnet.tensor import Tensor, backward
 import lgpnet.training as training_mod
 from lgpnet.training import (
@@ -193,9 +194,9 @@ class TestEnsembleAwareLoss:
             forced_pool(workers)
         cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=8), group_input_dim=4,
                        improved_blocks=improved, mfa=mfa)
-        assignment = GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2)
         rng = np.random.default_rng(76)
-        feats, labels = rng.normal(size=(5, 8, 12)), np.array([0, 1, 1, 0, 1])
+        lgp = GroupLgp(random_bank(rng, [8], 3), GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2))
+        feats, labels = rng.normal(size=(5, 12, 3)), np.array([0, 1, 1, 0, 1])
         train_cfg = TrainConfig(batch_size=3, epochs=1, ensemble_aware=aware)
         results = []
         for chain in (False, True):
@@ -204,8 +205,8 @@ class TestEnsembleAwareLoss:
                     patch.setattr(training_mod, "ensemble_aware_loss", ensemble_loss_by_chain)
                 model = build_model(cfg, seed=77)
                 state = AdamState(model.parameters())
-                losses = [run_epoch(model, assignment, feats, labels, train_cfg, state, np.array([2, 4, 0, 3, 1]), 1e-2)]
-                losses.append(evaluate_loss(model, assignment, feats, labels, train_cfg))
+                losses = [run_epoch(model, lgp, feats, labels, train_cfg, state, np.array([2, 4, 0, 3, 1]), 1e-2)]
+                losses.append(evaluate_loss(model, lgp, feats, labels, train_cfg))
             results.append([np.array(losses)] + [getattr(owner, attr) for _, owner, attr in model.stored_arrays()])
         for got, ref in zip(*results):
             assert got.tobytes() == ref.tobytes()
@@ -251,10 +252,12 @@ class TestAdam:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_in_place_update_is_bitwise_the_expression(self, workers, forced_pool, monkeypatch):
-        # 20 arrays of mixed shapes and sizes, signed zeros among the values and
-        # gradients, and one parameter that never gets a gradient
+        # 21 arrays of mixed shapes and sizes, signed zeros among the values and
+        # gradients, and one parameter that never gets a gradient; the last one spans
+        # two whole scratch chunks and part of a third
         rng = np.random.default_rng(61)
-        shapes = [(int(rng.integers(1, 40)),) * int(rng.integers(1, 4)) for _ in range(19)] + [(3, 1536)]
+        shapes = [(int(rng.integers(1, 40)),) * int(rng.integers(1, 4)) for _ in range(19)]
+        shapes += [(3, 1536), (3, 2 * training_mod._ADAM_CHUNK // 3 + 5)]
         if workers == 1:
             monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         else:
@@ -279,6 +282,8 @@ class TestAdam:
         for p, q, m, mr, v, vr in zip(got, ref, got_state.m, ref_state.m, got_state.v, ref_state.v):
             assert p.data.tobytes() == q.data.tobytes()
             assert m.tobytes() == mr.tobytes() and v.tobytes() == vr.tobytes()
+        if workers == 1:  # the update ran on this thread, through two chunk-sized arrays
+            assert [a.size for a in got_state.scratch.pair] == [training_mod._ADAM_CHUNK] * 2
 
 
 class TestReleasedBnOutputs:
@@ -293,9 +298,9 @@ class TestReleasedBnOutputs:
             forced_pool(workers)
         cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=8), group_input_dim=4,
                        improved_blocks=improved)
-        assignment = GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2)
         rng = np.random.default_rng(74)
-        feats, labels = rng.normal(size=(4, 8, 12)), np.array([0, 1, 1, 0])
+        lgp = GroupLgp(random_bank(rng, [8], 3), GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2))
+        feats, labels = rng.normal(size=(4, 12, 3)), np.array([0, 1, 1, 0])
         results = []
         for release in (False, True):
             with monkeypatch.context() as patch:
@@ -304,7 +309,7 @@ class TestReleasedBnOutputs:
                 model = build_model(cfg, seed=75)
                 state = AdamState(model.parameters())
                 train_cfg = TrainConfig(batch_size=2, epochs=1)
-                run_epoch(model, assignment, feats, labels, train_cfg, state, np.array([2, 0, 3, 1]), 1e-2)
+                run_epoch(model, lgp, feats, labels, train_cfg, state, np.array([2, 0, 3, 1]), 1e-2)
             results.append([getattr(owner, attr) for _, owner, attr in model.stored_arrays()])
         for got, ref in zip(*results):
             assert got.tobytes() == ref.tobytes()
@@ -360,7 +365,7 @@ def tiny_model_cfg(assignment):
 
 
 class Batches:
-    """Stacked features handed out as a fresh array per batch, like ManifestLgp's,
+    """Stacked frames handed out as a fresh array per batch, like ManifestFrames',
     with a weakref to each batch handed out."""
 
     def __init__(self, feats: np.ndarray, labels: np.ndarray):
@@ -377,7 +382,7 @@ class Batches:
 
 
 def stacked(tiny_pipeline):
-    """The tiny pipeline's stacked features, handed to train() in place of a ManifestLgp."""
+    """The tiny pipeline's stacked frames, handed to train() in place of a ManifestFrames."""
     return Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
 
 
@@ -390,7 +395,7 @@ class TestTrainLoop:
             with pytest.raises(NonFiniteLossError, match="epoch 1"):
                 train(
                     stacked(tiny_pipeline),
-                    tiny_pipeline["assignment"],
+                    tiny_pipeline["lgp"],
                     tiny_model_cfg(tiny_pipeline["assignment"]),
                     small_train_cfg(learning_rate=1e308, epochs=2),
                     checkpoint_path=ckpt,
@@ -400,7 +405,7 @@ class TestTrainLoop:
 
     def test_deterministic_given_seed(self, tiny_pipeline):
         kwargs = dict(
-            assignment=tiny_pipeline["assignment"],
+            lgp=tiny_pipeline["lgp"],
             model_cfg=tiny_model_cfg(tiny_pipeline["assignment"]),
         )
         _, log_a = train(stacked(tiny_pipeline), train_cfg=small_train_cfg(epochs=2), **kwargs)
@@ -412,7 +417,7 @@ class TestTrainLoop:
         log_path = tmp_path / "log.csv"
         train(
             stacked(tiny_pipeline),
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
             log_path=log_path,
@@ -427,29 +432,29 @@ class TestTrainLoop:
     def test_features_recomputed_every_epoch(self, tiny_pipeline, monkeypatch):
         import lgpnet.multiscale as multiscale
 
-        original = multiscale.utterance_lgp
+        original = multiscale.lfcc_extract
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].utt_id)
-            return original(*args, **kwargs)
+        def counting(clip, cfg):
+            calls.append(clip.utt_id)
+            return original(clip, cfg)
 
-        monkeypatch.setattr(multiscale, "utterance_lgp", counting)
-        feats = ManifestLgp(tiny_pipeline["manifest"], tiny_pipeline["bank"], tiny_pipeline["lfcc_cfg"], 50)
+        monkeypatch.setattr(multiscale, "lfcc_extract", counting)
+        feats = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], 50)
         train(
             feats,
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
         )
         assert sorted(calls) == sorted(2 * tiny_pipeline["utt_ids"])
 
     def test_manifest_features_train_bitwise_as_stacked_ones(self, tiny_pipeline):
-        """train() only indexes its features, so computing them from the audio per
+        """train() only indexes its frames, so computing them from the audio per
         batch trains the same bits as handing in the stacked array."""
-        manifest_feats = ManifestLgp(tiny_pipeline["manifest"], tiny_pipeline["bank"], tiny_pipeline["lfcc_cfg"], 50)
+        manifest_feats = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], 50)
         runs = [
-            train(feats, tiny_pipeline["assignment"], tiny_model_cfg(tiny_pipeline["assignment"]),
+            train(feats, tiny_pipeline["lgp"], tiny_model_cfg(tiny_pipeline["assignment"]),
                   small_train_cfg(epochs=2), dev=feats)
             for feats in (manifest_feats, stacked(tiny_pipeline))
         ]
@@ -458,25 +463,44 @@ class TestTrainLoop:
         for (key, owner_a, attr), (_, owner_b, _) in zip(model_a.stored_arrays(), model_b.stored_arrays()):
             assert getattr(owner_a, attr).tobytes() == getattr(owner_b, attr).tobytes(), key
 
+    def test_non_finite_batch_loss_names_the_epoch_and_the_batch(self, tiny_pipeline, monkeypatch):
+        # the loss of epoch 2's third batch is NaN: that step raises, before its update
+        losses = iter([0.5] * 5 + [np.nan])
+        real_loss = training_mod.ensemble_aware_loss
+
+        def loss_then_nan(group_logits, labels, aware):
+            loss = real_loss(group_logits, labels, aware)
+            loss.data = np.asarray(next(losses))
+            return loss
+
+        adam_steps = []
+        real_adam = training_mod.adam_step
+        monkeypatch.setattr(training_mod, "ensemble_aware_loss", loss_then_nan)
+        monkeypatch.setattr(training_mod, "adam_step", lambda *a: adam_steps.append(1) or real_adam(*a))
+        with pytest.raises(NonFiniteLossError, match=r"^epoch 2, batch 3 of 3: loss is not finite \(nan\)$"):
+            train(stacked(tiny_pipeline), tiny_pipeline["lgp"], tiny_model_cfg(tiny_pipeline["assignment"]),
+                  small_train_cfg(batch_size=6, epochs=3))
+        assert len(adam_steps) == 5
+
     def test_checkpoint_reload_reproduces_scores(self, tiny_pipeline, tmp_path):
         ckpt = tmp_path / "model.npz"
         model, _ = train(
             stacked(tiny_pipeline),
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=2),
             checkpoint_path=ckpt,
         )
         reloaded, assignment = load_checkpoint(ckpt)
         feats = tiny_pipeline["feats"]
-        direct = predict_logits(model, tiny_pipeline["assignment"], feats)
-        from_disk = predict_logits(reloaded, assignment, feats)
+        direct = predict_logits(model, tiny_pipeline["lgp"], feats)
+        from_disk = predict_logits(reloaded, GroupLgp(tiny_pipeline["bank"], assignment), feats)
         assert np.array_equal(direct, from_disk)
 
     def test_dev_monitoring_and_best_restore(self, tiny_pipeline):
         model, log = train(
             stacked(tiny_pipeline),
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             small_train_cfg(epochs=3),
             dev=stacked(tiny_pipeline),
@@ -484,7 +508,7 @@ class TestTrainLoop:
         best = min(row["dev_loss"] for row in log)
         recomputed = evaluate_loss(
             model,
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_pipeline["feats"],
             tiny_pipeline["labels"],
             small_train_cfg(),
@@ -496,9 +520,9 @@ class TestTrainLoop:
         model = build_model(tiny_model_cfg(assignment), seed=5)
         cfg = small_train_cfg()
         feats, labels = tiny_pipeline["feats"], tiny_pipeline["labels"]
-        first = evaluate_loss(model, assignment, feats, labels, cfg)
+        first = evaluate_loss(model, tiny_pipeline["lgp"], feats, labels, cfg)
         stats_before = [bn.state.running_mean.copy() for bn in model.batchnorms()]
-        second = evaluate_loss(model, assignment, feats, labels, cfg)
+        second = evaluate_loss(model, tiny_pipeline["lgp"], feats, labels, cfg)
         assert first == second
         for bn, before in zip(model.batchnorms(), stats_before):
             assert np.array_equal(bn.state.running_mean, before)
@@ -510,36 +534,60 @@ class TestTrainLoop:
         state = AdamState(model.parameters())
         feats, labels = tiny_pipeline["feats"], tiny_pipeline["labels"]
         rng = np.random.default_rng(0)
-        first = run_epoch(model, assignment, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
+        lgp = tiny_pipeline["lgp"]
+        first = run_epoch(model, lgp, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
         for _ in range(4):
-            last = run_epoch(model, assignment, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
+            last = run_epoch(model, lgp, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
         assert last < first
 
 
 class TestBatchMemory:
-    @pytest.mark.parametrize("loop", ["run_epoch", "evaluate_loss", "predict_logits"])
-    def test_stacked_batch_is_freed_before_the_first_branch_runs(self, tiny_pipeline, monkeypatch, loop):
-        assignment = tiny_pipeline["assignment"]
-        model = build_model(tiny_model_cfg(assignment), seed=7)
-        feats = Batches(tiny_pipeline["feats"], tiny_pipeline["labels"])
+    """Each branch makes its own group's input from the batch's frames, so no
+    (N, 1984, T) LGP batch and no (G, N, 248, T) gather of it ever exists."""
+
+    N, T = 2, 40
+    FULL = N * 1984 * T * 8  # the bytes of either array
+
+    def setup(self):
+        rng = np.random.default_rng(78)
+        bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
+        lgp = GroupLgp(bank, GroupAssignment({o: np.arange(o) % 8 for o in bank.orders}, 8))
+        cfg = ModelCfg(n_groups=8, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=248)
+        return build_model(cfg, seed=79), lgp, rng.normal(size=(self.N, self.T, 60)), np.array([0, 1])
+
+    def test_tracked_forward_holds_no_full_width_array(self, monkeypatch):
+        model, lgp, feats, labels = self.setup()
         seen = []
-        real_call = GroupBranch.__call__
+        real_loss = training_mod.ensemble_aware_loss
 
-        def probing(self, x):
-            seen.append(feats.refs[-1]() is None)
-            return real_call(self, x)
+        def probing_loss(group_logits, labels, aware):
+            # at the end of the forward: the peak so far, and the largest array alive
+            seen.append((tracemalloc.get_traced_memory()[1],
+                         max(t.size for t in tracemalloc.take_snapshot().traces)))
+            return real_loss(group_logits, labels, aware)
 
-        monkeypatch.setattr(GroupBranch, "__call__", probing)
-        cfg = small_train_cfg(batch_size=8)
-        if loop == "run_epoch":
-            perm = np.arange(len(feats))
-            run_epoch(model, assignment, feats, feats.labels, cfg, AdamState(model.parameters()), perm, 1e-3)
-        elif loop == "evaluate_loss":
-            evaluate_loss(model, assignment, feats, feats.labels, cfg)
-        else:
-            predict_logits(model, assignment, feats, batch_size=8)
-        assert len(feats.refs) == 2 and len(seen) == 2 * model.cfg.n_groups
-        assert all(seen)
+        monkeypatch.setattr(training_mod, "ensemble_aware_loss", probing_loss)
+        state = AdamState(model.parameters())
+        tracemalloc.start()
+        try:
+            run_epoch(model, lgp, feats, labels, TrainConfig(batch_size=self.N), state, np.arange(self.N), 1e-3)
+        finally:
+            tracemalloc.stop()
+        ((peak, largest),) = seen
+        # the graph holds the G inputs, FULL bytes in all, as G arrays of FULL / G
+        assert peak < 1.5 * self.FULL
+        assert largest <= self.FULL / 8
+
+    def test_no_grad_forward_holds_no_full_width_array(self):
+        model, lgp, feats, _ = self.setup()
+        tracemalloc.start()
+        try:
+            logits = predict_logits(model, lgp, feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (self.N, 2)
+        assert peak < self.FULL  # about 0.6 of it: each worker's input and its LGP temporaries
 
 
 class TestBestEpochOnDisk:
@@ -549,7 +597,7 @@ class TestBestEpochOnDisk:
         kwargs.setdefault("train_cfg", small_train_cfg(epochs=3))
         return train(
             stacked(tiny_pipeline),
-            tiny_pipeline["assignment"],
+            tiny_pipeline["lgp"],
             tiny_model_cfg(tiny_pipeline["assignment"]),
             **kwargs,
         )
@@ -681,8 +729,8 @@ class TestBestEpochOnDisk:
         its run_epoch steps: no in-memory copy of the best epoch is held."""
         import lgpnet.training as training_mod
 
-        assignment = tiny_pipeline["assignment"]
-        model_cfg = tiny_model_cfg(assignment)
+        lgp = tiny_pipeline["lgp"]
+        model_cfg = tiny_model_cfg(tiny_pipeline["assignment"])
         cfg = small_train_cfg(epochs=3)
         feats = stacked(tiny_pipeline)
 
@@ -692,7 +740,7 @@ class TestBestEpochOnDisk:
             state = AdamState(model.parameters())
             for _ in range(cfg.epochs):
                 perm = rng.permutation(len(feats))
-                run_epoch(model, assignment, feats, feats.labels, cfg, state, perm, cfg.learning_rate)
+                run_epoch(model, lgp, feats, feats.labels, cfg, state, perm, cfg.learning_rate)
 
         def peak(run):
             tracemalloc.start()
@@ -704,6 +752,6 @@ class TestBestEpochOnDisk:
 
         stored = sum(getattr(o, a).nbytes for _, o, a in build_model(model_cfg).stored_arrays())
         bare = peak(bare_steps)
-        full = peak(lambda: train(feats, assignment, model_cfg, cfg))
+        full = peak(lambda: train(feats, lgp, model_cfg, cfg))
         assert full - bare < stored / 2
 
