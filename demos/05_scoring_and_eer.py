@@ -28,9 +28,10 @@ perfect = compute_eer(np.array([1.0, 2.0]), np.array([-2.0, -1.0]))
 print(f"\nperfectly separated scores: EER = {perfect.eer}")
 
 records = [ScoreRecord(f"utt_{i:03d}", float(s)) for i, s in enumerate(np.concatenate([bona[:3], spoof[:3]]))]
-path = Path(tempfile.mkdtemp(prefix="lgpnet_demo_")) / "scores.txt"
-score_file_write(path, records)
-print(f"\nwrote {len(records)} records to {path}:")
-print(path.read_text(), end="")
-roundtrip = score_file_read(path)
+with tempfile.TemporaryDirectory(prefix="lgpnet_demo_") as tmp:  # the score file goes at the end
+    path = Path(tmp) / "scores.txt"
+    score_file_write(path, records)
+    print(f"\nwrote {len(records)} records to {path}:")
+    print(path.read_text(), end="")
+    roundtrip = score_file_read(path)
 print(f"read back {len(roundtrip)} records, identical: {roundtrip == records}")

@@ -75,12 +75,15 @@ from .tensor import (
     BatchNormState,
     Tensor,
     aggregate,
-    backward,
+    aggregate_backward,
     batchnorm1d,
+    batchnorm1d_backward,
     conv1d,
+    conv1d_backward,
     linear,
+    linear_backward,
     max_pool_time,
-    no_grad,
+    max_pool_time_backward,
 )
 from .training import (
     AdamState,

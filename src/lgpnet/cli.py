@@ -19,7 +19,7 @@ from .config import load_config
 from .errors import ConfigError, FormatError, LgpnetError, ManifestError
 from .evaluation import ScoreRecord, compute_eer_records, score_file_read, score_file_write
 from .gmm import train_by_splitting
-from .model import build_model, load_checkpoint, score
+from .model import GroupedResNetEnsemble, _Unfilled, load_checkpoint, score
 from .training import predict_logits, train
 
 
@@ -183,7 +183,7 @@ def _cmd_describe(args) -> int:
     print(f"em: {cfg.em.n_iterations} iterations, split_epsilon {cfg.em.split_epsilon}")
     print(f"train: lr {cfg.train.learning_rate}, batch {cfg.train.batch_size}, "
           f"epochs {cfg.train.epochs}, ensemble_aware={cfg.train.ensemble_aware}")
-    model = build_model(model_cfg, seed=0)
+    model = GroupedResNetEnsemble(model_cfg, _Unfilled())  # counted only, so no initial values are drawn
     print("parameters:")
     breakdown = model.describe()
     total = breakdown.pop("total")

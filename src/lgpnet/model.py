@@ -1,15 +1,14 @@
 """Grouped 1-d residual network ensemble over LGP group slices.
 
 Each group slice feeds its own branch; the training and scoring loops hand
-`forward_slices` a `multiscale.FrameBatch`, so each branch makes its own
-slice, on its worker, from the batch's LFCC frames.  A branch is a 1x1
-entry convolution, a stack of residual blocks, multi-scale feature
-aggregation (a 1x1 convolution of the channel concat of every block
-output), adaptive max pooling over time, and a linear classifier.  The
-forward returns the G group logits.  Their mean, the ensemble's logits, is
-plain numpy (`ensemble_logits`), not a graph node: scoring takes it from
-the group logits' arrays, and the loss, one node over the group logits
-(`training.ensemble_aware_loss`), forms it itself.
+the branches a `multiscale.FrameBatch`, so each branch makes its own slice,
+on its worker, from the batch's LFCC frames.  A branch is a 1x1 entry
+convolution, a stack of residual blocks, multi-scale feature aggregation
+(a 1x1 convolution of the channel concat of every block output), adaptive
+max pooling over time, and a linear classifier.  The G group logits are the
+branches' outputs; their mean, the ensemble's logits, is plain numpy
+(`ensemble_logits`), and so is the loss over them
+(`training.ensemble_aware_loss`).
 
 The residual block keeps a single batch normalization and a single
 activation, both between the two convolutions:
@@ -19,34 +18,51 @@ activation, both between the two convolutions:
 A conventional block, y = relu(x + bn2(conv2(relu(bn1(conv1(x)))))), is
 available behind the ``improved_blocks`` flag for ablations.  Both blocks
 end the same way: the skip x is the ``residual`` operand of the op that
-makes the last pre-activation, `conv1d` or `batchnorm1d`, so no add node
-exists.  Every convolution keeps the length of its input.
+makes the last pre-activation, `conv1d` or `batchnorm1d`, so no sum is
+made apart.  Every convolution keeps the length of its input.
 
-One forward serves training and scoring.  Every BN directly follows a
-convolution, and `_fold` alone decides per pair whether the BN runs as its
-own op or is folded into the convolution: it is folded when gradients are
-off (`no_grad`) and that BN is in eval mode.  The folded convolution has
-weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
-cached.  The folded weight is written straight into conv1d's tap-major
-(k, C_out, C_in) layout and handed over as its (C_out, C_in, k) view, so
-conv1d reads it in place and it exists once.  The skip (if any) and the
-ReLU after the folded convolution are applied in place on the array it
-just made.  A BN that is not folded applies them itself
-(`batchnorm1d(..., relu=True, residual=x)`), in place on its own output,
-so a training graph holds neither the pre-activation nor a mask.  Nor
-does it hold that output past the forward: `branch_map` drops every BN
-output of a branch once the branch's forward returns, and backward remakes
-each one, bit for bit, where it is first read.  So between forward and
-backward a block of either kind holds only its two convolution outputs.
-The aggregation convolution of the concatenated block outputs is one
-`aggregate` op fed the block outputs as the blocks make them, so each
-block's share is added to one output array as the block finishes, in both
-modes: no concatenation and no partial sum exists.  In training the op
-keeps only the block outputs, which the graph holds anyway (a conventional
-block's output is a BN output, dropped and remade like the others); under
-`no_grad` it keeps none.
+One forward serves training and scoring: `GroupBranch.forward(x, keep)`.
+Every BN directly follows a convolution, and `_fold` alone decides per
+pair whether the BN runs as its own op or is folded into the convolution:
+it is folded when nothing is kept for a backward and that BN is in eval
+mode.  The folded convolution has weight W·γ/√(σ²+ε) and bias
+(b−μ)·γ/√(σ²+ε)+β, computed per call and never cached.  The folded weight
+is written straight into conv1d's tap-major (k, C_out, C_in) layout and
+handed over as its (C_out, C_in, k) view, so conv1d reads it in place and
+it exists once.  The skip (if any) and the ReLU after the folded
+convolution are applied in place on the array it just made.  A BN that is
+not folded applies them itself (`batchnorm1d(..., relu=True,
+residual=x)`), in place on its own output.  The aggregation convolution of
+the concatenated block outputs is one `aggregate` op fed the block outputs
+as the blocks make them, so each block's share is added to one output
+array as the block finishes: no concatenation and no partial sum exists.
 Folded scores agree with the unfolded forward to rounding (1e-10 relative
 in the tests).
+
+With keep=True the forward also returns the branch's records, one per
+layer group in forward order, each holding what its backward reads:
+
+- the entry: the slice, the entry convolution's output and its BN's
+  statistics;
+- a block: each convolution's output and its BN's statistics, and an
+  improved block's output (a conventional block's is a BN-ReLU output);
+- the aggregation: its output and the MFA BN's statistics;
+- the pooled embedding.
+
+No BN-ReLU output is kept.  Each is made again, bit for bit, from its
+BN's input and statistics where backward reads it (after Pleiss et al.,
+arXiv 1707.06990): a block makes its inner one again, block 1 the entry's,
+the pooling the MFA's, so at most one block's inner output is alive at a
+time.  A conventional block's output is the next block's skip, so each is
+made from the one below: `GroupBranch.backward` makes them all again,
+bottom up, before it walks down the blocks.  Kept instead, they would add
+one activation per block to every branch's records between the forward
+and the backward, while made again they exist only in the branches whose
+backward is running.  `GroupBranch.backward(records, dlogits)` pops the
+records from the last and gives every parameter of the branch its
+gradient.  A block output's gradient is the next block's share (its skip,
+then its first convolution's input gradient) plus, with MFA, the block's
+share of the aggregation's, added in that order.
 """
 from __future__ import annotations
 
@@ -59,17 +75,21 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
 from .multiscale import GroupAssignment
-from . import tensor as _tensor
 from .tensor import (
     BN_EPS,
     BatchNormState,
     Tensor,
+    _parallel_map,
     aggregate,
+    aggregate_backward,
     batchnorm1d,
-    branch_map,
+    batchnorm1d_backward,
     conv1d,
+    conv1d_backward,
     linear,
+    linear_backward,
     max_pool_time,
+    max_pool_time_backward,
 )
 
 _CKPT_VERSION = 1
@@ -121,6 +141,9 @@ class Conv1dLayer:
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         return conv1d(x, self.weight, self.bias, residual=residual)
 
+    def backward(self, g: np.ndarray, x: Tensor) -> np.ndarray | None:
+        return conv1d_backward(g, x, self.weight, self.bias)
+
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
@@ -129,19 +152,24 @@ class BatchNorm1dLayer:
     def __init__(self, channels: int):
         self.state = BatchNormState(channels)
 
-    def __call__(self, x: Tensor, relu: bool = False, residual: Tensor | None = None) -> Tensor:
-        return batchnorm1d(x, self.state, relu=relu, residual=residual)
+    def __call__(self, x: Tensor, relu: bool = False, residual: Tensor | None = None, stats=None):
+        return batchnorm1d(x, self.state, relu=relu, residual=residual, stats=stats)
+
+    def backward(self, g: np.ndarray, x: Tensor, stats, out: Tensor | None = None):
+        return batchnorm1d_backward(g, x, self.state, stats, None if out is None else out.data)
 
     def named_parameters(self):
         return [("gamma", self.state.gamma), ("beta", self.state.beta)]
 
 
-def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, BatchNorm1dLayer | None]:
-    """(weight, bias, bn) for bn(conv(x)).  With gradients off and `bn` in eval
-    mode, `bn` is folded into a new weight and bias and None is returned for it;
-    otherwise the conv's own parameters and `bn` itself."""
+def _fold(
+    conv: Conv1dLayer, bn: BatchNorm1dLayer, keep: bool
+) -> tuple[Tensor, Tensor, BatchNorm1dLayer | None]:
+    """(weight, bias, bn) for bn(conv(x)).  With nothing kept for a backward
+    and `bn` in eval mode, `bn` is folded into a new weight and bias and None
+    is returned for it; otherwise the conv's own parameters and `bn` itself."""
     state = bn.state
-    if _tensor._grad_enabled or state.mode != "eval":
+    if keep or state.mode != "eval":
         return conv.weight, conv.bias, bn
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
     bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
@@ -151,26 +179,28 @@ def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer) -> tuple[Tensor, Tensor, Batc
     return Tensor(taps.transpose(1, 2, 0)), Tensor(bias), None
 
 
-def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = None) -> Tensor:
-    """relu(bn(y) + residual), where y is the output of the caller's own conv1d
-    call and bn is None once folded; then nothing tracks y, and the residual
-    and the ReLU are applied in place.  Otherwise BN applies both itself, in
-    place on its own output."""
+def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = None):
+    """(relu(bn(y) + residual), bn's statistics), where y is the output of the
+    caller's own conv1d call and bn is None once folded; then the residual
+    and the ReLU are applied in place on y and the statistics are None.
+    Otherwise BN applies both itself, in place on its own output."""
     if bn is not None:
         return bn(y, relu=True, residual=residual)
     if residual is not None:
         y.data += residual.data
     np.maximum(y.data, 0.0, out=y.data)
-    return y
+    return y, None
 
 
 def _conv_bn_relu(
-    conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor, residual: Tensor | None = None
-) -> Tensor:
-    """relu(bn(conv(x)) + residual), as one convolution and in-place ops where
-    `_fold` folds bn."""
-    weight, bias, bn = _fold(conv, bn)
-    return _bn_relu(conv1d(x, weight, bias), bn, residual)
+    conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor, keep: bool, residual: Tensor | None = None
+):
+    """(relu(bn(conv(x)) + residual), conv's output, bn's statistics), as one
+    convolution and in-place ops where `_fold` folds bn."""
+    weight, bias, bn = _fold(conv, bn, keep)
+    y = conv1d(x, weight, bias)
+    out, stats = _bn_relu(y, bn, residual)
+    return out, y, stats
 
 
 class LinearLayer:
@@ -182,6 +212,9 @@ class LinearLayer:
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
+
+    def backward(self, g: np.ndarray, x: Tensor) -> np.ndarray | None:
+        return linear_backward(g, x, self.weight, self.bias)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -198,8 +231,20 @@ class ImprovedResidualBlock:
         self.bn = BatchNorm1dLayer(c)
         self.conv2 = Conv1dLayer(c, c, k, rng)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.conv2(_conv_bn_relu(self.conv1, self.bn, x), residual=x)
+    def forward(self, x: Tensor, keep: bool = False):
+        """(the block's output, what `backward` reads besides the block's input
+        and output: conv1's output and the BN's statistics, or None without keep)."""
+        a, c, stats = _conv_bn_relu(self.conv1, self.bn, x, keep)
+        return self.conv2(a, residual=x), ((c, stats) if keep else None)
+
+    def backward(self, saved, x: Tensor, y: Tensor | None, g: np.ndarray) -> np.ndarray:
+        """The gradient of the block's input x for the gradient g of its output
+        y, which this block's backward does not read."""
+        c, stats = saved
+        a = self.bn(c, relu=True, stats=stats)[0]  # the BN-ReLU output again, for conv2 and the BN
+        gc = self.bn.backward(self.conv2.backward(g, a), c, stats, a)[0]
+        del a
+        return g + self.conv1.backward(gc, x)  # the skip's share, then conv1's
 
     def sublayers(self):
         return [("conv1", self.conv1), ("bn", self.bn), ("conv2", self.conv2)]
@@ -218,15 +263,37 @@ class StandardResidualBlock:
         self.conv2 = Conv1dLayer(c, c, k, rng)
         self.bn2 = BatchNorm1dLayer(c)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return _conv_bn_relu(self.conv2, self.bn2, _conv_bn_relu(self.conv1, self.bn1, x), residual=x)
+    def forward(self, x: Tensor, keep: bool = False):
+        """(the block's output, what `backward` reads besides the block's input
+        and output: each convolution's output and its BN's statistics, or None
+        without keep)."""
+        a, c1, stats1 = _conv_bn_relu(self.conv1, self.bn1, x, keep)
+        y, c2, stats2 = _conv_bn_relu(self.conv2, self.bn2, a, keep, residual=x)
+        return y, ((c1, stats1, c2, stats2) if keep else None)
+
+    def output(self, saved, x: Tensor) -> Tensor:
+        """The block's output again, bit for bit, from its record and its input x."""
+        _, _, c2, stats2 = saved
+        return self.bn2(c2, relu=True, residual=x, stats=stats2)[0]
+
+    def backward(self, saved, x: Tensor, y: Tensor, g: np.ndarray) -> np.ndarray:
+        """The gradient of the block's input x for the gradient g of its output y."""
+        c1, stats1, c2, stats2 = saved
+        gc2, g_skip = self.bn2.backward(g, c2, stats2, y)
+        a = self.bn1(c1, relu=True, stats=stats1)[0]  # the inner BN-ReLU output again, for conv2 and bn1
+        gc1 = self.bn1.backward(self.conv2.backward(gc2, a), c1, stats1, a)[0]
+        del a, gc2
+        return g_skip + self.conv1.backward(gc1, x)  # the skip's share, then conv1's
 
     def sublayers(self):
         return [("conv1", self.conv1), ("bn1", self.bn1), ("conv2", self.conv2), ("bn2", self.bn2)]
 
 
 class GroupBranch:
-    """Embedding extractor for one group slice: entry conv, blocks, MFA, pooling."""
+    """One group's classifier: entry conv, blocks, MFA, pooling, linear head.
+
+    The ensemble sets `classifier` after drawing every branch's other
+    layers, so that a seed draws the parameters in that order."""
 
     def __init__(self, cfg: ModelCfg, rng: np.random.Generator):
         c = cfg.block.channels
@@ -241,21 +308,88 @@ class GroupBranch:
         else:
             self.mfa_conv = None
             self.mfa_bn = None
+        self.classifier: LinearLayer | None = None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        outputs = self._block_outputs(_conv_bn_relu(self.entry_conv, self.entry_bn, x))
+    def forward(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
+        """The group logits (N x 2, spoof and bona fide) for the N x D x T
+        slice x, and with keep=True the records that `backward` reads (see
+        the module docstring), or None."""
+        if x.shape[1] != self.cfg.group_input_dim:
+            raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
+        records = [] if keep else None
+        outputs = self._block_outputs(self._entry(x, records), records)
         if self.cfg.mfa:
-            weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn)
-            return max_pool_time(_bn_relu(aggregate(outputs, weight, bias), bn))
-        for h in outputs:  # without MFA the last block's output is pooled
-            pass
-        return max_pool_time(h)
+            weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn, keep)
+            l = aggregate(outputs, weight, bias)
+            m, stats = _bn_relu(l, bn)
+            if keep:
+                records.append((l, stats))
+        else:
+            for m in outputs:  # without MFA the last block's output is pooled
+                pass
+        emb = max_pool_time(m)
+        if keep:
+            records.append(emb)
+        return self.classifier(emb), records
 
-    def _block_outputs(self, h: Tensor):
-        """Each block's output in turn, each made when it is asked for."""
+    def _entry(self, x: Tensor, records: list | None) -> Tensor:
+        h, e, stats = _conv_bn_relu(self.entry_conv, self.entry_bn, x, records is not None)
+        if records is not None:
+            records.append((x, e, stats))
+        return h
+
+    def _block_outputs(self, h: Tensor, records: list | None):
+        """Each block's output in turn, each made when it is asked for.  A
+        conventional block's output is a BN-ReLU output, so its record does
+        not keep it."""
         for block in self.blocks:
-            h = block(h)
+            h, saved = block.forward(h, records is not None)
+            if records is not None:
+                records.append((saved, h if self.cfg.improved_blocks else None))
             yield h
+
+    def backward(self, records: list, dlogits: np.ndarray) -> None:
+        """Add every parameter's gradient for dlogits, the gradient of the
+        logits that `forward(x, keep=True)` returned with `records`.  The
+        records are popped, and so freed, as the walk goes down."""
+        emb = records.pop()
+        g = self.classifier.backward(dlogits, emb)
+        del emb
+        if self.cfg.mfa:
+            l, stats = records.pop()
+            m = self.mfa_bn(l, relu=True, stats=stats)[0]  # the MFA output again, for the pooling and the BN
+            g_agg = self.mfa_bn.backward(max_pool_time_backward(g, m), l, stats, m)[0]
+            del l, m
+            gw = np.zeros(self.mfa_conv.weight.shape)
+            g = None
+        _, e, stats = records[0]
+        h = None  # the entry's BN-ReLU output, made again where a block first reads it
+        outputs = [y for _, y in records[1:]]  # each block's output; None where not kept
+        if not self.cfg.improved_blocks:
+            # each conventional block's output is the next one's skip, so they are made
+            # again here, bottom up, each from the one below
+            h = self.entry_bn(e, relu=True, stats=stats)[0]
+            for i, block in enumerate(self.blocks):
+                outputs[i] = block.output(records[1 + i][0], outputs[i - 1] if i else h)
+        if not self.cfg.mfa:
+            g = max_pool_time_backward(g, outputs[-1])  # the last block's output was pooled
+        for i in reversed(range(len(self.blocks))):
+            saved = records.pop()[0]
+            y = outputs.pop()
+            if self.cfg.mfa:
+                share = aggregate_backward(g_agg, y, self.mfa_conv.weight, self.mfa_conv.bias,
+                                           i * self.cfg.block.channels, gw)
+                g = share if g is None else g + share
+                del share
+            if self.cfg.improved_blocks:
+                y = None  # which its backward does not read
+            if not i and h is None:  # the entry's output, which the entry BN reads too
+                h = self.entry_bn(e, relu=True, stats=stats)[0]
+            x = outputs[-1] if i else h
+            g = self.blocks[i].backward(saved, x, y, g)
+            del saved, x, y
+        x, e, stats = records.pop()
+        self.entry_conv.backward(self.entry_bn.backward(g, e, stats, h)[0], x)
 
     def sublayers(self):
         layers = [("entry_conv", self.entry_conv), ("entry_bn", self.entry_bn)]
@@ -263,6 +397,7 @@ class GroupBranch:
             layers.extend((f"block{i}.{name}", layer) for name, layer in block.sublayers())
         if self.cfg.mfa:
             layers.extend([("mfa_conv", self.mfa_conv), ("mfa_bn", self.mfa_bn)])
+        layers.append(("classifier", self.classifier))
         return layers
 
     def batchnorms(self):
@@ -275,22 +410,22 @@ class GroupedResNetEnsemble:
     def __init__(self, cfg: ModelCfg, rng: np.random.Generator):
         self.cfg = cfg
         self.branches = [GroupBranch(cfg, rng) for _ in range(cfg.n_groups)]
-        # two logits, spoof and bona fide: the score is logit 1 - logit 0
-        self.classifiers = [LinearLayer(cfg.block.channels, 2, rng) for _ in range(cfg.n_groups)]
+        for branch in self.branches:  # drawn after every branch's other layers
+            branch.classifier = LinearLayer(cfg.block.channels, 2, rng)
+
+    @property
+    def classifiers(self) -> list[LinearLayer]:
+        return [branch.classifier for branch in self.branches]
 
     def forward_slices(self, slices) -> list[Tensor]:
-        """The G group logits b_g (N x 2 each) for the G group slices: a list of
-        Tensors or a `multiscale.FrameBatch`, whose slice g is made on the
-        worker that runs branch g (see `tensor.branch_map`)."""
+        """The G group logits b_g (N x 2 each) for the G group slices, with
+        nothing kept for a backward: a list of Tensors or a
+        `multiscale.FrameBatch`, whose slice g is made on the worker that runs
+        branch g (see `tensor._parallel_map`)."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
-
-        def branch(g: int, x: Tensor) -> Tensor:
-            if x.shape[1] != self.cfg.group_input_dim:
-                raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
-            return self.classifiers[g](self.branches[g](x))
-
-        return branch_map(branch, slices)
+        elements = slices.size if hasattr(slices, "size") else sum(x.size for x in slices)
+        return _parallel_map(lambda g: self.branches[g].forward(slices[g])[0], len(slices), elements)
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> list[Tensor]:
         """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""
@@ -310,14 +445,12 @@ class GroupedResNetEnsemble:
         return entries
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        params = []
-        for gi, (branch, classifier) in enumerate(zip(self.branches, self.classifiers)):
-            for layer_name, layer in branch.sublayers():
-                for pname, p in layer.named_parameters():
-                    params.append((f"group{gi}.{layer_name}.{pname}", p))
-            for pname, p in classifier.named_parameters():
-                params.append((f"group{gi}.classifier.{pname}", p))
-        return params
+        return [
+            (f"group{gi}.{layer_name}.{pname}", p)
+            for gi, branch in enumerate(self.branches)
+            for layer_name, layer in branch.sublayers()
+            for pname, p in layer.named_parameters()
+        ]
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -353,9 +486,10 @@ def build_model(cfg: ModelCfg, seed: int = 0) -> GroupedResNetEnsemble:
 
 
 class _Unfilled:
-    """Stands in for the Generator of a model whose every stored array is about
-    to be overwritten: `uniform` hands out a read-only broadcast zero, which
-    takes no memory."""
+    """Stands in for the Generator of a model whose initial values are never
+    read, because every stored array is about to be overwritten or only the
+    parameters are counted: `uniform` hands out a read-only broadcast zero,
+    which takes no memory."""
 
     @staticmethod
     def uniform(low, high, size):

@@ -14,7 +14,7 @@ computes a manifest's fixed-length LFCC frames batch by batch from the
 audio, so memory grows with the batch size, not the corpus size.
 `GroupLgp` holds each group's own coefficient columns, and a `FrameBatch`
 makes group g's (N, 248, T) input from the batch's frames when it is
-indexed: `tensor.branch_map` indexes it on the worker that runs branch g.
+indexed, on the worker that runs branch g (`tensor._parallel_map`).
 Each column's GEMM and normalization read only that column's coefficients,
 so group g's input is `utterance_lgp(...)[:, index_lists()[g]]`: bitwise
 wherever OpenBLAS computes a column with the same kernel in the narrow and
@@ -216,7 +216,7 @@ class FrameBatch:
     `batch[g]` is a new (N, group_dim, T) Tensor: sample j's channels are
     `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as the
     1-d convolution stack consumes them.  `size` is the element count of
-    all G inputs, which `tensor.branch_map` reads without making them.
+    all G inputs, which the branch maps read without making them.
     """
 
     def __init__(self, frames: np.ndarray, coefficients: list[np.ndarray]):

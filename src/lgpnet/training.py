@@ -8,17 +8,23 @@ own cross-entropy:
 where b_g are the G group logits and b their mean, so each branch is
 trained as an independent classifier while the averaged prediction is
 optimized directly.  Switching ``ensemble_aware`` off reduces the loss to
-CE(b, y) alone (ablation).  The loss is one graph node whose parents are
-the b_g.  With P = softmax(b), P_g = softmax(b_g), Y the one-hot labels
-over N samples and c the loss's upstream gradient, times 1/(G + 1) for
-the ensemble-aware loss, the gradient reaching each b_g is
+CE(b, y) alone (ablation).  The loss is plain numpy over the group logit
+arrays and returns its value with each group's gradient.  With
+P = softmax(b), P_g = softmax(b_g), Y the one-hot labels over N samples and
+c = 1/(G + 1) for the ensemble-aware loss (1 without the term), the
+gradient of each b_g is
 
     dL/db_g = ((P - Y) * (c/N)) / G + (P_g - Y) * (c/N)
 
 the second term only for the ensemble-aware loss.  Each term is computed
-with the ops, in the order, that a chain of one cross-entropy node per
-term, add nodes, a scaling node and a mean node gives, so the value and
-every gradient equal that chain's bit for bit.
+with the ops, in the order, that a chain of one cross-entropy per term,
+sums, a scaling and a mean gives (`tests/helpers.ensemble_loss_by_chain`),
+so the value and every gradient equal that chain's bit for bit.
+
+A training step (`run_epoch`) is three plain steps: every branch's forward
+with its records kept (`model.GroupBranch.forward`), the loss and its G
+gradients, and every branch's backward; the branches of each step run on
+the tensor engine's worker pool.
 """
 from __future__ import annotations
 
@@ -42,7 +48,7 @@ from .model import (
     save_checkpoint,
 )
 from .multiscale import GroupLgp, ManifestFrames
-from .tensor import Tensor, _parallel_map, _result, _tracking, backward, no_grad
+from .tensor import Tensor, _parallel_map
 
 
 @dataclass
@@ -68,10 +74,13 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def ensemble_aware_loss(group_logits: list[Tensor], labels, aware: bool = True) -> Tensor:
-    """The loss of the module docstring over the G group logits (N x 2 each)
-    and labels in 0..1: ensemble-aware, or with aware=False the ensemble's
-    cross-entropy alone.  One node, whose parents are the group logits."""
+def ensemble_aware_loss(
+    group_logits: list[np.ndarray], labels, aware: bool = True
+) -> tuple[float, list[np.ndarray]]:
+    """The loss of the module docstring over the G group logit arrays (N x 2
+    each) and labels in 0..1, ensemble-aware or with aware=False the
+    ensemble's cross-entropy alone, and each group's gradient dL/db_g (with
+    aware=False one array, shared by every group)."""
     if not group_logits:
         raise ShapeError("ensemble_aware_loss needs at least one group's logits")
     n = group_logits[0].shape[0]
@@ -83,35 +92,28 @@ def ensemble_aware_loss(group_logits: list[Tensor], labels, aware: bool = True) 
         raise ShapeError(f"labels must have shape ({n},)")
     if labels.min() < 0 or labels.max() > 1:
         raise ValueError("labels must lie in 0..1")
-    arrays = [b.data for b in group_logits]
-    log_probs = [_log_softmax(ensemble_logits(arrays))]  # the ensemble's, then each group's
+    log_probs = [_log_softmax(ensemble_logits(group_logits))]  # the ensemble's, then each group's
     if aware:
-        log_probs += [_log_softmax(a) for a in arrays]
+        log_probs += [_log_softmax(a) for a in group_logits]
     rows = np.arange(n)
     ces = [-lp[rows, labels].mean() for lp in log_probs]
     loss = ces[0]
     for ce in ces[1:]:
         loss = loss + ce
+    c = 1.0
     if aware:
-        loss = loss * (1.0 / len(ces))
-    track = _tracking(*group_logits)
-    out = _result(np.asarray(loss), tuple(group_logits), None, track)
-    if track:
-        def _bw():
-            c = out.grad * (1.0 / len(log_probs)) if aware else out.grad
+        c = 1.0 / len(ces)
+        loss = loss * c
 
-            def share(lp):  # (softmax - one-hot) * (c/N): one cross-entropy's gradient
-                g = np.exp(lp)
-                g[rows, labels] -= 1.0
-                return g * (c / n)
+    def share(lp):  # (softmax - one-hot) * (c/N): one cross-entropy's gradient
+        g = np.exp(lp)
+        g[rows, labels] -= 1.0
+        return g * (c / n)
 
-            mean_share = share(log_probs[0]) / len(group_logits)
-            for i, b in enumerate(group_logits):
-                if b.requires_grad:
-                    b._accumulate(mean_share + share(log_probs[i + 1]) if aware else mean_share)
-
-        out._backward = _bw
-    return out
+    mean_share = share(log_probs[0]) / len(group_logits)
+    if not aware:
+        return float(loss), [mean_share] * len(group_logits)
+    return float(loss), [mean_share + share(lp) for lp in log_probs[1:]]
 
 
 class AdamState:
@@ -206,9 +208,26 @@ def _batch_indices(n: int, batch_size: int) -> list[np.ndarray]:
 
 
 def _forward(model: GroupedResNetEnsemble, lgp: GroupLgp, feats, idx: np.ndarray) -> list[Tensor]:
-    """The group logits for the batch of frames feats[idx]: each branch makes its
-    own group's LGP input from the frames, on the worker that runs it."""
+    """The group logits for the batch of frames feats[idx], nothing kept for a
+    backward: each branch makes its own group's LGP input from the frames, on
+    the worker that runs it."""
     return model.forward_slices(lgp.batch(feats[idx]))
+
+
+def _step(model: GroupedResNetEnsemble, inputs, labels: np.ndarray, aware: bool, where: str) -> float:
+    """One training step's forward and backward on a batch's G group inputs
+    (a `multiscale.FrameBatch`), leaving each parameter's gradient in its
+    .grad; returns the batch loss.  A NaN or infinite loss raises
+    NonFiniteLossError naming `where`, before the backward."""
+    branches = model.branches
+    if len(inputs) != len(branches):
+        raise ShapeError(f"expected {len(branches)} slices, got {len(inputs)}")
+    runs = _parallel_map(lambda g: branches[g].forward(inputs[g], keep=True), len(branches), inputs.size)
+    value, dlogits = ensemble_aware_loss([logits.data for logits, _ in runs], labels, aware)
+    if not np.isfinite(value):
+        raise NonFiniteLossError(f"{where}: loss is not finite ({value!r})")
+    _parallel_map(lambda g: branches[g].backward(runs[g][1], dlogits[g]), len(branches), inputs.size)
+    return value
 
 
 def run_epoch(
@@ -233,14 +252,8 @@ def run_epoch(
     for b, idx in enumerate(batches, start=1):
         batch = perm[idx]
         model.zero_grad()  # before the forward, so the last step's gradients are not held through it
-        group_logits = _forward(model, lgp, feats, batch)
-        loss = ensemble_aware_loss(group_logits, labels[batch], cfg.ensemble_aware)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NonFiniteLossError(
-                f"epoch {epoch}, batch {b} of {len(batches)}: loss is not finite ({value!r})"
-            )
-        backward(loss)
+        value = _step(model, lgp.batch(feats[batch]), labels[batch], cfg.ensemble_aware,
+                      f"epoch {epoch}, batch {b} of {len(batches)}")
         adam_step(state, lr)
         total += value * batch.size
     return total / perm.size
@@ -253,13 +266,12 @@ def evaluate_loss(
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> float:
-    """Loss over a dataset in eval mode; no graph, no state mutation."""
+    """Loss over a dataset in eval mode; nothing kept, no state mutation."""
     model.set_mode("eval")
     total = 0.0
-    with no_grad():
-        for idx in _batch_indices(labels.size, cfg.batch_size):
-            group_logits = _forward(model, lgp, feats, idx)
-            total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware).item() * idx.size
+    for idx in _batch_indices(labels.size, cfg.batch_size):
+        group_logits = [b.data for b in _forward(model, lgp, feats, idx)]
+        total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
     return total / labels.size
 
 
@@ -272,9 +284,8 @@ def predict_logits(
     """Ensemble logits for stacked or per-batch computed frames, in eval mode."""
     model.set_mode("eval")
     outs = []
-    with no_grad():
-        for idx in _batch_indices(len(feats), batch_size):
-            outs.append(ensemble_logits([b.data for b in _forward(model, lgp, feats, idx)]))
+    for idx in _batch_indices(len(feats), batch_size):
+        outs.append(ensemble_logits([b.data for b in _forward(model, lgp, feats, idx)]))
     return np.vstack(outs)
 
 

@@ -13,8 +13,17 @@ from pathlib import Path
 import numpy as np
 
 from lgpnet.errors import ShapeError
-from lgpnet.model import BatchNorm1dLayer
-from lgpnet.tensor import Tensor, _find_blas_controls, _result, _tracking, backward
+from lgpnet.model import BatchNorm1dLayer, ImprovedResidualBlock
+from lgpnet.tensor import (
+    Tensor,
+    _find_blas_controls,
+    aggregate,
+    aggregate_backward,
+    conv1d,
+    conv1d_backward,
+    max_pool_time,
+    max_pool_time_backward,
+)
 from lgpnet.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
@@ -129,117 +138,76 @@ def grad_errors(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(rel.max())
 
 
-def check_gradients(build_loss, tensors: list[Tensor], h: float = FD_H) -> float:
-    """Compare backward() gradients of build_loss() against finite differences.
+def check_gradients(loss, analytic, tensors: list[Tensor], h: float = FD_H) -> float:
+    """Worst relative error of the `analytic` gradients, one array per tensor,
+    against central differences of loss() in each tensor's .data.
 
-    build_loss must recompute the graph from the tensors' current .data.
-    Returns the worst relative error across all checked tensors.
+    loss() must compute its value afresh from the tensors' current .data.
     """
-    for t in tensors:
-        t.zero_grad()
-    loss = build_loss()
-    backward(loss)
     worst = 0.0
-    for t in tensors:
-        assert t.grad is not None, "analytic gradient missing"
-        num = numeric_grad(lambda: build_loss().item(), t.data, h=h)
-        worst = max(worst, grad_errors(t.grad, num))
+    for g, t in zip(analytic, tensors, strict=True):
+        assert g is not None and g.shape == t.shape, "analytic gradient missing"
+        worst = max(worst, grad_errors(g, numeric_grad(loss, t.data, h=h)))
     return worst
 
 
+def weighted_sum(out: Tensor, coeffs: np.ndarray) -> float:
+    """A scalar test loss over an op's output; its gradient is coeffs."""
+    return float(np.sum(out.data * coeffs))
+
+
+def branch_grads(branch, x: Tensor, coeffs: np.ndarray) -> list[np.ndarray]:
+    """Every parameter's gradient of weighted_sum(logits, coeffs), the logits
+    being a GroupBranch's for slice x, in `sublayers` order: from a kept
+    forward and `GroupBranch.backward`."""
+    params = [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+    for p in params:
+        p.zero_grad()
+    _, records = branch.forward(x, keep=True)
+    branch.backward(records, coeffs)
+    return [p.grad for p in params]
+
+
+def train_step_grads(model, slices, labels, aware: bool = True) -> float:
+    """One training step's loss on the G slices (Tensors), every parameter's
+    gradient left in its .grad: the forwards, the loss and the backwards of
+    `training.run_epoch`, without the Adam update."""
+    from lgpnet.training import ensemble_aware_loss
+
+    model.zero_grad()
+    runs = [branch.forward(x, keep=True) for branch, x in zip(model.branches, slices)]
+    value, dlogits = ensemble_aware_loss([logits.data for logits, _ in runs], labels, aware)
+    for branch, (_, records), g in zip(model.branches, runs, dlogits):
+        branch.backward(records, g)
+    return value
+
+
+def ensemble_loss_value(model, slices, labels, aware: bool = True) -> float:
+    """The ensemble-aware loss of the model's logits for the slices, nothing kept."""
+    from lgpnet.training import ensemble_aware_loss
+
+    return ensemble_aware_loss([b.data for b in model.forward_slices(slices)], labels, aware)[0]
+
+
 # ---------------------------------------------------------------------------
-# graph glue and the loss as a chain of nodes: the library's former add, mul,
-# tsum, relu, mean_tensors and softmax_cross_entropy ops, kept to weight and
-# sum op outputs into test losses and as references for the fused ReLU and the
-# one-node loss
+# references in plain numpy: the library's former relu, mean and cross-entropy
+# nodes and the loss as a chain of them, the im2col convolution, and a branch
+# whose every op output is kept
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    assert a.shape == b.shape, (a.shape, b.shape)
-    track = _tracking(a, b)
-    out = _result(a.data + b.data, (a, b), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad)
-            if b.requires_grad:
-                b._accumulate(out.grad)
-        out._backward = _bw
-    return out
+def mean_by_node(arrays: list[np.ndarray]) -> np.ndarray:
+    """The former ensemble mean node: the first array copied, each later one
+    added, the sum divided by their count."""
+    total = arrays[0].copy()
+    for a in arrays[1:]:
+        total += a
+    return total / len(arrays)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    """a times a Tensor of a's shape, or times a Python number."""
-    if isinstance(b, (int, float)):
-        scalar = float(b)
-        track = _tracking(a)
-        out = _result(a.data * scalar, (a,), None, track)
-        if track:
-            def _bw():
-                if a.requires_grad:
-                    a._accumulate(out.grad * scalar)
-            out._backward = _bw
-        return out
-    assert a.shape == b.shape, (a.shape, b.shape)
-    track = _tracking(a, b)
-    out = _result(a.data * b.data, (a, b), None, track)
-    if track:
-        a_data, b_data = a.data, b.data
-
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad * b_data)
-            if b.requires_grad:
-                b._accumulate(out.grad * a_data)
-
-        out._backward = _bw
-    return out
-
-
-def tsum(a: Tensor) -> Tensor:
-    track = _tracking(a)
-    out = _result(a.data.sum(), (a,), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(np.broadcast_to(out.grad, a.shape).copy())
-        out._backward = _bw
-    return out
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(a, 0) elementwise; NaN stays NaN, and -0.0 becomes +0.0."""
-    track = _tracking(a)
-    out = _result(np.maximum(a.data, 0.0), (a,), None, track)
-    if track:
-        def _bw():
-            if a.requires_grad:
-                a._accumulate(out.grad * (out.data > 0))  # a > 0 exactly where max(a, 0) > 0
-        out._backward = _bw
-    return out
-
-
-def mean_tensors(tensors: list[Tensor]) -> Tensor:
-    """Elementwise mean of same-shape tensors: the former ensemble mean node."""
-    assert tensors and all(t.shape == tensors[0].shape for t in tensors)
-    track = _tracking(*tensors)
-    n = len(tensors)
-    total = tensors[0].data.copy()
-    for t in tensors[1:]:
-        total += t.data
-    out = _result(total / n, tuple(tensors), None, track)
-    if track:
-        def _bw():
-            g = out.grad / n
-            for t in tensors:
-                if t.requires_grad:
-                    t._accumulate(g)
-        out._backward = _bw
-    return out
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over the batch of -log softmax(logits) at the true class."""
+def softmax_cross_entropy(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean over the batch of -log softmax(logits) at the true class, and its
+    gradient (softmax - one-hot) / N."""
+    logits = np.asarray(logits)
     if logits.ndim != 2:
         raise ShapeError("softmax_cross_entropy expects N x n_classes logits")
     n, n_classes = logits.shape
@@ -248,76 +216,175 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
         raise ShapeError(f"labels must have shape ({n},)")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(f"labels must lie in 0..{n_classes - 1}")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    value, probs = _cross_entropy(logits, labels)
+    g = probs.copy()
+    g[np.arange(n), labels] -= 1.0
+    return value, g * (1.0 / n)
+
+
+def _cross_entropy(logits, labels):
+    z = logits - logits.max(axis=1, keepdims=True)
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    loss = -log_probs[np.arange(n), labels].mean()
-    track = _tracking(logits)
-    out = _result(np.asarray(loss), (logits,), None, track)
-    if track:
-        probs = np.exp(log_probs)
-
-        def _bw():
-            if logits.requires_grad:
-                g = probs.copy()
-                g[np.arange(n), labels] -= 1.0
-                logits._accumulate(g * (out.grad / n))
-        out._backward = _bw
-    return out
+    return -log_probs[np.arange(len(labels)), labels].mean(), np.exp(log_probs)
 
 
-def ensemble_loss_by_chain(group_logits: list[Tensor], labels, aware: bool = True) -> Tensor:
-    """The ensemble-aware loss (aware) or the ensemble's cross-entropy alone as
-    the library built it before it was one node: a mean node over the group
-    logits, one cross-entropy node per term, add nodes and a scaling node
-    (2G + 3 nodes at G groups, or 2 plain)."""
-    terms = [softmax_cross_entropy(mean_tensors(group_logits), labels)]
+def ensemble_loss_by_chain(group_logits: list[np.ndarray], labels, aware: bool = True):
+    """The ensemble-aware loss (aware) or the ensemble's cross-entropy alone,
+    and each group's gradient, as the library's former chain of nodes gave
+    them: a mean node over the group logits, one cross-entropy node per
+    term, add nodes and a scaling node, walked back from an upstream 1."""
+    labels = np.asarray(labels)
+    n, groups = len(labels), len(group_logits)
+    terms = [_cross_entropy(mean_by_node(group_logits), labels)]
+    if aware:
+        terms += [_cross_entropy(b, labels) for b in group_logits]
+    value = terms[0][0]
+    for t, _ in terms[1:]:
+        value = value + t
+    c = np.ones(())  # the loss node's upstream gradient
+    if aware:
+        value = value * (1.0 / len(terms))
+        c = c * (1.0 / len(terms))
+
+    def node_grad(probs):  # a cross-entropy node's gradient for its upstream c
+        g = probs.copy()
+        g[np.arange(n), labels] -= 1.0
+        return g * (c / n)
+
+    mean_grad = node_grad(terms[0][1]) / groups
     if not aware:
-        return terms[0]
-    terms += [softmax_cross_entropy(b, labels) for b in group_logits]
-    total = terms[0]
-    for t in terms[1:]:
-        total = add(total, t)
-    return mul(total, 1.0 / len(terms))
+        return float(value), [mean_grad] * groups
+    return float(value), [mean_grad + node_grad(probs) for _, probs in terms[1:]]
 
 
-# ---------------------------------------------------------------------------
-# im2col convolution: the library's former conv1d, kept as a reference
-
-
-def conv1d_im2col(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """conv1d as one (N*T_out, C_in*k) @ (C_in*k, C_out) matmul over copied windows."""
+def conv1d_im2col(x, w, b, g, stride: int = 1, padding: int = 0):
+    """The library's former conv1d as one (N*T_out, C_in*k) @ (C_in*k, C_out)
+    matmul over copied windows: its output and, for the output's gradient g,
+    the gradients of x, w and b."""
     n, c_in, t = x.shape
-    c_out, _, k = weight.shape
+    c_out, _, k = w.shape
     t_pad = t + 2 * padding
     t_out = (t_pad - k) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding))) if padding else x
     s0, s1, s2 = xp.strides
     windows = np.lib.stride_tricks.as_strided(
         xp, shape=(n, c_in, t_out, k), strides=(s0, s1, s2 * stride, s2), writeable=False
     )
     cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(n * t_out, c_in * k)
-    w2 = weight.data.reshape(c_out, c_in * k)
-    y = (cols @ w2.T).reshape(n, t_out, c_out).transpose(0, 2, 1) + bias.data[None, :, None]
+    w2 = w.reshape(c_out, c_in * k)
+    y = (cols @ w2.T).reshape(n, t_out, c_out).transpose(0, 2, 1) + b[None, :, None]
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, c_out)
+    gw = (g2.T @ cols).reshape(c_out, c_in, k)
+    gcols = (g2 @ w2).reshape(n, t_out, c_in, k).transpose(0, 2, 1, 3)
+    gxp = np.zeros((n, c_in, t_pad))
+    for j in range(k):
+        gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
+    gx = gxp[:, :, padding : t_pad - padding] if padding else gxp
+    return y, gx, gw, g.sum(axis=(0, 2))
 
-    track = _tracking(x, weight, bias)
-    out = _result(y, (x, weight, bias), None, track)
-    if track:
-        def _bw():
-            g = out.grad
-            if bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2)))
-            g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, c_out)
-            if weight.requires_grad:
-                weight._accumulate((g2.T @ cols).reshape(c_out, c_in, k))
-            if x.requires_grad:
-                gcols = (g2 @ w2).reshape(n, t_out, c_in, k).transpose(0, 2, 1, 3)
-                gxp = np.zeros((n, c_in, t_pad))
-                for j in range(k):
-                    gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
-                x._accumulate(gxp[:, :, padding : t_pad - padding] if padding else gxp)
 
-        out._backward = _bw
-    return out
+def branch_keeping_everything(branch, x: Tensor, dlogits, mfa: str = "aggregate", skip: str = "operand"):
+    """The logits of GroupBranch `branch` for slice x, every parameter's
+    gradient for the logits' gradient dlogits left in its .grad, made op by
+    op with every op output kept, so that nothing is made again.
+
+    Each gradient is summed in the order of the library's former
+    reverse-mode graph walk: a block output's gradient is the next block's
+    skip share, then that block's conv1 input gradient, then, with MFA, the
+    block's share of the aggregation's gradient.  `mfa` makes the
+    aggregation with the library's op ("aggregate"), as one 1x1 conv1d of
+    the channel concatenation of the block outputs ("concat"), or as a
+    chain of 1x1 conv1d ops, one per block output with its slice of the
+    weight and the previous one's output as its residual ("chain").
+    `skip="add"` adds a conventional block's skip to its second BN's output
+    apart, before a separate ReLU, instead of as the BN's residual operand.
+    """
+    from functools import reduce
+
+    params = [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+    for p in params:
+        p.zero_grad()
+    blocks, c = branch.blocks, branch.cfg.block.channels
+    e = branch.entry_conv(x)
+    h, stats_e = branch.entry_bn(e, relu=True)
+    hs, made = [h], []  # hs[i + 1] is block i's output
+    for block in blocks:
+        if isinstance(block, ImprovedResidualBlock):
+            c1 = block.conv1(h)
+            a, stats1 = block.bn(c1, relu=True)
+            made.append((c1, stats1, a))
+            h = block.conv2(a, residual=h)
+        else:
+            c1 = block.conv1(h)
+            a, stats1 = block.bn1(c1, relu=True)
+            c2 = block.conv2(a)
+            if skip == "add":
+                p, stats2 = block.bn2(c2)
+                y = Tensor(np.maximum(h.data + p.data, 0.0), requires_grad=True)
+            else:
+                y, stats2 = block.bn2(c2, relu=True, residual=h)
+            made.append((c1, stats1, a, c2, stats2, y))
+            h = y
+        hs.append(h)
+    if branch.cfg.mfa:
+        w, b = branch.mfa_conv.weight, branch.mfa_conv.bias
+        if mfa == "aggregate":
+            agg = aggregate(hs[1:], w, b)
+        elif mfa == "concat":
+            cat = Tensor(np.concatenate([t.data for t in hs[1:]], axis=1), requires_grad=True)
+            agg = conv1d(cat, w, b)
+        else:
+            slices = [Tensor(w.data[:, i * c : (i + 1) * c], requires_grad=True) for i in range(len(blocks))]
+            zero, agg = Tensor(np.zeros(b.shape)), None
+            for t, w_i in zip(hs[1:], slices):
+                agg = conv1d(t, w_i, b if agg is None else zero, residual=agg)
+        m, stats_m = branch.mfa_bn(agg, relu=True)
+    else:
+        m = h
+    emb = max_pool_time(m)
+    logits = branch.classifier(emb)
+
+    arriving = [[] for _ in hs]  # each block output's gradient contributions, in arrival order
+    g = max_pool_time_backward(branch.classifier.backward(dlogits, emb), m)
+    shares = [None] * len(blocks)
+    if branch.cfg.mfa:
+        g = branch.mfa_bn.backward(g, agg, stats_m, m)[0]
+        if mfa == "aggregate":
+            gw = np.zeros(w.shape)
+            for i in reversed(range(len(blocks))):
+                shares[i] = aggregate_backward(g, hs[i + 1], w, b, i * c, gw)
+        elif mfa == "concat":
+            gcat = conv1d_backward(g, cat, w, b)
+            shares = [gcat[:, i * c : (i + 1) * c] for i in range(len(blocks))]
+        else:
+            for i in reversed(range(len(blocks))):
+                shares[i] = conv1d_backward(g, hs[i + 1], slices[i], b if i == 0 else zero)
+            w.grad = np.concatenate([w_i.grad for w_i in slices], axis=1)
+    else:
+        arriving[-1].append(g)
+    for i in reversed(range(len(blocks))):
+        block = blocks[i]
+        if shares[i] is not None:
+            arriving[i + 1].append(shares[i])
+        g = reduce(np.add, arriving[i + 1])
+        if isinstance(block, ImprovedResidualBlock):
+            c1, stats1, a = made[i]
+            arriving[i].append(g)
+            gc1 = block.bn.backward(block.conv2.backward(g, a), c1, stats1, a)[0]
+        else:
+            c1, stats1, a, c2, stats2, y = made[i]
+            if skip == "add":
+                g = g * (y.data > 0)
+                arriving[i].append(g)
+                gc2 = block.bn2.backward(g, c2, stats2)[0]
+            else:
+                gc2, g_skip = block.bn2.backward(g, c2, stats2, y)
+                arriving[i].append(g_skip)
+            gc1 = block.bn1.backward(block.conv2.backward(gc2, a), c1, stats1, a)[0]
+        arriving[i].append(block.conv1.backward(gc1, hs[i]))
+    g = reduce(np.add, arriving[0])
+    branch.entry_conv.backward(branch.entry_bn.backward(g, e, stats_e, hs[0])[0], x)
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +474,12 @@ def aggregate_forward_with_term(xs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def fold_by_broadcast(conv, bn):
+def fold_by_broadcast(conv, bn, keep):
     """model._fold with the folded weight made as W * scale in W's own layout."""
-    from lgpnet import tensor
     from lgpnet.tensor import BN_EPS
 
     state = bn.state
-    if tensor._grad_enabled or state.mode != "eval":
+    if keep or state.mode != "eval":
         return conv.weight, conv.bias, bn
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
     bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
@@ -421,7 +487,8 @@ def fold_by_broadcast(conv, bn):
 
 
 def use_two_path_forward(monkeypatch) -> None:
-    """Make lgpnet.model fold and convolve with the references above (no_grad only)."""
+    """Make lgpnet.model fold and convolve with the references above (forwards
+    that keep nothing only)."""
     import lgpnet.model as model
 
     def conv(x, w, b, residual=None):
@@ -433,81 +500,6 @@ def use_two_path_forward(monkeypatch) -> None:
     monkeypatch.setattr(model, "_fold", fold_by_broadcast)
     monkeypatch.setattr(model, "conv1d", conv)
     monkeypatch.setattr(model, "aggregate", aggregate)
-
-
-# ---------------------------------------------------------------------------
-# multi-scale aggregation over a concatenation and as a chain of convs, and the
-# conventional residual block with a separate add and ReLU: the library's
-# former forwards, kept as references for `aggregate` and for the block
-
-
-def concat_by_copy(tensors: list[Tensor]) -> Tensor:
-    """N x C_i x T tensors joined along the channel axis into one new array."""
-    track = _tracking(*tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=1), tuple(tensors), None, track)
-    if track:
-        def _bw():
-            off = 0
-            for t in tensors:
-                c = t.shape[1]
-                if t.requires_grad:
-                    t._accumulate(out.grad[:, off : off + c, :].copy())
-                off += c
-
-        out._backward = _bw
-    return out
-
-
-def branch_by_concat(branch, x: Tensor) -> Tensor:
-    """A GroupBranch's embedding with one 1x1 MFA conv over the concatenated block outputs."""
-    from lgpnet.tensor import conv1d, max_pool_time
-
-    h = relu(branch.entry_bn(branch.entry_conv(x)))
-    outs = []
-    for block in branch.blocks:
-        h = block(h)
-        outs.append(h)
-    conv = branch.mfa_conv
-    m = conv1d(concat_by_copy(outs), conv.weight, conv.bias)
-    return max_pool_time(relu(branch.mfa_bn(m)))
-
-
-def branch_by_conv_chain(branch, x: Tensor) -> tuple[Tensor, list[Tensor]]:
-    """A GroupBranch's embedding with the MFA conv summed as the library summed
-    it before `aggregate`: a chain of 1x1 convs, one per block output, each with
-    its own slice of the weight and the previous conv's output as its residual.
-
-    Returns the embedding and the weight slices, leaves whose gradients put
-    together along the input channels are the MFA weight's gradient.
-    """
-    from lgpnet.model import _bn_relu, _conv_bn_relu, _fold
-    from lgpnet.tensor import conv1d, max_pool_time
-
-    h = _conv_bn_relu(branch.entry_conv, branch.entry_bn, x)
-    weight, bias, bn = _fold(branch.mfa_conv, branch.mfa_bn)
-    c = weight.shape[1] // len(branch.blocks)
-    shares = [
-        Tensor(weight.data[:, i * c : (i + 1) * c], requires_grad=weight.requires_grad)
-        for i in range(len(branch.blocks))
-    ]
-    zero = Tensor(np.zeros(bias.shape))
-    agg = None
-    for block, share in zip(branch.blocks, shares):
-        h = block(h)
-        agg = conv1d(h, share, bias if agg is None else zero, residual=agg)
-    return max_pool_time(_bn_relu(agg, bn)), shares
-
-
-def standard_block_by_add(block, x: Tensor) -> Tensor:
-    """A StandardResidualBlock's output as the library made it before its skip
-    joined the second BN: relu(add(x, h)), h being bn2(conv2(...)), or with bn2
-    folded the folded convolution's output."""
-    from lgpnet.model import _conv_bn_relu, _fold
-    from lgpnet.tensor import conv1d
-
-    weight, bias, bn = _fold(block.conv2, block.bn2)
-    h = conv1d(_conv_bn_relu(block.conv1, block.bn1, x), weight, bias)
-    return relu(add(x, h if bn is None else bn(h)))
 
 
 # ---------------------------------------------------------------------------
@@ -797,3 +789,27 @@ def rewrite_meta(path, edit) -> None:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
     rewrite_arrays(path, edit_meta)
+
+
+class SliceList(list):
+    """A list of group slices (Tensors) that, as a `multiscale.FrameBatch`
+    does, gives the element count of them all as its size."""
+
+    @property
+    def size(self) -> int:
+        return sum(x.size for x in self)
+
+
+def standard_forward_by_add(block, x: Tensor, keep: bool = False):
+    """StandardResidualBlock.forward with its skip added to the second BN's
+    output (or, with that BN folded, the folded convolution's) apart, before
+    a separate ReLU: relu(x + h), as the library made it before the skip
+    joined the BN.  Keeps nothing."""
+    from lgpnet.model import _conv_bn_relu, _fold
+
+    a = _conv_bn_relu(block.conv1, block.bn1, x, keep)[0]
+    weight, bias, bn = _fold(block.conv2, block.bn2, keep)
+    h = conv1d(a, weight, bias)
+    if bn is not None:
+        h = bn(h)[0]
+    return Tensor(np.maximum(x.data + h.data, 0.0)), None

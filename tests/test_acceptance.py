@@ -15,11 +15,12 @@ from helpers import (
     build_synth_corpus,
     check_gradients,
     eer_by_threshold_sweep,
-    mul,
+    ensemble_loss_value,
     n_batchnorms,
     random_bank,
     random_split_gmm,
-    tsum,
+    train_step_grads,
+    weighted_sum,
 )
 
 from lgpnet.corpus import build_manifest, parse_protocol
@@ -39,9 +40,13 @@ from lgpnet.tensor import (
     BatchNormState,
     Tensor,
     batchnorm1d,
+    batchnorm1d_backward,
     conv1d,
+    conv1d_backward,
     linear,
+    linear_backward,
     max_pool_time,
+    max_pool_time_backward,
 )
 from lgpnet.training import (
     TrainConfig,
@@ -124,48 +129,72 @@ class TestAcceptance:
         x = Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 3, 3)), requires_grad=True)
         b = Tensor(rng.normal(size=4), requires_grad=True)
-        assert check_gradients(lambda: tsum(conv1d(x, w, b)), [x, w, b]) < FD_REL_TOL
+        ones = np.ones((2, 4, 8))
+        gx = conv1d_backward(ones, x, w, b)
+        worst = check_gradients(lambda: weighted_sum(conv1d(x, w, b), ones), [gx, w.grad, b.grad], [x, w, b])
+        assert worst < FD_REL_TOL
 
         xb = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         state = BatchNormState(2)
-        coeffs = Tensor(rng.normal(size=(3, 2, 6)))
+        coeffs = rng.normal(size=(3, 2, 6))
+        _, stats = batchnorm1d(xb, state)
+        gx, _ = batchnorm1d_backward(coeffs, xb, state, stats)
+        params = [xb, state.gamma, state.beta]
         assert (
-            check_gradients(lambda: tsum(mul(batchnorm1d(xb, state), coeffs)), [xb, state.gamma, state.beta])
+            check_gradients(lambda: weighted_sum(batchnorm1d(xb, state)[0], coeffs),
+                            [gx, state.gamma.grad, state.beta.grad], params)
             < FD_REL_TOL
         )
 
         xr = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         rr = Tensor(rng.normal(size=(3, 2, 6)) + 0.05, requires_grad=True)
+        for p in params:
+            p.zero_grad()
+        out, stats = batchnorm1d(xr, state, relu=True, residual=rr)
+        gx, gr = batchnorm1d_backward(coeffs, xr, state, stats, out.data)
         assert (
             check_gradients(
-                lambda: tsum(mul(batchnorm1d(xr, state, relu=True, residual=rr), coeffs)),
+                lambda: weighted_sum(batchnorm1d(xr, state, relu=True, residual=rr)[0], coeffs),
+                [gx, gr, state.gamma.grad, state.beta.grad],
                 [xr, rr, state.gamma, state.beta],
             )
             < FD_REL_TOL
         )
 
         xp = Tensor(rng.normal(size=(3, 4, 7)), requires_grad=True)
-        assert check_gradients(lambda: tsum(mul(max_pool_time(xp), max_pool_time(xp))), [xp]) < FD_REL_TOL
+        cp = rng.normal(size=(3, 4))
+        assert check_gradients(
+            lambda: weighted_sum(max_pool_time(xp), cp), [max_pool_time_backward(cp, xp)], [xp]
+        ) < FD_REL_TOL
 
         xl = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         wl = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
         bl = Tensor(rng.normal(size=2), requires_grad=True)
-        cl = Tensor(rng.normal(size=(3, 2)))
-        assert check_gradients(lambda: tsum(mul(linear(xl, wl, bl), cl)), [xl, wl, bl]) < FD_REL_TOL
+        cl = rng.normal(size=(3, 2))
+        gx = linear_backward(cl, xl, wl, bl)
+        worst = check_gradients(lambda: weighted_sum(linear(xl, wl, bl), cl), [gx, wl.grad, bl.grad], [xl, wl, bl])
+        assert worst < FD_REL_TOL
 
-        group_logits = [Tensor(rng.normal(size=(6, 2)), requires_grad=True) for _ in range(3)]
+        group_logits = [Tensor(rng.normal(size=(6, 2))) for _ in range(3)]
         labels = np.array([0, 1, 1, 0, 1, 0])
         for aware in (True, False):
+            _, grads = ensemble_aware_loss([b.data for b in group_logits], labels, aware)
             assert (
-                check_gradients(lambda: ensemble_aware_loss(group_logits, labels, aware), group_logits)
+                check_gradients(
+                    lambda: ensemble_aware_loss([b.data for b in group_logits], labels, aware)[0], grads, group_logits
+                )
                 < FD_REL_TOL
             )
 
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=3), np.random.default_rng(101))
         xblk = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        cblk = Tensor(rng.normal(size=(2, 3, 5)))
+        cblk = rng.normal(size=(2, 3, 5))
         block_params = [xblk] + [p for _, layer in block.sublayers() for _, p in layer.named_parameters()]
-        assert check_gradients(lambda: tsum(mul(block(xblk), cblk)), block_params) < FD_REL_TOL
+        yblk, saved = block.forward(xblk, keep=True)
+        gx = block.backward(saved, xblk, yblk, cblk)
+        assert check_gradients(
+            lambda: weighted_sum(block.forward(xblk)[0], cblk), [gx] + [p.grad for p in block_params[1:]], block_params
+        ) < FD_REL_TOL
 
         loss_model = build_model(
             ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3),
@@ -173,11 +202,10 @@ class TestAcceptance:
         )
         slices = [Tensor(rng.normal(size=(2, 3, 8))) for _ in range(2)]
         lab2 = np.array([0, 1])
+        train_step_grads(loss_model, slices, lab2)
+        params = loss_model.parameters()
         assert (
-            check_gradients(
-                lambda: ensemble_aware_loss(loss_model.forward_slices(slices), lab2),
-                loss_model.parameters(),
-            )
+            check_gradients(lambda: ensemble_loss_value(loss_model, slices, lab2), [p.grad for p in params], params)
             < FD_REL_TOL
         )
 
@@ -186,10 +214,10 @@ class TestAcceptance:
             seed=103,
         )
         xfull = [Tensor(rng.normal(size=(2, 4, 16))) for _ in range(2)]
+        train_step_grads(full, xfull, lab2)
+        params = full.parameters()
         assert (
-            check_gradients(
-                lambda: ensemble_aware_loss(full.forward_slices(xfull), lab2), full.parameters()
-            )
+            check_gradients(lambda: ensemble_loss_value(full, xfull, lab2), [p.grad for p in params], params)
             < FD_REL_TOL
         )
 
@@ -284,21 +312,20 @@ class TestAcceptance:
         labels = np.array([0, 1, 1])
         shared = rng.normal(size=(3, 3, 10))
         slices = [Tensor(shared.copy()) for _ in range(4)]
-        out = model.forward_slices(slices)
-        loss = ensemble_aware_loss(out, labels)
-        plain = ensemble_aware_loss(out, labels, aware=False)
-        assert abs(loss.item() - plain.item()) < 1e-12
+        out = [b.data for b in model.forward_slices(slices)]
+        loss, _ = ensemble_aware_loss(out, labels)
+        plain, _ = ensemble_aware_loss(out, labels, aware=False)
+        assert abs(loss - plain) < 1e-12
 
         model2 = build_model(cfg, seed=502)
         slices2 = [Tensor(rng.normal(size=(3, 3, 10))) for _ in range(4)]
         out2 = model2.forward_slices(slices2)
-        base_loss = ensemble_aware_loss(out2, labels).item()
+        base_loss, _ = ensemble_aware_loss([b.data for b in out2], labels)
         base_b = ensemble_logits([b.data for b in out2])
         perm = [2, 0, 3, 1]
-        model2.branches = [model2.branches[i] for i in perm]
-        model2.classifiers = [model2.classifiers[i] for i in perm]
+        model2.branches = [model2.branches[i] for i in perm]  # each with its classifier
         out_perm = model2.forward_slices([slices2[i] for i in perm])
-        assert abs(ensemble_aware_loss(out_perm, labels).item() - base_loss) < 1e-12
+        assert abs(ensemble_aware_loss([b.data for b in out_perm], labels)[0] - base_loss) < 1e-12
         assert np.max(np.abs(ensemble_logits([b.data for b in out_perm]) - base_b)) < 1e-12
 
         for trial in range(5):
@@ -406,6 +433,6 @@ class TestAcceptance:
         aware = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=True))
         plain = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=False))
         assert aware != pytest.approx(plain, abs=1e-9)
-        out = base.forward_slices(lgp.batch(feats))
-        assert plain == pytest.approx(ensemble_aware_loss(out, labels, aware=False).item(), abs=1e-9)
-        assert aware == pytest.approx(ensemble_aware_loss(out, labels).item(), abs=1e-9)
+        out = [b.data for b in base.forward_slices(lgp.batch(feats))]
+        assert plain == pytest.approx(ensemble_aware_loss(out, labels, aware=False)[0], abs=1e-9)
+        assert aware == pytest.approx(ensemble_aware_loss(out, labels)[0], abs=1e-9)

@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from helpers import (
     write_wav_int16,
 )
 
-from lgpnet.cli import cli_main
+from lgpnet.cli import _build_parser, cli_main
 from lgpnet.config import PipelineConfig, load_config
 from lgpnet.errors import ConfigError
 from lgpnet.evaluation import compute_eer_records, score_file_read
@@ -93,6 +94,28 @@ class TestDescribe:
         out = capsys.readouterr().out
         assert "1984" in out
         assert "total:" in out
+
+    def test_describe_draws_no_full_size_parameters(self, capsys):
+        # describe only counts the parameters, so it builds the model around
+        # read-only broadcast zeros: it allocates well under one full-size
+        # parameter set (22,593,552 float64 values, 181 MB), and prints the counts
+        # the drawn model has
+        from lgpnet.cli import _cmd_describe
+        from lgpnet.model import ModelCfg, build_model
+
+        args = _build_parser().parse_args(["describe"])
+        tracemalloc.start()
+        try:
+            assert _cmd_describe(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert "  total: 22593552\n" in out
+        drawn = build_model(ModelCfg(), seed=0).describe()
+        printed = out.split("parameters:\n", 1)[1]
+        assert printed == "".join(f"  {name}: {count}\n" for name, count in drawn.items())
+        assert peak < 181e6 / 10
 
 
 class TestEvaluateCommand:

@@ -10,28 +10,27 @@ import pytest
 
 from helpers import (
     FD_REL_TOL,
-    branch_by_concat,
-    branch_by_conv_chain,
+    SliceList,
+    branch_grads,
+    branch_keeping_everything,
     check_gradients,
-    concat_by_copy,
-    mean_tensors,
-    mul,
+    ensemble_loss_value,
+    mean_by_node,
     n_batchnorms,
     random_bank,
     rewrite_arrays,
-    relu,
     rewrite_meta,
-    softmax_cross_entropy,
-    standard_block_by_add,
-    tsum,
+    standard_forward_by_add,
+    train_step_grads,
     use_two_path_forward,
+    weighted_sum,
 )
 
 import lgpnet.model as model_mod
 import lgpnet.tensor as tensor_mod
+import lgpnet.training as training_mod
 from lgpnet.errors import ConfigError, FormatError, ShapeError
 from lgpnet.model import (
-    GroupBranch,
     ImprovedResidualBlock,
     ModelCfg,
     ResidualBlockCfg,
@@ -43,7 +42,7 @@ from lgpnet.model import (
     score,
 )
 from lgpnet.multiscale import GroupAssignment, GroupLgp, random_grouping
-from lgpnet.tensor import Tensor, backward, no_grad
+from lgpnet.tensor import Tensor, max_pool_time
 from lgpnet.training import AdamState, adam_step, ensemble_aware_loss, predict_logits
 
 
@@ -74,18 +73,32 @@ def tiny_assignment(n_groups=2, total=8):
     )
 
 
-def graph_ops(out: Tensor) -> list[str]:
-    """The op that made each node of the graph below out, read from the name of
-    the node's backward closure."""
-    ops, stack, seen = [], [out], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            if node._backward is not None:
-                ops.append(node._backward.__qualname__.split(".")[0])
-            stack.extend(node._prev)
-    return ops
+def block_params(block):
+    return [p for _, layer in block.sublayers() for _, p in layer.named_parameters()]
+
+
+def branch_params(branch):
+    return [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+
+
+def recording(monkeypatch, *names):
+    """Patch each named op of lgpnet.model to append (name, args, kwargs, result) to the returned list."""
+    calls = []
+    for name in names:
+        real = getattr(model_mod, name)
+
+        def wrapper(*args, _real=real, _name=name, **kwargs):
+            result = _real(*args, **kwargs)
+            calls.append((_name, args, kwargs, result))
+            return result
+
+        monkeypatch.setattr(model_mod, name, wrapper)
+    return calls
+
+
+def output_array(result):
+    """The array of an op's output Tensor (batchnorm1d returns it with its statistics)."""
+    return (result[0] if isinstance(result, tuple) else result).data
 
 
 class TestImprovedResidualBlock:
@@ -95,8 +108,8 @@ class TestImprovedResidualBlock:
         block.conv2.weight.data[:] = 0.0
         block.conv2.bias.data[:] = 0.0
         x = Tensor(rng.normal(size=(2, 4, 6)))
-        out = block(x)
-        assert np.array_equal(out.data, x.data)
+        out, saved = block.forward(x)
+        assert np.array_equal(out.data, x.data) and saved is None
 
     def test_single_bn_single_activation(self):
         rng = np.random.default_rng(1)
@@ -107,88 +120,84 @@ class TestImprovedResidualBlock:
         assert n_batchnorms(standard) == 2
         assert standard.n_activations == 2
 
-    def test_activation_sites_in_forward_graph(self, monkeypatch):
-        # a ReLU site is a batchnorm1d that applies the ReLU itself; the graph has no
-        # relu or add node, since each block's skip is a residual operand
-        calls = {"n": 0}
-        real_bn = model_mod.batchnorm1d
-
-        def counting_bn(x, state, relu=False, residual=None):
-            calls["n"] += relu
-            return real_bn(x, state, relu=relu, residual=residual)
-
-        monkeypatch.setattr(model_mod, "batchnorm1d", counting_bn)
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_activation_sites_in_a_kept_forward(self, monkeypatch, improved):
+        # a ReLU site is a batchnorm1d that applies the ReLU itself; each block's skip is
+        # a residual operand, so the forward runs no op besides its convolutions and BNs
+        calls = recording(monkeypatch, "conv1d", "batchnorm1d", "aggregate", "max_pool_time", "linear")
         rng = np.random.default_rng(2)
-        block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
-        out = block(Tensor(rng.normal(size=(1, 4, 5))))
-        assert calls["n"] == 1
-        assert sorted(graph_ops(out)) == ["batchnorm1d", "conv1d", "conv1d"]
-        calls["n"] = 0
-        standard = StandardResidualBlock(ResidualBlockCfg(channels=4), rng)
-        out = standard(Tensor(rng.normal(size=(1, 4, 5))))
-        assert calls["n"] == 2
-        assert sorted(graph_ops(out)) == ["batchnorm1d", "batchnorm1d", "conv1d", "conv1d"]
+        block_type = ImprovedResidualBlock if improved else StandardResidualBlock
+        block = block_type(ResidualBlockCfg(channels=4), rng)
+        block.forward(Tensor(rng.normal(size=(1, 4, 5))), keep=True)
+        names = sorted(name for name, *_ in calls)
+        relus = sum(kwargs.get("relu", False) for name, _, kwargs, _ in calls if name == "batchnorm1d")
+        assert relus == block.n_activations
+        assert names == ["batchnorm1d"] * n_batchnorms(block) + ["conv1d", "conv1d"]
 
-    def test_gradients_through_block(self):
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_gradients_through_block(self, improved):
         rng = np.random.default_rng(3)
-        block = ImprovedResidualBlock(ResidualBlockCfg(channels=3), rng)
+        block_type = ImprovedResidualBlock if improved else StandardResidualBlock
+        block = block_type(ResidualBlockCfg(channels=3), rng)
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
-        coeffs = Tensor(rng.normal(size=(2, 3, 5)))
-        params = [x]
-        for _, layer in block.sublayers():
-            params.extend(p for _, p in layer.named_parameters())
-        worst = check_gradients(lambda: tsum(mul(block(x), coeffs)), params)
+        coeffs = rng.normal(size=(2, 3, 5))
+        y, saved = block.forward(x, keep=True)
+        gx = block.backward(saved, x, y, coeffs)
+        params = block_params(block)
+        worst = check_gradients(
+            lambda: weighted_sum(block.forward(x)[0], coeffs), [gx] + [p.grad for p in params], [x] + params
+        )
         assert worst < FD_REL_TOL
 
     def test_channel_mismatch(self):
         rng = np.random.default_rng(4)
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
         with pytest.raises(ShapeError):
-            block(Tensor(np.zeros((1, 3, 5))))
+            block.forward(Tensor(np.zeros((1, 3, 5))))
 
 
 class TestStandardResidualBlock:
     """The conventional block's skip is the residual operand of its second BN;
-    the reference is its former relu(add(x, h)), `helpers.standard_block_by_add`."""
+    the reference adds it to that BN's output apart, before a separate ReLU."""
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("mode", ["train", "eval", "eval-folded"])
     def test_bitwise_as_relu_of_add(self, mode, mfa, monkeypatch):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=False, mfa=mfa)
+        x = Tensor(np.random.default_rng(50).normal(size=(3, 4, 11)))
+        coeffs = np.random.default_rng(51).normal(size=(3, 2))
         results = []
         for reference in (False, True):
             branch = build_model(cfg, seed=48).branches[0]
             if mode != "train":
                 perturb_batchnorms(branch, np.random.default_rng(49))
-            x = Tensor(np.random.default_rng(50).normal(size=(3, 4, 11)), requires_grad=True)
-            coeffs = Tensor(np.random.default_rng(51).normal(size=(3, 8)))
-            params = [x] + [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
-            if reference:
-                monkeypatch.setattr(StandardResidualBlock, "__call__", standard_block_by_add)
             if mode == "eval-folded":
-                with no_grad():
-                    arrays = [branch(x).data]
+                if reference:
+                    monkeypatch.setattr(StandardResidualBlock, "forward", standard_forward_by_add)
+                arrays = [branch.forward(x)[0].data]
+            elif reference:
+                logits = branch_keeping_everything(branch, x, coeffs, skip="add")
+                arrays = [logits.data] + [p.grad for p in branch_params(branch)]
             else:
-                out = branch(x)
-                backward(tsum(mul(out, coeffs)))
-                arrays = [out.data] + [p.grad for p in params]
+                logits, records = branch.forward(x, keep=True)
+                branch.backward(records, coeffs)
+                arrays = [logits.data] + [p.grad for p in branch_params(branch)]
             stats = [(bn.state.running_mean, bn.state.running_var) for bn in branch.batchnorms()]
             results.append(arrays + [a for pair in stats for a in pair])
-        for got, ref in zip(*results):
+        for got, ref in zip(*results, strict=True):
             assert got.tobytes() == ref.tobytes()
 
-    def test_no_preactivation_sum_alive_after_a_tracked_forward(self, monkeypatch):
+    def test_no_preactivation_sum_alive_after_a_kept_forward(self, monkeypatch):
         block = StandardResidualBlock(ResidualBlockCfg(channels=4), np.random.default_rng(52))
         x = Tensor(np.random.default_rng(53).normal(size=(2, 4, 9)), requires_grad=True)
-        made = []  # a weakref to the data of every node the forward makes
-        real_result = tensor_mod._result
-        monkeypatch.setattr(
-            tensor_mod, "_result", lambda data, *rest: made.append(weakref.ref(data)) or real_result(data, *rest)
-        )
-        out = block(x)
-        alive = [a for a in (ref() for ref in made) if a is not None]
+        calls = recording(monkeypatch, "conv1d", "batchnorm1d")
+        out, saved = block.forward(x, keep=True)
+        made = [weakref.ref(output_array(result)) for *_, result in calls]
+        del calls[:]
         monkeypatch.undo()
-        pre = standard_block_by_add(block, x)._prev[0].data  # x + h, what the reference's relu reads
+        alive = [a for a in (ref() for ref in made) if a is not None]
+        _, _, c2, stats2 = saved
+        pre = x.data + block.bn2(c2, stats=stats2)[0].data  # x + h, what a separate ReLU would read
         assert (pre < 0).any()  # so the block's output is not that sum
         assert any(a is out.data for a in alive)  # the probe saw the block's arrays
         assert not any(np.allclose(a, pre, rtol=1e-12, atol=0.0) for a in alive if a.shape == pre.shape)
@@ -204,16 +213,16 @@ class TestGroupBranch:
         )
         model = build_model(cfg, seed=0)
         x = Tensor(np.random.default_rng(5).normal(size=(1, 248, 32)))
-        emb = model.branches[0](x)
-        assert emb.shape == (1, 256)
+        logits, records = model.branches[0].forward(x, keep=True)
+        assert records[-1].shape == (1, 256) and logits.shape == (1, 2)
 
     def test_time_length_invariance(self):
         cfg = tiny_cfg()
         model = build_model(cfg, seed=1)
         rng = np.random.default_rng(6)
         for t in (400, 200, 50):
-            emb = model.branches[0](Tensor(rng.normal(size=(2, 4, t))))
-            assert emb.shape == (2, 8)
+            logits, records = model.branches[0].forward(Tensor(rng.normal(size=(2, 4, t))), keep=True)
+            assert records[-1].shape == (2, 8) and logits.shape == (2, 2)
 
     def test_mfa_concatenates_all_blocks(self):
         cfg = tiny_cfg()
@@ -226,8 +235,9 @@ class TestGroupBranch:
         model = build_model(cfg, seed=3)
         branch = model.branches[0]
         assert branch.mfa_conv is None
-        emb = branch(Tensor(np.random.default_rng(7).normal(size=(1, 4, 10))))
-        assert emb.shape == (1, 8)
+        logits, records = branch.forward(Tensor(np.random.default_rng(7).normal(size=(1, 4, 10))), keep=True)
+        assert records[-1].data.tobytes() == max_pool_time(records[-2][1]).data.tobytes()
+        assert logits.shape == (1, 2)
 
     def test_zeroed_blocks_reduce_to_entry_plus_mfa(self):
         cfg = tiny_cfg()
@@ -239,32 +249,54 @@ class TestGroupBranch:
             block.conv2.bias.data[:] = 0.0
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 4, 12)))
-        with no_grad():
-            full = branch(x)
-        # reference with gradients on, BN unfolded: entry -> B copies -> MFA -> pool,
-        # skipping the blocks
-        from lgpnet.tensor import max_pool_time
-
-        h = relu(branch.entry_bn(branch.entry_conv(x)))
-        m = relu(branch.mfa_bn(branch.mfa_conv(concat_by_copy([h] * cfg.n_blocks))))
-        reference = max_pool_time(m)
-        assert reference.requires_grad
+        full = branch.forward(x)[0]
+        # reference with every BN its own op: entry -> B copies -> MFA -> pool, skipping the blocks
+        h = branch.entry_bn(branch.entry_conv(x), relu=True)[0]
+        cat = Tensor(np.concatenate([h.data] * cfg.n_blocks, axis=1))
+        m = branch.mfa_bn(branch.mfa_conv(cat), relu=True)[0]
+        reference = branch.classifier(max_pool_time(m))
         assert np.max(np.abs(full.data - reference.data)) <= 1e-12 * np.max(np.abs(reference.data))
 
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_split_mfa_gradients_match_concatenation(self, improved):
+    def test_gradients_bitwise_a_reference_keeping_everything(self, improved, mfa, mode):
+        # helpers.branch_keeping_everything keeps every op output and sums each block
+        # output's gradient in the former graph walk's order; the branch keeps only its
+        # records and makes its BN-ReLU outputs again: the same logits, gradients and
+        # running statistics
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
+        x = Tensor(np.random.default_rng(43).normal(size=(3, 4, 11)))
+        coeffs = np.random.default_rng(44).normal(size=(3, 2))
+        results = []
+        for reference in (False, True):
+            branch = build_model(cfg, seed=42).branches[0]
+            if mode == "eval":
+                perturb_batchnorms(branch, np.random.default_rng(45))
+            if reference:
+                logits = branch_keeping_everything(branch, x, coeffs)
+            else:
+                logits, records = branch.forward(x, keep=True)
+                branch.backward(records, coeffs)
+                assert records == []
+            stats = [a for bn in branch.batchnorms() for a in (bn.state.running_mean, bn.state.running_var)]
+            results.append([logits.data] + [p.grad for p in branch_params(branch)] + stats)
+        for got, ref in zip(*results, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_mfa_gradients_match_concatenation(self, improved):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
-        branch = build_model(cfg, seed=42).branches[0]
-        rng = np.random.default_rng(43)
-        x = Tensor(rng.normal(size=(3, 4, 11)), requires_grad=True)
-        coeffs = Tensor(rng.normal(size=(3, 8)))
-        params = [x] + [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+        x = Tensor(np.random.default_rng(43).normal(size=(3, 4, 11)))
+        coeffs = np.random.default_rng(44).normal(size=(3, 2))
         grads = []
-        for forward in (branch, lambda x: branch_by_concat(branch, x)):
-            for p in params:
-                p.zero_grad()
-            backward(tsum(mul(forward(x), coeffs)))  # train-mode BN: batch statistics
-            grads.append([p.grad for p in params])
+        for concat in (False, True):
+            branch = build_model(cfg, seed=42).branches[0]  # train-mode BN: batch statistics
+            if concat:
+                branch_keeping_everything(branch, x, coeffs, mfa="concat")
+                grads.append([p.grad for p in branch_params(branch)])
+            else:
+                grads.append(branch_grads(branch, x, coeffs))
         # a conv bias that feeds a train-mode BN has a true gradient of 0, so rounding
         # is measured against the largest gradient entry of the branch
         scale = max(np.max(np.abs(ref)) for ref in grads[1])
@@ -273,42 +305,34 @@ class TestGroupBranch:
 
     @pytest.mark.parametrize("improved", [True, False])
     def test_gradients_bitwise_as_a_chain_of_residual_convs(self, improved):
-        # aggregate's links make each block output's share where the former chain of
-        # residual convs did, so every gradient is summed in the same order
+        # aggregate's parts make each block output's share where a chain of residual
+        # 1x1 convs would, so every gradient is summed in the same order
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
-        branch = build_model(cfg, seed=44).branches[0]
-        rng = np.random.default_rng(45)
-        x = Tensor(rng.normal(size=(3, 4, 11)), requires_grad=True)
-        coeffs = Tensor(rng.normal(size=(3, 8)))
-        params = [x] + [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
+        x = Tensor(np.random.default_rng(45).normal(size=(3, 4, 11)))
+        coeffs = np.random.default_rng(46).normal(size=(3, 2))
         results = []
         for chain in (False, True):
-            for p in params:
-                p.zero_grad()
-            out, shares = branch_by_conv_chain(branch, x) if chain else (branch(x), None)
-            backward(tsum(mul(out, coeffs)))  # train-mode BN: batch statistics
-            grads = {id(p): p.grad for p in params}
+            branch = build_model(cfg, seed=44).branches[0]
             if chain:
-                grads[id(branch.mfa_conv.weight)] = np.concatenate([s.grad for s in shares], axis=1)
-            results.append([out.data] + [grads[id(p)] for p in params])
-        for got, ref in zip(*results):
+                logits = branch_keeping_everything(branch, x, coeffs, mfa="chain")
+                grads = [p.grad for p in branch_params(branch)]
+            else:
+                logits, records = branch.forward(x, keep=True)
+                branch.backward(records, coeffs)
+                grads = [p.grad for p in branch_params(branch)]
+            results.append([logits.data] + grads)
+        for got, ref in zip(*results, strict=True):
             assert got.tobytes() == ref.tobytes()
 
-    def test_no_partial_sum_alive_after_a_tracked_forward(self, monkeypatch):
+    def test_no_partial_sum_alive_after_a_kept_forward(self, monkeypatch):
         cfg = tiny_cfg(n_blocks=4)
         branch = build_model(cfg, seed=46).branches[0]
-        made = []  # a weakref to the data of every node the forward makes
-        real_result = tensor_mod._result
-        monkeypatch.setattr(
-            tensor_mod, "_result", lambda data, *rest: made.append(weakref.ref(data)) or real_result(data, *rest)
-        )
-        x = Tensor(np.random.default_rng(47).normal(size=(2, 4, 11)), requires_grad=True)
-        out = branch(x)
-        link = out._prev[0]._prev[0]  # below pooling and the MFA BN-ReLU: aggregate's top link
-        block_outputs = []
-        while link is not None:
-            block_outputs.insert(0, link._prev[0].data)
-            link = link._prev[1] if len(link._prev) == 2 else None
+        calls = recording(monkeypatch, "conv1d", "batchnorm1d", "aggregate")
+        x = Tensor(np.random.default_rng(47).normal(size=(2, 4, 11)))
+        _, records = branch.forward(x, keep=True)
+        made = [weakref.ref(output_array(result)) for *_, result in calls]
+        del calls[:]
+        block_outputs = [h.data for _, h in records[1:-2]]  # improved blocks' outputs, kept
         assert len(block_outputs) == cfg.n_blocks
         w, b = branch.mfa_conv.weight.data[:, :, 0], branch.mfa_conv.bias.data
         c = cfg.block.channels
@@ -322,103 +346,105 @@ class TestGroupBranch:
         assert len(made) > len(alive) > cfg.n_blocks  # the probe saw the branch's activations
 
 
-def note_bn_outputs(monkeypatch, note):
-    """Patch the model's batchnorm1d so that note(out) sees each output it makes."""
-    real = model_mod.batchnorm1d
-
-    def noting(*args, **kwargs):
-        out = real(*args, **kwargs)
-        note(out)
-        return out
-
-    monkeypatch.setattr(model_mod, "batchnorm1d", noting)
-
-
 def slices_for(cfg, seed, n=3, t=11):
     rng = np.random.default_rng(seed)
     return [Tensor(rng.normal(size=(n, cfg.group_input_dim, t))) for _ in range(cfg.n_groups)]
 
 
-class TestReleasedBnOutputs:
-    """A tracked forward drops every BN-ReLU output when its branch returns;
-    backward remakes each one, bit for bit, when a closure first reads it."""
+class TestRecomputedBnOutputs:
+    """A kept forward holds no BN-ReLU output that a later layer does not read
+    as it is; backward makes each of the others again, bit for bit, where it
+    reads it."""
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_no_bn_output_alive_after_a_tracked_forward(self, monkeypatch, improved, mfa):
+    def test_no_bn_relu_output_kept(self, monkeypatch, improved, mfa):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
-        model = build_model(cfg, seed=60)
-        refs = []
-        note_bn_outputs(monkeypatch, lambda out: refs.append(weakref.ref(out.data)))
-        out = model.forward_slices(slices_for(cfg, 61))
-        assert all(b.requires_grad for b in out)
-        assert len(refs) == len(model.batchnorms())
-        assert [r() for r in refs] == [None] * len(refs)
+        branch = build_model(cfg, seed=60).branches[0]
+        calls = recording(monkeypatch, "batchnorm1d")
+        _, records = branch.forward(slices_for(cfg, 61)[0], keep=True)
+        assert len(calls) == len(branch.batchnorms())
+        refs = [weakref.ref(result[0].data) for *_, result in calls]
+        del calls[:]
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert all((y is None) != improved for _, y in records[1 : 1 + cfg.n_blocks])
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_remade_bn_outputs_bitwise_the_forwards(self, monkeypatch, improved, mode):
-        # the standard block's second BN adds the block input, itself a released BN
-        # output; read from the last block down, each read remakes that input first
+    def test_made_again_bitwise_the_forwards(self, monkeypatch, improved, mode):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
-        model = build_model(cfg, seed=62)
-        perturb_batchnorms(model, np.random.default_rng(63))
-        model.set_mode(mode)
-        made = []
-        note_bn_outputs(monkeypatch, lambda out: made.append((out, out.data.copy())))
-        model.forward_slices(slices_for(cfg, 64))
-        assert len(made) == len(model.batchnorms())
-        assert all(node._data is None for node, _ in made)
-        for node, forward_data in reversed(made):
-            assert node.data.tobytes() == forward_data.tobytes()
-            assert node._remake is None
+        branch = build_model(cfg, seed=62).branches[0]
+        perturb_batchnorms(branch, np.random.default_rng(63))
+        for bn in branch.batchnorms():
+            bn.state.mode = mode
+        calls = recording(monkeypatch, "batchnorm1d")
+        _, records = branch.forward(slices_for(cfg, 64)[0], keep=True)
+        made = {id(result[1][0]): result[0].data.tobytes() for *_, result in calls}
+        del calls[:]
+        branch.backward(records, np.ones((3, 2)))
+        again = [(kwargs["stats"], result[0].data.tobytes()) for _, _, kwargs, result in calls]
+        # every block's inner one, the entry's and the MFA's, and each conventional block's output
+        assert len(again) == cfg.n_blocks + 2 + (0 if improved else cfg.n_blocks)
+        for stats, data in again:
+            assert data == made[id(stats[0])]
 
-    def test_chain_of_remakes_deeper_than_the_stack(self):
-        # each conventional block's output is the next one's residual; remade by
-        # recursion, a chain of half the recursion limit would overflow the stack
+    def test_deep_conventional_branch(self):
+        # each conventional block's output is the next one's skip; a backward that made
+        # those outputs again would need each to make the one below first
         cfg = tiny_cfg(n_groups=1, n_blocks=sys.getrecursionlimit() // 2, block=ResidualBlockCfg(channels=2),
                        group_input_dim=2, improved_blocks=False, mfa=False)
         model = build_model(cfg, seed=69)
-        x = Tensor(np.random.default_rng(69).normal(size=(2, 2, 3)), requires_grad=True)
-        out = model.forward_slices([x])
-        backward(ensemble_aware_loss(out, np.array([0, 1])))
-        assert x.grad is not None and np.isfinite(x.grad).all()
+        x = Tensor(np.random.default_rng(69).normal(size=(2, 2, 3)))
+        train_step_grads(model, [x], np.array([0, 1]))
+        assert all(p.grad is not None and np.isfinite(p.grad).all() for p in model.parameters())
 
     @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_no_grad_forward_releases_nothing(self, monkeypatch, mode):
+    def test_forward_without_keep_holds_nothing(self, monkeypatch, mode):
         cfg = tiny_cfg(improved_blocks=False)
-        model = build_model(cfg, seed=65)
-        model.set_mode(mode)
-        nodes = []
-        real_result = tensor_mod._result
-        monkeypatch.setattr(
-            tensor_mod, "_result", lambda data, *rest: nodes.append(real_result(data, *rest)) or nodes[-1]
-        )
-        with no_grad():
-            model.forward_slices(slices_for(cfg, 66))
-        assert len(nodes) > cfg.n_groups
-        assert all(node._data is not None and node._remake is None for node in nodes)
+        branch = build_model(cfg, seed=65).branches[0]
+        for bn in branch.batchnorms():
+            bn.state.mode = mode
+        calls = recording(monkeypatch, "conv1d", "batchnorm1d", "aggregate", "max_pool_time")
+        logits, records = branch.forward(slices_for(cfg, 66)[0])
+        refs = [weakref.ref(output_array(result)) for *_, result in calls]
+        del calls[:]
+        assert records is None and len(refs) > cfg.n_blocks
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert logits.shape == (3, 2)
 
-    def test_no_node_can_remake_after_backward(self, monkeypatch):
-        cfg = tiny_cfg(n_blocks=3, improved_blocks=False)
-        model = build_model(cfg, seed=67)
-        nodes = []
-        real_result = tensor_mod._result
-        monkeypatch.setattr(
-            tensor_mod, "_result", lambda data, *rest: nodes.append(real_result(data, *rest)) or nodes[-1]
-        )
-        out = model.forward_slices(slices_for(cfg, 68))
-        released = [node for node in nodes if node._remake is not None]
-        assert len(released) == len(model.batchnorms())
-        backward(ensemble_aware_loss(out, np.array([0, 1, 1])))
-        assert all(node._remake is None for node in nodes)
-        # each BN's own closure read its output for the ReLU mask, so each was remade
-        # once; parameters updated since change none of those arrays
-        before = [node._data.copy() for node in released]
-        for bn in model.batchnorms():
-            bn.state.gamma.data += 1.0
-            bn.state.beta.data -= 1.0
-        assert all(node.data.tobytes() == b.tobytes() for node, b in zip(released, before))
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_backward_holds_one_inner_output_at_a_time(self, monkeypatch, improved, mfa):
+        # a block's backward makes only its own inner BN-ReLU output again, so at each
+        # convolution's backward at most one block's inner output is alive.  Each output
+        # is made again once: a conventional branch makes all its block outputs (each the
+        # next block's skip) and the entry's at once, before it walks down the blocks
+        cfg = tiny_cfg(n_blocks=6, improved_blocks=improved, mfa=mfa)
+        branch = build_model(cfg, seed=67).branches[0]
+        inner = {id(block.bn.state if improved else block.bn1.state) for block in branch.blocks}
+        _, records = branch.forward(slices_for(cfg, 68)[0], keep=True)
+        made = []  # (weakref to an output made again, whether it is a block's inner one)
+        seen = []  # at each convolution's backward: (inner ones alive, all alive)
+        real_bn, real_backward = model_mod.batchnorm1d, model_mod.conv1d_backward
+
+        def noting_bn(x, state, *args, **kwargs):
+            out = real_bn(x, state, *args, **kwargs)
+            made.append((weakref.ref(out[0].data), id(state) in inner))
+            return out
+
+        def probing_backward(*args):
+            alive = [is_inner for ref, is_inner in made if ref() is not None]
+            seen.append((sum(alive), len(alive)))
+            return real_backward(*args)
+
+        monkeypatch.setattr(model_mod, "batchnorm1d", noting_bn)
+        monkeypatch.setattr(model_mod, "conv1d_backward", probing_backward)
+        branch.backward(records, np.ones((3, 2)))
+        outputs = 0 if improved else cfg.n_blocks
+        assert len(made) == cfg.n_blocks + 1 + mfa + outputs
+        assert len(seen) == 2 * cfg.n_blocks + 1
+        assert max(n for n, _ in seen) == 1
+        assert max(n for _, n in seen) <= 2 + outputs
 
 
 class TestModelForward:
@@ -431,11 +457,11 @@ class TestModelForward:
 
     @pytest.mark.parametrize("n_groups", [1, 2, 8])
     def test_ensemble_logits_bitwise_the_mean_node(self, n_groups):
-        # the library's former mean_tensors node, kept in helpers
+        # the library's former mean node, kept in helpers
         arrays = [np.random.default_rng(70 + g).normal(size=(5, 2)) * 10.0 for g in range(n_groups)]
         before = [a.copy() for a in arrays]
         got = ensemble_logits(arrays)
-        assert got.tobytes() == mean_tensors([Tensor(a) for a in arrays]).data.tobytes()
+        assert got.tobytes() == mean_by_node(arrays).tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))  # the inputs are left as they were
 
     def test_identical_groups_and_slices_collapse(self):
@@ -457,11 +483,9 @@ class TestModelForward:
         model.set_mode("eval")
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 8, 10))
-        with no_grad():
-            base = model(x, tiny_assignment())
+        base = model(x, tiny_assignment())
         model.classifiers[1].bias.data += 1.0
-        with no_grad():
-            bumped = model(x, tiny_assignment())
+        bumped = model(x, tiny_assignment())
         assert np.array_equal(base[0].data, bumped[0].data)
         assert not np.array_equal(base[1].data, bumped[1].data)
         assert not np.array_equal(ensemble_logits([g.data for g in base]), ensemble_logits([g.data for g in bumped]))
@@ -483,6 +507,24 @@ class TestModelForward:
         total = breakdown.pop("total")
         assert sum(breakdown.values()) == total == model.param_count()
 
+    def test_classifier_names_and_draws_after_every_branch(self):
+        # each branch holds its classifier, named and stored as the ensemble's, and
+        # drawn after every branch's other layers
+        model = build_model(tiny_cfg(), seed=9)
+        names = [name for name, _ in model.named_parameters()]
+        assert names[-2:] == ["group1.classifier.weight", "group1.classifier.bias"]
+        assert names.index("group0.classifier.weight") == names.index("group1.entry_conv.weight") - 2
+        assert model.classifiers == [branch.classifier for branch in model.branches]
+        rng = np.random.default_rng(9)
+        for branch in model.branches:
+            for _, layer in branch.sublayers()[:-1]:
+                for _, p in layer.named_parameters():
+                    if p.ndim > 1:
+                        fan_in = p.size // p.shape[0]
+                        assert np.array_equal(p.data, rng.uniform(-np.sqrt(6 / fan_in), np.sqrt(6 / fan_in), p.shape))
+        for classifier in model.classifiers:
+            assert np.array_equal(classifier.weight.data, rng.uniform(-np.sqrt(6 / 8), np.sqrt(6 / 8), (2, 8)))
+
     def test_wrong_assignment_rejected(self):
         model = build_model(tiny_cfg(), seed=10)
         with pytest.raises(ShapeError):
@@ -493,44 +535,43 @@ class TestModelForward:
         model.set_mode("eval")
         x = np.random.default_rng(13).normal(size=(2, 8, 10))
         x[0, 3, 4] = np.nan
-        with no_grad():
-            logits = ensemble_logits([g.data for g in model(x, tiny_assignment())])
+        logits = ensemble_logits([g.data for g in model(x, tiny_assignment())])
         assert not np.isfinite(logits[0]).all()
 
-    def test_full_model_gradient_check(self):
+    @pytest.mark.parametrize("aware", [True, False])
+    def test_full_model_gradient_check(self, aware):
         cfg = tiny_cfg()
         model = build_model(cfg, seed=11)
-        assignment = tiny_assignment()
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(2, 8, 16))
+        slices = [Tensor(s) for s in tiny_assignment().split(rng.normal(size=(2, 8, 16)))]
         labels = np.array([0, 1])
-
-        def loss():
-            return ensemble_aware_loss(model(x, assignment), labels, aware=False)
-
-        worst = check_gradients(loss, model.parameters())
+        train_step_grads(model, slices, labels, aware)
+        params = model.parameters()
+        worst = check_gradients(
+            lambda: ensemble_loss_value(model, slices, labels, aware), [p.grad for p in params], params
+        )
         assert worst < FD_REL_TOL
 
 
 class TestBranchPool:
-    """forward_slices runs the G branches through tensor.branch_map."""
+    """A training step runs the G branches' forwards and backwards, and
+    forward_slices their forwards, through tensor._parallel_map."""
 
     def _slices(self, seed, n_groups=4):
         rng = np.random.default_rng(seed)
-        return [Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups)]
+        return SliceList(Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups))
 
     def test_gradients_bitwise_equal_to_calling_thread_reference(self, two_workers):
         cfg = tiny_cfg(n_groups=4)
         labels = np.array([0, 1])
         pooled, reference = build_model(cfg, seed=21), build_model(cfg, seed=21)
-        backward(ensemble_aware_loss(pooled.forward_slices(self._slices(22)), labels))
-        group_logits = [
-            classifier(branch(x))
-            for x, branch, classifier in zip(
-                self._slices(22), reference.branches, reference.classifiers
-            )
-        ]
-        backward(ensemble_aware_loss(group_logits, labels))
+        caller, idents = threading.get_ident(), []
+        for branch in pooled.branches:
+            real = branch.backward
+            branch.backward = lambda *a, _real=real: idents.append(threading.get_ident()) or _real(*a)
+        pooled_loss = training_mod._step(pooled, self._slices(22), labels, True, "step")
+        assert len(idents) == 4 and caller not in idents
+        assert train_step_grads(reference, self._slices(22), labels) == pooled_loss
         for (name, p), (_, q) in zip(pooled.named_parameters(), reference.named_parameters()):
             assert np.array_equal(p.grad, q.grad), name
         for bn_p, bn_q in zip(pooled.batchnorms(), reference.batchnorms()):
@@ -545,8 +586,7 @@ class TestBranchPool:
             state = AdamState(model.parameters())
             for step in range(3):
                 model.zero_grad()
-                loss = ensemble_aware_loss(model.forward_slices(self._slices(30 + step, 8)), [0, 1])
-                backward(loss)
+                training_mod._step(model, self._slices(30 + step, 8), np.array([0, 1]), True, "step")
                 adam_step(state, 1e-2)
             return model
 
@@ -566,11 +606,12 @@ class TestBranchPool:
             assert np.array_equal(bn_p.state.running_mean, bn_q.state.running_mean)
             assert np.array_equal(bn_p.state.running_var, bn_q.state.running_var)
 
-    def test_branch_without_gradient_keeps_grad_none(self, two_workers):
+    def test_branch_without_backward_keeps_grad_none(self):
         model = build_model(tiny_cfg(n_groups=4), seed=23)
-        out = model.forward_slices(self._slices(24))
-        loss = softmax_cross_entropy(mean_tensors(out[:3]), np.array([1, 0]))
-        backward(loss)
+        runs = [branch.forward(x, keep=True) for branch, x in zip(model.branches, self._slices(24))]
+        _, dlogits = ensemble_aware_loss([b.data for b, _ in runs[:3]], np.array([1, 0]))
+        for branch, (_, records), g in zip(model.branches, runs, dlogits):
+            branch.backward(records, g)
         for name, p in model.named_parameters():
             if name.startswith("group3."):
                 assert p.grad is None, name
@@ -582,29 +623,60 @@ class TestBranchPool:
         model.branches[2].entry_conv.weight.data = np.zeros((8, 5, 1))  # channel mismatch
         with pytest.raises(ShapeError, match="channel mismatch"):
             model.forward_slices(self._slices(26))
+        with pytest.raises(ShapeError, match="channel mismatch"):
+            training_mod._step(model, self._slices(26), np.array([0, 1]), True, "step")
 
-    def test_no_grad_forward_runs_branches_on_the_pool(self, two_workers):
+    def test_wrong_slice_count_rejected(self):
+        model = build_model(tiny_cfg(n_groups=4), seed=25)
+        with pytest.raises(ShapeError, match="expected 4 slices, got 3"):
+            model.forward_slices(self._slices(26, n_groups=3))
+        with pytest.raises(ShapeError, match="expected 4 slices, got 3"):
+            training_mod._step(model, self._slices(26, n_groups=3), np.array([0, 1]), True, "step")
+
+    def test_forward_slices_runs_branches_on_the_pool(self, two_workers):
         model = build_model(tiny_cfg(n_groups=4), seed=27)
         model.set_mode("eval")
         idents = []
-
-        def recording(branch):
-            def call(x):
-                idents.append(threading.get_ident())
-                return branch(x)
-            return call
-
-        inline_branches = model.branches
-        model.branches = [recording(b) for b in model.branches]
-        with no_grad():
-            pooled = model.forward_slices(self._slices(28))
-            inline = [
-                classifier(branch(x))
-                for x, branch, classifier in zip(self._slices(28), inline_branches, model.classifiers)
-            ]
+        inline = [branch.forward(x)[0] for branch, x in zip(model.branches, self._slices(28))]
+        for branch in model.branches:
+            real = branch.forward
+            branch.forward = lambda *a, _real=real, **k: idents.append(threading.get_ident()) or _real(*a, **k)
+        pooled = model.forward_slices(self._slices(28))
         assert len(idents) == 4 and threading.get_ident() not in idents
         for got, ref in zip(pooled, inline):
-            assert np.max(np.abs(got.data - ref.data)) <= 1e-12 * np.max(np.abs(ref.data))
+            assert got.data.tobytes() == ref.data.tobytes()
+
+    @pytest.mark.parametrize("keep", [True, False])
+    def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, keep):
+        # a sequence that makes its inputs when indexed (as multiscale.FrameBatch does):
+        # the map reads its size, never iterates it, and indexes input g on the
+        # thread that runs branch g, once
+        model = build_model(tiny_cfg(n_groups=4), seed=31)
+        made, ran = {}, {}
+        data = np.random.default_rng(44).normal(size=(4, 2, 4, 5))
+
+        class Lazy:
+            size = data.size
+
+            def __len__(self):
+                return len(data)
+
+            def __getitem__(self, g):
+                assert g not in made
+                made[g] = threading.get_ident()
+                return Tensor(data[g])
+
+        for g, branch in enumerate(model.branches):
+            def forward(*args, _g=g, _real=branch.forward, **kwargs):
+                ran[_g] = threading.get_ident()
+                return _real(*args, **kwargs)
+
+            branch.forward = forward
+        if keep:
+            training_mod._step(model, Lazy(), np.array([0, 1]), True, "step")
+        else:
+            model.forward_slices(Lazy())
+        assert made == ran and threading.get_ident() not in made.values()
 
 
 def perturb_batchnorms(owner, rng):
@@ -624,9 +696,9 @@ def relative_gap(got, ref):
 
 
 class TestForwardOnlyPath:
-    """Under no_grad with eval-mode BN the one forward folds every BN into the
-    conv before it; the same forward with gradients tracked runs each BN as
-    its own op and is the reference."""
+    """A forward that keeps nothing folds every eval-mode BN into the conv
+    before it; the same forward keeping its records runs each BN as its own
+    op and is the reference."""
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
@@ -636,10 +708,9 @@ class TestForwardOnlyPath:
         rng = np.random.default_rng(32)
         perturb_batchnorms(model, rng)
         x = rng.normal(size=(3, 8, 11))
-        reference = model(x, tiny_assignment())
-        assert all(b.requires_grad for b in reference)
-        with no_grad():
-            folded = model(x, tiny_assignment())
+        slices = [Tensor(s) for s in tiny_assignment().split(x)]
+        reference = [branch.forward(s, keep=True)[0] for branch, s in zip(model.branches, slices)]
+        folded = model(x, tiny_assignment())
         assert relative_gap(
             ensemble_logits([g.data for g in folded]), ensemble_logits([g.data for g in reference])
         ) < 1e-10
@@ -648,12 +719,11 @@ class TestForwardOnlyPath:
 
     def test_full_size_branch_matches_tensor_forward(self):
         rng = np.random.default_rng(33)
-        branch = GroupBranch(ModelCfg(), rng)
+        branch = build_model(ModelCfg(n_groups=1), seed=33).branches[0]
         perturb_batchnorms(branch, rng)
         x = Tensor(rng.normal(size=(2, 248, 60)))
-        reference = branch(x)
-        with no_grad():
-            folded = branch(x)
+        reference = branch.forward(x, keep=True)[0]
+        folded = branch.forward(x)[0]
         assert relative_gap(folded.data, reference.data) < 1e-10
 
     @pytest.mark.parametrize("improved", [True, False])
@@ -664,29 +734,27 @@ class TestForwardOnlyPath:
         slices = [Tensor(s) for s in tiny_assignment().split(x)]
         before = [s.data.copy() for s in slices]
 
-        def refuse(*args):
+        def refuse(*args, **kwargs):
             raise AssertionError("a folded forward ran batchnorm1d")
 
         monkeypatch.setattr(model_mod, "batchnorm1d", refuse)
-        with no_grad():
-            out = model.forward_slices(slices)
+        out = model.forward_slices(slices)
         assert all(np.isfinite(b.data).all() for b in out)
         for s, copy in zip(slices, before):
             assert np.array_equal(s.data, copy)
 
     @pytest.mark.parametrize("improved", [True, False])
     def test_folded_weight_is_written_in_tap_major_layout(self, improved):
-        branch = GroupBranch(tiny_cfg(improved_blocks=improved), np.random.default_rng(45))
+        branch = build_model(tiny_cfg(improved_blocks=improved), seed=45).branches[0]
         perturb_batchnorms(branch, np.random.default_rng(46))
         layers = [layer for _, layer in branch.sublayers()]
         pairs = [(c, bn) for c, bn in zip(layers, layers[1:]) if isinstance(bn, model_mod.BatchNorm1dLayer)]
         assert len(pairs) == len(branch.batchnorms())
-        with no_grad():
-            for conv, bn in pairs:
-                weight, _, left = model_mod._fold(conv, bn)
-                assert left is None
-                assert weight.shape == conv.weight.shape
-                assert weight.data.transpose(2, 0, 1).flags.c_contiguous
+        for conv, bn in pairs:
+            weight, _, left = model_mod._fold(conv, bn, False)
+            assert left is None
+            assert weight.shape == conv.weight.shape
+            assert weight.data.transpose(2, 0, 1).flags.c_contiguous
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
@@ -700,23 +768,23 @@ class TestForwardOnlyPath:
         for reference in (False, True):
             if reference:
                 use_two_path_forward(monkeypatch)
-            with no_grad():
-                out = model.forward_slices([Tensor(s) for s in tiny_assignment().split(x)])
+            out = model.forward_slices([Tensor(s) for s in tiny_assignment().split(x)])
             logits.append([ensemble_logits([g.data for g in out]).tobytes()] + [g.data.tobytes() for g in out])
         assert logits[0] == logits[1]
 
     def test_train_mode_bn_keeps_the_tensor_path(self):
         model = build_model(tiny_cfg(), seed=37)
         x = np.random.default_rng(38).normal(size=(2, 8, 9))
-        with no_grad():
-            model(x, tiny_assignment())
+        model(x, tiny_assignment())
         assert not np.array_equal(model.batchnorms()[0].state.running_mean, np.zeros(8))
 
-    def test_eval_mode_bn_with_gradients_is_not_folded(self):
+    def test_eval_mode_bn_with_records_kept_is_not_folded(self, monkeypatch):
         model = build_model(tiny_cfg(), seed=42)
         perturb_batchnorms(model, np.random.default_rng(43))
         x = np.random.default_rng(44).normal(size=(2, 8, 9))
-        backward(tsum(mean_tensors(model(x, tiny_assignment()))))
+        calls = recording(monkeypatch, "batchnorm1d")
+        train_step_grads(model, [Tensor(s) for s in tiny_assignment().split(x)], np.array([0, 1]))
+        assert sum(kwargs["stats"] is None for _, _, kwargs, _ in calls) == len(model.batchnorms())
         for name, p in model.named_parameters():
             assert p.grad is not None, name
 
@@ -724,10 +792,9 @@ class TestForwardOnlyPath:
         model = build_model(tiny_cfg(), seed=39)
         perturb_batchnorms(model, np.random.default_rng(40))
         x = np.random.default_rng(41).normal(size=(2, 8, 9))
-        with no_grad():
-            before = ensemble_logits([g.data for g in model(x, tiny_assignment())])
-            model.batchnorms()[0].state.running_mean += 1.0
-            after = ensemble_logits([g.data for g in model(x, tiny_assignment())])
+        before = ensemble_logits([g.data for g in model(x, tiny_assignment())])
+        model.batchnorms()[0].state.running_mean += 1.0
+        after = ensemble_logits([g.data for g in model(x, tiny_assignment())])
         assert not np.array_equal(before, after)
 
 
@@ -787,14 +854,12 @@ class TestCheckpoint:
         model.set_mode("train")
         model(x, assignment)
         model.set_mode("eval")
-        with no_grad():
-            before = ensemble_logits([g.data for g in model(x, assignment)])
+        before = ensemble_logits([g.data for g in model(x, assignment)])
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, assignment)
         loaded, loaded_assignment = load_checkpoint(path)
         loaded.set_mode("eval")
-        with no_grad():
-            after = ensemble_logits([g.data for g in loaded(x, loaded_assignment)])
+        after = ensemble_logits([g.data for g in loaded(x, loaded_assignment)])
         assert np.array_equal(before, after)
         assert loaded_assignment.n_groups == assignment.n_groups
         assert loaded_assignment.orders == [4, 8]

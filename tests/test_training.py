@@ -1,4 +1,3 @@
-import contextlib
 import os
 import tempfile
 import tracemalloc
@@ -12,17 +11,20 @@ import lgpnet.tensor as tensor_mod
 from helpers import (
     FD_REL_TOL,
     adam_step_by_expression,
+    branch_keeping_everything,
     check_gradients,
     ensemble_loss_by_chain,
+    ensemble_loss_value,
     random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
+    train_step_grads,
 )
 
 from lgpnet.errors import FormatError, LgpnetError, NonFiniteLossError, ShapeError
 from lgpnet.model import GroupBranch, ModelCfg, ResidualBlockCfg, build_model, ensemble_logits, load_checkpoint
 from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames
-from lgpnet.tensor import Tensor, backward
+from lgpnet.tensor import Tensor
 import lgpnet.training as training_mod
 from lgpnet.training import (
     ADAM_EPS,
@@ -38,66 +40,45 @@ from lgpnet.training import (
 )
 
 
-def tensors_from(group_logits, requires_grad=False):
-    return [Tensor(np.asarray(g, dtype=np.float64), requires_grad=requires_grad) for g in group_logits]
-
-
-def nodes_above(loss, below):
-    """The graph nodes from loss down to, but not including, the tensors in below."""
-    stop = {id(t) for t in below}
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or id(node) in stop:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._prev)
-    return nodes
-
-
 class TestEnsembleAwareLoss:
     def test_identical_groups_equal_plain_ce(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 2))
         labels = np.array([0, 1, 1, 0])
-        loss = ensemble_aware_loss(tensors_from([logits, logits, logits]), labels)
-        ce = softmax_cross_entropy(Tensor(logits), labels)
-        assert loss.item() == pytest.approx(ce.item(), abs=1e-12)
+        value, _ = ensemble_aware_loss([logits, logits, logits], labels)
+        assert value == pytest.approx(softmax_cross_entropy(logits, labels)[0], abs=1e-12)
 
     def test_single_group_degenerate(self):
         rng = np.random.default_rng(1)
         logits = rng.normal(size=(3, 2))
         labels = np.array([1, 0, 1])
-        loss = ensemble_aware_loss(tensors_from([logits]), labels)
-        ce = softmax_cross_entropy(Tensor(logits), labels)
-        assert loss.item() == pytest.approx(ce.item(), abs=1e-12)
+        value, _ = ensemble_aware_loss([logits], labels)
+        assert value == pytest.approx(softmax_cross_entropy(logits, labels)[0], abs=1e-12)
 
     def test_group_permutation_invariance(self):
         rng = np.random.default_rng(2)
         groups = [rng.normal(size=(4, 2)) for _ in range(4)]
         permuted = [groups[2], groups[0], groups[3], groups[1]]
         labels = np.array([0, 1, 0, 1])
-        base = ensemble_aware_loss(tensors_from(groups), labels)
-        assert base.item() == pytest.approx(ensemble_aware_loss(tensors_from(permuted), labels).item(), abs=1e-12)
+        base, _ = ensemble_aware_loss(groups, labels)
+        assert base == pytest.approx(ensemble_aware_loss(permuted, labels)[0], abs=1e-12)
         assert np.max(np.abs(ensemble_logits(groups) - ensemble_logits(permuted))) < 1e-12
 
     def test_nonnegative_and_zero_in_perfect_limit(self):
         labels = np.array([1, 0])
         confident = np.array([[-40.0, 40.0], [40.0, -40.0]])
-        loss = ensemble_aware_loss(tensors_from([confident, confident]), labels)
-        assert 0.0 <= loss.item() < 1e-12
+        assert 0.0 <= ensemble_aware_loss([confident, confident], labels)[0] < 1e-12
         rng = np.random.default_rng(3)
-        noisy = tensors_from([rng.normal(size=(2, 2)) for _ in range(3)])
-        assert ensemble_aware_loss(noisy, labels).item() >= 0.0
+        noisy = [rng.normal(size=(2, 2)) for _ in range(3)]
+        assert ensemble_aware_loss(noisy, labels)[0] >= 0.0
 
     def test_differs_from_plain_ce_in_general(self):
         rng = np.random.default_rng(4)
-        out = tensors_from([rng.normal(size=(4, 2)) for _ in range(3)])
+        out = [rng.normal(size=(4, 2)) for _ in range(3)]
         labels = np.array([0, 1, 1, 0])
-        plain = ensemble_aware_loss(out, labels, aware=False)
-        assert plain.item() == softmax_cross_entropy(Tensor(ensemble_logits([b.data for b in out])), labels).item()
-        assert ensemble_aware_loss(out, labels).item() != pytest.approx(plain.item(), abs=1e-9)
+        plain, _ = ensemble_aware_loss(out, labels, aware=False)
+        assert plain == softmax_cross_entropy(ensemble_logits(out), labels)[0]
+        assert ensemble_aware_loss(out, labels)[0] != pytest.approx(plain, abs=1e-9)
 
     def test_gradients_through_tiny_model(self):
         cfg = ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
@@ -105,66 +86,57 @@ class TestEnsembleAwareLoss:
         rng = np.random.default_rng(5)
         slices = [Tensor(rng.normal(size=(2, 3, 8))) for _ in range(2)]
         labels = np.array([0, 1])
-
-        def loss():
-            return ensemble_aware_loss(model.forward_slices(slices), labels)
-
-        worst = check_gradients(loss, model.parameters())
+        train_step_grads(model, slices, labels)
+        params = model.parameters()
+        worst = check_gradients(lambda: ensemble_loss_value(model, slices, labels), [p.grad for p in params], params)
         assert worst < FD_REL_TOL
 
     @pytest.mark.parametrize("aware", [True, False])
     def test_finite_differences(self, aware):
         rng = np.random.default_rng(6)
-        out = tensors_from([rng.normal(size=(5, 2)) * 2.0 for _ in range(3)], requires_grad=True)
+        out = [Tensor(rng.normal(size=(5, 2)) * 2.0) for _ in range(3)]
         labels = np.array([0, 1, 1, 0, 1])
-        worst = check_gradients(lambda: ensemble_aware_loss(out, labels, aware), out)
+        _, grads = ensemble_aware_loss([b.data for b in out], labels, aware)
+        worst = check_gradients(lambda: ensemble_aware_loss([b.data for b in out], labels, aware)[0], grads, out)
         assert worst < FD_REL_TOL
 
-    @pytest.mark.parametrize("upstream", [None, 0.37])
+    @pytest.mark.parametrize("classes", ["both", "one"])
     @pytest.mark.parametrize("aware", [True, False])
     @pytest.mark.parametrize("scale", ["unit", "wide", "saturating"])
     @pytest.mark.parametrize("n", [1, 2, 7, 32])
     @pytest.mark.parametrize("n_groups", [1, 2, 3, 8])
-    def test_value_and_gradients_bitwise_the_chain(self, n_groups, n, scale, aware, upstream):
-        # the closed form, term by term in the chain's ops, against helpers.ensemble_loss_by_chain;
-        # upstream seeds the loss node with that gradient instead of backward's 1.  A count
-        # that is not a power of 2 (n = 7, G = 3) makes a division inexact, so it shows a
-        # change in the order of the scalings
+    def test_value_and_gradients_bitwise_the_chain(self, n_groups, n, scale, aware, classes):
+        # the closed form, term by term in the chain's ops, against helpers.ensemble_loss_by_chain,
+        # with labels of both classes or of one.  A count that is not a power of 2 (n = 7,
+        # G = 3) makes a division inexact, so it shows a change in the order of the scalings
         rng = np.random.default_rng(1000 * n_groups + 10 * n + len(scale))
         if scale == "saturating":
             arrays = [rng.choice([-700.0, 700.0], size=(n, 2)) for _ in range(n_groups)]
         else:
             arrays = [rng.normal(size=(n, 2)) * (30.0 if scale == "wide" else 1.0) for _ in range(n_groups)]
-        labels = rng.integers(0, 2, size=n)
+        labels = rng.integers(0, 2, size=n) if classes == "both" else np.full(n, n % 2)
         results = []
         for loss_fn in (ensemble_aware_loss, ensemble_loss_by_chain):
-            out = tensors_from(arrays, requires_grad=True)
-            loss = loss_fn(out, labels, aware)
-            value = loss.item()
-            if upstream is None:
-                backward(loss)
-            else:
-                tensor_mod._run_backward(loss, np.asarray(upstream))
-            results.append([np.float64(value).tobytes()] + [b.grad.tobytes() for b in out])
+            value, grads = loss_fn(arrays, labels, aware)
+            results.append([np.float64(value).tobytes()] + [g.tobytes() for g in grads])
         assert np.isfinite(np.frombuffer(results[0][0])).all()
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("aware", [True, False])
-    def test_one_node_whose_parents_are_the_branch_outputs(self, aware):
-        cfg = ModelCfg(n_groups=8, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
-        model = build_model(cfg, seed=8)
+    def test_plain_numpy_over_the_group_logit_arrays(self, aware):
+        # a float and one gradient array per group, the inputs left as they were;
+        # without the ensemble-aware term every group shares the one gradient array
         rng = np.random.default_rng(9)
-        slices = [Tensor(rng.normal(size=(2, 3, 6))) for _ in range(8)]
-        labels = np.array([1, 0])
-        out = model.forward_slices(slices)
-        loss = ensemble_aware_loss(out, labels, aware)
-        assert loss._prev == tuple(out)
-        assert nodes_above(loss, out) == [loss]
-        chain = ensemble_loss_by_chain(out, labels, aware)
-        assert len(nodes_above(chain, out)) == (2 * 8 + 3 if aware else 2)
+        arrays = [rng.normal(size=(2, 2)) for _ in range(8)]
+        before = [a.copy() for a in arrays]
+        value, grads = ensemble_aware_loss(arrays, np.array([1, 0]), aware)
+        assert type(value) is float
+        assert len(grads) == 8 and all(type(g) is np.ndarray and g.shape == (2, 2) for g in grads)
+        assert len({id(g) for g in grads}) == (8 if aware else 1)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays, before))
 
     def test_bad_labels_and_shapes_raise(self):
-        out = tensors_from([np.zeros((2, 2)), np.ones((2, 2))])
+        out = [np.zeros((2, 2)), np.ones((2, 2))]
         with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
             ensemble_aware_loss(out, np.array([0, 2]))
         with pytest.raises(ValueError, match=r"labels must lie in 0\.\.1"):
@@ -176,7 +148,7 @@ class TestEnsembleAwareLoss:
         for bad in ([np.zeros((2, 3)), np.zeros((2, 3))], [np.zeros(2), np.zeros(2)],
                     [np.zeros((2, 2)), np.zeros((3, 2))]):
             with pytest.raises(ShapeError, match="N x 2"):
-                ensemble_aware_loss(tensors_from(bad), np.array([0, 1]))
+                ensemble_aware_loss(bad, np.array([0, 1]))
         with pytest.raises(ShapeError, match="at least one"):
             ensemble_aware_loss([], np.array([0, 1]))
 
@@ -185,7 +157,7 @@ class TestEnsembleAwareLoss:
     @pytest.mark.parametrize("improved", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_two_steps_bitwise_the_chain(self, workers, improved, mfa, aware, forced_pool, monkeypatch):
-        # two run_epoch steps (of 3 samples, then 2) and an evaluate_loss with the one-node
+        # two run_epoch steps (of 3 samples, then 2) and an evaluate_loss with the closed-form
         # loss and with the former chain of nodes patched into the loops: the same stored
         # arrays and losses
         if workers == 1:
@@ -286,12 +258,13 @@ class TestAdam:
             assert [a.size for a in got_state.scratch.pair] == [training_mod._ADAM_CHUNK] * 2
 
 
-class TestReleasedBnOutputs:
+class TestKeptRecords:
     @pytest.mark.parametrize("improved", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_two_steps_bitwise_with_and_without_release(self, workers, improved, forced_pool, monkeypatch):
-        # remade BN outputs feed backward the forward's bits: parameters and BN
-        # statistics after two run_epoch steps do not depend on the release
+    def test_two_steps_bitwise_a_reference_keeping_everything(self, workers, improved, forced_pool, monkeypatch):
+        # the BN-ReLU outputs that backward makes again feed it the forward's bits:
+        # parameters and BN statistics after two run_epoch steps are those of a backward
+        # that kept every op output (helpers.branch_keeping_everything)
         if workers == 1:
             monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         else:
@@ -301,11 +274,23 @@ class TestReleasedBnOutputs:
         rng = np.random.default_rng(74)
         lgp = GroupLgp(random_bank(rng, [8], 3), GroupAssignment(groups={8: np.repeat(np.arange(2), 4)}, n_groups=2))
         feats, labels = rng.normal(size=(4, 12, 3)), np.array([0, 1, 1, 0])
+        real_forward = GroupBranch.forward
+
+        def forward_keeping_the_slice(branch, x, keep=False):
+            return real_forward(branch, x)[0], x
+
+        def backward_keeping_everything(branch, x, dlogits):
+            running = [(bn.state.running_mean, bn.state.running_var) for bn in branch.batchnorms()]
+            branch_keeping_everything(branch, x, dlogits)  # its forward moves the running statistics again
+            for bn, (mean, var) in zip(branch.batchnorms(), running):
+                bn.state.running_mean, bn.state.running_var = mean, var
+
         results = []
-        for release in (False, True):
+        for reference in (False, True):
             with monkeypatch.context() as patch:
-                if not release:
-                    patch.setattr(tensor_mod, "_releasing", contextlib.nullcontext)
+                if reference:
+                    patch.setattr(GroupBranch, "forward", forward_keeping_the_slice)
+                    patch.setattr(GroupBranch, "backward", backward_keeping_everything)
                 model = build_model(cfg, seed=75)
                 state = AdamState(model.parameters())
                 train_cfg = TrainConfig(batch_size=2, epochs=1)
@@ -469,9 +454,7 @@ class TestTrainLoop:
         real_loss = training_mod.ensemble_aware_loss
 
         def loss_then_nan(group_logits, labels, aware):
-            loss = real_loss(group_logits, labels, aware)
-            loss.data = np.asarray(next(losses))
-            return loss
+            return next(losses), real_loss(group_logits, labels, aware)[1]
 
         adam_steps = []
         real_adam = training_mod.adam_step
@@ -555,7 +538,7 @@ class TestBatchMemory:
         cfg = ModelCfg(n_groups=8, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=248)
         return build_model(cfg, seed=79), lgp, rng.normal(size=(self.N, self.T, 60)), np.array([0, 1])
 
-    def test_tracked_forward_holds_no_full_width_array(self, monkeypatch):
+    def test_kept_forward_holds_no_full_width_array(self, monkeypatch):
         model, lgp, feats, labels = self.setup()
         seen = []
         real_loss = training_mod.ensemble_aware_loss
@@ -574,11 +557,11 @@ class TestBatchMemory:
         finally:
             tracemalloc.stop()
         ((peak, largest),) = seen
-        # the graph holds the G inputs, FULL bytes in all, as G arrays of FULL / G
+        # the records hold the G inputs, FULL bytes in all, as G arrays of FULL / G
         assert peak < 1.5 * self.FULL
         assert largest <= self.FULL / 8
 
-    def test_no_grad_forward_holds_no_full_width_array(self):
+    def test_forward_keeping_nothing_holds_no_full_width_array(self):
         model, lgp, feats, _ = self.setup()
         tracemalloc.start()
         try:
