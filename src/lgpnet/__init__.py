@@ -49,6 +49,7 @@ from .lfcc import (
     power_spectrum,
 )
 from .model import (
+    CheckpointBranches,
     GroupedResNetEnsemble,
     ModelCfg,
     ResidualBlockCfg,

@@ -3,7 +3,10 @@
 Subcommands: train-gmm, train-model, score, evaluate, describe.  Nothing
 is cached between commands: train-model and score compute the LFCC frames
 from the audio batch by batch, and each group branch its own LGP input
-from them.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+from them.  score checks the checkpoint's meta and array shapes before it
+reads any audio, and reads each branch from the checkpoint only when a
+worker runs it (`model.CheckpointBranches`).  Exit codes: 0 success, 1
+runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from .config import load_config
 from .errors import ConfigError, FormatError, LgpnetError, ManifestError
 from .evaluation import ScoreRecord, compute_eer_records, score_file_read, score_file_write
 from .gmm import train_by_splitting
-from .model import GroupedResNetEnsemble, _Unfilled, load_checkpoint, score
+from .model import CheckpointBranches, GroupedResNetEnsemble, _Unfilled, score
 from .training import predict_logits, train
 
 
@@ -146,7 +149,8 @@ def _cmd_score(args) -> int:
     cfg = load_config(args.config)
     manifest = _manifest(args.protocol, args.audio_dir, split="eval")
     bank = multiscale.load_bank(args.gmm_dir)
-    model, assignment = load_checkpoint(args.checkpoint)
+    branches = CheckpointBranches(args.checkpoint)  # meta and array shapes checked, no array read
+    assignment = branches.assignment
     if bank.orders != assignment.orders:
         raise ConfigError(
             f"bank {args.gmm_dir} holds orders {bank.orders}, "
@@ -154,7 +158,7 @@ def _cmd_score(args) -> int:
         )
     feats = _features(manifest, cfg)
     lgp = multiscale.GroupLgp(bank, assignment)
-    logits = predict_logits(model, lgp, feats, batch_size=cfg.train.batch_size)
+    logits = predict_logits(branches, lgp, feats, batch_size=cfg.train.batch_size)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)
     seconds = time.perf_counter() - start

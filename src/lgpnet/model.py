@@ -63,11 +63,20 @@ records from the last and gives every parameter of the branch its
 gradient.  A block output's gradient is the next block's share (its skip,
 then its first convolution's input gradient) plus, with MFA, the block's
 share of the aggregation's, added in that order.
+
+A checkpoint (`save_checkpoint`) is one npz archive: each branch's
+parameters and BN running statistics under keys of its own
+(`GroupBranch.stored_arrays`), and a JSON meta.  `load_checkpoint` reads
+every array into a model.  `CheckpointBranches`, which `score` runs, reads
+the meta and checks every array's presence and shape from the .npy headers
+up front, then reads branch g's arrays alone each time branch g is asked
+for, so a branch is resident only while a worker runs it.
 """
 from __future__ import annotations
 
 import json
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -403,6 +412,21 @@ class GroupBranch:
     def batchnorms(self):
         return [layer for _, layer in self.sublayers() if isinstance(layer, BatchNorm1dLayer)]
 
+    def stored_arrays(self, g: int) -> list[tuple[str, object, str]]:
+        """(checkpoint key, owner, attribute) of every array a checkpoint holds
+        for this branch as branch g: its parameters' data
+        (`param/group{g}.<layer>.<name>`), then its BNs' running statistics
+        (`bn/group{g}/<i>/<stat>`)."""
+        entries = [
+            (f"param/group{g}.{layer_name}.{pname}", p, "data")
+            for layer_name, layer in self.sublayers()
+            for pname, p in layer.named_parameters()
+        ]
+        for bi, bn in enumerate(self.batchnorms()):
+            for stat in ("running_mean", "running_var"):
+                entries.append((f"bn/group{g}/{bi}/{stat}", bn.state, stat))
+        return entries
+
 
 class GroupedResNetEnsemble:
     """G independent branch+classifier pairs whose logits are averaged."""
@@ -436,13 +460,10 @@ class GroupedResNetEnsemble:
 
     def stored_arrays(self) -> list[tuple[str, object, str]]:
         """(checkpoint key, owner, attribute) of every array a checkpoint holds:
-        each parameter's data, then each BN's running statistics."""
-        entries = [(f"param/{name}", p, "data") for name, p in self.named_parameters()]
-        for gi, branch in enumerate(self.branches):
-            for bi, bn in enumerate(branch.batchnorms()):
-                for stat in ("running_mean", "running_var"):
-                    entries.append((f"bn/group{gi}/{bi}/{stat}", bn.state, stat))
-        return entries
+        each branch's parameters' data, then each branch's BN running
+        statistics (`GroupBranch.stored_arrays`)."""
+        entries = [e for gi, branch in enumerate(self.branches) for e in branch.stored_arrays(gi)]
+        return sorted(entries, key=lambda e: e[0].startswith("bn/"))  # stable: parameters first
 
     def named_parameters(self) -> list[tuple[str, Tensor]]:
         return [
@@ -528,28 +549,50 @@ def save_checkpoint(
         np.savez(fh, **arrays)
 
 
-def _read_npz(path: str | Path) -> dict[str, np.ndarray]:
-    """Every array of the npz archive at path, read in full.  A file that is not
-    one, truncated or corrupt ones included, raises FormatError naming it."""
+class _Members:
+    """The arrays of an open npz archive by key, each read from it only when
+    asked for: `shape(key)` reads the member's .npy header alone."""
+
+    def __init__(self, archive: zipfile.ZipFile):
+        self._archive = archive
+        self._names = set(archive.namelist())
+
+    def __contains__(self, key: str) -> bool:
+        return f"{key}.npy" in self._names
+
+    def shape(self, key: str) -> tuple[int, ...]:
+        with self._archive.open(f"{key}.npy") as fh:
+            version = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            return read_header(fh)[0]
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        with self._archive.open(f"{key}.npy") as fh:
+            return np.lib.format.read_array(fh, allow_pickle=False)
+
+
+@contextmanager
+def _checkpoint_archive(path: str | Path):
+    """The `_Members` of the npz archive at path, open while the block runs.
+    A file that is not such an archive (truncated, corrupt, not a zip at all),
+    or a member that does not read back (a bad CRC, a short or malformed
+    .npy), raises FormatError naming path."""
     try:
-        with open(path, "rb") as fh:
-            data = np.load(fh)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise FormatError(f"{path}: not a readable checkpoint (a single array, not an archive)")
-            with data:
-                return {key: data[key] for key in data.files}
-    except (zipfile.BadZipFile, EOFError, ValueError) as exc:  # truncated, corrupt, not an npz
+        with zipfile.ZipFile(path) as archive:
+            yield _Members(archive)
+    except (zipfile.BadZipFile, EOFError, ValueError) as exc:
         raise FormatError(f"{path}: not a readable checkpoint ({type(exc).__name__}: {exc})") from None
 
 
-def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssignment]:
-    """The model and grouping that `save_checkpoint` wrote to path; FormatError
-    naming path for any file that is not such a checkpoint."""
-    data = _read_npz(path)
-    if "meta" not in data:
+def _read_meta(members: _Members, path: str | Path) -> tuple[ModelCfg, GroupAssignment]:
+    """The model configuration and grouping that the checkpoint's meta holds;
+    FormatError naming path for a file without one or a malformed one."""
+    if "meta" not in members:
         raise FormatError(f"{path}: not a model checkpoint")
+    raw = bytes(members["meta"])
     try:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        meta = json.loads(raw.decode("utf-8"))
         if meta.get("version") != _CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         cfg_doc = dict(meta["model_cfg"])
@@ -567,20 +610,75 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
-    model = GroupedResNetEnsemble(cfg, _Unfilled())
-    _assign_stored_arrays(model, data, path)
+    return cfg, assignment
+
+
+def _check_arrays(entries, members: _Members, path: str | Path) -> None:
+    """FormatError naming path for the first of the (key, owner, attribute)
+    entries whose array members lacks, or holds in another shape than the
+    owner's, by the .npy headers alone."""
+    for key, owner, attr in entries:
+        if key not in members:
+            raise FormatError(f"{path}: checkpoint is missing {key}")
+        if members.shape(key) != getattr(owner, attr).shape:
+            raise FormatError(f"{path}: shape mismatch for {key}")
+
+
+def _read_arrays(entries, members: _Members, path: str | Path) -> None:
+    """Check the (key, owner, attribute) entries as `_check_arrays` does, then
+    set each owner's attribute to its array from members, as float64."""
+    _check_arrays(entries, members, path)
+    for key, owner, attr in entries:
+        setattr(owner, attr, np.asarray(members[key], dtype=np.float64))
+
+
+def _assign_stored_arrays(model: GroupedResNetEnsemble, members: _Members, path: str | Path) -> None:
+    """Set each of model's stored arrays from members, the open checkpoint at
+    path, as `_read_arrays` does."""
+    _read_arrays(model.stored_arrays(), members, path)
+
+
+def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssignment]:
+    """The model and grouping that `save_checkpoint` wrote to path, every
+    array read; FormatError naming path for any file that is not such a
+    checkpoint."""
+    with _checkpoint_archive(path) as members:
+        cfg, assignment = _read_meta(members, path)
+        model = GroupedResNetEnsemble(cfg, _Unfilled())
+        _assign_stored_arrays(model, members, path)
     return model, assignment
 
 
-def _assign_stored_arrays(
-    model: GroupedResNetEnsemble, data: dict[str, np.ndarray], path: str | Path
-) -> None:
-    """Set each of model's stored arrays from data, the arrays `_read_npz` read
-    from path; FormatError naming path for a missing key or a wrong shape."""
-    for key, owner, attr in model.stored_arrays():
-        if key not in data:
-            raise FormatError(f"{path}: checkpoint is missing {key}")
-        stored = data[key]
-        if stored.shape != getattr(owner, attr).shape:
-            raise FormatError(f"{path}: shape mismatch for {key}")
-        setattr(owner, attr, np.asarray(stored, dtype=np.float64))
+class CheckpointBranches:
+    """The G branches of the checkpoint at path, each read from the file only
+    when it is indexed: what `score` runs, so that no branch is resident
+    before a worker needs it.
+
+    Construction reads the meta (`cfg`, `assignment`) and checks that every
+    array the configuration gives is there in its shape, from the .npy
+    headers alone, with `load_checkpoint`'s FormatErrors; no array data is
+    read.  `branches[g]` opens the file again and reads only the
+    `param/group{g}.*` and `bn/group{g}/*` arrays into a new `GroupBranch`
+    in eval mode.  The caller holds its one reference, so the branch is
+    freed when the caller drops it.  A member that does not read back then
+    (a bad CRC, a short member) raises FormatError naming path."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        with _checkpoint_archive(path) as members:
+            self.cfg, self.assignment = _read_meta(members, path)
+            _check_arrays(GroupedResNetEnsemble(self.cfg, _Unfilled()).stored_arrays(), members, path)
+
+    def __len__(self) -> int:
+        return self.cfg.n_groups
+
+    def __getitem__(self, g: int) -> GroupBranch:
+        if not 0 <= g < len(self):
+            raise IndexError(f"branch {g} of {len(self)}")
+        branch = GroupBranch(self.cfg, _Unfilled())
+        branch.classifier = LinearLayer(self.cfg.block.channels, 2, _Unfilled())
+        with _checkpoint_archive(self.path) as members:
+            _read_arrays(branch.stored_arrays(g), members, self.path)
+        for bn in branch.batchnorms():
+            bn.state.mode = "eval"
+        return branch

@@ -557,6 +557,39 @@ def adam_step_by_expression(state, lr: float) -> None:
 
 
 # ---------------------------------------------------------------------------
+# batch-major inference: one batch at a time through every branch
+
+
+def logits_batch_major(model, lgp, feats, batch_size: int) -> np.ndarray:
+    """The ensemble logits of each batch of feats in turn, every branch run on
+    the batch before the next batch starts, stacked; in eval mode."""
+    from lgpnet.model import ensemble_logits
+
+    model.set_mode("eval")
+    return np.vstack([
+        ensemble_logits([b.data for b in model.forward_slices(lgp.batch(feats[idx]))])
+        for idx in _batches(len(feats), batch_size)
+    ])
+
+
+def loss_batch_major(model, lgp, feats, labels, cfg) -> float:
+    """The dev loss as `logits_batch_major` visits the batches: each batch's
+    loss times its size, summed in batch order, over the sample count."""
+    from lgpnet.training import ensemble_aware_loss
+
+    model.set_mode("eval")
+    total = 0.0
+    for idx in _batches(len(feats), cfg.batch_size):
+        group_logits = [b.data for b in model.forward_slices(lgp.batch(feats[idx]))]
+        total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
+    return total / labels.size
+
+
+def _batches(n: int, batch_size: int) -> list[np.ndarray]:
+    return [np.arange(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+
+
+# ---------------------------------------------------------------------------
 # training memory at full size
 
 
@@ -585,6 +618,60 @@ def full_size_steps_peak_rss_mb(batch: int, steps: int = 2, improved_blocks: boo
     for _ in range(steps):
         run_epoch(model, lgp, frames, labels, train_cfg, state, np.arange(batch), train_cfg.learning_rate)
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+# ---------------------------------------------------------------------------
+# scoring memory at full size
+
+
+def write_full_size_score_inputs(root: Path, batch: int = 4) -> list[str]:
+    """Write under root a random bank of the default orders, a full-size
+    randomly initialised checkpoint over the bank's lineage grouping, 4
+    synthetic utterances and a config at `batch`; returns the `score`
+    arguments that read them."""
+    from lgpnet.config import load_config
+    from lgpnet.model import build_model, save_checkpoint
+    from lgpnet.multiscale import lineage_grouping, save_bank
+
+    cfg = load_config(None)
+    bank = random_bank(np.random.default_rng(0), sorted(cfg.bank_orders), cfg.lfcc.n_dims)
+    save_bank(bank, root / "gmms")
+    save_checkpoint(root / "model.npz", build_model(cfg.model_cfg(), seed=0),
+                    lineage_grouping(bank, cfg.n_groups))
+    protocol, audio_dir = build_synth_corpus(root, n_per_class=2, seed=9)
+    (root / "score.cfg").write_text(f"train.batch_size = {batch}\n")
+    return ["score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--gmm-dir", str(root / "gmms"), "--checkpoint", str(root / "model.npz"),
+            "--out", str(root / "scores.txt"), "--config", str(root / "score.cfg")]
+
+
+def full_size_score_peak_rss_mb(batch: int = 4) -> tuple[float, float]:
+    """(peak RSS once lgpnet is imported, peak RSS after one `score`), in MiB,
+    of this process, scoring the inputs of `write_full_size_score_inputs` at
+    `batch`.  A child interpreter writes the inputs, so building the 181 MB
+    model stays out of this process's peak.  Meaningful in a fresh
+    interpreter only: the peak is the process's high-water mark."""
+    import contextlib
+    import io
+    import os
+    import resource
+    import subprocess
+    import sys
+    import tempfile
+
+    from lgpnet.cli import cli_main
+
+    baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    with tempfile.TemporaryDirectory() as tmp:
+        code = ("import sys; from pathlib import Path; from helpers import write_full_size_score_inputs; "
+                "print('\\n'.join(write_full_size_score_inputs(Path(sys.argv[1]), int(sys.argv[2]))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        argv = subprocess.run([sys.executable, "-c", code, tmp, str(batch)], env=env, check=True,
+                              capture_output=True, text=True).stdout.splitlines()
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli_main(argv) != 0:
+                raise RuntimeError("score failed")
+    return baseline, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 # ---------------------------------------------------------------------------

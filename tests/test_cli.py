@@ -542,6 +542,69 @@ class TestScoreV1Checkpoint:
         assert float(rate) == pytest.approx(2 / float(seconds), rel=2e-3)  # 4 significant digits each
 
 
+class TestScoreBranchResidency:
+    """score reads a branch from the checkpoint when a worker runs it, runs the
+    chunk's batches through it and drops it: weakref finalizers on the
+    branches the reader returns count those alive."""
+
+    @pytest.fixture(scope="class")
+    def workspace(self, tmp_path_factory):
+        from lgpnet.model import build_model, save_checkpoint
+        from lgpnet.multiscale import lineage_grouping, save_bank
+
+        root = tmp_path_factory.mktemp("residency")
+        bank = random_bank(np.random.default_rng(60), [8, 16], 60)
+        save_bank(bank, root / "gmms")
+        cfg_path = root / "four_groups.cfg"  # more groups than pool workers
+        cfg_path.write_text(TINY_CFG.replace("model.n_groups = 2", "model.n_groups = 4"))
+        model_cfg = load_config(cfg_path).model_cfg()
+        save_checkpoint(root / "model.npz", build_model(model_cfg, seed=2), lineage_grouping(bank, 4))
+        return root
+
+    @pytest.mark.parametrize("where", ["pool", "inline"])
+    def test_at_most_one_branch_per_worker_read_once_per_chunk(
+        self, cli_workspace, workspace, monkeypatch, request, tmp_path, where
+    ):
+        import weakref
+
+        import lgpnet.model as model_mod
+        import lgpnet.tensor as tensor_mod
+        import lgpnet.training as training_mod
+
+        if where == "pool":
+            request.getfixturevalue("two_workers")
+        else:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+        monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", 8)  # one batch: 12 utterances, 2 chunks
+        lock = threading.Lock()
+        alive, most, reads = [0], [0], []
+        real_read = model_mod.CheckpointBranches.__getitem__
+
+        def dropped():
+            with lock:
+                alive[0] -= 1
+
+        def counted_read(self, g):
+            branch = real_read(self, g)
+            weakref.finalize(branch, dropped)
+            with lock:
+                alive[0] += 1
+                most[0] = max(most[0], alive[0])
+                reads.append(g)
+            return branch
+
+        monkeypatch.setattr(model_mod.CheckpointBranches, "__getitem__", counted_read)
+        code = cli_main([
+            "score", "--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
+            "--out", str(tmp_path / "scores.txt"), "--config", str(workspace / "four_groups.cfg"),
+        ])
+        assert code == 0
+        assert 1 <= most[0] <= tensor_mod._pool_workers() == (2 if where == "pool" else 1)
+        assert sorted(reads) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert alive[0] == 0
+
+
 class TestRefusedInputs:
     """Empty manifests, non-16 kHz audio and malformed checkpoints exit 1
     with an `error:` line and write no output."""
@@ -675,6 +738,65 @@ class TestRefusedInputs:
         assert code == 1
         assert "bad_bn.npz: shape mismatch for bn/group1/1/running_var" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    def test_score_refuses_a_damaged_last_group_before_any_audio(
+        self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, damage
+    ):
+        # score reads each branch only when a worker runs it, but checks every key and
+        # shape from the .npy headers first: the last group's arrays are checked too
+        import lgpnet.multiscale as multiscale
+
+        broken = tmp_path / "model.npz"
+        broken.write_bytes((workspace / "model.npz").read_bytes())
+        with np.load(broken) as data:
+            last = [key for key in data.files if key != "meta"][-1]
+        assert last.startswith("bn/group1/")  # the last group's last BN statistic
+        if damage == "missing":
+            key = last
+            rewrite_arrays(broken, lambda arrays: arrays.pop(key))
+        else:
+            key = "param/group1.classifier.weight"
+            rewrite_arrays(broken, lambda arrays: arrays.update({key: arrays[key][:, :-1]}))
+        reads = []
+        monkeypatch.setattr(multiscale, "read_wav", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(multiscale, "check_wav", lambda *a, **k: reads.append(a))
+        out = tmp_path / "scores.txt"
+        code = cli_main([
+            "score", "--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(broken),
+            "--out", str(out), "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        message = "checkpoint is missing" if damage == "missing" else "shape mismatch for"
+        assert f"error: {broken}: {message} {key}\n" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_score_with_a_flipped_byte_in_a_branch_member(self, cli_workspace, workspace, capsys, monkeypatch, tmp_path):
+        import lgpnet.multiscale as multiscale
+
+        # the last byte of a 6 KB member: the header check reads its first 4 KB and
+        # passes, and the CRC fails when a worker reads group 1's branch
+        raw = (workspace / "model.npz").read_bytes()
+        with np.load(workspace / "model.npz") as data:
+            values = data["param/group1.block1.conv2.weight"].tobytes()
+        at = raw.index(values) + len(values) - 1
+        broken = tmp_path / "flipped.npz"
+        broken.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :])
+        reads = []
+        real_read = multiscale.read_wav
+        monkeypatch.setattr(multiscale, "read_wav", lambda *a, **k: reads.append(a) or real_read(*a, **k))
+        out = tmp_path / "scores.txt"
+        code = cli_main([
+            "score", "--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(broken),
+            "--out", str(out), "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        assert f"error: {broken}: not a readable checkpoint" in capsys.readouterr().err
+        assert reads  # the checks passed, and the first chunk's audio was read
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["cut-10", "cut-100", "cut-1000", "cut-half", "zip-magic"])
     def test_score_with_unreadable_checkpoint(self, cli_workspace, workspace, capsys, damage):

@@ -31,6 +31,7 @@ import lgpnet.tensor as tensor_mod
 import lgpnet.training as training_mod
 from lgpnet.errors import ConfigError, FormatError, ShapeError
 from lgpnet.model import (
+    CheckpointBranches,
     ImprovedResidualBlock,
     ModelCfg,
     ResidualBlockCfg,
@@ -1039,6 +1040,86 @@ class TestCheckpoint:
         path.write_bytes(raw)
         with pytest.raises(FormatError, match="model.npz: not a readable checkpoint"):
             load_checkpoint(path)
+
+    def test_branches_read_one_at_a_time_as_load_checkpoint_reads_them(self, tmp_path):
+        model = build_model(tiny_cfg(improved_blocks=False), seed=22)
+        perturb_batchnorms(model, np.random.default_rng(23))
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+        loaded, assignment = load_checkpoint(path)
+        branches = CheckpointBranches(path)
+        assert (branches.cfg, len(branches)) == (loaded.cfg, 2)
+        assert {o: g.tolist() for o, g in branches.assignment.groups.items()} == \
+            {o: g.tolist() for o, g in assignment.groups.items()}
+        for g in range(2):
+            branch = branches[g]
+            assert branch is not branches[g]  # read afresh each time
+            assert all(bn.state.mode == "eval" for bn in branch.batchnorms())
+            for (key, owner, attr), (ref_key, ref_owner, _) in zip(
+                branch.stored_arrays(g), loaded.branches[g].stored_arrays(g), strict=True
+            ):
+                assert key == ref_key
+                assert getattr(owner, attr).tobytes() == getattr(ref_owner, attr).tobytes(), key
+        for g in (2, -1):
+            with pytest.raises(IndexError):
+                branches[g]
+
+    def test_branches_read_no_array_until_one_is_asked_for(self, tmp_path):
+        cfg = tiny_cfg(n_groups=2, block=ResidualBlockCfg(channels=96), group_input_dim=32)
+        model = build_model(cfg, seed=24)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment(total=64))
+        stored = sum(getattr(o, a).nbytes for _, o, a in model.stored_arrays())
+        del model
+        tracemalloc.start()
+        try:
+            branches = CheckpointBranches(path)
+            opened = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            branch = branches[1]
+            one = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opened < stored / 10  # the meta and the headers
+        assert one < 0.7 * stored  # one of the two branches
+        assert sum(getattr(o, a).nbytes for _, o, a in branch.stored_arrays(1)) == stored // 2
+
+    def test_flipped_byte_fails_when_its_branch_is_read(self, tmp_path):
+        # the last byte of a 6 KB member: reading its header reads the member's first 4 KB
+        model = build_model(tiny_cfg(block=ResidualBlockCfg(channels=16)), seed=14)
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, model, tiny_assignment())
+        raw = path.read_bytes()
+        values = model.branches[0].blocks[1].conv2.weight.data.tobytes()
+        at = raw.index(values) + len(values) - 1
+        path.write_bytes(raw[:at] + bytes([raw[at] ^ 0xFF]) + raw[at + 1 :])
+        branches = CheckpointBranches(path)  # the header and the CRC are not read this far
+        with pytest.raises(FormatError, match=r"model.npz: not a readable checkpoint \(BadZipFile: Bad CRC-32"):
+            branches[0]
+        assert branches[1].classifier.weight.data.tobytes() == model.branches[1].classifier.weight.data.tobytes()
+
+    @pytest.mark.parametrize("damage", ["missing", "misshapen", "meta", "cut-half", "npy"])
+    def test_branches_refuse_what_load_checkpoint_refuses(self, tmp_path, damage):
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, build_model(tiny_cfg(), seed=14), tiny_assignment())
+        key = "bn/group1/1/running_var"
+        if damage == "missing":
+            rewrite_arrays(path, lambda arrays: arrays.pop(key))
+        elif damage == "misshapen":
+            rewrite_arrays(path, lambda arrays: arrays.update({key: arrays[key][:-1]}))
+        elif damage == "meta":
+            rewrite_meta(path, lambda meta: meta.pop("n_groups"))
+        elif damage == "cut-half":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        else:
+            np.save(path.with_suffix(".npy"), np.zeros(3))
+            path.write_bytes(path.with_suffix(".npy").read_bytes())
+        with pytest.raises(FormatError) as loading:
+            load_checkpoint(path)
+        with pytest.raises(FormatError) as opening:
+            CheckpointBranches(path)
+        assert str(opening.value) == str(loading.value)
+        assert str(loading.value).startswith(f"{path}: ")
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"

@@ -15,6 +15,8 @@ from helpers import (
     check_gradients,
     ensemble_loss_by_chain,
     ensemble_loss_value,
+    logits_batch_major,
+    loss_batch_major,
     random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
@@ -22,7 +24,16 @@ from helpers import (
 )
 
 from lgpnet.errors import FormatError, LgpnetError, NonFiniteLossError, ShapeError
-from lgpnet.model import GroupBranch, ModelCfg, ResidualBlockCfg, build_model, ensemble_logits, load_checkpoint
+from lgpnet.model import (
+    CheckpointBranches,
+    GroupBranch,
+    ModelCfg,
+    ResidualBlockCfg,
+    build_model,
+    ensemble_logits,
+    load_checkpoint,
+    save_checkpoint,
+)
 from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames
 from lgpnet.tensor import Tensor
 import lgpnet.training as training_mod
@@ -522,6 +533,49 @@ class TestTrainLoop:
         for _ in range(4):
             last = run_epoch(model, lgp, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
         assert last < first
+
+
+class TestBranchMajorInference:
+    """predict_logits and evaluate_loss run each branch over a chunk of whole
+    batches (`training._group_logits`), yet forward every batch as a batch of
+    its own: logits and loss are bitwise those of a batch-major loop."""
+
+    N = 14  # a ragged last batch at batch sizes 3 and 4
+
+    @pytest.fixture(scope="class")
+    def checkpoint(self, tiny_pipeline, tmp_path_factory):
+        model = build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=31)
+        rng = np.random.default_rng(32)
+        for bn in model.batchnorms():  # running statistics away from their initial values
+            bn.state.running_mean = rng.normal(size=bn.state.channels)
+            bn.state.running_var = rng.uniform(0.3, 3.0, size=bn.state.channels)
+        path = tmp_path_factory.mktemp("branch_major") / "model.npz"
+        save_checkpoint(path, model, tiny_pipeline["assignment"])
+        return path
+
+    @pytest.mark.parametrize("source", ["memory", "checkpoint"])
+    @pytest.mark.parametrize("chunk_batches", [1, 2])
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    def test_bitwise_the_batch_major_loop(
+        self, tiny_pipeline, checkpoint, monkeypatch, source, chunk_batches, batch_size
+    ):
+        monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", chunk_batches * batch_size)
+        lgp = tiny_pipeline["lgp"]
+        feats, labels = tiny_pipeline["feats"][: self.N], tiny_pipeline["labels"][: self.N]
+        cfg = small_train_cfg(batch_size=batch_size)
+        model = load_checkpoint(checkpoint)[0] if source == "memory" else CheckpointBranches(checkpoint)
+        reference = load_checkpoint(checkpoint)[0]
+        logits = predict_logits(model, lgp, feats, batch_size)
+        assert logits.tobytes() == logits_batch_major(reference, lgp, feats, batch_size).tobytes()
+        assert evaluate_loss(model, lgp, feats, labels, cfg) == loss_batch_major(reference, lgp, feats, labels, cfg)
+
+    def test_frames_from_the_audio_bitwise_the_stacked_frames(self, tiny_pipeline, checkpoint, monkeypatch):
+        # a chunk of two batches of 3 reads its 6 utterances in one ManifestFrames call
+        monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", 6)
+        model = load_checkpoint(checkpoint)[0]
+        src = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], target_frames=50)
+        from_audio = predict_logits(model, tiny_pipeline["lgp"], src, 3)
+        assert from_audio.tobytes() == predict_logits(model, tiny_pipeline["lgp"], tiny_pipeline["feats"], 3).tobytes()
 
 
 class TestBatchMemory:
