@@ -22,22 +22,22 @@ makes the last pre-activation, `conv1d` or `batchnorm1d`, so no sum is
 made apart.  Every convolution keeps the length of its input.
 
 One forward serves training and scoring: `GroupBranch.forward(x, keep)`.
-Every BN directly follows a convolution, and `_fold` alone decides per
-pair whether the BN runs as its own op or is folded into the convolution:
-it is folded when nothing is kept for a backward and that BN is in eval
-mode.  The folded convolution has weight W·γ/√(σ²+ε) and bias
-(b−μ)·γ/√(σ²+ε)+β, computed per call and never cached.  The folded weight
+keep=True trains: each BN normalizes with the batch's statistics and moves
+its running statistics.  keep=False infers: `_fold` folds every BN, with
+its running statistics, into the convolution before it, with weight
+W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
+cached, and nothing changes.  The folded weight
 is written straight into conv1d's tap-major (k, C_out, C_in) layout and
 handed over as its (C_out, C_in, k) view, so conv1d reads it in place and
 it exists once.  The skip (if any) and the ReLU after the folded
-convolution are applied in place on the array it just made.  A BN that is
-not folded applies them itself (`batchnorm1d(..., relu=True,
-residual=x)`), in place on its own output.  The aggregation convolution of
+convolution are applied in place on the array it just made; in training
+BN applies them itself (`batchnorm1d(..., relu=True, residual=x)`), in
+place on its own output.  The aggregation convolution of
 the concatenated block outputs is one `aggregate` op fed the block outputs
 as the blocks make them, so each block's share is added to one output
 array as the block finishes: no concatenation and no partial sum exists.
-Folded scores agree with the unfolded forward to rounding (1e-10 relative
-in the tests).
+Folded scores agree with the unfolded BN on the running statistics to
+rounding (1e-10 relative in the tests).
 
 With keep=True the forward also returns the branch's records, one per
 layer group in forward order, each holding what its backward reads:
@@ -128,9 +128,9 @@ class ModelCfg:
     improved_blocks: bool = True
 
     def __post_init__(self):
-        for key, value in (("n_groups", self.n_groups), ("n_blocks", self.n_blocks)):
-            if value < 1:
-                raise ConfigError(f"model.{key} must be >= 1, got {value}")
+        for key in ("n_groups", "n_blocks", "group_input_dim"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"model.{key} must be >= 1, got {getattr(self, key)}")
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -175,11 +175,11 @@ def _fold(
     conv: Conv1dLayer, bn: BatchNorm1dLayer, keep: bool
 ) -> tuple[Tensor, Tensor, BatchNorm1dLayer | None]:
     """(weight, bias, bn) for bn(conv(x)).  With nothing kept for a backward
-    and `bn` in eval mode, `bn` is folded into a new weight and bias and None
-    is returned for it; otherwise the conv's own parameters and `bn` itself."""
-    state = bn.state
-    if keep or state.mode != "eval":
+    `bn` is folded, with its running statistics, into a new weight and bias
+    and None is returned for it; otherwise the conv's own parameters and `bn`."""
+    if keep:
         return conv.weight, conv.bias, bn
+    state = bn.state
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
     bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
     w = conv.weight.data  # C_out x C_in x k
@@ -322,7 +322,7 @@ class GroupBranch:
     def forward(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
         """The group logits (N x 2, spoof and bona fide) for the N x D x T
         slice x, and with keep=True the records that `backward` reads (see
-        the module docstring), or None."""
+        the module docstring), or None: keep=True trains, keep=False infers."""
         if x.shape[1] != self.cfg.group_input_dim:
             raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
         records = [] if keep else None
@@ -442,8 +442,8 @@ class GroupedResNetEnsemble:
         return [branch.classifier for branch in self.branches]
 
     def forward_slices(self, slices) -> list[Tensor]:
-        """The G group logits b_g (N x 2 each) for the G group slices, with
-        nothing kept for a backward: a list of Tensors or a
+        """The G group logits b_g (N x 2 each) by inference for the G group
+        slices: a list of Tensors or a
         `multiscale.FrameBatch`, whose slice g is made on the worker that runs
         branch g (see `tensor._parallel_map`)."""
         if len(slices) != self.cfg.n_groups:
@@ -478,12 +478,6 @@ class GroupedResNetEnsemble:
 
     def batchnorms(self) -> list[BatchNorm1dLayer]:
         return [bn for branch in self.branches for bn in branch.batchnorms()]
-
-    def set_mode(self, mode: str) -> None:
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        for bn in self.batchnorms():
-            bn.state.mode = mode
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -587,7 +581,8 @@ def _checkpoint_archive(path: str | Path):
 
 def _read_meta(members: _Members, path: str | Path) -> tuple[ModelCfg, GroupAssignment]:
     """The model configuration and grouping that the checkpoint's meta holds;
-    FormatError naming path for a file without one or a malformed one."""
+    FormatError naming path for a file without one or a malformed one
+    (one that `ModelCfg`, `ResidualBlockCfg` or `GroupAssignment` refuses)."""
     if "meta" not in members:
         raise FormatError(f"{path}: not a model checkpoint")
     raw = bytes(members["meta"])
@@ -608,7 +603,7 @@ def _read_meta(members: _Members, path: str | Path) -> tuple[ModelCfg, GroupAssi
             groups={int(o): np.asarray(g, dtype=np.int64) for o, g in meta["assignment"].items()},
             n_groups=int(meta["n_groups"]),
         )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError, ShapeError) as exc:
         raise FormatError(f"{path}: malformed checkpoint meta ({type(exc).__name__}: {exc})") from None
     return cfg, assignment
 
@@ -658,9 +653,9 @@ class CheckpointBranches:
     array the configuration gives is there in its shape, from the .npy
     headers alone, with `load_checkpoint`'s FormatErrors; no array data is
     read.  `branches[g]` opens the file again and reads only the
-    `param/group{g}.*` and `bn/group{g}/*` arrays into a new `GroupBranch`
-    in eval mode.  The caller holds its one reference, so the branch is
-    freed when the caller drops it.  A member that does not read back then
+    `param/group{g}.*` and `bn/group{g}/*` arrays into a new `GroupBranch`.
+    The caller holds its one reference, so the branch is freed when the
+    caller drops it.  A member that does not read back then
     (a bad CRC, a short member) raises FormatError naming path."""
 
     def __init__(self, path: str | Path):
@@ -679,6 +674,4 @@ class CheckpointBranches:
         branch.classifier = LinearLayer(self.cfg.block.channels, 2, _Unfilled())
         with _checkpoint_archive(self.path) as members:
             _read_arrays(branch.stored_arrays(g), members, self.path)
-        for bn in branch.batchnorms():
-            bn.state.mode = "eval"
         return branch

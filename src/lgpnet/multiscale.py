@@ -176,16 +176,25 @@ def utterance_lgp(
 
 def map_utterances(manifest: Manifest, idx, fn) -> list:
     """[fn(j, clip_j) for each j], where clip_j is manifest entry idx[j] as
-    `read_wav` reads it, on the worker pool (see `tensor._parallel_map`).
+    `read_wav` reads it, on the worker pool (see `tensor._parallel_map`,
+    which stops at the first failure).
 
-    Every call has finished before this returns or raises; the first error
-    in idx order is raised, so the first failing file is the one named.
+    A ValueError from fn, such as FeatureMatrix's refusal of an LFCC frame
+    that is not finite (from audio loud enough to overflow the power
+    spectrum, which then warns no more), is raised as FormatError naming
+    the file.  Calls start in idx order, so the first failing file is the
+    one named.
     """
     entries = [manifest.entries[i] for i in idx]
 
     def one(j: int):
         path, label = entries[j]
-        return fn(j, read_wav(path, utt_id=label.utt_id))
+        clip = read_wav(path, utt_id=label.utt_id)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return fn(j, clip)
+        except ValueError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
     wav_bytes = sum(os.path.getsize(path) for path, _ in entries)  # stands in for the samples
     return _parallel_map(one, len(entries), wav_bytes)
@@ -275,12 +284,7 @@ class ManifestFrames:
         out = np.empty((len(idx), self.target_frames, self.lfcc_cfg.n_dims))
 
         def fill(j: int, clip: AudioClip) -> None:
-            feat = lfcc_extract(clip, self.lfcc_cfg)
-            bad = np.flatnonzero(~np.isfinite(feat.values).all(axis=1))
-            if bad.size:
-                path = self.manifest.entries[idx[j]][0]
-                raise FormatError(f"{path}: LFCC frame {bad[0]} is not finite")
-            out[j] = fix_length(feat, self.target_frames).values
+            out[j] = fix_length(lfcc_extract(clip, self.lfcc_cfg), self.target_frames).values
 
         map_utterances(self.manifest, idx, fill)
         return out

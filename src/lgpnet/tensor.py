@@ -3,9 +3,9 @@
 Covers exactly the operations the grouped 1-d residual network runs:
 same-length convolution, `aggregate` (the 1x1 convolution of a channel
 concatenation, summed input by input without the concatenation), batch
-normalization with an optional ReLU, max pooling over time and linear
-layers.  Convolution and batch normalization can add a ``residual``
-operand to their output.  There is no graph: each op ``f`` has a public
+normalization (by the batch's statistics or given ones) with an optional
+ReLU, max pooling over time and linear layers.  Convolution and batch
+normalization can add a ``residual`` operand to their output.  There is no graph: each op ``f`` has a public
 ``f_backward`` that takes the gradient of f's output and the operands
 (and whatever else the forward returned), adds each parameter's gradient
 to its ``.grad`` (`Tensor._accumulate`) and returns the input's gradient.
@@ -73,7 +73,7 @@ import ctypes
 import os
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -252,21 +252,25 @@ def _parallel_map(fn, n: int, elements: int) -> list:
     """[fn(0), ..., fn(n-1)], on the worker pool when there is one and the
     calls work on at least _MIN_POOL_ELEMENTS `elements` in all.
 
-    Every call has finished before this returns or raises; the first error
-    in index order is raised.  Each call runs in a copy of the caller's
-    context, so the caller's `np.errstate` holds in the workers too.  BLAS
-    runs single-threaded meanwhile, since a multi-threaded BLAS under
-    concurrent workers oversubscribes the cores.  A map started on a worker
-    runs inline there, since waiting on the pool from inside it could
-    deadlock.
+    Once a call fails, the calls not yet started are cancelled.  Every
+    started call has finished before this returns or raises; the first
+    error in index order is raised.  Each call runs in a copy of the
+    caller's context, so the caller's `np.errstate` holds in the workers
+    too.  BLAS runs single-threaded meanwhile, since a multi-threaded BLAS
+    under concurrent workers oversubscribes the cores.  A map started on a
+    worker runs inline there, since waiting on the pool from inside it
+    could deadlock.
     """
     pool = _map_pool(n, elements)
     if pool is None:
         return [fn(i) for i in range(n)]
     with _blas_single_thread():
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
-        wait(futures)
-    return [f.result() for f in futures]
+        if wait(futures, return_when=FIRST_EXCEPTION).not_done:  # a call failed
+            for f in futures:
+                f.cancel()
+            wait(futures)
+    return [f.result() for f in futures if not f.cancelled()]  # cancelled only after a failure, which raises
 
 
 def _ordered_map(fn, n: int, elements: int, consume) -> None:
@@ -466,7 +470,6 @@ class BatchNormState:
         self.beta = Tensor(np.zeros(channels), requires_grad=True)
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.mode = "train"
 
     @property
     def channels(self) -> int:
@@ -481,13 +484,13 @@ def batchnorm1d(
     residual: Tensor | None = None,
     stats: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[Tensor, tuple[np.ndarray, np.ndarray]]:
-    """Normalize N x C x T per channel; batch stats in train mode, running in eval.
+    """Normalize N x C x T per channel, by the batch's statistics or `stats`.
 
     Returns the output and the statistics it normalized with, (mean, 1/std)
-    per channel, which `batchnorm1d_backward` reads.  Handed such
-    statistics as `stats`, it normalizes with them instead and leaves the
-    running statistics alone: the output of the call that returned them,
-    made again bit for bit.
+    per channel, which `batchnorm1d_backward` reads.  By the batch's
+    statistics it also moves the running statistics; handed `stats`, it
+    leaves them alone: the output of the call that returned them, made
+    again bit for bit, or inference, handed the running statistics.
 
     `residual` (of x's shape), when given, is added to the normalized output,
     and with relu=True the ReLU comes after that: the output is
@@ -507,23 +510,15 @@ def batchnorm1d(
         mean, inv_std = stats
         y = xhat = x.data - mean[None, :, None]
     else:
-        if state.mode == "train":
-            m = n * t
-            if m < 2:
-                raise ShapeError("train-mode batchnorm needs at least 2 values per channel")
-            mean = x.data.mean(axis=(0, 2))
-            xhat = x.data - mean[None, :, None]
-            y = np.square(xhat)  # the same buffer later receives the output
-            var = y.mean(axis=(0, 2))
-            state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
-            state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * (var * m / (m - 1))
-        elif state.mode == "eval":
-            mean = state.running_mean
-            var = state.running_var
-            xhat = x.data - mean[None, :, None]
-            y = np.empty_like(xhat)
-        else:
-            raise ValueError(f"unknown batchnorm mode {state.mode!r}")
+        m = n * t
+        if m < 2:
+            raise ShapeError("batch-statistics batchnorm needs at least 2 values per channel")
+        mean = x.data.mean(axis=(0, 2))
+        xhat = x.data - mean[None, :, None]
+        y = np.square(xhat)  # the same buffer later receives the output
+        var = y.mean(axis=(0, 2))
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * (var * m / (m - 1))
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
     # xhat = x - mean is scaled in place, then y = γ·xhat + β (+ residual), ReLU'd
     xhat *= inv_std[None, :, None]
@@ -546,8 +541,9 @@ def batchnorm1d_backward(
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The backward of batchnorm1d(x, state, ...) for the output's gradient g,
-    `stats` being the statistics it returned and `out` its output array
-    when it applied the ReLU (the mask is read from it).
+    `stats` being the batch statistics it returned (only training has a
+    backward) and `out` its output array when it applied the ReLU (the mask
+    is read from it).
 
     Adds γ's and β's gradients to theirs and returns x's gradient (None
     where x wants none) and the gradient reaching bn(x) + residual, before
@@ -569,14 +565,13 @@ def batchnorm1d_backward(
         beta._accumulate(g_beta)
     if not x.requires_grad:
         return None, g
+    # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), reusing the
+    # per-channel sums above and the g*xhat buffer
     scale = gamma.data * inv_std
     gx = g * scale[None, :, None]
-    if state.mode == "train":
-        # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), reusing the
-        # per-channel sums above and the g*xhat buffer
-        np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
-        g_xhat += (scale * g_beta / (n * t))[None, :, None]
-        gx -= g_xhat
+    np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
+    g_xhat += (scale * g_beta / (n * t))[None, :, None]
+    gx -= g_xhat
     return gx, g
 
 

@@ -22,9 +22,9 @@ sums, a scaling and a mean gives (`tests/helpers.ensemble_loss_by_chain`),
 so the value and every gradient equal that chain's bit for bit.
 
 A training step (`run_epoch`) is three plain steps: every branch's forward
-with its records kept (`model.GroupBranch.forward`), the loss and its G
-gradients, and every branch's backward; the branches of each step run on
-the tensor engine's worker pool.
+with its records kept (`model.GroupBranch.forward`, keep=True), the loss
+and its G gradients, and every branch's backward; the branches of each
+step run on the tensor engine's worker pool.
 
 Inference (`predict_logits`, and the dev loss in `evaluate_loss`) is one
 loop, `_group_logits`, that runs branch-major over chunks of whole batches:
@@ -249,7 +249,6 @@ def run_epoch(
     A NaN or infinite batch loss raises NonFiniteLossError naming the epoch
     and the batch, before that batch's update.
     """
-    model.set_mode("train")
     total = 0.0
     batches = _batch_indices(perm.size, cfg.batch_size)
     for b, idx in enumerate(batches, start=1):
@@ -270,20 +269,16 @@ def run_epoch(
 _CHUNK_UTTERANCES = 256
 
 
-def _eval_branches(model: GroupedResNetEnsemble | CheckpointBranches):
-    """model's branches, indexable by group, each running in eval mode: an
-    ensemble's own (set to eval mode), or a `CheckpointBranches`, which
-    reads each from the file in eval mode when indexed."""
-    if isinstance(model, CheckpointBranches):
-        return model
-    model.set_mode("eval")
-    return model.branches
+def _branches(model: GroupedResNetEnsemble | CheckpointBranches):
+    """model's branches, indexable by group: an ensemble's own, or a
+    `CheckpointBranches`, which reads each from the file when indexed."""
+    return model if isinstance(model, CheckpointBranches) else model.branches
 
 
 def _group_logits(branches, lgp: GroupLgp, feats: np.ndarray | ManifestFrames, batch_size: int):
     """(batch indices, the batch's G group logits) for each batch of
-    `_batch_indices(len(feats), batch_size)`, in order, nothing kept for a
-    backward.
+    `_batch_indices(len(feats), batch_size)`, in order, by inference
+    (keep=False: BN on its running statistics, nothing kept or changed).
 
     Branch-major over chunks of whole batches (`_CHUNK_UTTERANCES`): the
     chunk's LFCC frames are made once, then each worker takes one branch
@@ -315,10 +310,10 @@ def evaluate_loss(
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> float:
-    """Loss over a dataset in eval mode, batch by batch (`_group_logits`);
-    nothing kept, no state mutation."""
+    """Loss over a dataset by inference, batch by batch (`_group_logits`):
+    BN uses its running statistics, nothing is kept and no state changes."""
     total = 0.0
-    for idx, group_logits in _group_logits(_eval_branches(model), lgp, feats, cfg.batch_size):
+    for idx, group_logits in _group_logits(_branches(model), lgp, feats, cfg.batch_size):
         total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
     return total / labels.size
 
@@ -329,12 +324,12 @@ def predict_logits(
     feats: np.ndarray | ManifestFrames,
     batch_size: int = 32,
 ) -> np.ndarray:
-    """Ensemble logits for stacked or per-batch computed frames, in eval mode,
+    """Ensemble logits for stacked or per-batch computed frames, by inference,
     batch by batch (`_group_logits`): from an ensemble in memory, or from a
     checkpoint's branches, each read when a worker needs it."""
     return np.vstack([
         ensemble_logits(group_logits)
-        for _, group_logits in _group_logits(_eval_branches(model), lgp, feats, batch_size)
+        for _, group_logits in _group_logits(_branches(model), lgp, feats, batch_size)
     ])
 
 

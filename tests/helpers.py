@@ -183,10 +183,40 @@ def train_step_grads(model, slices, labels, aware: bool = True) -> float:
 
 
 def ensemble_loss_value(model, slices, labels, aware: bool = True) -> float:
-    """The ensemble-aware loss of the model's logits for the slices, nothing kept."""
+    """The ensemble-aware loss of the model's training-forward logits for the
+    slices (keep=True: BN on the batch's statistics), the records dropped."""
     from lgpnet.training import ensemble_aware_loss
 
-    return ensemble_aware_loss([b.data for b in model.forward_slices(slices)], labels, aware)[0]
+    group_logits = [branch.forward(x, keep=True)[0].data for branch, x in zip(model.branches, slices)]
+    return ensemble_aware_loss(group_logits, labels, aware)[0]
+
+
+def training_forward(model, lgp: np.ndarray, assignment) -> list[Tensor]:
+    """Every branch's training forward (keep=True) on its slice of the
+    (N, D_total, T) LGP batch, the records dropped: BN normalizes with the
+    batch's statistics and moves its running statistics."""
+    slices = assignment.split(np.asarray(lgp, dtype=np.float64))
+    return [branch.forward(Tensor(x), keep=True)[0] for branch, x in zip(model.branches, slices)]
+
+
+def batchnorm1d_running(x: Tensor, state, relu: bool = False, *, residual=None, stats=None):
+    """batchnorm1d on the running statistics, (mean, 1/std), unless handed
+    `stats`: inference BN as an op of its own, unfolded, bit for bit the
+    former eval mode."""
+    from lgpnet.tensor import BN_EPS, batchnorm1d
+
+    if stats is None:
+        stats = state.running_mean, 1.0 / np.sqrt(state.running_var + BN_EPS)
+    return batchnorm1d(x, state, relu, residual=residual, stats=stats)
+
+
+def use_unfolded_inference(monkeypatch) -> None:
+    """Make lgpnet.model's BNs run as `batchnorm1d_running`, so that a forward
+    with keep=True normalizes with the running statistics, each BN its own
+    op after its convolution: the reference for the folded inference."""
+    import lgpnet.model as model
+
+    monkeypatch.setattr(model, "batchnorm1d", batchnorm1d_running)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +418,7 @@ def branch_keeping_everything(branch, x: Tensor, dlogits, mfa: str = "aggregate"
 
 
 # ---------------------------------------------------------------------------
-# the folded eval forward as the library computed it while conv1d had a k == 1
+# the folded inference forward as the library computed it while conv1d had a k == 1
 # path of its own, aggregate held one product buffer and the fold made a
 # (C_out, C_in, k) weight: references for the one forward path, by bytes
 
@@ -478,9 +508,9 @@ def fold_by_broadcast(conv, bn, keep):
     """model._fold with the folded weight made as W * scale in W's own layout."""
     from lgpnet.tensor import BN_EPS
 
-    state = bn.state
-    if keep or state.mode != "eval":
+    if keep:
         return conv.weight, conv.bias, bn
+    state = bn.state
     scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
     bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
     return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
@@ -507,20 +537,15 @@ def use_two_path_forward(monkeypatch) -> None:
 
 
 def batchnorm1d_grads_keeping_xhat(x: np.ndarray, state, g: np.ndarray):
-    """(dx, dgamma, dbeta) of batchnorm1d at x for upstream gradient g: the
-    library's former backward, fed the x-hat its forward computed, before
-    the forward (in train mode) updates the running statistics."""
+    """(dx, dgamma, dbeta) of batchnorm1d at x, on the batch's statistics,
+    for upstream gradient g: the library's former backward, fed the x-hat
+    its forward computed."""
     from lgpnet.tensor import BN_EPS
 
     n, c, t = x.shape
-    train_mode = state.mode == "train"
-    if train_mode:
-        mean = x.mean(axis=(0, 2))
-        xhat = x - mean[None, :, None]
-        var = np.square(xhat).mean(axis=(0, 2))
-    else:
-        mean, var = state.running_mean, state.running_var
-        xhat = x - mean[None, :, None]
+    mean = x.mean(axis=(0, 2))
+    xhat = x - mean[None, :, None]
+    var = np.square(xhat).mean(axis=(0, 2))
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     g_xhat = g * xhat
@@ -528,10 +553,9 @@ def batchnorm1d_grads_keeping_xhat(x: np.ndarray, state, g: np.ndarray):
     g_beta = g.sum(axis=(0, 2))
     scale = state.gamma.data * inv_std
     gx = g * scale[None, :, None]
-    if train_mode:
-        np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
-        g_xhat += (scale * g_beta / (n * t))[None, :, None]
-        gx -= g_xhat
+    np.multiply(xhat, (scale * g_gamma / (n * t))[None, :, None], out=g_xhat)
+    g_xhat += (scale * g_beta / (n * t))[None, :, None]
+    gx -= g_xhat
     return gx, g_gamma, g_beta
 
 
@@ -562,10 +586,9 @@ def adam_step_by_expression(state, lr: float) -> None:
 
 def logits_batch_major(model, lgp, feats, batch_size: int) -> np.ndarray:
     """The ensemble logits of each batch of feats in turn, every branch run on
-    the batch before the next batch starts, stacked; in eval mode."""
+    the batch before the next batch starts, stacked."""
     from lgpnet.model import ensemble_logits
 
-    model.set_mode("eval")
     return np.vstack([
         ensemble_logits([b.data for b in model.forward_slices(lgp.batch(feats[idx]))])
         for idx in _batches(len(feats), batch_size)
@@ -577,7 +600,6 @@ def loss_batch_major(model, lgp, feats, labels, cfg) -> float:
     loss times its size, summed in batch order, over the sample count."""
     from lgpnet.training import ensemble_aware_loss
 
-    model.set_mode("eval")
     total = 0.0
     for idx in _batches(len(feats), cfg.batch_size):
         group_logits = [b.data for b in model.forward_slices(lgp.batch(feats[idx]))]

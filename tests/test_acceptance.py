@@ -193,7 +193,8 @@ class TestAcceptance:
         yblk, saved = block.forward(xblk, keep=True)
         gx = block.backward(saved, xblk, yblk, cblk)
         assert check_gradients(
-            lambda: weighted_sum(block.forward(xblk)[0], cblk), [gx] + [p.grad for p in block_params[1:]], block_params
+            lambda: weighted_sum(block.forward(xblk, keep=True)[0], cblk), [gx] + [p.grad for p in block_params[1:]],
+            block_params,
         ) < FD_REL_TOL
 
         loss_model = build_model(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from helpers import (
     build_synth_corpus,
@@ -629,6 +630,9 @@ class TestRefusedInputs:
         (root / "wavnan" / "NAN_SAMPLE.wav").write_bytes(wav_bytes_float32(samples))
         (root / "wavnan" / "CLEAN.wav").write_bytes(wav_bytes_float32(np.nan_to_num(samples)))
         (root / "nan.txt").write_text("SPK1 NAN_SAMPLE - - bonafide\nSPK1 CLEAN - A01 spoof\n")
+        # finite float64 samples, so loud that the power spectrum overflows
+        wavfile.write(root / "wavnan" / "LOUD.wav", 16000, 1e200 * np.nan_to_num(samples).astype(np.float64))
+        (root / "loud.txt").write_text("SPK1 CLEAN - A01 spoof\nSPK1 LOUD - - bonafide\n")
         return root
 
     def _score(self, cli_workspace, root, protocol, audio_dir, checkpoint):
@@ -721,6 +725,25 @@ class TestRefusedInputs:
         assert "NAN_SAMPLE.wav: non-finite sample values" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["score", "train-model", "train-gmm"])
+    def test_non_finite_frame_names_the_file(self, cli_workspace, workspace, capsys, tmp_path, command):
+        # the file's samples are finite, its LFCC frames are not; no warning or traceback
+        # comes before the error line, also under python -W error
+        args = ["--protocol", str(workspace / "loud.txt"), "--audio-dir", str(workspace / "wavnan"),
+                "--config", str(cli_workspace["cfg"])]
+        out = tmp_path / "out"
+        if command == "score":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
+                     "--out", str(out)]
+        elif command == "train-model":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        else:
+            args += ["--out", str(out)]
+        assert cli_main([command, *args]) == 1
+        path = workspace / "wavnan" / "LOUD.wav"
+        assert capsys.readouterr().err == f"error: {path}: FeatureMatrix contains non-finite values\n"
+        assert not out.exists()
+
     def test_score_with_malformed_checkpoint_meta(self, cli_workspace, workspace, capsys):
         broken = workspace / "broken.npz"
         broken.write_bytes((workspace / "model.npz").read_bytes())
@@ -729,6 +752,48 @@ class TestRefusedInputs:
         assert code == 1
         assert "broken.npz: malformed checkpoint meta" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
+
+    @pytest.mark.parametrize("case, edit, reason", [
+        ("group_input_dim", lambda meta: meta["model_cfg"].update(group_input_dim=0),
+         "ConfigError: model.group_input_dim must be >= 1, got 0"),
+        ("n_blocks", lambda meta: meta["model_cfg"].update(n_blocks=0),
+         "ConfigError: model.n_blocks must be >= 1, got 0"),
+        ("kernel", lambda meta: meta["model_cfg"]["block"].update(kernel=2),
+         "ConfigError: kernel size must be odd"),
+        ("assignment", lambda meta: meta["assignment"].update({"8": meta["assignment"]["8"][:-1]}),
+         "ShapeError: assignment for order 8 has shape (7,)"),
+    ], ids=["group_input_dim", "n_blocks", "kernel", "assignment"])
+    def test_meta_the_model_refuses_is_a_format_error_naming_the_file(
+        self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, case, edit, reason
+    ):
+        # load_checkpoint, CheckpointBranches and score each name the file; score exits 1
+        # with one error line, before any audio is read
+        import lgpnet.multiscale as multiscale
+        from lgpnet.errors import FormatError
+        from lgpnet.model import CheckpointBranches, load_checkpoint
+
+        broken = tmp_path / f"{case}.npz"
+        broken.write_bytes((workspace / "model.npz").read_bytes())
+        rewrite_meta(broken, edit)
+        message = f"{broken}: malformed checkpoint meta ({reason})"
+        for read in (load_checkpoint, CheckpointBranches):
+            with pytest.raises(FormatError) as refused:
+                read(broken)
+            assert str(refused.value) == message
+        reads = []
+        monkeypatch.setattr(multiscale, "read_wav", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(multiscale, "check_wav", lambda *a, **k: reads.append(a))
+        out = tmp_path / "scores.txt"
+        code = cli_main([
+            "score", "--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(broken),
+            "--out", str(out), "--config", str(cli_workspace["cfg"]),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"  # one line, no traceback
+        assert reads == []
+        assert not out.exists()
 
     def test_score_with_wrong_shape_bn_statistic(self, cli_workspace, workspace, capsys):
         broken = workspace / "bad_bn.npz"

@@ -22,7 +22,9 @@ from helpers import (
     rewrite_meta,
     standard_forward_by_add,
     train_step_grads,
+    training_forward,
     use_two_path_forward,
+    use_unfolded_inference,
     weighted_sum,
 )
 
@@ -146,7 +148,8 @@ class TestImprovedResidualBlock:
         gx = block.backward(saved, x, y, coeffs)
         params = block_params(block)
         worst = check_gradients(
-            lambda: weighted_sum(block.forward(x)[0], coeffs), [gx] + [p.grad for p in params], [x] + params
+            lambda: weighted_sum(block.forward(x, keep=True)[0], coeffs), [gx] + [p.grad for p in params],
+            [x] + params
         )
         assert worst < FD_REL_TOL
 
@@ -162,7 +165,7 @@ class TestStandardResidualBlock:
     the reference adds it to that BN's output apart, before a separate ReLU."""
 
     @pytest.mark.parametrize("mfa", [True, False])
-    @pytest.mark.parametrize("mode", ["train", "eval", "eval-folded"])
+    @pytest.mark.parametrize("mode", ["train", "train-perturbed", "inference"])
     def test_bitwise_as_relu_of_add(self, mode, mfa, monkeypatch):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=False, mfa=mfa)
         x = Tensor(np.random.default_rng(50).normal(size=(3, 4, 11)))
@@ -172,7 +175,7 @@ class TestStandardResidualBlock:
             branch = build_model(cfg, seed=48).branches[0]
             if mode != "train":
                 perturb_batchnorms(branch, np.random.default_rng(49))
-            if mode == "eval-folded":
+            if mode == "inference":
                 if reference:
                     monkeypatch.setattr(StandardResidualBlock, "forward", standard_forward_by_add)
                 arrays = [branch.forward(x)[0].data]
@@ -240,10 +243,9 @@ class TestGroupBranch:
         assert records[-1].data.tobytes() == max_pool_time(records[-2][1]).data.tobytes()
         assert logits.shape == (1, 2)
 
-    def test_zeroed_blocks_reduce_to_entry_plus_mfa(self):
+    def test_zeroed_blocks_reduce_to_entry_plus_mfa(self, monkeypatch):
         cfg = tiny_cfg()
         model = build_model(cfg, seed=4)
-        model.set_mode("eval")
         branch = model.branches[0]
         for block in branch.blocks:
             block.conv2.weight.data[:] = 0.0
@@ -251,17 +253,19 @@ class TestGroupBranch:
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(2, 4, 12)))
         full = branch.forward(x)[0]
-        # reference with every BN its own op: entry -> B copies -> MFA -> pool, skipping the blocks
+        # reference with every BN its own op on its running statistics: entry -> B copies
+        # -> MFA -> pool, skipping the blocks
+        use_unfolded_inference(monkeypatch)
         h = branch.entry_bn(branch.entry_conv(x), relu=True)[0]
         cat = Tensor(np.concatenate([h.data] * cfg.n_blocks, axis=1))
         m = branch.mfa_bn(branch.mfa_conv(cat), relu=True)[0]
         reference = branch.classifier(max_pool_time(m))
         assert np.max(np.abs(full.data - reference.data)) <= 1e-12 * np.max(np.abs(reference.data))
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("bn_params", ["initial", "perturbed"])
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_gradients_bitwise_a_reference_keeping_everything(self, improved, mfa, mode):
+    def test_gradients_bitwise_a_reference_keeping_everything(self, improved, mfa, bn_params):
         # helpers.branch_keeping_everything keeps every op output and sums each block
         # output's gradient in the former graph walk's order; the branch keeps only its
         # records and makes its BN-ReLU outputs again: the same logits, gradients and
@@ -272,7 +276,7 @@ class TestGroupBranch:
         results = []
         for reference in (False, True):
             branch = build_model(cfg, seed=42).branches[0]
-            if mode == "eval":
+            if bn_params == "perturbed":
                 perturb_batchnorms(branch, np.random.default_rng(45))
             if reference:
                 logits = branch_keeping_everything(branch, x, coeffs)
@@ -370,14 +374,11 @@ class TestRecomputedBnOutputs:
         assert [ref() for ref in refs] == [None] * len(refs)
         assert all((y is None) != improved for _, y in records[1 : 1 + cfg.n_blocks])
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_made_again_bitwise_the_forwards(self, monkeypatch, improved, mode):
+    def test_made_again_bitwise_the_forwards(self, monkeypatch, improved):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
         branch = build_model(cfg, seed=62).branches[0]
         perturb_batchnorms(branch, np.random.default_rng(63))
-        for bn in branch.batchnorms():
-            bn.state.mode = mode
         calls = recording(monkeypatch, "batchnorm1d")
         _, records = branch.forward(slices_for(cfg, 64)[0], keep=True)
         made = {id(result[1][0]): result[0].data.tobytes() for *_, result in calls}
@@ -399,12 +400,9 @@ class TestRecomputedBnOutputs:
         train_step_grads(model, [x], np.array([0, 1]))
         assert all(p.grad is not None and np.isfinite(p.grad).all() for p in model.parameters())
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_forward_without_keep_holds_nothing(self, monkeypatch, mode):
+    def test_forward_without_keep_holds_nothing(self, monkeypatch):
         cfg = tiny_cfg(improved_blocks=False)
         branch = build_model(cfg, seed=65).branches[0]
-        for bn in branch.batchnorms():
-            bn.state.mode = mode
         calls = recording(monkeypatch, "conv1d", "batchnorm1d", "aggregate", "max_pool_time")
         logits, records = branch.forward(slices_for(cfg, 66)[0])
         refs = [weakref.ref(output_array(result)) for *_, result in calls]
@@ -481,7 +479,6 @@ class TestModelForward:
 
     def test_group_independence(self):
         model = build_model(tiny_cfg(), seed=7)
-        model.set_mode("eval")
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 8, 10))
         base = model(x, tiny_assignment())
@@ -533,7 +530,6 @@ class TestModelForward:
 
     def test_nan_input_gives_non_finite_logits(self):
         model = build_model(tiny_cfg(), seed=12)
-        model.set_mode("eval")
         x = np.random.default_rng(13).normal(size=(2, 8, 10))
         x[0, 3, 4] = np.nan
         logits = ensemble_logits([g.data for g in model(x, tiny_assignment())])
@@ -636,7 +632,6 @@ class TestBranchPool:
 
     def test_forward_slices_runs_branches_on_the_pool(self, two_workers):
         model = build_model(tiny_cfg(n_groups=4), seed=27)
-        model.set_mode("eval")
         idents = []
         inline = [branch.forward(x)[0] for branch, x in zip(model.branches, self._slices(28))]
         for branch in model.branches:
@@ -689,7 +684,6 @@ def perturb_batchnorms(owner, rng):
         state.running_var = rng.uniform(0.3, 3.0, size=c)
         state.gamma.data = rng.uniform(0.5, 1.5, size=c)
         state.beta.data = rng.normal(scale=0.3, size=c)
-        state.mode = "eval"
 
 
 def relative_gap(got, ref):
@@ -697,34 +691,37 @@ def relative_gap(got, ref):
 
 
 class TestForwardOnlyPath:
-    """A forward that keeps nothing folds every eval-mode BN into the conv
-    before it; the same forward keeping its records runs each BN as its own
-    op and is the reference."""
+    """A forward that keeps nothing folds every BN, with its running
+    statistics, into the conv before it.  The reference is the same forward
+    keeping its records with each BN its own op on its running statistics
+    (`helpers.use_unfolded_inference`)."""
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_matches_tensor_forward(self, improved, mfa):
+    def test_matches_tensor_forward(self, improved, mfa, monkeypatch):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
         model = build_model(cfg, seed=31)
         rng = np.random.default_rng(32)
         perturb_batchnorms(model, rng)
         x = rng.normal(size=(3, 8, 11))
         slices = [Tensor(s) for s in tiny_assignment().split(x)]
-        reference = [branch.forward(s, keep=True)[0] for branch, s in zip(model.branches, slices)]
         folded = model(x, tiny_assignment())
+        use_unfolded_inference(monkeypatch)
+        reference = [branch.forward(s, keep=True)[0] for branch, s in zip(model.branches, slices)]
         assert relative_gap(
             ensemble_logits([g.data for g in folded]), ensemble_logits([g.data for g in reference])
         ) < 1e-10
         for got, ref in zip(folded, reference):
             assert relative_gap(got.data, ref.data) < 1e-10
 
-    def test_full_size_branch_matches_tensor_forward(self):
+    def test_full_size_branch_matches_tensor_forward(self, monkeypatch):
         rng = np.random.default_rng(33)
         branch = build_model(ModelCfg(n_groups=1), seed=33).branches[0]
         perturb_batchnorms(branch, rng)
         x = Tensor(rng.normal(size=(2, 248, 60)))
-        reference = branch.forward(x, keep=True)[0]
         folded = branch.forward(x)[0]
+        use_unfolded_inference(monkeypatch)
+        reference = branch.forward(x, keep=True)[0]
         assert relative_gap(folded.data, reference.data) < 1e-10
 
     @pytest.mark.parametrize("improved", [True, False])
@@ -773,13 +770,15 @@ class TestForwardOnlyPath:
             logits.append([ensemble_logits([g.data for g in out]).tobytes()] + [g.data.tobytes() for g in out])
         assert logits[0] == logits[1]
 
-    def test_train_mode_bn_keeps_the_tensor_path(self):
+    def test_only_a_training_forward_moves_the_running_statistics(self):
         model = build_model(tiny_cfg(), seed=37)
         x = np.random.default_rng(38).normal(size=(2, 8, 9))
         model(x, tiny_assignment())
+        assert np.array_equal(model.batchnorms()[0].state.running_mean, np.zeros(8))
+        training_forward(model, x, tiny_assignment())
         assert not np.array_equal(model.batchnorms()[0].state.running_mean, np.zeros(8))
 
-    def test_eval_mode_bn_with_records_kept_is_not_folded(self, monkeypatch):
+    def test_bn_with_records_kept_is_not_folded(self, monkeypatch):
         model = build_model(tiny_cfg(), seed=42)
         perturb_batchnorms(model, np.random.default_rng(43))
         x = np.random.default_rng(44).normal(size=(2, 8, 9))
@@ -851,15 +850,11 @@ class TestCheckpoint:
         # a scattered assignment, so the roundtrip cannot pass by being contiguous
         assert not np.array_equal(assignment.groups[8], np.sort(assignment.groups[8]))
         x = rng.normal(size=(3, 12, 12))
-        # push the BN running stats away from their init values
-        model.set_mode("train")
-        model(x, assignment)
-        model.set_mode("eval")
+        training_forward(model, x, assignment)  # push the BN running stats away from their init values
         before = ensemble_logits([g.data for g in model(x, assignment)])
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, assignment)
         loaded, loaded_assignment = load_checkpoint(path)
-        loaded.set_mode("eval")
         after = ensemble_logits([g.data for g in loaded(x, loaded_assignment)])
         assert np.array_equal(before, after)
         assert loaded_assignment.n_groups == assignment.n_groups
@@ -921,8 +916,7 @@ class TestCheckpoint:
         them; with their one legal value such a file loads as one without them."""
         model = build_model(tiny_cfg(), seed=18)
         x = np.random.default_rng(18).normal(size=(3, 8, 12))
-        model.set_mode("train")
-        model(x, tiny_assignment())  # push the BN running stats away from their init values
+        training_forward(model, x, tiny_assignment())  # push the BN running stats away from their init values
         plain, legacy = tmp_path / "plain.npz", tmp_path / "legacy.npz"
         save_checkpoint(plain, model, tiny_assignment())
         save_checkpoint(legacy, model, tiny_assignment())
@@ -957,7 +951,9 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"model.npz: checkpoint has {key} {value}; only"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("kernel", -1)])
+    @pytest.mark.parametrize(
+        "field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("group_input_dim", 0), ("kernel", -1)]
+    )
     def test_model_size_below_1_refused(self, field, value):
         with pytest.raises(ConfigError, match=f"model.{field} must be >= 1, got {value}"):
             if field == "kernel":
@@ -1054,7 +1050,6 @@ class TestCheckpoint:
         for g in range(2):
             branch = branches[g]
             assert branch is not branches[g]  # read afresh each time
-            assert all(bn.state.mode == "eval" for bn in branch.batchnorms())
             for (key, owner, attr), (ref_key, ref_owner, _) in zip(
                 branch.stored_arrays(g), loaded.branches[g].stored_arrays(g), strict=True
             ):

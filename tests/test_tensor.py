@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     FD_REL_TOL,
     batchnorm1d_grads_keeping_xhat,
+    batchnorm1d_running,
     blas_threads,
     check_gradients,
     conv1d_batched,
@@ -270,15 +271,15 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((1, 2, 5))), Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros(1)))
 
 
-def bn_state(mode, gamma, beta, running_mean, running_var):
+def bn_state(gamma, beta, running_mean, running_var):
     state = BatchNormState(gamma.size)
-    state.mode, state.gamma.data, state.beta.data = mode, gamma.copy(), beta.copy()
+    state.gamma.data, state.beta.data = gamma.copy(), beta.copy()
     state.running_mean, state.running_var = running_mean.copy(), running_var.copy()
     return state
 
 
 class TestBatchNorm:
-    def test_train_mode_standardizes(self):
+    def test_batch_statistics_standardize(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(loc=3.0, scale=2.5, size=(4, 3, 10)))
         state = BatchNormState(3)
@@ -293,37 +294,37 @@ class TestBatchNorm:
         out, _ = batchnorm1d(Tensor(raw), BatchNormState(2))
         assert np.allclose(out.data, raw, atol=1e-4)
 
-    def test_running_stats_updated_in_train(self):
+    def test_running_stats_updated_by_batch_statistics(self):
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(loc=5.0, size=(8, 2, 20)))
         state = BatchNormState(2)
         batchnorm1d(x, state)
         assert np.all(state.running_mean > 0.2)
 
-    def test_eval_mode_is_pure(self):
+    def test_running_statistics_as_stats_are_pure(self):
         rng = np.random.default_rng(6)
-        state = BatchNormState(2)
-        state.mode = "eval"
+        state = bn_state(rng.normal(size=2), rng.normal(size=2), rng.normal(size=2), rng.uniform(0.5, 2.0, size=2))
         before = (state.running_mean.copy(), state.running_var.copy())
         x = Tensor(rng.normal(size=(2, 2, 5)))
-        out1, _ = batchnorm1d(x, state)
-        out2, _ = batchnorm1d(x, state)
+        out1, _ = batchnorm1d_running(x, state)
+        out2, _ = batchnorm1d_running(x, state)
         assert np.array_equal(out1.data, out2.data)
         assert np.array_equal(state.running_mean, before[0])
         assert np.array_equal(state.running_var, before[1])
+        # the normalization the module docstring gives, with the running statistics
+        inv_std = 1.0 / np.sqrt(before[1] + tensor_mod.BN_EPS)
+        expected = state.gamma.data[None, :, None] * ((x.data - before[0][None, :, None]) * inv_std[None, :, None])
+        assert np.allclose(out1.data, expected + state.beta.data[None, :, None], rtol=1e-14, atol=1e-14)
 
-    def test_eval_before_training_uses_init_stats(self):
-        state = BatchNormState(2)
-        state.mode = "eval"
+    def test_inference_before_training_uses_init_stats(self):
         x = Tensor(np.ones((1, 2, 4)))
-        out, _ = batchnorm1d(x, state)
+        out, _ = batchnorm1d_running(x, BatchNormState(2))
         expected = 1.0 / np.sqrt(1.0 + tensor_mod.BN_EPS)
         assert np.allclose(out.data, expected)
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_gradients(self, mode):
-        rng = np.random.default_rng(7 if mode == "train" else 8)
-        state = bn_state(mode, rng.normal(size=2) + 1.0, rng.normal(size=2), rng.normal(size=2),
+    def test_gradients(self):
+        rng = np.random.default_rng(7)
+        state = bn_state(rng.normal(size=2) + 1.0, rng.normal(size=2), rng.normal(size=2),
                          rng.uniform(0.5, 2.0, size=2))
         x = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         coeffs = rng.normal(size=(3, 2, 6))  # weights the outputs so the gradient is not uniform
@@ -340,12 +341,11 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             batchnorm1d(Tensor(np.ones((1, 2, 1))), BatchNormState(2))
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_recomputed_xhat_gives_the_former_gradients_bitwise(self, mode):
+    def test_recomputed_xhat_gives_the_former_gradients_bitwise(self):
         rng = np.random.default_rng(10)
         x = Tensor(rng.normal(loc=1.5, size=(3, 4, 9)), requires_grad=True)
         g = rng.normal(size=x.shape)
-        state = bn_state(mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4),
+        state = bn_state(rng.normal(size=4), rng.normal(size=4), rng.normal(size=4),
                          rng.uniform(0.5, 2.0, size=4))
         expected = batchnorm1d_grads_keeping_xhat(x.data, state, g)
         _, stats = batchnorm1d(x, state)
@@ -353,19 +353,18 @@ class TestBatchNorm:
         for got, ref in zip((gx, state.gamma.grad, state.beta.grad), expected):
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("inputs", ["normal", "nan", "signed_zero"])
-    def test_fused_relu_is_bitwise_relu_of_bn(self, mode, inputs):
+    def test_fused_relu_is_bitwise_relu_of_bn(self, inputs):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(3, 4, 7))
-        stats = [mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
+        stats = [rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
         if inputs == "nan":
             x[1, 2, 3] = np.nan
         elif inputs == "signed_zero":
-            # channel 1 gives exactly -0.0 wherever its input equals its mean, 4.0 in
-            # either mode: (+0.0 * -|gamma|) + -0.0
+            # channel 1 gives exactly -0.0 wherever its input equals its batch mean, 4.0:
+            # (+0.0 * -|gamma|) + -0.0
             x[:, 1, :] = [2.0, 6.0, 2.0, 6.0, 2.0, 6.0, 4.0]
-            stats[1][1], stats[2][1], stats[3][1] = -abs(stats[1][1]), -0.0, 4.0
+            stats[0][1], stats[1][1] = -abs(stats[0][1]), -0.0
             x[0, 0, 0] = -0.0
         coeffs = rng.normal(size=x.shape)
         # output, x grad, gamma grad, beta grad and running statistics, fused and with
@@ -392,10 +391,9 @@ class TestBatchNorm:
             assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("with_relu", [True, False])
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_residual_gradients(self, mode, with_relu):
+    def test_residual_gradients(self, with_relu):
         rng = np.random.default_rng(11)
-        state = bn_state(mode, rng.normal(size=2) + 1.0, rng.normal(size=2), rng.normal(size=2),
+        state = bn_state(rng.normal(size=2) + 1.0, rng.normal(size=2), rng.normal(size=2),
                          rng.uniform(0.5, 2.0, size=2))
         x = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
         r = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
@@ -409,11 +407,10 @@ class TestBatchNorm:
         )
         assert worst < FD_REL_TOL
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_residual_is_bitwise_relu_of_add(self, mode):
+    def test_residual_is_bitwise_relu_of_add(self):
         rng = np.random.default_rng(12)
         x, r, coeffs = (rng.normal(size=(3, 4, 7)) for _ in range(3))
-        stats = [mode, rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
+        stats = [rng.normal(size=4), rng.normal(size=4), rng.normal(size=4), rng.uniform(0.5, 2.0, size=4)]
         # output, x grad, residual grad, gamma grad, beta grad and running statistics, with
         # the residual fused and with r + bn(x) and its ReLU made apart
         fused, separate = [], []
@@ -433,19 +430,18 @@ class TestBatchNorm:
         for got, ref in zip(fused, separate):
             assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("mode", ["train", "eval"])
     @pytest.mark.parametrize("with_residual", [False, True])
     @pytest.mark.parametrize("relu_on", [False, True])
-    def test_output_made_again_from_its_statistics_bitwise(self, relu_on, with_residual, mode):
+    def test_output_made_again_from_its_statistics_bitwise(self, relu_on, with_residual):
         # handed the statistics a call returned, batchnorm1d makes that call's output
         # again, even after the running statistics moved, and leaves them alone
         rng = np.random.default_rng(70)
         x = Tensor(rng.normal(size=(2, 3, 7)), requires_grad=True)
         r = Tensor(rng.normal(size=(2, 3, 7))) if with_residual else None
-        state = bn_state(mode, np.array([0.7, 1.3, -0.4]), np.array([0.2, -0.5, 0.1]),
+        state = bn_state(np.array([0.7, 1.3, -0.4]), np.array([0.2, -0.5, 0.1]),
                          np.array([0.1, -0.2, 0.3]), np.array([0.8, 1.7, 0.5]))
         out, stats = batchnorm1d(x, state, relu=relu_on, residual=r)
-        batchnorm1d(Tensor(rng.normal(size=(2, 3, 7))), state)  # moves the running statistics in train mode
+        batchnorm1d(Tensor(rng.normal(size=(2, 3, 7))), state)  # moves the running statistics
         running = (state.running_mean.copy(), state.running_var.copy())
         again, same = batchnorm1d(x, state, relu=relu_on, residual=r, stats=stats)
         assert again.data.tobytes() == out.data.tobytes()
@@ -737,12 +733,13 @@ class TestParallelMap:
         saved = [get() for get, _ in controls]
         for _, set_ in controls:
             set_(2)
-        seen = []
+        seen, finished = [], []
 
         def fn(i):
             seen.append(blas_thread_counts())
             if i == 1:
                 raise ShapeError("branch 1 is broken")
+            finished.append(i)
             return i
 
         try:
@@ -752,9 +749,42 @@ class TestParallelMap:
         finally:
             for (_, set_), n in zip(controls, saved):
                 set_(n)
-        assert len(seen) == 4  # every call ran to its end before the error surfaced
+        assert len(finished) == len(seen) - 1  # every started call ran to its end before the error surfaced
         assert all(counts == [1] * len(controls) for counts in seen)
         assert after == [2] * len(controls)
+
+    def test_a_failed_call_cancels_the_calls_not_started(self, two_workers):
+        started, finished = [], []
+
+        def fn(i):
+            started.append(i)
+            if i == 0:
+                raise ShapeError("branch 0 is broken")
+            time.sleep(0.05)
+            finished.append(i)
+            return i
+
+        with pytest.raises(ShapeError, match="branch 0"):
+            tensor_mod._parallel_map(fn, 8, 0)
+        assert 2 <= len(started) <= 2 + 1  # at most workers + 1 calls started
+        assert sorted(finished) == sorted(started)[1:]  # and every one but the failed one finished
+
+    def test_the_first_error_in_index_order_is_raised(self, two_workers):
+        release = threading.Event()
+
+        def fn(i):
+            if i == 1:
+                raise ShapeError("branch 1 is broken")
+            release.wait(5)  # call 0 is still running when call 1 fails
+            raise ShapeError(f"branch {i} is broken")
+
+        timer = threading.Timer(0.05, release.set)
+        timer.start()
+        try:
+            with pytest.raises(ShapeError, match="branch 0"):
+                tensor_mod._parallel_map(fn, 4, 0)
+        finally:
+            timer.cancel()
 
     def test_calls_run_on_the_pool_in_index_order_of_results(self, two_workers):
         caller = threading.get_ident()

@@ -34,7 +34,8 @@ from lgpnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames
+from lgpnet.lfcc import FeatureMatrix
+from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames, extract_multiscale_lgp
 from lgpnet.tensor import Tensor
 import lgpnet.training as training_mod
 from lgpnet.training import (
@@ -288,7 +289,7 @@ class TestKeptRecords:
         real_forward = GroupBranch.forward
 
         def forward_keeping_the_slice(branch, x, keep=False):
-            return real_forward(branch, x)[0], x
+            return real_forward(branch, x, keep=True)[0], x  # the records dropped
 
         def backward_keeping_everything(branch, x, dlogits):
             running = [(bn.state.running_mean, bn.state.running_var) for bn in branch.batchnorms()]
@@ -509,6 +510,25 @@ class TestTrainLoop:
         )
         assert recomputed == pytest.approx(best, abs=1e-12)
 
+    def test_inference_between_epochs_changes_no_training_bit(self, tiny_pipeline):
+        # a dev pass and a prediction between two epochs leave nothing behind that the
+        # next epoch reads: the parameters, moments and BN statistics are those of two
+        # epochs back to back
+        lgp, feats, labels = tiny_pipeline["lgp"], tiny_pipeline["feats"], tiny_pipeline["labels"]
+        cfg = small_train_cfg(batch_size=4)
+        results = []
+        for inference in (False, True):
+            model = build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=8)
+            state = AdamState(model.parameters())
+            for epoch in (1, 2):
+                run_epoch(model, lgp, feats[:8], labels[:8], cfg, state, np.arange(8)[::-1], 1e-3, epoch)
+                if inference and epoch == 1:
+                    evaluate_loss(model, lgp, feats[8:12], labels[8:12], cfg)
+                    predict_logits(model, lgp, feats[8:11], 2)
+            results.append([getattr(owner, attr).tobytes() for _, owner, attr in model.stored_arrays()]
+                           + [m.tobytes() for m in state.m + state.v])
+        assert results[0] == results[1]
+
     def test_eval_loss_is_pure(self, tiny_pipeline):
         assignment = tiny_pipeline["assignment"]
         model = build_model(tiny_model_cfg(assignment), seed=5)
@@ -533,6 +553,50 @@ class TestTrainLoop:
         for _ in range(4):
             last = run_epoch(model, lgp, feats, labels, cfg, state, rng.permutation(labels.size), cfg.learning_rate)
         assert last < first
+
+
+class TestInferenceIsPure:
+    """However a model was made, its forward that keeps nothing
+    (`forward_slices`, `__call__`) is inference: a sample's logits do not
+    depend on the batch it is in, and no BN running statistic moves.
+
+    Everything up to the pooled embedding goes sample by sample, but numpy
+    computes the linear head of one sample as a matrix-vector product and
+    of four as a matrix product, which sum in another order: the logits
+    agree to rounding (1e-12 relative), not bit for bit.  With batch
+    statistics they differed in the first digit."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tiny_pipeline, tmp_path_factory):
+        cfg = tiny_model_cfg(tiny_pipeline["assignment"])
+        trained, _ = train(stacked(tiny_pipeline), tiny_pipeline["lgp"], cfg, small_train_cfg(epochs=1))
+        path = tmp_path_factory.mktemp("pure") / "model.npz"
+        save_checkpoint(path, trained, tiny_pipeline["assignment"])
+        return {"build_model": build_model(cfg, seed=3), "load_checkpoint": load_checkpoint(path)[0],
+                "train": trained}
+
+    @pytest.mark.parametrize("entry", ["forward_slices", "__call__"])
+    @pytest.mark.parametrize("source", ["build_model", "load_checkpoint", "train"])
+    def test_a_sample_alone_as_in_a_batch_of_4_and_no_statistic_moves(self, tiny_pipeline, models, source, entry):
+        model, lgp = models[source], tiny_pipeline["lgp"]
+        frames = tiny_pipeline["feats"][:4]
+        running = [(bn.state.running_mean.tobytes(), bn.state.running_var.tobytes()) for bn in model.batchnorms()]
+
+        def group_logits(batch):
+            if entry == "forward_slices":
+                out = model.forward_slices(lgp.batch(batch))
+            else:
+                bank = tiny_pipeline["bank"]
+                full = np.stack([extract_multiscale_lgp(bank, FeatureMatrix(f)).values.T for f in batch])
+                out = model(full, tiny_pipeline["assignment"])
+            return [g.data for g in out]
+
+        together = group_logits(frames)
+        for j in range(len(frames)):
+            for alone, batched in zip(group_logits(frames[j : j + 1]), together, strict=True):
+                assert np.allclose(alone, batched[j : j + 1], rtol=1e-12, atol=0.0)
+        assert running == [(bn.state.running_mean.tobytes(), bn.state.running_var.tobytes())
+                           for bn in model.batchnorms()]
 
 
 class TestBranchMajorInference:
