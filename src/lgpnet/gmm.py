@@ -168,8 +168,7 @@ def _e_step(gmm: Gmm, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if i % _EM_WAVE == _EM_WAVE - 1 or i == n_chunks - 1:
             stats += wave
 
-    with _blas_single_thread():
-        _ordered_map(chunk, n_chunks, n * gmm.order, add_chunk)
+    _ordered_map(chunk, n_chunks, add_chunk)
     return point_ll, stats.T
 
 

@@ -68,8 +68,9 @@ class FeatureMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ShapeError("FeatureMatrix values must be 2-d (frames x dims)")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("FeatureMatrix contains non-finite values")
+        bad = ~np.isfinite(self.values).all(axis=1)
+        if bad.any():
+            raise ValueError(f"frame {int(np.argmax(bad))} is not finite")
 
     @property
     def n_frames(self) -> int:

@@ -443,13 +443,11 @@ class GroupedResNetEnsemble:
 
     def forward_slices(self, slices) -> list[Tensor]:
         """The G group logits b_g (N x 2 each) by inference for the G group
-        slices: a list of Tensors or a
-        `multiscale.FrameBatch`, whose slice g is made on the worker that runs
-        branch g (see `tensor._parallel_map`)."""
+        slices: a list of Tensors or a `multiscale.FrameBatch`, whose slice g
+        is made where branch g runs (see `tensor._parallel_map`)."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
-        elements = slices.size if hasattr(slices, "size") else sum(x.size for x in slices)
-        return _parallel_map(lambda g: self.branches[g].forward(slices[g])[0], len(slices), elements)
+        return _parallel_map(lambda g: self.branches[g].forward(slices[g])[0], len(slices))
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> list[Tensor]:
         """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""

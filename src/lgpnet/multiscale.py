@@ -20,13 +20,15 @@ so group g's input is `utterance_lgp(...)[:, index_lists()[g]]`: bitwise
 wherever OpenBLAS computes a column with the same kernel in the narrow and
 the full product (OpenBLAS 0.3.31's SkylakeX kernels do at the default
 bank and 5 or more frames), and to rounding elsewhere.
-`map_utterances` runs per-utterance work (read, LFCC) on the worker pool.
-Every feature GEMM runs at one BLAS thread wherever it runs, so the
+`map_utterances` runs per-utterance work (read, LFCC) as a map.  A map of
+two or more calls runs on the worker pool whenever there is one, and
+inline only when it has fewer than two calls, is started on a pool worker,
+or has no pool (one usable CPU, or no OpenBLAS whose thread count can be
+set); either way every OpenBLAS runs at one thread for its calls, so the
 features are bitwise the same whatever the CPU count.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,8 +184,8 @@ def map_utterances(manifest: Manifest, idx, fn) -> list:
     A ValueError from fn, such as FeatureMatrix's refusal of an LFCC frame
     that is not finite (from audio loud enough to overflow the power
     spectrum, which then warns no more), is raised as FormatError naming
-    the file.  Calls start in idx order, so the first failing file is the
-    one named.
+    the file: "<path>: frame <i> is not finite".  Calls start in idx order,
+    so the first failing file is the one named.
     """
     entries = [manifest.entries[i] for i in idx]
 
@@ -196,8 +198,7 @@ def map_utterances(manifest: Manifest, idx, fn) -> list:
         except ValueError as exc:
             raise FormatError(f"{path}: {exc}") from None
 
-    wav_bytes = sum(os.path.getsize(path) for path, _ in entries)  # stands in for the samples
-    return _parallel_map(one, len(entries), wav_bytes)
+    return _parallel_map(one, len(entries))
 
 
 class GroupLgp:
@@ -224,15 +225,16 @@ class FrameBatch:
 
     `batch[g]` is a new (N, group_dim, T) Tensor: sample j's channels are
     `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as the
-    1-d convolution stack consumes them.  `size` is the element count of
-    all G inputs, which the branch maps read without making them.
+    1-d convolution stack consumes them.  A map of two or more calls runs
+    on the worker pool whenever there is one, and inline only when it has
+    fewer than two calls, is started on a pool worker, or has no pool (one
+    usable CPU, or no OpenBLAS whose thread count can be set); either way
+    every OpenBLAS runs at one thread for its calls.
     """
 
     def __init__(self, frames: np.ndarray, coefficients: list[np.ndarray]):
         self.frames = frames
         self.coefficients = coefficients
-        n, t, _ = frames.shape
-        self.size = n * t * sum(c.shape[1] for c in coefficients)
 
     def __len__(self) -> int:
         return len(self.coefficients)

@@ -55,16 +55,16 @@ tap's share, one product over every column, goes through one (C_in, T)
 term buffer and is added at its shift.  No window (im2col) matrix is built.
 
 Everything is double precision.  Independent branches (the ensemble's
-group branches) can run side by side: `_parallel_map` runs them on a
-worker pool sized to the usable CPUs, for forwards and backwards alike,
-with every OpenBLAS in the process (numpy's and scipy's) held at one
-thread per worker.  Each op still runs on one thread, so forward values
-and gradients are bitwise reproducible for identical inputs.
-`_blas_single_thread` holds BLAS the same way off the pool, for the feature
-GEMMs, so they give the same bits whatever the CPU count.  When the pool is
-made, glibc is told to keep one malloc arena for all threads, so that
-memory a worker frees can be reused by the others instead of raising the
-peak.
+group branches), forwards and backwards alike, run as maps on a worker
+pool sized to the usable CPUs (`_parallel_map`, `_ordered_map`).  A map
+of two or more calls runs on the worker pool whenever there is one, and
+inline only when it has fewer than two calls, is started on a pool worker,
+or has no pool (one usable CPU, or no OpenBLAS whose thread count can be
+set); either way every OpenBLAS runs at one thread for its calls.  So the
+ops, and the feature GEMMs under `_blas_single_thread`, give the same bits
+whatever the CPU count.  When the pool is made, glibc is told to keep one
+malloc arena for all threads, so that memory a worker frees can be reused
+by the others instead of raising the peak.
 """
 from __future__ import annotations
 
@@ -134,12 +134,6 @@ _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
-# Below this many elements in all, a map's calls are strings of small numpy ops
-# that hold the GIL, and two workers are slower than one thread: on 2 CPUs a
-# forward plus backward of a 2-group, 8-channel model at (2, 4, 16) per slice
-# went from 2.7 to 5.1 ms on the pool.  A full-size slice holds 198k elements
-# per sample.
-_MIN_POOL_ELEMENTS = 1 << 15
 _pool_lock = threading.RLock()
 _pool: ThreadPoolExecutor | None = None
 _pool_ready = False
@@ -240,31 +234,31 @@ def _blas_single_thread():
             set_(n)
 
 
-def _map_pool(n: int, elements: int) -> ThreadPoolExecutor | None:
-    """The pool that a map of n calls on `elements` elements in all runs on,
-    or None to run it inline (see `_parallel_map`)."""
-    if n < 2 or elements < _MIN_POOL_ELEMENTS or getattr(_worker, "active", False):
+def _map_pool(n: int) -> ThreadPoolExecutor | None:
+    """The pool that a map of n calls runs on, or None to run it inline."""
+    if n < 2 or getattr(_worker, "active", False):
         return None
     return _get_pool()
 
 
-def _parallel_map(fn, n: int, elements: int) -> list:
-    """[fn(0), ..., fn(n-1)], on the worker pool when there is one and the
-    calls work on at least _MIN_POOL_ELEMENTS `elements` in all.
+def _parallel_map(fn, n: int) -> list:
+    """[fn(0), ..., fn(n-1)].  A map of two or more calls runs on the worker
+    pool whenever there is one, and inline only when it has fewer than two
+    calls, is started on a pool worker, or has no pool (one usable CPU, or
+    no OpenBLAS whose thread count can be set); either way every OpenBLAS
+    runs at one thread for its calls.  Concurrent multi-threaded BLAS would
+    oversubscribe the cores; waiting on the pool from a worker could deadlock.
 
     Once a call fails, the calls not yet started are cancelled.  Every
     started call has finished before this returns or raises; the first
     error in index order is raised.  Each call runs in a copy of the
     caller's context, so the caller's `np.errstate` holds in the workers
-    too.  BLAS runs single-threaded meanwhile, since a multi-threaded BLAS
-    under concurrent workers oversubscribes the cores.  A map started on a
-    worker runs inline there, since waiting on the pool from inside it
-    could deadlock.
+    too.
     """
-    pool = _map_pool(n, elements)
-    if pool is None:
-        return [fn(i) for i in range(n)]
+    pool = _map_pool(n)
     with _blas_single_thread():
+        if pool is None:
+            return [fn(i) for i in range(n)]
         futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
         if wait(futures, return_when=FIRST_EXCEPTION).not_done:  # a call failed
             for f in futures:
@@ -273,22 +267,26 @@ def _parallel_map(fn, n: int, elements: int) -> list:
     return [f.result() for f in futures if not f.cancelled()]  # cancelled only after a failure, which raises
 
 
-def _ordered_map(fn, n: int, elements: int, consume) -> None:
+def _ordered_map(fn, n: int, consume) -> None:
     """consume(i, fn(i)) for i = 0, ..., n-1, in index order on the calling
-    thread, with the calls fn(i) run as `_parallel_map` runs them.
+    thread.  A map of two or more calls runs on the worker pool whenever
+    there is one, and inline only when it has fewer than two calls, is
+    started on a pool worker, or has no pool (one usable CPU, or no OpenBLAS
+    whose thread count can be set); either way every OpenBLAS runs at one
+    thread for its calls.
 
     On the pool at most workers + 1 calls are in flight, so at most that
     many results exist at once, however large n is.  Every started call has
     finished before this returns or raises.  The first error in index order,
     from fn or consume, is raised; no call starts once it is seen.
     """
-    pool = _map_pool(n, elements)
-    if pool is None:
-        for i in range(n):
-            consume(i, fn(i))
-        return
-    pending = deque()
+    pool = _map_pool(n)
     with _blas_single_thread():
+        if pool is None:
+            for i in range(n):
+                consume(i, fn(i))
+            return
+        pending = deque()
         try:
             for i in range(n):
                 if len(pending) > pool._max_workers:

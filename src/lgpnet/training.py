@@ -173,7 +173,7 @@ def adam_step(state: AdamState, lr: float) -> None:
             _adam_update(flat_p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], lr, bc1, bc2,
                          *(buf[: hi - lo] for buf in state.scratch.pair))
 
-    _parallel_map(update, len(state.params), sum(p.size for p in state.params))
+    _parallel_map(update, len(state.params))
 
 
 def _adam_update(p, m, v, g, lr, bc1, bc2, a, b) -> None:
@@ -225,11 +225,11 @@ def _step(model: GroupedResNetEnsemble, inputs, labels: np.ndarray, aware: bool,
     branches = model.branches
     if len(inputs) != len(branches):
         raise ShapeError(f"expected {len(branches)} slices, got {len(inputs)}")
-    runs = _parallel_map(lambda g: branches[g].forward(inputs[g], keep=True), len(branches), inputs.size)
+    runs = _parallel_map(lambda g: branches[g].forward(inputs[g], keep=True), len(branches))
     value, dlogits = ensemble_aware_loss([logits.data for logits, _ in runs], labels, aware)
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{where}: loss is not finite ({value!r})")
-    _parallel_map(lambda g: branches[g].backward(runs[g][1], dlogits[g]), len(branches), inputs.size)
+    _parallel_map(lambda g: branches[g].backward(runs[g][1], dlogits[g]), len(branches))
     return value
 
 
@@ -298,7 +298,7 @@ def _group_logits(branches, lgp: GroupLgp, feats: np.ndarray | ManifestFrames, b
             branch = branches[g]
             return [branch.forward(x[g])[0].data for x in inputs]
 
-        by_group = _parallel_map(run, len(branches), sum(x.size for x in inputs))
+        by_group = _parallel_map(run, len(branches))
         for b, idx in enumerate(chunk):
             yield idx, [logits[b] for logits in by_group]
 

@@ -16,15 +16,14 @@ from lgpnet.multiscale import GmmBank, GroupLgp, ManifestFrames, lineage_groupin
 @pytest.fixture
 def forced_pool(monkeypatch):
     """forced_pool(n) runs the tensor engine's pool regions on n worker
-    threads, whatever the CPU count and the input size, with the BLAS
-    library pinned as in a real pool region."""
+    threads, whatever the CPU count, with the BLAS library pinned as in a
+    real pool region."""
     pools = []
 
     def make(workers: int) -> ThreadPoolExecutor:
         pool = ThreadPoolExecutor(max_workers=workers, initializer=tensor_mod._mark_worker)
         pools.append(pool)
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: pool)
-        monkeypatch.setattr(tensor_mod, "_MIN_POOL_ELEMENTS", 0)
         monkeypatch.setattr(tensor_mod, "_blas_controls", tensor_mod._find_blas_controls())
         return pool
 

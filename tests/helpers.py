@@ -42,6 +42,11 @@ def blas_threads(n: int):
             set_(k)
 
 
+def blas_thread_counts() -> list[int]:
+    """The thread count of every OpenBLAS in the process, as read now."""
+    return [get() for get, _ in _find_blas_controls()]
+
+
 def n_batchnorms(block) -> int:
     """How many of a block's sublayers are BNs."""
     return sum(isinstance(layer, BatchNorm1dLayer) for _, layer in block.sublayers())
@@ -898,15 +903,6 @@ def rewrite_meta(path, edit) -> None:
         arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
 
     rewrite_arrays(path, edit_meta)
-
-
-class SliceList(list):
-    """A list of group slices (Tensors) that, as a `multiscale.FrameBatch`
-    does, gives the element count of them all as its size."""
-
-    @property
-    def size(self) -> int:
-        return sum(x.size for x in self)
 
 
 def standard_forward_by_add(block, x: Tensor, keep: bool = False):

@@ -741,7 +741,7 @@ class TestRefusedInputs:
             args += ["--out", str(out)]
         assert cli_main([command, *args]) == 1
         path = workspace / "wavnan" / "LOUD.wav"
-        assert capsys.readouterr().err == f"error: {path}: FeatureMatrix contains non-finite values\n"
+        assert capsys.readouterr().err == f"error: {path}: frame 0 is not finite\n"
         assert not out.exists()
 
     def test_score_with_malformed_checkpoint_meta(self, cli_workspace, workspace, capsys):

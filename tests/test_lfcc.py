@@ -199,6 +199,12 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             FeatureMatrix(values=np.array([[np.nan, 1.0]]))
 
+    def test_names_the_first_row_that_is_not_finite(self):
+        values = np.zeros((5, 3))
+        values[3, 1], values[4, 0] = np.inf, np.nan
+        with pytest.raises(ValueError, match=r"^frame 3 is not finite$"):
+            FeatureMatrix(values=values)
+
     def test_rejects_wrong_rank(self):
         with pytest.raises(Exception):
             FeatureMatrix(values=np.zeros(5))

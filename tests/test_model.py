@@ -10,7 +10,6 @@ import pytest
 
 from helpers import (
     FD_REL_TOL,
-    SliceList,
     branch_grads,
     branch_keeping_everything,
     check_gradients,
@@ -556,7 +555,7 @@ class TestBranchPool:
 
     def _slices(self, seed, n_groups=4):
         rng = np.random.default_rng(seed)
-        return SliceList(Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups))
+        return [Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups)]
 
     def test_gradients_bitwise_equal_to_calling_thread_reference(self, two_workers):
         cfg = tiny_cfg(n_groups=4)
@@ -645,15 +644,13 @@ class TestBranchPool:
     @pytest.mark.parametrize("keep", [True, False])
     def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, keep):
         # a sequence that makes its inputs when indexed (as multiscale.FrameBatch does):
-        # the map reads its size, never iterates it, and indexes input g on the
-        # thread that runs branch g, once
+        # the map never iterates it, and indexes input g on the thread that runs
+        # branch g, once
         model = build_model(tiny_cfg(n_groups=4), seed=31)
         made, ran = {}, {}
         data = np.random.default_rng(44).normal(size=(4, 2, 4, 5))
 
         class Lazy:
-            size = data.size
-
             def __len__(self):
                 return len(data)
 

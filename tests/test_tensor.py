@@ -10,6 +10,7 @@ from helpers import (
     FD_REL_TOL,
     batchnorm1d_grads_keeping_xhat,
     batchnorm1d_running,
+    blas_thread_counts,
     blas_threads,
     check_gradients,
     conv1d_batched,
@@ -723,10 +724,6 @@ class TestBackwards:
         assert first.tobytes() == (g1.T @ x.data).tobytes()  # the stored gradient is not written into
 
 
-def blas_thread_counts():
-    return [get() for get, _ in tensor_mod._find_blas_controls()]
-
-
 class TestParallelMap:
     def test_error_reaches_caller_and_blas_threads_are_restored(self, two_workers):
         controls = tensor_mod._find_blas_controls()
@@ -744,7 +741,7 @@ class TestParallelMap:
 
         try:
             with pytest.raises(ShapeError, match="branch 1"):
-                tensor_mod._parallel_map(fn, 4, 0)
+                tensor_mod._parallel_map(fn, 4)
             after = blas_thread_counts()
         finally:
             for (_, set_), n in zip(controls, saved):
@@ -765,7 +762,7 @@ class TestParallelMap:
             return i
 
         with pytest.raises(ShapeError, match="branch 0"):
-            tensor_mod._parallel_map(fn, 8, 0)
+            tensor_mod._parallel_map(fn, 8)
         assert 2 <= len(started) <= 2 + 1  # at most workers + 1 calls started
         assert sorted(finished) == sorted(started)[1:]  # and every one but the failed one finished
 
@@ -782,7 +779,7 @@ class TestParallelMap:
         timer.start()
         try:
             with pytest.raises(ShapeError, match="branch 0"):
-                tensor_mod._parallel_map(fn, 4, 0)
+                tensor_mod._parallel_map(fn, 4)
         finally:
             timer.cancel()
 
@@ -795,26 +792,45 @@ class TestParallelMap:
             time.sleep(0.001 * ((3 * i) % 4))  # calls finish out of index order
             return i * i
 
-        assert tensor_mod._parallel_map(fn, 4, 0) == [0, 1, 4, 9]
+        assert tensor_mod._parallel_map(fn, 4) == [0, 1, 4, 9]
         assert len(idents) == 4 and caller not in idents
 
-    def test_small_maps_run_inline(self):
-        caller = threading.get_ident()
+    @pytest.mark.parametrize("ordered", [False, True])
+    def test_scalar_sized_calls_run_on_the_pool(self, two_workers, ordered):
+        # no map is too small for the pool: calls that each touch one number run there
         idents = []
-        tensor_mod._parallel_map(lambda i: idents.append(threading.get_ident()), 3, tensor_mod._MIN_POOL_ELEMENTS - 1)
-        assert idents == [caller] * 3
+        if ordered:
+            tensor_mod._ordered_map(lambda i: threading.get_ident(), 6, lambda i, r: idents.append(r))
+        else:
+            idents = tensor_mod._parallel_map(lambda i: threading.get_ident(), 6)
+        assert len(idents) == 6 and set(idents) <= {t.ident for t in two_workers._threads}
 
-    def test_inline_map_without_a_pool(self, monkeypatch):
-        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
-        caller = threading.get_ident()
-        idents = []
-        tensor_mod._parallel_map(lambda i: idents.append(threading.get_ident()), 2, 1 << 40)
-        assert idents == [caller, caller]
+    @pytest.mark.parametrize("ordered", [False, True])
+    @pytest.mark.parametrize("case", ["one call", "no pool"])
+    def test_inline_maps_hold_blas_at_one_thread(self, forced_pool, monkeypatch, ordered, case):
+        if case == "one call":
+            forced_pool(2)
+            n = 1
+        else:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
+            n = 3
+        caller, seen = threading.get_ident(), []
+        with blas_threads(2) as controls:
+            def fn(i):
+                seen.append((threading.get_ident(), blas_thread_counts()))
+
+            if ordered:
+                tensor_mod._ordered_map(fn, n, lambda i, r: None)
+            else:
+                tensor_mod._parallel_map(fn, n)
+            after = blas_thread_counts()
+        assert seen == [(caller, [1] * len(controls))] * n
+        assert after == [2] * len(controls)  # the caller's count, restored
 
     def test_errstate_of_the_caller_holds_in_the_workers(self, two_workers):
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError):
-                tensor_mod._parallel_map(lambda i: np.exp(np.array([1e308])), 2, 0)
+                tensor_mod._parallel_map(lambda i: np.exp(np.array([1e308])), 2)
 
 
 class TestOrderedMap:
@@ -849,7 +865,7 @@ class TestOrderedMap:
             time.sleep(0.001 * ((7 * i) % 5))  # calls finish out of index order
             return i * i, threading.get_ident()
 
-        tensor_mod._ordered_map(fn, 20, 0, lambda i, r: seen.append((i, r[0], r[1], threading.get_ident())))
+        tensor_mod._ordered_map(fn, 20, lambda i, r: seen.append((i, r[0], r[1], threading.get_ident())))
         assert [(i, sq) for i, sq, _, _ in seen] == [(i, i * i) for i in range(20)]
         assert all(consumer == caller for *_, consumer in seen)
         assert caller not in {worker for _, _, worker, _ in seen}
@@ -868,7 +884,7 @@ class TestOrderedMap:
             time.sleep(0.002)  # a slow consumer: unbounded, the results would pile up
             consumed(i)
 
-        tensor_mod._ordered_map(fn, 30, 0, consume)
+        tensor_mod._ordered_map(fn, 30, consume)
         assert log["consumed"] == list(range(30))
         assert 2 <= log["most_held"] <= workers + 1
 
@@ -887,7 +903,7 @@ class TestOrderedMap:
                 ended(i)
 
         with pytest.raises(ShapeError, match="call 3 failed"):
-            tensor_mod._ordered_map(fn, 40, 0, lambda i, r: consumed(i))
+            tensor_mod._ordered_map(fn, 40, lambda i, r: consumed(i))
         assert log["consumed"] == [0, 1, 2]
         assert log["started"] == log["ended"]  # every started call finished first
         assert max(log["started"]) <= 3 + 2  # none started once call 3's error was seen
@@ -907,7 +923,7 @@ class TestOrderedMap:
             consumed(i)
 
         with pytest.raises(ShapeError, match="consume 5 failed"):
-            tensor_mod._ordered_map(fn, 40, 0, consume)
+            tensor_mod._ordered_map(fn, 40, consume)
         assert log["consumed"] == [0, 1, 2, 3, 4]
         assert log["started"] == log["ended"]
         assert max(log["started"]) <= 5 + 2
@@ -916,7 +932,7 @@ class TestOrderedMap:
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         order = []
         tensor_mod._ordered_map(
-            lambda i: order.append(("fn", i)) or i, 3, 1 << 40, lambda i, r: order.append(("consume", r))
+            lambda i: order.append(("fn", i)) or i, 3, lambda i, r: order.append(("consume", r))
         )
         assert order == [("fn", 0), ("consume", 0), ("fn", 1), ("consume", 1), ("fn", 2), ("consume", 2)]
 
@@ -942,7 +958,7 @@ class TestBlasControls:
         assert len(tensor_mod._find_blas_controls()) == len(paths)
 
     def test_every_openblas_reads_one_inside_a_map(self, two_workers, two_blas_threads):
-        seen = tensor_mod._parallel_map(lambda i: blas_thread_counts(), 2, 0)
+        seen = tensor_mod._parallel_map(lambda i: blas_thread_counts(), 2)
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == [2] * len(two_blas_threads)
 

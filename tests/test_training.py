@@ -1,5 +1,6 @@
 import os
 import tempfile
+import threading
 import tracemalloc
 import weakref
 
@@ -425,6 +426,27 @@ class TestTrainLoop:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[3]) == 1e-3
+
+    def test_branch_steps_and_adam_run_on_the_pool(self, tiny_pipeline, two_workers, monkeypatch):
+        # the tiny model's maps touch few numbers; they run on the pool all the same
+        threads = {"forward": [], "backward": [], "adam": []}
+
+        def recording(name, real):
+            def record(*args, **kwargs):
+                threads[name].append(threading.get_ident())
+                return real(*args, **kwargs)
+
+            return record
+
+        monkeypatch.setattr(GroupBranch, "forward", recording("forward", GroupBranch.forward))
+        monkeypatch.setattr(GroupBranch, "backward", recording("backward", GroupBranch.backward))
+        monkeypatch.setattr(training_mod, "_adam_update", recording("adam", training_mod._adam_update))
+        train(stacked(tiny_pipeline), tiny_pipeline["lgp"], tiny_model_cfg(tiny_pipeline["assignment"]),
+              small_train_cfg(epochs=1))
+        pool = {t.ident for t in two_workers._threads}
+        assert len(threads["forward"]) == len(threads["backward"]) == 2 * 2  # 2 batches of 2 branches
+        for name, idents in threads.items():
+            assert idents and set(idents) <= pool, name
 
     def test_features_recomputed_every_epoch(self, tiny_pipeline, monkeypatch):
         import lgpnet.multiscale as multiscale
