@@ -4,9 +4,9 @@ Subcommands: train-gmm, train-model, score, evaluate, describe.  Nothing
 is cached between commands: train-model and score compute the LFCC frames
 from the audio batch by batch, and each group branch its own LGP input
 from them.  score checks the checkpoint's meta and array shapes before it
-reads any audio, and reads each branch from the checkpoint only when a
-worker runs it (`model.CheckpointBranches`).  Exit codes: 0 success, 1
-runtime error, 2 usage error.
+reads any audio, and reads and folds each branch from the checkpoint only
+when inference reaches it (`model.CheckpointBranches`).  Exit codes: 0
+success, 1 runtime error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -130,6 +130,11 @@ def _cmd_train_model(args) -> int:
         dev_manifest = _manifest(
             args.dev_protocol, args.dev_audio_dir or args.audio_dir, split="dev"
         )
+        train_ids = {label.utt_id for _, label in manifest.entries}
+        shared = [label.utt_id for _, label in dev_manifest.entries if label.utt_id in train_ids]
+        if shared:  # the monitored loss would be optimistic and pick the wrong best epoch
+            raise ManifestError(f"{len(shared)} utt_ids are in both the train and the dev protocol: "
+                                f"{corpus._first_few(shared)}")
     bank = multiscale.load_bank(args.gmm_dir)
     if bank.orders != sorted(cfg.bank_orders):
         raise ConfigError(f"bank orders {bank.orders} do not match config {sorted(cfg.bank_orders)}")

@@ -166,7 +166,10 @@ def serialize_protocol(labels: list[UtteranceLabel], path: str | Path) -> None:
 def build_manifest(
     protocol: list[UtteranceLabel], audio_dir: str | Path, split: str = "train"
 ) -> Manifest:
-    """Resolve each utt_id to ``audio_dir/<utt_id>.wav`` in protocol order."""
+    """Resolve each utt_id to ``audio_dir/<utt_id>.wav`` in protocol order.
+
+    Missing files raise one ManifestError line that gives their count and the
+    first few ids, and says when `<utt_id>.flac` files stand in their place."""
     audio_dir = Path(audio_dir)
     entries = []
     missing = []
@@ -177,5 +180,22 @@ def build_manifest(
         else:
             entries.append((wav, label))
     if missing:
-        raise ManifestError(f"missing audio files under {audio_dir}: {', '.join(missing)}")
+        raise ManifestError(_missing_audio_message(missing, len(protocol), audio_dir))
     return Manifest(entries=entries, split=split)
+
+
+def _missing_audio_message(missing: list[str], total: int, audio_dir: Path) -> str:
+    """One line for the utt_ids without a WAV under audio_dir: how many, the
+    first few, and how many of them are there as FLAC instead."""
+    message = (f"{len(missing)} of {total} utterances have no <utt_id>.wav under {audio_dir}: "
+               f"{_first_few(missing)}")
+    flac = sum((audio_dir / f"{utt_id}.flac").is_file() for utt_id in missing)
+    if flac:
+        message += (f"; {flac} of them are there as <utt_id>.flac, which lgpnet does not read: "
+                    "convert them to 16 kHz mono WAV first")
+    return message
+
+
+def _first_few(ids: list[str], shown: int = 5) -> str:
+    """The first `shown` of ids, comma-separated, with ", ..." when there are more."""
+    return ", ".join(ids[:shown]) + (", ..." if len(ids) > shown else "")

@@ -21,23 +21,28 @@ end the same way: the skip x is the ``residual`` operand of the op that
 makes the last pre-activation, `conv1d` or `batchnorm1d`, so no sum is
 made apart.  Every convolution keeps the length of its input.
 
-One forward serves training and scoring: `GroupBranch.forward(x, keep)`.
+One forward serves training and scoring: `GroupBranch.forward(x, keep)`,
+the linear classifier on `GroupBranch.embed`'s pooled embedding.
 keep=True trains: each BN normalizes with the batch's statistics and moves
-its running statistics.  keep=False infers: `_fold` folds every BN, with
-its running statistics, into the convolution before it, with weight
-W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, computed per call and never
-cached, and nothing changes.  The folded weight
-is written straight into conv1d's tap-major (k, C_out, C_in) layout and
-handed over as its (C_out, C_in, k) view, so conv1d reads it in place and
-it exists once.  The skip (if any) and the ReLU after the folded
-convolution are applied in place on the array it just made; in training
-BN applies them itself (`batchnorm1d(..., relu=True, residual=x)`), in
-place on its own output.  The aggregation convolution of
-the concatenated block outputs is one `aggregate` op fed the block outputs
-as the blocks make them, so each block's share is added to one output
-array as the block finishes: no concatenation and no partial sum exists.
-Folded scores agree with the unfolded BN on the running statistics to
-rounding (1e-10 relative in the tests).
+its running statistics.  keep=False infers, on the branch's folded copy
+(`GroupBranch.folded`), which a branch with its BNs makes for the call:
+`_fold` folds every BN, with its running statistics, into the convolution
+before it, with weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β, and
+nothing changes.  In the copy every convolution's weight is written in
+conv1d's tap-major (k, C_out, C_in) layout and handed over as its
+(C_out, C_in, k) view, so conv1d reads it in place; every BN slot is None,
+so the copy refuses keep=True, and the source branch is never modified.
+Inference (`training._group_logits`) folds each branch once per chunk of
+utterances and runs every sample of the chunk through that one copy.  The
+skip (if any) and the ReLU after a folded convolution are applied in place
+on the array it just made; in training BN applies them itself
+(`batchnorm1d(..., relu=True, residual=x)`), in place on its own output.
+The aggregation convolution of the concatenated block outputs is one
+`aggregate` op fed the block outputs as the blocks make them, so each
+block's share is added to one output array as the block finishes: no
+concatenation and no partial sum exists.  Folded scores agree with the
+unfolded BN on the running statistics to rounding (1e-10 relative in the
+tests).
 
 With keep=True the forward also returns the branch's records, one per
 layer group in forward order, each holding what its backward reads:
@@ -69,11 +74,13 @@ parameters and BN running statistics under keys of its own
 (`GroupBranch.stored_arrays`), and a JSON meta.  `load_checkpoint` reads
 every array into a model.  `CheckpointBranches`, which `score` runs, reads
 the meta and checks every array's presence and shape from the .npy headers
-up front, then reads branch g's arrays alone each time branch g is asked
-for, so a branch is resident only while a worker runs it.
+up front, then each time branch g is asked for reads branch g's arrays
+alone, layer by layer, folding each layer as it reads it, so it hands out
+a folded copy and no unfolded branch is ever resident.
 """
 from __future__ import annotations
 
+import copy
 import json
 import zipfile
 from contextlib import contextmanager
@@ -171,21 +178,26 @@ class BatchNorm1dLayer:
         return [("gamma", self.state.gamma), ("beta", self.state.beta)]
 
 
-def _fold(
-    conv: Conv1dLayer, bn: BatchNorm1dLayer, keep: bool
-) -> tuple[Tensor, Tensor, BatchNorm1dLayer | None]:
-    """(weight, bias, bn) for bn(conv(x)).  With nothing kept for a backward
-    `bn` is folded, with its running statistics, into a new weight and bias
-    and None is returned for it; otherwise the conv's own parameters and `bn`."""
-    if keep:
-        return conv.weight, conv.bias, bn
-    state = bn.state
-    scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
-    bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
-    w = conv.weight.data  # C_out x C_in x k
+def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer | None = None, read=getattr) -> Conv1dLayer:
+    """A new convolution that computes bn(conv(x)), `bn` on its running
+    statistics, as one: weight W·γ/√(σ²+ε) and bias (b−μ)·γ/√(σ²+ε)+β
+    (without `bn`, W and b).  The weight is written in conv1d's tap-major
+    (k, C_out, C_in) layout and handed over as its (C_out, C_in, k) view, so
+    conv1d reads it in place.  Each array is read(owner, attribute), the
+    layers' own by default."""
+    w = read(conv.weight, "data")  # C_out x C_in x k
     taps = np.empty((w.shape[2], w.shape[0], w.shape[1]))  # conv1d's tap-major layout
-    np.multiply(w.transpose(2, 0, 1), scale[None, :, None], out=taps)
-    return Tensor(taps.transpose(1, 2, 0)), Tensor(bias), None
+    bias = read(conv.bias, "data")
+    if bn is None:
+        taps[...] = w.transpose(2, 0, 1)
+    else:
+        state = bn.state
+        scale = read(state.gamma, "data") / np.sqrt(read(state, "running_var") + BN_EPS)
+        bias = (bias - read(state, "running_mean")) * scale + read(state.beta, "data")
+        np.multiply(w.transpose(2, 0, 1), scale[None, :, None], out=taps)
+    folded = copy.copy(conv)
+    folded.weight, folded.bias = Tensor(taps.transpose(1, 2, 0)), Tensor(bias)
+    return folded
 
 
 def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = None):
@@ -201,13 +213,10 @@ def _bn_relu(y: Tensor, bn: BatchNorm1dLayer | None, residual: Tensor | None = N
     return y, None
 
 
-def _conv_bn_relu(
-    conv: Conv1dLayer, bn: BatchNorm1dLayer, x: Tensor, keep: bool, residual: Tensor | None = None
-):
+def _conv_bn_relu(conv: Conv1dLayer, bn: BatchNorm1dLayer | None, x: Tensor, residual: Tensor | None = None):
     """(relu(bn(conv(x)) + residual), conv's output, bn's statistics), as one
-    convolution and in-place ops where `_fold` folds bn."""
-    weight, bias, bn = _fold(conv, bn, keep)
-    y = conv1d(x, weight, bias)
+    convolution and in-place ops where bn is None, folded into conv."""
+    y = conv(x)
     out, stats = _bn_relu(y, bn, residual)
     return out, y, stats
 
@@ -242,9 +251,19 @@ class ImprovedResidualBlock:
 
     def forward(self, x: Tensor, keep: bool = False):
         """(the block's output, what `backward` reads besides the block's input
-        and output: conv1's output and the BN's statistics, or None without keep)."""
-        a, c, stats = _conv_bn_relu(self.conv1, self.bn, x, keep)
+        and output: conv1's output and the BN's statistics, or None without keep).
+        Without keep a block that still has its BN runs as `folded()`."""
+        if not keep and self.bn is not None:
+            return self.folded().forward(x)
+        a, c, stats = _conv_bn_relu(self.conv1, self.bn, x)
         return self.conv2(a, residual=x), ((c, stats) if keep else None)
+
+    def folded(self, read=getattr) -> ImprovedResidualBlock:
+        """An inference-only copy: the BN folded into conv1, conv2 tap-major (`_fold`)."""
+        block = copy.copy(self)
+        block.conv1, block.bn = _fold(self.conv1, self.bn, read), None
+        block.conv2 = _fold(self.conv2, read=read)
+        return block
 
     def backward(self, saved, x: Tensor, y: Tensor | None, g: np.ndarray) -> np.ndarray:
         """The gradient of the block's input x for the gradient g of its output
@@ -275,10 +294,20 @@ class StandardResidualBlock:
     def forward(self, x: Tensor, keep: bool = False):
         """(the block's output, what `backward` reads besides the block's input
         and output: each convolution's output and its BN's statistics, or None
-        without keep)."""
-        a, c1, stats1 = _conv_bn_relu(self.conv1, self.bn1, x, keep)
-        y, c2, stats2 = _conv_bn_relu(self.conv2, self.bn2, a, keep, residual=x)
+        without keep).  Without keep a block that still has its BNs runs as
+        `folded()`."""
+        if not keep and self.bn1 is not None:
+            return self.folded().forward(x)
+        a, c1, stats1 = _conv_bn_relu(self.conv1, self.bn1, x)
+        y, c2, stats2 = _conv_bn_relu(self.conv2, self.bn2, a, residual=x)
         return y, ((c1, stats1, c2, stats2) if keep else None)
+
+    def folded(self, read=getattr) -> StandardResidualBlock:
+        """An inference-only copy: each BN folded into the convolution before it (`_fold`)."""
+        block = copy.copy(self)
+        block.conv1, block.bn1 = _fold(self.conv1, self.bn1, read), None
+        block.conv2, block.bn2 = _fold(self.conv2, self.bn2, read), None
+        return block
 
     def output(self, saved, x: Tensor) -> Tensor:
         """The block's output again, bit for bit, from its record and its input x."""
@@ -322,15 +351,28 @@ class GroupBranch:
     def forward(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
         """The group logits (N x 2, spoof and bona fide) for the N x D x T
         slice x, and with keep=True the records that `backward` reads (see
-        the module docstring), or None: keep=True trains, keep=False infers."""
+        the module docstring), or None: the classifier on `embed`'s output."""
+        emb, records = self.embed(x, keep)
+        return self.classifier(emb), records
+
+    def embed(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
+        """The pooled embedding (N x C) of the N x D x T slice x, and with
+        keep=True the records, or None.  keep=True trains: each BN normalizes
+        with the batch's statistics.  keep=False infers, on a folded branch:
+        a branch that still has its BNs runs as `folded()`, and a folded one
+        refuses keep=True, having no BN to train."""
+        if self.entry_bn is None:
+            if keep:
+                raise ValueError("a folded branch only infers: keep=True needs its batch normalizations")
+        elif not keep:
+            return self.folded().embed(x)
         if x.shape[1] != self.cfg.group_input_dim:
             raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
         records = [] if keep else None
         outputs = self._block_outputs(self._entry(x, records), records)
         if self.cfg.mfa:
-            weight, bias, bn = _fold(self.mfa_conv, self.mfa_bn, keep)
-            l = aggregate(outputs, weight, bias)
-            m, stats = _bn_relu(l, bn)
+            l = aggregate(outputs, self.mfa_conv.weight, self.mfa_conv.bias)
+            m, stats = _bn_relu(l, self.mfa_bn)
             if keep:
                 records.append((l, stats))
         else:
@@ -339,10 +381,25 @@ class GroupBranch:
         emb = max_pool_time(m)
         if keep:
             records.append(emb)
-        return self.classifier(emb), records
+        return emb, records
+
+    def folded(self, read=getattr) -> GroupBranch:
+        """An inference-only copy of the branch: each conv→BN pair one
+        convolution and every convolution's weight tap-major (`_fold`), every
+        BN slot None, the classifier's arrays as they are.  Each array is
+        read(owner, attribute): the branch's own by default.  The branch
+        itself is not changed."""
+        branch = copy.copy(self)
+        branch.entry_conv, branch.entry_bn = _fold(self.entry_conv, self.entry_bn, read), None
+        branch.blocks = [block.folded(read) for block in self.blocks]
+        if self.cfg.mfa:
+            branch.mfa_conv, branch.mfa_bn = _fold(self.mfa_conv, self.mfa_bn, read), None
+        head = branch.classifier = copy.copy(self.classifier)
+        head.weight, head.bias = Tensor(read(head.weight, "data")), Tensor(read(head.bias, "data"))
+        return branch
 
     def _entry(self, x: Tensor, records: list | None) -> Tensor:
-        h, e, stats = _conv_bn_relu(self.entry_conv, self.entry_bn, x, records is not None)
+        h, e, stats = _conv_bn_relu(self.entry_conv, self.entry_bn, x)
         if records is not None:
             records.append((x, e, stats))
         return h
@@ -644,14 +701,16 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
 
 class CheckpointBranches:
     """The G branches of the checkpoint at path, each read from the file only
-    when it is indexed: what `score` runs, so that no branch is resident
-    before a worker needs it.
+    when it is indexed, folded for inference: what `score` runs, so that no
+    branch is resident before inference needs it.
 
     Construction reads the meta (`cfg`, `assignment`) and checks that every
     array the configuration gives is there in its shape, from the .npy
     headers alone, with `load_checkpoint`'s FormatErrors; no array data is
     read.  `branches[g]` opens the file again and reads only the
-    `param/group{g}.*` and `bn/group{g}/*` arrays into a new `GroupBranch`.
+    `param/group{g}.*` and `bn/group{g}/*` arrays, a layer at a time, each
+    folded as it is read (`GroupBranch.folded`), so it returns a new folded
+    `GroupBranch` and an unfolded layer is alive only while it is folded.
     The caller holds its one reference, so the branch is freed when the
     caller drops it.  A member that does not read back then
     (a bad CRC, a short member) raises FormatError naming path."""
@@ -668,8 +727,10 @@ class CheckpointBranches:
     def __getitem__(self, g: int) -> GroupBranch:
         if not 0 <= g < len(self):
             raise IndexError(f"branch {g} of {len(self)}")
-        branch = GroupBranch(self.cfg, _Unfilled())
-        branch.classifier = LinearLayer(self.cfg.block.channels, 2, _Unfilled())
+        skeleton = GroupBranch(self.cfg, _Unfilled())
+        skeleton.classifier = LinearLayer(self.cfg.block.channels, 2, _Unfilled())
+        entries = skeleton.stored_arrays(g)
+        keys = {(id(owner), attr): key for key, owner, attr in entries}
         with _checkpoint_archive(self.path) as members:
-            _read_arrays(branch.stored_arrays(g), members, self.path)
-        return branch
+            _check_arrays(entries, members, self.path)
+            return skeleton.folded(lambda owner, attr: np.asarray(members[keys[id(owner), attr]], np.float64))

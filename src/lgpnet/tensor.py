@@ -38,7 +38,9 @@ s = j - k // 2: tap j adds ``W[:, :, j] @ x[n, :, lo+s : hi+s]`` to outputs
 lo..hi-1 of sample n.  Padding is handled by those ranges alone, so no
 padded copy or view of the input exists.  The taps are read from the
 weight's (k, C_out, C_in) transpose, copied once per call unless it is
-already C-contiguous (a weight that `model._fold` makes is).  Forward and
+already C-contiguous.  Every weight of a folded branch is
+(`model.GroupBranch.folded`), so inference copies no weight; training's
+weights, which Adam updates in place, are copied once per call.  Forward and
 backward go sample by sample, tap by tap within each sample, so every
 buffer they add through is the size of one sample.  One forward path
 serves every k: per sample, the first tap in the table writes its own

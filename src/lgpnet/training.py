@@ -27,12 +27,16 @@ and its G gradients, and every branch's backward; the branches of each
 step run on the tensor engine's worker pool.
 
 Inference (`predict_logits`, and the dev loss in `evaluate_loss`) is one
-loop, `_group_logits`, that runs branch-major over chunks of whole batches:
-the chunk's LFCC frames are made once, then each worker takes one branch,
-runs every batch of the chunk through it and drops it.  The branches are
-an ensemble's own or a `model.CheckpointBranches`, which reads each from
-the checkpoint only when a worker asks for it, so `score` holds at most one
-branch per worker.  Every batch still runs as a batch of its own, so the
+loop, `_group_logits`, that runs branch-serial and sample-parallel over
+chunks of whole batches: the chunk's LFCC frames are made once, then each
+branch in turn is folded once (`model.GroupBranch.folded`) and the
+chunk's samples are mapped over the worker pool through it, while one more
+call of the same map reads and folds the next branch (inline, the next
+branch is read once this one is dropped).  The branches are an
+ensemble's own or a `model.CheckpointBranches`, which reads each from the
+checkpoint, folding it as it reads, only when it is asked for, so `score`
+holds at most two folded branches whatever the worker count.  The
+classifier runs once per batch on the batch's stacked embeddings, so the
 logits and the loss are bitwise those of a batch-major loop.
 """
 from __future__ import annotations
@@ -58,7 +62,7 @@ from .model import (
     save_checkpoint,
 )
 from .multiscale import GroupLgp, ManifestFrames
-from .tensor import Tensor, _parallel_map
+from .tensor import Tensor, _blas_single_thread, _parallel_map, _pool_workers
 
 
 @dataclass
@@ -262,43 +266,64 @@ def run_epoch(
 
 
 # Utterances whose LFCC frames `_group_logits` makes at once, rounded up to
-# whole batches.  Each chunk runs every branch once, so a branch read from a
-# checkpoint is read once per chunk: at full size on 2 vCPU, about 0.4 s of
-# reads from the page cache against about 80 s of compute, while the chunk's
-# frames take 49 MB (256 x 400 x 60 float64).
+# whole batches.  Each chunk reads and folds every branch once: at full size
+# on 2 vCPU, about 0.4 s of reads from the page cache against about 80 s of
+# compute, while the chunk's frames take 49 MB (256 x 400 x 60 float64).
 _CHUNK_UTTERANCES = 256
 
 
-def _branches(model: GroupedResNetEnsemble | CheckpointBranches):
-    """model's branches, indexable by group: an ensemble's own, or a
-    `CheckpointBranches`, which reads each from the file when indexed."""
-    return model if isinstance(model, CheckpointBranches) else model.branches
+def _folded_branches(model: GroupedResNetEnsemble | CheckpointBranches):
+    """(fetch, G): fetch(g) gives model's branch g folded for inference, read
+    and folded layer by layer from a `CheckpointBranches` or folded from an
+    ensemble's own branch (`model.GroupBranch.folded`)."""
+    if isinstance(model, CheckpointBranches):
+        return model.__getitem__, len(model)
+    return (lambda g: model.branches[g].folded()), len(model.branches)
 
 
-def _group_logits(branches, lgp: GroupLgp, feats: np.ndarray | ManifestFrames, batch_size: int):
+def _group_logits(model, lgp: GroupLgp, feats: np.ndarray | ManifestFrames, batch_size: int):
     """(batch indices, the batch's G group logits) for each batch of
-    `_batch_indices(len(feats), batch_size)`, in order, by inference
-    (keep=False: BN on its running statistics, nothing kept or changed).
+    `_batch_indices(len(feats), batch_size)`, in order, by inference (BN
+    folded, on its running statistics; nothing kept or changed).
 
-    Branch-major over chunks of whole batches (`_CHUNK_UTTERANCES`): the
-    chunk's LFCC frames are made once, then each worker takes one branch
-    (`tensor._parallel_map`), fetches it with `branches[g]`, runs every batch
-    of the chunk through it, making the group's LGP input of each batch in
-    turn, and drops it.  Each batch runs as a batch of its own, so the
-    logits are bitwise those of a batch-major loop over the same batches."""
+    Branch-serial and sample-parallel over chunks of whole batches
+    (`_CHUNK_UTTERANCES`): the chunk's LFCC frames are made once, then the
+    branches run one at a time, in group order, each fetched folded
+    (`_folded_branches`).  Branch g's map (`tensor._parallel_map`) gives each
+    call one sample, whose group input and pooled embedding it makes.  On
+    the pool one more call fetches branch g + 1, so the next read overlaps
+    this branch's compute; inline, where nothing overlaps, branch g + 1 is
+    fetched once branch g is dropped.  So at most two folded branches
+    exist at once whatever the worker count, and one without a pool.  Then
+    the classifier runs once per batch on the batch's stacked embeddings.
+    Every layer below it goes sample by sample, so the logits are bitwise
+    those of a batch-major loop over the same batches."""
+    fetch, n_groups = _folded_branches(model)
+    read_ahead = _pool_workers() > 1  # inline, a read overlaps nothing, so it waits for the last branch to go
     batches = _batch_indices(len(feats), batch_size)
     per_chunk = -(-_CHUNK_UTTERANCES // batch_size)
     for lo in range(0, len(batches), per_chunk):
         chunk = batches[lo : lo + per_chunk]
         start = chunk[0][0]
         frames = feats[np.arange(start, chunk[-1][-1] + 1)]
-        inputs = [lgp.batch(frames[idx[0] - start : idx[-1] + 1 - start]) for idx in chunk]
 
-        def run(g: int) -> list[np.ndarray]:
-            branch = branches[g]
-            return [branch.forward(x[g])[0].data for x in inputs]
+        def run(i: int):  # with a read ahead, call 0 fetches branch g + 1; the others embed a sample each
+            if i < ahead:
+                return fetch(g + 1)
+            return branch.embed(lgp.batch(frames[i - ahead : i - ahead + 1])[g])[0].data
 
-        by_group = _parallel_map(run, len(branches))
+        by_group = []
+        branch = fetch(0)
+        for g in range(n_groups):
+            ahead = int(read_ahead and g + 1 < n_groups)
+            results = _parallel_map(run, ahead + len(frames))
+            embeddings = results[ahead:]
+            stacked = [np.concatenate(embeddings[idx[0] - start : idx[-1] + 1 - start]) for idx in chunk]
+            with _blas_single_thread():
+                by_group.append([branch.classifier(Tensor(e)).data for e in stacked])
+            branch = results[0] if ahead else None  # inline, branch g goes before branch g + 1 is read
+            if branch is None and g + 1 < n_groups:
+                branch = fetch(g + 1)
         for b, idx in enumerate(chunk):
             yield idx, [logits[b] for logits in by_group]
 
@@ -313,7 +338,7 @@ def evaluate_loss(
     """Loss over a dataset by inference, batch by batch (`_group_logits`):
     BN uses its running statistics, nothing is kept and no state changes."""
     total = 0.0
-    for idx, group_logits in _group_logits(_branches(model), lgp, feats, cfg.batch_size):
+    for idx, group_logits in _group_logits(model, lgp, feats, cfg.batch_size):
         total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
     return total / labels.size
 
@@ -326,10 +351,10 @@ def predict_logits(
 ) -> np.ndarray:
     """Ensemble logits for stacked or per-batch computed frames, by inference,
     batch by batch (`_group_logits`): from an ensemble in memory, or from a
-    checkpoint's branches, each read when a worker needs it."""
+    checkpoint's branches, each read and folded when inference reaches it."""
     return np.vstack([
         ensemble_logits(group_logits)
-        for _, group_logits in _group_logits(_branches(model), lgp, feats, batch_size)
+        for _, group_logits in _group_logits(model, lgp, feats, batch_size)
     ])
 
 

@@ -509,16 +509,22 @@ def aggregate_forward_with_term(xs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def fold_by_broadcast(conv, bn, keep):
-    """model._fold with the folded weight made as W * scale in W's own layout."""
+def fold_by_broadcast(conv, bn=None, read=getattr):
+    """model._fold with the folded weight made as W * scale in W's own layout
+    (without bn, W itself)."""
+    import copy
+
     from lgpnet.tensor import BN_EPS
 
-    if keep:
-        return conv.weight, conv.bias, bn
-    state = bn.state
-    scale = state.gamma.data / np.sqrt(state.running_var + BN_EPS)
-    bias = (conv.bias.data - state.running_mean) * scale + state.beta.data
-    return Tensor(conv.weight.data * scale[:, None, None]), Tensor(bias), None
+    w, bias = read(conv.weight, "data"), read(conv.bias, "data")
+    if bn is not None:
+        state = bn.state
+        scale = read(state.gamma, "data") / np.sqrt(read(state, "running_var") + BN_EPS)
+        bias = (bias - read(state, "running_mean")) * scale + read(state.beta, "data")
+        w = w * scale[:, None, None]
+    folded = copy.copy(conv)
+    folded.weight, folded.bias = Tensor(w), Tensor(bias)
+    return folded
 
 
 def use_two_path_forward(monkeypatch) -> None:
@@ -672,12 +678,14 @@ def write_full_size_score_inputs(root: Path, batch: int = 4) -> list[str]:
             "--out", str(root / "scores.txt"), "--config", str(root / "score.cfg")]
 
 
-def full_size_score_peak_rss_mb(batch: int = 4) -> tuple[float, float]:
+def full_size_score_peak_rss_mb(batch: int = 4, workers: int | None = None) -> tuple[float, float]:
     """(peak RSS once lgpnet is imported, peak RSS after one `score`), in MiB,
     of this process, scoring the inputs of `write_full_size_score_inputs` at
-    `batch`.  A child interpreter writes the inputs, so building the 181 MB
-    model stays out of this process's peak.  Meaningful in a fresh
-    interpreter only: the peak is the process's high-water mark."""
+    `batch`.  With `workers`, the maps run on a pool of that many threads
+    whatever the CPU count, with one malloc arena as a real pool has.  A
+    child interpreter writes the inputs, so building the 181 MB model stays
+    out of this process's peak.  Meaningful in a fresh interpreter only:
+    the peak is the process's high-water mark."""
     import contextlib
     import io
     import os
@@ -685,8 +693,15 @@ def full_size_score_peak_rss_mb(batch: int = 4) -> tuple[float, float]:
     import subprocess
     import sys
     import tempfile
+    from concurrent.futures import ThreadPoolExecutor
 
+    import lgpnet.tensor as tensor
     from lgpnet.cli import cli_main
+
+    if workers is not None:
+        tensor._one_malloc_arena()
+        pool = ThreadPoolExecutor(max_workers=workers, initializer=tensor._mark_worker)
+        tensor._get_pool = lambda: pool
 
     baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with tempfile.TemporaryDirectory() as tmp:
@@ -742,8 +757,12 @@ def synth_waveform(rng: np.random.Generator, kind: str, n: int = 16000, sr: int 
     raise ValueError(kind)
 
 
-def build_synth_corpus(root: Path, n_per_class: int = 32, seed: int = 7) -> tuple[Path, Path]:
+def build_synth_corpus(
+    root: Path, n_per_class: int = 32, seed: int = 7, prefix: str = "SYN"
+) -> tuple[Path, Path]:
     """Write WAVs and a protocol file; sinusoid mixtures are the bona fide class.
+    The utt_ids are <prefix>_B_<i> and <prefix>_S_<i>, so corpora of two
+    prefixes share none.
 
     Returns (protocol_path, audio_dir).
     """
@@ -753,12 +772,12 @@ def build_synth_corpus(root: Path, n_per_class: int = 32, seed: int = 7) -> tupl
     lines = []
     for i in range(n_per_class):
         wave = synth_waveform(rng, "tones")
-        utt = f"SYN_B_{i:04d}"
+        utt = f"{prefix}_B_{i:04d}"
         write_wav_int16(audio_dir / f"{utt}.wav", np.clip(wave, -1, 1) * 32000)
         lines.append(f"SPK1 {utt} - - bonafide")
     for i in range(n_per_class):
         wave = synth_waveform(rng, "noise")
-        utt = f"SYN_S_{i:04d}"
+        utt = f"{prefix}_S_{i:04d}"
         write_wav_int16(audio_dir / f"{utt}.wav", np.clip(wave, -1, 1) * 32000)
         lines.append(f"SPK2 {utt} - A01 spoof")
     protocol = root / "protocol.txt"
@@ -910,11 +929,10 @@ def standard_forward_by_add(block, x: Tensor, keep: bool = False):
     output (or, with that BN folded, the folded convolution's) apart, before
     a separate ReLU: relu(x + h), as the library made it before the skip
     joined the BN.  Keeps nothing."""
-    from lgpnet.model import _conv_bn_relu, _fold
+    from lgpnet.model import _conv_bn_relu
 
-    a = _conv_bn_relu(block.conv1, block.bn1, x, keep)[0]
-    weight, bias, bn = _fold(block.conv2, block.bn2, keep)
-    h = conv1d(a, weight, bias)
-    if bn is not None:
-        h = bn(h)[0]
+    a = _conv_bn_relu(block.conv1, block.bn1, x)[0]
+    h = block.conv2(a)
+    if block.bn2 is not None:
+        h = block.bn2(h)[0]
     return Tensor(np.maximum(x.data + h.data, 0.0)), None

@@ -369,8 +369,10 @@ class TestUnreadableAudio:
     ):
         root = junk_workspace["root"]
         ckpt, log = root / "model.npz", root / "log.csv"
+        train = root / "train.txt"  # the train protocol without the dev set's two good utterances
+        train.write_text("\n".join(cli_workspace["protocol"].read_text().splitlines()[2:]) + "\n")
         code = cli_main([
-            "train-model", "--protocol", str(cli_workspace["protocol"]),
+            "train-model", "--protocol", str(train),
             "--audio-dir", str(cli_workspace["audio_dir"]), "--gmm-dir", str(junk_workspace["gmm_dir"]),
             "--checkpoint", str(ckpt), "--log", str(log), "--config", str(cli_workspace["cfg"]),
             "--dev-protocol", str(junk_workspace["protocol"]),
@@ -544,9 +546,11 @@ class TestScoreV1Checkpoint:
 
 
 class TestScoreBranchResidency:
-    """score reads a branch from the checkpoint when a worker runs it, runs the
-    chunk's batches through it and drops it: weakref finalizers on the
-    branches the reader returns count those alive."""
+    """score reads and folds each branch once per chunk, maps the chunk's
+    samples over every worker and drops it, on the pool reading the next
+    branch while it runs: weakref finalizers on the branches the reader
+    returns count those alive, which are never more than two, whatever the
+    worker count, and one without a pool."""
 
     @pytest.fixture(scope="class")
     def workspace(self, tmp_path_factory):
@@ -562,9 +566,9 @@ class TestScoreBranchResidency:
         save_checkpoint(root / "model.npz", build_model(model_cfg, seed=2), lineage_grouping(bank, 4))
         return root
 
-    @pytest.mark.parametrize("where", ["pool", "inline"])
-    def test_at_most_one_branch_per_worker_read_once_per_chunk(
-        self, cli_workspace, workspace, monkeypatch, request, tmp_path, where
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_at_most_two_branches_alive_each_read_once_per_chunk(
+        self, cli_workspace, workspace, monkeypatch, forced_pool, tmp_path, workers
     ):
         import weakref
 
@@ -572,8 +576,8 @@ class TestScoreBranchResidency:
         import lgpnet.tensor as tensor_mod
         import lgpnet.training as training_mod
 
-        if where == "pool":
-            request.getfixturevalue("two_workers")
+        if workers > 1:
+            forced_pool(workers)
         else:
             monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", 8)  # one batch: 12 utterances, 2 chunks
@@ -601,8 +605,10 @@ class TestScoreBranchResidency:
             "--out", str(tmp_path / "scores.txt"), "--config", str(workspace / "four_groups.cfg"),
         ])
         assert code == 0
-        assert 1 <= most[0] <= tensor_mod._pool_workers() == (2 if where == "pool" else 1)
-        assert sorted(reads) == [0, 0, 1, 1, 2, 2, 3, 3]
+        assert tensor_mod._pool_workers() == workers
+        # on the pool the branch that runs and the next one, read while it runs; inline one
+        assert most[0] == min(workers, 2)
+        assert reads == [0, 1, 2, 3] * 2
         assert alive[0] == 0
 
 
@@ -669,6 +675,62 @@ class TestRefusedInputs:
         assert expected in capsys.readouterr().err
         assert epochs == []
         assert list(tmp_path.iterdir()) == []  # no checkpoint, no best-epoch file, no log
+
+    @pytest.mark.parametrize("flac", [0, 3])
+    def test_missing_audio_in_one_line_with_the_count_and_the_first_five(
+        self, cli_workspace, workspace, capsys, tmp_path, flac
+    ):
+        # a wrong --audio-dir for a large corpus once listed every id in one line
+        audio_dir = tmp_path / "audio"
+        audio_dir.mkdir()
+        ids = [f"LA_T_{i:07d}" for i in range(12)]
+        write_wav_int16(audio_dir / f"{ids[0]}.wav", np.zeros(16000))
+        for utt_id in ids[1 : 1 + flac]:
+            (audio_dir / f"{utt_id}.flac").write_bytes(b"fLaC")
+        protocol = tmp_path / "protocol.txt"
+        protocol.write_text("".join(f"SPK1 {utt_id} - - bonafide\n" for utt_id in ids))
+        out = tmp_path / "scores.txt"
+        assert cli_main([
+            "score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
+            "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
+            "--out", str(out), "--config", str(cli_workspace["cfg"]),
+        ]) == 1
+        err = capsys.readouterr().err
+        line = (f"error: 11 of 12 utterances have no <utt_id>.wav under {audio_dir}: "
+                "LA_T_0000001, LA_T_0000002, LA_T_0000003, LA_T_0000004, LA_T_0000005, ...")
+        if flac:
+            line += ("; 3 of them are there as <utt_id>.flac, which lgpnet does not read: "
+                     "convert them to 16 kHz mono WAV first")
+        assert err == line + "\n"
+        assert "LA_T_0000006" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_model_refuses_a_dev_set_that_shares_utterances_before_any_features(
+        self, cli_workspace, workspace, capsys, monkeypatch, tmp_path
+    ):
+        import lgpnet.training
+        from lgpnet import lfcc, multiscale
+
+        epochs, extracted = [], []
+        monkeypatch.setattr(lgpnet.training, "run_epoch", lambda *a, **k: epochs.append(1))
+        for module in (lfcc, multiscale):
+            monkeypatch.setattr(module, "lfcc_extract", lambda *a, **k: extracted.append(a))
+        protocol = cli_workspace["protocol"]
+        shared = protocol.read_text().splitlines()
+        dev = tmp_path / "dev.txt"
+        dev.write_text("\n".join(shared[1:8]) + "\n")  # 7 utterances of the train protocol
+        out = tmp_path / "model.npz"
+        assert cli_main([
+            "train-model", "--protocol", str(protocol), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--dev-protocol", str(dev), "--gmm-dir", str(workspace / "gmms"),
+            "--checkpoint", str(out), "--config", str(cli_workspace["cfg"]),
+        ]) == 1
+        ids = [line.split()[1] for line in shared[1:6]]
+        assert capsys.readouterr().err == (
+            f"error: 7 utt_ids are in both the train and the dev protocol: {', '.join(ids)}, ...\n"
+        )
+        assert extracted == [] and epochs == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("orders", [[8], [8, 16, 32]])
     def test_score_refuses_a_bank_of_other_orders_before_any_audio(

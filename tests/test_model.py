@@ -98,6 +98,14 @@ def recording(monkeypatch, *names):
     return calls
 
 
+def folded_arrays(branch):
+    """The bytes of every parameter of the branch's convolutions and classifier,
+    in `sublayers` order: all of a folded branch's arrays."""
+    return [p.data.tobytes() for _, layer in branch.sublayers()
+            if not isinstance(layer, (model_mod.BatchNorm1dLayer, type(None)))
+            for _, p in layer.named_parameters()]
+
+
 def output_array(result):
     """The array of an op's output Tensor (batchnorm1d returns it with its statistics)."""
     return (result[0] if isinstance(result, tuple) else result).data
@@ -738,18 +746,40 @@ class TestForwardOnlyPath:
         for s, copy in zip(slices, before):
             assert np.array_equal(s.data, copy)
 
+    @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_folded_weight_is_written_in_tap_major_layout(self, improved):
-        branch = build_model(tiny_cfg(improved_blocks=improved), seed=45).branches[0]
+    def test_folded_copy_has_tap_major_convolutions_and_no_batchnorm(self, improved, mfa):
+        branch = build_model(tiny_cfg(improved_blocks=improved, mfa=mfa), seed=45).branches[0]
         perturb_batchnorms(branch, np.random.default_rng(46))
-        layers = [layer for _, layer in branch.sublayers()]
-        pairs = [(c, bn) for c, bn in zip(layers, layers[1:]) if isinstance(bn, model_mod.BatchNorm1dLayer)]
-        assert len(pairs) == len(branch.batchnorms())
-        for conv, bn in pairs:
-            weight, _, left = model_mod._fold(conv, bn, False)
-            assert left is None
-            assert weight.shape == conv.weight.shape
-            assert weight.data.transpose(2, 0, 1).flags.c_contiguous
+        folded = branch.folded()
+        assert folded.batchnorms() == []
+        names = [name for name, _ in branch.sublayers()]
+        assert [name for name, _ in folded.sublayers()] == names
+        for (name, layer), (_, source) in zip(folded.sublayers(), branch.sublayers()):
+            if isinstance(source, model_mod.BatchNorm1dLayer):
+                assert layer is None, name
+            elif isinstance(source, model_mod.Conv1dLayer):
+                assert layer is not source and layer.weight.shape == source.weight.shape, name
+                assert layer.weight.data.transpose(2, 0, 1).flags.c_contiguous, name
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_folding_leaves_the_source_and_the_copy_refuses_to_train(self, improved):
+        branch = build_model(tiny_cfg(improved_blocks=improved), seed=50).branches[0]
+        perturb_batchnorms(branch, np.random.default_rng(51))
+        x = Tensor(np.random.default_rng(52).normal(size=(2, 4, 9)))
+
+        def arrays():
+            return [getattr(owner, attr).tobytes() for _, owner, attr in branch.stored_arrays(0)]
+
+        before = arrays()
+        folded = branch.folded()
+        logits = folded.forward(x)[0]
+        assert arrays() == before
+        assert logits.data.tobytes() == branch.forward(x)[0].data.tobytes()
+        for run in (folded.forward, folded.embed):
+            with pytest.raises(ValueError, match="folded branch only infers"):
+                run(x, keep=True)
+        assert arrays() == before
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
@@ -881,6 +911,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, tiny_assignment(total=64))
         stored = sum(getattr(o, a).nbytes for _, o, a in model.stored_arrays())
+        folded = sum(len(a) for a in folded_arrays(model.branches[1]))  # its BNs are stored, not folded
         del model
         tracemalloc.start()
         try:
@@ -1045,13 +1076,10 @@ class TestCheckpoint:
         assert {o: g.tolist() for o, g in branches.assignment.groups.items()} == \
             {o: g.tolist() for o, g in assignment.groups.items()}
         for g in range(2):
-            branch = branches[g]
+            branch = branches[g]  # folded as it is read
             assert branch is not branches[g]  # read afresh each time
-            for (key, owner, attr), (ref_key, ref_owner, _) in zip(
-                branch.stored_arrays(g), loaded.branches[g].stored_arrays(g), strict=True
-            ):
-                assert key == ref_key
-                assert getattr(owner, attr).tobytes() == getattr(ref_owner, attr).tobytes(), key
+            assert branch.batchnorms() == []
+            assert folded_arrays(branch) == folded_arrays(loaded.branches[g].folded())
         for g in (2, -1):
             with pytest.raises(IndexError):
                 branches[g]
@@ -1062,6 +1090,7 @@ class TestCheckpoint:
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, tiny_assignment(total=64))
         stored = sum(getattr(o, a).nbytes for _, o, a in model.stored_arrays())
+        folded = sum(len(a) for a in folded_arrays(model.branches[1]))  # its BNs are stored, not folded
         del model
         tracemalloc.start()
         try:
@@ -1074,7 +1103,7 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert opened < stored / 10  # the meta and the headers
         assert one < 0.7 * stored  # one of the two branches
-        assert sum(getattr(o, a).nbytes for _, o, a in branch.stored_arrays(1)) == stored // 2
+        assert sum(len(a) for a in folded_arrays(branch)) == folded
 
     def test_flipped_byte_fails_when_its_branch_is_read(self, tmp_path):
         # the last byte of a 6 KB member: reading its header reads the member's first 4 KB

@@ -622,9 +622,11 @@ class TestInferenceIsPure:
 
 
 class TestBranchMajorInference:
-    """predict_logits and evaluate_loss run each branch over a chunk of whole
-    batches (`training._group_logits`), yet forward every batch as a batch of
-    its own: logits and loss are bitwise those of a batch-major loop."""
+    """predict_logits and evaluate_loss run one folded branch at a time over a
+    chunk of whole batches, its samples mapped over the workers
+    (`training._group_logits`), and its classifier once per batch: logits
+    and loss are bitwise those of a batch-major loop, inline, on 2 workers
+    and on 8."""
 
     N = 14  # a ragged last batch at batch sizes 3 and 4
 
@@ -639,12 +641,17 @@ class TestBranchMajorInference:
         save_checkpoint(path, model, tiny_pipeline["assignment"])
         return path
 
+    @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("source", ["memory", "checkpoint"])
     @pytest.mark.parametrize("chunk_batches", [1, 2])
     @pytest.mark.parametrize("batch_size", [1, 3, 4])
     def test_bitwise_the_batch_major_loop(
-        self, tiny_pipeline, checkpoint, monkeypatch, source, chunk_batches, batch_size
+        self, tiny_pipeline, checkpoint, monkeypatch, forced_pool, source, chunk_batches, batch_size, workers
     ):
+        if workers > 1:  # 8 forced workers: more than the chunk's samples at batch size 1
+            forced_pool(workers)
+        else:
+            monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", chunk_batches * batch_size)
         lgp = tiny_pipeline["lgp"]
         feats, labels = tiny_pipeline["feats"][: self.N], tiny_pipeline["labels"][: self.N]
