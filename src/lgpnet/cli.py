@@ -1,12 +1,14 @@
 """Command-line front end wiring the pipeline together.
 
 Subcommands: train-gmm, train-model, score, evaluate, describe.  Nothing
-is cached between commands: train-model and score compute the LFCC frames
-from the audio batch by batch, and each group branch its own LGP input
-from them.  score checks the checkpoint's meta and array shapes before it
-reads any audio, and reads and folds each branch from the checkpoint only
-when inference reaches it (`model.CheckpointBranches`).  Exit codes: 0
-success, 1 runtime error, 2 usage error.
+is cached between commands: train-model computes the LFCC frames from the
+audio batch by batch and score chunk by chunk, and each group branch its
+own LGP input from them.  score checks the checkpoint's meta and array
+shapes before it reads any audio, and reads and folds each branch from the
+checkpoint only when inference reaches it (`model.CheckpointBranches`).
+It scores each utterance alone, so `train.batch_size` does not change a
+score file's bytes.  Exit codes: 0 success, 1 runtime error, 2 usage
+error.
 """
 from __future__ import annotations
 
@@ -71,7 +73,7 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
 
 def _features(manifest: corpus.Manifest, cfg) -> multiscale.ManifestFrames:
     """manifest's LFCC frames under cfg's LFCC config and target_frames, computed
-    batch by batch on indexing; an empty manifest or a bad WAV header fails here."""
+    on indexing; an empty manifest or a bad WAV header fails here."""
     return multiscale.ManifestFrames(manifest, cfg.lfcc, cfg.target_frames)
 
 
@@ -163,7 +165,7 @@ def _cmd_score(args) -> int:
         )
     feats = _features(manifest, cfg)
     lgp = multiscale.GroupLgp(bank, assignment)
-    logits = predict_logits(branches, lgp, feats, batch_size=cfg.train.batch_size)
+    logits = predict_logits(branches, lgp, feats)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
     score_file_write(args.out, records)
     seconds = time.perf_counter() - start

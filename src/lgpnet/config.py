@@ -1,11 +1,13 @@
 """key=value config files covering the whole pipeline.
 
 Lines look like ``train.learning_rate = 0.0001``; blank lines and ``#``
-comments are ignored.  Every key has a default mirroring the standard
-recipe, so an empty file is a valid config.
+comments are ignored.  A float key refuses NaN and infinity.  Every key
+has a default mirroring the standard recipe, so an empty file is a valid
+config.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -132,6 +134,8 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
                 value = typ(raw)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: {key} expects {typ.__name__}, got {raw!r}") from None
+            if typ is float and not math.isfinite(value):
+                raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {raw!r}")
         else:
             value = typ(raw)
         target = cfg if section is None else getattr(cfg, section)

@@ -6,6 +6,7 @@ whitespace-separated ``speaker_id utt_id <unused> attack_id key`` lines.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,9 +60,11 @@ class Manifest:
     def __post_init__(self):
         if self.split not in ("train", "dev", "eval"):
             raise ValueError(f"split must be train/dev/eval, got {self.split!r}")
-        ids = [label.utt_id for _, label in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ManifestError("duplicate utt_ids in manifest")
+        counts = Counter(label.utt_id for _, label in self.entries)
+        repeated = [utt_id for utt_id, n in counts.items() if n > 1]
+        if repeated:
+            raise ManifestError(f"duplicate utt_ids in the {self.split} manifest, "
+                                f"{len(repeated)} listed more than once: {_first_few(repeated)}")
 
     def __len__(self):
         return len(self.entries)
@@ -73,7 +76,8 @@ def label_index(label: UtteranceLabel) -> int:
 
 
 def _wav_samples(path: Path, mmap: bool) -> tuple[int, np.ndarray]:
-    """Sample rate and sample array of a mono 16 kHz, 16-bit or 32/64-bit float WAV."""
+    """Sample rate and sample array of a mono 16 kHz WAV of 16-bit PCM or of
+    32- or 64-bit float samples."""
     try:
         rate, data = wavfile.read(path, mmap=mmap)
     except FileNotFoundError:
@@ -88,13 +92,13 @@ def _wav_samples(path: Path, mmap: bool) -> tuple[int, np.ndarray]:
         )
     if data.dtype not in (np.int16, np.float32, np.float64):
         raise UnsupportedAudioError(
-            f"{path}: sample format {data.dtype} is unsupported (use 16-bit PCM or 32-bit float)"
+            f"{path}: sample format {data.dtype} is unsupported (use 16-bit PCM or 32- or 64-bit float)"
         )
     return int(rate), data
 
 
 def read_wav(path: str | Path, utt_id: str = "") -> AudioClip:
-    """Read a mono PCM WAV file (16-bit int or 32-bit float samples).
+    """Read a mono WAV file of 16-bit int or 32- or 64-bit float samples.
 
     Integer samples are divided by 2^(bits-1) so both sample formats land
     on the same [-1, 1] scale.  Float samples that are NaN or infinite are

@@ -21,8 +21,7 @@ end the same way: the skip x is the ``residual`` operand of the op that
 makes the last pre-activation, `conv1d` or `batchnorm1d`, so no sum is
 made apart.  Every convolution keeps the length of its input.
 
-One forward serves training and scoring: `GroupBranch.forward(x, keep)`,
-the linear classifier on `GroupBranch.embed`'s pooled embedding.
+One forward serves training and scoring: `GroupBranch.forward(x, keep)`.
 keep=True trains: each BN normalizes with the batch's statistics and moves
 its running statistics.  keep=False infers, on the branch's folded copy
 (`GroupBranch.folded`), which a branch with its BNs makes for the call:
@@ -33,7 +32,8 @@ conv1d's tap-major (k, C_out, C_in) layout and handed over as its
 (C_out, C_in, k) view, so conv1d reads it in place; every BN slot is None,
 so the copy refuses keep=True, and the source branch is never modified.
 Inference (`training._group_logits`) folds each branch once per chunk of
-utterances and runs every sample of the chunk through that one copy.  The
+utterances and runs every sample of the chunk alone through that one copy,
+classifier included, so a sample's logits do not depend on its batch.  The
 skip (if any) and the ReLU after a folded convolution are applied in place
 on the array it just made; in training BN applies them itself
 (`batchnorm1d(..., relu=True, residual=x)`), in place on its own output.
@@ -351,21 +351,15 @@ class GroupBranch:
     def forward(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
         """The group logits (N x 2, spoof and bona fide) for the N x D x T
         slice x, and with keep=True the records that `backward` reads (see
-        the module docstring), or None: the classifier on `embed`'s output."""
-        emb, records = self.embed(x, keep)
-        return self.classifier(emb), records
-
-    def embed(self, x: Tensor, keep: bool = False) -> tuple[Tensor, list | None]:
-        """The pooled embedding (N x C) of the N x D x T slice x, and with
-        keep=True the records, or None.  keep=True trains: each BN normalizes
-        with the batch's statistics.  keep=False infers, on a folded branch:
-        a branch that still has its BNs runs as `folded()`, and a folded one
-        refuses keep=True, having no BN to train."""
+        the module docstring), or None.  keep=True trains: each BN
+        normalizes with the batch's statistics.  keep=False infers, on a
+        folded branch: a branch that still has its BNs runs as `folded()`,
+        and a folded one refuses keep=True, having no BN to train."""
         if self.entry_bn is None:
             if keep:
                 raise ValueError("a folded branch only infers: keep=True needs its batch normalizations")
         elif not keep:
-            return self.folded().embed(x)
+            return self.folded().forward(x)
         if x.shape[1] != self.cfg.group_input_dim:
             raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
         records = [] if keep else None
@@ -381,7 +375,7 @@ class GroupBranch:
         emb = max_pool_time(m)
         if keep:
             records.append(emb)
-        return emb, records
+        return self.classifier(emb), records
 
     def folded(self, read=getattr) -> GroupBranch:
         """An inference-only copy of the branch: each conv→BN pair one

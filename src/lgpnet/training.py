@@ -28,16 +28,17 @@ step run on the tensor engine's worker pool.
 
 Inference (`predict_logits`, and the dev loss in `evaluate_loss`) is one
 loop, `_group_logits`, that runs branch-serial and sample-parallel over
-chunks of whole batches: the chunk's LFCC frames are made once, then each
+chunks of utterances: the chunk's LFCC frames are made once, then each
 branch in turn is folded once (`model.GroupBranch.folded`) and the
-chunk's samples are mapped over the worker pool through it, while one more
-call of the same map reads and folds the next branch (inline, the next
-branch is read once this one is dropped).  The branches are an
-ensemble's own or a `model.CheckpointBranches`, which reads each from the
-checkpoint, folding it as it reads, only when it is asked for, so `score`
-holds at most two folded branches whatever the worker count.  The
-classifier runs once per batch on the batch's stacked embeddings, so the
-logits and the loss are bitwise those of a batch-major loop.
+chunk's utterances are mapped over the worker pool through it, one per
+call, classifier included, while one more call of the same map reads and
+folds the next branch (inline, the next branch is read once this one is
+dropped).  The branches are an ensemble's own or a
+`model.CheckpointBranches`, which reads each from the checkpoint, folding
+it as it reads, only when it is asked for, so `score` holds at most two
+folded branches whatever the worker count.  No layer sees more than one
+utterance, so an utterance's logits, and its score, are the same bits
+whatever it is scored with and whatever the batch size of training.
 """
 from __future__ import annotations
 
@@ -62,7 +63,7 @@ from .model import (
     save_checkpoint,
 )
 from .multiscale import GroupLgp, ManifestFrames
-from .tensor import Tensor, _blas_single_thread, _parallel_map, _pool_workers
+from .tensor import Tensor, _parallel_map, _pool_workers
 
 
 @dataclass
@@ -265,10 +266,10 @@ def run_epoch(
     return total / perm.size
 
 
-# Utterances whose LFCC frames `_group_logits` makes at once, rounded up to
-# whole batches.  Each chunk reads and folds every branch once: at full size
-# on 2 vCPU, about 0.4 s of reads from the page cache against about 80 s of
-# compute, while the chunk's frames take 49 MB (256 x 400 x 60 float64).
+# Utterances whose LFCC frames `_group_logits` makes at once.  Each chunk
+# reads and folds every branch once: at full size on 2 vCPU, about 0.4 s of
+# reads from the page cache against about 80 s of compute, while the chunk's
+# frames take 49 MB (256 x 400 x 60 float64).
 _CHUNK_UTTERANCES = 256
 
 
@@ -281,51 +282,42 @@ def _folded_branches(model: GroupedResNetEnsemble | CheckpointBranches):
     return (lambda g: model.branches[g].folded()), len(model.branches)
 
 
-def _group_logits(model, lgp: GroupLgp, feats: np.ndarray | ManifestFrames, batch_size: int):
-    """(batch indices, the batch's G group logits) for each batch of
-    `_batch_indices(len(feats), batch_size)`, in order, by inference (BN
-    folded, on its running statistics; nothing kept or changed).
+def _group_logits(model, lgp: GroupLgp, feats: np.ndarray | ManifestFrames) -> list[np.ndarray]:
+    """The G group logit arrays (N x 2 each) of the N utterances of feats, by
+    inference (BN folded, on its running statistics; nothing kept or
+    changed).
 
-    Branch-serial and sample-parallel over chunks of whole batches
-    (`_CHUNK_UTTERANCES`): the chunk's LFCC frames are made once, then the
-    branches run one at a time, in group order, each fetched folded
+    Branch-serial and sample-parallel over chunks of `_CHUNK_UTTERANCES`
+    utterances: the chunk's LFCC frames are made once, then the branches
+    run one at a time, in group order, each fetched folded
     (`_folded_branches`).  Branch g's map (`tensor._parallel_map`) gives each
-    call one sample, whose group input and pooled embedding it makes.  On
-    the pool one more call fetches branch g + 1, so the next read overlaps
-    this branch's compute; inline, where nothing overlaps, branch g + 1 is
-    fetched once branch g is dropped.  So at most two folded branches
-    exist at once whatever the worker count, and one without a pool.  Then
-    the classifier runs once per batch on the batch's stacked embeddings.
-    Every layer below it goes sample by sample, so the logits are bitwise
-    those of a batch-major loop over the same batches."""
+    call one utterance, whose group input it makes and takes through the
+    branch, classifier included.  On the pool one more call fetches branch
+    g + 1, so the next read overlaps this branch's compute; inline, where
+    nothing overlaps, branch g + 1 is fetched once branch g is dropped.  So
+    at most two folded branches exist at once whatever the worker count,
+    and one without a pool.  Every layer goes one utterance at a time, so
+    each utterance's logits are the same bits whatever else is scored."""
     fetch, n_groups = _folded_branches(model)
     read_ahead = _pool_workers() > 1  # inline, a read overlaps nothing, so it waits for the last branch to go
-    batches = _batch_indices(len(feats), batch_size)
-    per_chunk = -(-_CHUNK_UTTERANCES // batch_size)
-    for lo in range(0, len(batches), per_chunk):
-        chunk = batches[lo : lo + per_chunk]
-        start = chunk[0][0]
-        frames = feats[np.arange(start, chunk[-1][-1] + 1)]
+    by_group = [[] for _ in range(n_groups)]
+    for lo in range(0, len(feats), _CHUNK_UTTERANCES):
+        frames = feats[np.arange(lo, min(lo + _CHUNK_UTTERANCES, len(feats)))]
 
-        def run(i: int):  # with a read ahead, call 0 fetches branch g + 1; the others embed a sample each
+        def run(i: int):  # with a read ahead, call 0 fetches branch g + 1; the others score an utterance each
             if i < ahead:
                 return fetch(g + 1)
-            return branch.embed(lgp.batch(frames[i - ahead : i - ahead + 1])[g])[0].data
+            return branch.forward(lgp.batch(frames[i - ahead : i - ahead + 1])[g])[0].data
 
-        by_group = []
         branch = fetch(0)
         for g in range(n_groups):
             ahead = int(read_ahead and g + 1 < n_groups)
             results = _parallel_map(run, ahead + len(frames))
-            embeddings = results[ahead:]
-            stacked = [np.concatenate(embeddings[idx[0] - start : idx[-1] + 1 - start]) for idx in chunk]
-            with _blas_single_thread():
-                by_group.append([branch.classifier(Tensor(e)).data for e in stacked])
+            by_group[g] += results[ahead:]
             branch = results[0] if ahead else None  # inline, branch g goes before branch g + 1 is read
             if branch is None and g + 1 < n_groups:
                 branch = fetch(g + 1)
-        for b, idx in enumerate(chunk):
-            yield idx, [logits[b] for logits in by_group]
+    return [np.concatenate(logits) for logits in by_group]
 
 
 def evaluate_loss(
@@ -335,27 +327,20 @@ def evaluate_loss(
     labels: np.ndarray,
     cfg: TrainConfig,
 ) -> float:
-    """Loss over a dataset by inference, batch by batch (`_group_logits`):
-    BN uses its running statistics, nothing is kept and no state changes."""
-    total = 0.0
-    for idx, group_logits in _group_logits(model, lgp, feats, cfg.batch_size):
-        total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
-    return total / labels.size
+    """Loss over a dataset by inference (`_group_logits`): BN uses its
+    running statistics, nothing is kept and no state changes."""
+    return ensemble_aware_loss(_group_logits(model, lgp, feats), labels, cfg.ensemble_aware)[0]
 
 
 def predict_logits(
     model: GroupedResNetEnsemble | CheckpointBranches,
     lgp: GroupLgp,
     feats: np.ndarray | ManifestFrames,
-    batch_size: int = 32,
 ) -> np.ndarray:
-    """Ensemble logits for stacked or per-batch computed frames, by inference,
-    batch by batch (`_group_logits`): from an ensemble in memory, or from a
-    checkpoint's branches, each read and folded when inference reaches it."""
-    return np.vstack([
-        ensemble_logits(group_logits)
-        for _, group_logits in _group_logits(model, lgp, feats, batch_size)
-    ])
+    """Ensemble logits for stacked frames or a `ManifestFrames`, by inference
+    (`_group_logits`): from an ensemble in memory, or from a checkpoint's
+    branches, each read and folded when inference reaches it."""
+    return ensemble_logits(_group_logits(model, lgp, feats))
 
 
 def _best_epoch_file(checkpoint_path: str | Path | None) -> str:

@@ -592,34 +592,15 @@ def adam_step_by_expression(state, lr: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# batch-major inference: one batch at a time through every branch
+# per-sample inference: each sample alone through every branch
 
 
-def logits_batch_major(model, lgp, feats, batch_size: int) -> np.ndarray:
-    """The ensemble logits of each batch of feats in turn, every branch run on
-    the batch before the next batch starts, stacked."""
-    from lgpnet.model import ensemble_logits
-
-    return np.vstack([
-        ensemble_logits([b.data for b in model.forward_slices(lgp.batch(feats[idx]))])
-        for idx in _batches(len(feats), batch_size)
-    ])
-
-
-def loss_batch_major(model, lgp, feats, labels, cfg) -> float:
-    """The dev loss as `logits_batch_major` visits the batches: each batch's
-    loss times its size, summed in batch order, over the sample count."""
-    from lgpnet.training import ensemble_aware_loss
-
-    total = 0.0
-    for idx in _batches(len(feats), cfg.batch_size):
-        group_logits = [b.data for b in model.forward_slices(lgp.batch(feats[idx]))]
-        total += ensemble_aware_loss(group_logits, labels[idx], cfg.ensemble_aware)[0] * idx.size
-    return total / labels.size
-
-
-def _batches(n: int, batch_size: int) -> list[np.ndarray]:
-    return [np.arange(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
+def group_logits_per_sample(model, lgp, feats) -> list[np.ndarray]:
+    """The G group logit arrays (N x 2 each) of feats, each sample forwarded
+    alone through the whole ensemble (`forward_slices` of a batch of one)
+    before the next sample starts, stacked in sample order."""
+    per_sample = [[b.data for b in model.forward_slices(lgp.batch(feats[j : j + 1]))] for j in range(len(feats))]
+    return [np.concatenate(logits) for logits in zip(*per_sample)]
 
 
 # ---------------------------------------------------------------------------
@@ -657,11 +638,11 @@ def full_size_steps_peak_rss_mb(batch: int, steps: int = 2, improved_blocks: boo
 # scoring memory at full size
 
 
-def write_full_size_score_inputs(root: Path, batch: int = 4) -> list[str]:
+def write_full_size_score_inputs(root: Path) -> list[str]:
     """Write under root a random bank of the default orders, a full-size
-    randomly initialised checkpoint over the bank's lineage grouping, 4
-    synthetic utterances and a config at `batch`; returns the `score`
-    arguments that read them."""
+    randomly initialised checkpoint over the bank's lineage grouping and 4
+    synthetic utterances; returns the `score` arguments that read them,
+    under the default config."""
     from lgpnet.config import load_config
     from lgpnet.model import build_model, save_checkpoint
     from lgpnet.multiscale import lineage_grouping, save_bank
@@ -672,20 +653,19 @@ def write_full_size_score_inputs(root: Path, batch: int = 4) -> list[str]:
     save_checkpoint(root / "model.npz", build_model(cfg.model_cfg(), seed=0),
                     lineage_grouping(bank, cfg.n_groups))
     protocol, audio_dir = build_synth_corpus(root, n_per_class=2, seed=9)
-    (root / "score.cfg").write_text(f"train.batch_size = {batch}\n")
     return ["score", "--protocol", str(protocol), "--audio-dir", str(audio_dir),
             "--gmm-dir", str(root / "gmms"), "--checkpoint", str(root / "model.npz"),
-            "--out", str(root / "scores.txt"), "--config", str(root / "score.cfg")]
+            "--out", str(root / "scores.txt")]
 
 
-def full_size_score_peak_rss_mb(batch: int = 4, workers: int | None = None) -> tuple[float, float]:
+def full_size_score_peak_rss_mb(workers: int | None = None) -> tuple[float, float]:
     """(peak RSS once lgpnet is imported, peak RSS after one `score`), in MiB,
-    of this process, scoring the inputs of `write_full_size_score_inputs` at
-    `batch`.  With `workers`, the maps run on a pool of that many threads
-    whatever the CPU count, with one malloc arena as a real pool has.  A
-    child interpreter writes the inputs, so building the 181 MB model stays
-    out of this process's peak.  Meaningful in a fresh interpreter only:
-    the peak is the process's high-water mark."""
+    of this process, scoring the inputs of `write_full_size_score_inputs`.
+    With `workers`, the maps run on a pool of that many threads whatever the
+    CPU count, with one malloc arena as a real pool has.  A child
+    interpreter writes the inputs, so building the 181 MB model stays out of
+    this process's peak.  Meaningful in a fresh interpreter only: the peak
+    is the process's high-water mark."""
     import contextlib
     import io
     import os
@@ -706,9 +686,9 @@ def full_size_score_peak_rss_mb(batch: int = 4, workers: int | None = None) -> t
     baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with tempfile.TemporaryDirectory() as tmp:
         code = ("import sys; from pathlib import Path; from helpers import write_full_size_score_inputs; "
-                "print('\\n'.join(write_full_size_score_inputs(Path(sys.argv[1]), int(sys.argv[2]))))")
+                "print('\\n'.join(write_full_size_score_inputs(Path(sys.argv[1]))))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        argv = subprocess.run([sys.executable, "-c", code, tmp, str(batch)], env=env, check=True,
+        argv = subprocess.run([sys.executable, "-c", code, tmp], env=env, check=True,
                               capture_output=True, text=True).stdout.splitlines()
         with contextlib.redirect_stdout(io.StringIO()):
             if cli_main(argv) != 0:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -213,10 +214,15 @@ class TestBuildManifest:
         assert len(manifest) == 0
 
     def test_duplicate_utt_ids_rejected(self, tmp_path):
-        write_wav_int16(tmp_path / "U1.wav", np.zeros(10))
-        labels = [UtteranceLabel("U1", "bonafide"), UtteranceLabel("U1", "spoof")]
-        with pytest.raises(ManifestError):
-            build_manifest(labels, tmp_path)
+        # the message once named neither a count nor an id
+        ids = [f"U{i}" for i in range(8)]
+        for utt_id in ids:
+            write_wav_int16(tmp_path / f"{utt_id}.wav", np.zeros(10))
+        order = ids + ids[6:0:-1] + ["U7"]  # U6 ... U1 and U7 listed again, in another order
+        labels = [UtteranceLabel(utt_id, "bonafide") for utt_id in order]
+        line = "duplicate utt_ids in the eval manifest, 7 listed more than once: U1, U2, U3, U4, U5, ..."
+        with pytest.raises(ManifestError, match=f"^{re.escape(line)}$"):
+            build_manifest(labels, tmp_path, split="eval")
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):

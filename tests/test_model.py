@@ -637,20 +637,25 @@ class TestBranchPool:
         with pytest.raises(ShapeError, match="expected 4 slices, got 3"):
             training_mod._step(model, self._slices(26, n_groups=3), np.array([0, 1]), True, "step")
 
-    def test_forward_slices_runs_branches_on_the_pool(self, two_workers):
+    def test_forward_slices_runs_branches_on_the_pool(self, two_workers, monkeypatch):
         model = build_model(tiny_cfg(n_groups=4), seed=27)
         idents = []
         inline = [branch.forward(x)[0] for branch, x in zip(model.branches, self._slices(28))]
-        for branch in model.branches:
-            real = branch.forward
-            branch.forward = lambda *a, _real=real, **k: idents.append(threading.get_ident()) or _real(*a, **k)
+        real = model_mod.GroupBranch.forward
+
+        def forward(branch, *args, **kwargs):  # the calls on the model's branches, not on their folded copies
+            if any(branch is b for b in model.branches):
+                idents.append(threading.get_ident())
+            return real(branch, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod.GroupBranch, "forward", forward)
         pooled = model.forward_slices(self._slices(28))
         assert len(idents) == 4 and threading.get_ident() not in idents
         for got, ref in zip(pooled, inline):
             assert got.data.tobytes() == ref.data.tobytes()
 
     @pytest.mark.parametrize("keep", [True, False])
-    def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, keep):
+    def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, monkeypatch, keep):
         # a sequence that makes its inputs when indexed (as multiscale.FrameBatch does):
         # the map never iterates it, and indexes input g on the thread that runs
         # branch g, once
@@ -667,12 +672,15 @@ class TestBranchPool:
                 made[g] = threading.get_ident()
                 return Tensor(data[g])
 
-        for g, branch in enumerate(model.branches):
-            def forward(*args, _g=g, _real=branch.forward, **kwargs):
-                ran[_g] = threading.get_ident()
-                return _real(*args, **kwargs)
+        real = model_mod.GroupBranch.forward
 
-            branch.forward = forward
+        def forward(branch, *args, **kwargs):  # the calls on the model's branches, not on their folded copies
+            for g, b in enumerate(model.branches):
+                if branch is b:
+                    ran[g] = threading.get_ident()
+            return real(branch, *args, **kwargs)
+
+        monkeypatch.setattr(model_mod.GroupBranch, "forward", forward)
         if keep:
             training_mod._step(model, Lazy(), np.array([0, 1]), True, "step")
         else:
@@ -776,9 +784,8 @@ class TestForwardOnlyPath:
         logits = folded.forward(x)[0]
         assert arrays() == before
         assert logits.data.tobytes() == branch.forward(x)[0].data.tobytes()
-        for run in (folded.forward, folded.embed):
-            with pytest.raises(ValueError, match="folded branch only infers"):
-                run(x, keep=True)
+        with pytest.raises(ValueError, match="folded branch only infers"):
+            folded.forward(x, keep=True)
         assert arrays() == before
 
     @pytest.mark.parametrize("mfa", [True, False])

@@ -16,8 +16,7 @@ from helpers import (
     check_gradients,
     ensemble_loss_by_chain,
     ensemble_loss_value,
-    logits_batch_major,
-    loss_batch_major,
+    group_logits_per_sample,
     random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
@@ -546,7 +545,7 @@ class TestTrainLoop:
                 run_epoch(model, lgp, feats[:8], labels[:8], cfg, state, np.arange(8)[::-1], 1e-3, epoch)
                 if inference and epoch == 1:
                     evaluate_loss(model, lgp, feats[8:12], labels[8:12], cfg)
-                    predict_logits(model, lgp, feats[8:11], 2)
+                    predict_logits(model, lgp, feats[8:11])
             results.append([getattr(owner, attr).tobytes() for _, owner, attr in model.stored_arrays()]
                            + [m.tobytes() for m in state.m + state.v])
         assert results[0] == results[1]
@@ -623,12 +622,12 @@ class TestInferenceIsPure:
 
 class TestBranchMajorInference:
     """predict_logits and evaluate_loss run one folded branch at a time over a
-    chunk of whole batches, its samples mapped over the workers
-    (`training._group_logits`), and its classifier once per batch: logits
-    and loss are bitwise those of a batch-major loop, inline, on 2 workers
-    and on 8."""
+    chunk of utterances, each utterance mapped over the workers alone through
+    the branch and its classifier (`training._group_logits`): logits and
+    loss are bitwise those of each sample forwarded alone, whatever the
+    chunk size, inline, on 2 workers and on 8."""
 
-    N = 14  # a ragged last batch at batch sizes 3 and 4
+    N = 14  # ragged last chunks at chunk sizes 3 and 4
 
     @pytest.fixture(scope="class")
     def checkpoint(self, tiny_pipeline, tmp_path_factory):
@@ -643,32 +642,31 @@ class TestBranchMajorInference:
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     @pytest.mark.parametrize("source", ["memory", "checkpoint"])
-    @pytest.mark.parametrize("chunk_batches", [1, 2])
-    @pytest.mark.parametrize("batch_size", [1, 3, 4])
-    def test_bitwise_the_batch_major_loop(
-        self, tiny_pipeline, checkpoint, monkeypatch, forced_pool, source, chunk_batches, batch_size, workers
+    @pytest.mark.parametrize("chunk", [1, 3, 14])
+    def test_bitwise_each_sample_alone(
+        self, tiny_pipeline, checkpoint, monkeypatch, forced_pool, source, chunk, workers
     ):
-        if workers > 1:  # 8 forced workers: more than the chunk's samples at batch size 1
+        if workers > 1:  # 8 forced workers: more than the chunk's samples at chunk sizes 1 and 3
             forced_pool(workers)
         else:
             monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
-        monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", chunk_batches * batch_size)
+        monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", chunk)
         lgp = tiny_pipeline["lgp"]
         feats, labels = tiny_pipeline["feats"][: self.N], tiny_pipeline["labels"][: self.N]
-        cfg = small_train_cfg(batch_size=batch_size)
         model = load_checkpoint(checkpoint)[0] if source == "memory" else CheckpointBranches(checkpoint)
-        reference = load_checkpoint(checkpoint)[0]
-        logits = predict_logits(model, lgp, feats, batch_size)
-        assert logits.tobytes() == logits_batch_major(reference, lgp, feats, batch_size).tobytes()
-        assert evaluate_loss(model, lgp, feats, labels, cfg) == loss_batch_major(reference, lgp, feats, labels, cfg)
+        reference = group_logits_per_sample(load_checkpoint(checkpoint)[0], lgp, feats)
+        assert predict_logits(model, lgp, feats).tobytes() == ensemble_logits(reference).tobytes()
+        for aware in (True, False):
+            cfg = TrainConfig(ensemble_aware=aware)
+            assert evaluate_loss(model, lgp, feats, labels, cfg) == ensemble_aware_loss(reference, labels, aware)[0]
 
     def test_frames_from_the_audio_bitwise_the_stacked_frames(self, tiny_pipeline, checkpoint, monkeypatch):
-        # a chunk of two batches of 3 reads its 6 utterances in one ManifestFrames call
+        # a chunk of 6 utterances reads them in one ManifestFrames call
         monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", 6)
         model = load_checkpoint(checkpoint)[0]
         src = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], target_frames=50)
-        from_audio = predict_logits(model, tiny_pipeline["lgp"], src, 3)
-        assert from_audio.tobytes() == predict_logits(model, tiny_pipeline["lgp"], tiny_pipeline["feats"], 3).tobytes()
+        from_audio = predict_logits(model, tiny_pipeline["lgp"], src)
+        assert from_audio.tobytes() == predict_logits(model, tiny_pipeline["lgp"], tiny_pipeline["feats"]).tobytes()
 
 
 class TestBatchMemory:
