@@ -5,11 +5,14 @@ standard deviations, then EM re-estimates the model.  All intermediate
 orders come out of the single run.  A split puts the children of
 component i at 2i and 2i+1, so the split history is index arithmetic: at
 order K the subtree under the g-th of n nodes holds components
-[g*K/n, (g+1)*K/n).
+[g*K/n, (g+1)*K/n).  The LGP features of a frame are its log density
+under each component without the terms that do not depend on it, each
+normalized over the utterance's frames; a one-group `GroupLgp` gives all
+of them.
 """
 import numpy as np
 
-from lgpnet import EmConfig, FeatureMatrix, lgp_transform, log_likelihood, train_by_splitting
+from lgpnet import EmConfig, GmmBank, GroupLgp, lineage_grouping, log_likelihood, train_by_splitting
 
 rng = np.random.default_rng(1)
 centers = np.array([[-6, 0], [-2, 3], [2, -3], [6, 1]], dtype=float)
@@ -27,7 +30,7 @@ for node in range(4):
     comps = components[components // (final.order // 4) == node].tolist()
     print(f"  subtree under order-4 component {node}: components {comps}")
 
-frames = FeatureMatrix(values=data[:5])
-lgp = lgp_transform(final, frames, normalize=False)
-print(f"\nLGP of 5 frames under the order-16 model: {lgp.values.shape}")
-print("frame 0:", np.round(lgp.values[0, :4], 2), "...")
+bank = GmmBank(gmms=[final])
+lgp = GroupLgp(bank, lineage_grouping(bank, 1)).input(data[None, :5], 0).data[0]  # a batch of one utterance
+print(f"\nLGP of 5 frames under the order-16 model: {lgp.shape} (dims x frames)")
+print("frame 0:", np.round(lgp[:4, 0], 2), "...")

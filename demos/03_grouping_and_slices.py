@@ -13,10 +13,8 @@ import numpy as np
 
 from lgpnet import (
     EmConfig,
-    FeatureMatrix,
     GmmBank,
     GroupLgp,
-    extract_multiscale_lgp,
     lineage_grouping,
     random_grouping,
     train_by_splitting,
@@ -38,14 +36,14 @@ for order in bank.orders:
 print("lineage group of component i at order K is i // (K // 4)")
 print("lineage keeps split siblings together; random scatters them")
 
-feat = FeatureMatrix(values=rng.normal(size=(50, 3)))
-lgp = extract_multiscale_lgp(bank, feat)
-print(f"\nmulti-order LGP: {lgp.values.shape} (frames x {8}+{16}+{32} dims)")
+frames = rng.normal(size=(1, 50, 3))  # a batch of one utterance's frames
+lgp = GroupLgp(bank, lineage_grouping(bank, 1)).input(frames, 0).data  # one group: the whole LGP
+print(f"\nmulti-order LGP: {lgp.shape} (utterances x {8}+{16}+{32} dims x frames)")
 
-batch = GroupLgp(bank, lineage).batch(feat.values[None])  # a batch of one utterance's frames
-inputs = [batch[g].data for g in range(len(batch))]
+grouped = GroupLgp(bank, lineage)
+inputs = [grouped.input(frames, g).data for g in range(lineage.n_groups)]
 print(f"{len(inputs)} group inputs of shape {inputs[0].shape} (utterances x dims x frames)")
 for x, cols in zip(inputs, lineage.index_lists()):
-    assert np.allclose(x[0], lgp.values[:, cols].T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(x, lgp[:, cols], rtol=1e-12, atol=1e-12)
 total = sum(x.shape[1] for x in inputs)
 print(f"each is its group's columns of the LGP; dims sum back to {total} = {bank.total_components}")

@@ -33,7 +33,6 @@ from .gmm import (
     Gmm,
     binary_split,
     em_fit,
-    lgp_transform,
     load_gmm,
     log_likelihood,
     save_gmm,
@@ -60,12 +59,10 @@ from .model import (
     score,
 )
 from .multiscale import (
-    FrameBatch,
     GmmBank,
     GroupAssignment,
     GroupLgp,
     ManifestFrames,
-    extract_multiscale_lgp,
     lineage_grouping,
     load_bank,
     random_grouping,

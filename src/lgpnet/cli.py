@@ -68,7 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Manifest:
-    return corpus.build_manifest(corpus.parse_protocol(protocol), audio_dir, split=split)
+    """The manifest of a protocol file; a refused manifest (repeated utt_ids,
+    missing WAVs) is a ManifestError that names the protocol file."""
+    labels = corpus.parse_protocol(protocol)
+    try:
+        return corpus.build_manifest(labels, audio_dir, split=split)
+    except ManifestError as exc:
+        raise ManifestError(f"{protocol}: {exc}") from None
 
 
 def _features(manifest: corpus.Manifest, cfg) -> multiscale.ManifestFrames:

@@ -23,6 +23,10 @@ KEY_SPOOF = "spoof"
 LABEL_SPOOF = 0
 LABEL_BONAFIDE = 1
 
+# The one sample rate `read_wav` accepts: LFCC frame lengths are set in ms
+# and assume it.
+WAV_RATE = 16000
+
 
 @dataclass(frozen=True)
 class AudioClip:
@@ -84,7 +88,7 @@ def _wav_samples(path: Path, mmap: bool) -> tuple[int, np.ndarray]:
         raise
     except Exception as exc:
         raise FormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
-    if rate != 16000:  # LFCC frame lengths are set in ms and assume it
+    if rate != WAV_RATE:
         raise UnsupportedAudioError(f"{path}: sample rate {rate} Hz is unsupported; resample to 16 kHz")
     if data.ndim != 1:
         raise UnsupportedAudioError(

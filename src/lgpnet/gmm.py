@@ -13,14 +13,18 @@ vector x to one value per component:
     y_i = -1/2 x' inv(S_i) x + x' inv(S_i) mu_i
 
 i.e. the log density of component i without its x-independent terms: one
-GEMM [x^2, x] @ [-1/2 inv(S); inv(S) mu]'.  EM's E-step appends 1 to the
-frame and c = log w - 1/2 (mu' inv(S) mu + D log 2 pi + log |S|) to the
-matrix; one GEMM, one exp and one GEMM [x^2, x, 1]' @ r then give the
-responsibilities r and the statistics [sum r x^2; sum r x; sum r], stored
-as a (2D+1, K) array: a transposed left operand and a C-contiguous output
-ran that GEMM in two thirds of the time of r' @ [x^2, x, 1].  Chunks of
-_EM_CHUNK frames run on the worker pool, each with its own 8 MB of log
-joints at K=1024.  The calling thread adds each chunk's statistics to the
+GEMM [x^2, x] @ [-1/2 inv(S); inv(S) mu]' (`_lgp_coefficients`), after
+which `_lgp` normalizes every column over the utterance's frames.  The
+pipeline runs `_lgp` on a group's columns of a whole bank's coefficients
+(`multiscale.GroupLgp.input`).
+
+EM's E-step appends 1 to the frame and c = log w - 1/2 (mu' inv(S) mu +
+D log 2 pi + log |S|) to the matrix; one GEMM, one exp and one GEMM
+[x^2, x, 1]' @ r then give the responsibilities r and the statistics
+[sum r x^2; sum r x; sum r], stored as a (2D+1, K) array: a transposed
+left operand and a C-contiguous output ran that GEMM in two thirds of the
+time of r' @ [x^2, x, 1].  Chunks of _EM_CHUNK frames run on the worker
+pool, each with its own 8 MB of log joints at K=1024.  The calling thread adds each chunk's statistics to the
 total as the chunk is done, in chunk order (`tensor._ordered_map`), so at
 most workers + 1 chunks' statistics exist at once, whatever the frame
 count.  Besides the frames, training holds only these fixed buffers and the
@@ -38,7 +42,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .lfcc import FeatureMatrix
 from .tensor import _blas_single_thread, _ordered_map, _pool_workers
 
 _GMM_MAGIC = b"GMM1"
@@ -273,30 +276,18 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
     return models
 
 
-def _lgp(x: np.ndarray, coef: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """[x^2, x] @ coef for (T, D) frames x and (2D, K) coef, then (normalize)
-    per-column normalization in place, as in lgp_transform."""
+def _lgp(x: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """The normalized LGP of (T, D) frames x for the (2D, K) coefficients coef
+    of one or more GMMs: [x^2, x] @ coef, then every column mean/variance
+    normalized over the frames in place; a column with zero variance maps
+    to 0."""
     with _blas_single_thread():
         y = np.hstack([x**2, x]) @ coef
-    if normalize:
-        std = y.std(axis=0)
-        y -= y.mean(axis=0)
-        y /= np.where(std > 0, std, 1.0)
-        y[:, std == 0] = 0.0
+    std = y.std(axis=0)
+    y -= y.mean(axis=0)
+    y /= np.where(std > 0, std, 1.0)
+    y[:, std == 0] = 0.0
     return y
-
-
-def lgp_transform(gmm: Gmm, feat: FeatureMatrix, normalize: bool = True) -> FeatureMatrix:
-    """Per-frame log Gaussian probability features under one GMM.
-
-    Each frame x yields K values  y_i = -1/2 x' inv(S_i) x + x' inv(S_i) mu_i.
-    With normalize=True every output dimension is mean/variance normalized
-    over the utterance's frames; dimensions with zero variance map to 0.
-    `multiscale.extract_multiscale_lgp` runs the same code on a whole bank.
-    """
-    if feat.n_dims != gmm.dim:
-        raise ShapeError(f"feature dim {feat.n_dims} does not match GMM dim {gmm.dim}")
-    return FeatureMatrix(values=_lgp(feat.values, _lgp_coefficients(gmm), normalize))
 
 
 def save_gmm(gmm: Gmm, path: str | Path) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .corpus import AudioClip
+from .corpus import WAV_RATE, AudioClip
 from .errors import ConfigError, ShapeError
 from .tensor import _blas_single_thread
 
@@ -36,6 +36,14 @@ class LfccConfig:
             raise ConfigError("n_ceps must be smaller than n_filters")
         if self.frame_len_ms <= 0 or self.frame_shift_ms <= 0 or self.fft_size <= 0:
             raise ConfigError("frame/fft sizes must be positive")
+        # a frame of a WAV that read_wav reads must fit the FFT; the float is
+        # compared first, as a huge frame_len_ms rounds to a huge integer
+        samples = self.frame_len_ms * WAV_RATE / 1000.0
+        if not samples <= self.fft_size + 1 or self.frame_len(WAV_RATE) > self.fft_size:
+            raise ConfigError(
+                f"lfcc.frame_len_ms = {self.frame_len_ms:g} gives frames of {round(samples, 0):g} samples "
+                f"at {WAV_RATE // 1000} kHz, more than lfcc.fft_size = {self.fft_size}"
+            )
 
     def frame_len(self, sample_rate: int) -> int:
         return int(round(self.frame_len_ms * sample_rate / 1000.0))

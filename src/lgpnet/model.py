@@ -1,13 +1,13 @@
 """Grouped 1-d residual network ensemble over LGP group slices.
 
-Each group slice feeds its own branch; the training and scoring loops hand
-the branches a `multiscale.FrameBatch`, so each branch makes its own slice,
-on its worker, from the batch's LFCC frames.  A branch is a 1x1 entry
-convolution, a stack of residual blocks, multi-scale feature aggregation
-(a 1x1 convolution of the channel concat of every block output), adaptive
-max pooling over time, and a linear classifier.  The G group logits are the
-branches' outputs; their mean, the ensemble's logits, is plain numpy
-(`ensemble_logits`), and so is the loss over them
+Each group slice feeds its own branch; the training and scoring loops make
+branch g's slice with `multiscale.GroupLgp.input(frames, g)` inside the map
+call that runs branch g, so each slice is made on its branch's worker.  A
+branch is a 1x1 entry convolution, a stack of residual blocks, multi-scale
+feature aggregation (a 1x1 convolution of the channel concat of every block
+output), adaptive max pooling over time, and a linear classifier.  The G
+group logits are the branches' outputs; their mean, the ensemble's logits,
+is plain numpy (`ensemble_logits`), and so is the loss over them
 (`training.ensemble_aware_loss`).
 
 The residual block keeps a single batch normalization and a single
@@ -494,18 +494,19 @@ class GroupedResNetEnsemble:
 
     def forward_slices(self, slices) -> list[Tensor]:
         """The G group logits b_g (N x 2 each) by inference for the G group
-        slices: a list of Tensors or a `multiscale.FrameBatch`, whose slice g
-        is made where branch g runs (see `tensor._parallel_map`)."""
+        slices: any sequence of G Tensors, whose slice g is indexed where
+        branch g runs (see `tensor._parallel_map`)."""
         if len(slices) != self.cfg.n_groups:
             raise ShapeError(f"expected {self.cfg.n_groups} slices, got {len(slices)}")
         return _parallel_map(lambda g: self.branches[g].forward(slices[g])[0], len(slices))
 
     def __call__(self, lgp: np.ndarray, assignment: GroupAssignment) -> list[Tensor]:
-        """Forward a (N, D_total, T) LGP batch through `assignment.split`'s slices."""
+        """Forward a (N, D_total, T) LGP batch through its group slices, the
+        columns `assignment.index_lists()`."""
         lgp = np.asarray(lgp, dtype=np.float64)
-        if lgp.ndim != 3:
-            raise ShapeError("model input must be N x D x T")
-        return self.forward_slices([Tensor(x) for x in assignment.split(lgp)])
+        if lgp.ndim != 3 or lgp.shape[1] != assignment.columns.size:
+            raise ShapeError(f"model input of shape {lgp.shape} is not N x {assignment.columns.size} x T")
+        return self.forward_slices([Tensor(lgp[:, cols]) for cols in assignment.index_lists()])
 
     def stored_arrays(self) -> list[tuple[str, object, str]]:
         """(checkpoint key, owner, attribute) of every array a checkpoint holds:

@@ -12,14 +12,17 @@ order, and `GroupAssignment.index_lists` gives each group's columns.
 The pipeline never builds all 1984 columns of a batch.  `ManifestFrames`
 computes a manifest's fixed-length LFCC frames batch by batch from the
 audio, so memory grows with the batch size, not the corpus size.
-`GroupLgp` holds each group's own coefficient columns, and a `FrameBatch`
-makes group g's (N, 248, T) input from the batch's frames when it is
-indexed, on the worker that runs branch g (`tensor._parallel_map`).
-Each column's GEMM and normalization read only that column's coefficients,
-so group g's input is `utterance_lgp(...)[:, index_lists()[g]]`: bitwise
-wherever OpenBLAS computes a column with the same kernel in the narrow and
-the full product (OpenBLAS 0.3.31's SkylakeX kernels do at the default
-bank and 5 or more frames), and to rounding elsewhere.
+`GroupLgp` holds each group's own coefficient columns, and
+`GroupLgp.input(frames, g)` makes group g's (N, 248, T) input from a
+batch's frames.  The training and inference loops call it inside the map
+call that runs branch g (`tensor._parallel_map`), so each group's input is
+made on its branch's worker.  Each column's GEMM and normalization read
+only that column's coefficients, so group g's input holds the columns
+`index_lists()[g]` of the whole multi-order LGP, which a one-group
+`GroupLgp` (`lineage_grouping(bank, 1)`) gives: bitwise wherever OpenBLAS
+computes a column with the same kernel in the narrow and the full product
+(OpenBLAS 0.3.31's SkylakeX kernels do at the default bank and 5 or more
+frames), and to rounding elsewhere.
 `map_utterances` runs per-utterance work (read, LFCC) as a map.  A map of
 two or more calls runs on the worker pool whenever there is one, and
 inline only when it has fewer than two calls, is started on a pool worker,
@@ -100,14 +103,6 @@ class GroupAssignment:
         """Concatenated-feature column indices per group (views of `columns`)."""
         return np.split(self.columns, self.n_groups)
 
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        """Slice g is x[:, index_lists()[g]], as a C-contiguous view of one
-        (G, N, group_dim, ...) array that one gather fills."""
-        if x.ndim < 2 or x.shape[1] != self.columns.size:
-            raise ShapeError(f"features of shape {x.shape} do not have {self.columns.size} columns")
-        cols = self.columns.reshape(self.n_groups, 1, -1)
-        return list(x[np.arange(len(x))[:, None], cols])
-
 
 def _check_grouping_args(bank: GmmBank, n_groups: int) -> None:
     if n_groups < 1 or n_groups & (n_groups - 1):
@@ -141,14 +136,6 @@ def random_grouping(bank: GmmBank, n_groups: int, seed: int) -> GroupAssignment:
     return GroupAssignment(groups=groups, n_groups=n_groups)
 
 
-def extract_multiscale_lgp(bank: GmmBank, lfcc_feat: FeatureMatrix) -> FeatureMatrix:
-    """Normalized LGP of every bank order, concatenated along the feature axis:
-    column by column what `gmm.lgp_transform` gives per order, from one GEMM."""
-    if lfcc_feat.n_dims != bank.dim:
-        raise ShapeError(f"feature dim {lfcc_feat.n_dims} does not match bank dim {bank.dim}")
-    return FeatureMatrix(values=_lgp(lfcc_feat.values, bank.coefficients))
-
-
 def save_bank(bank: GmmBank, directory: str | Path) -> None:
     """One model file per order, named gmm_<order>.bin."""
     directory = Path(directory)
@@ -171,9 +158,12 @@ def utterance_lgp(
     lfcc_cfg: LfccConfig | None = None,
     target_frames: int = 400,
 ) -> FeatureMatrix:
-    """Waveform -> fixed-length LFCC -> concatenated multi-order LGP."""
+    """Waveform -> fixed-length LFCC -> the normalized LGP of every bank
+    order, concatenated along the feature axis, from one GEMM."""
     feat = fix_length(lfcc_extract(clip, lfcc_cfg), target_frames)
-    return extract_multiscale_lgp(bank, feat)
+    if feat.n_dims != bank.dim:
+        raise ShapeError(f"feature dim {feat.n_dims} does not match bank dim {bank.dim}")
+    return FeatureMatrix(values=_lgp(feat.values, bank.coefficients))
 
 
 def map_utterances(manifest: Manifest, idx, fn) -> list:
@@ -212,39 +202,19 @@ class GroupLgp:
         self.dim = bank.dim
         self.coefficients = [bank.coefficients[:, cols] for cols in assignment.index_lists()]
 
-    def batch(self, frames: np.ndarray) -> FrameBatch:
-        """The G group inputs of an (N, T, D) batch of frames, each made when indexed."""
+    def input(self, frames: np.ndarray, g: int) -> Tensor:
+        """Group g's input for an (N, T, D) batch of frames: a new
+        (N, group_dim, T) Tensor whose sample j's channels are
+        `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as
+        the 1-d convolution stack consumes them."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3 or frames.shape[2] != self.dim:
             raise ShapeError(f"frames of shape {frames.shape} are not N x T x {self.dim}")
-        return FrameBatch(frames, self.coefficients)
-
-
-class FrameBatch:
-    """A batch's G group inputs, made from its frames one group at a time.
-
-    `batch[g]` is a new (N, group_dim, T) Tensor: sample j's channels are
-    `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as the
-    1-d convolution stack consumes them.  A map of two or more calls runs
-    on the worker pool whenever there is one, and inline only when it has
-    fewer than two calls, is started on a pool worker, or has no pool (one
-    usable CPU, or no OpenBLAS whose thread count can be set); either way
-    every OpenBLAS runs at one thread for its calls.
-    """
-
-    def __init__(self, frames: np.ndarray, coefficients: list[np.ndarray]):
-        self.frames = frames
-        self.coefficients = coefficients
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, g: int) -> Tensor:
         coef = self.coefficients[g]
-        n, t, _ = self.frames.shape
+        n, t, _ = frames.shape
         out = np.empty((n, coef.shape[1], t))
         for j in range(n):
-            out[j] = _lgp(self.frames[j], coef).T
+            out[j] = _lgp(frames[j], coef).T
         return Tensor(out)
 
 

@@ -24,7 +24,9 @@ so the value and every gradient equal that chain's bit for bit.
 A training step (`run_epoch`) is three plain steps: every branch's forward
 with its records kept (`model.GroupBranch.forward`, keep=True), the loss
 and its G gradients, and every branch's backward; the branches of each
-step run on the tensor engine's worker pool.
+step run on the tensor engine's worker pool, and the call that runs branch
+g's forward first makes its input from the batch's frames
+(`multiscale.GroupLgp.input`).
 
 Inference (`predict_logits`, and the dev loss in `evaluate_loss`) is one
 loop, `_group_logits`, that runs branch-serial and sample-parallel over
@@ -222,15 +224,18 @@ def _batch_indices(n: int, batch_size: int) -> list[np.ndarray]:
     return [np.arange(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
 
-def _step(model: GroupedResNetEnsemble, inputs, labels: np.ndarray, aware: bool, where: str) -> float:
-    """One training step's forward and backward on a batch's G group inputs
-    (a `multiscale.FrameBatch`), leaving each parameter's gradient in its
-    .grad; returns the batch loss.  A NaN or infinite loss raises
+def _step(
+    model: GroupedResNetEnsemble, lgp: GroupLgp, frames: np.ndarray, labels: np.ndarray, aware: bool, where: str
+) -> float:
+    """One training step's forward and backward on an (N, T, D) batch of
+    frames, leaving each parameter's gradient in its .grad; returns the batch
+    loss.  The map call that runs branch g makes its input
+    (`lgp.input(frames, g)`).  A NaN or infinite loss raises
     NonFiniteLossError naming `where`, before the backward."""
     branches = model.branches
-    if len(inputs) != len(branches):
-        raise ShapeError(f"expected {len(branches)} slices, got {len(inputs)}")
-    runs = _parallel_map(lambda g: branches[g].forward(inputs[g], keep=True), len(branches))
+    if len(lgp.coefficients) != len(branches):
+        raise ShapeError(f"expected {len(branches)} groups, got {len(lgp.coefficients)}")
+    runs = _parallel_map(lambda g: branches[g].forward(lgp.input(frames, g), keep=True), len(branches))
     value, dlogits = ensemble_aware_loss([logits.data for logits, _ in runs], labels, aware)
     if not np.isfinite(value):
         raise NonFiniteLossError(f"{where}: loss is not finite ({value!r})")
@@ -259,7 +264,7 @@ def run_epoch(
     for b, idx in enumerate(batches, start=1):
         batch = perm[idx]
         model.zero_grad()  # before the forward, so the last step's gradients are not held through it
-        value = _step(model, lgp.batch(feats[batch]), labels[batch], cfg.ensemble_aware,
+        value = _step(model, lgp, feats[batch], labels[batch], cfg.ensemble_aware,
                       f"epoch {epoch}, batch {b} of {len(batches)}")
         adam_step(state, lr)
         total += value * batch.size
@@ -291,13 +296,14 @@ def _group_logits(model, lgp: GroupLgp, feats: np.ndarray | ManifestFrames) -> l
     utterances: the chunk's LFCC frames are made once, then the branches
     run one at a time, in group order, each fetched folded
     (`_folded_branches`).  Branch g's map (`tensor._parallel_map`) gives each
-    call one utterance, whose group input it makes and takes through the
-    branch, classifier included.  On the pool one more call fetches branch
-    g + 1, so the next read overlaps this branch's compute; inline, where
-    nothing overlaps, branch g + 1 is fetched once branch g is dropped.  So
-    at most two folded branches exist at once whatever the worker count,
-    and one without a pool.  Every layer goes one utterance at a time, so
-    each utterance's logits are the same bits whatever else is scored."""
+    call one utterance, whose group input it makes (`lgp.input`) and takes
+    through the branch, classifier included.  On the pool one more call
+    fetches branch g + 1, so the next read overlaps this branch's compute;
+    inline, where nothing overlaps, branch g + 1 is fetched once branch g is
+    dropped.  So at most two folded branches exist at once whatever the
+    worker count, and one without a pool.  Every layer goes one utterance
+    at a time, so each utterance's logits are the same bits whatever else
+    is scored."""
     fetch, n_groups = _folded_branches(model)
     read_ahead = _pool_workers() > 1  # inline, a read overlaps nothing, so it waits for the last branch to go
     by_group = [[] for _ in range(n_groups)]
@@ -307,7 +313,7 @@ def _group_logits(model, lgp: GroupLgp, feats: np.ndarray | ManifestFrames) -> l
         def run(i: int):  # with a read ahead, call 0 fetches branch g + 1; the others score an utterance each
             if i < ahead:
                 return fetch(g + 1)
-            return branch.forward(lgp.batch(frames[i - ahead : i - ahead + 1])[g])[0].data
+            return branch.forward(lgp.input(frames[i - ahead : i - ahead + 1], g))[0].data
 
         branch = fetch(0)
         for g in range(n_groups):

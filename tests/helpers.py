@@ -200,7 +200,7 @@ def training_forward(model, lgp: np.ndarray, assignment) -> list[Tensor]:
     """Every branch's training forward (keep=True) on its slice of the
     (N, D_total, T) LGP batch, the records dropped: BN normalizes with the
     batch's statistics and moves its running statistics."""
-    slices = assignment.split(np.asarray(lgp, dtype=np.float64))
+    slices = group_slices(assignment, np.asarray(lgp, dtype=np.float64))
     return [branch.forward(Tensor(x), keep=True)[0] for branch, x in zip(model.branches, slices)]
 
 
@@ -599,7 +599,8 @@ def group_logits_per_sample(model, lgp, feats) -> list[np.ndarray]:
     """The G group logit arrays (N x 2 each) of feats, each sample forwarded
     alone through the whole ensemble (`forward_slices` of a batch of one)
     before the next sample starts, stacked in sample order."""
-    per_sample = [[b.data for b in model.forward_slices(lgp.batch(feats[j : j + 1]))] for j in range(len(feats))]
+    per_sample = [[b.data for b in model.forward_slices(group_inputs(lgp, feats[j : j + 1]))]
+                  for j in range(len(feats))]
     return [np.concatenate(logits) for logits in zip(*per_sample)]
 
 
@@ -878,6 +879,31 @@ def random_bank(rng: np.random.Generator, orders: list[int], dim: int):
     from lgpnet.multiscale import GmmBank
 
     return GmmBank(gmms=[random_split_gmm(rng, order, dim) for order in orders])
+
+
+# ---------------------------------------------------------------------------
+# group slices and inputs through the library's own column lists
+
+
+def group_slices(assignment, x: np.ndarray) -> list[np.ndarray]:
+    """Group g's slice x[:, cols] of stacked features x, for each group's
+    columns cols in `assignment.index_lists()`."""
+    return [x[:, cols] for cols in assignment.index_lists()]
+
+
+def group_inputs(lgp, frames: np.ndarray) -> list[Tensor]:
+    """Every group's input for an (N, T, D) batch of frames, in group order:
+    `lgp.input(frames, g)` for each group g of a `multiscale.GroupLgp`."""
+    return [lgp.input(frames, g) for g in range(lgp.assignment.n_groups)]
+
+
+def whole_lgp(bank, frames: np.ndarray) -> np.ndarray:
+    """The (N, D_total, T) multi-order LGP of an (N, T, D) batch of frames:
+    the one input of a one-group `GroupLgp`, whose columns are the bank's
+    components in order, from one GEMM over all of them."""
+    from lgpnet.multiscale import GroupLgp, lineage_grouping
+
+    return GroupLgp(bank, lineage_grouping(bank, 1)).input(frames, 0).data
 
 
 # ---------------------------------------------------------------------------

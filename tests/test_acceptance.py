@@ -16,17 +16,19 @@ from helpers import (
     check_gradients,
     eer_by_threshold_sweep,
     ensemble_loss_value,
+    group_inputs,
     n_batchnorms,
     random_bank,
     random_split_gmm,
     train_step_grads,
     weighted_sum,
+    whole_lgp,
 )
 
 from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.evaluation import compute_eer
-from lgpnet.gmm import EmConfig, em_fit, lgp_transform, log_likelihood, train_by_splitting
-from lgpnet.lfcc import FeatureMatrix, LfccConfig
+from lgpnet.gmm import EmConfig, _lgp_coefficients, em_fit, log_likelihood, train_by_splitting
+from lgpnet.lfcc import LfccConfig
 from lgpnet.model import (
     ImprovedResidualBlock,
     ModelCfg,
@@ -35,7 +37,7 @@ from lgpnet.model import (
     build_model,
     ensemble_logits,
 )
-from lgpnet.multiscale import GmmBank, extract_multiscale_lgp, lineage_grouping
+from lgpnet.multiscale import GmmBank, GroupLgp, lineage_grouping
 from lgpnet.tensor import (
     BatchNormState,
     Tensor,
@@ -91,7 +93,7 @@ def run_overfit_training(tmp_root):
     lfcc_cfg = LfccConfig()
     from lgpnet.corpus import read_wav
     from lgpnet.lfcc import lfcc_extract
-    from lgpnet.multiscale import GroupLgp, ManifestFrames
+    from lgpnet.multiscale import ManifestFrames
 
     frames = np.vstack([lfcc_extract(read_wav(p), lfcc_cfg).values for p, _ in manifest.entries])
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=10))
@@ -257,24 +259,22 @@ class TestAcceptance:
         rng = np.random.default_rng(300)
         gmm = random_split_gmm(rng, 16, 6)
         x = rng.normal(size=(100, 6))
-        out = lgp_transform(gmm, FeatureMatrix(values=x), normalize=False)
+        out = np.hstack([x**2, x]) @ _lgp_coefficients(gmm)  # before the per-column normalization
         for i in range(gmm.order):
             dense = multivariate_normal(mean=gmm.means[i], cov=np.diag(gmm.variances[i])).logpdf(x)
-            diff = out.values[:, i] - dense
+            diff = out[:, i] - dense
             assert np.var(diff) / np.mean(diff) ** 2 < 1e-10
 
     @criterion(4, "dimensional bookkeeping")
     def test_4_dimensions_and_lineage(self):
         rng = np.random.default_rng(400)
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
-        feat = FeatureMatrix(values=rng.normal(size=(400, 60)))
-        lgp = extract_multiscale_lgp(bank, feat)
-        assert lgp.values.shape == (400, 1984)
+        frames = rng.normal(size=(1, 400, 60))
+        assert whole_lgp(bank, frames).shape == (1, 1984, 400)
 
-        assignment = lineage_grouping(bank, 8)
-        slices = assignment.split(lgp.values)
-        assert len(slices) == 8
-        assert all(s.shape == (400, 248) for s in slices)
+        inputs = group_inputs(GroupLgp(bank, lineage_grouping(bank, 8)), frames)
+        assert len(inputs) == 8
+        assert all(x.shape == (1, 248, 400) for x in inputs)
 
         for trial in range(20):
             trial_rng = np.random.default_rng(410 + trial)
@@ -428,12 +428,12 @@ class TestAcceptance:
         feats = rng.normal(size=(4, 10, 3))
         labels = np.array([0, 1, 0, 1])
         assignment_groups = {8: np.array([0, 0, 0, 0, 1, 1, 1, 1]), 16: np.repeat([0, 1], 8)}
-        from lgpnet.multiscale import GroupAssignment, GroupLgp
+        from lgpnet.multiscale import GroupAssignment
 
         lgp = GroupLgp(random_bank(rng, [8, 16], 3), GroupAssignment(groups=assignment_groups, n_groups=2))
         aware = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=True))
         plain = evaluate_loss(base, lgp, feats, labels, TrainConfig(ensemble_aware=False))
         assert aware != pytest.approx(plain, abs=1e-9)
-        out = [b.data for b in base.forward_slices(lgp.batch(feats))]
+        out = [b.data for b in base.forward_slices(group_inputs(lgp, feats))]
         assert plain == pytest.approx(ensemble_aware_loss(out, labels, aware=False)[0], abs=1e-9)
         assert aware == pytest.approx(ensemble_aware_loss(out, labels)[0], abs=1e-9)

@@ -703,7 +703,7 @@ class TestRefusedInputs:
             "--out", str(out), "--config", str(cli_workspace["cfg"]),
         ]) == 1
         err = capsys.readouterr().err
-        line = (f"error: 11 of 12 utterances have no <utt_id>.wav under {audio_dir}: "
+        line = (f"error: {protocol}: 11 of 12 utterances have no <utt_id>.wav under {audio_dir}: "
                 "LA_T_0000001, LA_T_0000002, LA_T_0000003, LA_T_0000004, LA_T_0000005, ...")
         if flac:
             line += ("; 3 of them are there as <utt_id>.flac, which lgpnet does not read: "
@@ -711,6 +711,27 @@ class TestRefusedInputs:
         assert err == line + "\n"
         assert "LA_T_0000006" not in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_a_repeated_dev_utt_id_names_the_dev_protocol(self, cli_workspace, workspace, capsys, monkeypatch, tmp_path):
+        # the line named the split, not the protocol file
+        import lgpnet.training
+
+        epochs = []
+        monkeypatch.setattr(lgpnet.training, "run_epoch", lambda *a, **k: epochs.append(1))
+        protocol = cli_workspace["protocol"]
+        line = protocol.read_text().splitlines()[0]
+        dev = tmp_path / "dev.txt"
+        dev.write_text(f"{line}\n{line}\n")
+        out = tmp_path / "model.npz"
+        assert cli_main([
+            "train-model", "--protocol", str(protocol), "--audio-dir", str(cli_workspace["audio_dir"]),
+            "--dev-protocol", str(dev), "--gmm-dir", str(workspace / "gmms"),
+            "--checkpoint", str(out), "--config", str(cli_workspace["cfg"]),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {dev}: duplicate utt_ids in the dev manifest, 1 listed more than once: {line.split()[1]}\n"
+        assert str(protocol) not in err
+        assert epochs == [] and not out.exists()
 
     def test_train_model_refuses_a_dev_set_that_shares_utterances_before_any_features(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path
@@ -1107,6 +1128,34 @@ class TestRefusedInputs:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {cfg}:{line}: {key} must be finite, got {value!r}"]
         assert captured.out == ""
+
+    @pytest.mark.parametrize("frame_len_ms, shown, samples", [("100", "100", "1600"), ("1e300", "1e+300", "1.6e+301")])
+    @pytest.mark.parametrize("command", ["describe", "train-gmm"])
+    def test_a_frame_longer_than_the_fft_is_exit_1_before_any_lfcc(
+        self, cli_workspace, workspace, capsys, monkeypatch, command, frame_len_ms, shown, samples
+    ):
+        # describe exited 0, and train-gmm failed at its first utterance with a line that
+        # named no config key, at 1e300 with a 300-digit frame length
+        from lgpnet import lfcc, multiscale
+
+        extracted = []
+        for module in (lfcc, multiscale):
+            monkeypatch.setattr(module, "lfcc_extract", lambda *a, **k: extracted.append(a))
+        cfg = workspace / f"frame_len_{frame_len_ms}.cfg"
+        cfg.write_text(TINY_CFG + f"lfcc.frame_len_ms = {frame_len_ms}\n")
+        out = workspace / f"frame_len_{frame_len_ms}_{command}.out"
+        args = ["--config", str(cfg)]
+        if command == "train-gmm":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
+                     "--out", str(out)]
+        assert cli_main([command, *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: lfcc.frame_len_ms = {shown} gives frames of {samples} samples at 16 kHz, "
+            "more than lfcc.fft_size = 1024"
+        ]
+        assert not re.search(r"\d{20}", captured.err)
+        assert captured.out == "" and extracted == [] and not out.exists()
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
     def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, iters):

@@ -9,7 +9,7 @@ from scipy.stats import multivariate_normal
 
 import lgpnet.gmm as gmm_mod
 import lgpnet.tensor as tensor_mod
-from helpers import e_step_by_waves, em_e_step_reference, random_split_gmm
+from helpers import e_step_by_waves, em_e_step_reference, random_split_gmm, whole_lgp
 
 from lgpnet.errors import FormatError, ShapeError
 from lgpnet.gmm import (
@@ -19,16 +19,15 @@ from lgpnet.gmm import (
     Gmm,
     _data_var,
     _e_step,
+    _lgp_coefficients,
     binary_split,
     em_fit,
-    lgp_transform,
     load_gmm,
     log_likelihood,
     save_gmm,
     train_by_splitting,
 )
-from lgpnet.lfcc import FeatureMatrix
-from lgpnet.multiscale import GmmBank, lineage_grouping
+from lgpnet.multiscale import GmmBank, GroupLgp, lineage_grouping
 
 DATA = Path(__file__).parent / "data"
 
@@ -435,30 +434,41 @@ class TestTrainBySplitting:
             train_by_splitting(np.arange(100.0), 4)
 
 
+def unnormalized_lgp(gmm, x: np.ndarray) -> np.ndarray:
+    """[x^2, x] @ W for (T, D) frames x: each frame's LGP before the
+    per-column normalization, (T, K)."""
+    return np.hstack([x**2, x]) @ _lgp_coefficients(gmm)
+
+
+def normalized_lgp(gmm, x: np.ndarray) -> np.ndarray:
+    """The pipeline's LGP of (T, D) frames x under one GMM, (T, K): the input
+    of a one-group `GroupLgp` of a one-GMM bank, time-major."""
+    return whole_lgp(GmmBank(gmms=[gmm]), x[None])[0].T
+
+
 class TestLgpTransform:
     def test_zero_input_gives_zero(self):
         rng = np.random.default_rng(9)
         gmm = random_split_gmm(rng, 4, 3)
-        feat = FeatureMatrix(values=np.zeros((5, 3)))
-        out = lgp_transform(gmm, feat, normalize=False)
-        assert np.all(out.values == 0.0)
+        out = unnormalized_lgp(gmm, np.zeros((5, 3)))
+        assert np.all(out == 0.0)
 
     def test_standard_normal_component(self):
         gmm = single_gaussian(np.zeros(4), np.ones(4))
         rng = np.random.default_rng(10)
         x = rng.normal(size=(20, 4))
-        out = lgp_transform(gmm, FeatureMatrix(values=x), normalize=False)
-        assert np.allclose(out.values[:, 0], -0.5 * np.sum(x**2, axis=1), atol=1e-12)
+        out = unnormalized_lgp(gmm, x)
+        assert np.allclose(out[:, 0], -0.5 * np.sum(x**2, axis=1), atol=1e-12)
 
     def test_difference_to_dense_logpdf_is_constant(self):
         # dense log-density oracle: scipy multivariate normal per component
         rng = np.random.default_rng(11)
         gmm = random_split_gmm(rng, 16, 6)
         x = rng.normal(size=(100, 6))
-        out = lgp_transform(gmm, FeatureMatrix(values=x), normalize=False)
+        out = unnormalized_lgp(gmm, x)
         for i in range(gmm.order):
             dense = multivariate_normal(mean=gmm.means[i], cov=np.diag(gmm.variances[i])).logpdf(x)
-            diff = out.values[:, i] - dense
+            diff = out[:, i] - dense
             assert np.var(diff) / np.mean(diff) ** 2 < 1e-10
             expected_const = 0.5 * np.sum(gmm.means[i] ** 2 / gmm.variances[i]) + 0.5 * np.sum(
                 np.log(2 * np.pi * gmm.variances[i])
@@ -493,20 +503,19 @@ class TestLgpTransform:
         rng = np.random.default_rng(13)
         gmm = random_split_gmm(rng, 8, 4)
         x = rng.normal(size=(400, 4))
-        out = lgp_transform(gmm, FeatureMatrix(values=x))
-        assert np.all(np.abs(out.values.mean(axis=0)) < 1e-9)
-        assert np.allclose(out.values.var(axis=0), 1.0, atol=1e-6)
+        out = normalized_lgp(gmm, x)
+        assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
+        assert np.allclose(out.var(axis=0), 1.0, atol=1e-6)
 
     def test_zero_variance_dimension_maps_to_zero(self):
         gmm = single_gaussian(np.zeros(2), np.ones(2))
-        constant_frames = FeatureMatrix(values=np.full((10, 2), 1.5))
-        out = lgp_transform(gmm, constant_frames)
-        assert np.all(out.values == 0.0)
+        out = normalized_lgp(gmm, np.full((10, 2), 1.5))
+        assert np.all(out == 0.0)
 
     def test_dim_mismatch(self):
-        gmm = single_gaussian(np.zeros(3), np.ones(3))
+        bank = GmmBank(gmms=[single_gaussian(np.zeros(3), np.ones(3))])
         with pytest.raises(ShapeError):
-            lgp_transform(gmm, FeatureMatrix(values=np.zeros((5, 4))))
+            GroupLgp(bank, lineage_grouping(bank, 1)).input(np.zeros((1, 5, 4)), 0)
 
 
 class TestGmmSerialization:

@@ -157,8 +157,15 @@ class TestLfccExtract:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             LfccConfig(n_ceps=20, n_filters=20)
-        with pytest.raises(ConfigError):
-            frame_and_window(clip_of(np.ones(400)), LfccConfig(fft_size=128))
+        with pytest.raises(ConfigError, match="lfcc.frame_len_ms = 20 gives frames of 320 samples at 16 kHz"):
+            LfccConfig(fft_size=128)
+        LfccConfig(frame_len_ms=64.0)  # 1024 samples fill the FFT exactly
+
+    def test_a_frame_longer_than_the_fft_at_another_rate_is_refused(self):
+        # 25 ms is 400 samples at 16 kHz, which the config accepts, but 1200 at 48 kHz
+        clip = AudioClip(samples=np.ones(4800), sample_rate=48000)
+        with pytest.raises(ConfigError, match="fft_size 1024 is smaller than the frame length 1200"):
+            frame_and_window(clip, LfccConfig(frame_len_ms=25.0))
 
 
 class TestFixLength:

@@ -14,6 +14,8 @@ from helpers import (
     branch_keeping_everything,
     check_gradients,
     ensemble_loss_value,
+    group_inputs,
+    group_slices,
     mean_by_node,
     n_batchnorms,
     random_bank,
@@ -43,7 +45,7 @@ from lgpnet.model import (
     save_checkpoint,
     score,
 )
-from lgpnet.multiscale import GroupAssignment, GroupLgp, random_grouping
+from lgpnet.multiscale import GroupAssignment, GroupLgp, lineage_grouping, random_grouping
 from lgpnet.tensor import Tensor, max_pool_time
 from lgpnet.training import AdamState, adam_step, ensemble_aware_loss, predict_logits
 
@@ -547,7 +549,7 @@ class TestModelForward:
         cfg = tiny_cfg()
         model = build_model(cfg, seed=11)
         rng = np.random.default_rng(12)
-        slices = [Tensor(s) for s in tiny_assignment().split(rng.normal(size=(2, 8, 16)))]
+        slices = [Tensor(s) for s in group_slices(tiny_assignment(), rng.normal(size=(2, 8, 16)))]
         labels = np.array([0, 1])
         train_step_grads(model, slices, labels, aware)
         params = model.parameters()
@@ -565,6 +567,13 @@ class TestBranchPool:
         rng = np.random.default_rng(seed)
         return [Tensor(rng.normal(size=(2, 4, 10))) for _ in range(n_groups)]
 
+    def _batch(self, seed, n_groups=4):
+        """A `GroupLgp` of n_groups groups of 4 columns each, and a batch of 2
+        samples' frames (10 of 3 dims) for it: a training step's inputs."""
+        rng = np.random.default_rng(seed)
+        bank = random_bank(rng, [4 * n_groups], 3)
+        return GroupLgp(bank, lineage_grouping(bank, n_groups)), rng.normal(size=(2, 10, 3))
+
     def test_gradients_bitwise_equal_to_calling_thread_reference(self, two_workers):
         cfg = tiny_cfg(n_groups=4)
         labels = np.array([0, 1])
@@ -573,9 +582,10 @@ class TestBranchPool:
         for branch in pooled.branches:
             real = branch.backward
             branch.backward = lambda *a, _real=real: idents.append(threading.get_ident()) or _real(*a)
-        pooled_loss = training_mod._step(pooled, self._slices(22), labels, True, "step")
+        lgp, frames = self._batch(22)
+        pooled_loss = training_mod._step(pooled, lgp, frames, labels, True, "step")
         assert len(idents) == 4 and caller not in idents
-        assert train_step_grads(reference, self._slices(22), labels) == pooled_loss
+        assert train_step_grads(reference, group_inputs(lgp, frames), labels) == pooled_loss
         for (name, p), (_, q) in zip(pooled.named_parameters(), reference.named_parameters()):
             assert np.array_equal(p.grad, q.grad), name
         for bn_p, bn_q in zip(pooled.batchnorms(), reference.batchnorms()):
@@ -590,7 +600,7 @@ class TestBranchPool:
             state = AdamState(model.parameters())
             for step in range(3):
                 model.zero_grad()
-                training_mod._step(model, self._slices(30 + step, 8), np.array([0, 1]), True, "step")
+                training_mod._step(model, *self._batch(30 + step, 8), np.array([0, 1]), True, "step")
                 adam_step(state, 1e-2)
             return model
 
@@ -628,14 +638,14 @@ class TestBranchPool:
         with pytest.raises(ShapeError, match="channel mismatch"):
             model.forward_slices(self._slices(26))
         with pytest.raises(ShapeError, match="channel mismatch"):
-            training_mod._step(model, self._slices(26), np.array([0, 1]), True, "step")
+            training_mod._step(model, *self._batch(26), np.array([0, 1]), True, "step")
 
     def test_wrong_slice_count_rejected(self):
         model = build_model(tiny_cfg(n_groups=4), seed=25)
         with pytest.raises(ShapeError, match="expected 4 slices, got 3"):
             model.forward_slices(self._slices(26, n_groups=3))
-        with pytest.raises(ShapeError, match="expected 4 slices, got 3"):
-            training_mod._step(model, self._slices(26, n_groups=3), np.array([0, 1]), True, "step")
+        with pytest.raises(ShapeError, match="expected 4 groups, got 2"):
+            training_mod._step(model, *self._batch(26, n_groups=2), np.array([0, 1]), True, "step")
 
     def test_forward_slices_runs_branches_on_the_pool(self, two_workers, monkeypatch):
         model = build_model(tiny_cfg(n_groups=4), seed=27)
@@ -656,21 +666,26 @@ class TestBranchPool:
 
     @pytest.mark.parametrize("keep", [True, False])
     def test_a_lazy_input_is_made_on_the_branch_s_worker(self, two_workers, monkeypatch, keep):
-        # a sequence that makes its inputs when indexed (as multiscale.FrameBatch does):
-        # the map never iterates it, and indexes input g on the thread that runs
-        # branch g, once
+        # input g is made once, on the thread that runs branch g: a training step asks
+        # the GroupLgp for it (`input(frames, g)`) in the map call that runs the branch,
+        # and forward_slices indexes a sequence that makes its inputs when indexed,
+        # which the map never iterates
         model = build_model(tiny_cfg(n_groups=4), seed=31)
         made, ran = {}, {}
-        data = np.random.default_rng(44).normal(size=(4, 2, 4, 5))
+        lgp, frames = self._batch(44)
+        real_input = GroupLgp.input
+
+        def noting_input(self, frames, g):
+            assert g not in made
+            made[g] = threading.get_ident()
+            return real_input(self, frames, g)
 
         class Lazy:
             def __len__(self):
-                return len(data)
+                return 4
 
             def __getitem__(self, g):
-                assert g not in made
-                made[g] = threading.get_ident()
-                return Tensor(data[g])
+                return lgp.input(frames, g)
 
         real = model_mod.GroupBranch.forward
 
@@ -681,8 +696,9 @@ class TestBranchPool:
             return real(branch, *args, **kwargs)
 
         monkeypatch.setattr(model_mod.GroupBranch, "forward", forward)
+        monkeypatch.setattr(GroupLgp, "input", noting_input)
         if keep:
-            training_mod._step(model, Lazy(), np.array([0, 1]), True, "step")
+            training_mod._step(model, lgp, frames, np.array([0, 1]), True, "step")
         else:
             model.forward_slices(Lazy())
         assert made == ran and threading.get_ident() not in made.values()
@@ -717,7 +733,7 @@ class TestForwardOnlyPath:
         rng = np.random.default_rng(32)
         perturb_batchnorms(model, rng)
         x = rng.normal(size=(3, 8, 11))
-        slices = [Tensor(s) for s in tiny_assignment().split(x)]
+        slices = [Tensor(s) for s in group_slices(tiny_assignment(), x)]
         folded = model(x, tiny_assignment())
         use_unfolded_inference(monkeypatch)
         reference = [branch.forward(s, keep=True)[0] for branch, s in zip(model.branches, slices)]
@@ -742,7 +758,7 @@ class TestForwardOnlyPath:
         model = build_model(tiny_cfg(improved_blocks=improved), seed=34)
         perturb_batchnorms(model, np.random.default_rng(35))
         x = np.random.default_rng(36).normal(size=(2, 8, 9))
-        slices = [Tensor(s) for s in tiny_assignment().split(x)]
+        slices = [Tensor(s) for s in group_slices(tiny_assignment(), x)]
         before = [s.data.copy() for s in slices]
 
         def refuse(*args, **kwargs):
@@ -800,7 +816,7 @@ class TestForwardOnlyPath:
         for reference in (False, True):
             if reference:
                 use_two_path_forward(monkeypatch)
-            out = model.forward_slices([Tensor(s) for s in tiny_assignment().split(x)])
+            out = model.forward_slices([Tensor(s) for s in group_slices(tiny_assignment(), x)])
             logits.append([ensemble_logits([g.data for g in out]).tobytes()] + [g.data.tobytes() for g in out])
         assert logits[0] == logits[1]
 
@@ -817,7 +833,7 @@ class TestForwardOnlyPath:
         perturb_batchnorms(model, np.random.default_rng(43))
         x = np.random.default_rng(44).normal(size=(2, 8, 9))
         calls = recording(monkeypatch, "batchnorm1d")
-        train_step_grads(model, [Tensor(s) for s in tiny_assignment().split(x)], np.array([0, 1]))
+        train_step_grads(model, [Tensor(s) for s in group_slices(tiny_assignment(), x)], np.array([0, 1]))
         assert sum(kwargs["stats"] is None for _, _, kwargs, _ in calls) == len(model.batchnorms())
         for name, p in model.named_parameters():
             assert p.grad is not None, name

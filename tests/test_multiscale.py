@@ -7,15 +7,16 @@ from scipy.io import wavfile
 import lgpnet.tensor as tensor_mod
 from helpers import (
     blas_threads,
+    group_slices,
     index_lists_by_offsets,
     random_bank,
     random_grouping_by_loop,
     random_split_gmm,
+    whole_lgp,
 )
 
 from lgpnet.errors import ConfigError, FormatError, ManifestError, ShapeError
-from lgpnet.gmm import lgp_transform
-from lgpnet.lfcc import FeatureMatrix, fix_length, lfcc_extract
+from lgpnet.lfcc import fix_length, lfcc_extract
 from lgpnet.model import ModelCfg, ResidualBlockCfg, build_model, load_checkpoint, save_checkpoint
 from lgpnet.corpus import AudioClip, Manifest, UtteranceLabel, read_wav
 from lgpnet.multiscale import (
@@ -23,7 +24,6 @@ from lgpnet.multiscale import (
     GroupAssignment,
     GroupLgp,
     ManifestFrames,
-    extract_multiscale_lgp,
     lineage_grouping,
     random_grouping,
     utterance_lgp,
@@ -130,7 +130,7 @@ class TestRandomGrouping:
 
 
 class TestGroupLayout:
-    """`columns`, `index_lists` and `split` against the nested-loop layout."""
+    """`columns` and `index_lists` against the nested-loop layout."""
 
     @pytest.fixture(scope="class")
     def banks(self):
@@ -160,57 +160,46 @@ class TestGroupLayout:
                 for order in expected:
                     assert np.array_equal(got[order], expected[order])
 
-    @pytest.mark.parametrize("shape", [(7, 56), (3, 56, 5)], ids=["2-d", "3-d"])
-    def test_split_is_one_gather(self, banks, shape):
-        rng = np.random.default_rng(41)
-        assignment = random_grouping(banks[0], 4, seed=2)
-        x = rng.normal(size=shape)
-        slices = assignment.split(x)
-        assert len(slices) == 4
-        base = slices[0].base
-        assert base is not None and all(s.base is base for s in slices)
-        for cols, s in zip(index_lists_by_offsets(assignment), slices):
-            assert s.flags.c_contiguous
-            assert s.shape == x[:, cols].shape and np.array_equal(s, x[:, cols])
 
-    def test_split_shape_rejected(self, banks):
-        assignment = lineage_grouping(banks[0], 2)
-        for bad in (np.zeros(56), np.zeros((4, 55)), np.zeros((2, 57, 3))):
-            with pytest.raises(ShapeError):
-                assignment.split(bad)
+class TestMultiOrderLgp:
+    """The whole multi-order LGP: the one input of a one-group `GroupLgp`."""
 
-
-class TestExtractMultiscale:
     def test_default_bank_dimensions(self):
         rng = np.random.default_rng(8)
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 8)
-        feat = FeatureMatrix(values=rng.normal(size=(400, 8)))
-        lgp = extract_multiscale_lgp(bank, feat)
-        assert lgp.values.shape == (400, 1984)
+        assert whole_lgp(bank, rng.normal(size=(1, 400, 8))).shape == (1, 1984, 400)
 
     def test_single_order_bank(self):
         rng = np.random.default_rng(9)
         bank = GmmBank(gmms=[random_split_gmm(rng, 64, 4)])
-        feat = FeatureMatrix(values=rng.normal(size=(400, 4)))
-        lgp = extract_multiscale_lgp(bank, feat)
-        assert lgp.values.shape == (400, 64)
+        assert whole_lgp(bank, rng.normal(size=(1, 400, 4))).shape == (1, 64, 400)
 
     def test_block_equals_single_transform(self):
         rng = np.random.default_rng(10)
         bank = random_bank(rng, [8, 16], 3)
-        feat = FeatureMatrix(values=rng.normal(size=(50, 3)))
-        lgp = extract_multiscale_lgp(bank, feat)
-        first = lgp_transform(bank.gmms[0], feat).values
-        second = lgp_transform(bank.gmms[1], feat).values
-        assert np.array_equal(lgp.values[:, :8], first)
-        assert np.array_equal(lgp.values[:, 8:], second)
+        frames = rng.normal(size=(1, 50, 3))
+        lgp = whole_lgp(bank, frames)
+        first = whole_lgp(GmmBank(gmms=bank.gmms[:1]), frames)
+        second = whole_lgp(GmmBank(gmms=bank.gmms[1:]), frames)
+        assert np.array_equal(lgp[:, :8], first)
+        assert np.array_equal(lgp[:, 8:], second)
 
     def test_wrong_feature_dim_rejected(self):
         rng = np.random.default_rng(42)
         bank = random_bank(rng, [8, 16], 3)
         for dim in (2, 4, 6):
             with pytest.raises(ShapeError):
-                extract_multiscale_lgp(bank, FeatureMatrix(values=rng.normal(size=(10, dim))))
+                whole_lgp(bank, rng.normal(size=(1, 10, dim)))
+
+    def test_utterance_lgp_is_the_one_group_input_of_its_frames(self):
+        rng = np.random.default_rng(43)
+        clip = AudioClip(samples=0.1 * rng.normal(size=16000), sample_rate=16000)
+        bank = random_bank(rng, [8, 16], 60)
+        frames = fix_length(lfcc_extract(clip), 50).values
+        got = utterance_lgp(clip, bank, target_frames=50).values
+        assert got.tobytes() == np.ascontiguousarray(whole_lgp(bank, frames[None])[0].T).tobytes()
+        with pytest.raises(ShapeError, match="feature dim 60 does not match bank dim 3"):
+            utterance_lgp(clip, random_bank(rng, [8], 3))
 
 
 class TestGroupSlices:
@@ -219,7 +208,7 @@ class TestGroupSlices:
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 4)
         assignment = lineage_grouping(bank, 8)
         assert assignment.group_dim() == (64 + 128 + 256 + 512 + 1024) // 8 == 248
-        slices = assignment.split(rng.normal(size=(400, 1984)))
+        slices = group_slices(assignment, rng.normal(size=(400, 1984)))
         assert len(slices) == 8
         assert all(s.shape == (400, 248) for s in slices)
 
@@ -229,7 +218,7 @@ class TestGroupSlices:
         assignment = random_grouping(bank, 4, seed=3)
         feat = rng.normal(size=(20, 56))
         rebuilt = np.empty_like(feat)
-        for cols, s in zip(assignment.index_lists(), assignment.split(feat)):
+        for cols, s in zip(assignment.index_lists(), group_slices(assignment, feat)):
             rebuilt[:, cols] = s
         assert np.array_equal(rebuilt, feat)
 
@@ -238,7 +227,7 @@ class TestGroupSlices:
         bank = random_bank(rng, [8, 16], 2)
         assignment = lineage_grouping(bank, 1)
         feat = rng.normal(size=(10, 24))
-        (only,) = assignment.split(feat)
+        (only,) = group_slices(assignment, feat)
         # with G=1 and ascending order/component ordering the slice is the input itself
         assert np.array_equal(only, feat)
 
@@ -253,13 +242,6 @@ class TestGroupSlices:
                 combined = np.concatenate(lists)
                 assert np.array_equal(np.sort(combined), np.arange(sum(orders)))
                 assert sum(x.size for x in lists) == sum(orders)
-
-    def test_dim_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
-        bank = random_bank(rng, [8], 2)
-        assignment = lineage_grouping(bank, 2)
-        with pytest.raises(ShapeError):
-            assignment.split(np.zeros((4, 9)))
 
 
 class TestAssignmentSerialization:
@@ -395,14 +377,13 @@ class TestGroupLgp:
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
         assignment = lineage_grouping(bank, 8) if grouping == "lineage" else random_grouping(bank, 8, seed=4)
         frames = rng.normal(size=(3, t, 60))
-        batch = GroupLgp(bank, assignment).batch(frames)
-        assert len(batch) == 8
-        full = [extract_multiscale_lgp(bank, FeatureMatrix(values=f)).values for f in frames]
+        lgp = GroupLgp(bank, assignment)
+        full = whole_lgp(bank, frames)
         for g, cols in enumerate(assignment.index_lists()):
-            x = batch[g].data
+            x = lgp.input(frames, g).data
             assert x.shape == (3, 248, t) and x.flags.c_contiguous
             for j in range(3):
-                want = np.ascontiguousarray(full[j][:, cols].T)
+                want = np.ascontiguousarray(full[j][cols])
                 if 1 < t < 5:
                     assert np.allclose(x[j], want, rtol=1e-9, atol=1e-9)
                 else:
@@ -425,7 +406,7 @@ class TestGroupLgp:
         lgp = GroupLgp(bank, lineage_grouping(bank, 2))
         for bad in (np.zeros((2, 5, 4)), np.zeros((5, 3))):
             with pytest.raises(ShapeError, match="are not N x T x 3"):
-                lgp.batch(bad)
+                lgp.input(bad, 0)
 
 
 class TestGmmBank:

@@ -16,11 +16,13 @@ from helpers import (
     check_gradients,
     ensemble_loss_by_chain,
     ensemble_loss_value,
+    group_inputs,
     group_logits_per_sample,
     random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
     train_step_grads,
+    whole_lgp,
 )
 
 from lgpnet.errors import FormatError, LgpnetError, NonFiniteLossError, ShapeError
@@ -34,8 +36,7 @@ from lgpnet.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from lgpnet.lfcc import FeatureMatrix
-from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames, extract_multiscale_lgp
+from lgpnet.multiscale import GroupAssignment, GroupLgp, ManifestFrames
 from lgpnet.tensor import Tensor
 import lgpnet.training as training_mod
 from lgpnet.training import (
@@ -447,6 +448,46 @@ class TestTrainLoop:
         for name, idents in threads.items():
             assert idents and set(idents) <= pool, name
 
+    @pytest.mark.parametrize("loop", ["_step", "_group_logits"])
+    def test_each_group_input_is_made_by_the_call_that_runs_its_branch(
+        self, tiny_pipeline, two_workers, monkeypatch, loop
+    ):
+        # GroupLgp.input(frames, g) runs in the map call that runs branch g (or, in
+        # inference, its folded copy), on that call's pool worker: no input is made ahead
+        model = build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=17)
+        lgp, frames = tiny_pipeline["lgp"], tiny_pipeline["feats"][:3]
+        group = {id(b): g for g, b in enumerate(model.branches)}
+        made, ran, kept = {}, [], []  # kept holds every input and folded copy, so no id is reused
+        real_input, real_folded, real_forward = GroupLgp.input, GroupBranch.folded, GroupBranch.forward
+
+        def noting_input(self, x, g):
+            out = real_input(self, x, g)
+            made[id(out)] = (g, threading.get_ident())
+            kept.append(out)
+            return out
+
+        def noting_folded(self, *args, **kwargs):
+            copy = real_folded(self, *args, **kwargs)
+            group[id(copy)] = group[id(self)]
+            kept.append(copy)
+            return copy
+
+        def noting_forward(self, x, *args, **kwargs):
+            ran.append(((group[id(self)], threading.get_ident()), made[id(x)]))
+            return real_forward(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(GroupLgp, "input", noting_input)
+        monkeypatch.setattr(GroupBranch, "folded", noting_folded)
+        monkeypatch.setattr(GroupBranch, "forward", noting_forward)
+        if loop == "_step":
+            training_mod._step(model, lgp, frames, np.array([0, 1, 0]), True, "step")
+        else:
+            training_mod._group_logits(model, lgp, frames)
+        pool = {t.ident for t in two_workers._threads}
+        assert len(ran) == len(made) == (2 if loop == "_step" else 2 * 3)
+        for branch, input_ in ran:
+            assert branch == input_ and branch[1] in pool
+
     def test_features_recomputed_every_epoch(self, tiny_pipeline, monkeypatch):
         import lgpnet.multiscale as multiscale
 
@@ -605,11 +646,9 @@ class TestInferenceIsPure:
 
         def group_logits(batch):
             if entry == "forward_slices":
-                out = model.forward_slices(lgp.batch(batch))
+                out = model.forward_slices(group_inputs(lgp, batch))
             else:
-                bank = tiny_pipeline["bank"]
-                full = np.stack([extract_multiscale_lgp(bank, FeatureMatrix(f)).values.T for f in batch])
-                out = model(full, tiny_pipeline["assignment"])
+                out = model(whole_lgp(tiny_pipeline["bank"], batch), tiny_pipeline["assignment"])
             return [g.data for g in out]
 
         together = group_logits(frames)
