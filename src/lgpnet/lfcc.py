@@ -32,13 +32,30 @@ class LfccConfig:
     deltas: bool = True
 
     def __post_init__(self):
+        if self.n_ceps < 1:
+            raise ConfigError(f"lfcc.n_ceps must be >= 1, got {self.n_ceps}")
         if self.n_ceps >= self.n_filters:
-            raise ConfigError("n_ceps must be smaller than n_filters")
-        if self.frame_len_ms <= 0 or self.frame_shift_ms <= 0 or self.fft_size <= 0:
-            raise ConfigError("frame/fft sizes must be positive")
-        # a frame of a WAV that read_wav reads must fit the FFT; the float is
-        # compared first, as a huge frame_len_ms rounds to a huge integer
+            raise ConfigError(
+                f"lfcc.n_ceps = {self.n_ceps} must be smaller than lfcc.n_filters = {self.n_filters}"
+            )
+        if self.fft_size < 1:
+            raise ConfigError(f"lfcc.fft_size must be >= 1, got {self.fft_size}")
+        # frames of a WAV that read_wav reads must be a sample or more apart and
+        # long (a value over 0.5 samples rounds to 1 or more; NaN fails too),
+        # and fit the FFT; the float is compared first, as a huge frame_len_ms
+        # rounds to a huge integer
+        shift = self.frame_shift_ms * WAV_RATE / 1000.0
+        if not shift > 0.5:
+            raise ConfigError(
+                f"lfcc.frame_shift_ms = {self.frame_shift_ms:g} puts frames {round(shift, 0):g} samples apart "
+                f"at {WAV_RATE // 1000} kHz, less than 1"
+            )
         samples = self.frame_len_ms * WAV_RATE / 1000.0
+        if not samples > 0.5:
+            raise ConfigError(
+                f"lfcc.frame_len_ms = {self.frame_len_ms:g} gives frames of {round(samples, 0):g} samples "
+                f"at {WAV_RATE // 1000} kHz, less than 1"
+            )
         if not samples <= self.fft_size + 1 or self.frame_len(WAV_RATE) > self.fft_size:
             raise ConfigError(
                 f"lfcc.frame_len_ms = {self.frame_len_ms:g} gives frames of {round(samples, 0):g} samples "

@@ -157,8 +157,8 @@ class Conv1dLayer:
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         return conv1d(x, self.weight, self.bias, residual=residual)
 
-    def backward(self, g: np.ndarray, x: Tensor) -> np.ndarray | None:
-        return conv1d_backward(g, x, self.weight, self.bias)
+    def backward(self, g: np.ndarray, x: Tensor, dx: bool = True) -> np.ndarray | None:
+        return conv1d_backward(g, x, self.weight, self.bias, dx)
 
     def named_parameters(self):
         return [("weight", self.weight), ("bias", self.bias)]
@@ -231,7 +231,7 @@ class LinearLayer:
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
 
-    def backward(self, g: np.ndarray, x: Tensor) -> np.ndarray | None:
+    def backward(self, g: np.ndarray, x: Tensor) -> np.ndarray:
         return linear_backward(g, x, self.weight, self.bias)
 
     def named_parameters(self):
@@ -411,7 +411,8 @@ class GroupBranch:
     def backward(self, records: list, dlogits: np.ndarray) -> None:
         """Add every parameter's gradient for dlogits, the gradient of the
         logits that `forward(x, keep=True)` returned with `records`.  The
-        records are popped, and so freed, as the walk goes down."""
+        records are popped, and so freed, as the walk goes down.  The slice's
+        own gradient, which nothing reads, is not made."""
         emb = records.pop()
         g = self.classifier.backward(dlogits, emb)
         del emb
@@ -449,7 +450,7 @@ class GroupBranch:
             g = self.blocks[i].backward(saved, x, y, g)
             del saved, x, y
         x, e, stats = records.pop()
-        self.entry_conv.backward(self.entry_bn.backward(g, e, stats, h)[0], x)
+        self.entry_conv.backward(self.entry_bn.backward(g, e, stats, h)[0], x, dx=False)
 
     def sublayers(self):
         layers = [("entry_conv", self.entry_conv), ("entry_bn", self.entry_bn)]
@@ -487,10 +488,6 @@ class GroupedResNetEnsemble:
         self.branches = [GroupBranch(cfg, rng) for _ in range(cfg.n_groups)]
         for branch in self.branches:  # drawn after every branch's other layers
             branch.classifier = LinearLayer(cfg.block.channels, 2, rng)
-
-    @property
-    def classifiers(self) -> list[LinearLayer]:
-        return [branch.classifier for branch in self.branches]
 
     def forward_slices(self, slices) -> list[Tensor]:
         """The G group logits b_g (N x 2 each) by inference for the G group

@@ -9,11 +9,14 @@ normalization can add a ``residual`` operand to their output.  There is no graph
 ``f_backward`` that takes the gradient of f's output and the operands
 (and whatever else the forward returned), adds each parameter's gradient
 to its ``.grad`` (`Tensor._accumulate`) and returns the input's gradient.
-The residual's gradient is the one reaching the sum (for batchnorm1d,
-before its ReLU).  `model.GroupBranch` calls the backwards in its own
-explicit order, so a caller holds just what that order reads.  No
-backward writes into an array it was handed, so a gradient may be stored
-or passed on without a copy.
+Every backward makes every one of those gradients, as training wants them
+all, save the entry convolution's input gradient, which
+``conv1d_backward(..., dx=False)`` leaves unmade.  The residual's gradient
+is the one reaching the sum (for batchnorm1d, before its ReLU).
+`model.GroupBranch` calls the backwards in its own explicit order, so a
+caller holds just what that order reads.  No backward writes into an
+array it was handed, so a gradient may be stored or passed on without a
+copy.
 
 Each backward reads, besides its upstream gradient:
 
@@ -84,10 +87,11 @@ from .errors import ShapeError
 
 
 class Tensor:
-    """An array, whether its gradient is wanted, and that gradient.
+    """An array and its gradient.
 
-    An op's output wants a gradient when any of its operands does, so a
-    backward can tell whether to make its input's gradient."""
+    Nothing in lgpnet reads ``requires_grad``: every backward makes every
+    gradient.  The flag stays because perfbench's tracer reads it on each
+    traced `conv1d` call, and the layers still set it on their parameters."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
@@ -108,9 +112,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     def zero_grad(self):
         self.grad = None
 
@@ -120,10 +121,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def _wants_grad(*tensors: Tensor | None) -> bool:
-    return any(t is not None and t.requires_grad for t in tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -351,33 +348,34 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
         if residual.shape != y.shape:
             raise ShapeError(f"conv1d residual shape {residual.shape} differs from output {y.shape}")
         y += residual.data  # conv + residual is residual + conv, bit for bit
-    return Tensor(y, requires_grad=_wants_grad(x, weight, bias, residual))
+    return Tensor(y)
 
 
-def conv1d_backward(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor) -> np.ndarray | None:
+def conv1d_backward(
+    g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor, dx: bool = True
+) -> np.ndarray | None:
     """The backward of conv1d(x, weight, bias) for the output's gradient g
     (N x C_out x T): adds the weight's and the bias's gradients to theirs
-    and returns x's (None where x wants none).  A residual's gradient is g."""
+    and returns x's, or None with dx=False, which leaves it unmade.  A
+    residual's gradient is g."""
     n, c_in, t = x.shape
     c_out, _, k = weight.shape
     table = _tap_table(k, t)
-    if bias.requires_grad:
-        bias._accumulate(g.sum(axis=(0, 2)))
-    if weight.requires_grad:
-        # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T, summed in sample
-        # order: sample 0's product is written, each later one added (a tap outside
-        # the table, where t <= k // 2, keeps its zeros)
-        gw = np.zeros((c_out, c_in, k))
-        term = np.empty((c_out, c_in))
-        for i, (xi, gi) in enumerate(zip(x.data, g)):
-            for j, lo, hi, s in table:
-                np.matmul(gi[:, lo:hi], xi[:, lo + s : hi + s].T, out=term)
-                if i:
-                    gw[:, :, j] += term
-                else:
-                    gw[:, :, j] = term
-        weight._accumulate(gw)
-    if not x.requires_grad:
+    bias._accumulate(g.sum(axis=(0, 2)))
+    # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T, summed in sample
+    # order: sample 0's product is written, each later one added (a tap outside
+    # the table, where t <= k // 2, keeps its zeros)
+    gw = np.zeros((c_out, c_in, k))
+    term = np.empty((c_out, c_in))
+    for i, (xi, gi) in enumerate(zip(x.data, g)):
+        for j, lo, hi, s in table:
+            np.matmul(gi[:, lo:hi], xi[:, lo + s : hi + s].T, out=term)
+            if i:
+                gw[:, :, j] += term
+            else:
+                gw[:, :, j] = term
+    weight._accumulate(gw)
+    if not dx:
         return None
     # tap j's share W[:, :, j].T @ g[n], taken over every column so that each
     # tap's product is the same GEMM: share[:, o] belongs to input o + s.
@@ -411,7 +409,6 @@ def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (c_out,):
         raise ShapeError(f"aggregate bias must have shape ({c_out},)")
     w = weight.data
-    wants_grad = _wants_grad(weight, bias)
     y = None
     hi = 0
     for x in xs:
@@ -425,21 +422,20 @@ def aggregate(xs, weight: Tensor, bias: Tensor) -> Tensor:
             if (x.shape[0], x.shape[2]) != (y.shape[0], y.shape[2]):
                 raise ShapeError(f"aggregate input of shape {x.shape} does not match output {y.shape}")
             y += np.matmul(w[:, lo:hi, 0], x.data)
-        wants_grad = wants_grad or x.requires_grad
     if y is None or hi != c_in:
         raise ShapeError(f"aggregate inputs have {hi} channels in all, the weight {c_in}")
-    return Tensor(y, requires_grad=wants_grad)
+    return Tensor(y)
 
 
 def aggregate_backward(
     g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor, lo: int, gw: np.ndarray
-) -> np.ndarray | None:
+) -> np.ndarray:
     """One input's part of the backward of aggregate(xs, weight, bias) for the
     output's gradient g (N x C_out x T), x being the input that met the
-    weight's input channels lo..: returns x's gradient, W[:, lo:hi, 0].T @ g
-    (None where x wants none), and writes x's slice of the weight's gradient,
-    sum_n g[n] @ x[n].T, to gw[:, lo:hi, 0], gw being one array of the
-    weight's shape for all the parts.
+    weight's input channels lo..: returns x's gradient, W[:, lo:hi, 0].T @ g,
+    and writes x's slice of the weight's gradient, sum_n g[n] @ x[n].T, to
+    gw[:, lo:hi, 0], gw being one array of the weight's shape for all the
+    parts.
 
     Run for each input, the last first, the parts make their gradients as a
     chain of residual 1x1 convolutions would; the first input's part
@@ -447,14 +443,10 @@ def aggregate_backward(
     gradient, and gw to the weight's.
     """
     hi = lo + x.shape[1]
-    if lo == 0 and bias.requires_grad:
+    np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0, out=gw[:, lo:hi, 0])
+    if lo == 0:
         bias._accumulate(g.sum(axis=(0, 2)))
-    if weight.requires_grad:
-        np.matmul(g, x.data.transpose(0, 2, 1)).sum(axis=0, out=gw[:, lo:hi, 0])
-        if lo == 0:
-            weight._accumulate(gw)
-    if not x.requires_grad:
-        return None
+        weight._accumulate(gw)
     return np.matmul(weight.data[:, lo:hi, 0].T, g)
 
 
@@ -529,8 +521,7 @@ def batchnorm1d(
         y += residual.data  # bn + residual is residual + bn, bit for bit
     if relu:
         np.maximum(y, 0.0, out=y)
-    out = Tensor(y, requires_grad=_wants_grad(x, gamma, beta, residual))
-    return out, (mean, inv_std)
+    return Tensor(y), (mean, inv_std)
 
 
 def batchnorm1d_backward(
@@ -539,15 +530,15 @@ def batchnorm1d_backward(
     state: BatchNormState,
     stats: tuple[np.ndarray, np.ndarray],
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The backward of batchnorm1d(x, state, ...) for the output's gradient g,
     `stats` being the batch statistics it returned (only training has a
     backward) and `out` its output array when it applied the ReLU (the mask
     is read from it).
 
-    Adds γ's and β's gradients to theirs and returns x's gradient (None
-    where x wants none) and the gradient reaching bn(x) + residual, before
-    the ReLU: the residual's gradient.
+    Adds γ's and β's gradients to theirs and returns x's gradient and the
+    gradient reaching bn(x) + residual, before the ReLU: the residual's
+    gradient.
     """
     n, _, t = x.shape
     mean, inv_std = stats
@@ -559,12 +550,8 @@ def batchnorm1d_backward(
     g_xhat = g * xhat
     g_gamma = g_xhat.sum(axis=(0, 2))
     g_beta = g.sum(axis=(0, 2))
-    if gamma.requires_grad:
-        gamma._accumulate(g_gamma)
-    if beta.requires_grad:
-        beta._accumulate(g_beta)
-    if not x.requires_grad:
-        return None, g
+    gamma._accumulate(g_gamma)
+    beta._accumulate(g_beta)
     # gamma*inv_std * (g - mean(g) - xhat*mean(g*xhat)), reusing the
     # per-channel sums above and the g*xhat buffer
     scale = gamma.data * inv_std
@@ -581,14 +568,12 @@ def max_pool_time(x: Tensor) -> Tensor:
         raise ShapeError("max_pool_time expects N x C x T input")
     idx = x.data.argmax(axis=2)
     pooled = np.take_along_axis(x.data, idx[:, :, None], axis=2)[:, :, 0]
-    return Tensor(pooled, requires_grad=x.requires_grad)
+    return Tensor(pooled)
 
 
-def max_pool_time_backward(g: np.ndarray, x: Tensor) -> np.ndarray | None:
-    """x's gradient for the pooled output's gradient g (None where x wants
-    none), each routed to the earliest maximum when there are ties."""
-    if not x.requires_grad:
-        return None
+def max_pool_time_backward(g: np.ndarray, x: Tensor) -> np.ndarray:
+    """x's gradient for the pooled output's gradient g, each routed to the
+    earliest maximum when there are ties."""
     n, c, t = x.shape
     gx = np.zeros((n, c, t))
     gx[np.arange(n)[:, None], np.arange(c)[None, :], x.data.argmax(axis=2)] = g  # first occurrence on ties
@@ -604,17 +589,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (weight.shape[0],):
         raise ShapeError("linear bias shape mismatch")
     y = x.data @ weight.data.T + bias.data[None, :]
-    return Tensor(y, requires_grad=_wants_grad(x, weight, bias))
+    return Tensor(y)
 
 
-def linear_backward(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor) -> np.ndarray | None:
+def linear_backward(g: np.ndarray, x: Tensor, weight: Tensor, bias: Tensor) -> np.ndarray:
     """The backward of linear(x, weight, bias) for the output's gradient g:
-    adds the weight's and the bias's gradients to theirs and returns x's
-    (None where x wants none)."""
-    if weight.requires_grad:
-        weight._accumulate(g.T @ x.data)
-    if bias.requires_grad:
-        bias._accumulate(g.sum(axis=0))
-    if not x.requires_grad:
-        return None
+    adds the weight's and the bias's gradients to theirs and returns x's."""
+    weight._accumulate(g.T @ x.data)
+    bias._accumulate(g.sum(axis=0))
     return g @ weight.data

@@ -1129,6 +1129,29 @@ class TestRefusedInputs:
         assert captured.err.splitlines() == [f"error: {cfg}:{line}: {key} must be finite, got {value!r}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("lfcc.n_ceps = -3", "lfcc.n_ceps must be >= 1, got -3"),
+            ("lfcc.n_ceps = 0", "lfcc.n_ceps must be >= 1, got 0"),
+            ("lfcc.n_ceps = 25", "lfcc.n_ceps = 25 must be smaller than lfcc.n_filters = 20"),
+            ("lfcc.fft_size = 0", "lfcc.fft_size must be >= 1, got 0"),
+            ("lfcc.frame_shift_ms = 0", "lfcc.frame_shift_ms = 0 puts frames 0 samples apart at 16 kHz, less than 1"),
+            ("lfcc.frame_shift_ms = 0.01",
+             "lfcc.frame_shift_ms = 0.01 puts frames 0 samples apart at 16 kHz, less than 1"),
+            ("lfcc.frame_len_ms = -2", "lfcc.frame_len_ms = -2 gives frames of -32 samples at 16 kHz, less than 1"),
+        ],
+    )
+    def test_describe_refuses_an_lfcc_setting_naming_its_key_and_value(self, workspace, capsys, setting, message):
+        # n_ceps = -3 passed describe and failed train-gmm with "negative dimensions are not
+        # allowed"; a shift of 0.01 ms divided by zero; the others named no key or value
+        cfg = workspace / f"lfcc_{setting.split()[0]}_{setting.split()[-1]}.cfg"
+        cfg.write_text(TINY_CFG + setting + "\n")
+        assert cli_main(["describe", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("frame_len_ms, shown, samples", [("100", "100", "1600"), ("1e300", "1e+300", "1.6e+301")])
     @pytest.mark.parametrize("command", ["describe", "train-gmm"])
     def test_a_frame_longer_than_the_fft_is_exit_1_before_any_lfcc(

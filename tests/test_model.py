@@ -454,6 +454,27 @@ class TestRecomputedBnOutputs:
         assert max(n for n, _ in seen) == 1
         assert max(n for _, n in seen) <= 2 + outputs
 
+    @pytest.mark.parametrize("mfa", [True, False])
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_only_the_entry_convolution_leaves_its_input_gradient_unmade(self, monkeypatch, improved, mfa):
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
+        branch = build_model(cfg, seed=70).branches[0]
+        _, records = branch.forward(slices_for(cfg, 71)[0], keep=True)
+        calls = []  # (the convolution's weight, dx, the input gradient returned)
+        real_backward = model_mod.conv1d_backward
+
+        def noting_backward(g, x, weight, bias, dx=True):
+            gx = real_backward(g, x, weight, bias, dx)
+            calls.append((weight, dx, gx))
+            return gx
+
+        monkeypatch.setattr(model_mod, "conv1d_backward", noting_backward)
+        branch.backward(records, np.ones((3, 2)))
+        assert len(calls) == 2 * cfg.n_blocks + 1
+        assert [(w is branch.entry_conv.weight, dx) for w, dx, _ in calls if not dx] == [(True, False)]
+        assert calls[-1][0] is branch.entry_conv.weight and calls[-1][2] is None
+        assert all(gx is not None for _, dx, gx in calls if dx)
+
 
 class TestModelForward:
     def test_ensemble_is_mean_of_groups(self):
@@ -491,7 +512,7 @@ class TestModelForward:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(2, 8, 10))
         base = model(x, tiny_assignment())
-        model.classifiers[1].bias.data += 1.0
+        model.branches[1].classifier.bias.data += 1.0
         bumped = model(x, tiny_assignment())
         assert np.array_equal(base[0].data, bumped[0].data)
         assert not np.array_equal(base[1].data, bumped[1].data)
@@ -521,7 +542,6 @@ class TestModelForward:
         names = [name for name, _ in model.named_parameters()]
         assert names[-2:] == ["group1.classifier.weight", "group1.classifier.bias"]
         assert names.index("group0.classifier.weight") == names.index("group1.entry_conv.weight") - 2
-        assert model.classifiers == [branch.classifier for branch in model.branches]
         rng = np.random.default_rng(9)
         for branch in model.branches:
             for _, layer in branch.sublayers()[:-1]:
@@ -529,7 +549,7 @@ class TestModelForward:
                     if p.ndim > 1:
                         fan_in = p.size // p.shape[0]
                         assert np.array_equal(p.data, rng.uniform(-np.sqrt(6 / fan_in), np.sqrt(6 / fan_in), p.shape))
-        for classifier in model.classifiers:
+        for classifier in [branch.classifier for branch in model.branches]:
             assert np.array_equal(classifier.weight.data, rng.uniform(-np.sqrt(6 / 8), np.sqrt(6 / 8), (2, 8)))
 
     def test_wrong_assignment_rejected(self):

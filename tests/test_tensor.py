@@ -158,16 +158,31 @@ class TestConv1d:
         if t_used < t:
             assert np.all(got[1][:, :, t_used:] == 0.0)
 
-    def test_input_gradient_only_where_wanted(self):
+    def test_plain_operands_get_every_gradient(self):
+        # no backward reads requires_grad: operands made without it get dX, dW and db
+        rng = np.random.default_rng(4)
+        x, w, b = rng.normal(size=(2, 3, 8)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        g = rng.normal(size=(2, 4, 8))
+        wt, bt = Tensor(w), Tensor(b)
+        gx = conv1d_backward(g, Tensor(x), wt, bt)
+        _, gw_ref, gx_ref = conv1d_batched(x, w, b, g)
+        for got, ref in zip((gx, wt.grad, bt.grad), (gx_ref, gw_ref, g.sum(axis=(0, 2))), strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_dx_false_returns_none_and_fills_dw_and_db(self):
+        # the entry convolution's switch: its input's gradient is left unmade, the
+        # parameters' gradients are those of a call that makes it, bit for bit
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(1, 2, 5)))
-        w = Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-        b = Tensor(np.zeros(3))
-        out = conv1d(x, w, b)
-        assert out.requires_grad
-        assert conv1d_backward(np.ones(out.shape), x, w, b) is None
-        assert w.grad.shape == w.shape and b.grad is None
-        assert not conv1d(x, Tensor(w.data), b).requires_grad
+        x = Tensor(rng.normal(size=(2, 2, 5)))
+        w, b = rng.normal(size=(3, 2, 3)), rng.normal(size=3)
+        g = rng.normal(size=(2, 3, 5))
+        grads = []
+        for dx in (False, True):
+            wt, bt = Tensor(w), Tensor(b)
+            grads.append((conv1d_backward(g, x, wt, bt, dx=dx), wt.grad, bt.grad))
+        (none, gw, gb), (gx, gw_ref, gb_ref) = grads
+        assert none is None and gx.shape == x.shape
+        assert gw.tobytes() == gw_ref.tobytes() and gb.tobytes() == gb_ref.tobytes()
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("t", [1, 2, 9])
@@ -354,6 +369,19 @@ class TestBatchNorm:
         for got, ref in zip((gx, state.gamma.grad, state.beta.grad), expected):
             assert got.tobytes() == ref.tobytes()
 
+    def test_plain_operands_get_every_gradient(self):
+        rng = np.random.default_rng(11)
+        x, g = rng.normal(size=(3, 4, 9)), rng.normal(size=(3, 4, 9))
+        state = BatchNormState(4)
+        state.gamma, state.beta = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        expected = batchnorm1d_grads_keeping_xhat(x, state, g)
+        xt = Tensor(x)
+        _, stats = batchnorm1d(xt, state)
+        gx, g_residual = batchnorm1d_backward(g, xt, state, stats)
+        for got, ref in zip((gx, state.gamma.grad, state.beta.grad), expected, strict=True):
+            assert got.tobytes() == ref.tobytes()
+        assert g_residual is g
+
     @pytest.mark.parametrize("inputs", ["normal", "nan", "signed_zero"])
     def test_fused_relu_is_bitwise_relu_of_bn(self, inputs):
         rng = np.random.default_rng(9)
@@ -446,7 +474,7 @@ class TestBatchNorm:
         running = (state.running_mean.copy(), state.running_var.copy())
         again, same = batchnorm1d(x, state, relu=relu_on, residual=r, stats=stats)
         assert again.data.tobytes() == out.data.tobytes()
-        assert all(a is b for a, b in zip(same, stats, strict=True)) and again.requires_grad
+        assert all(a is b for a, b in zip(same, stats, strict=True))
         assert np.array_equal(state.running_mean, running[0]) and np.array_equal(state.running_var, running[1])
 
     def test_residual_shape_mismatch(self):
@@ -484,12 +512,18 @@ class TestPoolAndLinear:
         worst = check_gradients(lambda: weighted_sum(linear(x, w, b), coeffs), [gx, w.grad, b.grad], [x, w, b])
         assert worst < FD_REL_TOL
 
-    def test_input_gradients_only_where_wanted(self):
-        x = Tensor(np.ones((2, 3, 4)))
-        assert max_pool_time_backward(np.ones((2, 3)), x) is None
-        w, b = Tensor(np.ones((2, 3)), requires_grad=True), Tensor(np.zeros(2))
-        assert linear_backward(np.ones((2, 2)), Tensor(np.ones((2, 3))), w, b) is None
-        assert w.grad.shape == w.shape and b.grad is None
+    def test_plain_operands_get_every_gradient(self):
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(2, 3, 4))
+        g = rng.normal(size=(2, 3))
+        ref = np.zeros(x.shape)
+        np.put_along_axis(ref, x.argmax(axis=2)[:, :, None], g[:, :, None], axis=2)
+        assert max_pool_time_backward(g, Tensor(x)).tobytes() == ref.tobytes()
+        xl, w, b, gl = rng.normal(size=(2, 3)), rng.normal(size=(4, 3)), rng.normal(size=4), rng.normal(size=(2, 4))
+        wt, bt = Tensor(w), Tensor(b)
+        gx = linear_backward(gl, Tensor(xl), wt, bt)
+        for got, ref in zip((gx, wt.grad, bt.grad), (gl @ w, gl.T @ xl, gl.sum(axis=0)), strict=True):
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestAggregate:
@@ -536,6 +570,18 @@ class TestAggregate:
         for a, r in zip(got, ref, strict=True):
             assert np.max(np.abs(a - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
 
+    def test_plain_operands_get_every_gradient(self):
+        # against the conv1d of the concatenation, the whole batch's products at once
+        rng = np.random.default_rng(24)
+        xs, w, b = self.operands(rng)
+        xs, w, b = [Tensor(x.data) for x in xs], Tensor(w.data), Tensor(b.data)
+        g = rng.normal(size=(2, 4, 5))
+        got = [*self.backward(g, xs, w, b), w.grad, b.grad]
+        _, gw, gcat = conv1d_batched(np.concatenate([x.data for x in xs], axis=1), w.data, b.data, g)
+        ref = [gcat[:, :2], gcat[:, 2:5], gcat[:, 5:], gw, g.sum(axis=(0, 2))]
+        for a, r in zip(got, ref, strict=True):
+            assert np.max(np.abs(a - r)) <= 1e-12 * max(1.0, np.max(np.abs(r)))
+
     def test_keeps_no_input(self):
         rng = np.random.default_rng(20)
         _, w, b = self.operands(rng)
@@ -554,7 +600,7 @@ class TestAggregate:
         # the op holds at most the x whose share it added last, until the next one arrives
         assert seen == [[], [False], [True, False]]
         assert all(ref() is None for ref in refs)
-        assert out.shape == (2, 4, 5) and out.requires_grad
+        assert out.shape == (2, 4, 5)
 
     def test_holds_only_its_output_between_inputs(self, monkeypatch):
         # weakrefs to every array a numpy call in tensor.py returns; between two
@@ -709,8 +755,7 @@ class TestBackwards:
             return out.data.copy(), conv1d_backward(max_pool_time_backward(np.ones(out.shape), h), x, w, b), w.grad
 
         first, second = run(), run()
-        assert first[0].tobytes() == second[0].tobytes() and first[2].tobytes() == second[2].tobytes()
-        assert first[1] is None and second[1] is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second, strict=True))
 
     def test_gradients_accumulate_across_calls(self):
         rng = np.random.default_rng(14)
