@@ -206,7 +206,9 @@ def _cmd_describe(args) -> int:
     total = breakdown.pop("total")
     for name, count in breakdown.items():
         print(f"  {name}: {count}")
-    print(f"  total: {total}")
+    params = model.parameters()
+    mb = sum(p.data.nbytes for p in params) / 1e6
+    print(f"  total: {total} ({mb:.1f} MB {params[0].data.dtype})")
     return 0
 
 

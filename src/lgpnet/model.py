@@ -69,14 +69,23 @@ gradient.  A block output's gradient is the next block's share (its skip,
 then its first convolution's input gradient) plus, with MFA, the block's
 share of the aggregation's, added in that order.
 
+A branch computes in its parameters' dtype.  A new model is float32: its
+initial values are drawn from the rng in float64, as they always were, and
+rounded to float32.  The LGP front end stays float64, and `forward` casts
+its slice to the branch's dtype.
+
 A checkpoint (`save_checkpoint`) is one npz archive: each branch's
 parameters and BN running statistics under keys of its own
-(`GroupBranch.stored_arrays`), and a JSON meta.  `load_checkpoint` reads
-every array into a model.  `CheckpointBranches`, which `score` runs, reads
-the meta and checks every array's presence and shape from the .npy headers
-up front, then each time branch g is asked for reads branch g's arrays
-alone, layer by layer, folding each layer as it reads it, so it hands out
-a folded copy and no unfolded branch is ever resident.
+(`GroupBranch.stored_arrays`), each in its own dtype, and a JSON meta.
+Every array of a checkpoint is float32, or every one float64, as in the
+checkpoints written before models were float32; any other mix is refused.
+`load_checkpoint` reads every array into a model in its stored dtype, so
+a float64 checkpoint loads, trains on and scores in float64.
+`CheckpointBranches`, which `score` runs, reads the meta and checks every
+array's presence, shape and dtype from the .npy headers up front, then
+each time branch g is asked for reads branch g's arrays alone, layer by
+layer, folding each layer as it reads it, so it hands out a folded copy
+and no unfolded branch is ever resident.
 """
 from __future__ import annotations
 
@@ -95,6 +104,7 @@ from .tensor import (
     BN_EPS,
     BatchNormState,
     Tensor,
+    _DTYPES,
     _parallel_map,
     aggregate,
     aggregate_backward,
@@ -141,8 +151,10 @@ class ModelCfg:
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """Float64 draws from the rng, rounded to float32: a new layer is float32."""
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    # copy=False keeps `_Unfilled`'s float32 broadcast zero a view, which takes no memory
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32, copy=False)
 
 
 class Conv1dLayer:
@@ -152,7 +164,7 @@ class Conv1dLayer:
         self.weight = Tensor(
             _kaiming_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_ch), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_ch, np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor, residual: Tensor | None = None) -> Tensor:
         return conv1d(x, self.weight, self.bias, residual=residual)
@@ -186,7 +198,7 @@ def _fold(conv: Conv1dLayer, bn: BatchNorm1dLayer | None = None, read=getattr) -
     conv1d reads it in place.  Each array is read(owner, attribute), the
     layers' own by default."""
     w = read(conv.weight, "data")  # C_out x C_in x k
-    taps = np.empty((w.shape[2], w.shape[0], w.shape[1]))  # conv1d's tap-major layout
+    taps = np.empty((w.shape[2], w.shape[0], w.shape[1]), w.dtype)  # conv1d's tap-major layout
     bias = read(conv.bias, "data")
     if bn is None:
         taps[...] = w.transpose(2, 0, 1)
@@ -226,7 +238,7 @@ class LinearLayer:
         self.weight = Tensor(
             _kaiming_uniform(rng, (out_features, in_features), in_features), requires_grad=True
         )
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True)
+        self.bias = Tensor(np.zeros(out_features, np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -354,7 +366,8 @@ class GroupBranch:
         the module docstring), or None.  keep=True trains: each BN
         normalizes with the batch's statistics.  keep=False infers, on a
         folded branch: a branch that still has its BNs runs as `folded()`,
-        and a folded one refuses keep=True, having no BN to train."""
+        and a folded one refuses keep=True, having no BN to train.  x is
+        cast to the branch's dtype once, here."""
         if self.entry_bn is None:
             if keep:
                 raise ValueError("a folded branch only infers: keep=True needs its batch normalizations")
@@ -362,6 +375,8 @@ class GroupBranch:
             return self.folded().forward(x)
         if x.shape[1] != self.cfg.group_input_dim:
             raise ShapeError(f"slice has {x.shape[1]} dims, model expects {self.cfg.group_input_dim}")
+        if x.data.dtype != self.dtype:
+            x = Tensor(x.data.astype(self.dtype))
         records = [] if keep else None
         outputs = self._block_outputs(self._entry(x, records), records)
         if self.cfg.mfa:
@@ -376,6 +391,11 @@ class GroupBranch:
         if keep:
             records.append(emb)
         return self.classifier(emb), records
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the branch computes in: its parameters'."""
+        return self.entry_conv.weight.data.dtype
 
     def folded(self, read=getattr) -> GroupBranch:
         """An inference-only copy of the branch: each conv→BN pair one
@@ -421,7 +441,7 @@ class GroupBranch:
             m = self.mfa_bn(l, relu=True, stats=stats)[0]  # the MFA output again, for the pooling and the BN
             g_agg = self.mfa_bn.backward(max_pool_time_backward(g, m), l, stats, m)[0]
             del l, m
-            gw = np.zeros(self.mfa_conv.weight.shape)
+            gw = np.zeros(self.mfa_conv.weight.shape, self.dtype)
             g = None
         _, e, stats = records[0]
         h = None  # the entry's BN-ReLU output, made again where a block first reads it
@@ -555,7 +575,7 @@ class _Unfilled:
 
     @staticmethod
     def uniform(low, high, size):
-        return np.broadcast_to(0.0, size)
+        return np.broadcast_to(np.float32(0.0), size)
 
 
 def ensemble_logits(group_logits: list[np.ndarray]) -> np.ndarray:
@@ -592,7 +612,8 @@ def save_checkpoint(
 
 class _Members:
     """The arrays of an open npz archive by key, each read from it only when
-    asked for: `shape(key)` reads the member's .npy header alone."""
+    asked for: `shape(key)` reads the member's .npy header alone and gives
+    the array's shape and dtype."""
 
     def __init__(self, archive: zipfile.ZipFile):
         self._archive = archive
@@ -601,12 +622,13 @@ class _Members:
     def __contains__(self, key: str) -> bool:
         return f"{key}.npy" in self._names
 
-    def shape(self, key: str) -> tuple[int, ...]:
+    def shape(self, key: str) -> tuple[tuple[int, ...], np.dtype]:
         with self._archive.open(f"{key}.npy") as fh:
             version = np.lib.format.read_magic(fh)
             read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
                            else np.lib.format.read_array_header_2_0)
-            return read_header(fh)[0]
+            shape, _, dtype = read_header(fh)
+            return shape, dtype
 
     def __getitem__(self, key: str) -> np.ndarray:
         with self._archive.open(f"{key}.npy") as fh:
@@ -657,21 +679,31 @@ def _read_meta(members: _Members, path: str | Path) -> tuple[ModelCfg, GroupAssi
 
 def _check_arrays(entries, members: _Members, path: str | Path) -> None:
     """FormatError naming path for the first of the (key, owner, attribute)
-    entries whose array members lacks, or holds in another shape than the
-    owner's, by the .npy headers alone."""
+    entries whose array members lacks, holds in another shape than the
+    owner's, or holds in a dtype other than the first entry's, by the .npy
+    headers alone; that dtype must be float32 or float64."""
+    first = None
     for key, owner, attr in entries:
         if key not in members:
             raise FormatError(f"{path}: checkpoint is missing {key}")
-        if members.shape(key) != getattr(owner, attr).shape:
+        shape, dtype = members.shape(key)
+        if shape != getattr(owner, attr).shape:
             raise FormatError(f"{path}: shape mismatch for {key}")
+        if first is None:
+            if dtype not in _DTYPES:
+                raise FormatError(f"{path}: {key} is {dtype}; a checkpoint's arrays are float32 or float64")
+            first = key, dtype
+        elif dtype != first[1]:
+            raise FormatError(f"{path}: {key} is {dtype}, but {first[0]} is {first[1]}; "
+                              "a checkpoint's arrays are all float32 or all float64")
 
 
 def _read_arrays(entries, members: _Members, path: str | Path) -> None:
     """Check the (key, owner, attribute) entries as `_check_arrays` does, then
-    set each owner's attribute to its array from members, as float64."""
+    set each owner's attribute to its array from members, in its stored dtype."""
     _check_arrays(entries, members, path)
     for key, owner, attr in entries:
-        setattr(owner, attr, np.asarray(members[key], dtype=np.float64))
+        setattr(owner, attr, members[key])
 
 
 def _assign_stored_arrays(model: GroupedResNetEnsemble, members: _Members, path: str | Path) -> None:
@@ -725,4 +757,4 @@ class CheckpointBranches:
         keys = {(id(owner), attr): key for key, owner, attr in entries}
         with _checkpoint_archive(self.path) as members:
             _check_arrays(entries, members, self.path)
-            return skeleton.folded(lambda owner, attr: np.asarray(members[keys[id(owner), attr]], np.float64))
+            return skeleton.folded(lambda owner, attr: members[keys[id(owner), attr]])

@@ -204,7 +204,8 @@ class GroupLgp:
 
     def input(self, frames: np.ndarray, g: int) -> Tensor:
         """Group g's input for an (N, T, D) batch of frames: a new
-        (N, group_dim, T) Tensor whose sample j's channels are
+        (N, group_dim, T) float64 Tensor, in the front end's dtype (the
+        branch casts it to its own), whose sample j's channels are
         `gmm._lgp(frames[j], coefficients[g])` transposed, channels-first as
         the 1-d convolution stack consumes them."""
         frames = np.asarray(frames, dtype=np.float64)

@@ -1,4 +1,5 @@
-"""Dense float64 tensors and the network's ops, each a forward and a backward.
+"""Dense float32 or float64 tensors and the network's ops, each a forward and
+a backward.
 
 Covers exactly the operations the grouped 1-d residual network runs:
 same-length convolution, `aggregate` (the 1x1 convolution of a channel
@@ -59,7 +60,11 @@ sample's input gradient starts from the centre tap's share; every other
 tap's share, one product over every column, goes through one (C_in, T)
 term buffer and is added at its shift.  No window (im2col) matrix is built.
 
-Everything is double precision.  Independent branches (the ensemble's
+Every op computes in its input's dtype, float32 or float64, and makes each
+array it allocates in that dtype; a `Tensor` keeps a float32 or float64
+array and makes anything else float64.  A network computes in its
+parameters' dtype (`model.GroupBranch.forward` casts its input to it), and
+new models are float32.  Independent branches (the ensemble's
 group branches), forwards and backwards alike, run as maps on a worker
 pool sized to the usable CPUs (`_parallel_map`, `_ordered_map`).  A map
 of two or more calls runs on the worker pool whenever there is one, and
@@ -86,8 +91,11 @@ import numpy as np
 from .errors import ShapeError
 
 
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # what a network computes in; a Tensor keeps either as is
+
+
 class Tensor:
-    """An array and its gradient.
+    """An array and its gradient, float32 or float64.
 
     Nothing in lgpnet reads ``requires_grad``: every backward makes every
     gradient.  The flag stays because perfbench's tracer reads it on each
@@ -96,7 +104,8 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _DTYPES else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
 
@@ -332,12 +341,12 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, *, residual: Tensor | None =
         raise ShapeError("conv1d input length must be >= 1")
     table = _tap_table(k, t)
     taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # k x C_out x C_in
-    y = np.empty((n, c_out, t))
+    y = np.empty((n, c_out, t), x.data.dtype)
     # per sample, the first tap writes its own columns of y, then the bias goes on (tap +
     # bias is bias + tap, so y is bias + each tap in table order, bit for bit); its s <= 0,
     # since the centre tap is always in the table, so the columns it misses are those below lo
     (j0, lo0, hi0, s0), rest = table[0], table[1:]
-    term = np.empty((c_out, t)) if rest else None
+    term = np.empty((c_out, t), x.data.dtype) if rest else None
     for xi, yi in zip(x.data, y):
         np.matmul(taps[j0], xi[:, lo0 + s0 : hi0 + s0], out=yi[:, lo0:hi0])
         yi[:, lo0:hi0] += bias.data[:, None]
@@ -365,8 +374,8 @@ def conv1d_backward(
     # dW[:, :, j] = sum_n g[n, :, lo:hi] @ x[n, :, lo+s : hi+s].T, summed in sample
     # order: sample 0's product is written, each later one added (a tap outside
     # the table, where t <= k // 2, keeps its zeros)
-    gw = np.zeros((c_out, c_in, k))
-    term = np.empty((c_out, c_in))
+    gw = np.zeros((c_out, c_in, k), x.data.dtype)
+    term = np.empty((c_out, c_in), x.data.dtype)
     for i, (xi, gi) in enumerate(zip(x.data, g)):
         for j, lo, hi, s in table:
             np.matmul(gi[:, lo:hi], xi[:, lo + s : hi + s].T, out=term)
@@ -384,8 +393,8 @@ def conv1d_backward(
     # k <= 3 that share is at most the second one added at any input, so the
     # sum equals 0 + each share in table order, bit for bit.
     taps = np.ascontiguousarray(weight.data.transpose(2, 0, 1))  # the forward's k x C_out x C_in
-    gx = np.empty((n, c_in, t))
-    term = np.empty((c_in, t)) if k > 1 else None
+    gx = np.empty((n, c_in, t), x.data.dtype)
+    term = np.empty((c_in, t), x.data.dtype) if k > 1 else None
     for gi, gxi in zip(g, gx):
         np.matmul(taps[k // 2].T, gi, out=gxi)
         for j, lo, hi, s in table:
@@ -455,13 +464,13 @@ BN_EPS = 1e-5  # added to the variance before the square root
 
 
 class BatchNormState:
-    """Learnable scale/shift plus running statistics for one channel axis."""
+    """Learnable scale/shift plus running statistics for one channel axis, float32."""
 
     def __init__(self, channels: int):
-        self.gamma = Tensor(np.ones(channels), requires_grad=True)
-        self.beta = Tensor(np.zeros(channels), requires_grad=True)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
+        self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
+        self.running_mean = np.zeros(channels, np.float32)
+        self.running_var = np.ones(channels, np.float32)
 
     @property
     def channels(self) -> int:
@@ -575,7 +584,7 @@ def max_pool_time_backward(g: np.ndarray, x: Tensor) -> np.ndarray:
     """x's gradient for the pooled output's gradient g, each routed to the
     earliest maximum when there are ties."""
     n, c, t = x.shape
-    gx = np.zeros((n, c, t))
+    gx = np.zeros((n, c, t), x.data.dtype)
     gx[np.arange(n)[:, None], np.arange(c)[None, :], x.data.argmax(axis=2)] = g  # first occurrence on ties
     return gx
 

@@ -134,14 +134,15 @@ def ensemble_aware_loss(
 
 
 class AdamState:
-    """First/second moment accumulators for a fixed parameter list."""
+    """First/second moment accumulators for a fixed parameter list, each in
+    its parameter's dtype."""
 
     def __init__(self, params: list[Tensor]):
         self.params = list(params)
         self.step_count = 0
-        self.m = [np.zeros(p.shape) for p in self.params]
-        self.v = [np.zeros(p.shape) for p in self.params]
-        self.scratch = threading.local()  # .pair: a thread's two _ADAM_CHUNK arrays for adam_step
+        self.m = [np.zeros(p.shape, p.data.dtype) for p in self.params]
+        self.v = [np.zeros(p.shape, p.data.dtype) for p in self.params]
+        self.scratch = threading.local()  # .pair: a thread's two _ADAM_CHUNK arrays for adam_step, of one dtype
 
 
 # Adam's decay rates and denominator guard, as in Kingma & Ba (arXiv 1412.6980)
@@ -171,14 +172,16 @@ def adam_step(state: AdamState, lr: float) -> None:
         p = state.params[i]
         if not p.data.flags.c_contiguous:  # so that its flat view below is no copy
             p.data = np.ascontiguousarray(p.data)
-        if not hasattr(state.scratch, "pair"):
-            state.scratch.pair = (np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK))
+        dtype = p.data.dtype
+        pair = getattr(state.scratch, "pair", None)
+        if pair is None or pair[0].dtype != dtype:
+            pair = state.scratch.pair = (np.empty(_ADAM_CHUNK, dtype), np.empty(_ADAM_CHUNK, dtype))
         flat_p, m, v = p.data.reshape(-1), state.m[i].reshape(-1), state.v[i].reshape(-1)
-        g = p.grad.reshape(-1) if p.grad is not None else np.broadcast_to(0.0, flat_p.shape)
+        g = p.grad.reshape(-1) if p.grad is not None else np.broadcast_to(dtype.type(0), flat_p.shape)
         for lo in range(0, flat_p.size, _ADAM_CHUNK):
             hi = min(lo + _ADAM_CHUNK, flat_p.size)
             _adam_update(flat_p[lo:hi], m[lo:hi], v[lo:hi], g[lo:hi], lr, bc1, bc2,
-                         *(buf[: hi - lo] for buf in state.scratch.pair))
+                         *(buf[: hi - lo] for buf in pair))
 
     _parallel_map(update, len(state.params))
 
@@ -274,7 +277,7 @@ def run_epoch(
 # Utterances whose LFCC frames `_group_logits` makes at once.  Each chunk
 # reads and folds every branch once: at full size on 2 vCPU, about 0.4 s of
 # reads from the page cache against about 80 s of compute, while the chunk's
-# frames take 49 MB (256 x 400 x 60 float64).
+# frames take 49 MB (256 x 400 x 60 float64, the front end's dtype).
 _CHUNK_UTTERANCES = 256
 
 

@@ -13,8 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from lgpnet.errors import ShapeError
-from lgpnet.model import BatchNorm1dLayer, ImprovedResidualBlock
+from lgpnet.model import BatchNorm1dLayer, GroupBranch, GroupedResNetEnsemble, ImprovedResidualBlock
 from lgpnet.tensor import (
+    BatchNormState,
     Tensor,
     _find_blas_controls,
     aggregate,
@@ -45,6 +46,37 @@ def blas_threads(n: int):
 def blas_thread_counts() -> list[int]:
     """The thread count of every OpenBLAS in the process, as read now."""
     return [get() for get, _ in _find_blas_controls()]
+
+
+def as_float64(net):
+    """net with every array it stores cast to float64, in place, and returned:
+    the network of a float64 checkpoint, which computes in float64.  net is a
+    `GroupedResNetEnsemble` or a `GroupBranch` (every `stored_arrays()`
+    entry), or a residual block or a `BatchNormState` (the same arrays, as
+    a branch stores them)."""
+    if isinstance(net, GroupedResNetEnsemble):
+        owners = [(owner, attr) for _, owner, attr in net.stored_arrays()]
+    elif isinstance(net, GroupBranch):
+        owners = [(owner, attr) for _, owner, attr in net.stored_arrays(0)]
+    elif isinstance(net, BatchNormState):
+        owners = [(net.gamma, "data"), (net.beta, "data"), (net, "running_mean"), (net, "running_var")]
+    else:
+        owners = []
+        for _, layer in net.sublayers():
+            owners += [(p, "data") for _, p in layer.named_parameters()]
+            if isinstance(layer, BatchNorm1dLayer):
+                owners += [(layer.state, "running_mean"), (layer.state, "running_var")]
+    for owner, attr in owners:
+        setattr(owner, attr, getattr(owner, attr).astype(np.float64))
+    return net
+
+
+DTYPES = ["float32", "float64"]  # a network's two dtypes: a new one's, and that of checkpoints written before
+
+
+def in_dtype(net, dtype: str):
+    """net, built float32, as it is for "float32", or cast by `as_float64` for "float64"."""
+    return as_float64(net) if dtype == "float64" else net
 
 
 def n_batchnorms(block) -> int:
@@ -276,7 +308,7 @@ def ensemble_loss_by_chain(group_logits: list[np.ndarray], labels, aware: bool =
     value = terms[0][0]
     for t, _ in terms[1:]:
         value = value + t
-    c = np.ones(())  # the loss node's upstream gradient
+    c = 1.0  # the loss node's upstream gradient, a Python float, so the gradients keep the logits' dtype
     if aware:
         value = value * (1.0 / len(terms))
         c = c * (1.0 / len(terms))
@@ -311,7 +343,7 @@ def conv1d_im2col(x, w, b, g, stride: int = 1, padding: int = 0):
     g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n * t_out, c_out)
     gw = (g2.T @ cols).reshape(c_out, c_in, k)
     gcols = (g2 @ w2).reshape(n, t_out, c_in, k).transpose(0, 2, 1, 3)
-    gxp = np.zeros((n, c_in, t_pad))
+    gxp = np.zeros((n, c_in, t_pad), x.dtype)
     for j in range(k):
         gxp[:, :, j : j + stride * t_out : stride] += gcols[:, :, :, j]
     gx = gxp[:, :, padding : t_pad - padding] if padding else gxp
@@ -339,6 +371,7 @@ def branch_keeping_everything(branch, x: Tensor, dlogits, mfa: str = "aggregate"
     params = [p for _, layer in branch.sublayers() for _, p in layer.named_parameters()]
     for p in params:
         p.zero_grad()
+    x = Tensor(x.data.astype(branch.dtype, copy=False))  # the branch's one cast, at entry
     blocks, c = branch.blocks, branch.cfg.block.channels
     e = branch.entry_conv(x)
     h, stats_e = branch.entry_bn(e, relu=True)
@@ -370,7 +403,7 @@ def branch_keeping_everything(branch, x: Tensor, dlogits, mfa: str = "aggregate"
             agg = conv1d(cat, w, b)
         else:
             slices = [Tensor(w.data[:, i * c : (i + 1) * c], requires_grad=True) for i in range(len(blocks))]
-            zero, agg = Tensor(np.zeros(b.shape)), None
+            zero, agg = Tensor(np.zeros(b.shape, b.data.dtype)), None
             for t, w_i in zip(hs[1:], slices):
                 agg = conv1d(t, w_i, b if agg is None else zero, residual=agg)
         m, stats_m = branch.mfa_bn(agg, relu=True)
@@ -385,7 +418,7 @@ def branch_keeping_everything(branch, x: Tensor, dlogits, mfa: str = "aggregate"
     if branch.cfg.mfa:
         g = branch.mfa_bn.backward(g, agg, stats_m, m)[0]
         if mfa == "aggregate":
-            gw = np.zeros(w.shape)
+            gw = np.zeros(w.shape, w.data.dtype)
             for i in reversed(range(len(blocks))):
                 shares[i] = aggregate_backward(g, hs[i + 1], w, b, i * c, gw)
         elif mfa == "concat":
@@ -441,7 +474,7 @@ def conv1d_forward_two_path(x: np.ndarray, w: np.ndarray, b: np.ndarray, residua
         if lo < hi:
             table.append((j, lo, hi, s))
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    y = np.empty((n, c_out, t))
+    y = np.empty((n, c_out, t), x.dtype)
     if k == 1:
         np.matmul(taps[0], x, out=y)
         y += b[None, :, None]
@@ -472,7 +505,7 @@ def conv1d_batched(x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
         if lo < hi:
             table.append((j, lo, hi, s))
     taps = np.ascontiguousarray(w.transpose(2, 0, 1))
-    y = np.empty((n, c_out, t))
+    y = np.empty((n, c_out, t), x.dtype)
     (j, lo, hi, s), rest = table[0], table[1:]
     np.matmul(taps[j], x[:, :, lo + s : hi + s], out=y[:, :, lo:hi])
     y[:, :, lo:hi] += b[None, :, None]
@@ -480,8 +513,8 @@ def conv1d_batched(x: np.ndarray, w: np.ndarray, b: np.ndarray, g: np.ndarray):
     term = np.empty_like(y)
     for j, lo, hi, s in rest:
         y[:, :, lo:hi] += np.matmul(taps[j], x[:, :, lo + s : hi + s], out=term[:, :, lo:hi])
-    gw = np.zeros((c_out, c_in, k))
-    prod = np.empty((n, c_out, c_in))
+    gw = np.zeros((c_out, c_in, k), x.dtype)
+    prod = np.empty((n, c_out, c_in), x.dtype)
     for j, lo, hi, s in table:
         np.matmul(g[:, :, lo:hi], x[:, :, lo + s : hi + s].transpose(0, 2, 1), out=prod)
         prod.sum(axis=0, out=gw[:, :, j])
@@ -664,7 +697,7 @@ def full_size_score_peak_rss_mb(workers: int | None = None) -> tuple[float, floa
     of this process, scoring the inputs of `write_full_size_score_inputs`.
     With `workers`, the maps run on a pool of that many threads whatever the
     CPU count, with one malloc arena as a real pool has.  A child
-    interpreter writes the inputs, so building the 181 MB model stays out of
+    interpreter writes the inputs, so building the 90 MB model stays out of
     this process's peak.  Meaningful in a fresh interpreter only: the peak
     is the process's high-water mark."""
     import contextlib

@@ -12,6 +12,7 @@ from scipy.stats import multivariate_normal
 
 from helpers import (
     FD_REL_TOL,
+    as_float64,
     build_synth_corpus,
     check_gradients,
     eer_by_threshold_sweep,
@@ -111,7 +112,7 @@ def run_overfit_training(tmp_root):
     labels = feats.labels
     logits = predict_logits(model, lgp, feats)
     scores = logits[:, 1] - logits[:, 0]
-    return {"log": log, "labels": labels, "scores": scores, "logits": logits}
+    return {"log": log, "labels": labels, "scores": scores, "logits": logits, "dtype": model.branches[0].dtype}
 
 
 @pytest.fixture(scope="module")
@@ -137,7 +138,7 @@ class TestAcceptance:
         assert worst < FD_REL_TOL
 
         xb = Tensor(rng.normal(size=(3, 2, 6)), requires_grad=True)
-        state = BatchNormState(2)
+        state = as_float64(BatchNormState(2))
         coeffs = rng.normal(size=(3, 2, 6))
         _, stats = batchnorm1d(xb, state)
         gx, _ = batchnorm1d_backward(coeffs, xb, state, stats)
@@ -188,7 +189,7 @@ class TestAcceptance:
                 < FD_REL_TOL
             )
 
-        block = ImprovedResidualBlock(ResidualBlockCfg(channels=3), np.random.default_rng(101))
+        block = as_float64(ImprovedResidualBlock(ResidualBlockCfg(channels=3), np.random.default_rng(101)))
         xblk = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         cblk = rng.normal(size=(2, 3, 5))
         block_params = [xblk] + [p for _, layer in block.sublayers() for _, p in layer.named_parameters()]
@@ -199,10 +200,10 @@ class TestAcceptance:
             block_params,
         ) < FD_REL_TOL
 
-        loss_model = build_model(
+        loss_model = as_float64(build_model(
             ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3),
             seed=102,
-        )
+        ))
         slices = [Tensor(rng.normal(size=(2, 3, 8))) for _ in range(2)]
         lab2 = np.array([0, 1])
         train_step_grads(loss_model, slices, lab2)
@@ -212,10 +213,10 @@ class TestAcceptance:
             < FD_REL_TOL
         )
 
-        full = build_model(
+        full = as_float64(build_model(
             ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=8), group_input_dim=4),
             seed=103,
-        )
+        ))
         xfull = [Tensor(rng.normal(size=(2, 4, 16))) for _ in range(2)]
         train_step_grads(full, xfull, lab2)
         params = full.parameters()
@@ -304,7 +305,7 @@ class TestAcceptance:
     def test_5_ensemble_identities(self):
         rng = np.random.default_rng(500)
         cfg = ModelCfg(n_groups=4, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
-        model = build_model(cfg, seed=501)
+        model = as_float64(build_model(cfg, seed=501))
         named = dict(model.named_parameters())
         for name, p in named.items():
             if not name.startswith("group0."):
@@ -318,7 +319,7 @@ class TestAcceptance:
         plain, _ = ensemble_aware_loss(out, labels, aware=False)
         assert abs(loss - plain) < 1e-12
 
-        model2 = build_model(cfg, seed=502)
+        model2 = as_float64(build_model(cfg, seed=502))
         slices2 = [Tensor(rng.normal(size=(3, 3, 10))) for _ in range(4)]
         out2 = model2.forward_slices(slices2)
         base_loss, _ = ensemble_aware_loss([b.data for b in out2], labels)
@@ -330,13 +331,16 @@ class TestAcceptance:
         assert np.max(np.abs(ensemble_logits([b.data for b in out_perm]) - base_b)) < 1e-12
 
         for trial in range(5):
-            model3 = build_model(cfg, seed=510 + trial)
+            model3 = as_float64(build_model(cfg, seed=510 + trial))
             out3 = model3.forward_slices([Tensor(rng.normal(size=(2, 3, 8))) for _ in range(4)])
             stacked = np.stack([g.data for g in out3])
             assert np.max(np.abs(ensemble_logits([g.data for g in out3]) - stacked.mean(axis=0))) < 1e-12
 
     @criterion(6, "end-to-end overfit")
     def test_6_overfit(self, overfit_run):
+        # train() builds a float32 model, as every new model is, and the recipe overfits in it
+        assert overfit_run["dtype"] == np.float32
+        assert overfit_run["logits"].dtype == np.float32
         assert overfit_run["elapsed"] < 300.0
         assert len(overfit_run["log"]) <= 200
         labels = overfit_run["labels"]
@@ -345,8 +349,10 @@ class TestAcceptance:
         assert accuracy == 1.0
         scores = overfit_run["scores"]
         eer = compute_eer(scores[labels == 1], scores[labels == 0]).eer
-        assert eer == 0.0
         first, last = overfit_run["log"][0]["train_loss"], overfit_run["log"][-1]["train_loss"]
+        print(f"float32 overfit: EER {100.0 * eer:.4f}%, train loss {first:.4g} -> {last:.4g} "
+              f"over {len(overfit_run['log'])} epochs")
+        assert eer == 0.0
         assert last <= 0.1 * first  # >= 90% decrease from the first epoch
 
     @criterion(7, "EER oracle")
@@ -384,7 +390,7 @@ class TestAcceptance:
         base_cfg = ModelCfg(
             n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=16), group_input_dim=12
         )
-        base = build_model(base_cfg, seed=900)
+        base = as_float64(build_model(base_cfg, seed=900))
 
         # "w/o multiple GMMs": a single-order bank changes every slice width
         single_gmm_cfg = ModelCfg(
@@ -396,7 +402,7 @@ class TestAcceptance:
         no_group_cfg = ModelCfg(
             n_groups=1, n_blocks=2, block=ResidualBlockCfg(channels=16), group_input_dim=24
         )
-        solo = build_model(no_group_cfg, seed=901)
+        solo = as_float64(build_model(no_group_cfg, seed=901))
         assert len(solo.branches) == 1
         rng = np.random.default_rng(902)
         out = solo.forward_slices([Tensor(rng.normal(size=(2, 24, 10)))])

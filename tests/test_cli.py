@@ -8,11 +8,13 @@ import pytest
 from scipy.io import wavfile
 
 from helpers import (
+    as_float64,
     build_synth_corpus,
     random_bank,
     rewrite_arrays,
     rewrite_meta,
     wav_bytes_float32,
+    write_full_size_score_inputs,
     write_wav_int16,
 )
 
@@ -22,6 +24,7 @@ from lgpnet.errors import ConfigError
 from lgpnet.evaluation import compute_eer_records, score_file_read
 from lgpnet.corpus import build_manifest, parse_protocol, read_wav
 from lgpnet.lfcc import lfcc_extract
+from lgpnet.model import load_checkpoint, save_checkpoint
 
 
 TINY_CFG = """
@@ -78,7 +81,7 @@ class TestDescribe:
         start = lines.index("parameters:")
         entries = [ln.strip() for ln in lines[start + 1 :] if not ln.strip().startswith("total:")]
         total_line = next(ln.strip() for ln in lines[start + 1 :] if ln.strip().startswith("total:"))
-        total = int(total_line.split(":")[1])
+        total = int(total_line.split(":")[1].split()[0])
         assert sum(int(ln.split(":")[1]) for ln in entries) == total
         # closed-form oracle: G=2, 2 blocks, 16 channels, 12-dim slices
         ch, blocks, g, dg = 16, 2, 2, (8 + 16) // 2
@@ -96,11 +99,20 @@ class TestDescribe:
         assert "1984" in out
         assert "total:" in out
 
+    def test_describe_prints_the_dtype_and_megabytes_beside_the_total(self, cli_workspace, capsys):
+        # a new network is float32: 4 bytes a parameter
+        assert cli_main(["describe"]) == 0
+        assert "\n  total: 22593552 (90.4 MB float32)\n" in capsys.readouterr().out
+        assert cli_main(["describe", "--config", str(cli_workspace["cfg"])]) == 0
+        total_line = capsys.readouterr().out.splitlines()[-1]
+        count = int(total_line.split(":")[1].split()[0])
+        assert total_line == f"  total: {count} ({count * 4 / 1e6:.1f} MB float32)"
+
     def test_describe_draws_no_full_size_parameters(self, capsys):
         # describe only counts the parameters, so it builds the model around
         # read-only broadcast zeros: it allocates well under one full-size
-        # parameter set (22,593,552 float64 values, 181 MB), and prints the counts
-        # the drawn model has
+        # parameter set (22,593,552 values, 181 MB in float64, 90 MB in
+        # float32), and prints the counts the drawn model has
         from lgpnet.cli import _cmd_describe
         from lgpnet.model import ModelCfg, build_model
 
@@ -112,8 +124,9 @@ class TestDescribe:
         finally:
             tracemalloc.stop()
         out = capsys.readouterr().out
-        assert "  total: 22593552\n" in out
+        assert "  total: 22593552 (90.4 MB float32)\n" in out
         drawn = build_model(ModelCfg(), seed=0).describe()
+        drawn["total"] = f"{drawn['total']} (90.4 MB float32)"
         printed = out.split("parameters:\n", 1)[1]
         assert printed == "".join(f"  {name}: {count}\n" for name, count in drawn.items())
         assert peak < 181e6 / 10
@@ -552,6 +565,32 @@ class TestScoreV1Checkpoint:
         assert float(rate) == pytest.approx(2 / float(seconds), rel=2e-3)  # 4 significant digits each
 
 
+class TestFloat32Scores:
+    def test_full_size_scores_agree_with_the_float64_cast(self, tmp_path):
+        # a full-size random checkpoint scores in float32, and the same checkpoint cast
+        # to float64 in float64: 12 utterances agree within 1e-4 * max(1, |s|)
+        argv = write_full_size_score_inputs(tmp_path)
+        protocol, audio_dir = build_synth_corpus(tmp_path / "twelve", n_per_class=6, seed=12)
+        argv[argv.index("--protocol") + 1], argv[argv.index("--audio-dir") + 1] = str(protocol), str(audio_dir)
+        model, assignment = load_checkpoint(tmp_path / "model.npz")
+        assert model.branches[0].dtype == np.float32
+        save_checkpoint(tmp_path / "model64.npz", as_float64(model), assignment)
+        del model
+        scores = {}
+        for name in ("model", "model64"):
+            run = list(argv)
+            run[run.index("--checkpoint") + 1] = str(tmp_path / f"{name}.npz")
+            run[run.index("--out") + 1] = str(tmp_path / f"{name}.txt")
+            assert cli_main(run) == 0
+            scores[name] = score_file_read(tmp_path / f"{name}.txt")
+        assert [r.utt_id for r in scores["model"]] == [r.utt_id for r in scores["model64"]]
+        assert len(scores["model"]) == 12
+        gaps = [abs(a.score - b.score) / max(1.0, abs(b.score)) for a, b in zip(scores["model"], scores["model64"])]
+        print(f"float32 against float64 scores: largest gap {max(gaps):.3g} of max(1, |s|)")
+        assert max(gaps) <= 1e-4
+        assert max(gaps) > 0  # the two computed in different dtypes
+
+
 class TestScoreBranchResidency:
     """score reads and folds each branch once per chunk, maps the chunk's
     samples over every worker and drops it, on the pool reading the next
@@ -894,12 +933,13 @@ class TestRefusedInputs:
         assert "bad_bn.npz: shape mismatch for bn/group1/1/running_var" in capsys.readouterr().err
         assert not (workspace / "scores.txt").exists()
 
-    @pytest.mark.parametrize("damage", ["missing", "misshapen"])
+    @pytest.mark.parametrize("damage", ["missing", "misshapen", "float16", "float64"])
     def test_score_refuses_a_damaged_last_group_before_any_audio(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, damage
     ):
-        # score reads each branch only when a worker runs it, but checks every key and
-        # shape from the .npy headers first: the last group's arrays are checked too
+        # score reads each branch only when a worker runs it, but checks every key,
+        # shape and dtype from the .npy headers first: the last group's arrays are
+        # checked too, and one array of another dtype than the rest is refused
         import lgpnet.multiscale as multiscale
 
         broken = tmp_path / "model.npz"
@@ -910,9 +950,12 @@ class TestRefusedInputs:
         if damage == "missing":
             key = last
             rewrite_arrays(broken, lambda arrays: arrays.pop(key))
-        else:
+        elif damage == "misshapen":
             key = "param/group1.classifier.weight"
             rewrite_arrays(broken, lambda arrays: arrays.update({key: arrays[key][:, :-1]}))
+        else:
+            key = "param/group1.classifier.weight"
+            rewrite_arrays(broken, lambda arrays: arrays.update({key: arrays[key].astype(damage)}))
         reads = []
         monkeypatch.setattr(multiscale, "read_wav", lambda *a, **k: reads.append(a))
         monkeypatch.setattr(multiscale, "check_wav", lambda *a, **k: reads.append(a))
@@ -923,18 +966,27 @@ class TestRefusedInputs:
             "--out", str(out), "--config", str(cli_workspace["cfg"]),
         ])
         assert code == 1
-        message = "checkpoint is missing" if damage == "missing" else "shape mismatch for"
-        assert f"error: {broken}: {message} {key}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if damage in ("missing", "misshapen"):
+            message = "checkpoint is missing" if damage == "missing" else "shape mismatch for"
+            assert f"error: {broken}: {message} {key}\n" in err
+        else:
+            assert err.startswith(f"error: {broken}: {key} is {damage}, but param/group0.entry_conv.weight "
+                                  "is float32; a checkpoint's arrays are all float32 or all float64\n")
         assert reads == []
         assert not out.exists()
 
     def test_score_with_a_flipped_byte_in_a_branch_member(self, cli_workspace, workspace, capsys, monkeypatch, tmp_path):
         import lgpnet.multiscale as multiscale
 
-        # the last byte of a 6 KB member: the header check reads its first 4 KB and
-        # passes, and the CRC fails when a worker reads group 1's branch
-        raw = (workspace / "model.npz").read_bytes()
-        with np.load(workspace / "model.npz") as data:
+        # the last byte of a 6 KB member of a float64 checkpoint: the header check
+        # reads its first 4 KB and passes, and the CRC fails when a worker reads
+        # group 1's branch (the float32 member is 3 KB, read whole by the check)
+        model, assignment = load_checkpoint(workspace / "model.npz")
+        float64 = tmp_path / "float64.npz"
+        save_checkpoint(float64, as_float64(model), assignment)
+        raw = float64.read_bytes()
+        with np.load(float64) as data:
             values = data["param/group1.block1.conv2.weight"].tobytes()
         at = raw.index(values) + len(values) - 1
         broken = tmp_path / "flipped.npz"

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DTYPES,
     FD_REL_TOL,
+    as_float64,
     branch_grads,
     branch_keeping_everything,
     check_gradients,
     ensemble_loss_value,
     group_inputs,
     group_slices,
+    in_dtype,
     mean_by_node,
     n_batchnorms,
     random_bank,
@@ -150,7 +153,7 @@ class TestImprovedResidualBlock:
     def test_gradients_through_block(self, improved):
         rng = np.random.default_rng(3)
         block_type = ImprovedResidualBlock if improved else StandardResidualBlock
-        block = block_type(ResidualBlockCfg(channels=3), rng)
+        block = as_float64(block_type(ResidualBlockCfg(channels=3), rng))
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         coeffs = rng.normal(size=(2, 3, 5))
         y, saved = block.forward(x, keep=True)
@@ -173,15 +176,16 @@ class TestStandardResidualBlock:
     """The conventional block's skip is the residual operand of its second BN;
     the reference adds it to that BN's output apart, before a separate ReLU."""
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("mode", ["train", "train-perturbed", "inference"])
-    def test_bitwise_as_relu_of_add(self, mode, mfa, monkeypatch):
+    def test_bitwise_as_relu_of_add(self, mode, mfa, dtype, monkeypatch):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=False, mfa=mfa)
         x = Tensor(np.random.default_rng(50).normal(size=(3, 4, 11)))
         coeffs = np.random.default_rng(51).normal(size=(3, 2))
         results = []
         for reference in (False, True):
-            branch = build_model(cfg, seed=48).branches[0]
+            branch = in_dtype(build_model(cfg, seed=48).branches[0], dtype)
             if mode != "train":
                 perturb_batchnorms(branch, np.random.default_rng(49))
             if mode == "inference":
@@ -254,7 +258,7 @@ class TestGroupBranch:
 
     def test_zeroed_blocks_reduce_to_entry_plus_mfa(self, monkeypatch):
         cfg = tiny_cfg()
-        model = build_model(cfg, seed=4)
+        model = as_float64(build_model(cfg, seed=4))
         branch = model.branches[0]
         for block in branch.blocks:
             block.conv2.weight.data[:] = 0.0
@@ -271,10 +275,11 @@ class TestGroupBranch:
         reference = branch.classifier(max_pool_time(m))
         assert np.max(np.abs(full.data - reference.data)) <= 1e-12 * np.max(np.abs(reference.data))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("bn_params", ["initial", "perturbed"])
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_gradients_bitwise_a_reference_keeping_everything(self, improved, mfa, bn_params):
+    def test_gradients_bitwise_a_reference_keeping_everything(self, improved, mfa, bn_params, dtype):
         # helpers.branch_keeping_everything keeps every op output and sums each block
         # output's gradient in the former graph walk's order; the branch keeps only its
         # records and makes its BN-ReLU outputs again: the same logits, gradients and
@@ -284,7 +289,7 @@ class TestGroupBranch:
         coeffs = np.random.default_rng(44).normal(size=(3, 2))
         results = []
         for reference in (False, True):
-            branch = build_model(cfg, seed=42).branches[0]
+            branch = in_dtype(build_model(cfg, seed=42).branches[0], dtype)
             if bn_params == "perturbed":
                 perturb_batchnorms(branch, np.random.default_rng(45))
             if reference:
@@ -305,7 +310,7 @@ class TestGroupBranch:
         coeffs = np.random.default_rng(44).normal(size=(3, 2))
         grads = []
         for concat in (False, True):
-            branch = build_model(cfg, seed=42).branches[0]  # train-mode BN: batch statistics
+            branch = as_float64(build_model(cfg, seed=42).branches[0])  # train-mode BN: batch statistics
             if concat:
                 branch_keeping_everything(branch, x, coeffs, mfa="concat")
                 grads.append([p.grad for p in branch_params(branch)])
@@ -317,8 +322,9 @@ class TestGroupBranch:
         worst = max(np.max(np.abs(got - ref)) for got, ref in zip(*grads)) / scale
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("improved", [True, False])
-    def test_gradients_bitwise_as_a_chain_of_residual_convs(self, improved):
+    def test_gradients_bitwise_as_a_chain_of_residual_convs(self, improved, dtype):
         # aggregate's parts make each block output's share where a chain of residual
         # 1x1 convs would, so every gradient is summed in the same order
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
@@ -326,7 +332,7 @@ class TestGroupBranch:
         coeffs = np.random.default_rng(46).normal(size=(3, 2))
         results = []
         for chain in (False, True):
-            branch = build_model(cfg, seed=44).branches[0]
+            branch = in_dtype(build_model(cfg, seed=44).branches[0], dtype)
             if chain:
                 logits = branch_keeping_everything(branch, x, coeffs, mfa="chain")
                 grads = [p.grad for p in branch_params(branch)]
@@ -537,7 +543,7 @@ class TestModelForward:
 
     def test_classifier_names_and_draws_after_every_branch(self):
         # each branch holds its classifier, named and stored as the ensemble's, and
-        # drawn after every branch's other layers
+        # drawn after every branch's other layers, each draw rounded to float32
         model = build_model(tiny_cfg(), seed=9)
         names = [name for name, _ in model.named_parameters()]
         assert names[-2:] == ["group1.classifier.weight", "group1.classifier.bias"]
@@ -548,9 +554,11 @@ class TestModelForward:
                 for _, p in layer.named_parameters():
                     if p.ndim > 1:
                         fan_in = p.size // p.shape[0]
-                        assert np.array_equal(p.data, rng.uniform(-np.sqrt(6 / fan_in), np.sqrt(6 / fan_in), p.shape))
+                        draw = rng.uniform(-np.sqrt(6 / fan_in), np.sqrt(6 / fan_in), p.shape)
+                        assert p.data.tobytes() == draw.astype(np.float32).tobytes()
         for classifier in [branch.classifier for branch in model.branches]:
-            assert np.array_equal(classifier.weight.data, rng.uniform(-np.sqrt(6 / 8), np.sqrt(6 / 8), (2, 8)))
+            draw = rng.uniform(-np.sqrt(6 / 8), np.sqrt(6 / 8), (2, 8))
+            assert classifier.weight.data.tobytes() == draw.astype(np.float32).tobytes()
 
     def test_wrong_assignment_rejected(self):
         model = build_model(tiny_cfg(), seed=10)
@@ -567,7 +575,7 @@ class TestModelForward:
     @pytest.mark.parametrize("aware", [True, False])
     def test_full_model_gradient_check(self, aware):
         cfg = tiny_cfg()
-        model = build_model(cfg, seed=11)
+        model = as_float64(build_model(cfg, seed=11))
         rng = np.random.default_rng(12)
         slices = [Tensor(s) for s in group_slices(tiny_assignment(), rng.normal(size=(2, 8, 16)))]
         labels = np.array([0, 1])
@@ -725,14 +733,15 @@ class TestBranchPool:
 
 
 def perturb_batchnorms(owner, rng):
-    """Running statistics and affine parameters away from their initial values."""
+    """Running statistics and affine parameters away from their initial values,
+    drawn in float64 and kept in the owner's dtype."""
     for bn in owner.batchnorms():
         state = bn.state
-        c = state.channels
-        state.running_mean = rng.normal(size=c)
-        state.running_var = rng.uniform(0.3, 3.0, size=c)
-        state.gamma.data = rng.uniform(0.5, 1.5, size=c)
-        state.beta.data = rng.normal(scale=0.3, size=c)
+        c, dtype = state.channels, state.gamma.data.dtype
+        state.running_mean = rng.normal(size=c).astype(dtype)
+        state.running_var = rng.uniform(0.3, 3.0, size=c).astype(dtype)
+        state.gamma.data = rng.uniform(0.5, 1.5, size=c).astype(dtype)
+        state.beta.data = rng.normal(scale=0.3, size=c).astype(dtype)
 
 
 def relative_gap(got, ref):
@@ -749,7 +758,7 @@ class TestForwardOnlyPath:
     @pytest.mark.parametrize("improved", [True, False])
     def test_matches_tensor_forward(self, improved, mfa, monkeypatch):
         cfg = tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa)
-        model = build_model(cfg, seed=31)
+        model = as_float64(build_model(cfg, seed=31))
         rng = np.random.default_rng(32)
         perturb_batchnorms(model, rng)
         x = rng.normal(size=(3, 8, 11))
@@ -765,7 +774,7 @@ class TestForwardOnlyPath:
 
     def test_full_size_branch_matches_tensor_forward(self, monkeypatch):
         rng = np.random.default_rng(33)
-        branch = build_model(ModelCfg(n_groups=1), seed=33).branches[0]
+        branch = as_float64(build_model(ModelCfg(n_groups=1), seed=33).branches[0])
         perturb_batchnorms(branch, rng)
         x = Tensor(rng.normal(size=(2, 248, 60)))
         folded = branch.forward(x)[0]
@@ -824,12 +833,13 @@ class TestForwardOnlyPath:
             folded.forward(x, keep=True)
         assert arrays() == before
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
-    def test_folded_logits_bitwise_the_two_path_forward(self, improved, mfa, monkeypatch):
+    def test_folded_logits_bitwise_the_two_path_forward(self, improved, mfa, dtype, monkeypatch):
         # helpers.use_two_path_forward: the fold in W's own layout, conv1d with its own
         # k == 1 path and aggregate with a held product buffer
-        model = build_model(tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa), seed=47)
+        model = in_dtype(build_model(tiny_cfg(n_blocks=3, improved_blocks=improved, mfa=mfa), seed=47), dtype)
         perturb_batchnorms(model, np.random.default_rng(48))
         x = np.random.default_rng(49).normal(size=(3, 8, 11))
         logits = []
@@ -965,22 +975,48 @@ class TestCheckpoint:
         assert sum(getattr(o, a).nbytes for _, o, a in loaded.stored_arrays()) == stored
         assert peak <= 1.25 * stored
 
-    def test_float32_arrays_load_as_float64(self, tmp_path):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_arrays_load_in_their_stored_dtype(self, tmp_path, dtype):
+        # a new model's checkpoint is float32, one written before float64; each loads,
+        # folds and infers in its own dtype, with the bytes it stored
+        model = in_dtype(build_model(tiny_cfg(), seed=17), dtype)
+        perturb_batchnorms(model, np.random.default_rng(17))
         path = tmp_path / "model.npz"
-        save_checkpoint(path, build_model(tiny_cfg(), seed=17), tiny_assignment())
-
-        def to_float32(arrays):
-            for key in arrays:
-                if key != "meta":
-                    arrays[key] = arrays[key].astype(np.float32)
-
-        rewrite_arrays(path, to_float32)
+        save_checkpoint(path, model, tiny_assignment())
         loaded, _ = load_checkpoint(path)
         with np.load(path) as data:
             for key, owner, attr in loaded.stored_arrays():
                 value = getattr(owner, attr)
-                assert value.dtype == np.float64, key
-                assert np.array_equal(value, data[key]), key
+                assert value.dtype == dtype and data[key].dtype == dtype, key
+                assert value.tobytes() == data[key].tobytes(), key
+        branches = CheckpointBranches(path)
+        x = Tensor(np.random.default_rng(18).normal(size=(2, 4, 9)))
+        for g in range(2):
+            branch = branches[g]
+            assert all(p.data.dtype == dtype for _, layer in branch.sublayers() if layer is not None
+                       for _, p in layer.named_parameters())
+            logits = branch.forward(x)[0].data
+            assert logits.dtype == dtype
+            assert logits.tobytes() == model.branches[g].forward(x)[0].data.tobytes()
+
+    @pytest.mark.parametrize("odd", ["float16", "float32"])
+    def test_mixed_dtypes_are_refused_by_the_headers(self, tmp_path, odd):
+        # a float16 member, or one float32 member in a float64 file: load_checkpoint and
+        # CheckpointBranches both refuse the file, naming it and the member
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, as_float64(build_model(tiny_cfg(), seed=17)), tiny_assignment())
+        key = "param/group1.block0.conv2.weight"
+        rewrite_arrays(path, lambda arrays: arrays.update({key: arrays[key].astype(odd)}))
+        message = f"{path}: {key} is {odd}, but param/group0.entry_conv.weight is float64; "
+        for read in (load_checkpoint, CheckpointBranches):
+            with pytest.raises(FormatError) as refused:
+                read(path)
+            assert str(refused.value).startswith(message)
+        first = "param/group0.entry_conv.weight"
+        rewrite_arrays(path, lambda arrays: arrays.update({first: arrays[first].astype(np.float16)}))
+        for read in (load_checkpoint, CheckpointBranches):
+            with pytest.raises(FormatError, match=f"{first} is float16; a checkpoint's arrays are float32 or"):
+                read(path)
 
     def test_legacy_meta_with_the_two_constants_loads_bitwise(self, tmp_path):
         """Checkpoints written while n_classes and stride were config fields store
@@ -1129,7 +1165,7 @@ class TestCheckpoint:
 
     def test_branches_read_no_array_until_one_is_asked_for(self, tmp_path):
         cfg = tiny_cfg(n_groups=2, block=ResidualBlockCfg(channels=96), group_input_dim=32)
-        model = build_model(cfg, seed=24)
+        model = as_float64(build_model(cfg, seed=24))
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, tiny_assignment(total=64))
         stored = sum(getattr(o, a).nbytes for _, o, a in model.stored_arrays())
@@ -1149,8 +1185,9 @@ class TestCheckpoint:
         assert sum(len(a) for a in folded_arrays(branch)) == folded
 
     def test_flipped_byte_fails_when_its_branch_is_read(self, tmp_path):
-        # the last byte of a 6 KB member: reading its header reads the member's first 4 KB
-        model = build_model(tiny_cfg(block=ResidualBlockCfg(channels=16)), seed=14)
+        # the last byte of a 6 KB member (float64): reading its header reads the
+        # member's first 4 KB
+        model = as_float64(build_model(tiny_cfg(block=ResidualBlockCfg(channels=16)), seed=14))
         path = tmp_path / "model.npz"
         save_checkpoint(path, model, tiny_assignment())
         raw = path.read_bytes()

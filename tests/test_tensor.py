@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from helpers import (
+    DTYPES,
     FD_REL_TOL,
+    as_float64,
     batchnorm1d_grads_keeping_xhat,
     batchnorm1d_running,
     blas_thread_counts,
@@ -693,6 +695,43 @@ class TestCrossEntropyReference:
         assert value == pytest.approx(np.log1p(np.exp(-10.0)), rel=1e-9)
 
 
+class TestDtypes:
+    """Every op computes in its operands' dtype and makes each array it
+    allocates in it; a Tensor keeps a float32 or float64 array as it is and
+    makes anything else float64."""
+
+    def test_a_tensor_keeps_float32_and_float64_and_makes_anything_else_float64(self):
+        for dtype in DTYPES:
+            a = np.ones(3, dtype)
+            assert Tensor(a).data is a
+        for other in ([1, 2, 3], np.arange(3), np.ones(3, np.float16), np.ones(3, np.int32), np.ones(3, bool)):
+            assert Tensor(other).data.dtype == np.float64
+        assert BatchNormState(3).running_var.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_every_op_and_backward_keeps_its_operands_dtype(self, dtype):
+        rng = np.random.default_rng(19)
+
+        def operand(*shape):
+            return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+        x, r, w, wa, b = operand(2, 3, 5), operand(2, 3, 5), operand(3, 3, 3), operand(3, 6, 1), operand(3)
+        xl, wl, bl = operand(2, 3), operand(4, 3), operand(4)
+        g3, g2 = rng.normal(size=(2, 3, 5)).astype(dtype), rng.normal(size=(2, 4)).astype(dtype)
+        state = BatchNormState(3) if dtype == "float32" else as_float64(BatchNormState(3))
+        made = [conv1d(x, w, b, residual=r).data, conv1d_backward(g3, x, w, b)]
+        gw = np.zeros(wa.shape, dtype)
+        made += [aggregate([x, r], wa, b).data, aggregate_backward(g3, r, wa, b, 3, gw),
+                 aggregate_backward(g3, x, wa, b, 0, gw)]
+        out, stats = batchnorm1d(x, state, relu=True, residual=r)
+        made += [out.data, *stats, *batchnorm1d_backward(g3, x, state, stats, out.data)]
+        made += [max_pool_time(x).data, max_pool_time_backward(g3[:, :, 0], x)]
+        made += [linear(xl, wl, bl).data, linear_backward(g2, xl, wl, bl)]
+        made += [state.running_mean, state.running_var, state.gamma.grad, state.beta.grad]
+        made += [p.grad for p in (w, b, wa, wl, bl)]
+        assert all(a.dtype == dtype for a in made)
+
+
 class TestBackwards:
     """The backward functions, chained by hand."""
 
@@ -726,7 +765,7 @@ class TestBackwards:
         x = Tensor(rng.normal(size=(2, 4, 16)))
         w1 = Tensor(rng.normal(size=(4, 4, 3)) * 0.5, requires_grad=True)
         b1 = Tensor(rng.normal(size=4) * 0.1, requires_grad=True)
-        state = BatchNormState(4)
+        state = as_float64(BatchNormState(4))
         w2 = Tensor(rng.normal(size=(2, 4)) * 0.5, requires_grad=True)
         b2 = Tensor(rng.normal(size=2) * 0.1, requires_grad=True)
         labels = np.array([0, 1])

@@ -10,14 +10,17 @@ import pytest
 import lgpnet.tensor as tensor_mod
 
 from helpers import (
+    DTYPES,
     FD_REL_TOL,
     adam_step_by_expression,
+    as_float64,
     branch_keeping_everything,
     check_gradients,
     ensemble_loss_by_chain,
     ensemble_loss_value,
     group_inputs,
     group_logits_per_sample,
+    in_dtype,
     random_bank,
     rewrite_arrays,
     softmax_cross_entropy,
@@ -95,7 +98,7 @@ class TestEnsembleAwareLoss:
 
     def test_gradients_through_tiny_model(self):
         cfg = ModelCfg(n_groups=2, n_blocks=1, block=ResidualBlockCfg(channels=4), group_input_dim=3)
-        model = build_model(cfg, seed=0)
+        model = as_float64(build_model(cfg, seed=0))
         rng = np.random.default_rng(5)
         slices = [Tensor(rng.normal(size=(2, 3, 8))) for _ in range(2)]
         labels = np.array([0, 1])
@@ -165,11 +168,12 @@ class TestEnsembleAwareLoss:
         with pytest.raises(ShapeError, match="at least one"):
             ensemble_aware_loss([], np.array([0, 1]))
 
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("aware", [True, False])
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_two_steps_bitwise_the_chain(self, workers, improved, mfa, aware, forced_pool, monkeypatch):
+    def test_two_steps_bitwise_the_chain(self, workers, improved, mfa, aware, dtype, forced_pool, monkeypatch):
         # two run_epoch steps (of 3 samples, then 2) and an evaluate_loss with the closed-form
         # loss and with the former chain of nodes patched into the loops: the same stored
         # arrays and losses
@@ -188,7 +192,7 @@ class TestEnsembleAwareLoss:
             with monkeypatch.context() as patch:
                 if chain:
                     patch.setattr(training_mod, "ensemble_aware_loss", ensemble_loss_by_chain)
-                model = build_model(cfg, seed=77)
+                model = in_dtype(build_model(cfg, seed=77), dtype)
                 state = AdamState(model.parameters())
                 losses = [run_epoch(model, lgp, feats, labels, train_cfg, state, np.array([2, 4, 0, 3, 1]), 1e-2)]
                 losses.append(evaluate_loss(model, lgp, feats, labels, train_cfg))
@@ -272,9 +276,12 @@ class TestAdam:
 
 
 class TestKeptRecords:
+    @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("improved", [True, False])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_two_steps_bitwise_a_reference_keeping_everything(self, workers, improved, forced_pool, monkeypatch):
+    def test_two_steps_bitwise_a_reference_keeping_everything(
+        self, workers, improved, dtype, forced_pool, monkeypatch
+    ):
         # the BN-ReLU outputs that backward makes again feed it the forward's bits:
         # parameters and BN statistics after two run_epoch steps are those of a backward
         # that kept every op output (helpers.branch_keeping_everything)
@@ -304,7 +311,7 @@ class TestKeptRecords:
                 if reference:
                     patch.setattr(GroupBranch, "forward", forward_keeping_the_slice)
                     patch.setattr(GroupBranch, "backward", backward_keeping_everything)
-                model = build_model(cfg, seed=75)
+                model = in_dtype(build_model(cfg, seed=75), dtype)
                 state = AdamState(model.parameters())
                 train_cfg = TrainConfig(batch_size=2, epochs=1)
                 run_epoch(model, lgp, feats, labels, train_cfg, state, np.array([2, 0, 3, 1]), 1e-2)
@@ -630,11 +637,12 @@ class TestInferenceIsPure:
 
     @pytest.fixture(scope="class")
     def models(self, tiny_pipeline, tmp_path_factory):
+        # float64, as a checkpoint written before models were float32 loads, for the 1e-12
         cfg = tiny_model_cfg(tiny_pipeline["assignment"])
         trained, _ = train(stacked(tiny_pipeline), tiny_pipeline["lgp"], cfg, small_train_cfg(epochs=1))
         path = tmp_path_factory.mktemp("pure") / "model.npz"
-        save_checkpoint(path, trained, tiny_pipeline["assignment"])
-        return {"build_model": build_model(cfg, seed=3), "load_checkpoint": load_checkpoint(path)[0],
+        save_checkpoint(path, as_float64(trained), tiny_pipeline["assignment"])
+        return {"build_model": as_float64(build_model(cfg, seed=3)), "load_checkpoint": load_checkpoint(path)[0],
                 "train": trained}
 
     @pytest.mark.parametrize("entry", ["forward_slices", "__call__"])
@@ -659,6 +667,33 @@ class TestInferenceIsPure:
                            for bn in model.batchnorms()]
 
 
+class TestFloat32:
+    """A new model is float32, and no step of training or inference makes a
+    float64 array in it: under NEP 50 a float64 array or np.float64 scalar
+    would upcast a float32 one silently."""
+
+    def test_a_step_leaves_every_array_float32(self, tiny_pipeline):
+        model = build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=4)
+        state = AdamState(model.parameters())
+        lgp, feats, labels = tiny_pipeline["lgp"], tiny_pipeline["feats"], tiny_pipeline["labels"]
+        assert feats.dtype == np.float64  # the front end stays float64
+        lr = np.float64(1e-3)  # a float64 scalar rate upcasts nothing either
+        loss = run_epoch(model, lgp, feats[:6], labels[:6], small_train_cfg(batch_size=4), state, np.arange(6), lr)
+        assert np.isfinite(loss) and state.step_count == 2
+        params = model.parameters()
+        arrays = {
+            "parameter": [p.data for p in params],
+            "gradient": [p.grad for p in params],
+            "Adam m": state.m,
+            "Adam v": state.v,
+            "BN statistic": [a for bn in model.batchnorms() for a in (bn.state.running_mean, bn.state.running_var)],
+            "stored array": [getattr(owner, attr) for _, owner, attr in model.stored_arrays()],
+        }
+        for kind, values in arrays.items():
+            assert values and all(a.dtype == np.float32 for a in values), kind
+        assert predict_logits(model, lgp, feats[:3]).dtype == np.float32
+
+
 class TestBranchMajorInference:
     """predict_logits and evaluate_loss run one folded branch at a time over a
     chunk of utterances, each utterance mapped over the workers alone through
@@ -668,13 +703,13 @@ class TestBranchMajorInference:
 
     N = 14  # ragged last chunks at chunk sizes 3 and 4
 
-    @pytest.fixture(scope="class")
-    def checkpoint(self, tiny_pipeline, tmp_path_factory):
-        model = build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=31)
+    @pytest.fixture(scope="class", params=DTYPES)
+    def checkpoint(self, tiny_pipeline, tmp_path_factory, request):
+        model = in_dtype(build_model(tiny_model_cfg(tiny_pipeline["assignment"]), seed=31), request.param)
         rng = np.random.default_rng(32)
-        for bn in model.batchnorms():  # running statistics away from their initial values
-            bn.state.running_mean = rng.normal(size=bn.state.channels)
-            bn.state.running_var = rng.uniform(0.3, 3.0, size=bn.state.channels)
+        for bn in model.batchnorms():  # running statistics away from their initial values, in the model's dtype
+            bn.state.running_mean = rng.normal(size=bn.state.channels).astype(request.param)
+            bn.state.running_var = rng.uniform(0.3, 3.0, size=bn.state.channels).astype(request.param)
         path = tmp_path_factory.mktemp("branch_major") / "model.npz"
         save_checkpoint(path, model, tiny_pipeline["assignment"])
         return path
@@ -891,11 +926,14 @@ class TestBestEpochOnDisk:
             self.train(tiny_pipeline, checkpoint_path=tmp_path / "file" / "model.npz")
         assert epochs == []
 
-    def test_peak_memory_is_that_of_the_bare_steps(self, tiny_pipeline):
+    def test_peak_memory_is_that_of_the_bare_steps(self, tiny_pipeline, monkeypatch):
         """train() adds less than half the model's stored arrays to the traced peak of
-        its run_epoch steps: no in-memory copy of the best epoch is held."""
+        its run_epoch steps: no in-memory copy of the best epoch is held.  Inline, as
+        on the pool the interleaving of two branches moves either peak by more than
+        half of a float32 model's arrays."""
         import lgpnet.training as training_mod
 
+        monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         lgp = tiny_pipeline["lgp"]
         model_cfg = tiny_model_cfg(tiny_pipeline["assignment"])
         cfg = small_train_cfg(epochs=3)
