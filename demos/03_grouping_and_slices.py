@@ -25,7 +25,7 @@ data = np.vstack([rng.normal(loc=c, scale=0.5, size=(300, 3)) for c in (-4.0, 0.
 
 models = train_by_splitting(data, 32, EmConfig(n_iterations=8))
 bank = GmmBank(gmms=[m for m in models if m.order in (8, 16, 32)])
-print(f"bank orders: {bank.orders}, total components: {bank.total_components}")
+print(f"bank orders: {bank.orders}, total components: {sum(bank.orders)}")
 
 lineage = lineage_grouping(bank, 4)
 rand = random_grouping(bank, 4, seed=0)
@@ -46,4 +46,4 @@ print(f"{len(inputs)} group inputs of shape {inputs[0].shape} (utterances x dims
 for x, cols in zip(inputs, lineage.index_lists()):
     assert np.allclose(x, lgp[:, cols], rtol=1e-12, atol=1e-12)
 total = sum(x.shape[1] for x in inputs)
-print(f"each is its group's columns of the LGP; dims sum back to {total} = {bank.total_components}")
+print(f"each is its group's columns of the LGP; dims sum back to {total} = {sum(bank.orders)}")

@@ -144,6 +144,8 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
+    if cfg.grouping_seed < 0:
+        raise ConfigError(f"grouping.seed must be >= 0, got {cfg.grouping_seed}")
     # re-run the dataclass validations that setattr bypassed; model_cfg() checks the model keys
     cfg.model_cfg()
     cfg.lfcc = LfccConfig(**asdict(cfg.lfcc))

@@ -31,8 +31,11 @@ nothing changes.  In the copy every convolution's weight is written in
 conv1d's tap-major (k, C_out, C_in) layout and handed over as its
 (C_out, C_in, k) view, so conv1d reads it in place; every BN slot is None,
 so the copy refuses keep=True, and the source branch is never modified.
-Inference (`training._group_logits`) folds each branch once per chunk of
-utterances and runs every sample of the chunk alone through that one copy,
+Blocks only compute: a block's `forward(x)` returns its output and its
+record, training with its BNs and inferring once folded, and the branch
+decides, keeping the record or dropping it.  Inference
+(`training._group_logits`) folds each branch once per chunk of utterances
+and runs every sample of the chunk alone through that one copy,
 classifier included, so a sample's logits do not depend on its batch.  The
 skip (if any) and the ReLU after a folded convolution are applied in place
 on the array it just made; in training BN applies them itself
@@ -253,22 +256,18 @@ class LinearLayer:
 class ImprovedResidualBlock:
     """Two convolutions, one BN, one activation, identity skip."""
 
-    n_activations = 1
-
     def __init__(self, cfg: ResidualBlockCfg, rng: np.random.Generator):
         c, k = cfg.channels, cfg.kernel
         self.conv1 = Conv1dLayer(c, c, k, rng)
         self.bn = BatchNorm1dLayer(c)
         self.conv2 = Conv1dLayer(c, c, k, rng)
 
-    def forward(self, x: Tensor, keep: bool = False):
+    def forward(self, x: Tensor):
         """(the block's output, what `backward` reads besides the block's input
-        and output: conv1's output and the BN's statistics, or None without keep).
-        Without keep a block that still has its BN runs as `folded()`."""
-        if not keep and self.bn is not None:
-            return self.folded().forward(x)
+        and output: conv1's output and the BN's statistics).  With its BN the
+        block trains; `folded()` infers."""
         a, c, stats = _conv_bn_relu(self.conv1, self.bn, x)
-        return self.conv2(a, residual=x), ((c, stats) if keep else None)
+        return self.conv2(a, residual=x), (c, stats)
 
     def folded(self, read=getattr) -> ImprovedResidualBlock:
         """An inference-only copy: the BN folded into conv1, conv2 tap-major (`_fold`)."""
@@ -294,8 +293,6 @@ class StandardResidualBlock:
     """Conventional block for ablation: BN + activation after each convolution,
     the skip added before the second activation."""
 
-    n_activations = 2
-
     def __init__(self, cfg: ResidualBlockCfg, rng: np.random.Generator):
         c, k = cfg.channels, cfg.kernel
         self.conv1 = Conv1dLayer(c, c, k, rng)
@@ -303,16 +300,13 @@ class StandardResidualBlock:
         self.conv2 = Conv1dLayer(c, c, k, rng)
         self.bn2 = BatchNorm1dLayer(c)
 
-    def forward(self, x: Tensor, keep: bool = False):
+    def forward(self, x: Tensor):
         """(the block's output, what `backward` reads besides the block's input
-        and output: each convolution's output and its BN's statistics, or None
-        without keep).  Without keep a block that still has its BNs runs as
-        `folded()`."""
-        if not keep and self.bn1 is not None:
-            return self.folded().forward(x)
+        and output: each convolution's output and its BN's statistics).  With
+        its BNs the block trains; `folded()` infers."""
         a, c1, stats1 = _conv_bn_relu(self.conv1, self.bn1, x)
         y, c2, stats2 = _conv_bn_relu(self.conv2, self.bn2, a, residual=x)
-        return y, ((c1, stats1, c2, stats2) if keep else None)
+        return y, (c1, stats1, c2, stats2)
 
     def folded(self, read=getattr) -> StandardResidualBlock:
         """An inference-only copy: each BN folded into the convolution before it (`_fold`)."""
@@ -419,13 +413,15 @@ class GroupBranch:
         return h
 
     def _block_outputs(self, h: Tensor, records: list | None):
-        """Each block's output in turn, each made when it is asked for.  A
+        """Each block's output in turn, each made when it is asked for, with
+        the block's record kept in records or, without records, dropped.  A
         conventional block's output is a BN-ReLU output, so its record does
         not keep it."""
         for block in self.blocks:
-            h, saved = block.forward(h, records is not None)
+            h, saved = block.forward(h)
             if records is not None:
                 records.append((saved, h if self.cfg.improved_blocks else None))
+            del saved  # a folded block's record holds its inner output
             yield h
 
     def backward(self, records: list, dlogits: np.ndarray) -> None:
@@ -706,12 +702,6 @@ def _read_arrays(entries, members: _Members, path: str | Path) -> None:
         setattr(owner, attr, members[key])
 
 
-def _assign_stored_arrays(model: GroupedResNetEnsemble, members: _Members, path: str | Path) -> None:
-    """Set each of model's stored arrays from members, the open checkpoint at
-    path, as `_read_arrays` does."""
-    _read_arrays(model.stored_arrays(), members, path)
-
-
 def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssignment]:
     """The model and grouping that `save_checkpoint` wrote to path, every
     array read; FormatError naming path for any file that is not such a
@@ -719,7 +709,7 @@ def load_checkpoint(path: str | Path) -> tuple[GroupedResNetEnsemble, GroupAssig
     with _checkpoint_archive(path) as members:
         cfg, assignment = _read_meta(members, path)
         model = GroupedResNetEnsemble(cfg, _Unfilled())
-        _assign_stored_arrays(model, members, path)
+        _read_arrays(model.stored_arrays(), members, path)
     return model, assignment
 
 

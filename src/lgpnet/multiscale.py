@@ -23,12 +23,9 @@ only that column's coefficients, so group g's input holds the columns
 computes a column with the same kernel in the narrow and the full product
 (OpenBLAS 0.3.31's SkylakeX kernels do at the default bank and 5 or more
 frames), and to rounding elsewhere.
-`map_utterances` runs per-utterance work (read, LFCC) as a map.  A map of
-two or more calls runs on the worker pool whenever there is one, and
-inline only when it has fewer than two calls, is started on a pool worker,
-or has no pool (one usable CPU, or no OpenBLAS whose thread count can be
-set); either way every OpenBLAS runs at one thread for its calls, so the
-features are bitwise the same whatever the CPU count.
+`map_utterances` runs per-utterance work (read, LFCC) as a map, under the
+map contract of `tensor._ordered_map`: every OpenBLAS runs at one thread
+for its calls, so the features are bitwise the same whatever the CPU count.
 """
 from __future__ import annotations
 
@@ -63,10 +60,6 @@ class GmmBank:
     @property
     def orders(self) -> list[int]:
         return [g.order for g in self.gmms]
-
-    @property
-    def total_components(self) -> int:
-        return sum(self.orders)
 
     @property
     def dim(self) -> int:
@@ -168,14 +161,14 @@ def utterance_lgp(
 
 def map_utterances(manifest: Manifest, idx, fn) -> list:
     """[fn(j, clip_j) for each j], where clip_j is manifest entry idx[j] as
-    `read_wav` reads it, on the worker pool (see `tensor._parallel_map`,
-    which stops at the first failure).
+    `read_wav` reads it, as one map (`tensor._parallel_map`; the contract is
+    `tensor._ordered_map`'s).
 
     A ValueError from fn, such as FeatureMatrix's refusal of an LFCC frame
     that is not finite (from audio loud enough to overflow the power
     spectrum, which then warns no more), is raised as FormatError naming
-    the file: "<path>: frame <i> is not finite".  Calls start in idx order,
-    so the first failing file is the one named.
+    the file: "<path>: frame <i> is not finite".  The map raises the first
+    error in idx order, so the first failing file is the one named.
     """
     entries = [manifest.entries[i] for i in idx]
 

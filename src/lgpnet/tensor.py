@@ -66,15 +66,13 @@ array and makes anything else float64.  A network computes in its
 parameters' dtype (`model.GroupBranch.forward` casts its input to it), and
 new models are float32.  Independent branches (the ensemble's
 group branches), forwards and backwards alike, run as maps on a worker
-pool sized to the usable CPUs (`_parallel_map`, `_ordered_map`).  A map
-of two or more calls runs on the worker pool whenever there is one, and
-inline only when it has fewer than two calls, is started on a pool worker,
-or has no pool (one usable CPU, or no OpenBLAS whose thread count can be
-set); either way every OpenBLAS runs at one thread for its calls.  So the
-ops, and the feature GEMMs under `_blas_single_thread`, give the same bits
-whatever the CPU count.  When the pool is made, glibc is told to keep one
-malloc arena for all threads, so that memory a worker frees can be reused
-by the others instead of raising the peak.
+pool sized to the usable CPUs, by one loop, `_ordered_map`, whose
+docstring states the map contract (`_parallel_map` collects its results).
+Every OpenBLAS runs at one thread for a map's calls, so the ops, and the
+feature GEMMs under `_blas_single_thread`, give the same bits whatever the
+CPU count.  When the pool is made, glibc is told to keep one malloc arena
+for all threads, so that memory a worker frees can be reused by the others
+instead of raising the peak.
 """
 from __future__ import annotations
 
@@ -83,7 +81,7 @@ import ctypes
 import os
 import threading
 from collections import deque
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 
 import numpy as np
@@ -218,7 +216,7 @@ def _get_pool() -> ThreadPoolExecutor | None:
 
 
 def _pool_workers() -> int:
-    """The most calls that one `_parallel_map` runs at once."""
+    """The most calls that one map runs at once."""
     pool = _get_pool()
     return pool._max_workers if pool is not None else 1
 
@@ -242,53 +240,32 @@ def _blas_single_thread():
             set_(n)
 
 
-def _map_pool(n: int) -> ThreadPoolExecutor | None:
-    """The pool that a map of n calls runs on, or None to run it inline."""
-    if n < 2 or getattr(_worker, "active", False):
-        return None
-    return _get_pool()
-
-
 def _parallel_map(fn, n: int) -> list:
-    """[fn(0), ..., fn(n-1)].  A map of two or more calls runs on the worker
-    pool whenever there is one, and inline only when it has fewer than two
-    calls, is started on a pool worker, or has no pool (one usable CPU, or
-    no OpenBLAS whose thread count can be set); either way every OpenBLAS
-    runs at one thread for its calls.  Concurrent multi-threaded BLAS would
-    oversubscribe the cores; waiting on the pool from a worker could deadlock.
-
-    Once a call fails, the calls not yet started are cancelled.  Every
-    started call has finished before this returns or raises; the first
-    error in index order is raised.  Each call runs in a copy of the
-    caller's context, so the caller's `np.errstate` holds in the workers
-    too.
-    """
-    pool = _map_pool(n)
-    with _blas_single_thread():
-        if pool is None:
-            return [fn(i) for i in range(n)]
-        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(n)]
-        if wait(futures, return_when=FIRST_EXCEPTION).not_done:  # a call failed
-            for f in futures:
-                f.cancel()
-            wait(futures)
-    return [f.result() for f in futures if not f.cancelled()]  # cancelled only after a failure, which raises
+    """[fn(0), ..., fn(n-1)], run as `_ordered_map` runs it."""
+    results = []
+    _ordered_map(fn, n, lambda i, r: results.append(r))
+    return results
 
 
 def _ordered_map(fn, n: int, consume) -> None:
     """consume(i, fn(i)) for i = 0, ..., n-1, in index order on the calling
-    thread.  A map of two or more calls runs on the worker pool whenever
-    there is one, and inline only when it has fewer than two calls, is
-    started on a pool worker, or has no pool (one usable CPU, or no OpenBLAS
-    whose thread count can be set); either way every OpenBLAS runs at one
-    thread for its calls.
+    thread.  This is the map contract, which `_parallel_map` shares.
+
+    A map of two or more calls runs on the worker pool whenever there is
+    one, and inline only when it has fewer than two calls, is started on a
+    pool worker, or has no pool (one usable CPU, or no OpenBLAS whose
+    thread count can be set); either way every OpenBLAS runs at one thread
+    for its calls.  Concurrent multi-threaded BLAS would oversubscribe the
+    cores; waiting on the pool from a worker could deadlock.
 
     On the pool at most workers + 1 calls are in flight, so at most that
     many results exist at once, however large n is.  Every started call has
     finished before this returns or raises.  The first error in index order,
-    from fn or consume, is raised; no call starts once it is seen.
+    from fn or consume, is raised; no call starts once it is seen.  Each
+    call runs in a copy of the caller's context, so the caller's
+    `np.errstate` holds in the workers too.
     """
-    pool = _map_pool(n)
+    pool = None if n < 2 or getattr(_worker, "active", False) else _get_pool()
     with _blas_single_thread():
         if pool is None:
             for i in range(n):

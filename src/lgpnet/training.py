@@ -59,8 +59,8 @@ from .model import (
     CheckpointBranches,
     GroupedResNetEnsemble,
     ModelCfg,
-    _assign_stored_arrays,
     _checkpoint_archive,
+    _read_arrays,
     ensemble_logits,
     save_checkpoint,
 )
@@ -84,6 +84,8 @@ class TrainConfig:
             raise ConfigError("learning_rate, batch_size, epochs, plateau_patience must be positive")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError("plateau_factor must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -444,7 +446,7 @@ def train(
         del state
         if best_epoch != train_cfg.epochs:
             with _checkpoint_archive(best_file) as members:
-                _assign_stored_arrays(model, members, best_file)
+                _read_arrays(model.stored_arrays(), members, best_file)
         if checkpoint_path is not None:
             umask = os.umask(0)
             os.umask(umask)

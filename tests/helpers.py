@@ -963,7 +963,7 @@ def rewrite_meta(path, edit) -> None:
     rewrite_arrays(path, edit_meta)
 
 
-def standard_forward_by_add(block, x: Tensor, keep: bool = False):
+def standard_forward_by_add(block, x: Tensor):
     """StandardResidualBlock.forward with its skip added to the second BN's
     output (or, with that BN folded, the folded convolution's) apart, before
     a separate ReLU: relu(x + h), as the library made it before the skip

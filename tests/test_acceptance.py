@@ -193,10 +193,10 @@ class TestAcceptance:
         xblk = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         cblk = rng.normal(size=(2, 3, 5))
         block_params = [xblk] + [p for _, layer in block.sublayers() for _, p in layer.named_parameters()]
-        yblk, saved = block.forward(xblk, keep=True)
+        yblk, saved = block.forward(xblk)
         gx = block.backward(saved, xblk, yblk, cblk)
         assert check_gradients(
-            lambda: weighted_sum(block.forward(xblk, keep=True)[0], cblk), [gx] + [p.grad for p in block_params[1:]],
+            lambda: weighted_sum(block.forward(xblk)[0], cblk), [gx] + [p.grad for p in block_params[1:]],
             block_params,
         ) < FD_REL_TOL
 

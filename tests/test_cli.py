@@ -1204,6 +1204,23 @@ class TestRefusedInputs:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("train.seed = -1", "train.seed must be >= 0, got -1"),
+            ("grouping.method = random\ngrouping.seed = -1", "grouping.seed must be >= 0, got -1"),
+        ],
+    )
+    def test_describe_refuses_a_negative_seed_naming_its_key(self, workspace, capsys, setting, message):
+        # describe exited 0, and train-model failed after reading the bank with numpy's
+        # "expected non-negative integer", which names no key
+        cfg = workspace / f"seed_{setting.split()[-3]}.cfg"
+        cfg.write_text(TINY_CFG + setting + "\n")
+        assert cli_main(["describe", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("frame_len_ms, shown, samples", [("100", "100", "1600"), ("1e300", "1e+300", "1.6e+301")])
     @pytest.mark.parametrize("command", ["describe", "train-gmm"])
     def test_a_frame_longer_than_the_fft_is_exit_1_before_any_lfcc(

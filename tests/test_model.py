@@ -123,17 +123,15 @@ class TestImprovedResidualBlock:
         block.conv2.weight.data[:] = 0.0
         block.conv2.bias.data[:] = 0.0
         x = Tensor(rng.normal(size=(2, 4, 6)))
-        out, saved = block.forward(x)
-        assert np.array_equal(out.data, x.data) and saved is None
+        out = block.folded().forward(x)[0]
+        assert np.array_equal(out.data, x.data)
 
     def test_single_bn_single_activation(self):
         rng = np.random.default_rng(1)
         block = ImprovedResidualBlock(ResidualBlockCfg(channels=4), rng)
         assert n_batchnorms(block) == 1
-        assert block.n_activations == 1
         standard = StandardResidualBlock(ResidualBlockCfg(channels=4), rng)
         assert n_batchnorms(standard) == 2
-        assert standard.n_activations == 2
 
     @pytest.mark.parametrize("improved", [True, False])
     def test_activation_sites_in_a_kept_forward(self, monkeypatch, improved):
@@ -143,10 +141,10 @@ class TestImprovedResidualBlock:
         rng = np.random.default_rng(2)
         block_type = ImprovedResidualBlock if improved else StandardResidualBlock
         block = block_type(ResidualBlockCfg(channels=4), rng)
-        block.forward(Tensor(rng.normal(size=(1, 4, 5))), keep=True)
+        block.forward(Tensor(rng.normal(size=(1, 4, 5))))
         names = sorted(name for name, *_ in calls)
         relus = sum(kwargs.get("relu", False) for name, _, kwargs, _ in calls if name == "batchnorm1d")
-        assert relus == block.n_activations
+        assert relus == (1 if improved else 2)
         assert names == ["batchnorm1d"] * n_batchnorms(block) + ["conv1d", "conv1d"]
 
     @pytest.mark.parametrize("improved", [True, False])
@@ -156,11 +154,11 @@ class TestImprovedResidualBlock:
         block = as_float64(block_type(ResidualBlockCfg(channels=3), rng))
         x = Tensor(rng.normal(size=(2, 3, 5)), requires_grad=True)
         coeffs = rng.normal(size=(2, 3, 5))
-        y, saved = block.forward(x, keep=True)
+        y, saved = block.forward(x)
         gx = block.backward(saved, x, y, coeffs)
         params = block_params(block)
         worst = check_gradients(
-            lambda: weighted_sum(block.forward(x, keep=True)[0], coeffs), [gx] + [p.grad for p in params],
+            lambda: weighted_sum(block.forward(x)[0], coeffs), [gx] + [p.grad for p in params],
             [x] + params
         )
         assert worst < FD_REL_TOL
@@ -208,7 +206,7 @@ class TestStandardResidualBlock:
         block = StandardResidualBlock(ResidualBlockCfg(channels=4), np.random.default_rng(52))
         x = Tensor(np.random.default_rng(53).normal(size=(2, 4, 9)), requires_grad=True)
         calls = recording(monkeypatch, "conv1d", "batchnorm1d")
-        out, saved = block.forward(x, keep=True)
+        out, saved = block.forward(x)
         made = [weakref.ref(output_array(result)) for *_, result in calls]
         del calls[:]
         monkeypatch.undo()
@@ -425,6 +423,38 @@ class TestRecomputedBnOutputs:
         assert records is None and len(refs) > cfg.n_blocks
         assert [ref() for ref in refs] == [None] * len(refs)
         assert logits.shape == (3, 2)
+
+    @pytest.mark.parametrize("improved", [True, False])
+    def test_folded_forward_frees_each_inner_output_before_the_next_block(self, monkeypatch, improved):
+        # a folded block's record holds its inner output (its first convolution's, the
+        # ReLU applied in place), so the branch drops the record before it hands the
+        # block's output to the aggregation
+        cfg = tiny_cfg(n_blocks=3, improved_blocks=improved)
+        branch = build_model(cfg, seed=72).branches[0].folded()
+        firsts = {id(block.conv1.weight) for block in branch.blocks}
+        inner = []  # a weakref to each block's inner output, in block order
+        taken = []  # (block i, whether its inner output is alive) as the aggregation takes block i's output
+        real_conv, real_aggregate = model_mod.conv1d, model_mod.aggregate
+
+        def noting_conv(x, weight, *args, **kwargs):
+            y = real_conv(x, weight, *args, **kwargs)
+            if id(weight) in firsts:
+                inner.append(weakref.ref(y.data))
+            return y
+
+        def probing_aggregate(xs, weight, bias):
+            def probed():
+                for i, h in enumerate(xs):
+                    taken.append((i, inner[i]() is not None))
+                    yield h
+
+            return real_aggregate(probed(), weight, bias)
+
+        monkeypatch.setattr(model_mod, "conv1d", noting_conv)
+        monkeypatch.setattr(model_mod, "aggregate", probing_aggregate)
+        logits = branch.forward(slices_for(cfg, 73)[0])[0]
+        assert taken == [(i, False) for i in range(cfg.n_blocks)]
+        assert len(inner) == cfg.n_blocks and logits.shape == (3, 2)
 
     @pytest.mark.parametrize("mfa", [True, False])
     @pytest.mark.parametrize("improved", [True, False])

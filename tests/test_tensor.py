@@ -850,6 +850,19 @@ class TestParallelMap:
         assert 2 <= len(started) <= 2 + 1  # at most workers + 1 calls started
         assert sorted(finished) == sorted(started)[1:]  # and every one but the failed one finished
 
+    def test_at_most_one_call_waits_in_the_queue(self, two_workers):
+        # at most workers + 1 calls are in flight and two of them run, so all the
+        # calls of a map are not handed to the pool at once
+        waiting = []
+
+        def fn(i):
+            time.sleep(0.01)  # both workers are busy by now
+            waiting.append(two_workers._work_queue.qsize())
+            return i
+
+        assert tensor_mod._parallel_map(fn, 8) == list(range(8))
+        assert len(waiting) == 8 and max(waiting) <= 1
+
     def test_the_first_error_in_index_order_is_raised(self, two_workers):
         release = threading.Event()
 
@@ -918,8 +931,9 @@ class TestParallelMap:
 
 
 class TestOrderedMap:
-    """`_ordered_map` consumes results in index order on the calling thread,
-    holds at most workers + 1 of them, and raises as `_parallel_map` does."""
+    """`_ordered_map`, the one map loop, consumes results in index order on
+    the calling thread, holds at most workers + 1 of them, and raises the
+    first error in index order."""
 
     @staticmethod
     def recorder():

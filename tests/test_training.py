@@ -827,16 +827,16 @@ class TestBestEpochOnDisk:
             return state
 
         at_reload = []
-        real_assign = training_mod._assign_stored_arrays
+        real_read = training_mod._read_arrays
 
-        def probing_assign(model, data, path):
-            at_reload.append((states[0]() is None, all(p.grad is None for p in model.parameters())))
-            real_assign(model, data, path)
+        def probing_read(entries, members, path):
+            at_reload.append((states[0]() is None, all(o.grad is None for _, o, attr in entries if attr == "data")))
+            real_read(entries, members, path)
 
         dev_losses = iter([0.5, 0.25, 0.375])
         monkeypatch.setattr(training_mod, "save_checkpoint", recording_save)
         monkeypatch.setattr(training_mod, "AdamState", recording_adam)
-        monkeypatch.setattr(training_mod, "_assign_stored_arrays", probing_assign)
+        monkeypatch.setattr(training_mod, "_read_arrays", probing_read)
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         ckpt = tmp_path / "model.npz"
         model, log = self.train(tiny_pipeline, dev=stacked(tiny_pipeline), checkpoint_path=ckpt)
@@ -883,7 +883,7 @@ class TestBestEpochOnDisk:
         import lgpnet.training as training_mod
 
         restores = []
-        monkeypatch.setattr(training_mod, "_assign_stored_arrays", lambda *a: restores.append(a))
+        monkeypatch.setattr(training_mod, "_read_arrays", lambda *a: restores.append(a))
         dev_losses = iter([0.5, 0.25, 0.125])
         monkeypatch.setattr(training_mod, "evaluate_loss", lambda *a, **k: next(dev_losses))
         self.train(tiny_pipeline, dev=stacked(tiny_pipeline), checkpoint_path=tmp_path / "m.npz")
