@@ -14,7 +14,6 @@ from lgpnet import (
     EmConfig,
     GmmBank,
     GroupLgp,
-    LfccConfig,
     ManifestFrames,
     ModelCfg,
     ResidualBlockCfg,
@@ -55,8 +54,7 @@ with tempfile.TemporaryDirectory(prefix="lgpnet_demo_") as tmp:  # the WAVs and 
     manifest = build_manifest(parse_protocol(protocol), audio_dir)
     print(f"corpus: {len(manifest)} utterances under {workdir}")
 
-    lfcc_cfg = LfccConfig()
-    frames = np.vstack([lfcc_extract(read_wav(p), lfcc_cfg).values for p, _ in manifest.entries])
+    frames = np.vstack([lfcc_extract(read_wav(p)).values for p, _ in manifest.entries])
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=8))
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
@@ -64,7 +62,7 @@ with tempfile.TemporaryDirectory(prefix="lgpnet_demo_") as tmp:  # the WAVs and 
 
     model_cfg = ModelCfg(n_groups=2, n_blocks=2, block=ResidualBlockCfg(channels=16), group_input_dim=12)
     train_cfg = TrainConfig(learning_rate=1e-3, batch_size=8, epochs=25, seed=0)
-    feats = ManifestFrames(manifest, lfcc_cfg, 50)  # computed from the audio batch by batch, every epoch
+    feats = ManifestFrames(manifest, 50)  # computed from the audio batch by batch, every epoch
     lgp = GroupLgp(bank, assignment)  # each branch makes its group's LGP input from a batch's frames
     model, log = train(feats, lgp, model_cfg, train_cfg)
 

@@ -40,7 +40,6 @@ from .gmm import (
 )
 from .lfcc import (
     FeatureMatrix,
-    LfccConfig,
     fix_length,
     frame_and_window,
     lfcc_extract,

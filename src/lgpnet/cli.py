@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gmm-dir", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dev-protocol", default=None)
-    p.add_argument("--dev-audio-dir", default=None)
+    p.add_argument("--dev-audio-dir", default=None, help="default: --audio-dir; needs --dev-protocol")
     p.add_argument("--log", default=None, help="append-only CSV epoch log")
     p.add_argument("--config", default=None)
 
@@ -77,25 +77,19 @@ def _manifest(protocol: str, audio_dir: str, split: str = "train") -> corpus.Man
         raise ManifestError(f"{protocol}: {exc}") from None
 
 
-def _features(manifest: corpus.Manifest, cfg) -> multiscale.ManifestFrames:
-    """manifest's LFCC frames under cfg's LFCC config and target_frames, computed
-    on indexing; an empty manifest or a bad WAV header fails here."""
-    return multiscale.ManifestFrames(manifest, cfg.lfcc, cfg.target_frames)
-
-
-def _pooled_lfcc_frames(manifest: corpus.Manifest, cfg) -> np.ndarray:
+def _pooled_lfcc_frames(manifest: corpus.Manifest) -> np.ndarray:
     """Every utterance's LFCC frames, stacked in manifest order.  The workers
     write straight into one array sized from the WAV headers, so the frames
     exist once."""
     if len(manifest) == 0:
         raise ManifestError(f"{manifest.split} manifest is empty: no frames to train the GMMs on")
     headers = [corpus.check_wav(path) for path, _ in manifest.entries]
-    counts = [cfg.lfcc.n_frames(n, rate) for rate, n in headers]
+    counts = [lfcc.n_frames(n) for _, n in headers]
     ends = np.cumsum(counts, dtype=np.int64)
-    frames = np.empty((int(ends[-1]), cfg.lfcc.n_dims))
+    frames = np.empty((int(ends[-1]), lfcc.N_DIMS))
 
     def fill(j: int, clip: corpus.AudioClip) -> None:
-        feat = lfcc.lfcc_extract(clip, cfg.lfcc).values
+        feat = lfcc.lfcc_extract(clip).values
         if len(feat) != counts[j]:
             raise FormatError(f"{manifest.entries[j][0]}: {len(feat)} frames, its header gave {counts[j]}")
         frames[ends[j] - counts[j] : ends[j]] = feat
@@ -114,7 +108,7 @@ def _cmd_train_gmm(args) -> int:
     if not orders or orders[-1] != target:
         raise ConfigError(f"--order {target} is not one of the bank orders {cfg.bank_orders}")
     manifest = _manifest(args.protocol, args.audio_dir)
-    data = _pooled_lfcc_frames(manifest, cfg)
+    data = _pooled_lfcc_frames(manifest)
     print(f"training GMMs up to order {target} on {data.shape[0]} frames of dim {data.shape[1]}")
     models = train_by_splitting(data, target, cfg.em)
     by_order = {g.order: g for g in models}
@@ -147,8 +141,8 @@ def _cmd_train_model(args) -> int:
     if bank.orders != sorted(cfg.bank_orders):
         raise ConfigError(f"bank orders {bank.orders} do not match config {sorted(cfg.bank_orders)}")
     lgp = multiscale.GroupLgp(bank, _grouping(cfg, bank))
-    feats = _features(manifest, cfg)
-    dev = None if dev_manifest is None else _features(dev_manifest, cfg)
+    feats = multiscale.ManifestFrames(manifest, cfg.target_frames)
+    dev = None if dev_manifest is None else multiscale.ManifestFrames(dev_manifest, cfg.target_frames)
     _, log_rows = train(feats, lgp, cfg.model_cfg(), cfg.train, dev=dev,
                         checkpoint_path=args.checkpoint, log_path=args.log)
     best = min(row["dev_loss"] for row in log_rows)
@@ -169,7 +163,7 @@ def _cmd_score(args) -> int:
             f"bank {args.gmm_dir} holds orders {bank.orders}, "
             f"but checkpoint {args.checkpoint} was trained on orders {assignment.orders}"
         )
-    feats = _features(manifest, cfg)
+    feats = multiscale.ManifestFrames(manifest, cfg.target_frames)
     lgp = multiscale.GroupLgp(bank, assignment)
     logits = predict_logits(branches, lgp, feats)
     records = [ScoreRecord(utt_id=u, score=float(s)) for u, s in zip(feats.utt_ids, score(logits))]
@@ -225,6 +219,8 @@ def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "train-model" and args.dev_audio_dir is not None and args.dev_protocol is None:
+            parser.error("train-model: --dev-audio-dir is given without --dev-protocol")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .gmm import EmConfig
-from .lfcc import LfccConfig
 from .model import ModelCfg, ResidualBlockCfg
 from .training import TrainConfig
 
@@ -22,7 +21,6 @@ DEFAULT_BANK_ORDERS = [64, 128, 256, 512, 1024]
 
 @dataclass
 class PipelineConfig:
-    lfcc: LfccConfig = field(default_factory=LfccConfig)
     em: EmConfig = field(default_factory=EmConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     bank_orders: list[int] = field(default_factory=lambda: list(DEFAULT_BANK_ORDERS))
@@ -82,13 +80,6 @@ def _orders(raw: str) -> list[int]:
 
 
 _SETTERS = {
-    "lfcc.frame_len_ms": ("lfcc", "frame_len_ms", float),
-    "lfcc.frame_shift_ms": ("lfcc", "frame_shift_ms", float),
-    "lfcc.fft_size": ("lfcc", "fft_size", int),
-    "lfcc.n_filters": ("lfcc", "n_filters", int),
-    "lfcc.n_ceps": ("lfcc", "n_ceps", int),
-    "lfcc.include_energy": ("lfcc", "include_energy", bool),
-    "lfcc.deltas": ("lfcc", "deltas", bool),
     "em.n_iterations": ("em", "n_iterations", int),
     "em.variance_floor": ("em", "variance_floor", float),
     "em.split_epsilon": ("em", "split_epsilon", float),
@@ -148,7 +139,6 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         raise ConfigError(f"grouping.seed must be >= 0, got {cfg.grouping_seed}")
     # re-run the dataclass validations that setattr bypassed; model_cfg() checks the model keys
     cfg.model_cfg()
-    cfg.lfcc = LfccConfig(**asdict(cfg.lfcc))
     cfg.em = EmConfig(**asdict(cfg.em))
     cfg.train = TrainConfig(**asdict(cfg.train))
     return cfg

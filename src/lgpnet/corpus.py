@@ -23,8 +23,8 @@ KEY_SPOOF = "spoof"
 LABEL_SPOOF = 0
 LABEL_BONAFIDE = 1
 
-# The one sample rate `read_wav` accepts: LFCC frame lengths are set in ms
-# and assume it.
+# The one sample rate `read_wav` accepts: the LFCC frame sizes are counted
+# in samples at it.
 WAV_RATE = 16000
 
 

@@ -1,11 +1,12 @@
 """Linear-frequency cepstral feature extraction.
 
-Waveforms are framed with a 20 ms Hamming window and 10 ms shift, passed
-through a 1024-point FFT and a bank of linearly spaced triangular filters,
-log-compressed and DCT-transformed.  The static vector is log-energy plus
-19 cepstra; delta and delta-delta columns bring the dimension to 60.
-Features are not cached on disk: every consumer recomputes them from the
-audio when it needs them.
+Waveforms at `corpus.WAV_RATE` are framed with a 20 ms Hamming window and
+10 ms shift, passed through a 1024-point FFT and a bank of 20 linearly
+spaced triangular filters, log-compressed and DCT-transformed.  The static
+vector is log-energy plus 19 cepstra; delta and delta-delta columns bring
+the dimension to 60.  The front end is fixed: every stage of the pipeline
+reads the same constants below.  Features are not cached on disk: every
+consumer recomputes them from the audio when it needs them.
 """
 from __future__ import annotations
 
@@ -15,72 +16,22 @@ import numpy as np
 from scipy.fft import dct
 
 from .corpus import WAV_RATE, AudioClip
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError, UnsupportedAudioError
 from .tensor import _blas_single_thread
 
 LOG_FLOOR = 1e-10
+FRAME_LEN = 320  # samples at WAV_RATE: 20 ms
+FRAME_SHIFT = 160  # 10 ms
+FFT_SIZE = 1024
+N_FILTERS = 20
+N_CEPS = 19
+N_DIMS = 60  # log-energy and N_CEPS cepstra, with their deltas and delta-deltas
 
 
-@dataclass
-class LfccConfig:
-    frame_len_ms: float = 20.0
-    frame_shift_ms: float = 10.0
-    fft_size: int = 1024
-    n_filters: int = 20
-    n_ceps: int = 19
-    include_energy: bool = True
-    deltas: bool = True
-
-    def __post_init__(self):
-        if self.n_ceps < 1:
-            raise ConfigError(f"lfcc.n_ceps must be >= 1, got {self.n_ceps}")
-        if self.n_ceps >= self.n_filters:
-            raise ConfigError(
-                f"lfcc.n_ceps = {self.n_ceps} must be smaller than lfcc.n_filters = {self.n_filters}"
-            )
-        if self.fft_size < 1:
-            raise ConfigError(f"lfcc.fft_size must be >= 1, got {self.fft_size}")
-        # frames of a WAV that read_wav reads must be a sample or more apart and
-        # long (a value over 0.5 samples rounds to 1 or more; NaN fails too),
-        # and fit the FFT; the float is compared first, as a huge frame_len_ms
-        # rounds to a huge integer
-        shift = self.frame_shift_ms * WAV_RATE / 1000.0
-        if not shift > 0.5:
-            raise ConfigError(
-                f"lfcc.frame_shift_ms = {self.frame_shift_ms:g} puts frames {round(shift, 0):g} samples apart "
-                f"at {WAV_RATE // 1000} kHz, less than 1"
-            )
-        samples = self.frame_len_ms * WAV_RATE / 1000.0
-        if not samples > 0.5:
-            raise ConfigError(
-                f"lfcc.frame_len_ms = {self.frame_len_ms:g} gives frames of {round(samples, 0):g} samples "
-                f"at {WAV_RATE // 1000} kHz, less than 1"
-            )
-        if not samples <= self.fft_size + 1 or self.frame_len(WAV_RATE) > self.fft_size:
-            raise ConfigError(
-                f"lfcc.frame_len_ms = {self.frame_len_ms:g} gives frames of {round(samples, 0):g} samples "
-                f"at {WAV_RATE // 1000} kHz, more than lfcc.fft_size = {self.fft_size}"
-            )
-
-    def frame_len(self, sample_rate: int) -> int:
-        return int(round(self.frame_len_ms * sample_rate / 1000.0))
-
-    def frame_shift(self, sample_rate: int) -> int:
-        return int(round(self.frame_shift_ms * sample_rate / 1000.0))
-
-    def n_frames(self, n_samples: int, sample_rate: int) -> int:
-        """Frames that `frame_and_window` cuts from n_samples samples: one for
-        a clip shorter than a frame, else every whole frame that fits."""
-        flen = self.frame_len(sample_rate)
-        return (max(n_samples, flen) - flen) // self.frame_shift(sample_rate) + 1
-
-    @property
-    def n_static(self) -> int:
-        return self.n_ceps + (1 if self.include_energy else 0)
-
-    @property
-    def n_dims(self) -> int:
-        return self.n_static * (3 if self.deltas else 1)
+def n_frames(n_samples: int) -> int:
+    """Frames that `frame_and_window` cuts from n_samples samples: one for
+    a clip shorter than a frame, else every whole frame that fits."""
+    return (max(n_samples, FRAME_LEN) - FRAME_LEN) // FRAME_SHIFT + 1
 
 
 @dataclass
@@ -106,22 +57,24 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-def frame_and_window(clip: AudioClip, cfg: LfccConfig) -> np.ndarray:
-    """Slice a clip into Hamming-windowed frames (n_frames x frame_len).
+def frame_and_window(clip: AudioClip) -> np.ndarray:
+    """Slice a clip into Hamming-windowed frames (n_frames x FRAME_LEN).
 
     Clips shorter than one frame are zero-padded to exactly one frame;
-    trailing samples that do not fill a whole frame are dropped.
+    trailing samples that do not fill a whole frame are dropped.  A clip at
+    a rate other than WAV_RATE is refused, as the frame sizes assume it.
     """
-    flen = cfg.frame_len(clip.sample_rate)
-    shift = cfg.frame_shift(clip.sample_rate)
-    if cfg.fft_size < flen:
-        raise ConfigError(f"fft_size {cfg.fft_size} is smaller than the frame length {flen}")
+    if clip.sample_rate != WAV_RATE:
+        raise UnsupportedAudioError(
+            f"sample rate {clip.sample_rate} Hz is unsupported: LFCC frames are "
+            f"{FRAME_LEN} samples at {WAV_RATE // 1000} kHz"
+        )
     x = clip.samples
-    if x.size < flen:
-        x = np.concatenate([x, np.zeros(flen - x.size)])
-    starts = shift * np.arange(cfg.n_frames(clip.samples.size, clip.sample_rate))
-    frames = x[starts[:, None] + np.arange(flen)[None, :]]
-    frames *= np.hamming(flen)
+    if x.size < FRAME_LEN:
+        x = np.concatenate([x, np.zeros(FRAME_LEN - x.size)])
+    starts = FRAME_SHIFT * np.arange(n_frames(clip.samples.size))
+    frames = x[starts[:, None] + np.arange(FRAME_LEN)[None, :]]
+    frames *= np.hamming(FRAME_LEN)
     return frames
 
 
@@ -158,34 +111,26 @@ def _delta(feat: np.ndarray, width: int = 2) -> np.ndarray:
     return out / denom
 
 
-def lfcc_extract(clip: AudioClip, cfg: LfccConfig | None = None) -> FeatureMatrix:
+def lfcc_extract(clip: AudioClip) -> FeatureMatrix:
     """Full LFCC pipeline: frames -> power spectrum -> filterbank -> log -> DCT.
 
-    The static vector keeps DCT coefficients 1..n_ceps; log frame energy is
-    prepended when include_energy is set.  Log inputs are floored at 1e-10
-    so silent frames stay finite.  The filterbank GEMM runs at one BLAS
+    The static vector is log frame energy, then DCT coefficients 1..N_CEPS;
+    its deltas and delta-deltas follow.  Log inputs are floored at 1e-10 so
+    silent frames stay finite.  The filterbank GEMM runs at one BLAS
     thread, so the features do not depend on the CPU count.
     """
-    cfg = cfg or LfccConfig()
-    frames = frame_and_window(clip, cfg)
-    spec = power_spectrum(frames, cfg.fft_size)
-    fb = linear_filterbank(clip.sample_rate, cfg.fft_size, cfg.n_filters)
+    frames = frame_and_window(clip)
+    spec = power_spectrum(frames, FFT_SIZE)
+    fb = linear_filterbank(WAV_RATE, FFT_SIZE, N_FILTERS)
     with _blas_single_thread():
         fbank = spec @ fb.T
     log_fbank = np.log(np.maximum(fbank, LOG_FLOOR))
-    ceps = dct(log_fbank, type=2, axis=1, norm="ortho")[:, 1 : cfg.n_ceps + 1]
-    if cfg.include_energy:
-        energy = np.log(np.maximum(np.sum(frames**2, axis=1), LOG_FLOOR))
-        static = np.column_stack([energy, ceps])
-    else:
-        static = ceps
-    if cfg.deltas:
-        d1 = _delta(static)
-        d2 = _delta(d1)
-        feat = np.hstack([static, d1, d2])
-    else:
-        feat = static
-    return FeatureMatrix(values=feat)
+    ceps = dct(log_fbank, type=2, axis=1, norm="ortho")[:, 1 : N_CEPS + 1]
+    energy = np.log(np.maximum(np.sum(frames**2, axis=1), LOG_FLOOR))
+    static = np.column_stack([energy, ceps])
+    d1 = _delta(static)
+    d2 = _delta(d1)
+    return FeatureMatrix(values=np.hstack([static, d1, d2]))
 
 
 def fix_length(feat: FeatureMatrix, target_frames: int = 400) -> FeatureMatrix:

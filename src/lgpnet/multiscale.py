@@ -37,7 +37,7 @@ import numpy as np
 from .corpus import AudioClip, Manifest, check_wav, label_index, read_wav
 from .errors import ConfigError, FormatError, ManifestError, ShapeError
 from .gmm import Gmm, _lgp, _lgp_coefficients, load_gmm, save_gmm
-from .lfcc import FeatureMatrix, LfccConfig, fix_length, lfcc_extract
+from .lfcc import N_DIMS, FeatureMatrix, fix_length, lfcc_extract
 from .tensor import Tensor, _parallel_map
 
 
@@ -148,12 +148,17 @@ def load_bank(directory: str | Path) -> GmmBank:
 def utterance_lgp(
     clip: AudioClip,
     bank: GmmBank,
-    lfcc_cfg: LfccConfig | None = None,
+    lfcc_cfg: None = None,
     target_frames: int = 400,
 ) -> FeatureMatrix:
     """Waveform -> fixed-length LFCC -> the normalized LGP of every bank
-    order, concatenated along the feature axis, from one GEMM."""
-    feat = fix_length(lfcc_extract(clip, lfcc_cfg), target_frames)
+    order, concatenated along the feature axis, from one GEMM.
+
+    `lfcc_cfg` is left from the settable front end: it refuses anything but
+    None, and goes with this function, which the ROADMAP plans to delete."""
+    if lfcc_cfg is not None:
+        raise ConfigError(f"the LFCC front end is fixed; lfcc_cfg must be None, got {lfcc_cfg!r}")
+    feat = fix_length(lfcc_extract(clip), target_frames)
     if feat.n_dims != bank.dim:
         raise ShapeError(f"feature dim {feat.n_dims} does not match bank dim {bank.dim}")
     return FeatureMatrix(values=_lgp(feat.values, bank.coefficients))
@@ -225,12 +230,7 @@ class ManifestFrames:
     file fails before any batch.
     """
 
-    def __init__(
-        self,
-        manifest: Manifest,
-        lfcc_cfg: LfccConfig | None = None,
-        target_frames: int = 400,
-    ):
+    def __init__(self, manifest: Manifest, target_frames: int = 400):
         if len(manifest) == 0:
             raise ManifestError(f"{manifest.split} manifest is empty: no utterances to compute features for")
         if target_frames < 1:
@@ -238,7 +238,6 @@ class ManifestFrames:
         for wav_path, _ in manifest.entries:
             check_wav(wav_path)
         self.manifest = manifest
-        self.lfcc_cfg = lfcc_cfg or LfccConfig()
         self.target_frames = target_frames
         self.labels = np.asarray([label_index(lab) for _, lab in manifest.entries], dtype=np.int64)
         self.utt_ids = [lab.utt_id for _, lab in manifest.entries]
@@ -247,10 +246,10 @@ class ManifestFrames:
         return len(self.manifest)
 
     def __getitem__(self, idx) -> np.ndarray:
-        out = np.empty((len(idx), self.target_frames, self.lfcc_cfg.n_dims))
+        out = np.empty((len(idx), self.target_frames, N_DIMS))
 
         def fill(j: int, clip: AudioClip) -> None:
-            out[j] = fix_length(lfcc_extract(clip, self.lfcc_cfg), self.target_frames).values
+            out[j] = fix_length(lfcc_extract(clip), self.target_frames).values
 
         map_utterances(self.manifest, idx, fill)
         return out

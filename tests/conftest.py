@@ -9,7 +9,7 @@ from helpers import build_synth_corpus
 
 from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.gmm import EmConfig, train_by_splitting
-from lgpnet.lfcc import LfccConfig, lfcc_extract
+from lgpnet.lfcc import lfcc_extract
 from lgpnet.multiscale import GmmBank, GroupLgp, ManifestFrames, lineage_grouping
 
 
@@ -51,14 +51,11 @@ def tiny_pipeline(synth_corpus):
     stacked fixed-length LFCC frames."""
     protocol, audio_dir = synth_corpus
     manifest = build_manifest(parse_protocol(protocol), audio_dir)
-    lfcc_cfg = LfccConfig()
-    frames = np.vstack(
-        [lfcc_extract_from(path, lfcc_cfg) for path, _ in manifest.entries]
-    )
+    frames = np.vstack([lfcc_extract_from(path) for path, _ in manifest.entries])
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=4))
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
-    src = ManifestFrames(manifest, lfcc_cfg, target_frames=50)
+    src = ManifestFrames(manifest, target_frames=50)
     return {
         "manifest": manifest,
         "bank": bank,
@@ -67,11 +64,10 @@ def tiny_pipeline(synth_corpus):
         "feats": src[np.arange(len(src))],
         "labels": src.labels,
         "utt_ids": src.utt_ids,
-        "lfcc_cfg": lfcc_cfg,
     }
 
 
-def lfcc_extract_from(path, cfg):
+def lfcc_extract_from(path):
     from lgpnet.corpus import read_wav
 
-    return lfcc_extract(read_wav(path), cfg).values
+    return lfcc_extract(read_wav(path)).values

@@ -678,11 +678,12 @@ def write_full_size_score_inputs(root: Path) -> list[str]:
     synthetic utterances; returns the `score` arguments that read them,
     under the default config."""
     from lgpnet.config import load_config
+    from lgpnet.lfcc import N_DIMS
     from lgpnet.model import build_model, save_checkpoint
     from lgpnet.multiscale import lineage_grouping, save_bank
 
     cfg = load_config(None)
-    bank = random_bank(np.random.default_rng(0), sorted(cfg.bank_orders), cfg.lfcc.n_dims)
+    bank = random_bank(np.random.default_rng(0), sorted(cfg.bank_orders), N_DIMS)
     save_bank(bank, root / "gmms")
     save_checkpoint(root / "model.npz", build_model(cfg.model_cfg(), seed=0),
                     lineage_grouping(bank, cfg.n_groups))

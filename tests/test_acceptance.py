@@ -29,7 +29,6 @@ from helpers import (
 from lgpnet.corpus import build_manifest, parse_protocol
 from lgpnet.evaluation import compute_eer
 from lgpnet.gmm import EmConfig, _lgp_coefficients, em_fit, log_likelihood, train_by_splitting
-from lgpnet.lfcc import LfccConfig
 from lgpnet.model import (
     ImprovedResidualBlock,
     ModelCfg,
@@ -91,12 +90,11 @@ def run_overfit_training(tmp_root):
     """The tiny end-to-end recipe: synthetic corpus, orders {8,16}, G=2."""
     protocol, audio_dir = build_synth_corpus(tmp_root, n_per_class=32, seed=42)
     manifest = build_manifest(parse_protocol(protocol), audio_dir)
-    lfcc_cfg = LfccConfig()
     from lgpnet.corpus import read_wav
     from lgpnet.lfcc import lfcc_extract
     from lgpnet.multiscale import ManifestFrames
 
-    frames = np.vstack([lfcc_extract(read_wav(p), lfcc_cfg).values for p, _ in manifest.entries])
+    frames = np.vstack([lfcc_extract(read_wav(p)).values for p, _ in manifest.entries])
     models = train_by_splitting(frames, 16, EmConfig(n_iterations=10))
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
@@ -106,7 +104,7 @@ def run_overfit_training(tmp_root):
     train_cfg = TrainConfig(
         learning_rate=1e-3, batch_size=32, epochs=OVERFIT_EPOCHS, seed=OVERFIT_SEED
     )
-    feats = ManifestFrames(manifest, lfcc_cfg, 50)
+    feats = ManifestFrames(manifest, 50)
     lgp = GroupLgp(bank, assignment)
     model, log = train(feats, lgp, model_cfg, train_cfg)
     labels = feats.labels

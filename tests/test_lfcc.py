@@ -5,14 +5,15 @@ from scipy.fft import dct
 from helpers import count_frames_by_hand, dft_power_by_hand
 
 from lgpnet.corpus import AudioClip
-from lgpnet.errors import ConfigError, ShapeError
+from lgpnet.errors import ShapeError, UnsupportedAudioError
 from lgpnet.lfcc import (
+    N_DIMS,
     FeatureMatrix,
-    LfccConfig,
     fix_length,
     frame_and_window,
     lfcc_extract,
     linear_filterbank,
+    n_frames,
     power_spectrum,
 )
 
@@ -23,55 +24,58 @@ def clip_of(samples):
 
 class TestFraming:
     def test_480_samples_two_frames(self):
-        frames = frame_and_window(clip_of(np.ones(480)), LfccConfig())
+        frames = frame_and_window(clip_of(np.ones(480)))
         assert frames.shape == (2, 320)
         assert frames.shape[0] == count_frames_by_hand(480, 320, 160)
 
     def test_320_samples_one_frame(self):
-        frames = frame_and_window(clip_of(np.ones(320)), LfccConfig())
+        frames = frame_and_window(clip_of(np.ones(320)))
         assert frames.shape == (1, 320)
 
     def test_short_clip_zero_padded(self):
-        frames = frame_and_window(clip_of(np.ones(100)), LfccConfig())
+        frames = frame_and_window(clip_of(np.ones(100)))
         assert frames.shape == (1, 320)
         # samples beyond the real signal were padding; Hamming never zeroes a sample
         assert np.all(frames[0, 100:] == 0.0)
         assert np.all(frames[0, :100] != 0.0)
 
     def test_hamming_window_applied(self):
-        frames = frame_and_window(clip_of(np.ones(320)), LfccConfig())
+        frames = frame_and_window(clip_of(np.ones(320)))
         assert np.allclose(frames[0], np.hamming(320))
 
     def test_frame_count_against_hand_count(self):
         rng = np.random.default_rng(0)
         for n in [320, 321, 479, 480, 481, 1000, 16000, int(rng.integers(320, 50000))]:
-            frames = frame_and_window(clip_of(np.ones(n)), LfccConfig())
+            frames = frame_and_window(clip_of(np.ones(n)))
             assert frames.shape[0] == count_frames_by_hand(n, 320, 160), n
 
     def test_frame_starts(self):
         x = np.arange(480, dtype=np.float64)
-        frames = frame_and_window(clip_of(x), LfccConfig())
+        frames = frame_and_window(clip_of(x))
         w = np.hamming(320)
         assert np.allclose(frames[0], x[:320] * w)
         assert np.allclose(frames[1], x[160:480] * w)
 
 
 class TestFrameCount:
-    """LfccConfig.n_frames gives the frame count from the sample count alone."""
+    """n_frames gives the frame count from the sample count alone."""
 
     @pytest.mark.parametrize(
         "n", [1, 100, 319, 320, 321, 480, 320 + 160 * 97, 320 + 160 * 97 + 159, 16000, 48_123],
     )
     def test_matches_lfcc_extract(self, n):
-        cfg = LfccConfig()
-        feat = lfcc_extract(clip_of(np.random.default_rng(n).normal(size=n)), cfg)
-        assert cfg.n_frames(n, 16000) == feat.n_frames == count_frames_by_hand(n, 320, 160)
+        feat = lfcc_extract(clip_of(np.random.default_rng(n).normal(size=n)))
+        assert n_frames(n) == feat.n_frames == count_frames_by_hand(n, 320, 160)
 
-    @pytest.mark.parametrize("n", [50, 200, 201, 8000])
-    def test_other_frame_sizes_and_rate(self, n):
-        cfg = LfccConfig(frame_len_ms=25.0, frame_shift_ms=12.5)
-        clip = AudioClip(samples=np.random.default_rng(n).normal(size=n), sample_rate=8000)
-        assert cfg.n_frames(n, 8000) == lfcc_extract(clip, cfg).n_frames == count_frames_by_hand(n, 200, 100)
+    @pytest.mark.parametrize("rate", [8000, 48000])
+    def test_a_clip_at_another_rate_is_refused(self, rate):
+        # 320-sample frames are 20 ms only at 16 kHz: they would be 40 ms at 8 kHz
+        clip = AudioClip(samples=np.ones(4800), sample_rate=rate)
+        message = f"^sample rate {rate} Hz is unsupported: LFCC frames are 320 samples at 16 kHz$"
+        with pytest.raises(UnsupportedAudioError, match=message):
+            frame_and_window(clip)
+        with pytest.raises(UnsupportedAudioError, match=message):
+            lfcc_extract(clip)
 
 
 class TestPowerSpectrum:
@@ -117,7 +121,7 @@ class TestLfccExtract:
     def test_dimension_is_60(self):
         rng = np.random.default_rng(3)
         feat = lfcc_extract(clip_of(rng.normal(size=8000) * 0.1))
-        assert feat.n_dims == 60
+        assert feat.n_dims == N_DIMS == 60
 
     def test_deltas_zero_for_constant_static(self):
         # a DC clip yields identical frames, so static features are constant in time
@@ -137,11 +141,6 @@ class TestLfccExtract:
         rng = np.random.default_rng(5)
         assert np.all(np.isfinite(lfcc_extract(clip_of(rng.normal(size=4000))).values))
 
-    def test_no_energy_no_deltas_dims(self):
-        cfg = LfccConfig(include_energy=False, deltas=False)
-        feat = lfcc_extract(clip_of(np.random.default_rng(6).normal(size=4000)), cfg)
-        assert feat.n_dims == 19
-
     def test_dct_constant_energy_in_coefficient_zero(self):
         const = np.full(20, 3.7)
         coeffs = dct(const, type=2, norm="ortho")
@@ -153,19 +152,6 @@ class TestLfccExtract:
         assert fb.shape == (20, 513)
         assert np.all(fb.sum(axis=1) > 0)
         assert fb.max() == pytest.approx(1.0, abs=0.05)
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            LfccConfig(n_ceps=20, n_filters=20)
-        with pytest.raises(ConfigError, match="lfcc.frame_len_ms = 20 gives frames of 320 samples at 16 kHz"):
-            LfccConfig(fft_size=128)
-        LfccConfig(frame_len_ms=64.0)  # 1024 samples fill the FFT exactly
-
-    def test_a_frame_longer_than_the_fft_at_another_rate_is_refused(self):
-        # 25 ms is 400 samples at 16 kHz, which the config accepts, but 1200 at 48 kHz
-        clip = AudioClip(samples=np.ones(4800), sample_rate=48000)
-        with pytest.raises(ConfigError, match="fft_size 1024 is smaller than the frame length 1200"):
-            frame_and_window(clip, LfccConfig(frame_len_ms=25.0))
 
 
 class TestFixLength:

@@ -200,6 +200,10 @@ class TestMultiOrderLgp:
         assert got.tobytes() == np.ascontiguousarray(whole_lgp(bank, frames[None])[0].T).tobytes()
         with pytest.raises(ShapeError, match="feature dim 60 does not match bank dim 3"):
             utterance_lgp(clip, random_bank(rng, [8], 3))
+        # the third positional parameter is left from the settable front end
+        assert utterance_lgp(clip, bank, None, 50).values.tobytes() == got.tobytes()
+        with pytest.raises(ConfigError, match="the LFCC front end is fixed; lfcc_cfg must be None, got 'defaults'"):
+            utterance_lgp(clip, bank, "defaults", 50)
 
 
 class TestGroupSlices:
@@ -289,7 +293,7 @@ class TestManifestFrames:
     )
     def test_batch_equals_stacked_rows(self, tiny_pipeline, idx):
         p = tiny_pipeline
-        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], 50)
         stacked = src[np.arange(len(src))]
         batch = src[np.array(idx)]
         assert batch.shape == (len(idx), 50, 60)
@@ -298,7 +302,7 @@ class TestManifestFrames:
     def test_batch_on_more_workers_than_cores_equals_inline(self, tiny_pipeline, forced_pool, monkeypatch):
         # workers write their utterances' rows into one batch array
         p = tiny_pipeline
-        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], 50)
         idx = np.array([3, 0, 7, 7, 12, 5, 9])
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
         inline = src[idx]
@@ -313,7 +317,7 @@ class TestManifestFrames:
 
     def test_batches_are_c_contiguous(self, tiny_pipeline):
         p = tiny_pipeline
-        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], 50)
         for idx in ([0, 3, 7], [5]):
             assert src[np.array(idx)].flags.c_contiguous
 
@@ -321,13 +325,13 @@ class TestManifestFrames:
     def test_empty_manifest_names_its_split(self, tiny_pipeline, split):
         p = tiny_pipeline
         with pytest.raises(ManifestError, match=f"{split} manifest is empty"):
-            ManifestFrames(Manifest(entries=[], split=split), p["lfcc_cfg"], 50)
+            ManifestFrames(Manifest(entries=[], split=split), 50)
 
     @pytest.mark.parametrize("frames", [0, -5])
     def test_target_frames_below_one_refused_at_construction(self, tiny_pipeline, frames):
         p = tiny_pipeline
         with pytest.raises(ShapeError, match=f"target_frames must be >= 1, got {frames}"):
-            ManifestFrames(p["manifest"], p["lfcc_cfg"], frames)
+            ManifestFrames(p["manifest"], frames)
 
     def test_unreadable_wav_fails_at_construction(self, tiny_pipeline, tmp_path):
         p = tiny_pipeline
@@ -336,7 +340,7 @@ class TestManifestFrames:
         label = UtteranceLabel(utt_id="JUNK", key="spoof")
         manifest = Manifest(entries=[*p["manifest"].entries, (junk, label)])
         with pytest.raises(FormatError, match="junk.wav"):
-            ManifestFrames(manifest, p["lfcc_cfg"], 50)
+            ManifestFrames(manifest, 50)
 
     def test_the_first_loud_file_of_a_batch_is_named(self, tiny_pipeline, tmp_path, two_workers):
         # finite samples whose LFCC overflows, in two files of one batch: the map stops at
@@ -347,7 +351,7 @@ class TestManifestFrames:
         for k in (2, 4):
             wavfile.write(tmp_path / f"LOUD{k}.wav", 16000, 1e200 * samples)
             entries[k] = (tmp_path / f"LOUD{k}.wav", entries[k][1])
-        src = ManifestFrames(Manifest(entries=entries), p["lfcc_cfg"], 50)
+        src = ManifestFrames(Manifest(entries=entries), 50)
         with pytest.raises(FormatError) as refused:
             src[np.arange(6)]
         assert str(refused.value) == f"{tmp_path / 'LOUD2.wav'}: frame 0 is not finite"
@@ -355,12 +359,12 @@ class TestManifestFrames:
 
     def test_stacked_equals_each_utterance(self, tiny_pipeline):
         p = tiny_pipeline
-        src = ManifestFrames(p["manifest"], p["lfcc_cfg"], 50)
+        src = ManifestFrames(p["manifest"], 50)
         assert len(src) == len(p["manifest"])
         assert np.array_equal(src.labels, p["labels"])
         assert src.utt_ids == p["utt_ids"]
         for i, (path, _) in enumerate(p["manifest"].entries):
-            one = fix_length(lfcc_extract(read_wav(path), p["lfcc_cfg"]), 50).values
+            one = fix_length(lfcc_extract(read_wav(path)), 50).values
             assert np.array_equal(p["feats"][i], one)
 
 

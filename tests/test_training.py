@@ -501,12 +501,12 @@ class TestTrainLoop:
         original = multiscale.lfcc_extract
         calls = []
 
-        def counting(clip, cfg):
+        def counting(clip):
             calls.append(clip.utt_id)
-            return original(clip, cfg)
+            return original(clip)
 
         monkeypatch.setattr(multiscale, "lfcc_extract", counting)
-        feats = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], 50)
+        feats = ManifestFrames(tiny_pipeline["manifest"], 50)
         train(
             feats,
             tiny_pipeline["lgp"],
@@ -518,7 +518,7 @@ class TestTrainLoop:
     def test_manifest_features_train_bitwise_as_stacked_ones(self, tiny_pipeline):
         """train() only indexes its frames, so computing them from the audio per
         batch trains the same bits as handing in the stacked array."""
-        manifest_feats = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], 50)
+        manifest_feats = ManifestFrames(tiny_pipeline["manifest"], 50)
         runs = [
             train(feats, tiny_pipeline["lgp"], tiny_model_cfg(tiny_pipeline["assignment"]),
                   small_train_cfg(epochs=2), dev=feats)
@@ -738,7 +738,7 @@ class TestBranchMajorInference:
         # a chunk of 6 utterances reads them in one ManifestFrames call
         monkeypatch.setattr(training_mod, "_CHUNK_UTTERANCES", 6)
         model = load_checkpoint(checkpoint)[0]
-        src = ManifestFrames(tiny_pipeline["manifest"], tiny_pipeline["lfcc_cfg"], target_frames=50)
+        src = ManifestFrames(tiny_pipeline["manifest"], target_frames=50)
         from_audio = predict_logits(model, tiny_pipeline["lgp"], src)
         assert from_audio.tobytes() == predict_logits(model, tiny_pipeline["lgp"], tiny_pipeline["feats"]).tobytes()
 
