@@ -1168,7 +1168,7 @@ class TestRefusedInputs:
     @pytest.mark.parametrize(
         "key, value",
         [("train.learning_rate", "nan"), ("train.learning_rate", "inf"), ("train.plateau_min_delta", "nan"),
-         ("em.variance_floor", "nan"), ("em.split_epsilon", "inf")],
+         ("train.plateau_factor", "-inf"), ("em.variance_floor", "nan"), ("em.split_epsilon", "inf")],
     )
     def test_describe_refuses_a_non_finite_float_in_one_error_line(self, workspace, capsys, key, value):
         # describe printed each of these configs and exited 0
@@ -1185,7 +1185,7 @@ class TestRefusedInputs:
         ["lfcc.frame_len_ms = 25", "lfcc.frame_shift_ms = 15", "lfcc.fft_size = 512", "lfcc.n_filters = 40",
          "lfcc.n_ceps = 12", "lfcc.include_energy = false", "lfcc.deltas = false"],
     )
-    @pytest.mark.parametrize("command", ["describe", "train-model"])
+    @pytest.mark.parametrize("command", ["describe", "train-gmm", "train-model", "score"])
     def test_an_lfcc_key_is_unknown_before_any_lfcc(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, command, setting
     ):
@@ -1199,11 +1199,17 @@ class TestRefusedInputs:
             monkeypatch.setattr(module, "lfcc_extract", lambda *a, **k: extracted.append(a))
         cfg = tmp_path / "lfcc.cfg"
         cfg.write_text(TINY_CFG + setting + "\n")
-        out = tmp_path / "model.npz"
+        out = tmp_path / "out"
         args = ["--config", str(cfg)]
-        if command == "train-model":
-            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"]),
-                     "--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        if command != "describe":
+            args += ["--protocol", str(cli_workspace["protocol"]), "--audio-dir", str(cli_workspace["audio_dir"])]
+        if command == "train-gmm":
+            args += ["--out", str(out)]
+        elif command == "train-model":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(out)]
+        elif command == "score":
+            args += ["--gmm-dir", str(workspace / "gmms"), "--checkpoint", str(workspace / "model.npz"),
+                     "--out", str(out)]
         assert cli_main([command, *args]) == 1
         captured = capsys.readouterr()
         key = setting.split()[0]
