@@ -12,13 +12,13 @@ of them.
 """
 import numpy as np
 
-from lgpnet import EmConfig, GmmBank, GroupLgp, lineage_grouping, log_likelihood, train_by_splitting
+from lgpnet import GmmBank, GroupLgp, lineage_grouping, log_likelihood, train_by_splitting
 
 rng = np.random.default_rng(1)
 centers = np.array([[-6, 0], [-2, 3], [2, -3], [6, 1]], dtype=float)
 data = np.vstack([rng.normal(loc=c, scale=0.6, size=(400, 2)) for c in centers])
 
-models = train_by_splitting(data, 16, EmConfig(n_iterations=15))
+models = train_by_splitting(data, 16, n_iterations=15)
 print("order   per-frame log-likelihood")
 for model in models:
     print(f"{model.order:5d}   {log_likelihood(model, data) / data.shape[0]:.4f}")

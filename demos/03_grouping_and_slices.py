@@ -12,7 +12,6 @@ alone (`GroupLgp`), never the whole matrix.
 import numpy as np
 
 from lgpnet import (
-    EmConfig,
     GmmBank,
     GroupLgp,
     lineage_grouping,
@@ -23,7 +22,7 @@ from lgpnet import (
 rng = np.random.default_rng(2)
 data = np.vstack([rng.normal(loc=c, scale=0.5, size=(300, 3)) for c in (-4.0, 0.0, 4.0)])
 
-models = train_by_splitting(data, 32, EmConfig(n_iterations=8))
+models = train_by_splitting(data, 32, n_iterations=8)
 bank = GmmBank(gmms=[m for m in models if m.order in (8, 16, 32)])
 print(f"bank orders: {bank.orders}, total components: {sum(bank.orders)}")
 

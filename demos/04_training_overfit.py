@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from lgpnet import (
-    EmConfig,
     GmmBank,
     GroupLgp,
     ManifestFrames,
@@ -55,7 +54,7 @@ with tempfile.TemporaryDirectory(prefix="lgpnet_demo_") as tmp:  # the WAVs and 
     print(f"corpus: {len(manifest)} utterances under {workdir}")
 
     frames = np.vstack([lfcc_extract(read_wav(p)).values for p, _ in manifest.entries])
-    models = train_by_splitting(frames, 16, EmConfig(n_iterations=8))
+    models = train_by_splitting(frames, 16, n_iterations=8)
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
     print(f"bank orders {bank.orders}; {assignment.n_groups} lineage groups")

@@ -13,7 +13,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import time
 
@@ -23,8 +22,8 @@ from . import corpus, lfcc, multiscale
 from .config import load_config
 from .errors import ConfigError, FormatError, LgpnetError, ManifestError
 from .evaluation import ScoreRecord, compute_eer_records, score_file_read, score_file_write
-from .gmm import train_by_splitting
-from .model import CheckpointBranches, GroupedResNetEnsemble, _Unfilled, score
+from .gmm import SPLIT_EPSILON, train_by_splitting
+from .model import BLOCK_KERNEL, CheckpointBranches, GroupedResNetEnsemble, _Unfilled, score
 from .training import predict_logits, train
 
 
@@ -100,8 +99,9 @@ def _pooled_lfcc_frames(manifest: corpus.Manifest) -> np.ndarray:
 
 def _cmd_train_gmm(args) -> int:
     cfg = load_config(args.config)
-    if args.iters is not None:
-        cfg.em = dataclasses.replace(cfg.em, n_iterations=args.iters)
+    iters = cfg.em_iterations if args.iters is None else args.iters
+    if iters < 1:
+        raise ConfigError(f"--iters must be >= 1, got {iters}")
     orders = sorted(cfg.bank_orders)
     target = args.order if args.order is not None else max(orders)
     orders = [o for o in orders if o <= target]
@@ -110,7 +110,7 @@ def _cmd_train_gmm(args) -> int:
     manifest = _manifest(args.protocol, args.audio_dir)
     data = _pooled_lfcc_frames(manifest)
     print(f"training GMMs up to order {target} on {data.shape[0]} frames of dim {data.shape[1]}")
-    models = train_by_splitting(data, target, cfg.em)
+    models = train_by_splitting(data, target, iters)
     by_order = {g.order: g for g in models}
     bank = multiscale.GmmBank(gmms=[by_order[o] for o in orders])
     multiscale.save_bank(bank, args.out)
@@ -190,8 +190,8 @@ def _cmd_describe(args) -> int:
     print("lgp dimension:", sum(cfg.bank_orders))
     print(f"groups: {model_cfg.n_groups} (input {model_cfg.group_input_dim} dims each)")
     print(f"blocks per branch: {model_cfg.n_blocks} ({model_cfg.block.channels} channels, "
-          f"kernel {model_cfg.block.kernel}, improved={model_cfg.improved_blocks}, mfa={model_cfg.mfa})")
-    print(f"em: {cfg.em.n_iterations} iterations, split_epsilon {cfg.em.split_epsilon}")
+          f"kernel {BLOCK_KERNEL}, improved={model_cfg.improved_blocks}, mfa={model_cfg.mfa})")
+    print(f"em: {cfg.em_iterations} iterations per split level, children at the mean +- {SPLIT_EPSILON} sd")
     print(f"train: lr {cfg.train.learning_rate}, batch {cfg.train.batch_size}, "
           f"epochs {cfg.train.epochs}, ensemble_aware={cfg.train.ensemble_aware}")
     model = GroupedResNetEnsemble(model_cfg, _Unfilled())  # counted only, so no initial values are drawn

@@ -1,9 +1,9 @@
 """key=value config files covering the whole pipeline.
 
 Lines look like ``train.learning_rate = 0.0001``; blank lines and ``#``
-comments are ignored.  A float key refuses NaN and infinity.  Every key
-has a default mirroring the standard recipe, so an empty file is a valid
-config.
+comments are ignored.  Only the 15 keys of `_SETTERS` exist, and a bad value
+(a float key refuses NaN and infinity) is refused naming its key and value.
+Every key has a default mirroring the standard recipe, so an empty file is a valid config.
 """
 from __future__ import annotations
 
@@ -12,23 +12,18 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .gmm import EmConfig
 from .model import ModelCfg, ResidualBlockCfg
 from .training import TrainConfig
 
-DEFAULT_BANK_ORDERS = [64, 128, 256, 512, 1024]
-
-
 @dataclass
 class PipelineConfig:
-    em: EmConfig = field(default_factory=EmConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
-    bank_orders: list[int] = field(default_factory=lambda: list(DEFAULT_BANK_ORDERS))
+    em_iterations: int = 30
+    bank_orders: list[int] = field(default_factory=lambda: [64, 128, 256, 512, 1024])
     target_frames: int = 400
     n_groups: int = 8
     n_blocks: int = 6
     channels: int = 256
-    kernel: int = 3
     mfa: bool = True
     improved_blocks: bool = True
     grouping: str = "lineage"
@@ -52,20 +47,31 @@ class PipelineConfig:
         return ModelCfg(
             n_groups=self.n_groups,
             n_blocks=self.n_blocks,
-            block=ResidualBlockCfg(channels=self.channels, kernel=self.kernel),
+            block=ResidualBlockCfg(channels=self.channels),
             group_input_dim=total // self.n_groups,
             mfa=self.mfa,
             improved_blocks=self.improved_blocks,
         )
 
 
-def _to_bool(raw: str, key: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "1", "yes", "on"):
-        return True
-    if lowered in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+def _parse(typ, raw: str, key: str):
+    """raw as a value of key's type typ; ConfigError naming key and raw if it is not one."""
+    if typ is bool:
+        lowered = raw.lower()
+        if lowered in ("true", "1", "yes", "on"):
+            return True
+        if lowered in ("false", "0", "no", "off"):
+            return False
+        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
+    if typ in (int, float):
+        try:
+            value = typ(raw)
+        except ValueError:
+            raise ConfigError(f"{key} expects {typ.__name__}, got {raw!r}") from None
+        if typ is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {raw!r}")
+        return value
+    return typ(raw)
 
 
 def _orders(raw: str) -> list[int]:
@@ -80,15 +86,10 @@ def _orders(raw: str) -> list[int]:
 
 
 _SETTERS = {
-    "em.n_iterations": ("em", "n_iterations", int),
-    "em.variance_floor": ("em", "variance_floor", float),
-    "em.split_epsilon": ("em", "split_epsilon", float),
+    "em.n_iterations": (None, "em_iterations", int),
     "train.learning_rate": ("train", "learning_rate", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.epochs": ("train", "epochs", int),
-    "train.plateau_patience": ("train", "plateau_patience", int),
-    "train.plateau_factor": ("train", "plateau_factor", float),
-    "train.plateau_min_delta": ("train", "plateau_min_delta", float),
     "train.seed": ("train", "seed", int),
     "train.ensemble_aware": ("train", "ensemble_aware", bool),
     "bank.orders": (None, "bank_orders", _orders),
@@ -96,7 +97,6 @@ _SETTERS = {
     "model.n_groups": (None, "n_groups", int),
     "model.n_blocks": (None, "n_blocks", int),
     "model.channels": (None, "channels", int),
-    "model.kernel": (None, "kernel", int),
     "model.mfa": (None, "mfa", bool),
     "model.improved_blocks": (None, "improved_blocks", bool),
     "grouping.method": (None, "grouping", str),
@@ -118,27 +118,19 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         if key not in _SETTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         section, attr, typ = _SETTERS[key]
-        if typ is bool:
-            value = _to_bool(raw, key)
-        elif typ in (int, float):
-            try:
-                value = typ(raw)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: {key} expects {typ.__name__}, got {raw!r}") from None
-            if typ is float and not math.isfinite(value):
-                raise ConfigError(f"{path}:{lineno}: {key} must be finite, got {raw!r}")
-        else:
-            value = typ(raw)
+        try:
+            value = _parse(typ, raw, key)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
         target = cfg if section is None else getattr(cfg, section)
         setattr(target, attr, value)
-    if cfg.target_frames < 1:
-        raise ConfigError(f"features.target_frames must be >= 1, got {cfg.target_frames}")
+    for key, least in (("features.target_frames", 1), ("em.n_iterations", 1), ("grouping.seed", 0)):
+        value = getattr(cfg, _SETTERS[key][1])
+        if value < least:
+            raise ConfigError(f"{key} must be >= {least}, got {value}")
     if cfg.grouping not in ("lineage", "random"):
         raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
-    if cfg.grouping_seed < 0:
-        raise ConfigError(f"grouping.seed must be >= 0, got {cfg.grouping_seed}")
     # re-run the dataclass validations that setattr bypassed; model_cfg() checks the model keys
     cfg.model_cfg()
-    cfg.em = EmConfig(**asdict(cfg.em))
     cfg.train = TrainConfig(**asdict(cfg.train))
     return cfg

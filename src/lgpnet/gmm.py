@@ -1,7 +1,8 @@
 """Diagonal-covariance GMMs trained by binary splitting plus EM.
 
 Training boots a single Gaussian up to the target order by repeatedly
-splitting every component in two and re-estimating with EM.  A split puts
+splitting every component in two (SPLIT_EPSILON) and re-estimating with
+EM; only the EM iterations per level are a setting.  A split puts
 the children of component i at indices 2i and 2i+1, so the split history
 is the index arithmetic itself: the ancestor of component i at the level
 with n nodes is i // (K // n).  The downstream grouping step relies on this
@@ -63,22 +64,21 @@ _EXP_FLOOR = -500.0
 # more than one wave; only the current wave's running sum is held.
 _EM_WAVE = 16
 
-# Absolute lower bound applied on top of the relative variance floor so
-# constant data dimensions cannot produce zero variances.
+# Variances are floored at VARIANCE_FLOOR times the data's, and at
+# _ABS_VAR_FLOOR so constant data dimensions cannot produce zero variances.
+VARIANCE_FLOOR = 1e-3
 _ABS_VAR_FLOOR = 1e-12
+SPLIT_EPSILON = 0.1  # a child's offset from its parent's mean, in standard deviations
 
 
+# em_fit's third positional argument: an object, not an int, as perfbench/tracing.py reads its n_iterations
 @dataclass
 class EmConfig:
     n_iterations: int = 30
-    variance_floor: float = 1e-3  # relative to the global per-dimension data variance
-    split_epsilon: float = 0.1
 
     def __post_init__(self):
         if self.n_iterations < 1:
-            raise ConfigError("n_iterations must be >= 1")
-        if self.variance_floor <= 0 or self.split_epsilon <= 0:
-            raise ConfigError("variance_floor and split_epsilon must be positive")
+            raise ConfigError(f"n_iterations must be >= 1, got {self.n_iterations}")
 
 
 @dataclass(eq=False)
@@ -182,8 +182,8 @@ def log_likelihood(gmm: Gmm, data: np.ndarray) -> float:
     return float(np.sum(_e_step(gmm, _as_frames(gmm, data))[0]))
 
 
-def _floor_vector(data_var: np.ndarray, cfg: EmConfig) -> np.ndarray:
-    return np.maximum(cfg.variance_floor * data_var, _ABS_VAR_FLOOR)
+def _floor_vector(data_var: np.ndarray) -> np.ndarray:
+    return np.maximum(VARIANCE_FLOOR * data_var, _ABS_VAR_FLOOR)
 
 
 def _row_chunks(data: np.ndarray):
@@ -220,14 +220,14 @@ def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, data_var: np.ndarray | Non
     keeping the component order.  Components with (numerically) zero mass are
     reseeded at distinct frames, the least likely ones, with the global
     variance.  data_var, the per-dimension variance of the data, sets the
-    variance floor; it is computed when not given.
+    variance floor, VARIANCE_FLOOR times it; it is computed when not given.
     """
     data = _as_frames(gmm, data)
     _check_frames(data, gmm.order)
     if data_var is None:
         data_var = _data_var(data)
     d = data.shape[1]
-    floor = _floor_vector(data_var, cfg)
+    floor = _floor_vector(data_var)
     global_var = np.maximum(data_var, _ABS_VAR_FLOOR)
     for _ in range(cfg.n_iterations):
         point_ll, stats = _e_step(gmm, data)
@@ -243,27 +243,29 @@ def em_fit(gmm: Gmm, data: np.ndarray, cfg: EmConfig, data_var: np.ndarray | Non
     return gmm
 
 
-def binary_split(gmm: Gmm, cfg: EmConfig) -> Gmm:
-    """Double the order: component i becomes children with means mu_i -+ eps*sigma_i.
+def binary_split(gmm: Gmm) -> Gmm:
+    """Double the order: component i becomes children with means mu_i -+ eps*sigma_i,
+    eps = SPLIT_EPSILON.
 
     Children inherit the parent variance and half its weight; the new
     components land at indices 2i (minus) and 2i+1 (plus), so the parent of
     component j is always j // 2.
     """
-    step = cfg.split_epsilon * np.sqrt(gmm.variances)
+    step = SPLIT_EPSILON * np.sqrt(gmm.variances)
     means = np.stack([gmm.means - step, gmm.means + step], axis=1).reshape(2 * gmm.order, gmm.dim)
     variances = np.repeat(gmm.variances, 2, axis=0)
     weights = np.repeat(gmm.weights / 2.0, 2)
     return Gmm(weights, means, variances)
 
 
-def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None = None) -> list[Gmm]:
+def train_by_splitting(data: np.ndarray, target_order: int, n_iterations: int = 30) -> list[Gmm]:
     """Boot a GMM from one component to target_order, returning every order.
 
     The returned list holds the fitted models of orders 1, 2, 4, ...,
-    target_order; a multi-order bank is just a selection of these.
+    target_order, each fitted by n_iterations of EM after its split; a
+    multi-order bank is just a selection of these.
     """
-    cfg = cfg or EmConfig()
+    cfg = EmConfig(n_iterations)
     if target_order < 1 or target_order & (target_order - 1):
         raise ConfigError(f"target order must be a power of 2, got {target_order}")
     data = np.asarray(data, dtype=np.float64)
@@ -271,10 +273,10 @@ def train_by_splitting(data: np.ndarray, target_order: int, cfg: EmConfig | None
         raise ShapeError(f"data of shape {data.shape} is not (N, D) frames")
     _check_frames(data, target_order)
     data_var = _data_var(data)  # once: every level's floor and reseed variance
-    variances = np.maximum(data_var, _floor_vector(data_var, cfg))
+    variances = np.maximum(data_var, _floor_vector(data_var))
     models = [Gmm(np.ones(1), data.mean(axis=0, keepdims=True), variances[None])]
     while models[-1].order < target_order:
-        models.append(em_fit(binary_split(models[-1], cfg), data, cfg, data_var))
+        models.append(em_fit(binary_split(models[-1]), data, cfg, data_var))
     return models
 
 

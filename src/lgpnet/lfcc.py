@@ -74,7 +74,7 @@ def frame_and_window(clip: AudioClip) -> np.ndarray:
         x = np.concatenate([x, np.zeros(FRAME_LEN - x.size)])
     starts = FRAME_SHIFT * np.arange(n_frames(clip.samples.size))
     frames = x[starts[:, None] + np.arange(FRAME_LEN)[None, :]]
-    frames *= np.hamming(FRAME_LEN)
+    frames *= _WINDOW
     return frames
 
 
@@ -101,6 +101,12 @@ def linear_filterbank(sample_rate: int, fft_size: int, n_filters: int) -> np.nda
     return fb
 
 
+# Built once, read-only; per call they took 0.24 ms of a 4.5 ms lfcc_extract (4 s clip, 2 vCPUs).
+_WINDOW = np.hamming(FRAME_LEN)
+_FILTERBANK = linear_filterbank(WAV_RATE, FFT_SIZE, N_FILTERS)
+_WINDOW.flags.writeable = _FILTERBANK.flags.writeable = False
+
+
 def _delta(feat: np.ndarray, width: int = 2) -> np.ndarray:
     """Regression-based delta over +/-width frames, edges replicated."""
     padded = np.pad(feat, ((width, width), (0, 0)), mode="edge")
@@ -121,9 +127,8 @@ def lfcc_extract(clip: AudioClip) -> FeatureMatrix:
     """
     frames = frame_and_window(clip)
     spec = power_spectrum(frames, FFT_SIZE)
-    fb = linear_filterbank(WAV_RATE, FFT_SIZE, N_FILTERS)
     with _blas_single_thread():
-        fbank = spec @ fb.T
+        fbank = spec @ _FILTERBANK.T
     log_fbank = np.log(np.maximum(fbank, LOG_FLOOR))
     ceps = dct(log_fbank, type=2, axis=1, norm="ortho")[:, 1 : N_CEPS + 1]
     energy = np.log(np.maximum(np.sum(frames**2, axis=1), LOG_FLOOR))

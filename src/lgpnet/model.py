@@ -122,20 +122,16 @@ from .tensor import (
 )
 
 _CKPT_VERSION = 1
+BLOCK_KERNEL = 3  # taps of every residual block convolution
 
 
 @dataclass
 class ResidualBlockCfg:
     channels: int = 256
-    kernel: int = 3
 
     def __post_init__(self):
         if self.channels < 1:
-            raise ConfigError("channels must be positive")
-        if self.kernel < 1:
-            raise ConfigError(f"model.kernel must be >= 1, got {self.kernel}")
-        if self.kernel % 2 == 0:
-            raise ConfigError("kernel size must be odd")
+            raise ConfigError(f"model.channels must be >= 1, got {self.channels}")
 
 
 @dataclass
@@ -257,10 +253,10 @@ class ImprovedResidualBlock:
     """Two convolutions, one BN, one activation, identity skip."""
 
     def __init__(self, cfg: ResidualBlockCfg, rng: np.random.Generator):
-        c, k = cfg.channels, cfg.kernel
-        self.conv1 = Conv1dLayer(c, c, k, rng)
+        c = cfg.channels
+        self.conv1 = Conv1dLayer(c, c, BLOCK_KERNEL, rng)
         self.bn = BatchNorm1dLayer(c)
-        self.conv2 = Conv1dLayer(c, c, k, rng)
+        self.conv2 = Conv1dLayer(c, c, BLOCK_KERNEL, rng)
 
     def forward(self, x: Tensor):
         """(the block's output, what `backward` reads besides the block's input
@@ -294,10 +290,10 @@ class StandardResidualBlock:
     the skip added before the second activation."""
 
     def __init__(self, cfg: ResidualBlockCfg, rng: np.random.Generator):
-        c, k = cfg.channels, cfg.kernel
-        self.conv1 = Conv1dLayer(c, c, k, rng)
+        c = cfg.channels
+        self.conv1 = Conv1dLayer(c, c, BLOCK_KERNEL, rng)
         self.bn1 = BatchNorm1dLayer(c)
-        self.conv2 = Conv1dLayer(c, c, k, rng)
+        self.conv2 = Conv1dLayer(c, c, BLOCK_KERNEL, rng)
         self.bn2 = BatchNorm1dLayer(c)
 
     def forward(self, x: Tensor):
@@ -657,8 +653,9 @@ def _read_meta(members: _Members, path: str | Path) -> tuple[ModelCfg, GroupAssi
             raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')}")
         cfg_doc = dict(meta["model_cfg"])
         block_doc = dict(cfg_doc["block"])
-        # older checkpoints also store these two constants; only their one legal value loads
-        for doc, key, legal in ((cfg_doc, "n_classes", 2), (block_doc, "stride", 1)):
+        # older checkpoints also store these constants; only their one legal value loads
+        legacy = ((cfg_doc, "n_classes", 2), (block_doc, "stride", 1), (block_doc, "kernel", BLOCK_KERNEL))
+        for doc, key, legal in legacy:
             value = doc.pop(key, legal)
             if value != legal:
                 raise FormatError(f"{path}: checkpoint has {key} {value!r}; only {legal} is supported")

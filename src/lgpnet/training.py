@@ -1,4 +1,4 @@
-"""Ensemble-aware loss, Adam, plateau scheduling, and the training loop.
+"""Ensemble-aware loss, Adam, a fixed plateau schedule, and the training loop.
 
 The loss averages the ensemble cross-entropy with every group classifier's
 own cross-entropy:
@@ -68,24 +68,25 @@ from .multiscale import GroupLgp, ManifestFrames
 from .tensor import Tensor, _parallel_map, _pool_workers
 
 
+PLATEAU_PATIENCE = 5
+PLATEAU_FACTOR = 0.5
+PLATEAU_MIN_DELTA = 1e-4
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-4
     batch_size: int = 32
     epochs: int = 100
-    plateau_patience: int = 5
-    plateau_factor: float = 0.5
-    plateau_min_delta: float = 1e-4
     seed: int = 0
     ensemble_aware: bool = True
 
     def __post_init__(self):
-        if min(self.learning_rate, self.batch_size, self.epochs, self.plateau_patience) <= 0:
-            raise ConfigError("learning_rate, batch_size, epochs, plateau_patience must be positive")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ConfigError("plateau_factor must lie in (0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"train.seed must be >= 0, got {self.seed}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"train.learning_rate must be > 0, got {self.learning_rate}")
+        for key, least in (("batch_size", 1), ("epochs", 1), ("seed", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"train.{key} must be >= {least}, got {getattr(self, key)}")
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -200,27 +201,27 @@ def _adam_update(p, m, v, g, lr, bc1, bc2, a, b) -> None:
     p -= np.divide(a, b, out=a)
 
 
-def reduce_on_plateau(history: list[float], cfg: TrainConfig) -> float:
-    """Learning rate implied by a monitored-loss history.
+def reduce_on_plateau(history: list[float], learning_rate: float) -> float:
+    """The rate that learning_rate becomes over a monitored-loss history.
 
     Replays the history: whenever the monitored value fails to improve on
-    the best seen by at least plateau_min_delta for plateau_patience
-    consecutive epochs, the rate is multiplied by plateau_factor and the
+    the best seen by at least PLATEAU_MIN_DELTA for PLATEAU_PATIENCE
+    consecutive epochs, the rate is multiplied by PLATEAU_FACTOR and the
     counter resets.
     """
     if not history:
         raise ValueError("history must be non-empty")
-    lr = cfg.learning_rate
+    lr = learning_rate
     best = np.inf
     bad = 0
     for value in history:
-        if value < best - cfg.plateau_min_delta:
+        if value < best - PLATEAU_MIN_DELTA:
             best = value
             bad = 0
         else:
             bad += 1
-            if bad >= cfg.plateau_patience:
-                lr *= cfg.plateau_factor
+            if bad >= PLATEAU_PATIENCE:
+                lr *= PLATEAU_FACTOR
                 bad = 0
     return lr
 
@@ -439,7 +440,7 @@ def train(
             if dev_loss < best_value:
                 best_value, best_epoch = dev_loss, epoch
                 save_checkpoint(best_file, model, lgp.assignment)
-            lr = reduce_on_plateau(monitor_history, train_cfg)
+            lr = reduce_on_plateau(monitor_history, train_cfg.learning_rate)
 
         # nothing below reads the gradients or the moments: free them before the reload
         model.zero_grad()

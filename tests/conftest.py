@@ -8,7 +8,7 @@ import lgpnet.tensor as tensor_mod
 from helpers import build_synth_corpus
 
 from lgpnet.corpus import build_manifest, parse_protocol
-from lgpnet.gmm import EmConfig, train_by_splitting
+from lgpnet.gmm import train_by_splitting
 from lgpnet.lfcc import lfcc_extract
 from lgpnet.multiscale import GmmBank, GroupLgp, ManifestFrames, lineage_grouping
 
@@ -52,7 +52,7 @@ def tiny_pipeline(synth_corpus):
     protocol, audio_dir = synth_corpus
     manifest = build_manifest(parse_protocol(protocol), audio_dir)
     frames = np.vstack([lfcc_extract_from(path) for path, _ in manifest.entries])
-    models = train_by_splitting(frames, 16, EmConfig(n_iterations=4))
+    models = train_by_splitting(frames, 16, n_iterations=4)
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
     src = ManifestFrames(manifest, target_frames=50)

@@ -805,16 +805,15 @@ def build_synth_corpus(
 
 
 def random_split_gmm(rng: np.random.Generator, order: int, dim: int):
-    from lgpnet.gmm import EmConfig, Gmm, binary_split
+    from lgpnet.gmm import Gmm, binary_split
 
-    cfg = EmConfig(split_epsilon=float(rng.uniform(0.05, 0.3)))
     g = Gmm(
         weights=np.array([1.0]),
         means=rng.normal(size=(1, dim)),
         variances=rng.uniform(0.5, 2.0, size=(1, dim)),
     )
     while g.order < order:
-        g = binary_split(g, cfg)
+        g = binary_split(g)
         # jitter so components are distinguishable
         g = Gmm(
             weights=g.weights,

@@ -95,7 +95,7 @@ def run_overfit_training(tmp_root):
     from lgpnet.multiscale import ManifestFrames
 
     frames = np.vstack([lfcc_extract(read_wav(p)).values for p, _ in manifest.entries])
-    models = train_by_splitting(frames, 16, EmConfig(n_iterations=10))
+    models = train_by_splitting(frames, 16, n_iterations=10)
     bank = GmmBank(gmms=[m for m in models if m.order in (8, 16)])
     assignment = lineage_grouping(bank, 2)
     model_cfg = ModelCfg(
@@ -232,7 +232,7 @@ class TestAcceptance:
             rng = np.random.default_rng(200 + dataset_seed)
             data = rng.normal(size=(300, 4)) * rng.uniform(0.5, 2.0) + rng.normal(size=4)
             for order in (1, 2, 4, 8):
-                model = train_by_splitting(data, order, EmConfig(n_iterations=2))[-1]
+                model = train_by_splitting(data, order, n_iterations=2)[-1]
                 previous = log_likelihood(model, data)
                 for _ in range(6):
                     model = em_fit(model, data, EmConfig(n_iterations=1))
@@ -247,7 +247,7 @@ class TestAcceptance:
         )
         # the split children start nearly coincident, so symmetry breaking
         # needs a few dozen iterations before the means separate fully
-        fitted = train_by_splitting(data, 2, EmConfig(n_iterations=40))[-1]
+        fitted = train_by_splitting(data, 2, n_iterations=40)[-1]
         estimated = fitted.means[np.argsort(fitted.means[:, 0])]
         assert np.all(np.abs(estimated - true_means) < 0.1)
 

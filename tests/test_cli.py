@@ -159,7 +159,8 @@ class TestConfigFile:
         assert cfg.bank_orders == [8, 16]
         assert cfg.n_groups == 2
         assert cfg.train.epochs == 2
-        assert cfg.train.plateau_patience == 5  # untouched default
+        assert cfg.em_iterations == 3
+        assert cfg.train.ensemble_aware  # untouched default
 
     def test_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -204,13 +205,6 @@ class TestConfigFile:
             load_config(cfg)
         with pytest.raises(ConfigError, match=message):
             PipelineConfig(bank_orders=[32, 8, 16], n_groups=n_groups).model_cfg()
-
-    def test_even_kernel_rejected_when_loaded(self, tmp_path):
-        # load_config builds the model config, so its own checks run before any command works
-        cfg = tmp_path / "kernel.cfg"
-        cfg.write_text("model.kernel = 4\n")
-        with pytest.raises(ConfigError, match="kernel size must be odd"):
-            load_config(cfg)
 
     def test_model_cfg_refuses_n_groups_below_1(self):
         # the modulo by n_groups once ran first: ZeroDivisionError
@@ -883,13 +877,13 @@ class TestRefusedInputs:
 
     @pytest.mark.parametrize("case, edit, reason", [
         ("group_input_dim", lambda meta: meta["model_cfg"].update(group_input_dim=0),
-         "ConfigError: model.group_input_dim must be >= 1, got 0"),
+         "malformed checkpoint meta (ConfigError: model.group_input_dim must be >= 1, got 0)"),
         ("n_blocks", lambda meta: meta["model_cfg"].update(n_blocks=0),
-         "ConfigError: model.n_blocks must be >= 1, got 0"),
+         "malformed checkpoint meta (ConfigError: model.n_blocks must be >= 1, got 0)"),
         ("kernel", lambda meta: meta["model_cfg"]["block"].update(kernel=2),
-         "ConfigError: kernel size must be odd"),
+         "checkpoint has kernel 2; only 3 is supported"),
         ("assignment", lambda meta: meta["assignment"].update({"8": meta["assignment"]["8"][:-1]}),
-         "ShapeError: assignment for order 8 has shape (7,)"),
+         "malformed checkpoint meta (ShapeError: assignment for order 8 has shape (7,))"),
     ], ids=["group_input_dim", "n_blocks", "kernel", "assignment"])
     def test_meta_the_model_refuses_is_a_format_error_naming_the_file(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, case, edit, reason
@@ -903,7 +897,7 @@ class TestRefusedInputs:
         broken = tmp_path / f"{case}.npz"
         broken.write_bytes((workspace / "model.npz").read_bytes())
         rewrite_meta(broken, edit)
-        message = f"{broken}: malformed checkpoint meta ({reason})"
+        message = f"{broken}: {reason}"
         for read in (load_checkpoint, CheckpointBranches):
             with pytest.raises(FormatError) as refused:
                 read(broken)
@@ -1074,14 +1068,14 @@ class TestRefusedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("model.n_groups", "-8"), ("model.n_groups", "0"), ("model.n_blocks", "0"), ("model.kernel", "-1")]
+        "key, value", [("model.n_groups", "-8"), ("model.n_groups", "0"), ("model.n_blocks", "0"), ("model.channels", "0")]
     )
     @pytest.mark.parametrize("command", ["describe", "train-model"])
     def test_model_size_below_1_is_exit_1_before_any_work(
         self, cli_workspace, workspace, capsys, monkeypatch, command, key, value
     ):
         # -8 groups once described a model of 0 parameters; 0 groups or blocks raised
-        # ZeroDivisionError and kernel -1 OverflowError, each as a traceback
+        # ZeroDivisionError, each as a traceback, and 0 channels named no key
         import lgpnet.corpus
 
         def refuse(*args, **kwargs):
@@ -1161,14 +1155,16 @@ class TestRefusedInputs:
                      "--out", str(out), "--order", "64"]
         assert cli_main([command, *args]) == 1
         captured = capsys.readouterr()
-        assert f"error: bank.orders: expected distinct positive powers of 2, got {orders!r}" in captured.err
+        line = len(TINY_CFG.splitlines()) + 1
+        assert captured.err.splitlines() == [
+            f"error: {cfg}:{line}: bank.orders: expected distinct positive powers of 2, got {orders!r}"
+        ]
         assert "total:" not in captured.out
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",
-        [("train.learning_rate", "nan"), ("train.learning_rate", "inf"), ("train.plateau_min_delta", "nan"),
-         ("train.plateau_factor", "-inf"), ("em.variance_floor", "nan"), ("em.split_epsilon", "inf")],
+        [("train.learning_rate", "nan"), ("train.learning_rate", "inf"), ("train.learning_rate", "-inf")],
     )
     def test_describe_refuses_a_non_finite_float_in_one_error_line(self, workspace, capsys, key, value):
         # describe printed each of these configs and exited 0
@@ -1181,17 +1177,39 @@ class TestRefusedInputs:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("model.mfa = maybe", "model.mfa: expected a boolean, got 'maybe'"),
+            ("train.ensemble_aware = 2", "train.ensemble_aware: expected a boolean, got '2'"),
+            ("bank.orders = 8 x", "bank.orders: expected integers, got '8 x'"),
+            ("train.epochs = soon", "train.epochs expects int, got 'soon'"),
+        ],
+    )
+    def test_describe_refuses_a_value_that_does_not_parse_naming_its_line(self, workspace, capsys, setting, message):
+        # a bool or a bank.orders value that did not parse was refused without its file and line
+        cfg = workspace / f"parse_{setting.split()[0]}.cfg"
+        cfg.write_text(TINY_CFG + setting + "\n")
+        line = len(TINY_CFG.splitlines()) + 1
+        assert cli_main(["describe", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {cfg}:{line}: {message}"]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "setting",
         ["lfcc.frame_len_ms = 25", "lfcc.frame_shift_ms = 15", "lfcc.fft_size = 512", "lfcc.n_filters = 40",
-         "lfcc.n_ceps = 12", "lfcc.include_energy = false", "lfcc.deltas = false"],
+         "lfcc.n_ceps = 12", "lfcc.include_energy = false", "lfcc.deltas = false",
+         "em.variance_floor = nan", "em.split_epsilon = inf", "model.kernel = 5", "train.plateau_patience = 3",
+         "train.plateau_factor = -inf", "train.plateau_min_delta = nan"],
     )
     @pytest.mark.parametrize("command", ["describe", "train-gmm", "train-model", "score"])
     def test_an_lfcc_key_is_unknown_before_any_lfcc(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, command, setting
     ):
-        # the front end is fixed; train-model once trained on frames 15 ms apart, with
-        # 40 filters, over a bank that train-gmm made from the defaults, and score then
-        # read the defaults again, all with exit 0
+        # the front end, EM's split and floor, the block kernel and the plateau schedule
+        # are fixed, and so is every key that once set them; train-model once trained on
+        # frames 15 ms apart, with 40 filters, over a bank that train-gmm made from the
+        # defaults, and score then read the defaults again, all with exit 0
         from lgpnet import lfcc, multiscale
 
         extracted = []
@@ -1242,11 +1260,18 @@ class TestRefusedInputs:
         [
             ("train.seed = -1", "train.seed must be >= 0, got -1"),
             ("grouping.method = random\ngrouping.seed = -1", "grouping.seed must be >= 0, got -1"),
+            ("train.batch_size = 0", "train.batch_size must be >= 1, got 0"),
+            ("train.epochs = -2", "train.epochs must be >= 1, got -2"),
+            ("train.learning_rate = 0", "train.learning_rate must be > 0, got 0.0"),
+            ("train.learning_rate = -1e-3", "train.learning_rate must be > 0, got -0.001"),
+            ("model.channels = 0", "model.channels must be >= 1, got 0"),
+            ("em.n_iterations = 0", "em.n_iterations must be >= 1, got 0"),
         ],
     )
     def test_describe_refuses_a_negative_seed_naming_its_key(self, workspace, capsys, setting, message):
         # describe exited 0, and train-model failed after reading the bank with numpy's
-        # "expected non-negative integer", which names no key
+        # "expected non-negative integer", which names no key; the other settings were
+        # refused naming neither key nor value
         cfg = workspace / f"seed_{setting.split()[-3]}.cfg"
         cfg.write_text(TINY_CFG + setting + "\n")
         assert cli_main(["describe", "--config", str(cfg)]) == 1
@@ -1255,7 +1280,10 @@ class TestRefusedInputs:
         assert captured.out == ""
 
     @pytest.mark.parametrize("iters", ["0", "-3"])
-    def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, iters):
+    def test_train_gmm_without_em_iterations(self, cli_workspace, workspace, capsys, monkeypatch, iters):
+        import lgpnet.corpus
+
+        monkeypatch.setattr(lgpnet.corpus, "build_manifest", lambda *a, **k: pytest.fail("a manifest was built"))
         out = workspace / f"gmms_iters{iters}"
         code = cli_main([
             "train-gmm", "--protocol", str(cli_workspace["protocol"]),
@@ -1263,5 +1291,5 @@ class TestRefusedInputs:
             "--order", "16", "--iters", iters, "--config", str(cli_workspace["cfg"]),
         ])
         assert code == 1
-        assert "error: n_iterations must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: --iters must be >= 1, got {iters}\n"
         assert not list(out.glob("gmm_*.bin"))

@@ -11,10 +11,12 @@ import lgpnet.gmm as gmm_mod
 import lgpnet.tensor as tensor_mod
 from helpers import e_step_by_waves, em_e_step_reference, random_split_gmm, whole_lgp
 
-from lgpnet.errors import FormatError, ShapeError
+from lgpnet.errors import ConfigError, FormatError, ShapeError
 from lgpnet.gmm import (
     _EM_CHUNK,
     _EM_WAVE,
+    SPLIT_EPSILON,
+    VARIANCE_FLOOR,
     EmConfig,
     Gmm,
     _data_var,
@@ -105,8 +107,7 @@ class TestEmFit:
             ]
         )
         # enough iterations for the near-coincident split children to separate
-        cfg = EmConfig(n_iterations=40)
-        models = train_by_splitting(data, 2, cfg)
+        models = train_by_splitting(data, 2, n_iterations=40)
         fitted = models[-1]
         est = fitted.means[np.argsort(fitted.means[:, 0])]
         assert np.all(np.abs(est - true_means) < 0.1)
@@ -116,7 +117,7 @@ class TestEmFit:
         rng = np.random.default_rng(order)
         data = rng.normal(size=(300, 4)) + rng.integers(0, 3, size=(300, 1))
         cfg = EmConfig(n_iterations=1)
-        model = train_by_splitting(data, order, EmConfig(n_iterations=2))[-1]
+        model = train_by_splitting(data, order, n_iterations=2)[-1]
         previous = log_likelihood(model, data)
         for _ in range(8):
             model = em_fit(model, data, cfg)
@@ -127,11 +128,10 @@ class TestEmFit:
     def test_weight_simplex_and_floor(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=(256, 5))
-        cfg = EmConfig(n_iterations=5)
-        model = train_by_splitting(data, 8, cfg)[-1]
+        model = train_by_splitting(data, 8, n_iterations=5)[-1]
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(model.weights >= 0)
-        floor = cfg.variance_floor * data.var(axis=0)
+        floor = VARIANCE_FLOOR * data.var(axis=0)
         assert np.all(model.variances >= floor - 1e-15)
 
     def test_empty_component_reseeded(self):
@@ -171,7 +171,7 @@ class TestEmFit:
 
     def test_too_few_frames_rejected(self):
         gmm = single_gaussian([0.0], [1.0])
-        gmm = binary_split(gmm, EmConfig())
+        gmm = binary_split(gmm)
         with pytest.raises(ValueError):
             em_fit(gmm, np.zeros((1, 1)), EmConfig())
 
@@ -267,16 +267,15 @@ class TestFusedEStep:
         rng = np.random.default_rng(19)
         n = 2 * _EM_CHUNK + 500
         data = rng.normal(size=(n, 3)) + rng.integers(0, 4, size=(n, 1))
-        cfg = EmConfig(n_iterations=2)
         monkeypatch.setattr(tensor_mod, "_get_pool", lambda: None)
-        inline = train_by_splitting(data, 64, cfg)
+        inline = train_by_splitting(data, 64, n_iterations=2)
         runs = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for workers in (1, 2, 3):
                 forced_pool(workers)
-                runs.append(train_by_splitting(data, 64, cfg))
+                runs.append(train_by_splitting(data, 64, n_iterations=2))
         finally:
             sys.setswitchinterval(interval)
         for run in runs[1:]:
@@ -306,7 +305,7 @@ class TestDataVariance:
         rng = np.random.default_rng(12)
         data = rng.normal(size=(3 * _EM_CHUNK + 7, 3)) * [1.0, 1e-3, 5.0]
         cfg = EmConfig(n_iterations=2)
-        gmm = binary_split(single_gaussian(data.mean(axis=0), data.var(axis=0)), cfg)
+        gmm = binary_split(single_gaussian(data.mean(axis=0), data.var(axis=0)))
         a, b = em_fit(gmm, data, cfg), em_fit(gmm, data, cfg, data.var(axis=0))
         for name in ("weights", "means", "variances"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
@@ -317,11 +316,11 @@ class TestFrameChecks:
     def test_non_finite_frame_in_a_late_chunk_refused(self, bad):
         data = np.random.default_rng(2).normal(size=(3 * _EM_CHUNK, 2))
         data[-5, 1] = bad
-        gmm = binary_split(single_gaussian([0.0, 0.0], [1.0, 1.0]), EmConfig())
+        gmm = binary_split(single_gaussian([0.0, 0.0], [1.0, 1.0]))
         with pytest.raises(ValueError, match="non-finite"):
             em_fit(gmm, data, EmConfig(n_iterations=1))
         with pytest.raises(ValueError, match="non-finite"):
-            train_by_splitting(data, 4, EmConfig(n_iterations=1))
+            train_by_splitting(data, 4, n_iterations=1)
 
     def test_too_few_frames_refused_before_any_level(self, monkeypatch):
         monkeypatch.setattr(gmm_mod, "em_fit", lambda *args: pytest.fail("a level was trained"))
@@ -331,25 +330,26 @@ class TestFrameChecks:
 
 class TestBinarySplit:
     def test_unit_example(self):
-        gmm = single_gaussian([0.0], [1.0])
-        split = binary_split(gmm, EmConfig(split_epsilon=0.2))
+        gmm = single_gaussian([0.0], [4.0])
+        split = binary_split(gmm)
+        assert SPLIT_EPSILON == 0.1
         assert split.order == 2
         assert np.allclose(np.sort(split.means[:, 0]), [-0.2, 0.2])
         assert np.allclose(split.weights, [0.5, 0.5])
-        assert np.allclose(split.variances, 1.0)
+        assert np.allclose(split.variances, 4.0)
 
     def test_weights_sum_preserved(self):
         rng = np.random.default_rng(4)
         gmm = random_split_gmm(rng, 8, 3)
-        split = binary_split(gmm, EmConfig())
+        split = binary_split(gmm)
         assert split.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_splits_complete_depth2_tree(self):
         # without EM in between, component j at depth 2 sits at the root mean
         # moved by -eps or +eps for each of the two bits of j, high bit first
         root = single_gaussian([0.0], [1.0])
-        mid = binary_split(root, EmConfig(split_epsilon=0.1))
-        gmm = binary_split(mid, EmConfig(split_epsilon=0.1))
+        mid = binary_split(root)
+        gmm = binary_split(mid)
         assert gmm.order == 4
         assert np.allclose(gmm.means[:, 0], [-0.2, 0.0, 0.0, 0.2])
         for j in range(4):
@@ -360,18 +360,17 @@ class TestBinarySplit:
     def test_children_straddle_parent_mean(self):
         rng = np.random.default_rng(5)
         gmm = random_split_gmm(rng, 4, 2)
-        eps = 0.15
-        split = binary_split(gmm, EmConfig(split_epsilon=eps))
+        split = binary_split(gmm)
         sigma = np.sqrt(gmm.variances)
-        assert np.allclose(split.means[0::2], gmm.means - eps * sigma)
-        assert np.allclose(split.means[1::2], gmm.means + eps * sigma)
+        assert np.allclose(split.means[0::2], gmm.means - SPLIT_EPSILON * sigma)
+        assert np.allclose(split.means[1::2], gmm.means + SPLIT_EPSILON * sigma)
 
 
 class TestTrainBySplitting:
     def test_returns_all_orders(self):
         rng = np.random.default_rng(6)
         data = rng.normal(size=(100, 2))
-        models = train_by_splitting(data, 4, EmConfig(n_iterations=2))
+        models = train_by_splitting(data, 4, n_iterations=2)
         assert [m.order for m in models] == [1, 2, 4]
 
     def test_loglik_improves_with_order(self):
@@ -380,7 +379,7 @@ class TestTrainBySplitting:
         data = np.vstack(
             [rng.normal(loc=c, scale=0.3, size=(200, 2)) for c in (-3.0, 0.0, 3.0, 6.0)]
         )
-        models = train_by_splitting(data, 8, EmConfig(n_iterations=10))
+        models = train_by_splitting(data, 8, n_iterations=10)
         lls = [log_likelihood(m, data) for m in models]
         for smaller, larger in zip(lls, lls[1:]):
             assert larger >= smaller - 1e-6
@@ -391,9 +390,9 @@ class TestTrainBySplitting:
         rng = np.random.default_rng(8)
         data = rng.normal(size=(200, 2))
         cfg = EmConfig(n_iterations=1)
-        models = train_by_splitting(data, 4, cfg)
+        models = train_by_splitting(data, 4, n_iterations=1)
         for small, big in zip(models, models[1:]):
-            refit = em_fit(binary_split(small, cfg), data, cfg)
+            refit = em_fit(binary_split(small), data, cfg)
             assert np.array_equal(big.weights, refit.weights)
             assert np.array_equal(big.means, refit.means)
             assert np.array_equal(big.variances, refit.variances)
@@ -403,7 +402,8 @@ class TestTrainBySplitting:
             train_by_splitting(np.zeros((10, 2)), 6)
 
     def test_every_level_is_one_em_fit_call(self, monkeypatch):
-        # (gmm, data, cfg) positional: the benchmark's EM metrics read args[0] and args[2]
+        # (gmm, data, EmConfig) positional: the benchmark's EM metrics read args[0]
+        # and args[2].n_iterations
         calls = []
         real = gmm_mod.em_fit
 
@@ -413,25 +413,29 @@ class TestTrainBySplitting:
 
         monkeypatch.setattr(gmm_mod, "em_fit", recording)
         data = np.random.default_rng(9).normal(size=(300, 2))
-        cfg = EmConfig(n_iterations=1)
-        train_by_splitting(data, 8, cfg)
+        train_by_splitting(data, 8, n_iterations=1)
         assert [args[0].order for args, _ in calls] == [2, 4, 8]
-        assert all(args[1] is data and args[2] is cfg and not kwargs for args, kwargs in calls)
+        assert all(args[1] is data and args[2] == EmConfig(1) and not kwargs for args, kwargs in calls)
 
     def test_levels_equal_split_then_em_fit(self):
         # the data variance, computed once per call, is what em_fit computes per level
         rng = np.random.default_rng(29)
         data = rng.normal(size=(600, 3)) * [1.0, 1e-3, 5.0] + rng.integers(0, 3, size=(600, 1))
         cfg = EmConfig(n_iterations=3)
-        models = train_by_splitting(data, 16, cfg)
+        models = train_by_splitting(data, 16, n_iterations=3)
         for parent, child in zip(models, models[1:]):
-            ref = em_fit(binary_split(parent, cfg), data, cfg)
+            ref = em_fit(binary_split(parent), data, cfg)
             for name in ("weights", "means", "variances"):
                 assert np.array_equal(getattr(child, name), getattr(ref, name)), name
 
     def test_frames_not_2d_rejected(self):
         with pytest.raises(ShapeError):
             train_by_splitting(np.arange(100.0), 4)
+
+    @pytest.mark.parametrize("iters", [0, -2])
+    def test_fewer_than_one_em_iteration_refused(self, iters):
+        with pytest.raises(ConfigError, match=f"n_iterations must be >= 1, got {iters}"):
+            train_by_splitting(np.random.default_rng(1).normal(size=(50, 2)), 4, n_iterations=iters)
 
 
 def unnormalized_lgp(gmm, x: np.ndarray) -> np.ndarray:

@@ -6,8 +6,12 @@ from helpers import count_frames_by_hand, dft_power_by_hand
 
 from lgpnet.corpus import AudioClip
 from lgpnet.errors import ShapeError, UnsupportedAudioError
+import lgpnet.lfcc as lfcc_mod
 from lgpnet.lfcc import (
+    FFT_SIZE,
+    FRAME_LEN,
     N_DIMS,
+    N_FILTERS,
     FeatureMatrix,
     fix_length,
     frame_and_window,
@@ -146,6 +150,18 @@ class TestLfccExtract:
         coeffs = dct(const, type=2, norm="ortho")
         assert abs(coeffs[0]) > 1.0
         assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
+
+    def test_features_are_bitwise_those_of_a_per_call_build(self, monkeypatch):
+        # the window and the filterbank are built once, read-only; lfcc_extract
+        # once built both on every call
+        assert not lfcc_mod._WINDOW.flags.writeable and not lfcc_mod._FILTERBANK.flags.writeable
+        rng = np.random.default_rng(11)
+        clips = [clip_of(rng.normal(size=n) * 0.1) for n in (200, 16000, 16077)]
+        once = [lfcc_extract(clip).values for clip in clips]
+        monkeypatch.setattr(lfcc_mod, "_WINDOW", np.hamming(FRAME_LEN))
+        monkeypatch.setattr(lfcc_mod, "_FILTERBANK", linear_filterbank(16000, FFT_SIZE, N_FILTERS))
+        for clip, got in zip(clips, once):
+            assert got.tobytes() == lfcc_extract(clip).values.tobytes()
 
     def test_filterbank_covers_every_filter(self):
         fb = linear_filterbank(16000, 1024, 20)

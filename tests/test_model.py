@@ -1049,8 +1049,9 @@ class TestCheckpoint:
                 read(path)
 
     def test_legacy_meta_with_the_two_constants_loads_bitwise(self, tmp_path):
-        """Checkpoints written while n_classes and stride were config fields store
-        them; with their one legal value such a file loads as one without them."""
+        """Checkpoints written while n_classes and stride (and later the block
+        kernel) were config fields store them; with their one legal value such
+        a file loads as one without them."""
         model = build_model(tiny_cfg(), seed=18)
         x = np.random.default_rng(18).normal(size=(3, 8, 12))
         training_forward(model, x, tiny_assignment())  # push the BN running stats away from their init values
@@ -1059,11 +1060,12 @@ class TestCheckpoint:
         save_checkpoint(legacy, model, tiny_assignment())
         with np.load(plain) as data:
             cfg_doc = json.loads(bytes(data["meta"]).decode("utf-8"))["model_cfg"]
-        assert "n_classes" not in cfg_doc and "stride" not in cfg_doc["block"]
+        assert "n_classes" not in cfg_doc and cfg_doc["block"] == {"channels": 8}
 
         def add_constants(meta):
             meta["model_cfg"]["n_classes"] = 2
             meta["model_cfg"]["block"]["stride"] = 1
+            meta["model_cfg"]["block"]["kernel"] = 3
 
         rewrite_meta(legacy, add_constants)
         (a, assignment_a), (b, assignment_b) = load_checkpoint(plain), load_checkpoint(legacy)
@@ -1075,13 +1077,15 @@ class TestCheckpoint:
         assert (predict_logits(a, GroupLgp(bank, assignment_a), frames).tobytes()
                 == predict_logits(b, GroupLgp(bank, assignment_b), frames).tobytes())
 
-    @pytest.mark.parametrize("key, value", [("n_classes", 1), ("n_classes", 3), ("stride", 2)])
+    @pytest.mark.parametrize(
+        "key, value", [("n_classes", 1), ("n_classes", 3), ("stride", 2), ("kernel", 1), ("kernel", 5)]
+    )
     def test_legacy_meta_with_another_value_is_format_error(self, tmp_path, key, value):
         path = tmp_path / "model.npz"
         save_checkpoint(path, build_model(tiny_cfg(), seed=18), tiny_assignment())
 
         def edit(meta):
-            doc = meta["model_cfg"]["block"] if key == "stride" else meta["model_cfg"]
+            doc = meta["model_cfg"]["block"] if key in ("stride", "kernel") else meta["model_cfg"]
             doc[key] = value
 
         rewrite_meta(path, edit)
@@ -1089,12 +1093,12 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("group_input_dim", 0), ("kernel", -1)]
+        "field, value", [("n_groups", 0), ("n_groups", -8), ("n_blocks", 0), ("group_input_dim", 0), ("channels", 0)]
     )
     def test_model_size_below_1_refused(self, field, value):
         with pytest.raises(ConfigError, match=f"model.{field} must be >= 1, got {value}"):
-            if field == "kernel":
-                ResidualBlockCfg(kernel=value)
+            if field == "channels":
+                ResidualBlockCfg(channels=value)
             else:
                 ModelCfg(**{field: value})
 

@@ -44,6 +44,9 @@ from lgpnet.tensor import Tensor
 import lgpnet.training as training_mod
 from lgpnet.training import (
     ADAM_EPS,
+    PLATEAU_FACTOR,
+    PLATEAU_MIN_DELTA,
+    PLATEAU_PATIENCE,
     AdamState,
     TrainConfig,
     adam_step,
@@ -321,37 +324,34 @@ class TestKeptRecords:
 
 
 class TestReduceOnPlateau:
-    def cfg(self, patience=3):
-        return TrainConfig(learning_rate=1e-3, plateau_patience=patience, plateau_factor=0.5)
+    LR = 1e-3
+
+    def test_the_schedule_is_fixed(self):
+        assert (PLATEAU_PATIENCE, PLATEAU_FACTOR, PLATEAU_MIN_DELTA) == (5, 0.5, 1e-4)
 
     def test_decreasing_history_keeps_lr(self):
-        cfg = self.cfg()
         history = [1.0, 0.8, 0.6, 0.4, 0.2]
-        assert reduce_on_plateau(history, cfg) == cfg.learning_rate
+        assert reduce_on_plateau(history, self.LR) == self.LR
 
     def test_flat_history_reduces_once(self):
-        cfg = self.cfg(patience=3)
-        history = [1.0] + [1.0] * 3  # first epoch improves on inf, then 3 flat
-        assert reduce_on_plateau(history, cfg) == cfg.learning_rate * 0.5
+        history = [1.0] + [1.0] * 5  # first epoch improves on inf, then 5 flat
+        assert reduce_on_plateau(history, self.LR) == self.LR * 0.5
 
     def test_improvement_resets_counter(self):
-        cfg = self.cfg(patience=3)
-        history = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]  # never 3 consecutive bad epochs
-        assert reduce_on_plateau(history, cfg) == cfg.learning_rate
+        history = [1.0] * 5 + [0.5] * 5  # never 5 consecutive bad epochs
+        assert reduce_on_plateau(history, self.LR) == self.LR
 
     def test_two_plateaus_reduce_twice(self):
-        cfg = self.cfg(patience=2)
-        history = [1.0, 1.0, 1.0, 0.5, 0.5, 0.5]
-        assert reduce_on_plateau(history, cfg) == cfg.learning_rate * 0.25
+        history = [1.0] * 6 + [0.5] * 6
+        assert reduce_on_plateau(history, self.LR) == self.LR * 0.25
 
     def test_min_delta_counts_tiny_improvements_as_flat(self):
-        cfg = self.cfg(patience=2)
-        history = [1.0, 1.0 - 1e-6, 1.0 - 2e-6]
-        assert reduce_on_plateau(history, cfg) == cfg.learning_rate * 0.5
+        history = [1.0 - 1e-6 * i for i in range(6)]
+        assert reduce_on_plateau(history, self.LR) == self.LR * 0.5
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            reduce_on_plateau([], self.cfg())
+            reduce_on_plateau([], self.LR)
 
 
 def small_train_cfg(**overrides):
