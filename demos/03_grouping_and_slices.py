@@ -3,11 +3,10 @@
 Components descending from the same branch of the split tree get the same
 group, so each group sees a coherent region of the feature space.  Binary
 splitting puts the children of component i at 2i and 2i+1, so at order K
-component i belongs to group i // (K // G).  Random grouping is the
-baseline alternative.  Each group's network branch reads only its own
-columns of the concatenated multi-order LGP matrix, so the pipeline makes
-each group's input from the LFCC frames with that group's GMM coefficients
-alone (`GroupLgp`), never the whole matrix.
+component i belongs to group i // (K // G).  Each group's network branch
+reads only its own columns of the concatenated multi-order LGP matrix, so
+the pipeline makes each group's input from the LFCC frames with that
+group's GMM coefficients alone (`GroupLgp`), never the whole matrix.
 """
 import numpy as np
 
@@ -15,7 +14,6 @@ from lgpnet import (
     GmmBank,
     GroupLgp,
     lineage_grouping,
-    random_grouping,
     train_by_splitting,
 )
 
@@ -27,13 +25,11 @@ bank = GmmBank(gmms=[m for m in models if m.order in (8, 16, 32)])
 print(f"bank orders: {bank.orders}, total components: {sum(bank.orders)}")
 
 lineage = lineage_grouping(bank, 4)
-rand = random_grouping(bank, 4, seed=0)
 print("\norder 8 lineage groups:", lineage.groups[8])
-print("order 8 random groups: ", rand.groups[8])
 for order in bank.orders:
     assert np.array_equal(lineage.groups[order], np.arange(order) // (order // 4))
 print("lineage group of component i at order K is i // (K // 4)")
-print("lineage keeps split siblings together; random scatters them")
+print("lineage keeps split siblings together")
 
 frames = rng.normal(size=(1, 50, 3))  # a batch of one utterance's frames
 lgp = GroupLgp(bank, lineage_grouping(bank, 1)).input(frames, 0).data  # one group: the whole LGP

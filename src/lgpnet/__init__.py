@@ -64,7 +64,6 @@ from .multiscale import (
     ManifestFrames,
     lineage_grouping,
     load_bank,
-    random_grouping,
     save_bank,
     utterance_lgp,
 )

@@ -22,7 +22,7 @@ from . import corpus, lfcc, multiscale
 from .config import load_config
 from .errors import ConfigError, FormatError, LgpnetError, ManifestError
 from .evaluation import ScoreRecord, compute_eer_records, score_file_read, score_file_write
-from .gmm import SPLIT_EPSILON, train_by_splitting
+from .gmm import EM_ITERATIONS, SPLIT_EPSILON, train_by_splitting
 from .model import BLOCK_KERNEL, CheckpointBranches, GroupedResNetEnsemble, _Unfilled, score
 from .training import predict_logits, train
 
@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audio-dir", required=True)
     p.add_argument("--out", required=True, help="directory for the gmm_<order>.bin files")
     p.add_argument("--order", type=int, default=None, help="largest order to train")
-    p.add_argument("--iters", type=int, default=None, help="EM iterations per split level")
+    p.add_argument("--iters", type=int, default=EM_ITERATIONS,
+                   help=f"EM iterations per split level (default {EM_ITERATIONS})")
     p.add_argument("--config", default=None)
 
     p = sub.add_parser("train-model", help="train the grouped residual network ensemble")
@@ -99,9 +100,8 @@ def _pooled_lfcc_frames(manifest: corpus.Manifest) -> np.ndarray:
 
 def _cmd_train_gmm(args) -> int:
     cfg = load_config(args.config)
-    iters = cfg.em_iterations if args.iters is None else args.iters
-    if iters < 1:
-        raise ConfigError(f"--iters must be >= 1, got {iters}")
+    if args.iters < 1:
+        raise ConfigError(f"--iters must be >= 1, got {args.iters}")
     orders = sorted(cfg.bank_orders)
     target = args.order if args.order is not None else max(orders)
     orders = [o for o in orders if o <= target]
@@ -110,18 +110,12 @@ def _cmd_train_gmm(args) -> int:
     manifest = _manifest(args.protocol, args.audio_dir)
     data = _pooled_lfcc_frames(manifest)
     print(f"training GMMs up to order {target} on {data.shape[0]} frames of dim {data.shape[1]}")
-    models = train_by_splitting(data, target, iters)
+    models = train_by_splitting(data, target, args.iters)
     by_order = {g.order: g for g in models}
     bank = multiscale.GmmBank(gmms=[by_order[o] for o in orders])
     multiscale.save_bank(bank, args.out)
     print(f"saved orders {orders} under {args.out}")
     return 0
-
-
-def _grouping(cfg, bank: multiscale.GmmBank) -> multiscale.GroupAssignment:
-    if cfg.grouping == "random":
-        return multiscale.random_grouping(bank, cfg.n_groups, cfg.grouping_seed)
-    return multiscale.lineage_grouping(bank, cfg.n_groups)
 
 
 def _cmd_train_model(args) -> int:
@@ -140,7 +134,7 @@ def _cmd_train_model(args) -> int:
     bank = multiscale.load_bank(args.gmm_dir)
     if bank.orders != sorted(cfg.bank_orders):
         raise ConfigError(f"bank orders {bank.orders} do not match config {sorted(cfg.bank_orders)}")
-    lgp = multiscale.GroupLgp(bank, _grouping(cfg, bank))
+    lgp = multiscale.GroupLgp(bank, multiscale.lineage_grouping(bank, cfg.n_groups))
     feats = multiscale.ManifestFrames(manifest, cfg.target_frames)
     dev = None if dev_manifest is None else multiscale.ManifestFrames(dev_manifest, cfg.target_frames)
     _, log_rows = train(feats, lgp, cfg.model_cfg(), cfg.train, dev=dev,
@@ -191,7 +185,8 @@ def _cmd_describe(args) -> int:
     print(f"groups: {model_cfg.n_groups} (input {model_cfg.group_input_dim} dims each)")
     print(f"blocks per branch: {model_cfg.n_blocks} ({model_cfg.block.channels} channels, "
           f"kernel {BLOCK_KERNEL}, improved={model_cfg.improved_blocks}, mfa={model_cfg.mfa})")
-    print(f"em: {cfg.em_iterations} iterations per split level, children at the mean +- {SPLIT_EPSILON} sd")
+    print(f"em: {EM_ITERATIONS} iterations per split level (train-gmm --iters), "
+          f"children at the mean +- {SPLIT_EPSILON} sd")
     print(f"train: lr {cfg.train.learning_rate}, batch {cfg.train.batch_size}, "
           f"epochs {cfg.train.epochs}, ensemble_aware={cfg.train.ensemble_aware}")
     model = GroupedResNetEnsemble(model_cfg, _Unfilled())  # counted only, so no initial values are drawn

@@ -1,14 +1,16 @@
 """key=value config files covering the whole pipeline.
 
 Lines look like ``train.learning_rate = 0.0001``; blank lines and ``#``
-comments are ignored.  Only the 15 keys of `_SETTERS` exist, and a bad value
-(a float key refuses NaN and infinity) is refused naming its key and value.
-Every key has a default mirroring the standard recipe, so an empty file is a valid config.
+comments are ignored.  Only the 12 keys of `_SETTERS` exist, each may be
+set once, and a bad value (a float key refuses NaN and infinity) is refused
+naming its key and value.  Every key has a default mirroring the standard
+recipe, so an empty file is a valid config.  EM's iteration count is not a
+key: `train-gmm --iters` sets it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
@@ -18,7 +20,6 @@ from .training import TrainConfig
 @dataclass
 class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
-    em_iterations: int = 30
     bank_orders: list[int] = field(default_factory=lambda: [64, 128, 256, 512, 1024])
     target_frames: int = 400
     n_groups: int = 8
@@ -26,29 +27,36 @@ class PipelineConfig:
     channels: int = 256
     mfa: bool = True
     improved_blocks: bool = True
-    grouping: str = "lineage"
-    grouping_seed: int = 0
 
-    def model_cfg(self) -> ModelCfg:
-        total = sum(self.bank_orders)
-        if self.n_groups < 1:  # before the modulo below
+    def __post_init__(self):
+        self.model_cfg()  # _check(), then ModelCfg's own refusals of n_blocks and channels
+
+    def _check(self) -> None:
+        """Refuse a value out of range, naming its key: every order of the bank
+        is split into n_groups equal groups, so the orders are distinct
+        positive powers of 2 and n_groups a power of 2 no larger than the
+        smallest.  A refusal of the form ``<key>: ...`` echoes the value as
+        a config line writes it."""
+        orders = self.bank_orders
+        if not orders or len(set(orders)) != len(orders) or any(o < 1 or o & (o - 1) for o in orders):
+            shown = " ".join(str(o) for o in orders)
+            raise ConfigError(f"bank.orders: expected distinct positive powers of 2, got {shown!r}")
+        if self.target_frames < 1:
+            raise ConfigError(f"features.target_frames must be >= 1, got {self.target_frames}")
+        if self.n_groups < 1:  # 0 & -1 == 0 would pass as a power of 2
             raise ConfigError(f"model.n_groups must be >= 1, got {self.n_groups}")
-        # every bank order is split into n_groups equal groups, as the groupings require
         if self.n_groups & (self.n_groups - 1):
             raise ConfigError(f"model.n_groups must be a power of 2, got {self.n_groups}")
-        if self.n_groups > min(self.bank_orders):
-            raise ConfigError(
-                f"model.n_groups {self.n_groups} exceeds the smallest bank order {min(self.bank_orders)}"
-            )
-        if total % self.n_groups:
-            raise ConfigError(
-                f"total component count {total} is not divisible by n_groups {self.n_groups}"
-            )
+        if self.n_groups > min(orders):
+            raise ConfigError(f"model.n_groups {self.n_groups} exceeds the smallest bank order {min(orders)}")
+
+    def model_cfg(self) -> ModelCfg:
+        self._check()  # again, for a config mutated since it was made
         return ModelCfg(
             n_groups=self.n_groups,
             n_blocks=self.n_blocks,
             block=ResidualBlockCfg(channels=self.channels),
-            group_input_dim=total // self.n_groups,
+            group_input_dim=sum(self.bank_orders) // self.n_groups,
             mfa=self.mfa,
             improved_blocks=self.improved_blocks,
         )
@@ -75,18 +83,14 @@ def _parse(typ, raw: str, key: str):
 
 
 def _orders(raw: str) -> list[int]:
-    """A non-empty list of distinct positive powers of 2, in any order."""
+    """The integers of a comma- or space-separated list, in any order."""
     try:
-        orders = [int(tok) for tok in raw.replace(",", " ").split()]
+        return [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"bank.orders: expected integers, got {raw!r}") from None
-    if not orders or len(set(orders)) != len(orders) or any(o < 1 or o & (o - 1) for o in orders):
-        raise ConfigError(f"bank.orders: expected distinct positive powers of 2, got {raw!r}")
-    return orders
 
 
 _SETTERS = {
-    "em.n_iterations": (None, "em_iterations", int),
     "train.learning_rate": ("train", "learning_rate", float),
     "train.batch_size": ("train", "batch_size", int),
     "train.epochs": ("train", "epochs", int),
@@ -99,15 +103,16 @@ _SETTERS = {
     "model.channels": (None, "channels", int),
     "model.mfa": (None, "mfa", bool),
     "model.improved_blocks": (None, "improved_blocks", bool),
-    "grouping.method": (None, "grouping", str),
-    "grouping.seed": (None, "grouping_seed", int),
 }
 
 
 def load_config(path: str | Path | None = None) -> PipelineConfig:
-    cfg = PipelineConfig()
+    """The config of a file, or the defaults for None.  A line that does not
+    parse, or repeats a key, is refused as ``<file>:<line>: ...``, and so is
+    a ``<key>: ...`` refusal of `PipelineConfig._check`."""
     if path is None:
-        return cfg
+        return PipelineConfig()
+    values, train, lines = {}, {}, {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -117,20 +122,19 @@ def load_config(path: str | Path | None = None) -> PipelineConfig:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _SETTERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key} is already set on line {lines[key]}")
+        lines[key] = lineno
         section, attr, typ = _SETTERS[key]
         try:
             value = _parse(typ, raw, key)
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
-        target = cfg if section is None else getattr(cfg, section)
-        setattr(target, attr, value)
-    for key, least in (("features.target_frames", 1), ("em.n_iterations", 1), ("grouping.seed", 0)):
-        value = getattr(cfg, _SETTERS[key][1])
-        if value < least:
-            raise ConfigError(f"{key} must be >= {least}, got {value}")
-    if cfg.grouping not in ("lineage", "random"):
-        raise ConfigError(f"grouping.method must be 'lineage' or 'random', got {cfg.grouping!r}")
-    # re-run the dataclass validations that setattr bypassed; model_cfg() checks the model keys
-    cfg.model_cfg()
-    cfg.train = TrainConfig(**asdict(cfg.train))
-    return cfg
+        (train if section == "train" else values)[attr] = value
+    try:
+        return PipelineConfig(train=TrainConfig(**train), **values)
+    except ConfigError as exc:
+        key = str(exc).partition(":")[0]
+        if key not in lines:  # a range refusal names its key and value, not a line
+            raise
+        raise ConfigError(f"{path}:{lines[key]}: {exc}") from None

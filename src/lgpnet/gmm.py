@@ -69,12 +69,13 @@ _EM_WAVE = 16
 VARIANCE_FLOOR = 1e-3
 _ABS_VAR_FLOOR = 1e-12
 SPLIT_EPSILON = 0.1  # a child's offset from its parent's mean, in standard deviations
+EM_ITERATIONS = 30  # per split level, unless train-gmm --iters says otherwise
 
 
 # em_fit's third positional argument: an object, not an int, as perfbench/tracing.py reads its n_iterations
 @dataclass
 class EmConfig:
-    n_iterations: int = 30
+    n_iterations: int = EM_ITERATIONS
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -258,7 +259,7 @@ def binary_split(gmm: Gmm) -> Gmm:
     return Gmm(weights, means, variances)
 
 
-def train_by_splitting(data: np.ndarray, target_order: int, n_iterations: int = 30) -> list[Gmm]:
+def train_by_splitting(data: np.ndarray, target_order: int, n_iterations: int = EM_ITERATIONS) -> list[Gmm]:
     """Boot a GMM from one component to target_order, returning every order.
 
     The returned list holds the fitted models of orders 1, 2, 4, ...,

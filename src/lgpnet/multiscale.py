@@ -3,11 +3,13 @@
 A bank of GMMs with increasing orders gives one LGP column per component,
 by ascending order, then component index (1984 columns for the default
 bank): one GEMM over the bank's stacked coefficients, then per-column
-normalization.  Components are assigned to G groups either at random or by
-their split lineage: binary splitting puts the children of component i at
-2i and 2i+1, so at order K the branch of component i at the G-node level is
-i // (K // G).  `GroupAssignment.columns` permutes the columns into group
-order, and `GroupAssignment.index_lists` gives each group's columns.
+normalization.  `lineage_grouping` assigns components to G groups by their
+split lineage: binary splitting puts the children of component i at 2i and
+2i+1, so at order K the branch of component i at the G-node level is
+i // (K // G).  A `GroupAssignment` holds any balanced partition (a
+checkpoint's stored one loads as it is); `GroupAssignment.columns` permutes
+the columns into group order, and `GroupAssignment.index_lists` gives each
+group's columns.
 
 The pipeline never builds all 1984 columns of a batch.  `ManifestFrames`
 computes a manifest's fixed-length LFCC frames batch by batch from the
@@ -97,14 +99,6 @@ class GroupAssignment:
         return np.split(self.columns, self.n_groups)
 
 
-def _check_grouping_args(bank: GmmBank, n_groups: int) -> None:
-    if n_groups < 1 or n_groups & (n_groups - 1):
-        raise ConfigError(f"group count must be a power of 2, got {n_groups}")
-    low = min(bank.orders)
-    if low < n_groups:
-        raise ConfigError(f"every GMM order must be >= the group count ({low} < {n_groups})")
-
-
 def lineage_grouping(bank: GmmBank, n_groups: int) -> GroupAssignment:
     """Group components by their shared ancestor in the split tree.
 
@@ -112,20 +106,14 @@ def lineage_grouping(bank: GmmBank, n_groups: int) -> GroupAssignment:
     n_groups nodes.  Its leaves at order K are the contiguous components
     [g * K/G, (g+1) * K/G), because every split maps i to 2i and 2i+1.
     """
-    _check_grouping_args(bank, n_groups)
+    if n_groups < 1 or n_groups & (n_groups - 1):
+        raise ConfigError(f"group count must be a power of 2, got {n_groups}")
+    low = min(bank.orders)
+    if low < n_groups:
+        raise ConfigError(f"every GMM order must be >= the group count ({low} < {n_groups})")
     groups = {
         order: np.arange(order, dtype=np.int64) // (order // n_groups) for order in bank.orders
     }
-    return GroupAssignment(groups=groups, n_groups=n_groups)
-
-
-def random_grouping(bank: GmmBank, n_groups: int, seed: int) -> GroupAssignment:
-    """Uniformly random balanced partition: lineage arithmetic on a random permutation per order."""
-    _check_grouping_args(bank, n_groups)
-    rng = np.random.default_rng(seed)
-    groups = {order: np.empty(order, dtype=np.int64) for order in bank.orders}
-    for order, assign in groups.items():
-        assign[rng.permutation(order)] = np.arange(order) // (order // n_groups)
     return GroupAssignment(groups=groups, n_groups=n_groups)
 
 

@@ -872,8 +872,9 @@ def e_step_by_waves(gmm, data: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# group layout by nested loops: the library's former index_lists and
-# random_grouping, kept as references
+# group layout by nested loops: the library's former index_lists, kept as
+# a reference, and a scattered grouping for tests that need one other than
+# the lineage grouping
 
 
 def index_lists_by_offsets(assignment) -> list[np.ndarray]:
@@ -894,8 +895,11 @@ def index_lists_by_offsets(assignment) -> list[np.ndarray]:
     return out
 
 
-def random_grouping_by_loop(bank, n_groups: int, seed: int) -> dict[int, np.ndarray]:
-    """Per order, a random permutation cut into n_groups consecutive runs."""
+def scattered_assignment(bank, n_groups: int, seed: int):
+    """A balanced `GroupAssignment` that scatters split siblings: per order, a
+    seeded random permutation cut into n_groups consecutive runs."""
+    from lgpnet.multiscale import GroupAssignment
+
     rng = np.random.default_rng(seed)
     groups = {}
     for gmm in bank.gmms:
@@ -905,7 +909,7 @@ def random_grouping_by_loop(bank, n_groups: int, seed: int) -> dict[int, np.ndar
         for g in range(n_groups):
             assign[perm[g * per_group : (g + 1) * per_group]] = g
         groups[gmm.order] = assign
-    return groups
+    return GroupAssignment(groups=groups, n_groups=n_groups)
 
 
 def random_bank(rng: np.random.Generator, orders: list[int], dim: int):

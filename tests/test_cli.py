@@ -31,7 +31,6 @@ TINY_CFG = """
 # tiny desk-scale configuration
 bank.orders = 8,16
 features.target_frames = 50
-em.n_iterations = 3
 model.n_groups = 2
 model.n_blocks = 2
 model.channels = 16
@@ -40,6 +39,13 @@ train.batch_size = 8
 train.epochs = 2
 train.seed = 7
 """
+
+
+def tiny_cfg_with(setting: str) -> str:
+    """TINY_CFG with setting as its last line, on line len(TINY_CFG.splitlines()) + 1.
+    A key may be set only once, so the key's own line in TINY_CFG is commented out."""
+    key = setting.split("=", 1)[0].strip()
+    return re.sub(rf"^{re.escape(key)} =", f"# {key} =", TINY_CFG, flags=re.M) + setting + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +165,6 @@ class TestConfigFile:
         assert cfg.bank_orders == [8, 16]
         assert cfg.n_groups == 2
         assert cfg.train.epochs == 2
-        assert cfg.em_iterations == 3
         assert cfg.train.ensemble_aware  # untouched default
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -210,6 +215,31 @@ class TestConfigFile:
         # the modulo by n_groups once ran first: ZeroDivisionError
         with pytest.raises(ConfigError, match="model.n_groups must be >= 1, got 0"):
             PipelineConfig(n_groups=0).model_cfg()
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"bank_orders": [12, 8], "n_groups": 4}, "bank.orders: expected distinct positive powers of 2, got '12 8'"),
+         ({"target_frames": -3}, "features.target_frames must be >= 1, got -3")],
+    )
+    def test_a_config_built_in_code_is_checked(self, kwargs, message):
+        # both were accepted, and the orders 12 and 8 gave a ModelCfg of group_input_dim 5
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PipelineConfig(**kwargs)
+
+    def test_a_config_mutated_in_code_is_checked_by_model_cfg(self):
+        cfg = PipelineConfig()
+        cfg.bank_orders, cfg.n_groups = [12, 8], 4
+        with pytest.raises(ConfigError, match="bank.orders: expected distinct positive powers of 2, got '12 8'"):
+            cfg.model_cfg()
+
+    def test_a_repeated_key_is_refused_naming_both_lines(self, tmp_path, capsys):
+        # the last value won: describe exited 0, and train-model trained for 100 epochs
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("train.epochs = 2\n# the recipe's count\ntrain.epochs = 100\n")
+        assert cli_main(["describe", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {cfg}:3: train.epochs is already set on line 1"]
+        assert captured.out == ""
 
     def test_model_cfg_derives_group_dim(self, cli_workspace):
         cfg = load_config(cli_workspace["cfg"])
@@ -273,7 +303,7 @@ class TestEndToEnd:
         default_cfg = tmp_path / "default_batch.cfg"
         default_cfg.write_text(TINY_CFG.replace("train.batch_size = 8\n", ""))
         gmm_dir, ckpt = str(tmp_path / "gmms"), str(tmp_path / "model.npz")
-        assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--config", str(default_cfg)]) == 0
+        assert cli_main(["train-gmm", *common, "--out", gmm_dir, "--iters", "3", "--config", str(default_cfg)]) == 0
         assert cli_main([
             "train-model", *common, "--gmm-dir", gmm_dir, "--checkpoint", ckpt, "--config", str(default_cfg),
         ]) == 0
@@ -1083,7 +1113,7 @@ class TestRefusedInputs:
 
         monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
         cfg = workspace / f"{key}{value}.cfg"
-        cfg.write_text(TINY_CFG + f"{key} = {value}\n")
+        cfg.write_text(tiny_cfg_with(f"{key} = {value}"))
         out = workspace / f"{key}{value}_{command}.out"
         args = ["--config", str(cfg)]
         if command == "train-model":
@@ -1147,7 +1177,7 @@ class TestRefusedInputs:
 
         monkeypatch.setattr(lgpnet.corpus, "build_manifest", refuse)
         cfg = workspace / f"orders{orders.replace(' ', '_')}.cfg"
-        cfg.write_text(TINY_CFG + f"bank.orders = {orders}\n")
+        cfg.write_text(tiny_cfg_with(f"bank.orders = {orders}"))
         out = workspace / f"orders{orders.replace(' ', '_')}_{command}.out"
         args = ["--config", str(cfg)]
         if command == "train-gmm":
@@ -1169,7 +1199,7 @@ class TestRefusedInputs:
     def test_describe_refuses_a_non_finite_float_in_one_error_line(self, workspace, capsys, key, value):
         # describe printed each of these configs and exited 0
         cfg = workspace / f"finite_{key}_{value}.cfg"
-        cfg.write_text(TINY_CFG + f"{key} = {value}\n")
+        cfg.write_text(tiny_cfg_with(f"{key} = {value}"))
         line = len(TINY_CFG.splitlines()) + 1
         assert cli_main(["describe", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -1188,7 +1218,7 @@ class TestRefusedInputs:
     def test_describe_refuses_a_value_that_does_not_parse_naming_its_line(self, workspace, capsys, setting, message):
         # a bool or a bank.orders value that did not parse was refused without its file and line
         cfg = workspace / f"parse_{setting.split()[0]}.cfg"
-        cfg.write_text(TINY_CFG + setting + "\n")
+        cfg.write_text(tiny_cfg_with(setting))
         line = len(TINY_CFG.splitlines()) + 1
         assert cli_main(["describe", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
@@ -1200,15 +1230,17 @@ class TestRefusedInputs:
         ["lfcc.frame_len_ms = 25", "lfcc.frame_shift_ms = 15", "lfcc.fft_size = 512", "lfcc.n_filters = 40",
          "lfcc.n_ceps = 12", "lfcc.include_energy = false", "lfcc.deltas = false",
          "em.variance_floor = nan", "em.split_epsilon = inf", "model.kernel = 5", "train.plateau_patience = 3",
-         "train.plateau_factor = -inf", "train.plateau_min_delta = nan"],
+         "train.plateau_factor = -inf", "train.plateau_min_delta = nan",
+         "grouping.method = lineage", "grouping.seed = 0", "em.n_iterations = 3"],
     )
     @pytest.mark.parametrize("command", ["describe", "train-gmm", "train-model", "score"])
-    def test_an_lfcc_key_is_unknown_before_any_lfcc(
+    def test_a_removed_key_is_unknown_before_any_lfcc(
         self, cli_workspace, workspace, capsys, monkeypatch, tmp_path, command, setting
     ):
-        # the front end, EM's split and floor, the block kernel and the plateau schedule
-        # are fixed, and so is every key that once set them; train-model once trained on
-        # frames 15 ms apart, with 40 filters, over a bank that train-gmm made from the
+        # the front end, EM's split and floor, the block kernel, the plateau schedule and
+        # the grouping are fixed, and so is every key that once set them, and EM's
+        # iteration count is train-gmm --iters alone; train-model once trained on frames
+        # 15 ms apart, with 40 filters, over a bank that train-gmm made from the
         # defaults, and score then read the defaults again, all with exit 0
         from lgpnet import lfcc, multiscale
 
@@ -1259,13 +1291,11 @@ class TestRefusedInputs:
         "setting, message",
         [
             ("train.seed = -1", "train.seed must be >= 0, got -1"),
-            ("grouping.method = random\ngrouping.seed = -1", "grouping.seed must be >= 0, got -1"),
             ("train.batch_size = 0", "train.batch_size must be >= 1, got 0"),
             ("train.epochs = -2", "train.epochs must be >= 1, got -2"),
             ("train.learning_rate = 0", "train.learning_rate must be > 0, got 0.0"),
             ("train.learning_rate = -1e-3", "train.learning_rate must be > 0, got -0.001"),
             ("model.channels = 0", "model.channels must be >= 1, got 0"),
-            ("em.n_iterations = 0", "em.n_iterations must be >= 1, got 0"),
         ],
     )
     def test_describe_refuses_a_negative_seed_naming_its_key(self, workspace, capsys, setting, message):
@@ -1273,7 +1303,7 @@ class TestRefusedInputs:
         # "expected non-negative integer", which names no key; the other settings were
         # refused naming neither key nor value
         cfg = workspace / f"seed_{setting.split()[-3]}.cfg"
-        cfg.write_text(TINY_CFG + setting + "\n")
+        cfg.write_text(tiny_cfg_with(setting))
         assert cli_main(["describe", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {message}"]

@@ -24,6 +24,7 @@ from helpers import (
     random_bank,
     rewrite_arrays,
     rewrite_meta,
+    scattered_assignment,
     standard_forward_by_add,
     train_step_grads,
     training_forward,
@@ -48,7 +49,7 @@ from lgpnet.model import (
     save_checkpoint,
     score,
 )
-from lgpnet.multiscale import GroupAssignment, GroupLgp, lineage_grouping, random_grouping
+from lgpnet.multiscale import GroupAssignment, GroupLgp, lineage_grouping
 from lgpnet.tensor import Tensor, max_pool_time
 from lgpnet.training import AdamState, adam_step, ensemble_aware_loss, predict_logits
 
@@ -956,7 +957,7 @@ class TestCheckpoint:
         # orders 4 + 8 over 2 groups: 6 input dims per group
         model = build_model(tiny_cfg(group_input_dim=6), seed=14)
         rng = np.random.default_rng(15)
-        assignment = random_grouping(random_bank(rng, [4, 8], 2), 2, seed=9)
+        assignment = scattered_assignment(random_bank(rng, [4, 8], 2), 2, seed=9)
         # a scattered assignment, so the roundtrip cannot pass by being contiguous
         assert not np.array_equal(assignment.groups[8], np.sort(assignment.groups[8]))
         x = rng.normal(size=(3, 12, 12))

@@ -10,8 +10,8 @@ from helpers import (
     group_slices,
     index_lists_by_offsets,
     random_bank,
-    random_grouping_by_loop,
     random_split_gmm,
+    scattered_assignment,
     whole_lgp,
 )
 
@@ -25,7 +25,6 @@ from lgpnet.multiscale import (
     GroupLgp,
     ManifestFrames,
     lineage_grouping,
-    random_grouping,
     utterance_lgp,
 )
 
@@ -104,31 +103,6 @@ class TestLineageGrouping:
             lineage_grouping(bank, 3)  # not a power of two
 
 
-class TestRandomGrouping:
-    def test_deterministic_given_seed(self):
-        rng = np.random.default_rng(5)
-        bank = random_bank(rng, [16, 32], 3)
-        a = random_grouping(bank, 4, seed=123)
-        b = random_grouping(bank, 4, seed=123)
-        for order in (16, 32):
-            assert np.array_equal(a.groups[order], b.groups[order])
-
-    def test_balanced(self):
-        rng = np.random.default_rng(6)
-        bank = GmmBank(gmms=[random_split_gmm(rng, 64, 2)])
-        assignment = random_grouping(bank, 8, seed=0)
-        assert np.all(np.bincount(assignment.groups[64]) == 8)
-
-    def test_seeds_differ(self):
-        rng = np.random.default_rng(7)
-        bank = GmmBank(gmms=[random_split_gmm(rng, 64, 2)])
-        baseline = random_grouping(bank, 8, seed=0).groups[64]
-        assert any(
-            not np.array_equal(random_grouping(bank, 8, seed=s).groups[64], baseline)
-            for s in range(1, 11)
-        )
-
-
 class TestGroupLayout:
     """`columns` and `index_lists` against the nested-loop layout."""
 
@@ -142,7 +116,7 @@ class TestGroupLayout:
         for bank in banks:
             for assignment in (
                 lineage_grouping(bank, n_groups),
-                random_grouping(bank, n_groups, seed=n_groups),
+                scattered_assignment(bank, n_groups, seed=n_groups),
             ):
                 expected = index_lists_by_offsets(assignment)
                 got = assignment.index_lists()
@@ -150,15 +124,6 @@ class TestGroupLayout:
                 for a, b in zip(got, expected):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert np.array_equal(assignment.columns, np.concatenate(expected))
-
-    def test_random_grouping_matches_loop(self, banks):
-        for bank in banks:
-            for seed in range(5):
-                expected = random_grouping_by_loop(bank, 8, seed)
-                got = random_grouping(bank, 8, seed).groups
-                assert sorted(got) == sorted(expected)
-                for order in expected:
-                    assert np.array_equal(got[order], expected[order])
 
 
 class TestMultiOrderLgp:
@@ -219,7 +184,7 @@ class TestGroupSlices:
     def test_partition_reconstructs_input(self):
         rng = np.random.default_rng(12)
         bank = random_bank(rng, [8, 16, 32], 3)
-        assignment = random_grouping(bank, 4, seed=3)
+        assignment = scattered_assignment(bank, 4, seed=3)
         feat = rng.normal(size=(20, 56))
         rebuilt = np.empty_like(feat)
         for cols, s in zip(assignment.index_lists(), group_slices(assignment, feat)):
@@ -253,7 +218,7 @@ class TestAssignmentSerialization:
         # an assignment is serialized as part of a model checkpoint
         rng = np.random.default_rng(16)
         bank = random_bank(rng, [8, 16], 2)
-        assignment = random_grouping(bank, 4, seed=9)
+        assignment = scattered_assignment(bank, 4, seed=9)
         cfg = ModelCfg(
             n_groups=4,
             n_blocks=1,
@@ -379,7 +344,7 @@ class TestGroupLgp:
         # magnifies (to 1e-11 at T = 2).
         rng = np.random.default_rng(62)
         bank = random_bank(rng, [64, 128, 256, 512, 1024], 60)
-        assignment = lineage_grouping(bank, 8) if grouping == "lineage" else random_grouping(bank, 8, seed=4)
+        assignment = lineage_grouping(bank, 8) if grouping == "lineage" else scattered_assignment(bank, 8, seed=4)
         frames = rng.normal(size=(3, t, 60))
         lgp = GroupLgp(bank, assignment)
         full = whole_lgp(bank, frames)
@@ -396,7 +361,7 @@ class TestGroupLgp:
     def test_coefficients_are_the_groups_columns(self):
         rng = np.random.default_rng(63)
         bank = random_bank(rng, [8, 16], 3)
-        assignment = random_grouping(bank, 2, seed=5)
+        assignment = scattered_assignment(bank, 2, seed=5)
         lgp = GroupLgp(bank, assignment)
         assert lgp.assignment is assignment
         for coef, cols in zip(lgp.coefficients, assignment.index_lists()):
